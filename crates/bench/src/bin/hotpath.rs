@@ -17,6 +17,9 @@
 //! - **pinglist**: `generate_all` servers/sec, serial vs parallel.
 //! - **aggregate**: `WindowAggregate` records/sec, serial vs parallel
 //!   (and a bit-equality check between the two results).
+//! - **codec**: a counting-allocator proof that a 2,000-record upload
+//!   batch encodes into a pre-sized buffer with zero allocations and
+//!   decodes with only the output `Vec`'s growth.
 //! - **tick**: the streaming DSA path — ingest records/sec (appends fold
 //!   into 10-min window partials as they land), 10-min tick ms with a
 //!   record-copy counter proving the tick reads a finished partial
@@ -32,7 +35,8 @@
 //! [--check] [--out PATH]`. The full run writes `BENCH_hotpath.json` at
 //! the repo root; `--smoke` shrinks every dimension for CI and writes
 //! `target/BENCH_hotpath.smoke.json` instead. `--check` exits non-zero
-//! if an acceptance gate fails (resolver not allocation-free; a 10-min
+//! if an acceptance gate fails (resolver not allocation-free; the upload
+//! codec allocating per record; a 10-min
 //! tick copying records out of the store; recovery dropping or
 //! mutating a record; in full mode also resolver speedup < 3x,
 //! deferred event-queue metric accounting < 2x cheaper than per-op
@@ -58,8 +62,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Counts every heap allocation in the process, so the resolver section
-/// can prove a resolve call never touches the allocator.
+/// Counts every heap allocation in the process, so the resolver and codec
+/// sections can prove their hot paths stay off the allocator.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -476,6 +480,27 @@ fn main() {
         "  aggregation    serial {serial_rec_per_sec:>8.0} rec/s    parallel {par_rec_per_sec:>8.0} rec/s    speedup {agg_speedup:.2}x"
     );
 
+    // --- upload codec: one agent batch through serde_json, counted by the
+    // allocator rather than timed (benchmark/ times it). Values write
+    // themselves straight into the buffer and read themselves straight off
+    // the bytes, so encoding into a pre-sized buffer must not allocate at
+    // all, and decoding may only grow the output `Vec` — a constant, not a
+    // share of the records.
+    let batch = &records[..2_000];
+    let mut body = Vec::with_capacity(batch.len() * 256);
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    serde_json::to_writer(&mut body, batch).expect("encode batch");
+    let encode_allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let decoded: Vec<ProbeRecord> = serde_json::from_slice(&body).expect("decode batch");
+    let decode_allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+    assert_eq!(decoded, batch, "batch did not survive the codec");
+    println!(
+        "  codec          {} records, {} bytes: encode allocs {encode_allocs}, decode allocs {decode_allocs}",
+        batch.len(),
+        body.len()
+    );
+
     // --- tick path: ingest-time partials + merge-based rollups. The same
     // corpus as the aggregation section, respaced to span one hour (full)
     // or thirty minutes (smoke) so it covers several 10-min windows with
@@ -781,6 +806,14 @@ fn main() {
         gate(
             "resolve path performs zero heap allocations",
             resolver_allocs == 0,
+        );
+        gate(
+            "encoding a 2,000-record batch into a pre-sized buffer allocates nothing",
+            encode_allocs == 0,
+        );
+        gate(
+            "decoding it allocates only the output Vec's growth (<= 16), nothing per record",
+            decode_allocs <= 16,
         );
         gate(
             "10-min/hourly ticks copy zero records out of the store",

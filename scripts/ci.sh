@@ -2,9 +2,13 @@
 # Full CI gate for the workspace. Run from anywhere; exits non-zero on the
 # first failing step. Pass --bench-smoke to also run the hot-path bench in
 # smoke mode (small workloads, acceptance gates only — no timings recorded):
-# it fails if a resolve call allocates, if a 10-min/hourly tick copies a
-# record out of the store, or if the merged hourly rollup is not bit-equal
-# to the golden rebuild-from-raw. Pass --chaos-smoke to also run the
+# it fails if a resolve call allocates, if the upload codec allocates per
+# record, if a 10-min/hourly tick copies a record out of the store, or if
+# the merged hourly rollup is not bit-equal to the golden rebuild-from-raw.
+# The same flag then runs the pipeline benchmark's durable-ingest workload
+# for 2 s, for its output checks only (every acknowledged record stored,
+# the reopened store bit-equal): a codec bug that loses or corrupts a
+# record fails here, and no timing is gated. Pass --chaos-smoke to also run the
 # seeded end-to-end chaos drill (replica kill → collector stall → total
 # controller outage → restore) under a hard wall-clock cap. Pass
 # --fuzz-smoke to also run the deterministic correctness harness
@@ -77,8 +81,11 @@ step "cargo clippy -D warnings (workspace, all targets)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 if [ "$BENCH_SMOKE" = 1 ]; then
-  step "hotpath bench smoke (zero-allocation + zero-copy tick gates)"
+  step "hotpath bench smoke (zero-allocation resolver + codec, zero-copy tick gates)"
   cargo run --release -q -p pingmesh-bench --bin hotpath -- --smoke --check
+
+  step "pipeline benchmark output checks (ingest_durable, 2 s, nothing timed)"
+  benchmark/run.sh --workload ingest_durable --seed 1 --seconds 2 --trace 0
 fi
 
 if [ "$FUZZ_SMOKE" = 1 ]; then

@@ -1,6 +1,9 @@
-//! `Serialize`/`Deserialize` impls for primitives and std containers.
+//! `Serialize`/`Deserialize` impls for primitives, std containers and
+//! [`Value`].
 
-use crate::value::{Number, Object, Value};
+use crate::de::Reader;
+use crate::ser::Writer;
+use crate::value::{Number, Value};
 use crate::{DeError, Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -8,17 +11,18 @@ use std::net::Ipv4Addr;
 macro_rules! ser_de_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::U64(*self as u64))
+            fn serialize(&self, w: &mut Writer<'_>) {
+                w.u64(*self as u64)
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n = v
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let n = r
+                    .number(stringify!($t))?
                     .as_u64()
-                    .ok_or_else(|| DeError::expected("unsigned integer", stringify!($t)))?;
+                    .ok_or_else(|| r.expected("unsigned integer", stringify!($t)))?;
                 <$t>::try_from(n)
-                    .map_err(|_| DeError::custom(format!("{n} out of range for {}", stringify!($t))))
+                    .map_err(|_| r.err(&format!("{n} out of range for {}", stringify!($t))))
             }
         }
     )*};
@@ -29,22 +33,18 @@ ser_de_uint!(u8, u16, u32, u64, usize);
 macro_rules! ser_de_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let n = *self as i64;
-                if n >= 0 {
-                    Value::Number(Number::U64(n as u64))
-                } else {
-                    Value::Number(Number::I64(n))
-                }
+            fn serialize(&self, w: &mut Writer<'_>) {
+                w.i64(*self as i64)
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n = v
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let n = r
+                    .number(stringify!($t))?
                     .as_i64()
-                    .ok_or_else(|| DeError::expected("integer", stringify!($t)))?;
+                    .ok_or_else(|| r.expected("integer", stringify!($t)))?;
                 <$t>::try_from(n)
-                    .map_err(|_| DeError::custom(format!("{n} out of range for {}", stringify!($t))))
+                    .map_err(|_| r.err(&format!("{n} out of range for {}", stringify!($t))))
             }
         }
     )*};
@@ -53,240 +53,272 @@ macro_rules! ser_de_int {
 ser_de_int!(i8, i16, i32, i64, isize);
 
 impl<T: Serialize> Serialize for std::ops::Range<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         // Matches serde's representation: a struct with start/end.
-        let mut obj = Object::new();
-        obj.insert("start", self.start.to_value());
-        obj.insert("end", self.end.to_value());
-        Value::Object(obj)
+        w.open(b'{');
+        w.field(true, "\"start\":");
+        self.start.serialize(w);
+        w.field(false, "\"end\":");
+        self.end.serialize(w);
+        w.close(b'}', false);
     }
 }
 
 impl<T: Deserialize> Deserialize for std::ops::Range<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "Range"))?;
-        Ok(T::from_field(obj.get("start"), "start")?..T::from_field(obj.get("end"), "end")?)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let (mut start, mut end) = (None, None);
+        let mut more = r.begin_object("Range")?;
+        while more {
+            match &*r.key()? {
+                "start" => start = Some(T::deserialize(r)?),
+                "end" => end = Some(T::deserialize(r)?),
+                _ => r.skip_value()?,
+            }
+            more = r.more(b'}')?;
+        }
+        let or_missing = |field: Option<T>, name| field.map_or_else(|| T::missing(name), Ok);
+        Ok(or_missing(start, "start")?..or_missing(end, "end")?)
     }
 }
 
 impl Serialize for u128 {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         // JSON numbers top out at u64 here; wider values degrade to f64.
         match u64::try_from(*self) {
-            Ok(n) => Value::Number(Number::U64(n)),
-            Err(_) => Value::Number(Number::F64(*self as f64)),
+            Ok(n) => w.u64(n),
+            Err(_) => w.f64(*self as f64),
         }
     }
 }
 
 impl Deserialize for u128 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        if let Some(n) = v.as_u64() {
-            return Ok(n as u128);
-        }
-        match v.as_f64() {
-            Some(f) if f >= 0.0 && f.is_finite() => Ok(f as u128),
-            _ => Err(DeError::expected("unsigned integer", "u128")),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let n = r.number("u128")?;
+        match (n.as_u64(), n.as_f64()) {
+            (Some(n), _) => Ok(n.into()),
+            (None, Some(f)) if f >= 0.0 => Ok(f as u128),
+            _ => Err(r.expected("unsigned integer", "u128")),
         }
     }
 }
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        if self.is_finite() {
-            Value::Number(Number::F64(*self))
-        } else {
-            // serde_json maps non-finite floats to null.
-            Value::Null
-        }
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.f64(*self)
     }
 }
 
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_f64().ok_or_else(|| DeError::expected("number", "f64"))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.number("f64")?
+            .as_f64()
+            .ok_or_else(|| r.expected("number", "f64"))
     }
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        (*self as f64).to_value()
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.f64(f64::from(*self))
     }
 }
 
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(f64::from_value(v)? as f32)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Ok(f64::deserialize(r)? as f32)
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.bool(*self)
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_bool().ok_or_else(|| DeError::expected("bool", "bool"))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.bool()
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(self)
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(self)
     }
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| DeError::expected("string", "String"))
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Ok(r.str("String")?.into_owned())
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.open(b'[');
+        for (i, item) in self.iter().enumerate() {
+            w.element(i == 0);
+            item.serialize(w);
+        }
+        w.close(b']', self.is_empty());
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        self.as_slice().serialize(w)
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_array()
-            .ok_or_else(|| DeError::expected("array", "Vec"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        // Grown as elements arrive: the input has no length to trust.
+        let mut items = Vec::new();
+        let mut more = r.begin_array("Vec")?;
+        while more {
+            items.push(T::deserialize(r)?);
+            more = r.more(b']')?;
+        }
+        Ok(items)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         match self {
-            Some(t) => t.to_value(),
-            None => Value::Null,
+            Some(t) => t.serialize(w),
+            None => w.null(),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 
-    fn from_field(v: Option<&Value>, _name: &str) -> Result<Self, DeError> {
-        match v {
-            None | Some(Value::Null) => Ok(None),
-            Some(other) => Ok(Some(T::from_value(other)?)),
-        }
+    fn missing(_field: &str) -> Result<Self, DeError> {
+        Ok(None)
     }
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.open(b'[');
+        w.element(true);
+        self.0.serialize(w);
+        w.element(false);
+        self.1.serialize(w);
+        w.close(b']', false);
     }
 }
 
 impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let a = v
-            .as_array()
-            .ok_or_else(|| DeError::expected("array", "tuple"))?;
-        if a.len() != 2 {
-            return Err(DeError::expected("2-element array", "tuple"));
-        }
-        Ok((A::from_value(&a[0])?, B::from_value(&a[1])?))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.tuple(0, 2, "tuple")?;
+        let a = A::deserialize(r)?;
+        r.tuple(1, 2, "tuple")?;
+        let b = B::deserialize(r)?;
+        r.tuple(2, 2, "tuple")?;
+        Ok((a, b))
     }
 }
 
+fn serialize_map<'m, V: Serialize + 'm>(
+    entries: impl ExactSizeIterator<Item = (&'m String, &'m V)>,
+    w: &mut Writer<'_>,
+) {
+    let empty = entries.len() == 0;
+    w.open(b'{');
+    for (i, (k, v)) in entries.enumerate() {
+        w.key(i == 0, k);
+        v.serialize(w);
+    }
+    w.close(b'}', empty);
+}
+
+/// Reads an object into any map; a repeated key overwrites (last wins).
+fn deserialize_map<V: Deserialize, M: Default + Extend<(String, V)>>(
+    r: &mut Reader<'_>,
+    ty: &str,
+) -> Result<M, DeError> {
+    let mut map = M::default();
+    let mut more = r.begin_object(ty)?;
+    while more {
+        let key = r.key()?.into_owned();
+        map.extend([(key, V::deserialize(r)?)]);
+        more = r.more(b'}')?;
+    }
+    Ok(map)
+}
+
 impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         // Sort for deterministic output (HashMap iteration order is not).
-        let mut keys: Vec<&String> = self.keys().collect();
-        keys.sort();
-        let mut obj = Object::new();
-        for k in keys {
-            obj.insert(k.clone(), self[k].to_value());
-        }
-        Value::Object(obj)
+        let mut entries: Vec<(&String, &V)> = self.iter().collect();
+        entries.sort_by_key(|&(k, _)| k);
+        serialize_map(entries.into_iter(), w)
     }
 }
 
 impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "HashMap"))?;
-        obj.iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-            .collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        deserialize_map(r, "HashMap")
     }
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        let mut obj = Object::new();
-        for (k, v) in self {
-            obj.insert(k.clone(), v.to_value());
-        }
-        Value::Object(obj)
+    fn serialize(&self, w: &mut Writer<'_>) {
+        serialize_map(self.iter(), w)
     }
 }
 
 impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "BTreeMap"))?;
-        obj.iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-            .collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        deserialize_map(r, "BTreeMap")
     }
 }
 
 impl Serialize for Ipv4Addr {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(&self.to_string())
     }
 }
 
 impl Deserialize for Ipv4Addr {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str()
-            .ok_or_else(|| DeError::expected("string", "Ipv4Addr"))?
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.str("Ipv4Addr")?
             .parse()
-            .map_err(|e| DeError::custom(format!("bad ipv4 address: {e}")))
+            .map_err(|e| r.err(&format!("bad ipv4 address: {e}")))
     }
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, w: &mut Writer<'_>) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Number(Number::U64(n)) => w.u64(*n),
+            Value::Number(Number::I64(n)) => w.i64(*n),
+            Value::Number(Number::F64(f)) => w.f64(*f),
+            Value::String(s) => w.str(s),
+            Value::Array(items) => items.serialize(w),
+            Value::Object(obj) => serialize_map(obj.iter(), w),
+        }
     }
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.value(true)
     }
 }

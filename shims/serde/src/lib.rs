@@ -1,19 +1,33 @@
 //! Offline shim for the subset of `serde` this workspace uses.
 //!
-//! The real serde's visitor-based data model is replaced by a direct
-//! JSON-value model: [`Serialize`] lowers a type to a [`Value`] tree and
-//! [`Deserialize`] lifts it back. The derive macros (re-exported from the
-//! in-tree `serde_derive` shim) generate impls against these traits with
-//! the same external JSON representation serde_json would produce:
-//! newtype structs are transparent, unit enum variants are strings,
-//! data-carrying variants are single-key objects, and `Option` fields
-//! treat a missing key as `None`.
+//! The real serde's visitor-based data model is replaced by a direct JSON
+//! streaming model, JSON being the only format the workspace speaks:
+//! [`Serialize`] writes a value's JSON text straight into an output buffer
+//! through [`ser::Writer`], and [`Deserialize`] reads a value straight off
+//! the input through [`de::Reader`]. No intermediate tree is built in
+//! either direction; [`Value`] is an ordinary type that implements both
+//! traits like any other. The derive macros (re-exported from the in-tree
+//! `serde_derive` shim) generate impls against these traits with the same
+//! external JSON representation serde_json would produce: fields in
+//! declaration order, newtype structs transparent, unit enum variants as
+//! strings, data-carrying variants as single-key objects, and `Option`
+//! fields reading a missing key as `None`.
+//!
+//! What a decoder accepts, beyond the obvious: unknown keys are skipped
+//! (their values checked against the full grammar, without allocating); a
+//! repeated key is read again and the last value wins; a missing key is an
+//! error naming the field unless the field is an `Option`; a data-carrying
+//! enum variant must be the only key of its object; tuples and tuple
+//! structs must have exactly their arity; an integer field takes an
+//! integral float (`3.0`, `1e3`) but nothing out of its range.
 
 #![forbid(unsafe_code)]
 
 pub use serde_derive::{Deserialize, Serialize};
 
+pub mod de;
 mod impls;
+pub mod ser;
 pub mod value;
 
 pub use value::{Number, Object, Value};
@@ -23,19 +37,9 @@ pub use value::{Number, Object, Value};
 pub struct DeError(pub String);
 
 impl DeError {
-    /// Error for a value of the wrong shape.
-    pub fn expected(what: &str, while_parsing: &str) -> Self {
-        DeError(format!("expected {what} while parsing {while_parsing}"))
-    }
-
     /// Error for a required object key that is absent.
     pub fn missing(field: &str) -> Self {
         DeError(format!("missing field `{field}`"))
-    }
-
-    /// Error with a custom message.
-    pub fn custom(msg: impl Into<String>) -> Self {
-        DeError(msg.into())
     }
 }
 
@@ -47,30 +51,27 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types that can lower themselves into a [`Value`] tree.
+/// Types that can write themselves as JSON.
 pub trait Serialize {
-    /// Produces the JSON value representation.
-    fn to_value(&self) -> Value;
+    /// Writes the JSON form of `self`.
+    fn serialize(&self, w: &mut ser::Writer<'_>);
 }
 
-/// Types that can be reconstructed from a [`Value`] tree.
+/// Types that can read themselves from JSON.
 pub trait Deserialize: Sized {
-    /// Parses from a JSON value.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
+    /// Reads one value off the input.
+    fn deserialize(r: &mut de::Reader<'_>) -> Result<Self, DeError>;
 
-    /// Parses from an optional object field. The default requires the key
-    /// to be present; `Option<T>` overrides this so a missing key reads as
-    /// `None` (matching serde's derive behaviour).
-    fn from_field(v: Option<&Value>, name: &str) -> Result<Self, DeError> {
-        match v {
-            Some(v) => Self::from_value(v),
-            None => Err(DeError::missing(name)),
-        }
+    /// The value of an object field whose key is absent. The default is an
+    /// error naming the field; `Option<T>` overrides this so a missing key
+    /// reads as `None` (matching serde's derive behaviour).
+    fn missing(field: &str) -> Result<Self, DeError> {
+        Err(DeError::missing(field))
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut ser::Writer<'_>) {
+        (**self).serialize(w)
     }
 }

@@ -1,4 +1,7 @@
-//! The JSON value tree shared by the `serde` and `serde_json` shims.
+//! The dynamically typed JSON value, for callers that index into a document
+//! without a type for it. It reads and writes itself through the same
+//! [`Reader`](crate::de::Reader) and [`Writer`](crate::ser::Writer) as every
+//! other type.
 
 use std::ops::Index;
 
@@ -86,7 +89,7 @@ impl Object {
     }
 
     /// Iterates entries in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&String, &Value)> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
 }

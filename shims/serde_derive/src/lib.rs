@@ -3,7 +3,11 @@
 //! Parses the item definition directly from the [`proc_macro::TokenStream`]
 //! (the build is fully offline, so `syn`/`quote` are unavailable) and
 //! generates impls of the shim `serde::Serialize` / `serde::Deserialize`
-//! traits. Supported shapes — exactly what this workspace contains:
+//! traits: `serialize` is one `Writer` call per field, in declaration
+//! order; `deserialize` is a loop over the object's keys that matches each
+//! against the field names and reads the value where it stands, so neither
+//! direction builds an intermediate tree. Supported shapes — exactly what
+//! this workspace contains:
 //!
 //! * structs with named fields (`#[serde(skip)]` honoured);
 //! * tuple structs (single-field newtypes are transparent, as in serde);
@@ -13,6 +17,8 @@
 //!
 //! Generic types and other `#[serde(...)]` attributes are rejected with a
 //! compile error rather than silently mis-serialized.
+
+#![forbid(unsafe_code)]
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -46,6 +52,14 @@ enum Item {
         name: String,
         variants: Vec<Variant>,
     },
+}
+
+impl Item {
+    fn name(&self) -> &str {
+        match self {
+            Item::Struct { name, .. } | Item::Enum { name, .. } => name,
+        }
+    }
 }
 
 fn error(msg: &str) -> TokenStream {
@@ -234,159 +248,182 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     }
 }
 
+/// The names tuple fields are bound to: `__f0`, `__f1`, ….
+fn tuple_binds(len: usize) -> Vec<String> {
+    (0..len).map(|k| format!("__f{k}")).collect()
+}
+
 // ---------------------------------------------------------------- Serialize
 
+const SER: &str = "::serde::Serialize::serialize";
+
+/// Statements writing `{"a":…,"b":…}` for the live fields; `access` turns a
+/// field name into the expression that borrows it.
+fn gen_write_object(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
+    let mut s = String::from("__w.open(b'{');\n");
+    for (i, f) in live.iter().enumerate() {
+        s.push_str(&format!(
+            "__w.field({first}, {key:?}); {SER}({value}, __w);\n",
+            first = i == 0,
+            key = format!("{:?}:", f.name),
+            value = access(&f.name)
+        ));
+    }
+    s.push_str(&format!("__w.close(b'}}', {});\n", live.is_empty()));
+    s
+}
+
+/// Statements writing `[…,…]` for the given element expressions.
+fn gen_write_array(items: &[String]) -> String {
+    let mut s = String::from("__w.open(b'[');\n");
+    for (i, item) in items.iter().enumerate() {
+        s.push_str(&format!("__w.element({}); {SER}({item}, __w);\n", i == 0));
+    }
+    s.push_str(&format!("__w.close(b']', {});\n", items.is_empty()));
+    s
+}
+
 fn gen_serialize(item: &Item) -> String {
-    match item {
+    let body = match item {
         Item::Struct {
-            name,
-            transparent,
-            shape,
-        } => {
-            let body = match shape {
-                Shape::Named(fields) => {
-                    let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
-                    if *transparent && live.len() == 1 {
-                        format!("::serde::Serialize::to_value(&self.{})", live[0].name)
-                    } else {
-                        let mut s = String::from("let mut obj = ::serde::Object::new();\n");
-                        for f in &live {
-                            s.push_str(&format!(
-                                "obj.insert({n:?}, ::serde::Serialize::to_value(&self.{n}));\n",
-                                n = f.name
-                            ));
-                        }
-                        s.push_str("::serde::Value::Object(obj)");
-                        s
-                    }
+            transparent, shape, ..
+        } => match shape {
+            Shape::Named(fields) => {
+                let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
+                if *transparent && live.len() == 1 {
+                    format!("{SER}(&self.{}, __w)", live[0].name)
+                } else {
+                    gen_write_object(fields, |n| format!("&self.{n}"))
                 }
-                Shape::Tuple(1) => "::serde::Serialize::to_value(&self.0)".into(),
-                Shape::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                        .collect();
-                    format!("::serde::Value::Array(vec![{}])", items.join(", "))
-                }
-                Shape::Unit => "::serde::Value::Null".into(),
-            };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n fn to_value(&self) -> ::serde::Value {{\n {body}\n }}\n}}"
-            )
-        }
+            }
+            Shape::Tuple(1) => format!("{SER}(&self.0, __w)"),
+            Shape::Tuple(n) => {
+                let items: Vec<String> = (0..*n).map(|k| format!("&self.{k}")).collect();
+                gen_write_array(&items)
+            }
+            Shape::Unit => "__w.null()".into(),
+        },
         Item::Enum { name, variants } => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match &v.shape {
-                    Shape::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::String({vn:?}.to_string()),\n"
-                    )),
-                    Shape::Tuple(1) => arms.push_str(&format!(
-                        "{name}::{vn}(__f0) => {{\n let mut obj = ::serde::Object::new();\n obj.insert({vn:?}, ::serde::Serialize::to_value(__f0));\n ::serde::Value::Object(obj)\n }}\n"
-                    )),
+                // A data-carrying variant is `{"Variant":<data>}`.
+                let tagged = |pattern: String, data: String| {
+                    format!(
+                        "{name}::{vn}{pattern} => {{\n __w.open(b'{{');\n __w.field(true, {key:?});\n {data} __w.close(b'}}', false);\n }}\n",
+                        key = format!("{vn:?}:")
+                    )
+                };
+                arms.push_str(&match &v.shape {
+                    Shape::Unit => format!("{name}::{vn} => __w.str({vn:?}),\n"),
+                    Shape::Tuple(1) => tagged("(__f0)".into(), format!("{SER}(__f0, __w);\n")),
                     Shape::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn}({bl}) => {{\n let mut obj = ::serde::Object::new();\n obj.insert({vn:?}, ::serde::Value::Array(vec![{il}]));\n ::serde::Value::Object(obj)\n }}\n",
-                            bl = binds.join(", "),
-                            il = items.join(", ")
-                        ));
+                        let binds = tuple_binds(*n);
+                        tagged(format!("({})", binds.join(", ")), gen_write_array(&binds))
                     }
                     Shape::Named(fields) => {
-                        let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
-                        let binds: Vec<String> = live.iter().map(|f| f.name.clone()).collect();
-                        let mut inner = String::from(
-                            "let mut inner = ::serde::Object::new();\n",
-                        );
-                        for f in &live {
-                            inner.push_str(&format!(
-                                "inner.insert({n:?}, ::serde::Serialize::to_value({n}));\n",
-                                n = f.name
-                            ));
-                        }
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {bl} }} => {{\n {inner} let mut obj = ::serde::Object::new();\n obj.insert({vn:?}, ::serde::Value::Object(inner));\n ::serde::Value::Object(obj)\n }}\n",
-                            bl = binds.join(", ")
-                        ));
+                        let binds: String = fields
+                            .iter()
+                            .filter(|f| !f.skip)
+                            .map(|f| format!("{}, ", f.name))
+                            .collect();
+                        tagged(
+                            format!(" {{ {binds}.. }}"),
+                            gen_write_object(fields, str::to_string),
+                        )
                     }
-                }
+                });
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n fn to_value(&self) -> ::serde::Value {{\n match self {{\n {arms} }}\n }}\n}}"
-            )
+            format!("match self {{\n {arms} }}")
         }
-    }
+    };
+    let name = item.name();
+    format!(
+        "impl ::serde::Serialize for {name} {{\n fn serialize(&self, __w: &mut ::serde::ser::Writer<'_>) {{\n {body}\n }}\n}}"
+    )
 }
 
 // -------------------------------------------------------------- Deserialize
 
-fn gen_named_ctor(fields: &[Field], obj_expr: &str) -> String {
-    let mut s = String::new();
-    for f in fields {
-        if f.skip {
-            s.push_str(&format!(
-                "{}: ::core::default::Default::default(),\n",
-                f.name
-            ));
-        } else {
-            s.push_str(&format!(
-                "{n}: ::serde::Deserialize::from_field({obj_expr}.get({n:?}), {n:?})?,\n",
-                n = f.name
-            ));
-        }
+const DE: &str = "::serde::Deserialize::deserialize(__r)?";
+
+/// The `field: value,` list of a constructor: `live` gives a live field's
+/// value, a skipped field takes its default.
+fn gen_ctor(fields: &[Field], live: impl Fn(&str) -> String) -> String {
+    fields
+        .iter()
+        .map(|f| match f.skip {
+            true => format!("{}: ::core::default::Default::default(),\n", f.name),
+            false => format!("{}: {},\n", f.name, live(&f.name)),
+        })
+        .collect()
+}
+
+/// Statements reading an object's members into one `Option` slot per live
+/// field — unknown keys skipped, a repeated key read again — followed by
+/// the constructor list, where an empty slot falls back to
+/// `Deserialize::missing`.
+fn gen_read_object(fields: &[Field], ty: &str) -> (String, String) {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    for n in fields.iter().filter(|f| !f.skip).map(|f| &f.name) {
+        slots.push_str(&format!(
+            "let mut __f_{n} = ::core::option::Option::None;\n"
+        ));
+        arms.push_str(&format!(
+            "{n:?} => __f_{n} = ::core::option::Option::Some({DE}),\n"
+        ));
     }
+    let read = format!(
+        "{slots} let mut __more = __r.begin_object({ty:?})?;\n while __more {{\n match &*__r.key()? {{\n {arms} _ => __r.skip_value()?,\n }}\n __more = __r.more(b'}}')?;\n }}\n"
+    );
+    let ctor = gen_ctor(fields, |n| {
+        format!(
+            "match __f_{n} {{\n ::core::option::Option::Some(v) => v,\n ::core::option::Option::None => ::serde::Deserialize::missing({n:?})?,\n }}"
+        )
+    });
+    (read, ctor)
+}
+
+/// Statements reading a `len`-element array into `__f0`, `__f1`, ….
+fn gen_read_array(len: usize, ty: &str) -> String {
+    let mut s = String::new();
+    for k in 0..len {
+        s.push_str(&format!(
+            "__r.tuple({k}, {len}, {ty:?})?;\n let __f{k} = {DE};\n"
+        ));
+    }
+    s.push_str(&format!("__r.tuple({len}, {len}, {ty:?})?;\n"));
     s
 }
 
 fn gen_deserialize(item: &Item) -> String {
-    match item {
+    let body = match item {
         Item::Struct {
             name,
             transparent,
             shape,
-        } => {
-            let body = match shape {
-                Shape::Named(fields) => {
-                    let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
-                    if *transparent && live.len() == 1 {
-                        let skipped: String = fields
-                            .iter()
-                            .filter(|f| f.skip)
-                            .map(|f| format!("{}: ::core::default::Default::default(),\n", f.name))
-                            .collect();
-                        format!(
-                            "::core::result::Result::Ok({name} {{ {n}: ::serde::Deserialize::from_value(v)?,\n {skipped} }})",
-                            n = live[0].name
-                        )
-                    } else {
-                        format!(
-                            "let obj = v.as_object().ok_or_else(|| ::serde::DeError::expected(\"object\", {name:?}))?;\n ::core::result::Result::Ok({name} {{\n {ctor} }})",
-                            ctor = gen_named_ctor(fields, "obj")
-                        )
-                    }
+        } => match shape {
+            Shape::Named(fields) => {
+                let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
+                if *transparent && live.len() == 1 {
+                    let ctor = gen_ctor(fields, |_| DE.to_string());
+                    format!("::core::result::Result::Ok({name} {{ {ctor} }})")
+                } else {
+                    let (read, ctor) = gen_read_object(fields, name);
+                    format!("{read} ::core::result::Result::Ok({name} {{\n {ctor} }})")
                 }
-                Shape::Tuple(1) => format!(
-                    "::core::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))"
-                ),
-                Shape::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|k| format!("::serde::Deserialize::from_value(&arr[{k}])?"))
-                        .collect();
-                    format!(
-                        "let arr = v.as_array().ok_or_else(|| ::serde::DeError::expected(\"array\", {name:?}))?;\n if arr.len() != {n} {{ return ::core::result::Result::Err(::serde::DeError::expected(\"{n}-element array\", {name:?})); }}\n ::core::result::Result::Ok({name}({il}))",
-                        il = items.join(", ")
-                    )
-                }
-                Shape::Unit => format!("::core::result::Result::Ok({name})"),
-            };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n fn from_value(v: &::serde::Value) -> ::core::result::Result<Self, ::serde::DeError> {{\n {body}\n }}\n}}"
-            )
-        }
+            }
+            Shape::Tuple(1) => format!("::core::result::Result::Ok({name}({DE}))"),
+            Shape::Tuple(n) => format!(
+                "{read} ::core::result::Result::Ok({name}({binds}))",
+                read = gen_read_array(*n, name),
+                binds = tuple_binds(*n).join(", ")
+            ),
+            // Written as `null`, read back from any value at all.
+            Shape::Unit => format!("__r.skip_value()?;\n ::core::result::Result::Ok({name})"),
+        },
         Item::Enum { name, variants } => {
             let mut unit_arms = String::new();
             let mut data_arms = String::new();
@@ -397,28 +434,33 @@ fn gen_deserialize(item: &Item) -> String {
                         "{vn:?} => ::core::result::Result::Ok({name}::{vn}),\n"
                     )),
                     Shape::Tuple(1) => data_arms.push_str(&format!(
-                        "{vn:?} => ::core::result::Result::Ok({name}::{vn}(::serde::Deserialize::from_value(val)?)),\n"
+                        "{vn:?} => ::core::result::Result::Ok({name}::{vn}({DE})),\n"
                     )),
-                    Shape::Tuple(n) => {
-                        let items: Vec<String> = (0..*n)
-                            .map(|k| format!("::serde::Deserialize::from_value(&arr[{k}])?"))
-                            .collect();
+                    Shape::Tuple(n) => data_arms.push_str(&format!(
+                        "{vn:?} => {{\n {read} ::core::result::Result::Ok({name}::{vn}({binds}))\n }}\n",
+                        read = gen_read_array(*n, vn),
+                        binds = tuple_binds(*n).join(", ")
+                    )),
+                    Shape::Named(fields) => {
+                        let (read, ctor) = gen_read_object(fields, vn);
                         data_arms.push_str(&format!(
-                            "{vn:?} => {{\n let arr = val.as_array().ok_or_else(|| ::serde::DeError::expected(\"array\", {vn:?}))?;\n if arr.len() != {n} {{ return ::core::result::Result::Err(::serde::DeError::expected(\"{n}-element array\", {vn:?})); }}\n ::core::result::Result::Ok({name}::{vn}({il}))\n }}\n",
-                            il = items.join(", ")
+                            "{vn:?} => {{\n {read} ::core::result::Result::Ok({name}::{vn} {{\n {ctor} }})\n }}\n"
                         ));
                     }
-                    Shape::Named(fields) => data_arms.push_str(&format!(
-                        "{vn:?} => {{\n let inner = val.as_object().ok_or_else(|| ::serde::DeError::expected(\"object\", {vn:?}))?;\n ::core::result::Result::Ok({name}::{vn} {{\n {ctor} }})\n }}\n",
-                        ctor = gen_named_ctor(fields, "inner")
-                    )),
                 }
             }
+            let unknown = format!(
+                "other => ::core::result::Result::Err(__r.err(&format!(\"unknown variant `{{other}}` of {name}\"))),\n"
+            );
             format!(
-                "impl ::serde::Deserialize for {name} {{\n fn from_value(v: &::serde::Value) -> ::core::result::Result<Self, ::serde::DeError> {{\n match v {{\n ::serde::Value::String(s) => match s.as_str() {{\n {unit_arms} other => ::core::result::Result::Err(::serde::DeError::custom(format!(\"unknown variant `{{other}}` of {name}\"))),\n }},\n ::serde::Value::Object(o) if o.len() == 1 => {{\n let (k, val) = o.iter().next().unwrap();\n match k.as_str() {{\n {data_arms} other => ::core::result::Result::Err(::serde::DeError::custom(format!(\"unknown variant `{{other}}` of {name}\"))),\n }}\n }}\n _ => ::core::result::Result::Err(::serde::DeError::expected(\"variant string or single-key object\", {name:?})),\n }}\n }}\n}}"
+                "if __r.peek() == ::core::option::Option::Some(b'\"') {{\n match &*__r.str({name:?})? {{\n {unit_arms} {unknown} }}\n }} else {{\n __r.variant_object({name:?}, |__r, __tag| match __tag {{\n {data_arms} {unknown} }})\n }}"
             )
         }
-    }
+    };
+    let name = item.name();
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n fn deserialize(__r: &mut ::serde::de::Reader<'_>) -> ::core::result::Result<Self, ::serde::DeError> {{\n {body}\n }}\n}}"
+    )
 }
 
 /// Derives the shim `serde::Serialize`.

@@ -1,393 +1,72 @@
 //! Offline shim for the subset of `serde_json` this workspace uses:
-//! `to_string` / `to_string_pretty` / `to_vec` / `from_str` / `from_slice`
-//! and [`Value`] with lenient indexing.
+//! `to_string` / `to_string_pretty` / `to_vec` / `to_writer` / `from_str` /
+//! `from_slice` and [`Value`] with lenient indexing.
 //!
-//! Works over the `serde` shim's value model: serialization lowers to a
-//! [`Value`] tree and encodes it; deserialization parses into a [`Value`]
-//! tree and lifts it. Output conventions match serde_json where observable:
-//! string escaping, `null` for `None`, externally tagged enums, and
-//! shortest-round-trip float formatting.
+//! These are thin entry points over the `serde` shim's streaming model: a
+//! value writes itself into the output buffer through one
+//! [`Writer`](serde::ser::Writer) and reads itself off the input through one
+//! [`Reader`](serde::de::Reader), whatever its type — [`parse_value`] is
+//! `from_str::<Value>`. Output conventions match serde_json where
+//! observable: string escaping, `null` for `None` and for non-finite
+//! floats, externally tagged enums, shortest-round-trip float formatting,
+//! 2-space pretty form.
 
 #![forbid(unsafe_code)]
 
+use serde::de::Reader;
+use serde::ser::Writer;
 pub use serde::value::{Number, Object, Value};
 use serde::{DeError, Deserialize, Serialize};
 
 /// Error type for both serialization and parsing (always a message).
 pub type Error = DeError;
 
-// ------------------------------------------------------------------ encode
-
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn number_into(n: &Number, out: &mut String) {
-    match *n {
-        Number::U64(v) => out.push_str(&v.to_string()),
-        Number::I64(v) => out.push_str(&v.to_string()),
-        // `{:?}` is Rust's shortest round-trip float form and keeps a
-        // trailing `.0` on integral values, matching serde_json.
-        Number::F64(v) if v.is_finite() => out.push_str(&format!("{v:?}")),
-        Number::F64(_) => out.push_str("null"),
-    }
-}
-
-fn encode_into(v: &Value, out: &mut String, indent: Option<usize>) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => number_into(n, out),
-        Value::String(s) => escape_into(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(level) = indent {
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(level + 1));
-                }
-                encode_into(item, out, indent.map(|l| l + 1));
-            }
-            if let Some(level) = indent {
-                out.push('\n');
-                out.push_str(&"  ".repeat(level));
-            }
-            out.push(']');
-        }
-        Value::Object(obj) => {
-            if obj.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, val)) in obj.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(level) = indent {
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(level + 1));
-                }
-                escape_into(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                encode_into(val, out, indent.map(|l| l + 1));
-            }
-            if let Some(level) = indent {
-                out.push('\n');
-                out.push_str(&"  ".repeat(level));
-            }
-            out.push('}');
-        }
-    }
+fn into_string(json: Vec<u8>) -> String {
+    String::from_utf8(json).expect("the writer emits UTF-8")
 }
 
 /// Serializes to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    encode_into(&value.to_value(), &mut out, None);
-    Ok(out)
+    to_vec(value).map(into_string)
 }
 
 /// Serializes to a 2-space-indented JSON string.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    encode_into(&value.to_value(), &mut out, Some(0));
-    Ok(out)
+    let mut out = Vec::new();
+    value.serialize(&mut Writer::pretty(&mut out));
+    Ok(into_string(out))
 }
 
 /// Serializes to JSON bytes.
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    to_string(value).map(String::into_bytes)
+    let mut out = Vec::new();
+    to_writer(&mut out, value)?;
+    Ok(out)
 }
 
-// ------------------------------------------------------------------- parse
-
-/// Maximum container nesting depth, matching real serde_json's default
-/// recursion limit. Without it a request body of a few KB of `[` bytes
-/// overflows the parser's stack — an abort, not a catchable error — so
-/// every service that parses untrusted bytes inherits this bound.
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> Error {
-        DeError(format!("json parse error at byte {}: {msg}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => self.keyword("null", Value::Null),
-            Some(b't') => self.keyword("true", Value::Bool(true)),
-            Some(b'f') => self.keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            Some(b) => Err(self.err(&format!("unexpected byte `{}`", b as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn keyword(&mut self, kw: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected `{kw}`")))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs: only BMP escapes are emitted
-                            // by our encoder; decode pairs for robustness.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes.get(self.pos) == Some(&b'\\')
-                                    && self.bytes.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    let lo_hex = self
-                                        .bytes
-                                        .get(self.pos + 2..self.pos + 6)
-                                        .ok_or_else(|| self.err("truncated surrogate"))?;
-                                    let lo_hex = std::str::from_utf8(lo_hex)
-                                        .map_err(|_| self.err("bad surrogate"))?;
-                                    let lo = u32::from_str_radix(lo_hex, 16)
-                                        .map_err(|_| self.err("bad surrogate"))?;
-                                    self.pos += 6;
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid codepoint"))?);
-                        }
-                        other => return Err(self.err(&format!("bad escape `\\{}`", other as char))),
-                    }
-                }
-                _ => {
-                    // Re-sync to char boundary for multi-byte UTF-8.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
-        let num = if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                Number::U64(u)
-            } else if let Ok(i) = text.parse::<i64>() {
-                Number::I64(i)
-            } else {
-                Number::F64(text.parse::<f64>().map_err(|_| self.err("bad number"))?)
-            }
-        } else {
-            Number::F64(text.parse::<f64>().map_err(|_| self.err("bad number"))?)
-        };
-        Ok(Value::Number(num))
-    }
-
-    fn enter(&mut self) -> Result<(), Error> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(self.err("recursion limit exceeded"));
-        }
-        Ok(())
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        self.enter()?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        self.enter()?;
-        let mut obj = Object::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Object(obj));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            obj.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Object(obj));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
+/// Appends compact JSON to `out` (real serde_json's `to_writer`, for the
+/// one writer this workspace hands it). Allocates nothing if `out` has the
+/// room.
+pub fn to_writer<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Result<(), Error> {
+    value.serialize(&mut Writer::compact(out));
+    Ok(())
 }
 
 /// Parses a JSON value tree from a string.
 pub fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after value"));
-    }
-    Ok(v)
+    from_str(s)
 }
 
-/// Deserializes a `T` from a JSON string.
+/// Deserializes a `T` from a JSON string; nothing but whitespace may follow
+/// the value.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    T::from_value(&parse_value(s)?)
+    let mut r = Reader::new(s);
+    let value = T::deserialize(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
-/// Deserializes a `T` from JSON bytes.
+/// Deserializes a `T` from JSON bytes, which must be UTF-8 as a whole.
 pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     let s = std::str::from_utf8(bytes).map_err(|_| DeError("non-utf8 json".into()))?;
     from_str(s)
@@ -396,6 +75,7 @@ pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::de::MAX_DEPTH;
 
     #[test]
     fn scalar_roundtrip() {
@@ -434,12 +114,10 @@ mod tests {
     #[test]
     fn pretty_output_indents() {
         let v = parse_value(r#"{"a":[1,2]}"#).unwrap();
-        let pretty = {
-            let mut out = String::new();
-            super::encode_into(&v, &mut out, Some(0));
-            out
-        };
-        assert_eq!(pretty, "{\n  \"a\": [\n    1,\n    2\n  ]\n}");
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            "{\n  \"a\": [\n    1,\n    2\n  ]\n}"
+        );
     }
 
     #[test]
@@ -457,6 +135,56 @@ mod tests {
         assert!(parse_value("nul").is_err());
         assert!(parse_value("1 2").is_err());
         assert!(from_str::<u64>("\"no\"").is_err());
+    }
+
+    #[test]
+    fn unpaired_surrogates_are_errors() {
+        // A high surrogate followed by a `\u` escape that is not a low
+        // surrogate used to decode to an unrelated character, or panic on
+        // the subtraction in a debug build.
+        for bad in [
+            r#""\ud800""#,
+            r#""\udc00""#,
+            r#""\ud800\u0041""#,
+            r#""\ud800\ud800""#,
+            r#""\ud800\ue000""#,
+            r#""\ud800x""#,
+        ] {
+            assert!(from_str::<String>(bad).is_err(), "{bad}");
+            assert!(parse_value(bad).is_err(), "{bad}");
+        }
+        assert_eq!(
+            from_str::<String>(r#""\udbff\udfff""#).unwrap(),
+            "\u{10ffff}"
+        );
+    }
+
+    #[test]
+    fn numbers_past_f64_are_errors_not_infinity() {
+        for bad in ["1e400", "-1e400", "[1e309]", r#"{"k":-1e309}"#] {
+            let err = parse_value(bad).unwrap_err();
+            assert!(err.0.contains("out of range"), "{bad}: {}", err.0);
+        }
+        assert!(from_str::<f64>("1e400").is_err());
+        assert!(from_str::<f64>("-1e400").is_err());
+        assert_eq!(from_str::<f64>("1e308").unwrap(), 1e308);
+        assert_eq!(from_str::<f64>("1e-400").unwrap(), 0.0);
+    }
+
+    #[test]
+    fn skipping_never_builds_and_is_depth_limited() {
+        // The value of an unknown key goes through the same reader as a
+        // kept one, so the limit counts the containers around it too.
+        #[derive(Debug, serde::Deserialize)]
+        struct Only {
+            a: u32,
+        }
+        let nested = |n: usize| format!(r#"{{"x":{}{},"a":1}}"#, "[".repeat(n), "]".repeat(n));
+        assert_eq!(from_str::<Only>(&nested(MAX_DEPTH - 1)).unwrap().a, 1);
+        let err = from_str::<Only>(&nested(MAX_DEPTH)).unwrap_err();
+        assert!(err.0.contains("recursion limit"), "{}", err.0);
+        let bomb = format!(r#"{{"x":{}"#, "[".repeat(100_000));
+        assert!(from_str::<Only>(&bomb).is_err());
     }
 
     #[test]
