@@ -153,36 +153,22 @@ async fn handle_echo_conn(mut stream: TcpStream) {
 
 /// Runs the TCP echo responder (the agent's "server part") until dropped.
 pub async fn serve_echo(listener: TcpListener) {
-    loop {
-        match listener.accept().await {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                tokio::spawn(handle_echo_conn(stream));
-            }
-            Err(_) => tokio::task::yield_now().await,
-        }
-    }
+    pingmesh_httpx::serve_connections(listener, handle_echo_conn).await
 }
 
 /// Runs the HTTP responder (answers `GET /ping` with `200 pong`).
 pub async fn serve_http(listener: TcpListener) {
-    loop {
-        match listener.accept().await {
-            Ok((mut stream, _)) => {
-                tokio::spawn(async move {
-                    if let Ok(req) = pingmesh_httpx::read_request(&mut stream).await {
-                        let resp = if req.method == "GET" && req.path == "/ping" {
-                            pingmesh_httpx::Response::ok(b"pong".to_vec())
-                        } else {
-                            pingmesh_httpx::Response::not_found()
-                        };
-                        let _ = pingmesh_httpx::write_response(&mut stream, &resp).await;
-                    }
-                });
-            }
-            Err(_) => tokio::task::yield_now().await,
+    pingmesh_httpx::serve_connections(listener, |mut stream| async move {
+        if let Ok(req) = pingmesh_httpx::read_request(&mut stream).await {
+            let resp = if req.method == "GET" && req.path == "/ping" {
+                pingmesh_httpx::Response::ok(b"pong".to_vec())
+            } else {
+                pingmesh_httpx::Response::not_found()
+            };
+            let _ = pingmesh_httpx::write_response(&mut stream, &resp).await;
         }
-    }
+    })
+    .await
 }
 
 #[cfg(test)]

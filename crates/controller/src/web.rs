@@ -108,15 +108,7 @@ async fn handle_conn(state: Arc<WebState>, mut stream: TcpStream) {
 /// connection (agents poll rarely; latency of the control path is
 /// irrelevant next to its simplicity).
 pub async fn serve(listener: TcpListener, state: Arc<WebState>) {
-    loop {
-        match listener.accept().await {
-            Ok((stream, _peer)) => {
-                let state = state.clone();
-                tokio::spawn(handle_conn(state, stream));
-            }
-            Err(_) => tokio::task::yield_now().await,
-        }
-    }
+    pingmesh_httpx::serve_connections(listener, |stream| handle_conn(state.clone(), stream)).await
 }
 
 /// Agent-side client: fetches the pinglist for `server` from a controller

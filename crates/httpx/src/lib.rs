@@ -15,8 +15,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::future::Future;
+use std::net::SocketAddr;
 use std::time::Duration;
 use tokio::io::{AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
+use tokio::net::{TcpListener, TcpStream};
 
 /// Maximum accepted head (request/status line + headers) size.
 pub const MAX_HEAD: usize = 16 * 1024;
@@ -438,7 +441,7 @@ impl BodyCarrier for Response {
 /// [`HttpError::Timeout`] and counting it.
 async fn bounded<T>(
     deadline: Duration,
-    fut: impl std::future::Future<Output = Result<T, HttpError>>,
+    fut: impl Future<Output = Result<T, HttpError>>,
 ) -> Result<T, HttpError> {
     match tokio::time::timeout(deadline, fut).await {
         Ok(r) => r,
@@ -566,6 +569,49 @@ pub async fn write_response_chunked_with<S: AsyncWrite + Unpin>(
     Ok(())
 }
 
+/// How long an accept loop rests after `accept` fails. The usual cause,
+/// descriptor exhaustion, does not clear by itself, so retrying at once
+/// would spin a core for as long as it lasts.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
+
+/// Runs a TCP service on an already-bound listener until the task is
+/// dropped: every accepted socket gets `TCP_NODELAY` (a response that
+/// leaves in more than one segment must not wait out the peer's delayed
+/// ACK) and its own spawned `handle` task. A failed `accept` is counted
+/// in `pingmesh_httpx_accept_errors_total` and followed by a short pause.
+pub async fn serve_connections<H, F>(listener: TcpListener, handle: H)
+where
+    H: FnMut(TcpStream) -> F,
+    F: Future<Output = ()> + Send + 'static,
+{
+    accept_loop(|| listener.accept(), handle).await
+}
+
+/// [`serve_connections`] over any source of connections, so a test can
+/// make `accept` fail.
+async fn accept_loop<A, AF, H, F>(mut accept: A, mut handle: H)
+where
+    A: FnMut() -> AF,
+    AF: Future<Output = std::io::Result<(TcpStream, SocketAddr)>>,
+    H: FnMut(TcpStream) -> F,
+    F: Future<Output = ()> + Send + 'static,
+{
+    loop {
+        match accept().await {
+            Ok((stream, _peer)) => {
+                let _ = stream.set_nodelay(true);
+                tokio::spawn(handle(stream));
+            }
+            Err(_) => {
+                pingmesh_obs::registry()
+                    .counter("pingmesh_httpx_accept_errors_total")
+                    .inc();
+                tokio::time::sleep(ACCEPT_ERROR_PAUSE).await;
+            }
+        }
+    }
+}
+
 /// A buffered HTTP/1.1 connection supporting keep-alive reuse and
 /// pipelining.
 ///
@@ -575,8 +621,8 @@ pub async fn write_response_chunked_with<S: AsyncWrite + Unpin>(
 /// reused stream. `Conn` owns a read buffer that preserves leftovers
 /// across messages, and a write buffer so a client can queue a batch of
 /// pipelined requests (or a server a batch of responses) and flush them
-/// in one syscall — the difference between ~4k and >100k req/s on this
-/// runtime's 250µs readiness-retry sockets.
+/// in one syscall, so a burst costs one socket wake-up and one write per
+/// side instead of one per message.
 pub struct Conn<S> {
     stream: S,
     rbuf: Vec<u8>,
@@ -1196,5 +1242,96 @@ mod tests {
         let got = reader.await.unwrap().unwrap();
         assert_eq!(got.body, body);
         assert!(got.keep_alive());
+    }
+
+    /// A blocking std client that leaves delayed ACKs on (no
+    /// `TCP_QUICKACK`), one request at a time over one connection.
+    fn std_client_round_trips(addr: SocketAddr, n: usize, body_len: usize) -> Vec<Duration> {
+        use std::io::{Read, Write};
+        let mut sock = std::net::TcpStream::connect(addr).unwrap();
+        sock.set_nodelay(true).unwrap();
+        let mut req = Request::get("/");
+        req.set_keep_alive();
+        let req = req.to_bytes();
+        let mut buf = vec![0u8; 64 * 1024];
+        (0..n)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                sock.write_all(&req).unwrap();
+                let mut got = Vec::new();
+                let total = loop {
+                    let n = sock.read(&mut buf).unwrap();
+                    assert!(n > 0, "server closed");
+                    got.extend_from_slice(&buf[..n]);
+                    if let Some(end) = head_end(&got) {
+                        break end + body_len;
+                    }
+                };
+                while got.len() < total {
+                    let n = sock.read(&mut buf).unwrap();
+                    assert!(n > 0, "server closed");
+                    got.extend_from_slice(&buf[..n]);
+                }
+                t0.elapsed()
+            })
+            .collect()
+    }
+
+    #[tokio::test]
+    async fn response_sent_in_two_writes_does_not_wait_out_a_delayed_ack() {
+        // Head and body leave as two short segments — what a server does
+        // whenever a pipelined burst reaches it in two reads. Without
+        // NODELAY, Nagle holds the second until the first is ACKed, and a
+        // client with nothing to send delays that ACK by 40 ms.
+        const BODY: usize = 10;
+        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = tokio::spawn(serve_connections(listener, |mut stream| async move {
+            while read_request(&mut stream).await.is_ok() {
+                let mut resp = Response::ok(vec![b'z'; BODY]);
+                resp.set_keep_alive();
+                let bytes = resp.to_bytes();
+                let (head, body) = bytes.split_at(bytes.len() - BODY);
+                if stream.write_all(head).await.is_err() || stream.write_all(body).await.is_err() {
+                    return;
+                }
+            }
+        }));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(std_client_round_trips(addr, 30, BODY)));
+        let mut rtts = loop {
+            match rx.try_recv() {
+                Ok(rtts) => break rtts,
+                Err(_) => tokio::time::sleep(Duration::from_millis(5)).await,
+            }
+        };
+        server.abort();
+        rtts.sort();
+        let median = rtts[rtts.len() / 2];
+        assert!(
+            median < Duration::from_millis(15),
+            "median round trip {median:?}; a 40 ms floor is the delayed-ACK stall"
+        );
+    }
+
+    #[tokio::test]
+    async fn failing_accept_rests_between_attempts() {
+        let errors = pingmesh_obs::registry().counter("pingmesh_httpx_accept_errors_total");
+        let before = errors.get();
+        let mut attempts = 0u64;
+        let exhausted = || {
+            attempts += 1;
+            // EMFILE: what `accept` returns until descriptors are freed.
+            std::future::ready(Err(std::io::Error::from_raw_os_error(24)))
+        };
+        let serve = accept_loop(exhausted, |_stream| async {});
+        assert!(tokio::time::timeout(Duration::from_millis(200), serve)
+            .await
+            .is_err());
+        assert!(
+            (2..=25).contains(&attempts),
+            "{attempts} attempts in 200 ms"
+        );
+        assert!(errors.get() - before >= attempts - 1);
     }
 }

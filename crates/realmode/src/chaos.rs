@@ -161,17 +161,10 @@ impl ChaosProxy {
         let handle = ChaosHandle {
             state: state.clone(),
         };
-        let accept_task = tokio::spawn(async move {
-            loop {
-                match listener.accept().await {
-                    Ok((client, _)) => {
-                        let state = state.clone();
-                        tokio::spawn(handle_conn(state, client, upstream));
-                    }
-                    Err(_) => tokio::task::yield_now().await,
-                }
-            }
-        });
+        let accept_task =
+            tokio::spawn(pingmesh_httpx::serve_connections(listener, move |client| {
+                handle_conn(state.clone(), client, upstream)
+            }));
         Ok(ChaosProxy {
             addr,
             handle,
@@ -281,12 +274,8 @@ async fn proxy_through(
                 return;
             }
         };
-    let Ok((cr, cw)) = client.into_split() else {
-        return;
-    };
-    let Ok((ur, uw)) = upstream.into_split() else {
-        return;
-    };
+    let (cr, cw) = client.into_split();
+    let (ur, uw) = upstream.into_split();
     // Request direction: client → upstream, unmodified.
     let request_pump = tokio::spawn(async move {
         let _ = pump(cr, uw, None).await;

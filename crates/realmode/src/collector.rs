@@ -172,15 +172,22 @@ impl Drop for Compactor {
 /// WAL is always checkpoint-due, so the next pass retries the heal.
 fn compactor_pass(store: &Mutex<CosmosStore>, threshold: u64) {
     let mut store = store.lock();
+    let locked = Instant::now();
     if let Some(d) = store.durability_stats() {
         if d.unsynced_bytes > 0 && d.flush_lag_us >= GROUP_COMMIT_LAG_US {
             let _ = store.sync_wal();
         }
     }
     if matches!(store.maybe_checkpoint_with(threshold), Ok(true)) {
-        pingmesh_obs::registry()
+        let registry = pingmesh_obs::registry();
+        registry
             .counter("pingmesh_realmode_background_checkpoints_total")
             .inc();
+        // How long this pass kept uploads and readers out of the store;
+        // the samples are milliseconds, as the name says.
+        registry
+            .histogram("pingmesh_store_checkpoint_lock_held_ms")
+            .record_micros(locked.elapsed().as_millis() as u64);
     }
 }
 
@@ -544,7 +551,13 @@ impl Collector {
                 if records.is_empty() {
                     return Response::ok(b"empty".to_vec());
                 }
+                // The part of an upload that is neither codec nor store
+                // work: waiting behind whoever holds the store.
+                let decoded = Instant::now();
                 let mut store = self.store.lock();
+                registry
+                    .histogram("pingmesh_realmode_upload_lock_wait_us")
+                    .record_wall(decoded.elapsed());
                 // Batches are per-agent and agents live in one DC; the
                 // first record names the stream.
                 let stream = StreamName {
@@ -690,14 +703,8 @@ async fn handle_conn(collector: Collector, stream: TcpStream) {
 
 /// Runs the collector HTTP service until dropped.
 pub async fn serve_collector(listener: TcpListener, collector: Collector) {
-    loop {
-        match listener.accept().await {
-            Ok((stream, _)) => {
-                tokio::spawn(handle_conn(collector.clone(), stream));
-            }
-            Err(_) => tokio::task::yield_now().await,
-        }
-    }
+    pingmesh_httpx::serve_connections(listener, |stream| handle_conn(collector.clone(), stream))
+        .await
 }
 
 /// Agent-side upload client: POSTs a record batch to the collector.
@@ -895,6 +902,12 @@ mod tests {
             "background compactor never checkpointed"
         );
         assert_eq!(c.stats().records, 1000);
+        // Both sides of the store lock left a sample: every upload's
+        // wait, and the pass that held it for the checkpoint (`stats`
+        // above took the lock, so that pass has finished recording).
+        let samples = |name| pingmesh_obs::registry().histogram(name).snapshot().count();
+        assert!(samples("pingmesh_realmode_upload_lock_wait_us") >= 20);
+        assert!(samples("pingmesh_store_checkpoint_lock_held_ms") >= 1);
     }
 
     #[test]

@@ -367,14 +367,7 @@ async fn handle_conn(tier: QueryTier, stream: TcpStream) {
 
 /// Runs one serve replica until dropped.
 pub async fn serve_query(listener: TcpListener, tier: QueryTier) {
-    loop {
-        match listener.accept().await {
-            Ok((stream, _)) => {
-                tokio::spawn(handle_conn(tier.clone(), stream));
-            }
-            Err(_) => tokio::task::yield_now().await,
-        }
-    }
+    pingmesh_httpx::serve_connections(listener, |stream| handle_conn(tier.clone(), stream)).await
 }
 
 /// Client-side: one GET over an existing keep-alive [`Conn`], with an

@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # Full CI gate for the workspace. Run from anywhere; exits non-zero on the
-# first failing step. Pass --bench-smoke to also run the hot-path bench in
+# first failing step. Every run also checks that `unsafe` and foreign
+# declarations stay where they are allowed — the tokio shim's `sys.rs`
+# (three epoll calls) and the two counting allocators in `crates/bench` —
+# and that the shim's old readiness-retry constants have not come back.
+# Pass --bench-smoke to also run the hot-path bench in
 # smoke mode (small workloads, acceptance gates only — no timings recorded):
 # it fails if a resolve call allocates, if the upload codec allocates per
 # record, if a 10-min/hourly tick copies a record out of the store, or if
@@ -79,6 +83,18 @@ cargo fmt --check
 
 step "cargo clippy -D warnings (workspace, all targets)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+step "unsafe / FFI stays in its allowed files, no readiness-retry constants"
+if grep -rnE 'unsafe \{|unsafe fn|unsafe impl|extern "C"' --include='*.rs' \
+    crates shims src tests \
+    | grep -vE '^(shims/tokio/src/sys\.rs|crates/bench/benches/microbench\.rs|crates/bench/src/bin/hotpath\.rs):'; then
+  echo "unsafe code or a foreign declaration outside the allowed files" >&2
+  exit 1
+fi
+if grep -rnE 'READ_RETRY|ACCEPT_RETRY' --include='*.rs' crates shims src tests; then
+  echo "the shim's sockets are woken by the reactor; no retry period" >&2
+  exit 1
+fi
 
 if [ "$BENCH_SMOKE" = 1 ]; then
   step "hotpath bench smoke (zero-allocation resolver + codec, zero-copy tick gates)"

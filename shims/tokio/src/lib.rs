@@ -1,12 +1,22 @@
 //! Offline in-tree shim for the subset of tokio this workspace uses.
 //!
-//! A small, entirely-std async runtime: a global worker pool with
-//! wake-coalescing tasks, one timer thread, nonblocking TCP with
-//! timer-driven readiness retries, an in-memory duplex pipe, `watch`
-//! channels, `JoinSet`, and a two-branch `select!`. See each module for
-//! the deliberate simplifications versus real tokio.
+//! A small async runtime on std plus `epoll`: a global worker pool with
+//! wake-coalescing tasks, one timer thread whose entries live and die
+//! with their `Sleep`, nonblocking TCP woken by one reactor thread
+//! blocked in `epoll_wait` (Linux only, like the rest of the workspace's
+//! real-socket mode), an in-memory duplex pipe, `watch` channels,
+//! `JoinSet`, and a two-branch `select!`. See each module for the
+//! deliberate simplifications versus real tokio.
+//!
+//! `sys` holds the three foreign `epoll` declarations and is the only
+//! place in the crate where `unsafe` is allowed.
+
+#![deny(unsafe_code)]
 
 mod exec;
+mod reactor;
+#[allow(unsafe_code)]
+mod sys;
 mod timer;
 
 pub mod io;
@@ -18,6 +28,21 @@ pub mod time;
 
 pub use exec::spawn;
 pub use tokio_macros::{main, test};
+
+/// Counts of what the runtime currently holds, for leak tests. Not part
+/// of the tokio surface.
+#[doc(hidden)]
+pub mod diag {
+    /// Sockets registered with the reactor.
+    pub fn io_registrations() -> usize {
+        crate::reactor::registrations()
+    }
+
+    /// Pending timer entries.
+    pub fn timer_entries() -> usize {
+        crate::timer::len()
+    }
+}
 
 /// Runs a future to completion on the current thread (used by the
 /// `#[tokio::main]` / `#[tokio::test]` macro expansions).
@@ -212,10 +237,10 @@ mod tests {
             let addr = listener.local_addr().unwrap();
             // Server: echo one 4-byte message, then half-close the write
             // side so the client sees EOF even though the read half (a
-            // clone of the same fd) is still alive.
+            // second handle to the same socket) is still alive.
             crate::spawn(async move {
                 let (s, _) = listener.accept().await.unwrap();
-                let (mut r, mut w) = s.into_split().unwrap();
+                let (mut r, mut w) = s.into_split();
                 let mut buf = [0u8; 4];
                 r.read_exact(&mut buf).await.unwrap();
                 w.write_all(&buf).await.unwrap();

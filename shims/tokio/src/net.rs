@@ -1,22 +1,27 @@
-//! TCP built on nonblocking std sockets. Readiness is approximated by
-//! short timer-driven retries rather than epoll — adequate for the
-//! loopback traffic this workspace drives, and entirely std.
+//! TCP over nonblocking std sockets registered with the epoll reactor:
+//! every operation tries its system call first and, on `WouldBlock`,
+//! sleeps until the reactor reports the socket ready.
 
 use crate::io::{AsyncRead, AsyncWrite};
-use crate::timer;
+use crate::reactor::{Direction, Registered};
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
-use std::time::{Duration, Instant};
 
-/// Retry cadence for socket readiness polling.
-const READ_RETRY: Duration = Duration::from_micros(250);
-const ACCEPT_RETRY: Duration = Duration::from_millis(1);
+type Socket = Registered<std::net::TcpStream>;
+
+fn poll_read(sock: &Socket, cx: &mut Context<'_>, buf: &mut [u8]) -> Poll<io::Result<usize>> {
+    sock.poll_io(Direction::Read, cx, |mut s| s.read(buf))
+}
+
+fn poll_write(sock: &Socket, cx: &mut Context<'_>, buf: &[u8]) -> Poll<io::Result<usize>> {
+    sock.poll_io(Direction::Write, cx, |mut s| s.write(buf))
+}
 
 /// A nonblocking TCP connection.
 pub struct TcpStream {
-    inner: std::net::TcpStream,
+    sock: Socket,
 }
 
 struct ConnectSlot {
@@ -25,6 +30,13 @@ struct ConnectSlot {
 }
 
 impl TcpStream {
+    fn register(stream: std::net::TcpStream) -> io::Result<TcpStream> {
+        stream.set_nonblocking(true)?;
+        Ok(TcpStream {
+            sock: Registered::new(stream)?,
+        })
+    }
+
     /// Connects to `addr`. The blocking `connect(2)` runs on a helper
     /// thread so this future stays cancellable (e.g. under `timeout`).
     pub async fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<TcpStream> {
@@ -63,77 +75,54 @@ impl TcpStream {
             Poll::Pending
         })
         .await?;
-        stream.set_nonblocking(true)?;
-        Ok(TcpStream { inner: stream })
+        TcpStream::register(stream)
     }
 
     /// Sets TCP_NODELAY.
     pub fn set_nodelay(&self, nodelay: bool) -> io::Result<()> {
-        self.inner.set_nodelay(nodelay)
+        self.sock.io().set_nodelay(nodelay)
     }
 
     /// Shuts down the read, write, or both halves of this connection
-    /// (maps directly to `shutdown(2)`). Unlike dropping a clone of the
-    /// stream, a shutdown takes effect on the underlying socket
-    /// immediately, so the peer observes the half-close even while other
-    /// handles to the same fd are still alive.
+    /// (maps directly to `shutdown(2)`). It takes effect on the socket
+    /// immediately, so the peer observes the half-close even while the
+    /// other half of a split stream is still alive.
     pub fn shutdown_now(&self, how: std::net::Shutdown) -> io::Result<()> {
-        self.inner.shutdown(how)
+        self.sock.io().shutdown(how)
     }
 
     /// Splits the stream into independently owned read and write halves
-    /// (each a `dup`ed handle to the same socket), so two tasks can pump
-    /// opposite directions concurrently.
-    pub fn into_split(self) -> io::Result<(OwnedReadHalf, OwnedWriteHalf)> {
-        let clone = self.inner.try_clone()?;
-        Ok((
-            OwnedReadHalf { inner: clone },
-            OwnedWriteHalf { inner: self.inner },
-        ))
+    /// so two tasks can pump opposite directions concurrently. Both are
+    /// handles to the one registered socket, which closes when the second
+    /// of them drops.
+    pub fn into_split(self) -> (OwnedReadHalf, OwnedWriteHalf) {
+        let sock = Arc::new(self.sock);
+        (
+            OwnedReadHalf { sock: sock.clone() },
+            OwnedWriteHalf { sock },
+        )
     }
 
     /// Local socket address.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.inner.local_addr()
+        self.sock.io().local_addr()
     }
 
     /// Remote socket address.
     pub fn peer_addr(&self) -> io::Result<SocketAddr> {
-        self.inner.peer_addr()
+        self.sock.io().peer_addr()
     }
 }
 
 impl AsyncRead for TcpStream {
     fn poll_read(&mut self, cx: &mut Context<'_>, buf: &mut [u8]) -> Poll<io::Result<usize>> {
-        match (&self.inner).read(buf) {
-            Ok(n) => Poll::Ready(Ok(n)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                timer::register(Instant::now() + READ_RETRY, cx.waker().clone());
-                Poll::Pending
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                cx.waker().wake_by_ref();
-                Poll::Pending
-            }
-            Err(e) => Poll::Ready(Err(e)),
-        }
+        poll_read(&self.sock, cx, buf)
     }
 }
 
 impl AsyncWrite for TcpStream {
     fn poll_write(&mut self, cx: &mut Context<'_>, buf: &[u8]) -> Poll<io::Result<usize>> {
-        match (&self.inner).write(buf) {
-            Ok(n) => Poll::Ready(Ok(n)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                timer::register(Instant::now() + READ_RETRY, cx.waker().clone());
-                Poll::Pending
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                cx.waker().wake_by_ref();
-                Poll::Pending
-            }
-            Err(e) => Poll::Ready(Err(e)),
-        }
+        poll_write(&self.sock, cx, buf)
     }
 
     fn poll_flush(&mut self, _cx: &mut Context<'_>) -> Poll<io::Result<()>> {
@@ -144,52 +133,30 @@ impl AsyncWrite for TcpStream {
 
 /// The read half of a split [`TcpStream`].
 pub struct OwnedReadHalf {
-    inner: std::net::TcpStream,
+    sock: Arc<Socket>,
 }
 
 impl AsyncRead for OwnedReadHalf {
     fn poll_read(&mut self, cx: &mut Context<'_>, buf: &mut [u8]) -> Poll<io::Result<usize>> {
-        match (&self.inner).read(buf) {
-            Ok(n) => Poll::Ready(Ok(n)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                timer::register(Instant::now() + READ_RETRY, cx.waker().clone());
-                Poll::Pending
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                cx.waker().wake_by_ref();
-                Poll::Pending
-            }
-            Err(e) => Poll::Ready(Err(e)),
-        }
+        poll_read(&self.sock, cx, buf)
     }
 }
 
 /// The write half of a split [`TcpStream`].
 pub struct OwnedWriteHalf {
-    inner: std::net::TcpStream,
+    sock: Arc<Socket>,
 }
 
 impl OwnedWriteHalf {
     /// Shuts down part of the connection; see [`TcpStream::shutdown_now`].
     pub fn shutdown_now(&self, how: std::net::Shutdown) -> io::Result<()> {
-        self.inner.shutdown(how)
+        self.sock.io().shutdown(how)
     }
 }
 
 impl AsyncWrite for OwnedWriteHalf {
     fn poll_write(&mut self, cx: &mut Context<'_>, buf: &[u8]) -> Poll<io::Result<usize>> {
-        match (&self.inner).write(buf) {
-            Ok(n) => Poll::Ready(Ok(n)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                timer::register(Instant::now() + READ_RETRY, cx.waker().clone());
-                Poll::Pending
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                cx.waker().wake_by_ref();
-                Poll::Pending
-            }
-            Err(e) => Poll::Ready(Err(e)),
-        }
+        poll_write(&self.sock, cx, buf)
     }
 
     fn poll_flush(&mut self, _cx: &mut Context<'_>) -> Poll<io::Result<()>> {
@@ -199,7 +166,7 @@ impl AsyncWrite for OwnedWriteHalf {
 
 /// A nonblocking TCP listener.
 pub struct TcpListener {
-    inner: std::net::TcpListener,
+    sock: Registered<std::net::TcpListener>,
 }
 
 impl TcpListener {
@@ -207,32 +174,21 @@ impl TcpListener {
     pub async fn bind<A: ToSocketAddrs>(addr: A) -> io::Result<TcpListener> {
         let inner = std::net::TcpListener::bind(addr)?;
         inner.set_nonblocking(true)?;
-        Ok(TcpListener { inner })
+        Ok(TcpListener {
+            sock: Registered::new(inner)?,
+        })
     }
 
     /// Local socket address.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.inner.local_addr()
+        self.sock.io().local_addr()
     }
 
     /// Accepts one connection.
     pub async fn accept(&self) -> io::Result<(TcpStream, SocketAddr)> {
-        std::future::poll_fn(|cx| match self.inner.accept() {
-            Ok((stream, addr)) => Poll::Ready(
-                stream
-                    .set_nonblocking(true)
-                    .map(|()| (TcpStream { inner: stream }, addr)),
-            ),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                timer::register(Instant::now() + ACCEPT_RETRY, cx.waker().clone());
-                Poll::Pending
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                cx.waker().wake_by_ref();
-                Poll::Pending
-            }
-            Err(e) => Poll::Ready(Err(e)),
-        })
-        .await
+        let (stream, addr) =
+            std::future::poll_fn(|cx| self.sock.poll_io(Direction::Read, cx, |l| l.accept()))
+                .await?;
+        Ok((TcpStream::register(stream)?, addr))
     }
 }

@@ -1,0 +1,193 @@
+//! The readiness reactor: one thread blocked in `epoll_wait`, waking the
+//! task parked on whichever socket direction became ready.
+//!
+//! A socket is registered once, edge-triggered and for both directions,
+//! when it is wrapped in [`Registered`], and deregistered when that
+//! wrapper drops — before the descriptor closes, so a stale event can
+//! never name a reused fd (tokens are never reused either). An edge is
+//! only delivered on a *change* to ready, so the rule everywhere is
+//! try the system call first and park only on `WouldBlock`; the
+//! per-direction `ready` bit exists solely to close the window between
+//! that `WouldBlock` and the waker being stored.
+
+use crate::sys;
+use std::collections::HashMap;
+use std::io;
+use std::os::fd::{AsFd, OwnedFd};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::task::{Context, Poll, Waker};
+
+/// Which half of a socket an operation waits on.
+#[derive(Clone, Copy)]
+pub(crate) enum Direction {
+    Read,
+    Write,
+}
+
+#[derive(Default)]
+struct Slot {
+    /// Set by the reactor on an edge, cleared by the task before each
+    /// attempt. SeqCst throughout; the waker mutex would also order it.
+    ready: AtomicBool,
+    waker: Mutex<Option<Waker>>,
+}
+
+impl Slot {
+    /// Reactor side: publish the edge, then hand back whoever is parked.
+    fn set_ready(&self) -> Option<Waker> {
+        self.ready.store(true, Ordering::SeqCst);
+        self.waker.lock().unwrap().take()
+    }
+}
+
+#[derive(Default)]
+struct ScheduledIo {
+    read: Slot,
+    write: Slot,
+}
+
+struct Reactor {
+    epoll: OwnedFd,
+    table: Mutex<HashMap<u64, Arc<ScheduledIo>>>,
+    next_token: AtomicU64,
+}
+
+fn reactor() -> io::Result<&'static Reactor> {
+    static REACTOR: OnceLock<Reactor> = OnceLock::new();
+    if let Some(r) = REACTOR.get() {
+        return Ok(r);
+    }
+    let fresh = Reactor {
+        epoll: sys::create()?,
+        table: Mutex::new(HashMap::new()),
+        next_token: AtomicU64::new(0),
+    };
+    // Of two racing first users, only the one whose instance was kept
+    // starts the thread; the other's epoll fd closes with `fresh`.
+    if REACTOR.set(fresh).is_ok() {
+        std::thread::Builder::new()
+            .name("tokio-shim-reactor".into())
+            .spawn(|| run(REACTOR.get().expect("set above")))
+            .expect("spawn reactor thread");
+    }
+    Ok(REACTOR.get().expect("set above"))
+}
+
+fn run(reactor: &'static Reactor) {
+    let mut events = [sys::Event::EMPTY; 256];
+    let mut wakers = Vec::new();
+    loop {
+        let n = match sys::wait(&reactor.epoll, &mut events) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => panic!("epoll_wait: {e}"),
+        };
+        {
+            let table = reactor.table.lock().unwrap();
+            for event in &events[..n] {
+                let (bits, token) = (event.events, event.token);
+                // A miss is an event harvested just before its socket
+                // deregistered.
+                let Some(io) = table.get(&token) else {
+                    continue;
+                };
+                let broken = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
+                if broken || bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 {
+                    wakers.extend(io.read.set_ready());
+                }
+                if broken || bits & sys::EPOLLOUT != 0 {
+                    wakers.extend(io.write.set_ready());
+                }
+            }
+        }
+        for w in wakers.drain(..) {
+            w.wake();
+        }
+    }
+}
+
+/// Number of sockets currently registered (leak checks in tests).
+pub(crate) fn registrations() -> usize {
+    reactor().map_or(0, |r| r.table.lock().unwrap().len())
+}
+
+/// A nonblocking socket registered with the reactor for as long as this
+/// value lives.
+pub(crate) struct Registered<S: AsFd> {
+    io: S,
+    reactor: &'static Reactor,
+    token: u64,
+    state: Arc<ScheduledIo>,
+}
+
+impl<S: AsFd> Registered<S> {
+    /// Registers `io`, which must already be in nonblocking mode.
+    pub(crate) fn new(io: S) -> io::Result<Self> {
+        let reactor = reactor()?;
+        let token = reactor.next_token.fetch_add(1, Ordering::Relaxed);
+        let state = Arc::new(ScheduledIo::default());
+        // Table first: the socket may already be readable, and its first
+        // edge can arrive the moment `add` returns.
+        reactor.table.lock().unwrap().insert(token, state.clone());
+        if let Err(e) = sys::add(&reactor.epoll, io.as_fd(), token) {
+            reactor.table.lock().unwrap().remove(&token);
+            return Err(e);
+        }
+        Ok(Registered {
+            io,
+            reactor,
+            token,
+            state,
+        })
+    }
+
+    /// The wrapped socket, for calls that never block.
+    pub(crate) fn io(&self) -> &S {
+        &self.io
+    }
+
+    /// Runs `op` until it yields something other than `WouldBlock`, or
+    /// parks `cx`'s waker on `direction` and returns `Pending`.
+    pub(crate) fn poll_io<T>(
+        &self,
+        direction: Direction,
+        cx: &mut Context<'_>,
+        mut op: impl FnMut(&S) -> io::Result<T>,
+    ) -> Poll<io::Result<T>> {
+        let slot = match direction {
+            Direction::Read => &self.state.read,
+            Direction::Write => &self.state.write,
+        };
+        loop {
+            // Cleared before the attempt, so an edge that lands after the
+            // kernel said `WouldBlock` is still set when we look below.
+            slot.ready.store(false, Ordering::SeqCst);
+            match op(&self.io) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                other => return Poll::Ready(other),
+            }
+            {
+                let mut parked = slot.waker.lock().unwrap();
+                if !parked.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
+                    *parked = Some(cx.waker().clone());
+                }
+            }
+            // The lost-wake window: an edge between the attempt and the
+            // store above found no waker to take, but it did set the bit.
+            if !slot.ready.load(Ordering::SeqCst) {
+                return Poll::Pending;
+            }
+        }
+    }
+}
+
+impl<S: AsFd> Drop for Registered<S> {
+    fn drop(&mut self) {
+        // Runs before `io` closes. A failed delete means the kernel has
+        // already forgotten the fd.
+        let _ = sys::delete(&self.reactor.epoll, self.io.as_fd());
+        self.reactor.table.lock().unwrap().remove(&self.token);
+    }
+}

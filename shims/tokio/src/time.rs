@@ -3,23 +3,45 @@
 use crate::timer;
 use std::future::Future;
 use std::pin::Pin;
-use std::task::{Context, Poll};
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 /// Future returned by [`sleep`].
 pub struct Sleep {
     deadline: Instant,
+    /// The timer entry made on the first `Pending` poll, and the waker it
+    /// holds.
+    entry: Option<(timer::Key, Waker)>,
 }
 
 impl Future for Sleep {
     type Output = ();
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         if Instant::now() >= self.deadline {
-            Poll::Ready(())
-        } else {
-            timer::register(self.deadline, cx.waker().clone());
-            Poll::Pending
+            return Poll::Ready(());
+        }
+        match &mut self.entry {
+            None => {
+                let key = timer::insert(self.deadline, cx.waker().clone());
+                self.entry = Some((key, cx.waker().clone()));
+            }
+            Some((key, waker)) if !waker.will_wake(cx.waker()) => {
+                if !timer::set_waker(*key, cx.waker().clone()) {
+                    return Poll::Ready(());
+                }
+                *waker = cx.waker().clone();
+            }
+            Some(_) => {}
+        }
+        Poll::Pending
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        if let Some((key, _)) = self.entry {
+            timer::remove(key);
         }
     }
 }
@@ -31,6 +53,7 @@ pub fn sleep(duration: Duration) -> Sleep {
             // Saturate absurd durations ~30 years out.
             Instant::now() + Duration::from_secs(60 * 60 * 24 * 365 * 30)
         }),
+        entry: None,
     }
 }
 

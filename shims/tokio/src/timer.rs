@@ -1,44 +1,24 @@
-//! A single timer thread owning a min-heap of (deadline, waker) entries.
-//! There is no cancellation: stale entries produce a spurious wake, which
-//! the task state machine coalesces harmlessly.
+//! A single timer thread owning an ordered map of `(deadline, seq)` →
+//! waker. An entry lives exactly as long as the `Sleep` that made it:
+//! inserted on its first `Pending` poll, removed when it fires or when
+//! the `Sleep` drops, so the map's size is the number of live timers.
 
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::task::Waker;
 use std::time::Instant;
 
-struct Entry {
-    at: Instant,
-    seq: u64,
-    waker: Waker,
-}
+/// Identifies one entry; `seq` keeps equal deadlines distinct.
+pub(crate) type Key = (Instant, u64);
 
-// Reverse ordering so BinaryHeap pops the earliest deadline first.
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
+struct Timers {
+    entries: BTreeMap<Key, Waker>,
+    next_seq: u64,
 }
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for Entry {}
 
 struct TimerShared {
-    heap: Mutex<BinaryHeap<Entry>>,
+    timers: Mutex<Timers>,
     cv: Condvar,
-    seq: AtomicU64,
 }
 
 fn shared() -> &'static TimerShared {
@@ -49,44 +29,83 @@ fn shared() -> &'static TimerShared {
             .spawn(timer_loop)
             .expect("spawn timer thread");
         TimerShared {
-            heap: Mutex::new(BinaryHeap::new()),
+            timers: Mutex::new(Timers {
+                entries: BTreeMap::new(),
+                next_seq: 0,
+            }),
             cv: Condvar::new(),
-            seq: AtomicU64::new(0),
         }
     })
 }
 
-/// Arranges for `waker` to be woken at (or shortly after) `at`.
-pub(crate) fn register(at: Instant, waker: Waker) {
+/// Arranges for `waker` to be woken at (or shortly after) `at`, until
+/// [`remove`]d.
+pub(crate) fn insert(at: Instant, waker: Waker) -> Key {
     let t = shared();
-    let seq = t.seq.fetch_add(1, Ordering::Relaxed);
-    t.heap.lock().unwrap().push(Entry { at, seq, waker });
-    t.cv.notify_one();
+    let mut timers = t.timers.lock().unwrap();
+    let key = (at, timers.next_seq);
+    timers.next_seq += 1;
+    timers.entries.insert(key, waker);
+    // The thread is asleep until the previous earliest deadline; only a
+    // new earliest one changes when it must get up.
+    if timers
+        .entries
+        .first_key_value()
+        .is_some_and(|(k, _)| *k == key)
+    {
+        t.cv.notify_one();
+    }
+    key
+}
+
+/// Points an entry at a different waker. False if the entry has already
+/// fired, in which case its deadline has passed.
+pub(crate) fn set_waker(key: Key, waker: Waker) -> bool {
+    match shared().timers.lock().unwrap().entries.get_mut(&key) {
+        Some(w) => {
+            *w = waker;
+            true
+        }
+        None => false,
+    }
+}
+
+/// Forgets an entry (a no-op once it has fired).
+pub(crate) fn remove(key: Key) {
+    shared().timers.lock().unwrap().entries.remove(&key);
+}
+
+/// Number of pending entries (leak checks in tests).
+pub(crate) fn len() -> usize {
+    shared().timers.lock().unwrap().entries.len()
 }
 
 fn timer_loop() {
     let t = shared();
-    let mut heap = t.heap.lock().unwrap();
+    let mut timers = t.timers.lock().unwrap();
     loop {
         let now = Instant::now();
         let mut due = Vec::new();
-        while heap.peek().is_some_and(|e| e.at <= now) {
-            due.push(heap.pop().unwrap().waker);
+        while let Some(entry) = timers.entries.first_entry() {
+            if entry.key().0 > now {
+                break;
+            }
+            due.push(entry.remove());
         }
         if !due.is_empty() {
-            drop(heap);
+            drop(timers);
             for w in due {
                 w.wake();
             }
-            heap = t.heap.lock().unwrap();
+            timers = t.timers.lock().unwrap();
             continue;
         }
-        heap = match heap.peek() {
-            Some(e) => {
-                let wait = e.at.saturating_duration_since(now);
-                t.cv.wait_timeout(heap, wait).unwrap().0
+        timers = match timers.entries.first_key_value() {
+            Some(((at, _), _)) => {
+                let wait = at.saturating_duration_since(now);
+                t.cv.wait_timeout(timers, wait).unwrap().0
             }
-            None => t.cv.wait(heap).unwrap(),
+            None => t.cv.wait(timers).unwrap(),
         };
     }
 }
