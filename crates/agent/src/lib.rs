@@ -16,9 +16,11 @@
 //!   fresh ephemeral source port per probe,
 //! * exported perf counters (P50/P99/drop rate) for the fast PA pipeline.
 //!
-//! [`sim::Agent`] is the driver used at fleet scale inside the discrete-
-//! event simulation; [`real`] contains the tokio TCP/HTTP prober and
-//! responder used in real-socket mode — the analogue of the paper's
+//! All of that is one sans-IO state machine, [`AgentFleet`] ([`soa`]),
+//! with two drivers outside this crate: the discrete-event orchestrator
+//! in `pingmesh-core` and the tokio `RealAgent` in `pingmesh-realmode`
+//! (a fleet of one). [`real`] contains the tokio TCP/HTTP prober and
+//! responder the latter probes with — the analogue of the paper's
 //! purpose-built IOCP network library.
 
 #![deny(missing_docs)]
@@ -29,12 +31,9 @@ pub mod config;
 pub mod guard;
 pub mod real;
 pub mod scheduler;
-pub mod sim;
 pub mod soa;
 
 pub use buffer::ResultBuffer;
 pub use config::AgentConfig;
 pub use guard::SafetyGuard;
-pub use scheduler::ProbeScheduler;
-pub use sim::{Agent, ControllerPollOutcome};
-pub use soa::{AgentFleet, AgentView};
+pub use soa::{AgentFleet, AgentView, ControllerPollOutcome};

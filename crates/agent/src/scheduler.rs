@@ -10,9 +10,11 @@
 //! new connection and uses a new TCP source port. This is to explore the
 //! multi-path nature of the network as much as possible" (§3.4.1).
 
-use pingmesh_types::{Pinglist, PinglistEntry, ServerId, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+#[cfg(test)]
+use pingmesh_types::{Pinglist, SimTime};
+use pingmesh_types::{PinglistEntry, ServerId};
+#[cfg(test)]
+use std::{cmp::Reverse, collections::BinaryHeap};
 
 /// First ephemeral port used by agents.
 pub(crate) const EPHEMERAL_LO: u16 = 32_768;
@@ -28,9 +30,25 @@ pub struct DueProbe {
     pub src_port: u16,
 }
 
-/// Per-agent probe scheduler.
+/// Deterministic initial phase of entry `idx` of `server`'s pinglist,
+/// inside `[0, interval_us)`.
+pub(crate) fn phase_of(server: ServerId, idx: usize, interval_us: u64) -> u64 {
+    if interval_us == 0 {
+        return 0;
+    }
+    let mut z = (server.0 as u64) << 32 | idx as u64;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    (z ^ (z >> 31)) % interval_us
+}
+
+/// Reference scheduler: one binary heap of `(next due, entry index)` per
+/// agent. [`crate::AgentFleet`] replaced it in production with an arena
+/// sweep; it stays, test-only, as the independent algorithm the fleet's
+/// differential test is checked against.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct ProbeScheduler {
+pub(crate) struct ProbeScheduler {
     server: ServerId,
     entries: Vec<PinglistEntry>,
     /// Min-heap of (next_due, entry_index).
@@ -38,9 +56,10 @@ pub struct ProbeScheduler {
     next_port: u16,
 }
 
+#[cfg(test)]
 impl ProbeScheduler {
     /// Creates an idle scheduler (no pinglist installed).
-    pub fn new(server: ServerId) -> Self {
+    pub(crate) fn new(server: ServerId) -> Self {
         Self {
             server,
             entries: Vec::new(),
@@ -51,35 +70,25 @@ impl ProbeScheduler {
 
     /// Installs a pinglist, replacing the previous schedule. Entry phases
     /// are spread deterministically inside each entry's interval.
-    pub fn install(&mut self, pl: &Pinglist, now: SimTime) {
+    pub(crate) fn install(&mut self, pl: &Pinglist, now: SimTime) {
         self.entries = pl.entries.clone();
         self.heap.clear();
         for (i, e) in self.entries.iter().enumerate() {
-            let phase = Self::phase_of(self.server, i, e.interval.as_micros());
+            let phase = phase_of(self.server, i, e.interval.as_micros());
             self.heap
                 .push(Reverse((now + pingmesh_types::SimDuration(phase), i)));
         }
     }
 
     /// Removes all peers (fail-closed).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.heap.clear();
     }
 
     /// Number of scheduled peers.
-    pub fn peer_count(&self) -> usize {
+    pub(crate) fn peer_count(&self) -> usize {
         self.entries.len()
-    }
-
-    pub(crate) fn phase_of(server: ServerId, idx: usize, interval_us: u64) -> u64 {
-        if interval_us == 0 {
-            return 0;
-        }
-        let mut z = (server.0 as u64) << 32 | idx as u64;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)) % interval_us
     }
 
     fn fresh_port(&mut self) -> u16 {
@@ -93,22 +102,14 @@ impl ProbeScheduler {
     }
 
     /// When the next probe is due, if any.
-    pub fn next_due(&self) -> Option<SimTime> {
+    pub(crate) fn next_due(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse((t, _))| *t)
     }
 
     /// Pops every probe due at or before `now`, rescheduling each entry at
     /// `now + interval`.
-    pub fn pop_due(&mut self, now: SimTime) -> Vec<DueProbe> {
+    pub(crate) fn pop_due(&mut self, now: SimTime) -> Vec<DueProbe> {
         let mut due = Vec::new();
-        self.pop_due_into(now, &mut due);
-        due
-    }
-
-    /// Like [`ProbeScheduler::pop_due`], but appends into a caller-owned
-    /// buffer so a recycled scratch `Vec` makes the steady-state wake path
-    /// allocation-free.
-    pub fn pop_due_into(&mut self, now: SimTime, out: &mut Vec<DueProbe>) {
         while let Some(&Reverse((t, idx))) = self.heap.peek() {
             if t > now {
                 break;
@@ -117,12 +118,13 @@ impl ProbeScheduler {
             let entry = self.entries[idx];
             let src_port = self.fresh_port();
             self.heap.push(Reverse((now + entry.interval, idx)));
-            out.push(DueProbe {
+            due.push(DueProbe {
                 entry_index: idx,
                 entry,
                 src_port,
             });
         }
+        due
     }
 }
 
@@ -230,9 +232,9 @@ mod tests {
     #[test]
     fn phase_is_deterministic() {
         assert_eq!(
-            ProbeScheduler::phase_of(ServerId(3), 5, 1_000_000),
-            ProbeScheduler::phase_of(ServerId(3), 5, 1_000_000)
+            phase_of(ServerId(3), 5, 1_000_000),
+            phase_of(ServerId(3), 5, 1_000_000)
         );
-        assert_eq!(ProbeScheduler::phase_of(ServerId(3), 5, 0), 0);
+        assert_eq!(phase_of(ServerId(3), 5, 0), 0);
     }
 }

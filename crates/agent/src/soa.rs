@@ -1,11 +1,25 @@
-//! Struct-of-arrays agent fleet: the hot-state layout used at scale.
+//! The agent engine: one sans-IO state machine, stored struct-of-arrays.
 //!
-//! [`crate::sim::Agent`] keeps each agent's schedule in its own
-//! `BinaryHeap` behind its own allocations — fine for hundreds of agents,
-//! but a 100k-agent simulation turns every wake into a pointer chase
-//! through 100k scattered heaps. [`AgentFleet`] holds the same state
-//! flattened into parallel arenas (the same move `InlineVec` made for
-//! `Path.hops`):
+//! [`AgentFleet`] is the only implementation of the §3.4.2 agent rules —
+//! sanitize-on-install, fail-closed after 3 controller failures or an
+//! empty controller, deterministic probe phases, fresh source port per
+//! probe, bounded buffering with retry-then-discard, and the lifetime
+//! conservation ledger. It performs no IO and reads no clock: a *driver*
+//! tells it what happened and when. Two drivers exist — the discrete-event
+//! orchestrator (`pingmesh-core`, thousands of agents per fleet, virtual
+//! time) and the tokio `RealAgent` (`pingmesh-realmode`, a fleet of one,
+//! wall-clock time) — and the stimuli are the same three for both:
+//!
+//! * controller poll results ([`AgentFleet::on_controller_poll`]),
+//! * probes — [`AgentFleet::due_probes`] (or, for a round-based driver,
+//!   [`AgentFleet::entries`]) out, network outcomes back in through
+//!   [`AgentFleet::record_outcome`],
+//! * upload opportunities ([`AgentFleet::upload_due`] /
+//!   [`AgentFleet::begin_upload`] / [`AgentFleet::on_upload_result`]).
+//!
+//! Layout: state is flattened into parallel arenas so that a 100k-agent
+//! simulation sweeps memory linearly instead of chasing one heap per
+//! agent (the same move `InlineVec` made for `Path.hops`):
 //!
 //! * all pinglist entries live in one `Vec<PinglistEntry>` arena, each
 //!   agent owning a contiguous [`Segment`] of it;
@@ -15,23 +29,63 @@
 //!   generation, lifetime ledgers) are plain `Vec`s indexed by the fleet
 //!   index.
 //!
-//! Behaviour is identical to `Agent` (the differential test below drives
-//! both through the same script): same sanitize/guard transitions, same
-//! deterministic probe phases, same port rotation, same due order
-//! (`(due time, entry index)` — the heap's pop order). The sharded
+//! The sweep emits probes in `(due time, entry index)` order — the pop
+//! order of [`crate::scheduler::ProbeScheduler`]'s binary heap, which is
+//! kept as the independent reference the differential test below checks
+//! wake times, due order and port rotation against. The sharded
 //! orchestrator gives each shard its own `AgentFleet` over its podset's
 //! servers, so fleets are mutated thread-locally and need no locks.
 
 use crate::buffer::ResultBuffer;
 use crate::config::AgentConfig;
 use crate::guard::{GuardDecision, SafetyGuard};
-use crate::scheduler::{DueProbe, ProbeScheduler, EPHEMERAL_LO};
-use crate::sim::{metrics, ControllerPollOutcome};
+use crate::scheduler::{phase_of, DueProbe, EPHEMERAL_LO};
 use pingmesh_topology::Topology;
 use pingmesh_types::{
-    AgentCounters, CounterSnapshot, Pinglist, ProbeOutcome, ProbeRecord, ServerId, SimTime,
+    AgentCounters, CounterSnapshot, Pinglist, PinglistEntry, ProbeOutcome, ProbeRecord, ServerId,
+    SimTime,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Fleet-wide agent metrics. Every agent of every fleet shares these
+/// handles, so they are resolved once; each touch is an atomic add.
+struct AgentMetrics {
+    probes_sent: Arc<pingmesh_obs::Counter>,
+    guard_trips: Arc<pingmesh_obs::Counter>,
+    sanitized: Arc<pingmesh_obs::Counter>,
+    uploads_started: Arc<pingmesh_obs::Counter>,
+    upload_retries: Arc<pingmesh_obs::Counter>,
+    records_discarded: Arc<pingmesh_obs::Counter>,
+    upload_batch_size: Arc<pingmesh_obs::Histogram>,
+}
+
+fn metrics() -> &'static AgentMetrics {
+    static M: OnceLock<AgentMetrics> = OnceLock::new();
+    M.get_or_init(|| {
+        let r = pingmesh_obs::registry();
+        AgentMetrics {
+            probes_sent: r.counter("pingmesh_agent_probes_sent_total"),
+            guard_trips: r.counter("pingmesh_agent_guard_trips_total"),
+            sanitized: r.counter("pingmesh_agent_sanitized_entries_total"),
+            uploads_started: r.counter("pingmesh_agent_uploads_started_total"),
+            upload_retries: r.counter("pingmesh_agent_upload_retries_total"),
+            records_discarded: r.counter("pingmesh_agent_records_discarded_total"),
+            upload_batch_size: r.histogram("pingmesh_agent_upload_batch_size"),
+        }
+    })
+}
+
+/// What a controller poll produced (transport-agnostic: the orchestrator
+/// adapts the in-process SLB, the real agent adapts HTTP).
+#[derive(Debug, Clone)]
+pub enum ControllerPollOutcome {
+    /// A pinglist was served.
+    Pinglist(Pinglist),
+    /// The controller answered but had no pinglist (fleet stop switch).
+    NoPinglist,
+    /// The controller (VIP) was unreachable.
+    Unreachable,
+}
 
 /// "No wake pending" sentinel in the `next_wake` arena (scans stay
 /// branch-free: the min of an empty segment is simply the sentinel).
@@ -53,7 +107,7 @@ pub struct AgentFleet {
     servers: Vec<ServerId>,
     // --- hot state: arenas + per-agent scalars ---
     segs: Vec<Segment>,
-    entries: Vec<pingmesh_types::PinglistEntry>,
+    entries: Vec<PinglistEntry>,
     due: Vec<SimTime>,
     next_wake: Vec<SimTime>,
     next_port: Vec<u16>,
@@ -150,6 +204,14 @@ impl AgentFleet {
         self.sanitized_entries[idx]
     }
 
+    /// Agent `idx`'s installed (already sanitized) pinglist entries, for
+    /// a driver that probes in rounds instead of by [`Self::due_probes`]
+    /// cadence. Empty while fail-closed: stopping clears the schedule.
+    pub fn entries(&self, idx: usize) -> &[PinglistEntry] {
+        let seg = self.segs[idx];
+        &self.entries[seg.start as usize..][..seg.len as usize]
+    }
+
     fn note_guard_trip(&self, idx: usize, reason: &'static str, now: SimTime) {
         metrics().guard_trips.inc();
         pingmesh_obs::emit_sim!(now; Warn, "agent.guard", "guard_trip",
@@ -174,7 +236,7 @@ impl AgentFleet {
         let start = seg.start as usize;
         let mut min_due = NEVER;
         for (i, e) in pl.entries.iter().enumerate() {
-            let phase = ProbeScheduler::phase_of(server, i, e.interval.as_micros());
+            let phase = phase_of(server, i, e.interval.as_micros());
             let due = now + pingmesh_types::SimDuration(phase);
             if grow {
                 self.entries.push(*e);
@@ -193,8 +255,10 @@ impl AgentFleet {
         self.next_wake[idx] = NEVER;
     }
 
-    /// Folds a controller poll result into agent `idx` (same transitions
-    /// as [`crate::sim::Agent::on_controller_poll`]).
+    /// Folds a controller poll result into agent `idx`: sanitize and
+    /// count, re-arm or trip the guard, and reinstall the schedule only on
+    /// a new generation (rebuilding it resets probe phases, which is only
+    /// wanted when the list actually changed).
     pub fn on_controller_poll(&mut self, idx: usize, outcome: ControllerPollOutcome, now: SimTime) {
         let was_stopped = self.guards[idx].is_stopped();
         match outcome {
@@ -240,9 +304,9 @@ impl AgentFleet {
     }
 
     /// Probes of agent `idx` due at `now`: a linear sweep of the agent's
-    /// due segment, emitted in the legacy heap's pop order
-    /// `(due time, entry index)` so port assignment matches `Agent`
-    /// exactly. Hand the buffer back via [`AgentFleet::recycle_due`].
+    /// due segment, emitted in `(due time, entry index)` order (the
+    /// reference heap's pop order, so port assignment is reproducible).
+    /// Hand the buffer back via [`AgentFleet::recycle_due`].
     pub fn due_probes(&mut self, idx: usize, now: SimTime) -> Vec<DueProbe> {
         let mut out = std::mem::take(&mut self.due_scratch);
         out.clear();
@@ -292,8 +356,10 @@ impl AgentFleet {
         }
     }
 
-    /// Feeds a probe's network outcome back into agent `idx` (same
-    /// bookkeeping as [`crate::sim::Agent::record_outcome`]).
+    /// Feeds a probe's network outcome back into agent `idx`: updates
+    /// counters and buffers a record. `dst` is the physical server that
+    /// was reached (VIPs resolve to a DIP); probes whose target could not
+    /// be resolved are counted but produce no record.
     pub fn record_outcome(
         &mut self,
         idx: usize,
@@ -412,17 +478,16 @@ impl AgentFleet {
         snap
     }
 
-    /// A read-only single-agent view (the accessor surface `Agent` had,
-    /// minus `&mut` operations — what oracles and watchdogs consume).
+    /// A read-only single-agent view — what oracles and both watchdogs
+    /// consume.
     pub fn view(&self, idx: usize) -> AgentView<'_> {
         AgentView { fleet: self, idx }
     }
 }
 
-/// Read-only view of one agent in an [`AgentFleet`], method-compatible
-/// with the accessor surface of [`crate::sim::Agent`] so fleet-wide
-/// invariant checks (`orch.agent(s).probes_observed()` …) are agnostic to
-/// the storage layout.
+/// Read-only view of one agent in an [`AgentFleet`], so invariant checks
+/// (`orch.agent(s).probes_observed()`, `real_agent.view().is_stopped()` …)
+/// are agnostic to the storage layout and to which driver owns the fleet.
 #[derive(Clone, Copy)]
 pub struct AgentView<'a> {
     fleet: &'a AgentFleet,
@@ -494,9 +559,9 @@ impl AgentView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Agent;
+    use crate::scheduler::ProbeScheduler;
     use pingmesh_topology::TopologySpec;
-    use pingmesh_types::{PingTarget, PinglistEntry, ProbeKind, QosClass, SimDuration};
+    use pingmesh_types::{PingTarget, ProbeKind, QosClass, SimDuration};
     use std::net::Ipv4Addr;
 
     fn topo() -> Arc<Topology> {
@@ -522,14 +587,47 @@ mod tests {
         }
     }
 
-    /// The load-bearing test: a fleet agent and a legacy `Agent` driven
-    /// through the same script must agree on everything observable —
-    /// wake times, due probes (order and ports), counters, ledgers.
+    /// A one-agent fleet for `ServerId(0)` with `n` peers installed at t=0.
+    fn fleet_of_one(n: usize) -> (AgentFleet, usize) {
+        let mut fleet = AgentFleet::new(topo(), AgentConfig::default());
+        let idx = fleet.push_server(ServerId(0));
+        fleet.on_controller_poll(
+            idx,
+            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 1, n)),
+            SimTime::ZERO,
+        );
+        (fleet, idx)
+    }
+
+    const OK: ProbeOutcome = ProbeOutcome::Success {
+        rtt: SimDuration(300),
+    };
+
+    /// Wakes the agent once and feeds `outcome` back for every due probe.
+    fn probe_once(
+        fleet: &mut AgentFleet,
+        idx: usize,
+        dst: Option<ServerId>,
+        outcome: ProbeOutcome,
+    ) {
+        let t = fleet.next_wakeup(idx).unwrap();
+        let due = fleet.due_probes(idx, t);
+        assert!(!due.is_empty());
+        for d in &due {
+            fleet.record_outcome(idx, d, dst, outcome, t);
+        }
+        fleet.recycle_due(due);
+    }
+
+    /// The load-bearing test: the arena sweep and the reference binary
+    /// heap are two different algorithms, and must agree step for step on
+    /// wake times, due order and port rotation — across same-generation
+    /// re-polls, in-place shrinks and relocating grows.
     #[test]
-    fn fleet_agent_matches_legacy_agent_step_for_step() {
-        let topo = topo();
-        let mut legacy = Agent::new(ServerId(0), topo.clone(), AgentConfig::default());
-        let mut fleet = AgentFleet::new(topo, AgentConfig::default());
+    fn fleet_schedule_matches_reference_heap_step_for_step() {
+        let mut heap = ProbeScheduler::new(ServerId(0));
+        let mut heap_generation = 0;
+        let mut fleet = AgentFleet::new(topo(), AgentConfig::default());
         let idx = fleet.push_server(ServerId(0));
 
         let polls = [
@@ -541,90 +639,186 @@ mod tests {
         ];
         let mut now = SimTime::ZERO;
         for poll in polls {
-            legacy.on_controller_poll(poll.clone(), now);
+            if let ControllerPollOutcome::Pinglist(pl) = &poll {
+                if pl.generation != heap_generation {
+                    heap_generation = pl.generation;
+                    heap.install(pl, now);
+                }
+            }
             fleet.on_controller_poll(idx, poll, now);
-            assert_eq!(legacy.generation(), fleet.generation(idx));
-            assert_eq!(legacy.peer_count(), fleet.peer_count(idx));
-            assert_eq!(legacy.next_wakeup(), fleet.next_wakeup(idx));
+            assert_eq!(fleet.generation(idx), heap_generation);
+            assert_eq!(fleet.peer_count(idx), heap.peer_count());
 
-            // Run a few wake rounds and compare the due streams.
             for _ in 0..4 {
-                let Some(t) = legacy.next_wakeup() else { break };
+                let t = heap.next_due().unwrap();
                 assert_eq!(fleet.next_wakeup(idx), Some(t));
                 now = t;
-                let dl = legacy.due_probes(now);
+                let dh = heap.pop_due(now);
                 let df = fleet.due_probes(idx, now);
-                assert_eq!(dl, df, "due stream diverged at {now:?}");
-                for d in &dl {
-                    let outcome = if d.entry_index % 3 == 0 {
-                        ProbeOutcome::Timeout
-                    } else {
-                        ProbeOutcome::Success {
-                            rtt: SimDuration::from_micros(300),
-                        }
-                    };
-                    let dst = (d.entry_index % 4 != 1).then_some(ServerId(1));
-                    legacy.record_outcome(d, dst, outcome, now);
-                    fleet.record_outcome(idx, d, dst, outcome, now);
-                }
-                legacy.recycle_due(dl);
+                assert_eq!(dh, df, "due stream diverged at {now:?}");
                 fleet.recycle_due(df);
             }
-            assert_eq!(legacy.probes_observed(), fleet.probes_observed(idx));
-            assert_eq!(legacy.unresolved_probes(), fleet.unresolved_probes(idx));
-            assert_eq!(legacy.buffered_records(), fleet.buffered_records(idx));
-            assert_eq!(legacy.counters(), fleet.counters(idx));
         }
-
-        // Upload path parity.
-        assert_eq!(
-            legacy.upload_due(now + SimDuration::from_secs(3600)),
-            fleet.upload_due(idx, now + SimDuration::from_secs(3600))
-        );
-        let bl = legacy.begin_upload();
-        let bf = fleet.begin_upload(idx);
-        assert_eq!(bl, bf);
-        if let (Some(bl), Some(bf)) = (bl, bf) {
-            assert_eq!(
-                legacy.on_upload_result(false),
-                fleet.on_upload_result(idx, false)
-            );
-            assert_eq!(
-                legacy.on_upload_result(true),
-                fleet.on_upload_result(idx, true)
-            );
-            legacy.recycle_batch(bl);
-            fleet.recycle_batch(idx, bf);
-        }
-        assert_eq!(legacy.has_pending_upload(), fleet.has_pending_upload(idx));
-        assert_eq!(legacy.discarded_total(), fleet.discarded_total(idx));
-        assert_eq!(legacy.collect_counters(), fleet.collect_counters(idx));
     }
 
     #[test]
-    fn guard_transitions_clear_schedule() {
+    fn pinglist_install_and_probing() {
         let mut fleet = AgentFleet::new(topo(), AgentConfig::default());
         let idx = fleet.push_server(ServerId(0));
+        assert_eq!(fleet.peer_count(idx), 0);
+        assert!(fleet.entries(idx).is_empty());
         fleet.on_controller_poll(
             idx,
-            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 1, 3)),
+            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 1, 1)),
             SimTime::ZERO,
         );
-        assert_eq!(fleet.peer_count(idx), 3);
-        fleet.on_controller_poll(idx, ControllerPollOutcome::NoPinglist, SimTime(1));
-        assert!(fleet.is_stopped(idx));
-        assert_eq!(fleet.peer_count(idx), 0);
-        assert_eq!(fleet.next_wakeup(idx), None);
-        assert!(fleet.due_probes(idx, SimTime(100_000_000)).is_empty());
-        // Recovery reinstalls (new generation) and resumes.
+        assert_eq!(fleet.peer_count(idx), 1);
+        assert_eq!(fleet.generation(idx), 1);
+        assert_eq!(fleet.entries(idx), &pinglist(ServerId(0), 1, 1).entries[..]);
+        probe_once(&mut fleet, idx, Some(ServerId(1)), OK);
+        assert_eq!(fleet.counters(idx).probes_sent, 1);
+        assert_eq!(fleet.counters(idx).probes_succeeded, 1);
+        assert_eq!(fleet.probes_observed(idx), 1);
+        assert_eq!(fleet.buffered_records(idx), 1);
+    }
+
+    #[test]
+    fn same_generation_does_not_reset_schedule() {
+        let (mut fleet, idx) = fleet_of_one(1);
+        let first_due = fleet.next_wakeup(idx).unwrap();
+        // Re-poll with the same generation much later: schedule unchanged.
         fleet.on_controller_poll(
             idx,
-            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 4, 2)),
-            SimTime(2),
+            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 1, 1)),
+            SimTime(5_000_000),
         );
-        assert!(!fleet.is_stopped(idx));
-        assert_eq!(fleet.peer_count(idx), 2);
-        assert!(fleet.next_wakeup(idx).is_some());
+        assert_eq!(fleet.next_wakeup(idx).unwrap(), first_due);
+        // A new generation reinstalls.
+        fleet.on_controller_poll(
+            idx,
+            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 2, 1)),
+            SimTime(5_000_000),
+        );
+        assert_eq!(fleet.generation(idx), 2);
+        assert!(fleet.next_wakeup(idx).unwrap() >= SimTime(5_000_000));
+    }
+
+    /// Both §3.4.2 stop conditions — an empty controller at once, an
+    /// unreachable one on the third consecutive failure — drop every peer,
+    /// and a fresh pinglist re-arms the full failure budget.
+    #[test]
+    fn guard_transitions_clear_schedule() {
+        for (stop, polls_to_stop) in [
+            (ControllerPollOutcome::NoPinglist, 1),
+            (ControllerPollOutcome::Unreachable, 3),
+        ] {
+            let (mut fleet, idx) = fleet_of_one(3);
+            assert_eq!(fleet.peer_count(idx), 3);
+            for k in 1..=polls_to_stop {
+                assert!(!fleet.is_stopped(idx));
+                assert_eq!(
+                    fleet.peer_count(idx),
+                    3,
+                    "stale-list grace below the threshold"
+                );
+                fleet.on_controller_poll(idx, stop.clone(), SimTime(k));
+            }
+            assert!(fleet.is_stopped(idx), "{stop:?}");
+            assert_eq!(fleet.peer_count(idx), 0);
+            assert!(fleet.entries(idx).is_empty());
+            assert_eq!(fleet.next_wakeup(idx), None);
+            assert!(fleet.due_probes(idx, SimTime(100_000_000)).is_empty());
+            // Recovery reinstalls (new generation) and resumes.
+            fleet.on_controller_poll(
+                idx,
+                ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 4, 2)),
+                SimTime(10),
+            );
+            assert!(!fleet.is_stopped(idx));
+            assert_eq!(fleet.peer_count(idx), 2);
+            assert!(fleet.next_wakeup(idx).is_some());
+            // Re-armed: two more failures are again tolerated.
+            fleet.on_controller_poll(idx, ControllerPollOutcome::Unreachable, SimTime(11));
+            fleet.on_controller_poll(idx, ControllerPollOutcome::Unreachable, SimTime(12));
+            assert!(!fleet.is_stopped(idx));
+        }
+    }
+
+    #[test]
+    fn sanitization_is_counted() {
+        let mut fleet = AgentFleet::new(topo(), AgentConfig::default());
+        let idx = fleet.push_server(ServerId(0));
+        let mut pl = pinglist(ServerId(0), 1, 2);
+        pl.entries[0].interval = SimDuration::from_secs(1); // below the floor
+        fleet.on_controller_poll(idx, ControllerPollOutcome::Pinglist(pl), SimTime::ZERO);
+        assert_eq!(fleet.sanitized_entries(idx), 1);
+        assert_eq!(
+            fleet.entries(idx)[0].interval,
+            pingmesh_types::constants::MIN_PROBE_INTERVAL,
+            "drivers only ever see the clamped entry"
+        );
+    }
+
+    #[test]
+    fn records_carry_denormalized_scope() {
+        let (mut fleet, idx) = fleet_of_one(1);
+        probe_once(&mut fleet, idx, Some(ServerId(1)), OK);
+        let batch = fleet.begin_upload(idx).unwrap();
+        let rec = batch[0];
+        let topo = topo();
+        assert_eq!(rec.src_pod, topo.server(ServerId(0)).pod);
+        assert_eq!(rec.dst_pod, topo.server(ServerId(1)).pod);
+        assert_eq!(rec.src_dc, rec.dst_dc);
+        assert!(rec.is_intra_pod());
+    }
+
+    #[test]
+    fn unresolved_targets_count_but_produce_no_record() {
+        let (mut fleet, idx) = fleet_of_one(1);
+        probe_once(&mut fleet, idx, None, ProbeOutcome::Timeout);
+        assert_eq!(fleet.counters(idx).probes_failed, 1);
+        assert_eq!(fleet.probes_observed(idx), 1);
+        assert_eq!(fleet.unresolved_probes(idx), 1);
+        assert!(fleet.begin_upload(idx).is_none());
+    }
+
+    #[test]
+    fn counter_collection_resets_window() {
+        let (mut fleet, idx) = fleet_of_one(1);
+        probe_once(&mut fleet, idx, Some(ServerId(1)), OK);
+        fleet.note_uploaded(idx, 100);
+        let snap = fleet.collect_counters(idx);
+        assert_eq!(snap.probes_sent, 1);
+        assert_eq!(snap.bytes_uploaded, 100);
+        assert_eq!(fleet.counters(idx).probes_sent, 0, "window reset");
+        assert_eq!(fleet.probes_observed(idx), 1, "lifetime ledger is not");
+    }
+
+    /// The upload cycle as a driver sees it: age trigger, one batch in
+    /// flight, retry verdicts, and the discard ledger once the budget is
+    /// spent.
+    #[test]
+    fn upload_cycle_retries_then_discards() {
+        let (mut fleet, idx) = fleet_of_one(3);
+        while fleet.buffered_records(idx) < 3 {
+            probe_once(&mut fleet, idx, Some(ServerId(1)), OK);
+        }
+        let n = fleet.buffered_records(idx);
+        let newest = fleet.next_wakeup(idx).unwrap();
+        assert!(!fleet.upload_due(idx, newest), "below batch size and age");
+        assert!(fleet.upload_due(idx, newest + AgentConfig::default().upload_max_age));
+        let batch = fleet.begin_upload(idx).unwrap();
+        assert_eq!(batch.len() as u64, n);
+        assert!(fleet.has_pending_upload(idx));
+        assert!(fleet.begin_upload(idx).is_none(), "one batch in flight");
+        for _ in 0..AgentConfig::default().upload_retries {
+            assert!(fleet.on_upload_result(idx, false), "retry the held batch");
+        }
+        assert!(!fleet.on_upload_result(idx, false), "budget spent: discard");
+        assert!(!fleet.has_pending_upload(idx));
+        assert_eq!(fleet.discarded_total(idx), n);
+        assert_eq!(fleet.counters(idx).records_discarded, n);
+        fleet.recycle_batch(idx, batch);
     }
 
     #[test]
@@ -650,6 +844,7 @@ mod tests {
         );
         assert_eq!(fleet.peer_count(a), 9);
         assert_eq!(fleet.peer_count(b), 2);
+        assert_eq!(fleet.entries(b), &pinglist(ServerId(5), 1, 2).entries[..]);
         let tb = fleet.next_wakeup(b).unwrap();
         let due_b = fleet.due_probes(b, tb);
         assert!(!due_b.is_empty());

@@ -7,7 +7,7 @@
 //! Run with `cargo bench -p pingmesh-bench`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use pingmesh_core::agent::ProbeScheduler;
+use pingmesh_core::agent::{AgentConfig, AgentFleet, ControllerPollOutcome};
 use pingmesh_core::controller::{GeneratorConfig, PinglistGenerator};
 use pingmesh_core::dsa::agg::WindowAggregate;
 use pingmesh_core::netsim::{DcProfile, SimNet};
@@ -173,14 +173,21 @@ fn bench_scheduler(c: &mut Criterion) {
     c.bench_function("scheduler_tick_2k_peers", |b| {
         b.iter_batched(
             || {
-                let mut s = ProbeScheduler::new(ServerId(0));
-                s.install(&pl, SimTime::ZERO);
-                s
+                let mut fleet = AgentFleet::new(topo.clone(), AgentConfig::default());
+                let me = fleet.push_server(ServerId(0));
+                fleet.on_controller_poll(
+                    me,
+                    ControllerPollOutcome::Pinglist(pl.clone()),
+                    SimTime::ZERO,
+                );
+                (fleet, me)
             },
-            |mut s| {
-                // Pop one round of due probes.
-                let t = s.next_due().unwrap();
-                s.pop_due(t)
+            |(mut fleet, me)| {
+                // One wake: sweep the due arena, emit the due probes. The
+                // fleet rides out with them so its drop is not timed.
+                let t = fleet.next_wakeup(me).unwrap();
+                let due = fleet.due_probes(me, t);
+                (fleet, due)
             },
             BatchSize::SmallInput,
         )

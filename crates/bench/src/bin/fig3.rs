@@ -15,7 +15,7 @@
 
 use pingmesh_bench::*;
 use pingmesh_core::agent::real::{serve_echo, tcp_ping};
-use pingmesh_core::agent::{Agent, AgentConfig, ControllerPollOutcome};
+use pingmesh_core::agent::{AgentConfig, AgentFleet, ControllerPollOutcome};
 use pingmesh_core::controller::{GeneratorConfig, PinglistGenerator};
 use pingmesh_core::topology::{DcSpec, Topology, TopologySpec};
 use pingmesh_core::types::{ProbeOutcome, ServerId, SimDuration, SimTime};
@@ -133,18 +133,22 @@ fn measure_memory() {
     println!("  pinglist size: {} peers", pl.entries.len());
 
     let rss0 = rss_bytes();
-    let mut agent = Agent::new(ServerId(0), topo.clone(), AgentConfig::default());
-    agent.on_controller_poll(ControllerPollOutcome::Pinglist(pl.clone()), SimTime::ZERO);
+    let mut fleet = AgentFleet::new(topo.clone(), AgentConfig::default());
+    let me = fleet.push_server(ServerId(0));
+    fleet.on_controller_poll(me, ControllerPollOutcome::Pinglist(pl), SimTime::ZERO);
     // One full 10-minute buffering interval of results at the 2500-peer
     // cadence (~86 probes/s → ~52k records) — the worst-case in-memory
     // state right before an upload.
     let mut now = SimTime::ZERO;
     let mut recorded = 0u64;
     while now < SimTime::ZERO + SimDuration::from_mins(10) {
-        let Some(t) = agent.next_wakeup() else { break };
+        let Some(t) = fleet.next_wakeup(me) else {
+            break;
+        };
         now = t;
-        for due in agent.due_probes(now) {
-            agent.record_outcome(
+        for due in fleet.due_probes(me, now) {
+            fleet.record_outcome(
+                me,
                 &due,
                 Some(ServerId(1)),
                 ProbeOutcome::Success {
@@ -163,7 +167,7 @@ fn measure_memory() {
         "<45MB",
         &format!("{delta_mb:.1}MB"),
     );
-    let ok = delta_mb < 45.0 && agent.peer_count() > 2_000;
+    let ok = delta_mb < 45.0 && fleet.peer_count(me) > 2_000;
     println!(
         "  [{}] agent fits the paper's 45MB envelope",
         if ok { "ok" } else { "FAIL" }

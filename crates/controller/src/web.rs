@@ -21,7 +21,7 @@
 use crate::genalgo::PinglistSet;
 use crate::xml;
 use parking_lot::RwLock;
-use pingmesh_httpx::{read_request, write_response, Response};
+use pingmesh_httpx::{read_request, write_response, CallError, Response};
 use pingmesh_types::{Pinglist, PingmeshError, ServerId};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -132,17 +132,15 @@ pub async fn fetch_pinglist_with(
     server: ServerId,
     deadline: std::time::Duration,
 ) -> Result<Option<Pinglist>, PingmeshError> {
-    let mut stream = tokio::time::timeout(deadline, TcpStream::connect(addr))
-        .await
-        .map_err(|_| PingmeshError::Timeout(format!("connect to controller {addr}")))?
-        .map_err(|e| PingmeshError::ControllerUnavailable(e.to_string()))?;
     let req = pingmesh_httpx::Request::get(&format!("/pinglist/{}", server.0));
-    pingmesh_httpx::write_request_with(&mut stream, &req, deadline)
+    let resp = pingmesh_httpx::call(addr, &req, deadline)
         .await
-        .map_err(|e| http_err(e, "pinglist request"))?;
-    let resp = pingmesh_httpx::read_response_with(&mut stream, deadline)
-        .await
-        .map_err(|e| http_err(e, "pinglist response"))?;
+        .map_err(|e| match e {
+            CallError::Timeout(phase) => {
+                PingmeshError::Timeout(format!("pinglist {phase}, controller {addr}"))
+            }
+            other => PingmeshError::ControllerUnavailable(other.to_string()),
+        })?;
     match resp.status {
         200 => {
             let text = String::from_utf8(resp.body)
@@ -151,13 +149,6 @@ pub async fn fetch_pinglist_with(
         }
         404 | 503 => Ok(None),
         s => Err(PingmeshError::ControllerUnavailable(format!("status {s}"))),
-    }
-}
-
-fn http_err(e: pingmesh_httpx::HttpError, what: &str) -> PingmeshError {
-    match e {
-        pingmesh_httpx::HttpError::Timeout => PingmeshError::Timeout(what.to_string()),
-        other => PingmeshError::ControllerUnavailable(other.to_string()),
     }
 }
 

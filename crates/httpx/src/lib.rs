@@ -520,6 +520,57 @@ pub async fn write_request_with<S: AsyncWrite + Unpin>(
     .await
 }
 
+/// Why a one-shot [`call`] failed.
+#[derive(Debug)]
+pub enum CallError {
+    /// The TCP connect failed outright (refused, unreachable, no address).
+    Connect(std::io::Error),
+    /// The named phase — `"connect"`, `"request"` or `"response"` —
+    /// outlived the deadline.
+    Timeout(&'static str),
+    /// The exchange failed after connecting, other than by deadline.
+    Http(HttpError),
+}
+
+impl std::fmt::Display for CallError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CallError::Connect(e) => write!(f, "connect: {e}"),
+            CallError::Timeout(phase) => write!(f, "deadline expired during {phase}"),
+            CallError::Http(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for CallError {}
+
+/// One client exchange on a connection of its own: connect, write `req`,
+/// read the response. Each phase gets at most `deadline`, so a
+/// black-holed, stalled or slow-dripping server costs the caller three
+/// deadlines at worst and never hangs it.
+pub async fn call<A: std::net::ToSocketAddrs>(
+    addr: A,
+    req: &Request,
+    deadline: Duration,
+) -> Result<Response, CallError> {
+    let mut stream = tokio::time::timeout(deadline, TcpStream::connect(addr))
+        .await
+        .map_err(|_| CallError::Timeout("connect"))?
+        .map_err(CallError::Connect)?;
+    let in_phase = |phase| {
+        move |e| match e {
+            HttpError::Timeout => CallError::Timeout(phase),
+            other => CallError::Http(other),
+        }
+    };
+    write_request_with(&mut stream, req, deadline)
+        .await
+        .map_err(in_phase("request"))?;
+    read_response_with(&mut stream, deadline)
+        .await
+        .map_err(in_phase("response"))
+}
+
 /// Writes a response to the stream, bounded by [`DEFAULT_IO_TIMEOUT`].
 pub async fn write_response<S: AsyncWrite + Unpin>(
     stream: &mut S,

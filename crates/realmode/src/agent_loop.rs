@@ -1,14 +1,21 @@
-//! The full real-socket agent: download pinglist → ping → upload.
+//! The real-socket agent: the tokio driver of the agent engine.
 //!
-//! Identical semantics to the simulated agent, against real sockets:
+//! Identical semantics to the simulated agent *because it is the same
+//! engine*: a [`RealAgent`] owns a [`pingmesh_agent::AgentFleet`] of one
+//! and only tells it what happened — so the §3.4.2 rules (sanitize every
+//! served entry, fail closed after 3 consecutive controller failures or
+//! an empty controller, bounded buffer, upload on size *or* age,
+//! retry-then-discard) and the `pingmesh_agent_*` metrics are the ones
+//! the simulator runs. What lives here is only what a driver is:
 //!
-//! * pinglist fetched from the controller over HTTP, with the §3.4.2
-//!   fail-closed rules (3 consecutive failures or "no pinglist" → drop
-//!   all peers, keep responding);
-//! * every probe on a fresh connection (the OS assigns a fresh ephemeral
-//!   port per connect);
-//! * results buffered and uploaded to the collector, retry-then-discard;
-//! * perf counters (P50 / P99 / drop rate) exported for the PA path.
+//! * polling the controller VIP over HTTP and mapping the answer to a
+//!   [`ControllerPollOutcome`];
+//! * turning installed entries into socket addresses and probing them,
+//!   every probe on a fresh connection (the OS assigns the ephemeral
+//!   port), bounded in flight;
+//! * carrying upload batches to the collector, sleeping a jittered
+//!   backoff between the retries the engine asks for;
+//! * the `pingmesh_realmode_*` transport counters and the run loop.
 //!
 //! [`RealAgent::run`] is the faithful always-on loop (probe cadence
 //! clamped to the hard 10-second floor); [`RealAgent::probe_round_once`]
@@ -16,15 +23,16 @@
 
 use crate::backoff::Backoff;
 use crate::collector::upload_records_with;
-use crate::directory::PeerDirectory;
+use crate::directory::{PeerDirectory, PeerEndpoints};
 use crate::vip::ControllerVip;
-use pingmesh_agent::guard::SafetyGuard;
 use pingmesh_agent::real::{http_ping, tcp_ping};
+use pingmesh_agent::scheduler::DueProbe;
+use pingmesh_agent::{AgentConfig, AgentFleet, AgentView, ControllerPollOutcome};
 use pingmesh_topology::Topology;
-use pingmesh_types::constants::{MIN_PROBE_INTERVAL, UPLOAD_RETRIES};
+use pingmesh_types::constants::MIN_PROBE_INTERVAL;
 use pingmesh_types::{
-    AgentCounters, CounterSnapshot, PingTarget, Pinglist, ProbeKind, ProbeOutcome, ProbeRecord,
-    ServerId, SimDuration, SimTime,
+    CounterSnapshot, PingTarget, PingmeshError, ProbeKind, ProbeOutcome, ServerId, SimDuration,
+    SimTime,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -61,7 +69,9 @@ pub struct RealAgentConfig {
     /// Seed for the jittered retry/poll backoff. Runs with the same seed
     /// retry on an identical schedule.
     pub backoff_seed: u64,
-    /// Upload when this many records are buffered.
+    /// Upload when this many records are buffered (or the oldest ages
+    /// out). Read once: it seeds the engine's `upload_batch_records` when
+    /// the agent is created.
     pub upload_batch: usize,
     /// Max probes in flight at once (the paper's agent spreads load
     /// across cores; we bound concurrency instead).
@@ -102,30 +112,30 @@ impl RealAgentConfig {
 /// The real-socket agent.
 pub struct RealAgent {
     config: RealAgentConfig,
-    topo: Arc<Topology>,
     directory: PeerDirectory,
-    guard: SafetyGuard,
-    pinglist: Option<Pinglist>,
-    buffer: Vec<ProbeRecord>,
-    counters: AgentCounters,
-    discarded: u64,
-    produced: u64,
+    /// The engine: one agent, fleet index [`ME`].
+    fleet: AgentFleet,
     epoch: Instant,
 }
+
+/// This agent's index in its own one-agent fleet.
+const ME: usize = 0;
 
 impl RealAgent {
     /// Creates an idle agent.
     pub fn new(config: RealAgentConfig, topo: Arc<Topology>, directory: PeerDirectory) -> Self {
+        let mut fleet = AgentFleet::new(
+            topo,
+            AgentConfig {
+                upload_batch_records: config.upload_batch,
+                ..AgentConfig::default()
+            },
+        );
+        fleet.push_server(config.me);
         Self {
             config,
-            topo,
             directory,
-            guard: SafetyGuard::new(),
-            pinglist: None,
-            buffer: Vec::new(),
-            counters: AgentCounters::new(),
-            discarded: 0,
-            produced: 0,
+            fleet,
             epoch: Instant::now(),
         }
     }
@@ -141,78 +151,76 @@ impl RealAgent {
         &mut self.config
     }
 
+    /// Read-only view of the engine state — the same accessor surface the
+    /// simulator's watchdog and oracles read through `orch.agent(s)`.
+    pub fn view(&self) -> AgentView<'_> {
+        self.fleet.view(ME)
+    }
+
     /// Whether the agent is fail-closed.
     pub fn is_stopped(&self) -> bool {
-        self.guard.is_stopped()
+        self.view().is_stopped()
     }
 
     /// Active peer count.
     pub fn peer_count(&self) -> usize {
-        self.pinglist.as_ref().map_or(0, |pl| pl.entries.len())
+        self.view().peer_count()
     }
 
-    /// Records discarded because uploads kept failing.
+    /// Records discarded because uploads kept failing (or the buffer cap
+    /// was hit).
     pub fn discarded(&self) -> u64 {
-        self.discarded
+        self.view().discarded_total()
     }
 
     /// Lifetime count of probe records this agent has produced (whether
     /// or not they were ultimately uploaded) — one side of the
     /// completeness SLO's conservation ledger.
     pub fn produced(&self) -> u64 {
-        self.produced
+        self.view().probes_observed() - self.view().unresolved_probes()
     }
 
     /// Records currently buffered awaiting upload. Buffered records are
     /// lag, not loss — the completeness ledger subtracts them from the
     /// produced side.
     pub fn buffered(&self) -> u64 {
-        self.buffer.len() as u64
+        self.view().buffered_records()
     }
 
     /// Counter snapshot for the PA path (resets the window).
     pub fn collect_counters(&mut self) -> CounterSnapshot {
-        let snap = self.counters.snapshot();
-        self.counters.reset_window();
-        snap
+        self.fleet.collect_counters(ME)
     }
 
+    /// Wall-clock microseconds since this agent started: the engine's
+    /// notion of "now".
     fn now(&self) -> SimTime {
         SimTime(self.epoch.elapsed().as_micros() as u64)
     }
 
-    /// Polls the controller VIP once, applying the fail-closed rules.
+    /// Polls the controller VIP once and hands the engine the outcome;
+    /// returns whether the controller answered at all.
     ///
-    /// Stale-pinglist grace: a failed poll before the §3.4.2 threshold
-    /// keeps the cached pinglist — the agent probes stale rather than go
-    /// dark during a short controller blip. Only crossing the threshold
-    /// (or an explicit "no pinglist" answer) drops the peers.
-    pub async fn poll_controller(&mut self) {
-        let was_stopped = self.guard.is_stopped();
-        let fetched = self
+    /// The engine applies the fail-closed rules, including the
+    /// stale-pinglist grace: a failed poll before the §3.4.2 threshold
+    /// keeps the installed pinglist — the agent probes stale rather than
+    /// go dark during a short controller blip. Only crossing the
+    /// threshold (or an explicit "no pinglist" answer) drops the peers.
+    pub async fn poll_controller(&mut self) -> bool {
+        let was_stopped = self.is_stopped();
+        let outcome = match self
             .config
             .controller
             .fetch_pinglist(self.config.me, self.config.call_deadline)
-            .await;
-        match fetched {
-            Ok(Some(mut pl)) => {
-                SafetyGuard::sanitize(&mut pl);
-                self.guard.on_pinglist_received();
-                self.pinglist = Some(pl);
-            }
-            Ok(None) => {
-                self.guard.on_empty_controller();
-                self.pinglist = None;
-            }
-            Err(_) => {
-                if self.guard.on_controller_failure()
-                    == pingmesh_agent::guard::GuardDecision::StopProbing
-                {
-                    self.pinglist = None;
-                }
-            }
-        }
-        match (was_stopped, self.guard.is_stopped()) {
+            .await
+        {
+            Ok(Some(pl)) => ControllerPollOutcome::Pinglist(pl),
+            Ok(None) => ControllerPollOutcome::NoPinglist,
+            Err(_) => ControllerPollOutcome::Unreachable,
+        };
+        let answered = !matches!(outcome, ControllerPollOutcome::Unreachable);
+        self.fleet.on_controller_poll(ME, outcome, self.now());
+        match (was_stopped, self.is_stopped()) {
             (false, true) => {
                 pingmesh_obs::registry()
                     .counter("pingmesh_realmode_fail_closed_transitions_total")
@@ -229,21 +237,19 @@ impl RealAgent {
             }
             _ => {}
         }
+        answered
     }
 
-    /// Runs one probe round: one probe per pinglist entry, concurrently
-    /// (bounded), recording outcomes. Returns the number of probes sent.
+    /// Runs one probe round: one probe per installed pinglist entry,
+    /// concurrently (bounded), feeding outcomes back to the engine.
+    /// Returns the number of probes sent — zero while fail-closed, since
+    /// stopping drops every installed entry.
     pub async fn probe_round_once(&mut self) -> usize {
-        if self.guard.is_stopped() {
-            return 0;
-        }
-        let Some(pl) = self.pinglist.clone() else {
-            return 0;
-        };
+        let entries = self.fleet.entries(ME).to_vec();
         let timeout = self.config.probe_timeout;
         let mut inflight = tokio::task::JoinSet::new();
         let mut sent = 0usize;
-        for entry in pl.entries.iter().copied() {
+        for (entry_index, entry) in entries.into_iter().enumerate() {
             let PingTarget::Server { id: peer, ip } = entry.target else {
                 continue; // VIP targets need the production LB; skip here
             };
@@ -252,7 +258,7 @@ impl RealAgent {
                     Some(e) => e,
                     None => continue,
                 },
-                Addressing::Direct => crate::directory::PeerEndpoints {
+                Addressing::Direct => PeerEndpoints {
                     // Production addressing: the pinglist's IP and port
                     // are the peer agent's actual endpoints; HTTP probes
                     // use the conventional HTTP port on the same host.
@@ -266,8 +272,14 @@ impl RealAgent {
                 }
             }
             sent += 1;
+            // The OS picks the ephemeral port of a real connection.
+            let due = DueProbe {
+                entry_index,
+                entry,
+                src_port: 0,
+            };
             inflight.spawn(async move {
-                let outcome = match entry.kind {
+                let rtt = match entry.kind {
                     ProbeKind::TcpSyn => tcp_ping(endpoints.echo, None, timeout)
                         .await
                         .map(|r| r.connect_rtt)
@@ -281,7 +293,7 @@ impl RealAgent {
                     }
                     ProbeKind::Http => http_ping(endpoints.http, timeout).await.ok(),
                 };
-                (entry, peer, outcome)
+                (due, peer, rtt)
             });
         }
         while let Some(done) = inflight.join_next().await {
@@ -290,76 +302,54 @@ impl RealAgent {
         sent
     }
 
-    fn absorb(
-        &mut self,
-        (entry, peer, rtt): (pingmesh_types::PinglistEntry, ServerId, Option<Duration>),
-    ) {
+    fn absorb(&mut self, (due, peer, rtt): (DueProbe, ServerId, Option<Duration>)) {
         let outcome = match rtt {
             Some(d) => ProbeOutcome::Success {
                 rtt: SimDuration::from_micros(d.as_micros().max(1) as u64),
             },
             None => ProbeOutcome::Timeout,
         };
-        self.counters.observe(outcome);
-        let s = self.topo.server(self.config.me);
-        let d = self.topo.server(peer);
-        let rec = ProbeRecord {
-            ts: self.now(),
-            src: self.config.me,
-            dst: peer,
-            src_pod: s.pod,
-            dst_pod: d.pod,
-            src_podset: s.podset,
-            dst_podset: d.podset,
-            src_dc: s.dc,
-            dst_dc: d.dc,
-            kind: entry.kind,
-            qos: entry.qos,
-            src_port: 0, // the OS picked the ephemeral port
-            dst_port: entry.port,
-            outcome,
-        };
-        self.produced += 1;
-        pingmesh_obs::trace::on_probe(&rec);
-        self.buffer.push(rec);
+        self.fleet
+            .record_outcome(ME, &due, Some(peer), outcome, self.now());
     }
 
-    /// Uploads the buffer if it reached the batch size; `force` flushes
-    /// regardless. Retries then discards, per §3.4.2.
+    /// Uploads the buffer when the engine says an upload is due (batch
+    /// size reached, or the oldest record aged out); `force` flushes
+    /// regardless. The engine decides each retry and the final discard
+    /// (§3.4.2); this driver sleeps a jittered backoff in between.
     pub async fn flush(&mut self, force: bool) {
-        if self.buffer.is_empty() || (!force && self.buffer.len() < self.config.upload_batch) {
+        if !force && !self.fleet.upload_due(ME, self.now()) {
             return;
         }
-        let batch = std::mem::take(&mut self.buffer);
+        let Some(batch) = self.fleet.begin_upload(ME) else {
+            return;
+        };
         pingmesh_obs::trace::on_upload_batch(&batch, Some(self.now()));
+        let registry = pingmesh_obs::registry();
         let mut backoff = Backoff::control_plane(self.config.backoff_seed);
-        for attempt in 0..=UPLOAD_RETRIES {
-            match upload_records_with(self.config.collector, &batch, self.config.call_deadline)
-                .await
-            {
-                Ok(()) => {
-                    self.counters.bytes_uploaded +=
-                        batch.iter().map(|r| r.wire_size() as u64).sum::<u64>();
-                    return;
-                }
-                Err(e) if attempt < UPLOAD_RETRIES => {
-                    let registry = pingmesh_obs::registry();
-                    registry.counter("pingmesh_realmode_retries_total").inc();
-                    if matches!(e, pingmesh_types::PingmeshError::Timeout(_)) {
-                        registry.counter("pingmesh_realmode_timeouts_total").inc();
-                    }
-                    tokio::time::sleep(backoff.next_delay()).await;
-                }
-                Err(_) => {
-                    self.discarded += batch.len() as u64;
-                    self.counters.records_discarded = self.discarded;
-                    pingmesh_obs::registry()
+        loop {
+            let result =
+                upload_records_with(self.config.collector, &batch, self.config.call_deadline).await;
+            let ok = result.is_ok();
+            if ok {
+                let bytes = batch.iter().map(|r| r.wire_size() as u64).sum();
+                self.fleet.note_uploaded(ME, bytes);
+            }
+            if !self.fleet.on_upload_result(ME, ok) {
+                if !ok {
+                    registry
                         .counter("pingmesh_realmode_discarded_records_total")
                         .add(batch.len() as u64);
-                    return;
                 }
+                break;
             }
+            registry.counter("pingmesh_realmode_retries_total").inc();
+            if matches!(result, Err(PingmeshError::Timeout(_))) {
+                registry.counter("pingmesh_realmode_timeouts_total").inc();
+            }
+            tokio::time::sleep(backoff.next_delay()).await;
         }
+        self.fleet.recycle_batch(ME, batch);
     }
 
     /// The always-on loop: poll the controller, then run probe rounds at
@@ -385,12 +375,11 @@ impl RealAgent {
                 break;
             }
             if Instant::now() >= next_poll {
-                self.poll_controller().await;
-                next_poll = if self.guard.failures() > 0 {
-                    Instant::now() + poll_backoff.next_delay()
-                } else {
+                next_poll = if self.poll_controller().await {
                     poll_backoff.reset();
                     Instant::now() + poll_interval
+                } else {
+                    Instant::now() + poll_backoff.next_delay()
                 };
             }
             self.probe_round_once().await;
@@ -411,22 +400,62 @@ mod tests {
     use crate::cluster::LocalCluster;
     use pingmesh_controller::GeneratorConfig;
     use pingmesh_topology::TopologySpec;
+    use pingmesh_types::constants::UPLOAD_RETRIES;
 
     #[tokio::test]
     async fn full_loop_fetch_probe_upload() {
         let cluster =
             LocalCluster::start(TopologySpec::single_tiny(), GeneratorConfig::default()).await;
         let mut agent = cluster.agent(ServerId(0));
+        // The engine's fleet-wide metrics are process-global and other
+        // tests move them too, so each must move by *at least* this
+        // agent's counts.
+        let registry = pingmesh_obs::registry();
+        let probes_metric = registry.counter("pingmesh_agent_probes_sent_total");
+        let uploads_metric = registry.counter("pingmesh_agent_uploads_started_total");
+        let batch_metric = registry.histogram("pingmesh_agent_upload_batch_size");
+        let (probes0, uploads0, batches0) = (
+            probes_metric.get(),
+            uploads_metric.get(),
+            batch_metric.snapshot().count(),
+        );
         agent.poll_controller().await;
         assert!(!agent.is_stopped());
         assert!(agent.peer_count() > 0);
         let sent = agent.probe_round_once().await;
         assert!(sent > 0, "must probe peers");
-        assert_eq!(agent.counters.probes_sent as usize, sent);
-        assert!(agent.counters.probes_succeeded > 0);
+        assert_eq!(agent.view().counters().probes_sent as usize, sent);
+        assert!(agent.view().counters().probes_succeeded > 0);
+        assert_eq!(agent.produced(), sent as u64);
         agent.flush(true).await;
         let stats = cluster.collector().stats();
         assert_eq!(stats.records, sent as u64);
+        assert!(probes_metric.get() >= probes0 + sent as u64);
+        assert!(uploads_metric.get() > uploads0);
+        assert!(batch_metric.snapshot().count() > batches0);
+    }
+
+    #[tokio::test]
+    async fn flush_uploads_on_age_below_the_batch_size() {
+        let cluster =
+            LocalCluster::start(TopologySpec::single_tiny(), GeneratorConfig::default()).await;
+        let mut agent = cluster.agent(ServerId(5));
+        agent.poll_controller().await;
+        let sent = agent.probe_round_once().await as u64;
+        assert!(sent > 0 && sent < agent.config.upload_batch as u64);
+        // Fresh records below the batch size: not due.
+        agent.flush(false).await;
+        assert_eq!(agent.buffered(), sent);
+        assert_eq!(cluster.collector().stats().records, 0);
+        // The engine's age trigger, read at a crafted "now"…
+        let max_age = AgentConfig::default().upload_max_age;
+        assert!(agent.fleet.upload_due(ME, agent.now() + max_age));
+        // …and through `flush(false)`, by ageing the agent instead of
+        // sleeping ten minutes.
+        agent.epoch -= Duration::from_micros(max_age.as_micros());
+        agent.flush(false).await;
+        assert_eq!(agent.buffered(), 0);
+        assert_eq!(cluster.collector().stats().records, sent);
     }
 
     #[tokio::test]
@@ -477,13 +506,18 @@ mod tests {
         agent.config.controller = live;
         agent.poll_controller().await;
         assert!(!agent.is_stopped());
-        assert_eq!(agent.guard.failures(), 0);
         assert!(agent.peer_count() > 0);
         assert!(agent.probe_round_once().await > 0);
         let resumes_after = pingmesh_obs::registry()
             .counter("pingmesh_realmode_resumes_total")
             .get();
         assert_eq!(resumes_after, resumes_before + 1);
+        // The full 3-failure budget is re-armed: one more failed poll
+        // does not stop the agent.
+        agent.config.controller = ControllerVip::single(dead);
+        assert!(!agent.poll_controller().await);
+        assert!(!agent.is_stopped());
+        assert!(agent.peer_count() > 0);
     }
 
     #[tokio::test]
@@ -528,13 +562,11 @@ mod tests {
         tokio::time::sleep(Duration::from_millis(500)).await;
         tx.send(true).unwrap();
         let agent = handle.await.unwrap();
-        assert!(agent.counters.probes_sent > 0, "the loop must have probed");
+        let probed = agent.view().counters().probes_sent;
+        assert!(probed > 0, "the loop must have probed");
         // The final flush delivered everything.
-        assert!(agent.buffer.is_empty());
-        assert_eq!(
-            cluster.collector().stats().records,
-            agent.counters.probes_sent
-        );
+        assert_eq!(agent.buffered(), 0);
+        assert_eq!(cluster.collector().stats().records, probed);
     }
 
     #[tokio::test]
@@ -552,7 +584,8 @@ mod tests {
         agent.flush(true).await;
         assert!(agent.discarded() > 0, "retries exhausted must discard");
         // Memory is bounded: the buffer is empty again.
-        assert!(agent.buffer.is_empty());
+        assert_eq!(agent.buffered(), 0);
+        assert!(!agent.view().has_pending_upload());
         // Retries are spaced by jittered exponential backoff, not fired
         // back-to-back: 3 retries with a 50 ms base wait at least
         // 25 + 50 + 100 ms worst-jitter-low, so well over 100 ms total.

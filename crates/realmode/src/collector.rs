@@ -34,7 +34,7 @@
 use parking_lot::Mutex;
 use pingmesh_dsa::store::{CosmosStore, StreamName};
 use pingmesh_dsa::{unique_dir, DirGuard, DurabilityStats, ExpectedPairs, QualityConfig};
-use pingmesh_httpx::{Conn, Request, Response};
+use pingmesh_httpx::{CallError, Conn, Request, Response};
 use pingmesh_obs::slo::{self, SloKind, SloStatus};
 use pingmesh_obs::SampleValue;
 use pingmesh_types::{PingmeshError, ProbeRecord, SimTime};
@@ -726,17 +726,7 @@ pub async fn upload_records_with(
     deadline: std::time::Duration,
 ) -> Result<(), PingmeshError> {
     let body = serde_json::to_vec(records).map_err(|e| PingmeshError::Parse(e.to_string()))?;
-    let mut stream = tokio::time::timeout(deadline, TcpStream::connect(addr))
-        .await
-        .map_err(|_| PingmeshError::Timeout(format!("connect to collector {addr}")))?
-        .map_err(|e| PingmeshError::UploadFailed(e.to_string()))?;
-    let req = Request::post("/upload", body);
-    pingmesh_httpx::write_request_with(&mut stream, &req, deadline)
-        .await
-        .map_err(|e| upload_err(e, "upload request"))?;
-    let resp = pingmesh_httpx::read_response_with(&mut stream, deadline)
-        .await
-        .map_err(|e| upload_err(e, "upload response"))?;
+    let resp = collector_call(addr, &Request::post("/upload", body), deadline).await?;
     if resp.status == 200 {
         Ok(())
     } else {
@@ -757,24 +747,23 @@ pub async fn fetch_stats_with(
     addr: SocketAddr,
     deadline: std::time::Duration,
 ) -> Result<CollectorStats, PingmeshError> {
-    let mut stream = tokio::time::timeout(deadline, TcpStream::connect(addr))
-        .await
-        .map_err(|_| PingmeshError::Timeout(format!("connect to collector {addr}")))?
-        .map_err(|e| PingmeshError::UploadFailed(e.to_string()))?;
-    pingmesh_httpx::write_request_with(&mut stream, &Request::get("/stats"), deadline)
-        .await
-        .map_err(|e| upload_err(e, "stats request"))?;
-    let resp = pingmesh_httpx::read_response_with(&mut stream, deadline)
-        .await
-        .map_err(|e| upload_err(e, "stats response"))?;
+    let resp = collector_call(addr, &Request::get("/stats"), deadline).await?;
     serde_json::from_slice(&resp.body).map_err(|e| PingmeshError::Parse(e.to_string()))
 }
 
-fn upload_err(e: pingmesh_httpx::HttpError, what: &str) -> PingmeshError {
-    match e {
-        pingmesh_httpx::HttpError::Timeout => PingmeshError::Timeout(what.to_string()),
-        other => PingmeshError::UploadFailed(other.to_string()),
-    }
+async fn collector_call(
+    addr: SocketAddr,
+    req: &Request,
+    deadline: std::time::Duration,
+) -> Result<Response, PingmeshError> {
+    pingmesh_httpx::call(addr, req, deadline)
+        .await
+        .map_err(|e| match e {
+            CallError::Timeout(phase) => {
+                PingmeshError::Timeout(format!("{} {phase}, collector {addr}", req.path))
+            }
+            other => PingmeshError::UploadFailed(other.to_string()),
+        })
 }
 
 #[cfg(test)]

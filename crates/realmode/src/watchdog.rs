@@ -14,8 +14,12 @@
 //!   watchdog's own call deadline → [`ControllerClusterDown`] when none
 //!   answers, [`NoPinglistsServed`] when replicas answer but serve no
 //!   pinglist;
-//! * agent fail-closed state and discard counters →
-//!   [`AgentsStopped`] / [`RecordsDiscarded`];
+//! * agent engine state, read through the same
+//!   [`pingmesh_agent::AgentView`] surface the simulator's watchdog reads:
+//!   fail-closed agents → [`AgentsStopped`], pinglist entries the agents
+//!   had to clamp since the previous check →
+//!   [`ControllerViolatedSafetyLimits`], records discarded since the
+//!   previous check → [`RecordsDiscarded`];
 //! * collector ingest progress: the record count must grow within the
 //!   store horizon while agents are probing → [`StaleStore`];
 //! * data-quality SLOs: the watchdog feeds the collector the windowed
@@ -33,6 +37,7 @@
 //! [`ControllerClusterDown`]: WatchdogFinding::ControllerClusterDown
 //! [`NoPinglistsServed`]: WatchdogFinding::NoPinglistsServed
 //! [`AgentsStopped`]: WatchdogFinding::AgentsStopped
+//! [`ControllerViolatedSafetyLimits`]: WatchdogFinding::ControllerViolatedSafetyLimits
 //! [`RecordsDiscarded`]: WatchdogFinding::RecordsDiscarded
 //! [`StaleStore`]: WatchdogFinding::StaleStore
 //! [`StoreIoErrors`]: WatchdogFinding::StoreIoErrors
@@ -54,6 +59,7 @@ pub struct RealWatchdog {
     pub call_deadline: Duration,
     last_records: u64,
     last_progress: Instant,
+    last_sanitized: u64,
     last_discarded: u64,
     last_stored: u64,
     last_deliverable: u64,
@@ -69,6 +75,7 @@ impl RealWatchdog {
             call_deadline: Duration::from_secs(2),
             last_records: 0,
             last_progress: Instant::now(),
+            last_sanitized: 0,
             last_discarded: 0,
             last_stored: 0,
             last_deliverable: 0,
@@ -78,20 +85,9 @@ impl RealWatchdog {
 
     /// Probes one replica's `/health` through its agent-facing address.
     async fn replica_healthy(&self, addr: SocketAddr) -> bool {
-        let connect =
-            tokio::time::timeout(self.call_deadline, tokio::net::TcpStream::connect(addr));
-        let Ok(Ok(mut stream)) = connect.await else {
-            return false;
-        };
         let req = pingmesh_httpx::Request::get("/health");
-        if pingmesh_httpx::write_request_with(&mut stream, &req, self.call_deadline)
-            .await
-            .is_err()
-        {
-            return false;
-        }
         matches!(
-            pingmesh_httpx::read_response_with(&mut stream, self.call_deadline).await,
+            pingmesh_httpx::call(addr, &req, self.call_deadline).await,
             Ok(resp) if resp.status == 200
         )
     }
@@ -133,14 +129,23 @@ impl RealWatchdog {
         }
 
         // Agent health.
-        let stopped = agents.iter().filter(|a| a.is_stopped()).count();
+        let views: Vec<_> = agents.iter().map(|a| a.view()).collect();
+        let stopped = views.iter().filter(|v| v.is_stopped()).count();
         if stopped > 0 {
             findings.push(WatchdogFinding::AgentsStopped(stopped));
         }
-        // Agent discard totals are cumulative; report only records lost
-        // since the previous check, so a healed upload path clears the
-        // finding instead of carrying the outage's tally forever.
-        let discarded: u64 = agents.iter().map(|a| a.discarded()).sum();
+        // The engine's sanitize and discard totals are cumulative; report
+        // only what happened since the previous check, so a corrected
+        // controller or a healed upload path clears its finding instead
+        // of carrying the outage's tally forever.
+        let sanitized: u64 = views.iter().map(|v| v.sanitized_entries()).sum();
+        if sanitized > self.last_sanitized {
+            findings.push(WatchdogFinding::ControllerViolatedSafetyLimits(
+                sanitized - self.last_sanitized,
+            ));
+        }
+        self.last_sanitized = sanitized;
+        let discarded: u64 = views.iter().map(|v| v.discarded_total()).sum();
         if discarded > self.last_discarded {
             findings.push(WatchdogFinding::RecordsDiscarded(
                 discarded - self.last_discarded,
@@ -172,8 +177,11 @@ impl RealWatchdog {
         // buffering is lag, not loss) versus records that actually did.
         // The collector owns the evaluation so its `/healthz` and `/slo`
         // endpoints and this watchdog agree by construction.
-        let produced: u64 = agents.iter().map(|a| a.produced()).sum();
-        let buffered: u64 = agents.iter().map(|a| a.buffered()).sum();
+        let produced: u64 = views
+            .iter()
+            .map(|v| v.probes_observed() - v.unresolved_probes())
+            .sum();
+        let buffered: u64 = views.iter().map(|v| v.buffered_records()).sum();
         let deliverable = produced.saturating_sub(buffered);
         let stored_delta = records.saturating_sub(self.last_stored);
         let deliverable_delta = deliverable.saturating_sub(self.last_deliverable);
@@ -239,6 +247,51 @@ mod tests {
         agent.probe_round_once().await;
         agent.flush(true).await;
         let mut wd = RealWatchdog::new(Duration::from_secs(60));
+        let findings = wd.check(&cluster, &[&agent]).await;
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[tokio::test]
+    async fn unsafe_pinglist_is_clamped_and_reported() {
+        let cluster =
+            LocalCluster::start(TopologySpec::single_tiny(), GeneratorConfig::default()).await;
+        // A misbehaving controller: every entry of server 3's list asks
+        // for a 1-second cadence, ten times the hard limit.
+        let safe = pingmesh_controller::PinglistGenerator::new(GeneratorConfig::default())
+            .generate_all(cluster.topology(), 1);
+        let mut set = safe.clone();
+        let unsafe_entries = {
+            let pl = &mut set.lists[3];
+            assert_eq!(pl.server, ServerId(3));
+            for e in &mut pl.entries {
+                e.interval = SimDuration::from_secs(1);
+            }
+            pl.entries.len() as u64
+        };
+        cluster.controller_state().set_pinglists(set);
+        let metric = pingmesh_obs::registry().counter("pingmesh_agent_sanitized_entries_total");
+        let metric_before = metric.get();
+
+        let mut agent = cluster.agent(ServerId(3));
+        agent.poll_controller().await;
+        assert!(!agent.is_stopped());
+        assert_eq!(agent.view().sanitized_entries(), unsafe_entries);
+        assert!(metric.get() >= metric_before + unsafe_entries);
+        // Clamped, not refused: the agent still probes the list.
+        assert!(agent.probe_round_once().await > 0);
+        agent.flush(true).await;
+
+        let mut wd = RealWatchdog::new(Duration::from_secs(60));
+        let findings = wd.check(&cluster, &[&agent]).await;
+        assert_eq!(
+            findings,
+            vec![WatchdogFinding::ControllerViolatedSafetyLimits(
+                unsafe_entries
+            )]
+        );
+        // A corrected controller clears the finding on the next check.
+        cluster.controller_state().set_pinglists(safe);
+        agent.poll_controller().await;
         let findings = wd.check(&cluster, &[&agent]).await;
         assert!(findings.is_empty(), "{findings:?}");
     }

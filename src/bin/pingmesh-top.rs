@@ -410,15 +410,10 @@ fn render(samples: &[Sample], target: &str, prev: Option<(&[Sample], f64)>) -> S
 }
 
 async fn scrape(target: &str) -> Result<String, String> {
-    let mut stream = tokio::net::TcpStream::connect(target)
+    use pingmesh::httpx::{call, Request, DEFAULT_IO_TIMEOUT};
+    let resp = call(target, &Request::get("/metrics"), DEFAULT_IO_TIMEOUT)
         .await
-        .map_err(|e| format!("connect {target}: {e}"))?;
-    pingmesh::httpx::write_request(&mut stream, &pingmesh::httpx::Request::get("/metrics"))
-        .await
-        .map_err(|e| format!("write: {e}"))?;
-    let resp = pingmesh::httpx::read_response(&mut stream)
-        .await
-        .map_err(|e| format!("read: {e}"))?;
+        .map_err(|e| format!("GET {target}/metrics: {e}"))?;
     if resp.status != 200 {
         return Err(format!("GET /metrics: HTTP {}", resp.status));
     }
