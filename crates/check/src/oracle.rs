@@ -618,6 +618,14 @@ pub fn check_quality(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Violation>
     out
 }
 
+/// The serve oracle's reference body: the store's *whole* merged
+/// aggregate for the query's range through the tier's own renderer.
+fn full_merge_body(q: &pingmesh_serve::views::ApiQuery, store: &CosmosStore) -> Vec<u8> {
+    let (from, to) = q.range().expect("the oracle asks windowed queries only");
+    q.render(&store.merged_window_aggregate(from, to))
+        .unwrap_or_default()
+}
+
 /// Oracle 7: serve-tier cache coherence.
 ///
 /// The query tier's contract is that a cached frozen-window response is
@@ -628,8 +636,10 @@ pub fn check_quality(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Violation>
 ///
 /// * miss vs hit: the first and second responses to every standard
 ///   dashboard query carry identical bytes;
-/// * cached vs oracle: those bytes equal the pure
-///   [`ApiQuery::build`] over the same store, and over the *run's*
+/// * cached vs oracle: those bytes equal `full_merge_body` over the
+///   same store — the tier merges only the maps a view renders, the
+///   oracle merges every map and renders the same way, so a scope the
+///   projection dropped shows as a difference — and over the *run's*
 ///   store (the serving layer inherits shard-partition independence);
 /// * conditional GET: replaying the response's `ETag` yields a 304;
 /// * invalidation: a late service-map refold must flip the conditional
@@ -709,7 +719,7 @@ pub fn check_serve_coherence(orch: &Orchestrator) -> Vec<Violation> {
                 format!("{key}: cache hit bytes differ from the miss that built them"),
             ));
         }
-        let oracle_body = q.build(&shared.lock()).unwrap_or_default();
+        let oracle_body = full_merge_body(q, &shared.lock());
         if miss.body != oracle_body {
             out.push(violation(
                 "serve",
@@ -720,7 +730,7 @@ pub fn check_serve_coherence(orch: &Orchestrator) -> Vec<Violation> {
                 ),
             ));
         }
-        let run_body = q.build(store).unwrap_or_default();
+        let run_body = full_merge_body(q, store);
         if miss.body != run_body {
             out.push(violation(
                 "serve",
@@ -762,7 +772,7 @@ pub fn check_serve_coherence(orch: &Orchestrator) -> Vec<Violation> {
             ));
         }
         // …and the body must equal a pure rebuild over the refolded store.
-        if before.body != q.build(&shared.lock()).unwrap_or_default() {
+        if before.body != full_merge_body(q, &shared.lock()) {
             out.push(violation(
                 "serve",
                 format!("{key}: post-refold cached bytes diverge from rebuild"),

@@ -14,6 +14,7 @@ use pingmesh_types::{
     ServerId, ServiceId, SimDuration,
 };
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// A (source server, destination server) pair key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,6 +47,19 @@ pub struct HistKey {
     pub payload: bool,
     /// QoS class.
     pub qos: QosClass,
+}
+
+impl HistKey {
+    /// The SYN-only (no payload), high-QoS group of a DC and scope — the
+    /// one [`WindowAggregate::syn_hist`] reads.
+    pub fn syn(dc: DcId, scope: LatencyScope) -> Self {
+        Self {
+            dc,
+            scope,
+            payload: false,
+            qos: QosClass::High,
+        }
+    }
 }
 
 /// Outcome counts plus the RTT distribution of one scope's probes — the
@@ -102,6 +116,19 @@ pub(crate) fn fold_pair_outcome(stats: &mut PairStats, outcome: ProbeOutcome) {
             RttClass::TwoDrops => stats.rtt_9s += 1,
         },
         ProbeOutcome::Timeout | ProbeOutcome::Refused => stats.failed += 1,
+    }
+}
+
+/// Merges one map of an aggregate into the same map of another, entry
+/// by entry — the whole of [`WindowAggregate::merge`] is this per map, and
+/// a reader that needs only some maps applies it to those alone.
+pub fn merge_map<K: Copy + Eq + Hash, V: Default>(
+    into: &mut HashMap<K, V>,
+    from: &HashMap<K, V>,
+    merge: impl Fn(&mut V, &V),
+) {
+    for (k, v) in from {
+        merge(into.entry(*k).or_default(), v);
     }
 }
 
@@ -339,51 +366,32 @@ impl WindowAggregate {
     /// and drop raw records.
     pub fn merge(&mut self, other: &WindowAggregate) {
         self.record_count += other.record_count;
-        for (k, h) in &other.hists {
-            self.hists.entry(*k).or_default().merge(h);
-        }
-        for (k, p) in &other.pairs {
-            self.pairs.entry(*k).or_default().merge(p);
-        }
-        for (k, s) in &other.per_server {
-            self.per_server.entry(*k).or_default().merge(s);
-        }
-        for (k, s) in &other.per_pod {
-            self.per_pod.entry(*k).or_default().merge(s);
-        }
-        for (k, s) in &other.per_podset {
-            self.per_podset.entry(*k).or_default().merge(s);
-        }
-        for (k, s) in &other.per_dc {
-            self.per_dc.entry(*k).or_default().merge(s);
-        }
-        for (k, s) in &other.per_dc_pair {
-            self.per_dc_pair.entry(*k).or_default().merge(s);
-        }
-        for (k, s) in &other.per_service {
-            self.per_service.entry(*k).or_default().merge(s);
-        }
-        for (k, h) in &other.podset_matrix {
-            self.podset_matrix.entry(*k).or_default().merge(h);
-        }
-        for (k, p) in &other.podset_pairs {
-            self.podset_pairs.entry(*k).or_default().merge(p);
-        }
-        for (k, p) in &other.pod_pairs {
-            self.pod_pairs.entry(*k).or_default().merge(p);
-        }
+        merge_map(&mut self.hists, &other.hists, LatencyHistogram::merge);
+        merge_map(&mut self.pairs, &other.pairs, PairStats::merge);
+        merge_map(&mut self.per_server, &other.per_server, ScopeStats::merge);
+        merge_map(&mut self.per_pod, &other.per_pod, ScopeStats::merge);
+        merge_map(&mut self.per_podset, &other.per_podset, ScopeStats::merge);
+        merge_map(&mut self.per_dc, &other.per_dc, ScopeStats::merge);
+        merge_map(&mut self.per_dc_pair, &other.per_dc_pair, ScopeStats::merge);
+        merge_map(&mut self.per_service, &other.per_service, ScopeStats::merge);
+        merge_map(
+            &mut self.podset_matrix,
+            &other.podset_matrix,
+            LatencyHistogram::merge,
+        );
+        merge_map(
+            &mut self.podset_pairs,
+            &other.podset_pairs,
+            PairStats::merge,
+        );
+        merge_map(&mut self.pod_pairs, &other.pod_pairs, PairStats::merge);
     }
 
     /// Convenience: the SYN-only, high-QoS histogram for a DC and scope —
     /// "if not specifically mentioned, the latency we use in the paper is
     /// the inter-pod TCP SYN/SYN-ACK RTT without payload".
     pub fn syn_hist(&self, dc: DcId, scope: LatencyScope) -> Option<&LatencyHistogram> {
-        self.hists.get(&HistKey {
-            dc,
-            scope,
-            payload: false,
-            qos: QosClass::High,
-        })
+        self.hists.get(&HistKey::syn(dc, scope))
     }
 
     /// Measured drop rate over a set of pairs (3 s + 9 s heuristic).

@@ -404,11 +404,19 @@ impl CosmosStore {
         }
     }
 
-    /// Merges the ingest-time partials covering `[from, to)` across all
-    /// streams into one aggregate — O(scopes × windows), no record pass.
+    /// Borrows the ingest-time partials covering `[from, to)`, stream by
+    /// stream and window by window within a stream — the one place that
+    /// knows how partials are keyed. A reader that renders a few scopes
+    /// merges just those maps out of each partial instead of paying
+    /// [`CosmosStore::merged_window_aggregate`] for all of them. Every
+    /// partial yielded counts toward `pingmesh_dsa_partials_merged_total`.
     /// Both bounds must be aligned to [`PARTIAL_WINDOW`] (job windows
     /// are, by construction).
-    pub fn merged_window_aggregate(&self, from: SimTime, to: SimTime) -> WindowAggregate {
+    pub fn partials_in(
+        &self,
+        from: SimTime,
+        to: SimTime,
+    ) -> impl Iterator<Item = &WindowAggregate> {
         debug_assert_eq!(
             from.window_start(PARTIAL_WINDOW),
             from,
@@ -419,21 +427,25 @@ impl CosmosStore {
             to,
             "window end must be 10-min aligned"
         );
+        // An inverted range is empty, not a `BTreeMap::range` panic.
+        let to = to.max(from);
+        let merged = pingmesh_obs::registry().counter("pingmesh_dsa_partials_merged_total");
+        self.streams
+            .keys()
+            .flat_map(move |&stream| self.partials.range((stream, from)..(stream, to)))
+            .map(move |(_, part)| {
+                merged.inc();
+                part
+            })
+    }
+
+    /// Merges the ingest-time partials covering `[from, to)` across all
+    /// streams into one aggregate — O(scopes × windows), no record pass.
+    /// Bounds as for [`CosmosStore::partials_in`].
+    pub fn merged_window_aggregate(&self, from: SimTime, to: SimTime) -> WindowAggregate {
         let mut out = WindowAggregate::default();
-        if from >= to {
-            return out;
-        }
-        let mut merged = 0u64;
-        for &stream in self.streams.keys() {
-            for (_, part) in self.partials.range((stream, from)..(stream, to)) {
-                out.merge(part);
-                merged += 1;
-            }
-        }
-        if merged > 0 {
-            pingmesh_obs::registry()
-                .counter("pingmesh_dsa_partials_merged_total")
-                .add(merged);
+        for part in self.partials_in(from, to) {
+            out.merge(part);
         }
         out
     }

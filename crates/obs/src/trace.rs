@@ -501,6 +501,33 @@ mod tests {
         }
     }
 
+    /// The tracer's tables and sampling modulus are process-wide and
+    /// `cargo test` runs tests on parallel threads: a test that resets or
+    /// resamples the tracer holds this for its whole body.
+    static TRACER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    struct Exclusive {
+        _guard: std::sync::MutexGuard<'static, ()>,
+    }
+
+    /// Takes the tracer for one test: enabled, empty, sampling at `m`.
+    fn exclusive(m: u64) -> Exclusive {
+        // Poisoned means an earlier holder failed an assert; its drop
+        // below already put the tracer back, so the lock is still good.
+        let guard = TRACER.lock().unwrap_or_else(|e| e.into_inner());
+        crate::set_enabled(true);
+        reset();
+        set_sample_mod(m);
+        Exclusive { _guard: guard }
+    }
+
+    impl Drop for Exclusive {
+        fn drop(&mut self) {
+            set_sample_mod(DEFAULT_SAMPLE_MOD);
+            reset();
+        }
+    }
+
     #[test]
     fn trace_id_is_deterministic_and_content_derived() {
         let a = entry_trace_id(
@@ -540,9 +567,7 @@ mod tests {
 
     #[test]
     fn full_lifecycle_emits_every_stage_under_one_id() {
-        crate::set_enabled(true);
-        reset();
-        set_sample_mod(1);
+        let _tracer = exclusive(1);
         let before = crate::events().last_seq();
 
         let src = ServerId(41);
@@ -583,17 +608,12 @@ mod tests {
             }
         }
         assert_eq!(seen, STAGES.to_vec(), "all stages in order for one id");
-        // Probe stage measured 5 s of sim time from generation to probe.
-        set_sample_mod(DEFAULT_SAMPLE_MOD);
-        reset();
     }
 
     #[test]
     fn unsampled_records_pass_untouched() {
-        crate::set_enabled(true);
-        reset();
         // Modulus so large nothing samples (fnv output is "random").
-        set_sample_mod(u64::MAX);
+        let _tracer = exclusive(u64::MAX);
         let lists = vec![Pinglist {
             server: ServerId(1),
             generation: 1,
@@ -602,15 +622,11 @@ mod tests {
         arm_from_pinglists(&lists, Some(SimTime(0)));
         assert_eq!(armed_count(), 0, "nothing sampled");
         on_probe(&record(ServerId(1), ServerId(2), SimTime(1)));
-        set_sample_mod(DEFAULT_SAMPLE_MOD);
-        reset();
     }
 
     #[test]
     fn rearming_a_live_trace_is_idempotent() {
-        crate::set_enabled(true);
-        reset();
-        set_sample_mod(1);
+        let _tracer = exclusive(1);
         let lists = vec![Pinglist {
             server: ServerId(7),
             generation: 1,
@@ -619,7 +635,5 @@ mod tests {
         arm_from_pinglists(&lists, Some(SimTime(0)));
         arm_from_pinglists(&lists, Some(SimTime(1)));
         assert_eq!(armed_count(), 1, "re-arm of an armed id is a no-op");
-        set_sample_mod(DEFAULT_SAMPLE_MOD);
-        reset();
     }
 }

@@ -35,6 +35,7 @@ use pingmesh_obs::{Counter, Histogram};
 use pingmesh_types::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tokio::net::{TcpListener, TcpStream};
 use views::{ApiQuery, QueryError};
 
@@ -60,6 +61,11 @@ pub struct TierStats {
     pub misses_frozen: AtomicU64,
     /// Cache misses that built a still-hot range.
     pub misses_hot: AtomicU64,
+    /// Of the hits above (either kind), those that took the store lock
+    /// to match the range fingerprint because the epoch had moved —
+    /// rung 2 of the freshness ladder. Hits − revalidated are rung 1
+    /// (lock-free), misses are rung 3 (rebuild).
+    pub revalidated: AtomicU64,
     /// Entries rebuilt because their range's fingerprint changed.
     pub invalidations: AtomicU64,
     /// Conditional GETs answered 304.
@@ -87,11 +93,18 @@ struct ServeMetrics {
     hits_hot: Arc<Counter>,
     misses_frozen: Arc<Counter>,
     misses_hot: Arc<Counter>,
+    revalidated: Arc<Counter>,
     invalidations: Arc<Counter>,
     not_modified: Arc<Counter>,
+    /// Where a miss goes: waiting for the store lock, then per view
+    /// holding it (fingerprint + gather) and rendering with it released.
+    store_lock_wait_us: Arc<Histogram>,
+    views: Vec<(&'static str, Arc<Histogram>, Arc<Histogram>)>,
 }
 
 const ROUTES: [&str; 6] = ["windows", "cdf", "heatmap", "sla", "metrics", "other"];
+/// The cacheable views, as [`ApiQuery::view`] labels them.
+const VIEWS: [&str; 4] = ["cdf", "heatmap_pod", "heatmap_podset", "sla"];
 
 impl ServeMetrics {
     fn new() -> Self {
@@ -112,8 +125,20 @@ impl ServeMetrics {
             misses_frozen: reg
                 .counter_with("pingmesh_serve_cache_misses_total", &[("kind", "frozen")]),
             misses_hot: reg.counter_with("pingmesh_serve_cache_misses_total", &[("kind", "hot")]),
+            revalidated: reg.counter("pingmesh_serve_cache_revalidations_total"),
             invalidations: reg.counter("pingmesh_serve_cache_invalidations_total"),
             not_modified: reg.counter("pingmesh_serve_not_modified_total"),
+            store_lock_wait_us: reg.histogram("pingmesh_serve_store_lock_wait_us"),
+            views: VIEWS
+                .iter()
+                .map(|&view| {
+                    (
+                        view,
+                        reg.histogram_with("pingmesh_serve_gather_us", &[("view", view)]),
+                        reg.histogram_with("pingmesh_serve_render_us", &[("view", view)]),
+                    )
+                })
+                .collect(),
         }
     }
 
@@ -122,6 +147,14 @@ impl ServeMetrics {
             .iter()
             .find(|(r, _, _)| *r == route)
             .unwrap_or(&self.routes[ROUTES.len() - 1])
+    }
+
+    /// Times one rebuild of a cacheable view: lock held, then lock free.
+    fn note_rebuild(&self, view: &str, gathered: Duration, rendered: Duration) {
+        if let Some((_, gather_us, render_us)) = self.views.iter().find(|(v, _, _)| *v == view) {
+            gather_us.record_wall(gathered);
+            render_us.record_wall(rendered);
+        }
     }
 }
 
@@ -160,7 +193,7 @@ impl QueryTier {
 
     /// Handles one parsed request (pure; unit-testable without sockets).
     pub fn respond(&self, req: &Request) -> Response {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let (path, query) = match req.path.split_once('?') {
             Some((p, q)) => (p, Some(q)),
             None => (req.path.as_str(), None),
@@ -197,10 +230,9 @@ impl QueryTier {
     fn respond_query(&self, q: &ApiQuery, req: &Request) -> Response {
         let Some((from, to)) = q.range() else {
             // Hot store status: live state, never cached, no validators.
-            let store = self.store.lock();
-            let body = q.build(&store);
-            drop(store);
-            let mut resp = match body {
+            // The lock covers copying five integers, not serializing them.
+            let status = views::StoreStatus::read(&self.store.lock());
+            let mut resp = match status.render() {
                 Ok(body) => Response::ok(body),
                 Err(msg) => return Response::internal_error(msg),
             };
@@ -231,7 +263,9 @@ impl QueryTier {
     /// ladder: (1) store epoch unchanged → lock-free hit; (2) epoch moved
     /// but the range fingerprint matches → revalidated hit, one O(windows)
     /// check under the lock; (3) fingerprint moved → rebuild (that is the
-    /// invalidation on stragglers and late service-map refolds).
+    /// invalidation on stragglers and late service-map refolds). A
+    /// rebuild holds the store lock for the fingerprint and the gather
+    /// only; the body is rendered, hashed and cached with it released.
     fn ensure(&self, q: &ApiQuery, from: SimTime, to: SimTime) -> Result<CacheEntry, &'static str> {
         let key = q.cache_key();
         let epoch = self.epoch.load(Ordering::Acquire);
@@ -241,21 +275,30 @@ impl QueryTier {
                 return Ok(e);
             }
         }
+        let asked = Instant::now();
         let store = self.store.lock();
+        let locked = Instant::now();
+        self.metrics.store_lock_wait_us.record_wall(locked - asked);
         let version = store.window_version(from, to);
         if let Some(e) = self.cache.get(&key) {
             if e.version == version {
                 drop(store);
                 self.cache.revalidate(&key, epoch);
+                self.stats.revalidated.fetch_add(1, Ordering::Relaxed);
+                self.metrics.revalidated.inc();
                 self.note_hit(e.frozen);
                 return Ok(e);
             }
             self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
             self.metrics.invalidations.inc();
         }
-        let body = q.build(&store)?;
+        let agg = q.gather(&store);
         let frozen = store.frozen_before().is_some_and(|fb| to <= fb);
         drop(store);
+        let unlocked = Instant::now();
+        let body = q.render(&agg)?;
+        self.metrics
+            .note_rebuild(q.view(), unlocked - locked, unlocked.elapsed());
         let entry = CacheEntry {
             version,
             valid_at_epoch: epoch,
@@ -464,11 +507,13 @@ mod tests {
             let second = tier.respond(&Request::get(&path));
             assert_eq!(second.status, 200);
             assert_eq!(first.body, second.body, "{path}: hit must equal miss");
-            // From-scratch rebuild via merged_window_aggregate — the
+            // From-scratch rebuild via merged_window_aggregate — every
+            // map merged, not just the ones the view gathers — is the
             // golden reference the cache must match bit for bit.
             let (p, q) = path.split_once('?').unwrap();
             let query = ApiQuery::parse(p, Some(q)).unwrap();
-            let fresh = query.build(&store.lock()).expect("build");
+            let full = store.lock().merged_window_aggregate(SimTime(0), SimTime(W));
+            let fresh = query.render(&full).expect("render");
             assert_eq!(first.body, fresh, "{path}: cached vs rebuilt");
         }
         let s = tier.stats();
@@ -664,6 +709,56 @@ mod tests {
         let again = tier.respond(&sla_req(W, 2 * W));
         assert_eq!(again.status, 200);
         assert!(tier.stats().invalidations.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn each_freshness_rung_is_counted_and_rungs_sum_to_cacheable_requests() {
+        let store = seeded_store(3); // windows 0..1 frozen, window 2 hot
+        let tier = QueryTier::new(Arc::clone(&store));
+        let s = tier.stats();
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let rungs = || {
+            let hits = get(&s.hits_frozen) + get(&s.hits_hot);
+            let rebuilt = get(&s.misses_frozen) + get(&s.misses_hot);
+            (hits - get(&s.revalidated), get(&s.revalidated), rebuilt)
+        };
+        let append_into_hot_window = || {
+            let mut r = corpus(1, 1).pop().unwrap();
+            r.ts = SimTime(2 * W + 7);
+            store.lock().append(StreamName { dc: DcId(0) }, &[r], r.ts);
+        };
+
+        // Rung 3: nothing cached, the body is built.
+        assert_eq!(tier.respond(&sla_req(0, W)).status, 200);
+        assert_eq!(rungs(), (0, 0, 1));
+        // Rung 1: the store has not moved, no lock taken.
+        assert_eq!(tier.respond(&sla_req(0, W)).status, 200);
+        assert_eq!(rungs(), (1, 0, 1));
+        // Rung 2: the epoch moved, but in another window — the range's
+        // fingerprint still matches, so the entry revalidates.
+        append_into_hot_window();
+        assert_eq!(tier.respond(&sla_req(0, W)).status, 200);
+        assert_eq!(rungs(), (1, 1, 1));
+        assert_eq!(get(&s.invalidations), 0);
+        // …and is then good for rung 1 again at the new epoch.
+        assert_eq!(tier.respond(&sla_req(0, W)).status, 200);
+        assert_eq!(rungs(), (2, 1, 1));
+        // Rung 3 by invalidation: the hot window's own fingerprint moves.
+        assert_eq!(tier.respond(&sla_req(2 * W, 3 * W)).status, 200);
+        append_into_hot_window();
+        assert_eq!(tier.respond(&sla_req(2 * W, 3 * W)).status, 200);
+        assert_eq!(rungs(), (2, 1, 3));
+        assert_eq!(get(&s.invalidations), 1);
+
+        // Uncached and rejected requests stand on no rung.
+        assert_eq!(tier.respond(&Request::get("/api/windows")).status, 200);
+        assert_eq!(tier.respond(&sla_req(1, W)).status, 400);
+        let (epoch, revalidated, rebuilt) = rungs();
+        assert_eq!(
+            epoch + revalidated + rebuilt,
+            6,
+            "one rung per cacheable request"
+        );
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! a from-scratch rebuild bit for bit, and the check-harness oracle
 //! asserts exactly that.
 
-use pingmesh_dsa::agg::{LatencyScope, ScopeStats, WindowAggregate};
+use pingmesh_dsa::agg::{merge_map, HistKey, LatencyScope, ScopeStats, WindowAggregate};
 use pingmesh_dsa::store::{CosmosStore, PARTIAL_WINDOW};
-use pingmesh_types::{DcId, PairStats, SimTime};
+use pingmesh_types::{DcId, LatencyHistogram, PairStats, SimTime};
 use serde::Serialize;
 
 /// Granularity of the drop-rate heatmap.
@@ -195,32 +195,107 @@ impl ApiQuery {
         }
     }
 
+    /// View label for per-view metrics: [`ApiQuery::route`] with the
+    /// heatmap split by level, since the two read different maps.
+    pub fn view(&self) -> &'static str {
+        match self {
+            ApiQuery::Heatmap {
+                level: HeatmapLevel::Pod,
+                ..
+            } => "heatmap_pod",
+            ApiQuery::Heatmap {
+                level: HeatmapLevel::Podset,
+                ..
+            } => "heatmap_podset",
+            _ => self.route(),
+        }
+    }
+
     /// Builds the response body from the store — the **only** body
     /// constructor, shared by cache misses, the warm path, and the
-    /// coherence oracle's from-scratch rebuild. Deterministic: sorted
-    /// rows, fixed field order. A serialization failure is a server
-    /// bug, but it surfaces as `Err` (the tier answers 500) rather
-    /// than a panic that would take every connection down with it.
+    /// coherence oracle: [`ApiQuery::gather`] then [`ApiQuery::render`].
+    /// Deterministic: sorted rows, fixed field order. A serialization
+    /// failure is a server bug, but it surfaces as `Err` (the tier
+    /// answers 500) rather than a panic that would take every connection
+    /// down with it.
     pub fn build(&self, store: &CosmosStore) -> Result<Vec<u8>, &'static str> {
+        match self {
+            ApiQuery::Windows => StoreStatus::read(store).render(),
+            _ => self.render(&self.gather(store)),
+        }
+    }
+
+    /// The store half of [`ApiQuery::build`], and the only part that
+    /// needs the store (so the only part a tier runs under its lock):
+    /// merges, out of each ingest-time partial in the query's range, the
+    /// maps this view renders and nothing else. Every other map of the
+    /// returned aggregate stays empty — per-server histograms and
+    /// server-pair counts, the bulk of a partial, are read by no view.
+    ///
+    /// | view           | maps merged                                        |
+    /// |----------------|----------------------------------------------------|
+    /// | CDF            | the one `hists` entry [`HistKey::syn`] names        |
+    /// | SLA            | `per_dc`, `per_dc_pair`, `per_podset`, `per_service` |
+    /// | pod heatmap    | `pod_pairs`                                        |
+    /// | podset heatmap | `podset_pairs`, `podset_matrix`                    |
+    pub fn gather(&self, store: &CosmosStore) -> WindowAggregate {
+        let mut out = WindowAggregate::default();
+        let Some((from, to)) = self.range() else {
+            return out;
+        };
+        for part in store.partials_in(from, to) {
+            match *self {
+                ApiQuery::Windows => {}
+                ApiQuery::Cdf { dc, scope, .. } => {
+                    let key = HistKey::syn(dc, scope);
+                    if let Some(h) = part.hists.get(&key) {
+                        out.hists.entry(key).or_default().merge(h);
+                    }
+                }
+                ApiQuery::Heatmap {
+                    level: HeatmapLevel::Pod,
+                    ..
+                } => merge_map(&mut out.pod_pairs, &part.pod_pairs, PairStats::merge),
+                ApiQuery::Heatmap {
+                    level: HeatmapLevel::Podset,
+                    ..
+                } => {
+                    merge_map(&mut out.podset_pairs, &part.podset_pairs, PairStats::merge);
+                    merge_map(
+                        &mut out.podset_matrix,
+                        &part.podset_matrix,
+                        LatencyHistogram::merge,
+                    );
+                }
+                ApiQuery::Sla { .. } => {
+                    merge_map(&mut out.per_dc, &part.per_dc, ScopeStats::merge);
+                    merge_map(&mut out.per_dc_pair, &part.per_dc_pair, ScopeStats::merge);
+                    merge_map(&mut out.per_podset, &part.per_podset, ScopeStats::merge);
+                    merge_map(&mut out.per_service, &part.per_service, ScopeStats::merge);
+                }
+            }
+        }
+        out
+    }
+
+    /// The store-free half of [`ApiQuery::build`]: sorts and serializes
+    /// the maps this view reads out of `agg`. Rendering the store's
+    /// whole merge of a range and rendering [`ApiQuery::gather`]'s
+    /// projection of it give the same bytes — the differential the
+    /// coherence oracle checks.
+    /// [`ApiQuery::Windows`] renders live store status, not an aggregate
+    /// (see [`StoreStatus`]), and is an `Err` here.
+    pub fn render(&self, agg: &WindowAggregate) -> Result<Vec<u8>, &'static str> {
         match *self {
-            ApiQuery::Windows => build_windows(store),
+            ApiQuery::Windows => Err("windows renders store status, not an aggregate"),
             ApiQuery::Cdf {
                 dc,
                 scope,
                 from,
                 to,
-            } => {
-                let agg = store.merged_window_aggregate(from, to);
-                build_cdf(&agg, dc, scope, from, to)
-            }
-            ApiQuery::Heatmap { level, from, to } => {
-                let agg = store.merged_window_aggregate(from, to);
-                build_heatmap(&agg, level, from, to)
-            }
-            ApiQuery::Sla { from, to } => {
-                let agg = store.merged_window_aggregate(from, to);
-                build_sla(&agg, from, to)
-            }
+            } => build_cdf(agg, dc, scope, from, to),
+            ApiQuery::Heatmap { level, from, to } => build_heatmap(agg, level, from, to),
+            ApiQuery::Sla { from, to } => build_sla(agg, from, to),
         }
     }
 }
@@ -233,8 +308,11 @@ fn scope_label(scope: LatencyScope) -> &'static str {
     }
 }
 
-#[derive(Serialize)]
-struct WindowsPayload {
+/// The live store status `GET /api/windows` reports: a handful of
+/// integers copied out of the store, so a tier reads them under its lock
+/// and serializes after releasing it.
+#[derive(Debug, Serialize)]
+pub struct StoreStatus {
     newest_us: u64,
     frozen_before_us: u64,
     partial_count: u64,
@@ -242,16 +320,23 @@ struct WindowsPayload {
     empty: bool,
 }
 
-fn build_windows(store: &CosmosStore) -> Result<Vec<u8>, &'static str> {
-    let newest = store.newest_ts();
-    serde_json::to_vec(&WindowsPayload {
-        newest_us: newest.map_or(0, |t| t.as_micros()),
-        frozen_before_us: store.frozen_before().map_or(0, |t| t.as_micros()),
-        partial_count: store.partial_count() as u64,
-        record_count: store.record_count(),
-        empty: newest.is_none(),
-    })
-    .map_err(|_| "windows serialize failed")
+impl StoreStatus {
+    /// Copies the status out of the store.
+    pub fn read(store: &CosmosStore) -> Self {
+        let newest = store.newest_ts();
+        Self {
+            newest_us: newest.map_or(0, |t| t.as_micros()),
+            frozen_before_us: store.frozen_before().map_or(0, |t| t.as_micros()),
+            partial_count: store.partial_count() as u64,
+            record_count: store.record_count(),
+            empty: newest.is_none(),
+        }
+    }
+
+    /// The `/api/windows` body.
+    pub fn render(&self) -> Result<Vec<u8>, &'static str> {
+        serde_json::to_vec(self).map_err(|_| "windows serialize failed")
+    }
 }
 
 #[derive(Serialize)]
@@ -563,5 +648,121 @@ mod tests {
             assert_eq!(a, b, "{} must be byte-stable", q.cache_key());
             assert!(!a.is_empty());
         }
+    }
+
+    /// Two streams, seven windows (the last still filling), inter-DC
+    /// traffic both ways and a service covering half the servers: every
+    /// map a view reads is populated, and so are the ones none reads.
+    fn two_stream_store() -> CosmosStore {
+        use pingmesh_dsa::store::StreamName;
+        use pingmesh_types::{
+            PodId, PodsetId, ProbeKind, ProbeOutcome, ProbeRecord, QosClass, ServerId, SimDuration,
+        };
+        let mut store = CosmosStore::new(64, 1);
+        let mut services = pingmesh_topology::ServiceMap::new();
+        services
+            .register("search", (0..12).map(ServerId).collect::<Vec<_>>())
+            .unwrap();
+        store.set_service_map(std::sync::Arc::new(services));
+        for dc in 0..2u32 {
+            let recs: Vec<ProbeRecord> = (0..2_100u64)
+                .map(|i| {
+                    let src = dc * 12 + (i % 12) as u32;
+                    let inter_dc = i % 5 == 0;
+                    let dst_dc = if inter_dc { 1 - dc } else { dc };
+                    let dst = dst_dc * 12 + ((i * 7 + 1) % 12) as u32;
+                    ProbeRecord {
+                        ts: SimTime(i * (7 * W / 2_100)),
+                        src: ServerId(src),
+                        dst: ServerId(dst),
+                        src_pod: PodId(src / 2),
+                        dst_pod: PodId(dst / 2),
+                        src_podset: PodsetId(src / 6),
+                        dst_podset: PodsetId(dst / 6),
+                        src_dc: DcId(dc),
+                        dst_dc: DcId(dst_dc),
+                        kind: if i % 9 == 0 {
+                            ProbeKind::TcpPayload(1_000)
+                        } else {
+                            ProbeKind::TcpSyn
+                        },
+                        qos: if i % 4 == 0 {
+                            QosClass::Low
+                        } else {
+                            QosClass::High
+                        },
+                        src_port: 40_000,
+                        dst_port: 8_100,
+                        outcome: if i % 11 == 0 {
+                            ProbeOutcome::Timeout
+                        } else {
+                            ProbeOutcome::Success {
+                                rtt: SimDuration::from_micros(150 + (i * 37) % 4_000),
+                            }
+                        },
+                    }
+                })
+                .collect();
+            store.append(StreamName { dc: DcId(dc) }, &recs, SimTime(7 * W - 1));
+        }
+        store
+    }
+
+    #[test]
+    fn projection_renders_the_same_bytes_as_the_full_merge() {
+        let store = two_stream_store();
+        assert_eq!(store.frozen_before(), Some(SimTime(6 * W)));
+        let huge = (u64::MAX / W) * W;
+        let mut compared = 0;
+        for (from, to) in [(0, W), (W, 7 * W), (3 * W, 3 * W), (0, huge)] {
+            let (from, to) = (SimTime(from), SimTime(to));
+            let mut queries = vec![
+                ApiQuery::Sla { from, to },
+                ApiQuery::Heatmap {
+                    level: HeatmapLevel::Pod,
+                    from,
+                    to,
+                },
+                ApiQuery::Heatmap {
+                    level: HeatmapLevel::Podset,
+                    from,
+                    to,
+                },
+            ];
+            for dc in 0..3 {
+                for scope in [
+                    LatencyScope::IntraPod,
+                    LatencyScope::InterPod,
+                    LatencyScope::InterDc,
+                ] {
+                    queries.push(ApiQuery::Cdf {
+                        dc: DcId(dc),
+                        scope,
+                        from,
+                        to,
+                    });
+                }
+            }
+            let full = store.merged_window_aggregate(from, to);
+            if from < to {
+                assert!(!full.per_server.is_empty() && !full.per_service.is_empty());
+            }
+            for q in queries {
+                let projected = q.gather(&store);
+                assert!(
+                    projected.per_server.is_empty() && projected.pairs.is_empty(),
+                    "{}: no view reads per-server or per-pair maps",
+                    q.cache_key()
+                );
+                assert_eq!(
+                    q.build(&store).expect("build"),
+                    q.render(&full).expect("render"),
+                    "{}: projection vs full merge",
+                    q.cache_key()
+                );
+                compared += 1;
+            }
+        }
+        assert_eq!(compared, 4 * 12);
     }
 }

@@ -7,7 +7,7 @@
 #   bench  hotpath --smoke --check (no allocation in resolve or codec, no record copied by a tick, recovery bit-equal), then ingest_durable for 2 s (output checks only, nothing timed)
 #   fuzz   50 seeded scenarios through every crates/check oracle, run-to-run deterministic, 60 s cap
 #   scale  5k-server point: the sharded engine reproduces the serial engine bit for bit
-#   serve  query-tier loadgen smoke: cached bytes ≡ rebuilt bytes, ≥99% frozen hit rate, no transport errors, p99 floor
+#   serve  query-tier loadgen smoke: cached bytes ≡ rebuilt bytes, ≥99% frozen hit rate, no transport errors, p99 floor, then query_churn for 2 s (output checks only, nothing timed)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,6 +79,9 @@ fi
 if want serve; then
   step "serve smoke (byte-identical cache, ≥99% frozen hit rate, p99 gate)"
   timeout 180 cargo run --release -q -p pingmesh-bench --bin loadgen -- --smoke --check
+
+  step "pipeline benchmark output checks (query_churn, 2 s, nothing timed)"
+  benchmark/run.sh --workload query_churn --seed 1 --seconds 2 --trace 0
 fi
 
 printf '\nCI gate passed.\n'
