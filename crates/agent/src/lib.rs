@@ -10,8 +10,8 @@
 //!   ([`guard`]),
 //! * stop probing after 3 consecutive controller failures or when the
 //!   controller serves no pinglist (while still *answering* probes),
-//! * bounded in-memory results with retry-then-discard upload semantics
-//!   and a capped local log ([`buffer`]),
+//! * bounded in-memory results, each held once, with retry-then-discard
+//!   uploads and a capped local log rendered only on read ([`buffer`]),
 //! * deterministic spreading of probes over time ([`scheduler`]) and a
 //!   fresh ephemeral source port per probe,
 //! * exported perf counters (P50/P99/drop rate) for the fast PA pipeline.

@@ -160,7 +160,8 @@ impl AgentFleet {
         self.next_port.push(EPHEMERAL_LO);
         self.generation.push(0);
         self.guards.push(SafetyGuard::new());
-        self.buffers.push(ResultBuffer::new(self.config.clone()));
+        self.buffers
+            .push(ResultBuffer::new(self.config.clone(), server));
         self.counters.push(AgentCounters::new());
         self.sanitized_entries.push(0);
         self.probes_observed.push(0);
@@ -315,16 +316,15 @@ impl AgentFleet {
         }
         let seg = self.segs[idx];
         let (start, len) = (seg.start as usize, seg.len as usize);
-        let mut picks = std::mem::take(&mut self.picks_scratch);
-        picks.clear();
+        self.picks_scratch.clear();
         for i in 0..len {
             let t = self.due[start + i];
             if t <= now {
-                picks.push((t, i as u32));
+                self.picks_scratch.push((t, i as u32));
             }
         }
-        picks.sort_unstable();
-        for &(_, i) in picks.iter() {
+        self.picks_scratch.sort_unstable();
+        for &(_, i) in self.picks_scratch.iter() {
             let i = i as usize;
             let entry = self.entries[start + i];
             let p = self.next_port[idx];
@@ -336,15 +336,13 @@ impl AgentFleet {
                 src_port: p,
             });
         }
-        if !picks.is_empty() {
+        if !self.picks_scratch.is_empty() {
             let mut min_due = NEVER;
             for i in 0..len {
                 min_due = min_due.min(self.due[start + i]);
             }
             self.next_wake[idx] = min_due;
         }
-        picks.clear();
-        self.picks_scratch = picks;
         out
     }
 
@@ -405,12 +403,10 @@ impl AgentFleet {
 
     /// Starts an upload for agent `idx`; returns the batch.
     pub fn begin_upload(&mut self, idx: usize) -> Option<Vec<ProbeRecord>> {
-        let batch = self.buffers[idx].begin_upload();
-        if let Some(b) = &batch {
-            metrics().uploads_started.inc();
-            metrics().upload_batch_size.record_micros(b.len() as u64);
-        }
-        batch
+        let batch = self.buffers[idx].begin_upload()?;
+        metrics().uploads_started.inc();
+        metrics().upload_batch_size.record_value(batch.len() as u64);
+        Some(batch)
     }
 
     /// Reports the uploader's verdict for agent `idx`; returns `true` if
@@ -431,9 +427,9 @@ impl AgentFleet {
         retry
     }
 
-    /// Returns a finished upload batch's capacity to agent `idx`.
-    pub fn recycle_batch(&mut self, idx: usize, batch: Vec<ProbeRecord>) {
-        self.buffers[idx].recycle(batch);
+    /// Ends agent `idx`'s upload cycle by freeing the batch (DESIGN.md §3).
+    pub fn recycle_batch(&mut self, _idx: usize, batch: Vec<ProbeRecord>) {
+        drop(batch);
     }
 
     /// Marks bytes as uploaded for agent `idx`.
@@ -494,7 +490,7 @@ pub struct AgentView<'a> {
     idx: usize,
 }
 
-impl AgentView<'_> {
+impl<'a> AgentView<'a> {
     /// The server this agent runs on.
     pub fn server(&self) -> ServerId {
         self.fleet.server(self.idx)
@@ -553,6 +549,11 @@ impl AgentView<'_> {
     /// Live counters.
     pub fn counters(&self) -> &AgentCounters {
         self.fleet.counters(self.idx)
+    }
+
+    /// The agent's capped local log, oldest line first, rendered on read.
+    pub fn log_lines(&self) -> impl Iterator<Item = String> + 'a {
+        self.fleet.buffers[self.idx].log_lines()
     }
 }
 
@@ -819,6 +820,26 @@ mod tests {
         assert_eq!(fleet.discarded_total(idx), n);
         assert_eq!(fleet.counters(idx).records_discarded, n);
         fleet.recycle_batch(idx, batch);
+    }
+
+    /// The local log is readable, and it is the same log: one line per
+    /// buffered record, in order, whatever the outcome.
+    #[test]
+    fn view_reads_the_log_of_what_was_recorded() {
+        let (mut fleet, idx) = fleet_of_one(3);
+        for outcome in [OK, ProbeOutcome::Timeout, ProbeOutcome::Refused, OK] {
+            probe_once(&mut fleet, idx, Some(ServerId(2)), outcome);
+        }
+        probe_once(&mut fleet, idx, None, ProbeOutcome::Timeout); // no record, no line
+        let lines: Vec<String> = fleet.view(idx).log_lines().collect();
+        let batch = fleet.begin_upload(idx).unwrap();
+        let want: Vec<String> = batch
+            .iter()
+            .map(|r| format!("{},srv0,srv2,{:?}", r.ts.as_micros(), r.outcome))
+            .collect();
+        assert!(want.len() >= 4);
+        assert_eq!(lines, want);
+        assert!(lines.iter().any(|l| l.ends_with(",srv2,Refused")));
     }
 
     #[test]

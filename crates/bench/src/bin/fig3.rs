@@ -31,23 +31,6 @@ fn cpu_ticks() -> u64 {
     utime + stime
 }
 
-/// Reads VmRSS in bytes.
-fn rss_bytes() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
-}
-
 fn measure_cpu() {
     println!("--- (a) CPU usage ---");
     let rt = tokio::runtime::Builder::new_current_thread()

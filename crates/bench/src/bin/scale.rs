@@ -9,7 +9,9 @@
 //! simulated minute on both engines. Every sharded run's observable
 //! state (store contents, SLA rows, outputs, fleet ledger) is digested
 //! and compared against the serial run: the two must match bit for bit,
-//! at any shard count.
+//! at any shard count. Bytes are recorded beside milliseconds: each
+//! point's resident set (`VmRSS`) is read while its serial engine is still
+//! alive, and divided by the fleet size.
 //!
 //! Probe cadence is turned down from the paper's 10s/30s defaults to
 //! 120s/600s so a 50k-server point holds ~20M probes rather than
@@ -22,7 +24,7 @@
 //! point only and writes `target/BENCH_scale.smoke.json`. `--check`
 //! exits non-zero if any sharded run diverges from its serial twin.
 
-use pingmesh_bench::header;
+use pingmesh_bench::{header, rss_bytes};
 use pingmesh_check::state_digest;
 use pingmesh_core::controller::GeneratorConfig;
 use pingmesh_core::netsim::DcProfile;
@@ -110,6 +112,8 @@ struct Measured {
     records: u64,
     digest: u64,
     shards: usize,
+    /// `VmRSS` at the end of the run, the engine still alive.
+    rss_bytes: u64,
 }
 
 fn run_point(p: &Point, shards: usize, sim_mins: u64) -> Measured {
@@ -124,6 +128,7 @@ fn run_point(p: &Point, shards: usize, sim_mins: u64) -> Measured {
         records: o.pipeline().store.record_count(),
         digest: state_digest(&o),
         shards: o.shard_count(),
+        rss_bytes: rss_bytes(),
     }
 }
 
@@ -185,11 +190,15 @@ fn main() {
             && sharded.records == serial.records;
         all_match &= bit_identical;
         let speedup = serial.wall_ms / sharded.wall_ms.max(1e-6);
+        let rss_mb = serial.rss_bytes as f64 / (1024.0 * 1024.0);
+        let rss_per_server = serial.rss_bytes / p.servers();
         println!(
-            "  {:>6} servers   serial {:>8.0} ms ({:>7.0} ms/sim-min)   {}-shard {:>8.0} ms ({:>7.0} ms/sim-min)   speedup {:.2}x   {} probes   {}",
+            "  {:>6} servers   serial {:>8.0} ms ({:>7.0} ms/sim-min, rss {:.0} MB = {} B/server)   {}-shard {:>8.0} ms ({:>7.0} ms/sim-min)   speedup {:.2}x   {} probes   {}",
             p.servers(),
             serial.wall_ms,
             serial.ms_per_sim_min,
+            rss_mb,
+            rss_per_server,
             sharded.shards,
             sharded.wall_ms,
             sharded.ms_per_sim_min,
@@ -207,6 +216,8 @@ fn main() {
                 "      \"records_stored\": {},\n",
                 "      \"serial_wall_ms\": {:.0},\n",
                 "      \"serial_ms_per_sim_min\": {:.0},\n",
+                "      \"rss_mb\": {:.1},\n",
+                "      \"rss_bytes_per_server\": {},\n",
                 "      \"shards\": {},\n",
                 "      \"sharded_wall_ms\": {:.0},\n",
                 "      \"sharded_ms_per_sim_min\": {:.0},\n",
@@ -222,6 +233,8 @@ fn main() {
             serial.records,
             serial.wall_ms,
             serial.ms_per_sim_min,
+            rss_mb,
+            rss_per_server,
             sharded.shards,
             sharded.wall_ms,
             sharded.ms_per_sim_min,
@@ -241,7 +254,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"pingmesh-bench-scale/1\",\n",
+            "  \"schema\": \"pingmesh-bench-scale/2\",\n",
             "  \"smoke\": {},\n",
             "  \"threads\": {},\n",
             "  \"points\": [\n{}\n  ]\n",

@@ -141,6 +141,23 @@ pub fn finish_telemetry(id: &'static str) {
     }
 }
 
+/// Resident set of this process right now (`VmRSS`), in bytes.
+pub fn rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    for line in status.lines() {
+        if let Some(rest) = line.strip_prefix("VmRSS:") {
+            let kb: u64 = rest
+                .trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse()
+                .unwrap_or(0);
+            return kb * 1024;
+        }
+    }
+    0
+}
+
 /// Formats a µs latency humanly (µs / ms / s).
 pub fn fmt_us(us: u64) -> String {
     if us >= 1_000_000 {

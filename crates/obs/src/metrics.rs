@@ -105,9 +105,16 @@ pub struct Histogram {
 }
 
 impl Histogram {
+    /// Records a unit-less sample — a count, a size, or a duration in
+    /// whatever unit the metric's name carries (`_ms`, `_size`, …). The
+    /// buckets are log-spaced over the raw value.
+    pub fn record_value(&self, v: u64) {
+        self.inner.lock().record(SimDuration::from_micros(v));
+    }
+
     /// Records a sample in microseconds.
     pub fn record_micros(&self, us: u64) {
-        self.inner.lock().record(SimDuration::from_micros(us));
+        self.record_value(us);
     }
 
     /// Records a virtual-time duration.

@@ -187,7 +187,7 @@ fn compactor_pass(store: &Mutex<CosmosStore>, threshold: u64) {
         // the samples are milliseconds, as the name says.
         registry
             .histogram("pingmesh_store_checkpoint_lock_held_ms")
-            .record_micros(locked.elapsed().as_millis() as u64);
+            .record_value(locked.elapsed().as_millis() as u64);
     }
 }
 

@@ -6,7 +6,7 @@
 # then runs the gates `cargo test` does not cover — all, or those named:
 #   bench  hotpath --smoke --check (no allocation in resolve or codec, no record copied by a tick, recovery bit-equal), then ingest_durable for 2 s (output checks only, nothing timed)
 #   fuzz   50 seeded scenarios through every crates/check oracle, run-to-run deterministic, 60 s cap
-#   scale  5k-server point: the sharded engine reproduces the serial engine bit for bit
+#   scale  5k-server point: the sharded engine reproduces the serial engine bit for bit (bytes/server printed), then sim_mesh for 2 s (output checks only, nothing timed)
 #   serve  query-tier loadgen smoke: cached bytes ≡ rebuilt bytes, ≥99% frozen hit rate, no transport errors, p99 floor, then query_churn for 2 s (output checks only, nothing timed)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -48,7 +48,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 step "unsafe / FFI stays in its allowed files, no readiness-retry constants"
 if grep -rnE 'unsafe \{|unsafe fn|unsafe impl|extern "C"' --include='*.rs' \
     crates shims src tests \
-    | grep -vE '^(shims/tokio/src/sys\.rs|crates/bench/benches/microbench\.rs|crates/bench/src/bin/hotpath\.rs|crates/httpx/tests/call\.rs):'; then
+    | grep -vE '^(shims/tokio/src/sys\.rs|crates/bench/benches/microbench\.rs|crates/bench/src/bin/hotpath\.rs|crates/httpx/tests/call\.rs|crates/agent/tests/record_path_allocs\.rs):'; then
   echo "unsafe code or a foreign declaration outside the allowed files" >&2
   exit 1
 fi
@@ -74,6 +74,9 @@ fi
 if want scale; then
   step "scale bench smoke (5k+ servers, sharded == serial bit-for-bit)"
   cargo run --release -q -p pingmesh-bench --bin scale -- --smoke --check
+
+  step "pipeline benchmark output checks (sim_mesh, 2 s, nothing timed)"
+  benchmark/run.sh --workload sim_mesh --seed 1 --seconds 2 --trace 0
 fi
 
 if want serve; then
