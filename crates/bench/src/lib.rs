@@ -72,15 +72,12 @@ pub fn run_and_aggregate(
         o.run_until(next);
         let scan_to = (next - lag).max(scanned_to);
         if scan_to > scanned_to {
-            // Borrowed extent slices, sharded across threads — no
-            // intermediate record collect.
+            // Borrowed extent slices — no intermediate record collect.
             let chunks = o
                 .pipeline()
                 .store
                 .scan_all_window_chunks(scanned_to, scan_to);
-            let chunk_agg =
-                WindowAggregate::build_from_chunks(&chunks, pingmesh_par::max_threads(), None);
-            agg.merge(&chunk_agg);
+            agg.merge(&WindowAggregate::build(chunks.into_iter().flatten()));
             // Retire with one extra lag of slack so late uploads whose
             // timestamps precede scan_to are never double-counted or lost.
             o.pipeline_mut().store.retire_before(scanned_to - lag);
@@ -92,8 +89,7 @@ pub fn run_and_aggregate(
     // uploaded, then fold the remainder.
     o.run_until(until + lag);
     let chunks = o.pipeline().store.scan_all_window_chunks(scanned_to, until);
-    let tail = WindowAggregate::build_from_chunks(&chunks, pingmesh_par::max_threads(), None);
-    agg.merge(&tail);
+    agg.merge(&WindowAggregate::build(chunks.into_iter().flatten()));
     agg
 }
 

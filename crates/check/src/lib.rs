@@ -18,8 +18,8 @@
 //! Failing seeds are [`shrink`]-able to a minimal spec and printed as a
 //! ready-to-paste regression test ([`regression_snippet`]); pin those
 //! tests in the crate that owns the bug. The `pingmesh-fuzz` binary
-//! runs seed campaigns and the CI smoke gate (`scripts/ci.sh
-//! --fuzz-smoke`).
+//! runs seed campaigns and the CI smoke gate (`scripts/ci.sh --smoke
+//! fuzz`).
 //!
 //! Everything is deterministic: the harness draws from its own
 //! [`rng::XorShift`] (independent of the netsim RNG it audits), so the

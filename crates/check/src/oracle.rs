@@ -119,26 +119,22 @@ pub fn check_conservation(orch: &Orchestrator) -> Vec<Violation> {
 }
 
 /// Oracle 2a: the store's merge-based window rollup is bit-equal to a
-/// from-raw rebuild at 1, 2, and max worker threads.
+/// from-raw rebuild (the serial fold).
 pub fn check_window_partials(orch: &Orchestrator) -> Vec<Violation> {
     let mut out = Vec::new();
     let end = aligned_end(orch);
     let store = &orch.pipeline().store;
     let merged = store.merged_window_aggregate(SimTime::ZERO, end);
     let records = store.collect_window_records(SimTime::ZERO, end);
-    let services = orch.pipeline().services();
-    for threads in [1, 2, pingmesh_par::max_threads()] {
-        let rebuilt = WindowAggregate::build_par_threads_with(&records, threads, Some(services));
-        if rebuilt != merged {
-            out.push(violation(
-                "crdt",
-                format!(
-                    "merged partials disagree with a {threads}-thread rebuild \
-                     ({} vs {} records)",
-                    merged.record_count, rebuilt.record_count
-                ),
-            ));
-        }
+    let rebuilt = WindowAggregate::build_with(&records, Some(orch.pipeline().services()));
+    if rebuilt != merged {
+        out.push(violation(
+            "crdt",
+            format!(
+                "merged partials disagree with a from-raw rebuild ({} vs {} records)",
+                merged.record_count, rebuilt.record_count
+            ),
+        ));
     }
     out
 }

@@ -193,88 +193,6 @@ impl WindowAggregate {
         agg
     }
 
-    /// Below this record count the chunked build runs serially: spawning
-    /// threads costs more than folding the window.
-    const MIN_PAR_RECORDS: usize = 4_096;
-
-    /// Builds the aggregate from a window's records, sharding the fold
-    /// across all available cores (dShark-style map/merge: each worker
-    /// folds a contiguous chunk, chunks merge in order). Every counter in
-    /// the aggregate is a commutative sum and `merge` is applied in chunk
-    /// order, so the result is identical to [`WindowAggregate::build`]
-    /// for any thread count.
-    pub fn build_par(records: &[ProbeRecord]) -> Self {
-        Self::build_par_threads(records, pingmesh_par::max_threads())
-    }
-
-    /// [`WindowAggregate::build_par`] with an explicit worker-thread count
-    /// (`1` = fully serial).
-    pub fn build_par_threads(records: &[ProbeRecord], threads: usize) -> Self {
-        Self::build_par_threads_with(records, threads, None)
-    }
-
-    /// [`WindowAggregate::build_par_threads`] with optional per-service
-    /// attribution. Bit-equal to [`WindowAggregate::build_with`] for any
-    /// thread count.
-    pub fn build_par_threads_with(
-        records: &[ProbeRecord],
-        threads: usize,
-        services: Option<&ServiceMap>,
-    ) -> Self {
-        if threads <= 1 || records.len() < Self::MIN_PAR_RECORDS {
-            return Self::build_with(records, services);
-        }
-        let chunks =
-            pingmesh_par::par_chunks_threads(threads, records, |chunk: &[ProbeRecord]| {
-                Self::build_with(chunk, services)
-            });
-        let mut agg = WindowAggregate::default();
-        for chunk in &chunks {
-            agg.merge(chunk);
-        }
-        agg
-    }
-
-    /// Builds the aggregate from borrowed extent slices (the zero-copy
-    /// scan form, see `CosmosStore::scan_all_window_chunks`) without ever
-    /// concatenating records: slices are sharded across threads into
-    /// contiguous groups of near-equal total record count and each group
-    /// folds in place, so the only allocations are the per-group
-    /// aggregates. Bit-equal to folding the slices serially in order.
-    pub fn build_from_chunks(
-        chunks: &[&[ProbeRecord]],
-        threads: usize,
-        services: Option<&ServiceMap>,
-    ) -> Self {
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        let fold_group = |group: &[&[ProbeRecord]]| {
-            let mut agg = WindowAggregate::default();
-            for chunk in group {
-                for r in *chunk {
-                    match services {
-                        Some(s) => agg.fold_with_services(r, s),
-                        None => agg.fold(r),
-                    }
-                }
-            }
-            agg
-        };
-        if threads <= 1 || total < Self::MIN_PAR_RECORDS {
-            return fold_group(chunks);
-        }
-        let groups = pingmesh_par::par_weighted_groups_threads(
-            threads,
-            chunks,
-            |c| c.len() as u64,
-            fold_group,
-        );
-        let mut agg = WindowAggregate::default();
-        for g in &groups {
-            agg.merge(g);
-        }
-        agg
-    }
-
     /// Folds one record.
     pub fn fold(&mut self, r: &ProbeRecord) {
         self.record_count += 1;
@@ -554,57 +472,6 @@ mod tests {
         assert_eq!(agg.per_server[&ServerId(1)].stats.ok, 1);
     }
 
-    fn seeded_corpus(n: u64) -> Vec<ProbeRecord> {
-        // Seeded xorshift64 so the corpus is reproducible without a rand
-        // dependency; mixes scopes, RTT classes, and failures.
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        (0..n)
-            .map(|_| {
-                let r = next();
-                let src = (r % 64) as u32;
-                let dst = ((r >> 6) % 64) as u32;
-                let src_pod = src / 4;
-                let dst_pod = dst / 4;
-                let dst_dc = ((r >> 12) % 2) as u32;
-                let outcome = match (r >> 16) % 10 {
-                    0 => ProbeOutcome::Timeout,
-                    1 => ok(3_000_000 + (r >> 20) % 1_000),
-                    2 => ok(9_000_000 + (r >> 20) % 1_000),
-                    _ => ok(150 + (r >> 20) % 5_000),
-                };
-                rec(
-                    src,
-                    dst,
-                    src_pod,
-                    dst_pod,
-                    src_pod / 2,
-                    dst_pod / 2,
-                    dst_dc,
-                    outcome,
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_build_matches_serial_on_seeded_100k_corpus() {
-        let records = seeded_corpus(100_000);
-        assert!(records.len() >= WindowAggregate::MIN_PAR_RECORDS);
-        let serial = WindowAggregate::build(&records);
-        assert_eq!(serial.record_count, 100_000);
-        for threads in [1, 2, 3, 7, 16] {
-            let par = WindowAggregate::build_par_threads(&records, threads);
-            assert_eq!(par, serial, "threads={threads}");
-        }
-        assert_eq!(WindowAggregate::build_par(&records), serial);
-    }
-
     #[test]
     fn scope_maps_fold_by_source_scope() {
         let records = vec![
@@ -620,29 +487,6 @@ mod tests {
         assert_eq!(agg.per_dc_pair.len(), 1);
         assert_eq!(agg.per_dc_pair[&(DcId(0), DcId(1))].stats.ok, 1);
         assert!(agg.per_service.is_empty());
-    }
-
-    #[test]
-    fn chunked_build_matches_contiguous_for_any_split() {
-        let records = seeded_corpus(20_000);
-        let serial = WindowAggregate::build(&records);
-        // Irregular split: slice lengths 1, 2, 4, ... then the remainder.
-        let mut chunks: Vec<&[ProbeRecord]> = Vec::new();
-        let mut start = 0usize;
-        let mut len = 1usize;
-        while start < records.len() {
-            let end = (start + len).min(records.len());
-            chunks.push(&records[start..end]);
-            start = end;
-            len *= 2;
-        }
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(
-                WindowAggregate::build_from_chunks(&chunks, threads, None),
-                serial,
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]

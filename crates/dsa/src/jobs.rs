@@ -15,7 +15,6 @@
 //! * every hour: black-hole detection;
 //! * every day: retention cleanup (2-month horizon).
 
-use crate::agg::WindowAggregate;
 use crate::alert::{Alert, Alerter};
 use crate::db::{ResultsDb, ScopeKey, SlaRow};
 use crate::detect::blackhole::{BlackholeDetector, BlackholeFinding};
@@ -231,21 +230,6 @@ impl Pipeline {
         self.services.as_ref()
     }
 
-    /// Golden reference for the merge-based hot path: copy the window's
-    /// records out of the store and rebuild the aggregate from raw. The
-    /// ticks never call this — it exists so tests and benches can assert
-    /// [`CosmosStore::merged_window_aggregate`] is bit-equal to a rebuild
-    /// (and it bumps `pingmesh_dsa_tick_record_copies_total`, proving the
-    /// hot path stayed copy-free by contrast).
-    pub fn rebuild_window_aggregate(&self, from: SimTime, to: SimTime) -> WindowAggregate {
-        let records = self.store.collect_window_records(from, to);
-        WindowAggregate::build_par_threads_with(
-            &records,
-            pingmesh_par::max_threads(),
-            Some(self.services.as_ref()),
-        )
-    }
-
     /// Runs the job set of one tick.
     ///
     /// Every cadence reads the window through the store's ingest-time
@@ -384,6 +368,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::WindowAggregate;
     use crate::store::StreamName;
     use pingmesh_topology::TopologySpec;
     use pingmesh_types::{ProbeKind, ProbeOutcome, ProbeRecord, QosClass, ServerId, SimDuration};
@@ -566,14 +551,9 @@ mod tests {
         // The merge-based hot path is bit-equal to the golden rebuild.
         let merged = p.store.merged_window_aggregate(SimTime(0), SimTime(6 * W));
         let raw = p.store.collect_window_records(SimTime(0), SimTime(6 * W));
-        for threads in [1, 2, 8] {
-            let rebuilt =
-                WindowAggregate::build_par_threads_with(&raw, threads, Some(p.services()));
-            assert_eq!(merged, rebuilt, "threads={threads}");
-        }
         assert_eq!(
             merged,
-            p.rebuild_window_aggregate(SimTime(0), SimTime(6 * W))
+            WindowAggregate::build_with(&raw, Some(p.services()))
         );
         assert!(
             p.store.record_copy_count() > copies0,

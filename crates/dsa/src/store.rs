@@ -602,8 +602,7 @@ impl CosmosStore {
     }
 
     /// Zero-copy windowed scan across every stream (see
-    /// [`CosmosStore::scan_window_chunks`]). The returned slices shard
-    /// directly into `pingmesh-par` workers with no intermediate collect.
+    /// [`CosmosStore::scan_window_chunks`]).
     pub fn scan_all_window_chunks(&self, from: SimTime, to: SimTime) -> Vec<&[ProbeRecord]> {
         let mut out = Vec::new();
         for extents in self.streams.values() {
@@ -1259,10 +1258,8 @@ mod tests {
             let merged = store.merged_window_aggregate(SimTime(from), SimTime(to));
             assert_eq!(merged.record_count, want, "window [{from}, {to})");
             let raw = store.collect_window_records(SimTime(from), SimTime(to));
-            for threads in [1, 2, 8] {
-                let rebuilt = WindowAggregate::build_par_threads_with(&raw, threads, None);
-                assert_eq!(merged, rebuilt, "window [{from}, {to}) threads={threads}");
-            }
+            let rebuilt = WindowAggregate::build_with(&raw, None);
+            assert_eq!(merged, rebuilt, "window [{from}, {to})");
         }
         assert!(store.record_copy_count() > 0, "golden path counts copies");
     }

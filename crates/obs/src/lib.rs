@@ -21,7 +21,7 @@
 //! [`events()`]) so instrumentation sites need no plumbing. The global
 //! [`set_enabled`] switch gates event emission; when disabled, emission
 //! macros return before allocating anything, keeping the probe hot path
-//! allocation-free (verified by `crates/bench/benches/microbench.rs`).
+//! allocation-free (verified by `tests/hot_path_allocs.rs`).
 //!
 //! Metric naming convention: `pingmesh_<crate>_<name>`, lowercase
 //! snake_case, counters suffixed `_total`.

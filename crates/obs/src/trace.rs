@@ -26,7 +26,7 @@
 //! load of a stage gate (armed / riding / pending counts). While nothing
 //! is being traced — notably the whole unsampled hot path — the hooks
 //! cost that single load and never allocate (pinned by the
-//! counting-allocator microbench in `crates/bench`).
+//! counting-allocator test `tests/hot_path_allocs.rs`).
 
 use crate::{record_event, Field, Level};
 use parking_lot::Mutex;

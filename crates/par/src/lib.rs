@@ -1,17 +1,18 @@
-//! Minimal scoped fork-join parallelism for the Pingmesh workspace.
+//! The one thread fan-out in the Pingmesh workspace: the sharded
+//! simulation engine's epoch step.
 //!
-//! The build environment is fully offline, so `rayon` is unavailable; the
-//! two embarrassingly-parallel stages of the pipeline (pinglist generation
-//! across servers, aggregation across record chunks) only need a tiny
-//! slice of it anyway: split a work list into contiguous chunks, run each
-//! chunk on its own scoped thread, and join results **in chunk order** so
-//! the output is deterministic — identical to a serial run — regardless of
-//! thread count or scheduling.
+//! The build environment is fully offline, so `rayon` is unavailable, and
+//! the orchestrator needs only a sliver of it: split the shard list into
+//! contiguous chunks, run each chunk on its own scoped thread with mutable
+//! access to its shards, and join results **in chunk order** so the
+//! barrier merge is deterministic — identical to a serial run —
+//! regardless of thread count or scheduling.
 //!
-//! Built on [`std::thread::scope`], so borrowed (non-`'static`) inputs
-//! work and panics propagate to the caller. No thread pool is kept alive
-//! between calls; for the coarse-grained stages this crate serves, thread
-//! spawn cost (~10 µs) is noise.
+//! Built on [`std::thread::scope`], so borrowed (non-`'static`) state
+//! works and panics propagate to the caller. No thread pool is kept alive
+//! between calls. Nothing else fans out: pinglist generation and window
+//! aggregation are serial loops, because a scoped fan-out did not pay for
+//! itself in either (EXPERIMENTS.md, "One timing system").
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,97 +43,6 @@ fn chunk_ranges(len: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
     }
     debug_assert_eq!(start, len);
     out
-}
-
-/// Maps `f` over `items` on up to [`max_threads`] scoped threads,
-/// returning results in input order. See [`par_map_threads`].
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_threads(max_threads(), items, f)
-}
-
-/// Maps `f` over `items` on up to `threads` scoped threads, returning
-/// `vec![f(&items[0]), f(&items[1]), …]` — the exact output a serial map
-/// would produce, in the same order, regardless of `threads`.
-///
-/// `threads <= 1` (or a single-item input) runs inline on the caller's
-/// thread with no spawning at all.
-pub fn par_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let ranges = chunk_ranges(items.len(), threads);
-    let f = &f;
-    let chunk_results: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| scope.spawn(move || items[r].iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        // Join in spawn order: chunk i's results land at position i, so
-        // concatenation reproduces input order deterministically.
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_map worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for chunk in chunk_results {
-        out.extend(chunk);
-    }
-    out
-}
-
-/// Applies `f` to contiguous chunks of `items` (one chunk per thread, up
-/// to [`max_threads`]), returning the per-chunk results in chunk order.
-/// See [`par_chunks_threads`].
-pub fn par_chunks<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    par_chunks_threads(max_threads(), items, f)
-}
-
-/// Applies `f` to at most `threads` contiguous chunks of `items`,
-/// returning per-chunk results ordered by chunk position (chunk 0 covers
-/// the start of `items`). Chunk sizes differ by at most one item.
-///
-/// The caller reduces the chunk results; folding them **in order** with an
-/// associative merge reproduces the serial fold exactly.
-///
-/// `threads <= 1` or an empty input produces a single chunk computed
-/// inline.
-pub fn par_chunks_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return vec![f(items)];
-    }
-    let ranges = chunk_ranges(items.len(), threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| scope.spawn(move || f(&items[r])))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_chunks worker panicked"))
-            .collect()
-    })
 }
 
 /// Runs `f` over every element of `items` **by mutable reference** on up
@@ -190,76 +100,6 @@ where
     out
 }
 
-/// Splits `items` into at most `threads` contiguous groups of near-equal
-/// total `weight`, covering the whole input in order. Groups are cut
-/// greedily at the points where the cumulative weight crosses the next
-/// `total / threads` boundary, so no group is ever empty and sizes track
-/// the weight distribution rather than the item count.
-fn weighted_ranges<T, W>(items: &[T], threads: usize, weight: &W) -> Vec<std::ops::Range<usize>>
-where
-    W: Fn(&T) -> u64,
-{
-    let threads = threads.max(1).min(items.len().max(1));
-    let total: u128 = items.iter().map(|i| weight(i) as u128).sum();
-    let mut out = Vec::with_capacity(threads);
-    let mut start = 0usize;
-    let mut cum: u128 = 0;
-    for (i, item) in items.iter().enumerate() {
-        cum += weight(item) as u128;
-        // Cut when this group has reached its share, keeping enough items
-        // for the remaining groups to be non-empty.
-        let groups_done = out.len() as u128;
-        let target = total * (groups_done + 1) / threads as u128;
-        let remaining_groups = threads - out.len();
-        if cum >= target && items.len() - (i + 1) >= remaining_groups - 1 && out.len() < threads - 1
-        {
-            out.push(start..i + 1);
-            start = i + 1;
-        }
-    }
-    out.push(start..items.len());
-    out
-}
-
-/// Applies `f` to at most `threads` contiguous groups of `items`, where
-/// group boundaries balance the total `weight` (not the item count), and
-/// returns per-group results in input order. This is [`par_chunks_threads`]
-/// for heterogeneous work items — e.g. borrowed record slices of wildly
-/// different lengths coming out of a zero-copy extent scan: sharding by
-/// slice *count* would let one jumbo extent dominate a thread while the
-/// others idle.
-///
-/// Folding the group results **in order** with an associative merge
-/// reproduces the serial fold exactly, regardless of `threads`.
-pub fn par_weighted_groups_threads<T, R, F, W>(
-    threads: usize,
-    items: &[T],
-    weight: W,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-    W: Fn(&T) -> u64,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return vec![f(items)];
-    }
-    let ranges = weighted_ranges(items, threads, &weight);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| scope.spawn(move || f(&items[r])))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_weighted_groups worker panicked"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,115 +124,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn par_map_preserves_order_for_any_thread_count() {
-        let items: Vec<u64> = (0..257).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for threads in [1, 2, 3, 7, 64] {
-            assert_eq!(par_map_threads(threads, &items, |x| x * x), expect);
-        }
-        assert_eq!(par_map(&items, |x| x * x), expect);
-    }
-
-    #[test]
-    fn par_map_handles_degenerate_inputs() {
-        let empty: Vec<u32> = vec![];
-        assert!(par_map_threads(8, &empty, |x| *x).is_empty());
-        assert_eq!(par_map_threads(8, &[5u32], |x| x + 1), vec![6]);
-        assert_eq!(par_map_threads(0, &[1u32, 2], |x| x * 10), vec![10, 20]);
-    }
-
-    #[test]
-    fn par_map_borrows_non_static_state() {
-        let offset = 100u64; // lives on this stack frame
-        let items: Vec<u64> = (0..32).collect();
-        let out = par_map_threads(4, &items, |x| x + offset);
-        assert_eq!(out[31], 131);
-    }
-
-    #[test]
-    fn par_chunks_ordered_fold_matches_serial() {
-        // Concatenation is associative but NOT commutative, so this fails
-        // if chunks ever come back out of order.
-        let items: Vec<u32> = (0..1000).collect();
-        let serial = items
-            .iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        for threads in [1, 2, 5, 16] {
-            let chunks = par_chunks_threads(threads, &items, |c| {
-                c.iter()
-                    .map(|x| x.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            });
-            assert!(chunks.len() <= threads.max(1));
-            assert_eq!(chunks.join(","), serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_empty_input_yields_one_empty_chunk() {
-        let empty: Vec<u32> = vec![];
-        let out = par_chunks_threads(8, &empty, <[u32]>::len);
-        assert_eq!(out, vec![0]);
-    }
-
-    #[test]
-    fn weighted_ranges_tile_and_balance() {
-        // Heavily skewed weights: one jumbo item among many light ones.
-        let items: Vec<u64> = [vec![100_000u64], vec![10; 99]].concat();
-        for threads in [1usize, 2, 3, 8, 64] {
-            let ranges = weighted_ranges(&items, threads, &|&w| w);
-            assert!(!ranges.is_empty() && ranges.len() <= threads.max(1));
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next, "threads={threads}");
-                assert!(!r.is_empty(), "threads={threads}");
-                next = r.end;
-            }
-            assert_eq!(next, items.len());
-            if threads >= 2 {
-                // The jumbo item must end up alone in its group.
-                assert_eq!(ranges[0], 0..1, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_weighted_groups_ordered_fold_matches_serial() {
-        let slices: Vec<Vec<u32>> = (0..40).map(|i| (0..(i % 7) * 50).collect()).collect();
-        let refs: Vec<&[u32]> = slices.iter().map(Vec::as_slice).collect();
-        let serial: Vec<u32> = refs.iter().flat_map(|s| s.iter().copied()).collect();
-        for threads in [1, 2, 3, 8] {
-            let groups = par_weighted_groups_threads(
-                threads,
-                &refs,
-                |s| s.len() as u64,
-                |group: &[&[u32]]| {
-                    group
-                        .iter()
-                        .flat_map(|s| s.iter().copied())
-                        .collect::<Vec<u32>>()
-                },
-            );
-            let joined: Vec<u32> = groups.into_iter().flatten().collect();
-            assert_eq!(joined, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_weighted_groups_degenerate_inputs() {
-        let empty: Vec<Vec<u32>> = vec![];
-        let out =
-            par_weighted_groups_threads(8, &empty, |v: &Vec<u32>| v.len() as u64, |g| g.len());
-        assert_eq!(out, vec![0]);
-        let one = [vec![1u32, 2]];
-        let out = par_weighted_groups_threads(8, &one, |v| v.len() as u64, |g| g.len());
-        assert_eq!(out, vec![1]);
     }
 
     #[test]
@@ -421,10 +152,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "par_map worker panicked")]
+    #[should_panic(expected = "par_map_mut worker panicked")]
     fn worker_panics_propagate() {
-        let items: Vec<u32> = (0..8).collect();
-        let _ = par_map_threads(4, &items, |x| {
+        let mut items: Vec<u32> = (0..8).collect();
+        let _ = par_map_mut_threads(4, &mut items, |_, x| {
             assert!(*x != 5, "boom");
             *x
         });

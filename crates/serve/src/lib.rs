@@ -18,8 +18,7 @@
 //! dashboard polls into 304s.
 //!
 //! Replicas share the store but own their caches; N replicas behind the
-//! realmode VIP round-robin form the "sharded" tier the load generator
-//! drives past 100k req/s.
+//! realmode VIP round-robin form the "sharded" tier.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -50,7 +49,7 @@ pub fn etag_of(body: &[u8]) -> String {
 }
 
 /// Per-tier cache statistics (same process, no registry indirection) —
-/// what the load generator reads to prove the ≥99% historical hit rate.
+/// what a test or benchmark reads to prove the ≥99% historical hit rate.
 #[derive(Debug, Default)]
 pub struct TierStats {
     /// Cache hits on fully-frozen ranges.
@@ -784,11 +783,38 @@ mod tests {
         // 1 DC × 3 scopes + 2 heatmaps + 1 sla = 6 per window, 2 windows.
         assert_eq!(built, 12);
         assert_eq!(tier.cache().len(), 12);
-        // Warmed queries now hit without ever missing again.
-        let before = tier.stats().misses_frozen.load(Ordering::Relaxed);
-        let resp = tier.respond(&sla_req(0, W));
-        assert_eq!(resp.status, 200);
-        assert_eq!(tier.stats().misses_frozen.load(Ordering::Relaxed), before);
+        // Warmed queries now hit without ever missing again: a seeded
+        // pass over the twelve warmed keys builds nothing.
+        let paths: Vec<String> = [(0, W), (W, 2 * W)]
+            .into_iter()
+            .flat_map(|(from, to)| {
+                [
+                    "sla?",
+                    "heatmap?level=pod&",
+                    "heatmap?level=podset&",
+                    "cdf?dc=0&scope=intrapod&",
+                    "cdf?dc=0&scope=interpod&",
+                    "cdf?dc=0&scope=interdc&",
+                ]
+                .map(|q| format!("/api/{q}from={from}&to={to}"))
+            })
+            .collect();
+        const PASS: u64 = 2_000;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..PASS {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let path = &paths[(state % paths.len() as u64) as usize];
+            assert_eq!(tier.respond(&Request::get(path)).status, 200, "{path}");
+        }
+        // The only frozen misses of the tier's life are `warm`'s own twelve
+        // builds — the ≥ 99 % frozen hit rate the dashboard relies on.
+        let stats = tier.stats();
+        assert_eq!(stats.misses_frozen.load(Ordering::Relaxed), 12);
+        assert_eq!(stats.hits_frozen.load(Ordering::Relaxed), PASS);
+        assert_eq!(tier.cache().len(), 12);
+        assert!(stats.frozen_hit_rate() >= 0.99);
     }
 
     #[tokio::test]

@@ -8,7 +8,7 @@
 //! Runs `N` seeded scenarios (seeds `S..S+N`) through the full pipeline
 //! and checks every invariant oracle after each run (see the
 //! `pingmesh-check` crate). `--smoke` bounds scenario sizes for the CI
-//! gate (`scripts/ci.sh --fuzz-smoke`). The first few seeds are run
+//! gate (`scripts/ci.sh --smoke fuzz`). The first few seeds are run
 //! twice and their digests compared, so a nondeterministic pipeline
 //! fails the campaign even when every oracle passes.
 //!

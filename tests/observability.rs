@@ -90,8 +90,8 @@ fn full_run_populates_cross_crate_metrics() {
 
 /// ISSUE acceptance: a run with instrumentation enabled must complete
 /// within a sane multiple of the disabled run. The bound is deliberately
-/// loose (CI machines are noisy); the per-op cost is pinned much tighter
-/// by `crates/bench/benches/microbench.rs`.
+/// loose (CI machines are noisy); that the disabled path allocates
+/// nothing is pinned exactly by `tests/hot_path_allocs.rs`.
 #[test]
 fn instrumentation_overhead_is_bounded() {
     // Warm up both paths once (registry init, allocator warmup).
