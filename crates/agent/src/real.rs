@@ -17,6 +17,7 @@
 //! port (the OS assigns one per `connect`), exploring the ECMP fabric
 //! exactly as §3.4.1 requires.
 
+use pingmesh_httpx::{CallError, HttpError, Response};
 use pingmesh_types::constants::MAX_PAYLOAD_BYTES;
 use std::io;
 use std::net::SocketAddr;
@@ -98,32 +99,19 @@ pub async fn tcp_ping(
 /// Launches an HTTP ping against the agent's embedded HTTP responder.
 pub async fn http_ping(addr: SocketAddr, timeout: Duration) -> io::Result<Duration> {
     let t0 = Instant::now();
-    let exchange = async {
-        let mut stream = TcpStream::connect(addr).await?;
-        stream.set_nodelay(true)?;
-        let req = pingmesh_httpx::Request::get("/ping");
-        pingmesh_httpx::write_request(&mut stream, &req)
-            .await
-            .map_err(to_io)?;
-        let resp = pingmesh_httpx::read_response(&mut stream)
-            .await
-            .map_err(to_io)?;
-        if resp.status != 200 {
-            return Err(io::Error::other(format!("http status {}", resp.status)));
-        }
-        Ok(())
-    };
-    tokio::time::timeout(timeout, exchange)
+    let req = pingmesh_httpx::Request::get("/ping");
+    // `call` bounds each phase; the probe as a whole gets one `timeout`.
+    let resp = tokio::time::timeout(timeout, pingmesh_httpx::call(addr, &req, timeout))
         .await
-        .map_err(|_| io::Error::new(io::ErrorKind::TimedOut, "http ping timed out"))??;
-    Ok(t0.elapsed())
-}
-
-fn to_io(e: pingmesh_httpx::HttpError) -> io::Error {
-    match e {
-        pingmesh_httpx::HttpError::Io(e) => e,
-        other => io::Error::other(other.to_string()),
+        .map_err(|_| io::Error::new(io::ErrorKind::TimedOut, "http ping timed out"))?
+        .map_err(|e| match e {
+            CallError::Connect(e) | CallError::Http(HttpError::Io(e)) => e,
+            other => io::Error::other(other.to_string()),
+        })?;
+    if resp.status != 200 {
+        return Err(io::Error::other(format!("http status {}", resp.status)));
     }
+    Ok(t0.elapsed())
 }
 
 async fn handle_echo_conn(mut stream: TcpStream) {
@@ -158,14 +146,11 @@ pub async fn serve_echo(listener: TcpListener) {
 
 /// Runs the HTTP responder (answers `GET /ping` with `200 pong`).
 pub async fn serve_http(listener: TcpListener) {
-    pingmesh_httpx::serve_connections(listener, |mut stream| async move {
-        if let Ok(req) = pingmesh_httpx::read_request(&mut stream).await {
-            let resp = if req.method == "GET" && req.path == "/ping" {
-                pingmesh_httpx::Response::ok(b"pong".to_vec())
-            } else {
-                pingmesh_httpx::Response::not_found()
-            };
-            let _ = pingmesh_httpx::write_response(&mut stream, &resp).await;
+    pingmesh_httpx::serve(listener, |req| {
+        if req.method == "GET" && req.path == "/ping" {
+            Response::ok(b"pong".to_vec())
+        } else {
+            Response::not_found()
         }
     })
     .await

@@ -21,11 +21,11 @@
 use crate::genalgo::PinglistSet;
 use crate::xml;
 use parking_lot::RwLock;
-use pingmesh_httpx::{read_request, write_response, CallError, Response};
+use pingmesh_httpx::{CallError, Response};
 use pingmesh_types::{Pinglist, PingmeshError, ServerId};
 use std::net::SocketAddr;
 use std::sync::Arc;
-use tokio::net::{TcpListener, TcpStream};
+use tokio::net::TcpListener;
 
 /// Shared state of the controller web service.
 #[derive(Debug, Default)]
@@ -96,19 +96,11 @@ impl WebState {
     }
 }
 
-async fn handle_conn(state: Arc<WebState>, mut stream: TcpStream) {
-    if let Ok(req) = read_request(&mut stream).await {
-        let resp = state.respond(&req.method, &req.path);
-        let _ = write_response(&mut stream, &resp).await;
-    }
-}
-
 /// Runs the controller web service on an already-bound listener until the
-/// task is dropped. One spawned task per connection, one request per
-/// connection (agents poll rarely; latency of the control path is
-/// irrelevant next to its simplicity).
+/// task is dropped. Agents poll rarely and ask for one pinglist at a time,
+/// so in practice each connection carries one request.
 pub async fn serve(listener: TcpListener, state: Arc<WebState>) {
-    pingmesh_httpx::serve_connections(listener, |stream| handle_conn(state.clone(), stream)).await
+    pingmesh_httpx::serve(listener, move |req| state.respond(&req.method, &req.path)).await
 }
 
 /// Agent-side client: fetches the pinglist for `server` from a controller

@@ -13,7 +13,7 @@
 
 use crate::orchestrator::Orchestrator;
 use pingmesh_dsa::WindowAggregate;
-use pingmesh_obs::slo::SloKind;
+use pingmesh_obs::slo::{SloKind, SloStatus};
 use pingmesh_topology::Topology;
 use pingmesh_types::{PodsetId, SimDuration};
 use std::collections::{HashMap, HashSet};
@@ -93,6 +93,17 @@ impl WatchdogFinding {
             WatchdogFinding::StoreIoErrors { .. } => "store_io",
             WatchdogFinding::PodsetPowerDown { .. } => "podset_power_down",
         }
+    }
+
+    /// One [`WatchdogFinding::SloDegraded`] per SLO that is out of target.
+    pub fn degraded_slos(statuses: &[SloStatus]) -> impl Iterator<Item = Self> + '_ {
+        statuses
+            .iter()
+            .filter(|s| !s.healthy)
+            .map(|s| WatchdogFinding::SloDegraded {
+                kind: s.kind,
+                burn_permille: (s.burn_rate * 1000.0).round().max(0.0) as u64,
+            })
     }
 }
 
@@ -294,14 +305,7 @@ impl Watchdog {
 
         // Data-quality SLOs, straight off the latest 10-min quality job.
         if let Some(quality) = o.pipeline().latest_quality() {
-            for status in &quality.statuses {
-                if !status.healthy {
-                    findings.push(WatchdogFinding::SloDegraded {
-                        kind: status.kind,
-                        burn_permille: (status.burn_rate * 1000.0).round().max(0.0) as u64,
-                    });
-                }
-            }
+            findings.extend(WatchdogFinding::degraded_slos(&quality.statuses));
         }
 
         findings

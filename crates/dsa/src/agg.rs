@@ -73,9 +73,6 @@ pub struct ScopeStats {
     pub latency: LatencyHistogram,
 }
 
-/// Former name of [`ScopeStats`], kept for the per-server map.
-pub type ServerStats = ScopeStats;
-
 impl ScopeStats {
     /// Packet drop rate (the 3 s + 9 s heuristic).
     pub fn drop_rate(&self) -> f64 {
@@ -108,7 +105,7 @@ impl ScopeStats {
 }
 
 /// Folds one outcome into bare pair counts (3 s / 9 s drop signature).
-pub(crate) fn fold_pair_outcome(stats: &mut PairStats, outcome: ProbeOutcome) {
+fn fold_pair_outcome(stats: &mut PairStats, outcome: ProbeOutcome) {
     match outcome {
         ProbeOutcome::Success { rtt } => match classify_rtt(rtt) {
             RttClass::Normal => stats.ok += 1,
@@ -142,7 +139,7 @@ pub struct WindowAggregate {
     /// Outcome stats per (src, dst) server pair.
     pub pairs: HashMap<PairKey, PairStats>,
     /// Outcome stats per probing server.
-    pub per_server: HashMap<ServerId, ServerStats>,
+    pub per_server: HashMap<ServerId, ScopeStats>,
     /// Outcome stats per pod (of the probing server).
     pub per_pod: HashMap<PodId, ScopeStats>,
     /// Outcome stats per podset (of the probing server).
@@ -487,6 +484,65 @@ mod tests {
         assert_eq!(agg.per_dc_pair.len(), 1);
         assert_eq!(agg.per_dc_pair[&(DcId(0), DcId(1))].stats.ok, 1);
         assert!(agg.per_service.is_empty());
+    }
+
+    #[test]
+    fn sla_metrics_expose_percentiles_and_drop_rate() {
+        let mut records = vec![rec(0, 1, 0, 0, 0, 0, 0, ok(250)); 99];
+        records.push(rec(0, 1, 0, 0, 0, 0, 0, ok(3_000_250)));
+        let agg = WindowAggregate::build(&records);
+        let sla = &agg.per_server[&ServerId(0)];
+        assert!((sla.drop_rate() - 0.01).abs() < 1e-9);
+        assert!(sla.p50().unwrap().as_micros() < 300);
+        assert!(sla.p99().unwrap().as_micros() < 400);
+    }
+
+    #[test]
+    fn per_service_counts_only_covered_pairs() {
+        let mut services = ServiceMap::new();
+        let svc = services
+            .register("search", [ServerId(0), ServerId(1)])
+            .unwrap();
+        let records = vec![
+            rec(0, 1, 0, 0, 0, 0, 0, ok(200)), // both in service
+            rec(0, 5, 0, 1, 0, 0, 0, ok(300)), // dst not in service
+            rec(5, 1, 1, 0, 0, 0, 0, ok(300)), // src not in service
+        ];
+        let agg = WindowAggregate::build_with(&records, Some(&services));
+        assert_eq!(agg.per_service[&svc].stats.ok, 1);
+    }
+
+    #[test]
+    fn per_pair_tracks_failures() {
+        let records = vec![
+            rec(0, 1, 0, 0, 0, 0, 0, ProbeOutcome::Timeout),
+            rec(0, 1, 0, 0, 0, 0, 0, ProbeOutcome::Timeout),
+            rec(0, 2, 0, 1, 0, 0, 0, ok(220)),
+        ];
+        let agg = WindowAggregate::build(&records);
+        let pair = |dst| {
+            agg.pairs[&PairKey {
+                src: ServerId(0),
+                dst: ServerId(dst),
+            }]
+        };
+        assert!(pair(1).is_deterministic_failure());
+        assert!(!pair(2).is_deterministic_failure());
+    }
+
+    #[test]
+    fn inter_dc_pairs_feed_the_interdc_pipeline() {
+        let mut back = rec(9, 0, 9, 0, 3, 0, 0, ok(61_000));
+        back.src_dc = DcId(1);
+        let records = vec![
+            rec(0, 9, 0, 9, 0, 3, 1, ok(60_000)),
+            back,
+            rec(0, 1, 0, 0, 0, 0, 0, ok(200)), // intra-DC: not in the pair scope
+        ];
+        let agg = WindowAggregate::build(&records);
+        assert_eq!(agg.per_dc_pair.len(), 2, "one scope per direction");
+        assert_eq!(agg.per_dc_pair[&(DcId(0), DcId(1))].stats.ok, 1);
+        assert_eq!(agg.per_dc_pair[&(DcId(1), DcId(0))].stats.ok, 1);
     }
 
     #[test]

@@ -15,13 +15,13 @@
 //! * every hour: black-hole detection;
 //! * every day: retention cleanup (2-month horizon).
 
+use crate::agg::ScopeStats;
 use crate::alert::{Alert, Alerter};
 use crate::db::{ResultsDb, ScopeKey, SlaRow};
 use crate::detect::blackhole::{BlackholeDetector, BlackholeFinding};
 use crate::detect::pattern::{classify_pattern, HeatmapMatrix, LatencyPattern};
 use crate::detect::silent::{SilentDropDetector, SilentDropFinding};
 use crate::quality::{ExpectedPairs, QualityConfig, QualityReport};
-use crate::sla::ScopeSla;
 use crate::store::CosmosStore;
 use pingmesh_types::{DcId, SimDuration, SimTime};
 
@@ -255,9 +255,8 @@ impl Pipeline {
             JobKind::TenMin => {
                 pingmesh_obs::trace::on_tick(tick.window_start, tick.window_end, tick_now);
                 // SLA rollups → DB rows, straight off the merged
-                // aggregate's per-scope summaries (same numbers
-                // `SlaComputer::compute_from_aggregate` reports).
-                let mut insert = |scope: ScopeKey, sla: &ScopeSla| {
+                // aggregate's per-scope summaries.
+                let mut insert = |scope: ScopeKey, sla: &ScopeStats| {
                     self.db.insert(SlaRow {
                         window_start: tick.window_start,
                         scope,

@@ -14,9 +14,9 @@
 //!   GC, and deterministic crash recovery,
 //! * [`agg`] — the mergeable window aggregation every job consumes
 //!   (built once per record at ingest; coarser windows merge partials),
+//!   including the network SLA — drop rate, P50, P99 — at server / pod /
+//!   podset / DC / DC-pair / service scopes (§4.3),
 //! * [`jobs`] — the job manager with 10-min / 1-h / 1-day cadences,
-//! * [`sla`] — network SLA computation at server / pod / podset / DC /
-//!   service scopes (§4.3),
 //! * [`pa`] — the fast perf-counter path,
 //! * [`db`] — the results database feeding reports and alerts,
 //! * [`alert`] — threshold alerting (drop rate > 1e-3, P99 > 5 ms),
@@ -40,7 +40,6 @@ pub mod jobs;
 pub mod pa;
 pub mod quality;
 pub mod report;
-pub mod sla;
 pub mod store;
 pub mod viz;
 
@@ -56,5 +55,4 @@ pub use jobs::{JobKind, JobManager, JobTick, Pipeline, TickOutput};
 pub use pa::PerfCounterAggregator;
 pub use quality::{ExpectedPairs, QualityConfig, QualityReport, RatioSample};
 pub use report::daily_report;
-pub use sla::{ScopeSla, SlaComputer};
 pub use store::{CosmosStore, StreamName, PARTIAL_WINDOW};

@@ -151,11 +151,54 @@ pub fn evaluate(
     now: SimTime,
     cfg: &QualityConfig,
 ) -> QualityReport {
-    let from = SimTime(
-        now.as_micros()
-            .saturating_sub(cfg.coverage_horizon.as_micros()),
-    );
+    let from = now - cfg.coverage_horizon;
     evaluate_window(store, expected, scheduled, from, now, now, cfg)
+}
+
+/// Pod-pair coverage over `[from, to)`: expected pairs with at least one
+/// stored record in the window, over expected pairs.
+pub fn coverage(
+    store: &CosmosStore,
+    expected: &ExpectedPairs,
+    from: SimTime,
+    to: SimTime,
+) -> RatioSample {
+    let mut observed: BTreeSet<(PodId, PodId)> = BTreeSet::new();
+    for chunk in store.scan_all_window_chunks(from, to) {
+        for r in chunk {
+            if expected.contains(r.src_pod, r.dst_pod) {
+                observed.insert((r.src_pod, r.dst_pod));
+            }
+        }
+    }
+    RatioSample {
+        num: observed.len() as u64,
+        den: expected.len() as u64,
+    }
+}
+
+/// Age at `now` of the newest stored record: per stream (labeled by DC,
+/// microseconds) and the worst of them. A store holding nothing has been
+/// stale since the epoch. Publishes `pingmesh_dsa_freshness_us{stream}`.
+pub fn freshness(store: &CosmosStore, now: SimTime) -> (u64, Vec<(String, u64)>) {
+    let per_stream = store.newest_ts_per_stream();
+    let registry = pingmesh_obs::registry();
+    let mut worst_age = if per_stream.is_empty() {
+        now.as_micros()
+    } else {
+        0
+    };
+    let mut ages = Vec::with_capacity(per_stream.len());
+    for (stream, ts) in per_stream {
+        let age = now.as_micros().saturating_sub(ts.as_micros());
+        worst_age = worst_age.max(age);
+        let label = format!("{}", stream.dc);
+        registry
+            .gauge_with("pingmesh_dsa_freshness_us", &[("stream", label.as_str())])
+            .set(age as f64);
+        ages.push((label, age));
+    }
+    (worst_age, ages)
 }
 
 /// Runs the quality job at `now` with coverage over the explicit
@@ -175,40 +218,12 @@ pub fn evaluate_window(
     now: SimTime,
     cfg: &QualityConfig,
 ) -> QualityReport {
-    let mut observed: BTreeSet<(PodId, PodId)> = BTreeSet::new();
-    for chunk in store.scan_all_window_chunks(cov_from, cov_to) {
-        for r in chunk {
-            if expected.contains(r.src_pod, r.dst_pod) {
-                observed.insert((r.src_pod, r.dst_pod));
-            }
-        }
-    }
-    let coverage = RatioSample {
-        num: observed.len() as u64,
-        den: expected.len() as u64,
-    };
+    let coverage = coverage(store, expected, cov_from, cov_to);
     let completeness = RatioSample {
         num: store.record_count().min(scheduled),
         den: scheduled,
     };
-    let per_stream = store.newest_ts_per_stream();
-    let registry = pingmesh_obs::registry();
-    let mut freshness_us = Vec::with_capacity(per_stream.len());
-    let mut worst_age = if per_stream.is_empty() {
-        // Nothing stored yet: the stream has been stale since the epoch.
-        now.as_micros()
-    } else {
-        0
-    };
-    for (stream, ts) in per_stream {
-        let age = now.as_micros().saturating_sub(ts.as_micros());
-        worst_age = worst_age.max(age);
-        let label = format!("{}", stream.dc);
-        registry
-            .gauge_with("pingmesh_dsa_freshness_us", &[("stream", label.as_str())])
-            .set(age as f64);
-        freshness_us.push((label, age));
-    }
+    let (worst_age, freshness_us) = freshness(store, now);
     let statuses = vec![
         slo::evaluate(SloKind::Coverage, coverage.value(), cfg.coverage_target),
         slo::evaluate(

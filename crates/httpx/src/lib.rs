@@ -1,22 +1,28 @@
-//! A minimal HTTP/1.1 codec over tokio streams.
+//! A minimal HTTP/1.1 codec, client and server loop over tokio streams.
 //!
 //! The Pingmesh Controller exposes "a simple RESTful Web API for the
 //! Pingmesh Agents to retrieve their Pinglist files" (paper §3.3.2), and
 //! agents both launch HTTP pings and respond to them (§3.4.1). We keep the
 //! dependency surface small by implementing the tiny slice of HTTP/1.1
-//! those interactions need — request/response head parsing,
-//! `Content-Length` bodies, one exchange per connection — instead of
-//! pulling in a full web framework.
+//! those interactions need — request/response head parsing and
+//! `Content-Length` bodies — instead of pulling in a full web framework.
 //!
-//! Parsing is implemented as pure, incremental functions over byte slices
-//! (unit-testable without sockets), with thin async adapters for tokio
-//! streams.
+//! Head parsing is pure functions over byte slices (unit-testable without
+//! sockets). Everything that touches a stream goes through [`Conn`], the
+//! one buffered reader and writer: [`call`] is one client exchange on a
+//! connection of its own, and [`serve`] is the one server loop — an
+//! exchange per connection unless the request asks for keep-alive, in
+//! which case the connection is reused and pipelined bursts are answered
+//! in one write. The controller, the collector, the serve tier and the
+//! agent's `/ping` responder are each a `respond` function handed to it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use pingmesh_obs::Counter;
 use std::future::Future;
 use std::net::SocketAddr;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use tokio::io::{AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
 use tokio::net::{TcpListener, TcpStream};
@@ -27,10 +33,11 @@ pub const MAX_HEAD: usize = 16 * 1024;
 /// capped at 64 KB by the agent anyway).
 pub const MAX_BODY: usize = 1024 * 1024;
 
-/// Default per-message deadline applied by the plain [`read_request`] /
-/// [`read_response`] / write helpers. Generous — it exists so that *no*
-/// codec call can hang a task forever against a stalled peer; latency-
-/// sensitive callers pass their own deadline via the `*_with` variants.
+/// Default per-message deadline applied by [`Conn::read_response`],
+/// [`Conn::flush`] and the [`serve`] loop. Generous — it exists so that
+/// *no* codec call can hang a task forever against a stalled peer;
+/// latency-sensitive callers pass their own deadline via the `*_with`
+/// variants.
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Errors from the codec.
@@ -129,24 +136,18 @@ impl Request {
     /// the caller is preserved; otherwise `connection: close` is emitted
     /// (the codec's historical one-exchange default).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + self.body.len());
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        out
+    }
+
+    fn write_to(&self, out: &mut Vec<u8>) {
+        out.reserve(128 + self.body.len());
         out.extend_from_slice(self.method.as_bytes());
         out.push(b' ');
         out.extend_from_slice(self.path.as_bytes());
         out.extend_from_slice(b" HTTP/1.1\r\n");
-        for (k, v) in &self.headers {
-            out.extend_from_slice(k.as_bytes());
-            out.extend_from_slice(b": ");
-            out.extend_from_slice(v.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        out.extend_from_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
-        if header_of(&self.headers, "connection").is_none() {
-            out.extend_from_slice(b"connection: close\r\n");
-        }
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
-        out
+        write_headers_and_body(out, &self.headers, &self.body);
     }
 }
 
@@ -242,6 +243,13 @@ impl Response {
     /// the caller is preserved; otherwise `connection: close` is emitted
     /// (the codec's historical one-exchange default).
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        out
+    }
+
+    fn write_to(&self, out: &mut Vec<u8>) {
+        use std::io::Write as _;
         let reason = match self.status {
             200 => "OK",
             304 => "Not Modified",
@@ -251,22 +259,28 @@ impl Response {
             503 => "Service Unavailable",
             _ => "Status",
         };
-        let mut out = Vec::with_capacity(128 + self.body.len());
-        out.extend_from_slice(format!("HTTP/1.1 {} {}\r\n", self.status, reason).as_bytes());
-        for (k, v) in &self.headers {
-            out.extend_from_slice(k.as_bytes());
-            out.extend_from_slice(b": ");
-            out.extend_from_slice(v.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        out.extend_from_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
-        if header_of(&self.headers, "connection").is_none() {
-            out.extend_from_slice(b"connection: close\r\n");
-        }
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
-        out
+        out.reserve(128 + self.body.len());
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "HTTP/1.1 {} {}\r\n", self.status, reason);
+        write_headers_and_body(out, &self.headers, &self.body);
     }
+}
+
+/// Everything after the start line, the same for both message kinds.
+fn write_headers_and_body(out: &mut Vec<u8>, headers: &[(String, String)], body: &[u8]) {
+    use std::io::Write as _;
+    for (k, v) in headers {
+        out.extend_from_slice(k.as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(v.as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    let _ = write!(out, "content-length: {}\r\n", body.len());
+    if header_of(headers, "connection").is_none() {
+        out.extend_from_slice(b"connection: close\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
 }
 
 /// `connection: keep-alive` (case-insensitive) is the only way a message
@@ -383,58 +397,27 @@ pub fn parse_response_head(head: &[u8]) -> Result<(Response, usize), HttpError> 
     ))
 }
 
-async fn read_message<S, H>(
-    stream: &mut S,
-    parse: impl Fn(&[u8]) -> Result<(H, usize), HttpError>,
-) -> Result<H, HttpError>
-where
-    S: AsyncRead + Unpin,
-    H: BodyCarrier,
-{
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    let (mut msg, body_len, body_start) = loop {
-        if buf.len() > MAX_HEAD {
-            return Err(HttpError::TooLarge);
-        }
-        let n = stream.read(&mut chunk).await?;
-        if n == 0 {
-            return Err(HttpError::UnexpectedEof);
-        }
-        buf.extend_from_slice(&chunk[..n]);
-        if let Some(end) = head_end(&buf) {
-            let (msg, len) = parse(&buf[..end])?;
-            break (msg, len, end);
-        }
-    };
-    let mut body = buf[body_start..].to_vec();
-    while body.len() < body_len {
-        let n = stream.read(&mut chunk).await?;
-        if n == 0 {
-            return Err(HttpError::UnexpectedEof);
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(body_len);
-    msg.set_body(body);
-    Ok(msg)
+/// The codec's own health counters. Every message any [`Conn`] reads
+/// touches one of them, so the handles are resolved once; each touch is
+/// an atomic add.
+struct CodecMetrics {
+    requests_read: Arc<Counter>,
+    responses_read: Arc<Counter>,
+    read_errors: Arc<Counter>,
+    timeouts: Arc<Counter>,
 }
 
-/// Internal helper so `read_message` can attach the body generically.
-trait BodyCarrier {
-    fn set_body(&mut self, body: Vec<u8>);
-}
-
-impl BodyCarrier for Request {
-    fn set_body(&mut self, body: Vec<u8>) {
-        self.body = body;
-    }
-}
-
-impl BodyCarrier for Response {
-    fn set_body(&mut self, body: Vec<u8>) {
-        self.body = body;
-    }
+fn metrics() -> &'static CodecMetrics {
+    static M: OnceLock<CodecMetrics> = OnceLock::new();
+    M.get_or_init(|| {
+        let r = pingmesh_obs::registry();
+        CodecMetrics {
+            requests_read: r.counter("pingmesh_httpx_requests_read_total"),
+            responses_read: r.counter("pingmesh_httpx_responses_read_total"),
+            read_errors: r.counter("pingmesh_httpx_read_errors_total"),
+            timeouts: r.counter("pingmesh_httpx_timeouts_total"),
+        }
+    })
 }
 
 /// Races a codec future against `deadline`, mapping expiry to
@@ -446,78 +429,10 @@ async fn bounded<T>(
     match tokio::time::timeout(deadline, fut).await {
         Ok(r) => r,
         Err(_) => {
-            pingmesh_obs::registry()
-                .counter("pingmesh_httpx_timeouts_total")
-                .inc();
+            metrics().timeouts.inc();
             Err(HttpError::Timeout)
         }
     }
-}
-
-/// Reads one request from the stream, bounded by [`DEFAULT_IO_TIMEOUT`].
-pub async fn read_request<S: AsyncRead + Unpin>(stream: &mut S) -> Result<Request, HttpError> {
-    read_request_with(stream, DEFAULT_IO_TIMEOUT).await
-}
-
-/// Reads one request from the stream; the whole message (head + body)
-/// must arrive within `deadline` or the call fails with
-/// [`HttpError::Timeout`] instead of hanging.
-pub async fn read_request_with<S: AsyncRead + Unpin>(
-    stream: &mut S,
-    deadline: Duration,
-) -> Result<Request, HttpError> {
-    let out = bounded(deadline, read_message(stream, parse_request_head)).await;
-    let registry = pingmesh_obs::registry();
-    match &out {
-        Ok(_) => registry.counter("pingmesh_httpx_requests_read_total").inc(),
-        Err(_) => registry.counter("pingmesh_httpx_read_errors_total").inc(),
-    }
-    out
-}
-
-/// Reads one response from the stream, bounded by [`DEFAULT_IO_TIMEOUT`].
-pub async fn read_response<S: AsyncRead + Unpin>(stream: &mut S) -> Result<Response, HttpError> {
-    read_response_with(stream, DEFAULT_IO_TIMEOUT).await
-}
-
-/// Reads one response from the stream; the whole message must arrive
-/// within `deadline` or the call fails with [`HttpError::Timeout`].
-pub async fn read_response_with<S: AsyncRead + Unpin>(
-    stream: &mut S,
-    deadline: Duration,
-) -> Result<Response, HttpError> {
-    let out = bounded(deadline, read_message(stream, parse_response_head)).await;
-    let registry = pingmesh_obs::registry();
-    match &out {
-        Ok(_) => registry
-            .counter("pingmesh_httpx_responses_read_total")
-            .inc(),
-        Err(_) => registry.counter("pingmesh_httpx_read_errors_total").inc(),
-    }
-    out
-}
-
-/// Writes a request to the stream, bounded by [`DEFAULT_IO_TIMEOUT`].
-pub async fn write_request<S: AsyncWrite + Unpin>(
-    stream: &mut S,
-    req: &Request,
-) -> Result<(), HttpError> {
-    write_request_with(stream, req, DEFAULT_IO_TIMEOUT).await
-}
-
-/// Writes a request to the stream within `deadline` (a peer that stops
-/// draining its receive window cannot wedge the writer).
-pub async fn write_request_with<S: AsyncWrite + Unpin>(
-    stream: &mut S,
-    req: &Request,
-    deadline: Duration,
-) -> Result<(), HttpError> {
-    bounded(deadline, async {
-        stream.write_all(&req.to_bytes()).await?;
-        stream.flush().await?;
-        Ok(())
-    })
-    .await
 }
 
 /// Why a one-shot [`call`] failed.
@@ -553,7 +468,7 @@ pub async fn call<A: std::net::ToSocketAddrs>(
     req: &Request,
     deadline: Duration,
 ) -> Result<Response, CallError> {
-    let mut stream = tokio::time::timeout(deadline, TcpStream::connect(addr))
+    let stream = tokio::time::timeout(deadline, TcpStream::connect(addr))
         .await
         .map_err(|_| CallError::Timeout("connect"))?
         .map_err(CallError::Connect)?;
@@ -563,61 +478,14 @@ pub async fn call<A: std::net::ToSocketAddrs>(
             other => CallError::Http(other),
         }
     };
-    write_request_with(&mut stream, req, deadline)
+    let mut conn = Conn::new(stream);
+    conn.queue_request(req);
+    conn.flush_with(deadline)
         .await
         .map_err(in_phase("request"))?;
-    read_response_with(&mut stream, deadline)
+    conn.read_response_with(deadline)
         .await
         .map_err(in_phase("response"))
-}
-
-/// Writes a response to the stream, bounded by [`DEFAULT_IO_TIMEOUT`].
-pub async fn write_response<S: AsyncWrite + Unpin>(
-    stream: &mut S,
-    resp: &Response,
-) -> Result<(), HttpError> {
-    write_response_with(stream, resp, DEFAULT_IO_TIMEOUT).await
-}
-
-/// Writes a response to the stream within `deadline`.
-pub async fn write_response_with<S: AsyncWrite + Unpin>(
-    stream: &mut S,
-    resp: &Response,
-    deadline: Duration,
-) -> Result<(), HttpError> {
-    bounded(deadline, async {
-        stream.write_all(&resp.to_bytes()).await?;
-        stream.flush().await?;
-        Ok(())
-    })
-    .await
-}
-
-/// Writes a response whose body may be much larger than one write
-/// deadline can cover, by segmenting the serialized bytes into
-/// `chunk_bytes`-sized writes and bounding **each segment** — not the
-/// whole message — by `per_chunk_deadline`. Framing is unchanged
-/// (`content-length`), so any reader of this codec parses it; only the
-/// writer-side deadline accounting differs. A peer that drains at any
-/// positive rate keeps the transfer alive; a stalled peer still fails
-/// within one chunk deadline.
-pub async fn write_response_chunked_with<S: AsyncWrite + Unpin>(
-    stream: &mut S,
-    resp: &Response,
-    chunk_bytes: usize,
-    per_chunk_deadline: Duration,
-) -> Result<(), HttpError> {
-    let bytes = resp.to_bytes();
-    let chunk_bytes = chunk_bytes.max(1);
-    for seg in bytes.chunks(chunk_bytes) {
-        bounded(per_chunk_deadline, async {
-            stream.write_all(seg).await?;
-            stream.flush().await?;
-            Ok(())
-        })
-        .await?;
-    }
-    Ok(())
 }
 
 /// How long an accept loop rests after `accept` fails. The usual cause,
@@ -630,6 +498,9 @@ const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
 /// leaves in more than one segment must not wait out the peer's delayed
 /// ACK) and its own spawned `handle` task. A failed `accept` is counted
 /// in `pingmesh_httpx_accept_errors_total` and followed by a short pause.
+/// HTTP services use [`serve`]; this is what it is built on, and what a
+/// service that does not speak HTTP to its peer (the agent's TCP echo
+/// responder, the chaos proxy) uses directly.
 pub async fn serve_connections<H, F>(listener: TcpListener, handle: H)
 where
     H: FnMut(TcpStream) -> F,
@@ -663,17 +534,70 @@ where
     }
 }
 
-/// A buffered HTTP/1.1 connection supporting keep-alive reuse and
-/// pipelining.
+/// Queued responses above this size flush in deadline-bounded chunks of
+/// this size, so one huge body (an `/events` dump, a whole-history
+/// heatmap) to a slow-draining peer can neither blow a single write
+/// deadline nor wedge the connection task.
+pub const CHUNKED_FLUSH_THRESHOLD: usize = 64 * 1024;
+
+/// Runs an HTTP service on an already-bound listener until the task is
+/// dropped: the one server loop, on [`serve_connections`]. Each request
+/// read from a connection is answered with `respond(&request)`. A
+/// request without `connection: keep-alive` gets its response and a
+/// closed socket; one with it gets the header echoed and the connection
+/// read again, and a pipelined burst already in the read buffer is
+/// answered in full before anything is flushed, so its responses leave
+/// in one write and neither side deadlocks on a full pipe. Every read
+/// and write is bounded by [`DEFAULT_IO_TIMEOUT`].
+pub async fn serve<R>(listener: TcpListener, respond: R)
+where
+    R: Fn(&Request) -> Response + Clone + Send + 'static,
+{
+    serve_connections(listener, |stream| {
+        serve_conn(Conn::new(stream), respond.clone())
+    })
+    .await
+}
+
+/// One connection of [`serve`].
+async fn serve_conn<S, R>(mut conn: Conn<S>, respond: R)
+where
+    S: AsyncRead + AsyncWrite + Unpin,
+    R: Fn(&Request) -> Response,
+{
+    while let Ok(req) = conn.read_request().await {
+        let keep = req.keep_alive();
+        let mut resp = respond(&req);
+        if keep {
+            resp.set_keep_alive();
+        }
+        conn.queue_response(&resp);
+        if !(keep && conn.buffered_request_ready()) {
+            let flushed = if conn.wbuf.len() > CHUNKED_FLUSH_THRESHOLD {
+                conn.flush_chunked_with(CHUNKED_FLUSH_THRESHOLD, DEFAULT_IO_TIMEOUT)
+                    .await
+            } else {
+                conn.flush().await
+            };
+            if flushed.is_err() {
+                break;
+            }
+        }
+        if !keep {
+            break;
+        }
+    }
+}
+
+/// A buffered HTTP/1.1 connection: the codec's one reader and writer,
+/// supporting keep-alive reuse and pipelining.
 ///
-/// The free-function readers ([`read_request`] / [`read_response`])
-/// discard any bytes received past the parsed message, which is fine for
-/// one-exchange connections but loses the front of the next message on a
-/// reused stream. `Conn` owns a read buffer that preserves leftovers
-/// across messages, and a write buffer so a client can queue a batch of
-/// pipelined requests (or a server a batch of responses) and flush them
-/// in one syscall, so a burst costs one socket wake-up and one write per
-/// side instead of one per message.
+/// `Conn` owns a read buffer that preserves bytes received past the
+/// parsed message for the next one, and a write buffer so a client can
+/// queue a batch of pipelined requests (or [`serve`] a batch of
+/// responses) and flush them in one syscall, so a burst costs one socket
+/// wake-up and one write per side instead of one per message. Messages
+/// serialize straight into the write buffer.
 pub struct Conn<S> {
     stream: S,
     rbuf: Vec<u8>,
@@ -690,21 +614,15 @@ impl<S: AsyncRead + AsyncWrite + Unpin> Conn<S> {
         }
     }
 
-    /// Consumes the connection, returning the underlying stream.
-    /// Unflushed queued bytes and unread buffered bytes are dropped.
-    pub fn into_inner(self) -> S {
-        self.stream
-    }
-
-    /// Reads one message out of the buffer, pulling more bytes from the
-    /// stream as needed and preserving anything past the message for the
-    /// next call.
-    async fn read_buffered<H: BodyCarrier>(
+    /// Reads one message — its parsed head and its body — out of the
+    /// buffer, pulling more bytes from the stream as needed and preserving
+    /// anything past the message for the next call.
+    async fn read_buffered<H>(
         &mut self,
         parse: impl Fn(&[u8]) -> Result<(H, usize), HttpError>,
-    ) -> Result<H, HttpError> {
+    ) -> Result<(H, Vec<u8>), HttpError> {
         let mut chunk = [0u8; 16 * 1024];
-        let (mut msg, body_len, body_start) = loop {
+        let (head, body_len, body_start) = loop {
             if let Some(end) = head_end(&self.rbuf) {
                 let (msg, len) = parse(&self.rbuf[..end])?;
                 break (msg, len, end);
@@ -725,20 +643,43 @@ impl<S: AsyncRead + AsyncWrite + Unpin> Conn<S> {
             }
             self.rbuf.extend_from_slice(&chunk[..n]);
         }
-        msg.set_body(self.rbuf[body_start..body_start + body_len].to_vec());
+        let body = self.rbuf[body_start..body_start + body_len].to_vec();
         self.rbuf.drain(..body_start + body_len);
-        Ok(msg)
+        Ok((head, body))
+    }
+
+    /// [`Conn::read_buffered`] within `deadline`, counted: `read` on
+    /// success, `pingmesh_httpx_read_errors_total` on failure.
+    async fn read_counted<H>(
+        &mut self,
+        deadline: Duration,
+        parse: impl Fn(&[u8]) -> Result<(H, usize), HttpError>,
+        read: &Counter,
+    ) -> Result<(H, Vec<u8>), HttpError> {
+        let out = bounded(deadline, self.read_buffered(parse)).await;
+        match &out {
+            Ok(_) => read.inc(),
+            // The peer closing between messages is how a keep-alive
+            // connection ends, not a read that failed.
+            Err(HttpError::UnexpectedEof) if self.rbuf.is_empty() => {}
+            Err(_) => metrics().read_errors.inc(),
+        }
+        out
     }
 
     /// Reads one request, bounded by [`DEFAULT_IO_TIMEOUT`].
-    pub async fn read_request(&mut self) -> Result<Request, HttpError> {
+    async fn read_request(&mut self) -> Result<Request, HttpError> {
         self.read_request_with(DEFAULT_IO_TIMEOUT).await
     }
 
     /// Reads one request within `deadline`, preserving any pipelined
     /// bytes past it.
-    pub async fn read_request_with(&mut self, deadline: Duration) -> Result<Request, HttpError> {
-        bounded(deadline, self.read_buffered(parse_request_head)).await
+    async fn read_request_with(&mut self, deadline: Duration) -> Result<Request, HttpError> {
+        let (mut req, body) = self
+            .read_counted(deadline, parse_request_head, &metrics().requests_read)
+            .await?;
+        req.body = body;
+        Ok(req)
     }
 
     /// Reads one response, bounded by [`DEFAULT_IO_TIMEOUT`].
@@ -749,14 +690,18 @@ impl<S: AsyncRead + AsyncWrite + Unpin> Conn<S> {
     /// Reads one response within `deadline`, preserving any pipelined
     /// bytes past it.
     pub async fn read_response_with(&mut self, deadline: Duration) -> Result<Response, HttpError> {
-        bounded(deadline, self.read_buffered(parse_response_head)).await
+        let (mut resp, body) = self
+            .read_counted(deadline, parse_response_head, &metrics().responses_read)
+            .await?;
+        resp.body = body;
+        Ok(resp)
     }
 
     /// Whether a complete request is already sitting in the read buffer
-    /// (no socket read needed). Servers use this to keep draining a
+    /// (no socket read needed). [`serve`] uses this to keep draining a
     /// pipelined burst before flushing responses, avoiding a
     /// write-deadlock where both sides wait on each other's flush.
-    pub fn buffered_request_ready(&self) -> bool {
+    fn buffered_request_ready(&self) -> bool {
         match head_end(&self.rbuf) {
             None => false,
             Some(end) => match parse_request_head(&self.rbuf[..end]) {
@@ -771,18 +716,13 @@ impl<S: AsyncRead + AsyncWrite + Unpin> Conn<S> {
     /// Serializes a request into the write buffer without touching the
     /// socket. Call [`Conn::flush`] to send the batch.
     pub fn queue_request(&mut self, req: &Request) {
-        self.wbuf.extend_from_slice(&req.to_bytes());
+        req.write_to(&mut self.wbuf);
     }
 
     /// Serializes a response into the write buffer without touching the
     /// socket.
-    pub fn queue_response(&mut self, resp: &Response) {
-        self.wbuf.extend_from_slice(&resp.to_bytes());
-    }
-
-    /// Bytes currently queued and not yet flushed.
-    pub fn queued_bytes(&self) -> usize {
-        self.wbuf.len()
+    fn queue_response(&mut self, resp: &Response) {
+        resp.write_to(&mut self.wbuf);
     }
 
     /// Flushes all queued bytes, bounded by [`DEFAULT_IO_TIMEOUT`].
@@ -790,7 +730,8 @@ impl<S: AsyncRead + AsyncWrite + Unpin> Conn<S> {
         self.flush_with(DEFAULT_IO_TIMEOUT).await
     }
 
-    /// Flushes all queued bytes within `deadline`.
+    /// Flushes all queued bytes within `deadline` (a peer that stops
+    /// draining its receive window cannot wedge the writer).
     pub async fn flush_with(&mut self, deadline: Duration) -> Result<(), HttpError> {
         if self.wbuf.is_empty() {
             return Ok(());
@@ -807,11 +748,14 @@ impl<S: AsyncRead + AsyncWrite + Unpin> Conn<S> {
         out
     }
 
-    /// Flushes queued bytes in `chunk_bytes` segments, bounding each
-    /// segment (not the whole batch) by `per_chunk_deadline` — the
-    /// keep-alive analogue of [`write_response_chunked_with`] for large
-    /// queued bodies.
-    pub async fn flush_chunked_with(
+    /// Flushes queued bytes in `chunk_bytes` segments, bounding **each
+    /// segment** — not the whole batch — by `per_chunk_deadline`, for
+    /// queued bodies much larger than one write deadline can cover.
+    /// Framing is unchanged (`content-length`); only the writer-side
+    /// deadline accounting differs. A peer that drains at any positive
+    /// rate keeps the transfer alive; a stalled peer still fails within
+    /// one chunk deadline.
+    async fn flush_chunked_with(
         &mut self,
         chunk_bytes: usize,
         per_chunk_deadline: Duration,
@@ -893,19 +837,19 @@ mod tests {
 
     #[tokio::test]
     async fn async_roundtrip_over_duplex() {
-        let (mut client, mut server) = tokio::io::duplex(4096);
-        let req = Request::get("/pinglist/7");
-        let wrote = req.clone();
+        let (client, server) = tokio::io::duplex(4096);
         let client_task = tokio::spawn(async move {
-            write_request(&mut client, &wrote).await.unwrap();
-            read_response(&mut client).await.unwrap()
+            let mut client = Conn::new(client);
+            client.queue_request(&Request::get("/pinglist/7"));
+            client.flush().await.unwrap();
+            client.read_response().await.unwrap()
         });
-        let got = read_request(&mut server).await.unwrap();
+        let mut server = Conn::new(server);
+        let got = server.read_request().await.unwrap();
         assert_eq!(got.method, "GET");
         assert_eq!(got.path, "/pinglist/7");
-        write_response(&mut server, &Response::ok(b"<Pinglist/>".to_vec()))
-            .await
-            .unwrap();
+        server.queue_response(&Response::ok(b"<Pinglist/>".to_vec()));
+        server.flush().await.unwrap();
         let resp = client_task.await.unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, b"<Pinglist/>");
@@ -913,16 +857,15 @@ mod tests {
 
     #[tokio::test]
     async fn eof_mid_body_is_detected() {
-        let (mut client, mut server) = tokio::io::duplex(4096);
+        let (mut client, server) = tokio::io::duplex(4096);
         tokio::spawn(async move {
-            use tokio::io::AsyncWriteExt;
             client
                 .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\nshort")
                 .await
                 .unwrap();
             // client dropped here: EOF
         });
-        let err = read_response(&mut server).await.unwrap_err();
+        let err = Conn::new(server).read_response().await.unwrap_err();
         assert!(matches!(err, HttpError::UnexpectedEof), "{err}");
     }
 
@@ -930,7 +873,7 @@ mod tests {
     async fn slowloris_header_drip_hits_the_deadline() {
         // A peer dripping one header byte at a time must burn the caller's
         // deadline, not its patience: the read fails with Timeout.
-        let (mut client, mut server) = tokio::io::duplex(64);
+        let (mut client, server) = tokio::io::duplex(64);
         let writer = tokio::spawn(async move {
             for b in b"GET / HTTP/1.1\r\nx-slow: 1\r\n".iter() {
                 if client.write_all(&[*b]).await.is_err() {
@@ -943,7 +886,8 @@ mod tests {
             tokio::time::sleep(Duration::from_secs(5)).await;
         });
         let t0 = std::time::Instant::now();
-        let err = read_request_with(&mut server, Duration::from_millis(200))
+        let err = Conn::new(server)
+            .read_request_with(Duration::from_millis(200))
             .await
             .unwrap_err();
         assert!(matches!(err, HttpError::Timeout), "{err}");
@@ -955,7 +899,7 @@ mod tests {
     async fn content_length_beyond_body_times_out_on_open_connection() {
         // The head promises 100 bytes; only 5 arrive and the connection
         // stays open. The reader must give up at its deadline.
-        let (mut client, mut server) = tokio::io::duplex(256);
+        let (mut client, server) = tokio::io::duplex(256);
         let holder = tokio::spawn(async move {
             client
                 .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\nshort")
@@ -966,7 +910,8 @@ mod tests {
             tokio::time::sleep(Duration::from_secs(5)).await;
         });
         let t0 = std::time::Instant::now();
-        let err = read_response_with(&mut server, Duration::from_millis(200))
+        let err = Conn::new(server)
+            .read_response_with(Duration::from_millis(200))
             .await
             .unwrap_err();
         assert!(matches!(err, HttpError::Timeout), "{err}");
@@ -978,7 +923,7 @@ mod tests {
     async fn content_length_beyond_body_is_eof_on_close() {
         // Same truncated body, but the peer closes: UnexpectedEof, not a
         // deadline burn.
-        let (mut client, mut server) = tokio::io::duplex(256);
+        let (mut client, server) = tokio::io::duplex(256);
         tokio::spawn(async move {
             client
                 .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\nshort")
@@ -986,7 +931,8 @@ mod tests {
                 .unwrap();
             // client drops: EOF
         });
-        let err = read_response_with(&mut server, Duration::from_secs(5))
+        let err = Conn::new(server)
+            .read_response_with(Duration::from_secs(5))
             .await
             .unwrap_err();
         assert!(matches!(err, HttpError::UnexpectedEof), "{err}");
@@ -996,7 +942,7 @@ mod tests {
     async fn oversized_head_is_rejected_at_the_boundary() {
         // A head that never terminates is cut off at MAX_HEAD with
         // TooLarge — before the deadline has to fire.
-        let (mut client, mut server) = tokio::io::duplex(4096);
+        let (mut client, server) = tokio::io::duplex(4096);
         let writer = tokio::spawn(async move {
             let junk = vec![b'a'; MAX_HEAD + 4096];
             let _ = client.write_all(b"GET / HTTP/1.1\r\nx: ").await;
@@ -1004,7 +950,8 @@ mod tests {
             let _ = client.flush().await;
             tokio::time::sleep(Duration::from_secs(5)).await;
         });
-        let err = read_request_with(&mut server, Duration::from_secs(5))
+        let err = Conn::new(server)
+            .read_request_with(Duration::from_secs(5))
             .await
             .unwrap_err();
         assert!(matches!(err, HttpError::TooLarge), "{err}");
@@ -1015,7 +962,7 @@ mod tests {
     async fn oversized_body_is_rejected_at_the_boundary() {
         // content-length over MAX_BODY is rejected from the head alone,
         // without reading (or allocating) the body.
-        let (mut client, mut server) = tokio::io::duplex(4096);
+        let (mut client, server) = tokio::io::duplex(4096);
         let head = format!(
             "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n",
             MAX_BODY + 1
@@ -1023,7 +970,8 @@ mod tests {
         tokio::spawn(async move {
             let _ = client.write_all(head.as_bytes()).await;
         });
-        let err = read_response_with(&mut server, Duration::from_secs(5))
+        let err = Conn::new(server)
+            .read_response_with(Duration::from_secs(5))
             .await
             .unwrap_err();
         assert!(matches!(err, HttpError::TooLarge), "{err}");
@@ -1031,15 +979,16 @@ mod tests {
 
     #[tokio::test]
     async fn fragmented_delivery_is_reassembled() {
-        let (mut client, mut server) = tokio::io::duplex(8);
+        let (client, server) = tokio::io::duplex(8);
         let body = vec![b'x'; 300];
         let sent_body = body.clone();
         tokio::spawn(async move {
-            let resp = Response::ok(sent_body);
             // duplex with a tiny buffer forces many partial reads.
-            write_response(&mut client, &resp).await.unwrap();
+            let mut client = Conn::new(client);
+            client.queue_response(&Response::ok(sent_body));
+            client.flush().await.unwrap();
         });
-        let got = read_response(&mut server).await.unwrap();
+        let got = Conn::new(server).read_response().await.unwrap();
         assert_eq!(got.body, body);
     }
 
@@ -1078,31 +1027,26 @@ mod tests {
         assert_eq!(len, 0);
     }
 
+    fn echo_path(req: &Request) -> Response {
+        Response::ok(format!("echo:{}", req.path).into_bytes())
+    }
+
+    /// [`serve`] answering [`echo_path`] on a loopback port.
+    async fn serve_echo() -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
+        let addr = listener.local_addr().unwrap();
+        tokio::spawn(serve(listener, echo_path));
+        addr
+    }
+
     #[tokio::test]
     async fn keep_alive_serial_reuse_over_one_stream() {
-        // Many serial request/response exchanges over a single duplex
-        // stream — the whole point of the Conn buffer.
-        let (client, server) = tokio::io::duplex(4096);
-        let server_task = tokio::spawn(async move {
-            let mut conn = Conn::new(server);
-            loop {
-                let req = match conn.read_request().await {
-                    Ok(r) => r,
-                    Err(HttpError::UnexpectedEof) => break,
-                    Err(e) => panic!("server read: {e}"),
-                };
-                let mut resp = Response::ok(format!("echo:{}", req.path).into_bytes());
-                if req.keep_alive() {
-                    resp.set_keep_alive();
-                }
-                conn.queue_response(&resp);
-                conn.flush().await.unwrap();
-                if !req.keep_alive() {
-                    break;
-                }
-            }
-        });
-        let mut conn = Conn::new(client);
+        // Many serial request/response exchanges over a single socket —
+        // the whole point of the Conn buffer — and each message read, on
+        // either side, counted.
+        let m = metrics();
+        let (requests, responses) = (m.requests_read.get(), m.responses_read.get());
+        let mut conn = Conn::new(TcpStream::connect(serve_echo().await).await.unwrap());
         for i in 0..32 {
             let mut req = Request::get(&format!("/q/{i}"));
             req.set_keep_alive();
@@ -1113,8 +1057,9 @@ mod tests {
             assert_eq!(resp.body, format!("echo:/q/{i}").into_bytes());
             assert!(resp.keep_alive());
         }
-        drop(conn);
-        server_task.await.unwrap();
+        // Other tests of this process read messages too, hence `>=`.
+        assert!(m.requests_read.get() - requests >= 32);
+        assert!(m.responses_read.get() - responses >= 32);
     }
 
     #[tokio::test]
@@ -1124,28 +1069,7 @@ mod tests {
         // neither side deadlocks on a full pipe.
         const BURST: usize = 64;
         let (client, server) = tokio::io::duplex(64 * 1024);
-        let server_task = tokio::spawn(async move {
-            let mut conn = Conn::new(server);
-            let mut served = 0usize;
-            loop {
-                let req = match conn.read_request().await {
-                    Ok(r) => r,
-                    Err(HttpError::UnexpectedEof) => break,
-                    Err(e) => panic!("server read: {e}"),
-                };
-                let mut resp = Response::ok(req.path.into_bytes());
-                resp.set_keep_alive();
-                conn.queue_response(&resp);
-                served += 1;
-                if !conn.buffered_request_ready() {
-                    conn.flush().await.unwrap();
-                }
-                if served == BURST {
-                    break;
-                }
-            }
-            served
-        });
+        tokio::spawn(serve_conn(Conn::new(server), echo_path));
         let mut conn = Conn::new(client);
         for i in 0..BURST {
             let mut req = Request::get(&format!("/p/{i}"));
@@ -1155,9 +1079,69 @@ mod tests {
         conn.flush().await.unwrap();
         for i in 0..BURST {
             let resp = conn.read_response().await.unwrap();
-            assert_eq!(resp.body, format!("/p/{i}").into_bytes(), "order at {i}");
+            assert_eq!(
+                resp.body,
+                format!("echo:/p/{i}").into_bytes(),
+                "order at {i}"
+            );
         }
-        assert_eq!(server_task.await.unwrap(), BURST);
+    }
+
+    #[tokio::test]
+    async fn request_without_keep_alive_gets_one_response_and_a_closed_socket() {
+        // What a controller or `/ping` client sees.
+        let addr = serve_echo().await;
+        let mut conn = Conn::new(TcpStream::connect(addr).await.unwrap());
+        conn.queue_request(&Request::get("/once"));
+        conn.flush().await.unwrap();
+        let resp = conn.read_response().await.unwrap();
+        assert_eq!(resp.body, b"echo:/once");
+        assert_eq!(resp.header("connection"), Some("close"));
+        let err = conn.read_response().await.unwrap_err();
+        assert!(matches!(err, HttpError::UnexpectedEof), "{err}");
+    }
+
+    #[tokio::test]
+    async fn large_response_reaches_a_slow_reader_through_the_chunked_path() {
+        // 256 KiB through a 512-byte pipe, then the connection is reused.
+        let body = vec![b'q'; 4 * CHUNKED_FLUSH_THRESHOLD];
+        let sent = body.clone();
+        let (client, server) = tokio::io::duplex(512);
+        tokio::spawn(serve_conn(
+            Conn::new(server),
+            move |req: &Request| match req.path.as_str() {
+                "/big" => Response::ok(sent.clone()),
+                _ => echo_path(req),
+            },
+        ));
+        let mut conn = Conn::new(client);
+        for (path, want) in [("/big", body), ("/after", b"echo:/after".to_vec())] {
+            let mut req = Request::get(path);
+            req.set_keep_alive();
+            conn.queue_request(&req);
+            conn.flush().await.unwrap();
+            let resp = conn.read_response().await.unwrap();
+            assert!(resp.body == want, "{path}: body must arrive intact");
+            assert!(resp.keep_alive());
+        }
+    }
+
+    #[test]
+    fn messages_queue_as_their_to_bytes_and_the_wire_format_is_pinned() {
+        let mut resp = Response::ok(b"hi".to_vec());
+        resp.headers.push(("x-a".into(), "1".into()));
+        let mut req = Request::post("/u", b"body".to_vec());
+        req.set_keep_alive();
+        let (stream, _peer) = tokio::io::duplex(64);
+        let mut conn = Conn::new(stream);
+        conn.queue_response(&resp);
+        conn.queue_request(&req);
+        assert_eq!(conn.wbuf, [resp.to_bytes(), req.to_bytes()].concat());
+        assert_eq!(
+            String::from_utf8(conn.wbuf).unwrap(),
+            "HTTP/1.1 200 OK\r\nx-a: 1\r\ncontent-length: 2\r\nconnection: close\r\n\r\nhi\
+             POST /u HTTP/1.1\r\nconnection: keep-alive\r\ncontent-length: 4\r\n\r\nbody"
+        );
     }
 
     #[tokio::test]
@@ -1222,11 +1206,12 @@ mod tests {
         // deadline on the whole ~256KB message fails, while per-chunk
         // deadlines succeed and the body round-trips intact.
         let body = vec![b'z'; 256 * 1024];
-        let resp = Response::ok(body.clone());
+        let mut resp = Response::ok(body.clone());
+        resp.set_keep_alive();
 
         // Single-deadline write: the pipe backs up and the deadline
         // covers the entire message — it must time out.
-        let (mut wtx, mut wrx) = tokio::io::duplex(512);
+        let (wtx, mut wrx) = tokio::io::duplex(512);
         let reader = tokio::spawn(async move {
             // Drain slowly: small reads with pauses.
             let mut chunk = [0u8; 256];
@@ -1237,34 +1222,39 @@ mod tests {
                 }
             }
         });
-        let err = write_response_with(&mut wtx, &resp, Duration::from_millis(80))
+        let mut conn = Conn::new(wtx);
+        conn.queue_response(&resp);
+        let err = conn
+            .flush_with(Duration::from_millis(80))
             .await
             .unwrap_err();
         assert!(matches!(err, HttpError::Timeout), "{err}");
         reader.abort();
 
-        // Chunked write with the same 80ms budget per 8KB segment: the
-        // slow drain keeps every segment under its own deadline.
-        let (mut ctx, crx) = tokio::io::duplex(512);
-        let reader = tokio::spawn(async move {
-            let mut conn = Conn::new(crx);
-            conn.read_response().await
-        });
-        write_response_chunked_with(&mut ctx, &resp, 8 * 1024, Duration::from_secs(5))
+        // Chunked write with a budget per 8KB segment: the slow drain
+        // keeps every segment under its own deadline.
+        let (ctx, crx) = tokio::io::duplex(512);
+        let reader = tokio::spawn(async move { Conn::new(crx).read_response().await });
+        let mut conn = Conn::new(ctx);
+        conn.queue_response(&resp);
+        conn.flush_chunked_with(8 * 1024, Duration::from_secs(5))
             .await
             .unwrap();
+        assert!(conn.wbuf.is_empty());
         let got = reader.await.unwrap().unwrap();
         assert_eq!(got.body, body, "chunked body must round-trip intact");
+        assert!(got.keep_alive());
     }
 
     #[tokio::test]
     async fn chunked_write_still_fails_against_fully_stalled_peer() {
-        let body = vec![b'z'; 64 * 1024];
-        let resp = Response::ok(body);
-        let (mut tx, _rx) = tokio::io::duplex(512);
+        let (tx, _rx) = tokio::io::duplex(512);
         // _rx never read: pipe fills, every further segment stalls.
+        let mut conn = Conn::new(tx);
+        conn.queue_response(&Response::ok(vec![b'z'; 64 * 1024]));
         let t0 = std::time::Instant::now();
-        let err = write_response_chunked_with(&mut tx, &resp, 8 * 1024, Duration::from_millis(100))
+        let err = conn
+            .flush_chunked_with(8 * 1024, Duration::from_millis(100))
             .await
             .unwrap_err();
         assert!(matches!(err, HttpError::Timeout), "{err}");
@@ -1272,27 +1262,6 @@ mod tests {
             t0.elapsed() < Duration::from_secs(3),
             "fails within one chunk deadline"
         );
-    }
-
-    #[tokio::test]
-    async fn conn_flush_chunked_with_round_trips() {
-        let body = vec![b'q'; 100 * 1024];
-        let mut resp = Response::ok(body.clone());
-        resp.set_keep_alive();
-        let (tx, crx) = tokio::io::duplex(512);
-        let reader = tokio::spawn(async move {
-            let mut conn = Conn::new(crx);
-            conn.read_response().await
-        });
-        let mut conn = Conn::new(tx);
-        conn.queue_response(&resp);
-        conn.flush_chunked_with(8 * 1024, Duration::from_secs(5))
-            .await
-            .unwrap();
-        assert_eq!(conn.queued_bytes(), 0);
-        let got = reader.await.unwrap().unwrap();
-        assert_eq!(got.body, body);
-        assert!(got.keep_alive());
     }
 
     /// A blocking std client that leaves delayed ACKs on (no
@@ -1337,13 +1306,15 @@ mod tests {
         const BODY: usize = 10;
         let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
         let addr = listener.local_addr().unwrap();
-        let server = tokio::spawn(serve_connections(listener, |mut stream| async move {
-            while read_request(&mut stream).await.is_ok() {
+        let server = tokio::spawn(serve_connections(listener, |stream| async move {
+            let mut conn = Conn::new(stream);
+            while conn.read_request().await.is_ok() {
                 let mut resp = Response::ok(vec![b'z'; BODY]);
                 resp.set_keep_alive();
                 let bytes = resp.to_bytes();
                 let (head, body) = bytes.split_at(bytes.len() - BODY);
-                if stream.write_all(head).await.is_err() || stream.write_all(body).await.is_err() {
+                let sock = &mut conn.stream;
+                if sock.write_all(head).await.is_err() || sock.write_all(body).await.is_err() {
                     return;
                 }
             }

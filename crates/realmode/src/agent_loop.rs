@@ -21,7 +21,6 @@
 //! clamped to the hard 10-second floor); [`RealAgent::probe_round_once`]
 //! runs a single round immediately for demos and tests.
 
-use crate::backoff::Backoff;
 use crate::collector::upload_records_with;
 use crate::directory::{PeerDirectory, PeerEndpoints};
 use crate::vip::ControllerVip;
@@ -29,6 +28,7 @@ use pingmesh_agent::real::{http_ping, tcp_ping};
 use pingmesh_agent::scheduler::DueProbe;
 use pingmesh_agent::{AgentConfig, AgentFleet, AgentView, ControllerPollOutcome};
 use pingmesh_topology::Topology;
+use pingmesh_types::backoff::Backoff;
 use pingmesh_types::constants::MIN_PROBE_INTERVAL;
 use pingmesh_types::{
     CounterSnapshot, PingTarget, PingmeshError, ProbeKind, ProbeOutcome, ServerId, SimDuration,

@@ -27,8 +27,8 @@
 //! a fixed seed the proxy's probabilistic decisions are a pure function
 //! of the connection order, keeping drills reproducible.
 
-use crate::backoff::{next_u64, seed_state};
 use parking_lot::Mutex;
+use pingmesh_types::backoff::{next_u64, seed_state};
 use std::net::{Shutdown, SocketAddr};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -329,35 +329,20 @@ async fn pump(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pingmesh_httpx::{read_request, write_response, HttpError, Request, Response};
+    use pingmesh_httpx::{call, CallError, HttpError, Request, Response};
 
-    /// A one-shot HTTP upstream answering every request with `body`.
+    /// An HTTP upstream answering every request with `body`.
     async fn upstream_server(body: Vec<u8>) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
         let addr = listener.local_addr().unwrap();
-        tokio::spawn(async move {
-            loop {
-                let Ok((mut stream, _)) = listener.accept().await else {
-                    continue;
-                };
-                let body = body.clone();
-                tokio::spawn(async move {
-                    if read_request(&mut stream).await.is_ok() {
-                        let _ = write_response(&mut stream, &Response::ok(body)).await;
-                    }
-                });
-            }
-        });
+        tokio::spawn(pingmesh_httpx::serve(listener, move |_req| {
+            Response::ok(body.clone())
+        }));
         addr
     }
 
-    async fn get_via(addr: SocketAddr, deadline: Duration) -> Result<Response, HttpError> {
-        let mut stream = tokio::time::timeout(deadline, TcpStream::connect(addr))
-            .await
-            .map_err(|_| HttpError::Timeout)?
-            .map_err(HttpError::Io)?;
-        pingmesh_httpx::write_request_with(&mut stream, &Request::get("/x"), deadline).await?;
-        pingmesh_httpx::read_response_with(&mut stream, deadline).await
+    async fn get_via(addr: SocketAddr, deadline: Duration) -> Result<Response, CallError> {
+        call(addr, &Request::get("/x"), deadline).await
     }
 
     #[tokio::test]
@@ -393,7 +378,7 @@ mod tests {
         proxy.handle().set_toxic(Toxic::Stall);
         let t0 = std::time::Instant::now();
         let err = get_via(proxy.addr(), Duration::from_millis(300)).await;
-        assert!(matches!(err, Err(HttpError::Timeout)), "{err:?}");
+        assert!(matches!(err, Err(CallError::Timeout(_))), "{err:?}");
         let elapsed = t0.elapsed();
         assert!(elapsed >= Duration::from_millis(250), "{elapsed:?}");
         assert!(elapsed < Duration::from_secs(3), "{elapsed:?}");
@@ -428,7 +413,9 @@ mod tests {
         assert!(
             matches!(
                 err,
-                Err(HttpError::UnexpectedEof) | Err(HttpError::Malformed(_))
+                Err(CallError::Http(
+                    HttpError::UnexpectedEof | HttpError::Malformed(_)
+                ))
             ),
             "truncated response must not parse: {err:?}"
         );

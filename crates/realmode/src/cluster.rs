@@ -332,14 +332,10 @@ mod tests {
         let mut rr = crate::vip::RoundRobin::new(cluster.serve_addrs().len());
         for _ in 0..4 {
             let addr = cluster.serve_addrs()[rr.pick()];
-            let mut stream = tokio::net::TcpStream::connect(addr).await.unwrap();
-            pingmesh_httpx::write_request(
-                &mut stream,
-                &pingmesh_httpx::Request::get("/api/windows"),
-            )
-            .await
-            .unwrap();
-            let resp = pingmesh_httpx::read_response(&mut stream).await.unwrap();
+            let req = pingmesh_httpx::Request::get("/api/windows");
+            let resp = pingmesh_httpx::call(addr, &req, pingmesh_httpx::DEFAULT_IO_TIMEOUT)
+                .await
+                .unwrap();
             assert_eq!(resp.status, 200);
             let v: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
             assert_eq!(v["empty"], serde_json::Value::Bool(false));

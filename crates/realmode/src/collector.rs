@@ -32,21 +32,21 @@
 //! exactly as a restarted process would.
 
 use parking_lot::Mutex;
+use pingmesh_dsa::quality::{self, ExpectedPairs, QualityConfig, RatioSample};
 use pingmesh_dsa::store::{CosmosStore, StreamName};
-use pingmesh_dsa::{unique_dir, DirGuard, DurabilityStats, ExpectedPairs, QualityConfig};
-use pingmesh_httpx::{CallError, Conn, Request, Response};
+use pingmesh_dsa::{unique_dir, DirGuard, DurabilityStats};
+use pingmesh_httpx::{CallError, Request, Response};
 use pingmesh_obs::slo::{self, SloKind, SloStatus};
 use pingmesh_obs::SampleValue;
 use pingmesh_types::{PingmeshError, ProbeRecord, SimTime};
 use serde::Serialize;
-use std::collections::BTreeSet;
 use std::io;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tokio::net::{TcpListener, TcpStream};
+use tokio::net::TcpListener;
 
 /// Group commit: fsync the WAL once this many acknowledged bytes sit
 /// unsynced, so upload throughput amortizes the sync cost.
@@ -378,22 +378,8 @@ impl Collector {
         let store = self.store.lock();
         let mut out = Vec::with_capacity(4);
         if let Some(expected) = &state.expected {
-            let horizon = state.cfg.coverage_horizon.as_micros();
-            let from = SimTime(now.as_micros().saturating_sub(horizon));
-            let mut observed: BTreeSet<(pingmesh_types::PodId, pingmesh_types::PodId)> =
-                BTreeSet::new();
-            for chunk in store.scan_all_window_chunks(from, now) {
-                for r in chunk {
-                    if expected.contains(r.src_pod, r.dst_pod) {
-                        observed.insert((r.src_pod, r.dst_pod));
-                    }
-                }
-            }
-            let value = if expected.is_empty() {
-                1.0
-            } else {
-                observed.len() as f64 / expected.len() as f64
-            };
+            let from = now - state.cfg.coverage_horizon;
+            let value = quality::coverage(&store, expected, from, now).value();
             out.push(slo::evaluate(
                 SloKind::Coverage,
                 value,
@@ -401,32 +387,17 @@ impl Collector {
             ));
         }
         if let Some((stored, produced)) = state.completeness {
-            let value = if produced == 0 {
-                1.0
-            } else {
-                stored.min(produced) as f64 / produced as f64
+            let ratio = RatioSample {
+                num: stored.min(produced),
+                den: produced,
             };
             out.push(slo::evaluate(
                 SloKind::Completeness,
-                value,
+                ratio.value(),
                 state.cfg.completeness_target,
             ));
         }
-        let newest = store.newest_ts_per_stream();
-        let registry = pingmesh_obs::registry();
-        let mut worst_age = if newest.is_empty() {
-            now.as_micros()
-        } else {
-            0
-        };
-        for (stream, ts) in &newest {
-            let age = now.as_micros().saturating_sub(ts.as_micros());
-            worst_age = worst_age.max(age);
-            let label = format!("{}", stream.dc);
-            registry
-                .gauge_with("pingmesh_dsa_freshness_us", &[("stream", label.as_str())])
-                .set(age as f64);
-        }
+        let (worst_age, _per_stream) = quality::freshness(&store, now);
         out.push(slo::evaluate(
             SloKind::Freshness,
             worst_age as f64,
@@ -663,48 +634,9 @@ impl Collector {
     }
 }
 
-/// Responses above this size flush in deadline-bounded chunks, so one
-/// huge `/events` dump to a slow-draining scraper can neither blow a
-/// single write deadline nor wedge the connection task (satisfying the
-/// same bounded-I/O discipline as every other collector write).
-const CHUNKED_FLUSH_THRESHOLD: usize = 64 * 1024;
-
-async fn handle_conn(collector: Collector, stream: TcpStream) {
-    let mut conn = Conn::new(stream);
-    loop {
-        let req = match conn.read_request().await {
-            Ok(r) => r,
-            Err(_) => break,
-        };
-        let keep = req.keep_alive();
-        let mut resp = collector.respond(&req);
-        if keep {
-            resp.set_keep_alive();
-        }
-        conn.queue_response(&resp);
-        // Serve a pipelined burst before flushing; large bodies go out
-        // in deadline-bounded chunks rather than one unbounded write.
-        if !(keep && conn.buffered_request_ready()) {
-            let flushed = if conn.queued_bytes() > CHUNKED_FLUSH_THRESHOLD {
-                conn.flush_chunked_with(CHUNKED_FLUSH_THRESHOLD, pingmesh_httpx::DEFAULT_IO_TIMEOUT)
-                    .await
-            } else {
-                conn.flush().await
-            };
-            if flushed.is_err() {
-                break;
-            }
-        }
-        if !keep {
-            break;
-        }
-    }
-}
-
 /// Runs the collector HTTP service until dropped.
 pub async fn serve_collector(listener: TcpListener, collector: Collector) {
-    pingmesh_httpx::serve_connections(listener, |stream| handle_conn(collector.clone(), stream))
-        .await
+    pingmesh_httpx::serve(listener, move |req| collector.respond(req)).await
 }
 
 /// Agent-side upload client: POSTs a record batch to the collector.
@@ -769,9 +701,11 @@ async fn collector_call(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pingmesh_httpx::{Conn, CHUNKED_FLUSH_THRESHOLD};
     use pingmesh_types::{
         DcId, PodId, PodsetId, ProbeKind, ProbeOutcome, QosClass, ServerId, SimDuration,
     };
+    use tokio::net::TcpStream;
 
     fn rec(ts: u64) -> ProbeRecord {
         ProbeRecord {
@@ -1042,11 +976,9 @@ mod tests {
         pingmesh_obs::emit!(Info, "realmode.test", "scrape_marker");
 
         async fn get(addr: SocketAddr, path: &str) -> Response {
-            let mut stream = TcpStream::connect(addr).await.unwrap();
-            pingmesh_httpx::write_request(&mut stream, &Request::get(path))
+            pingmesh_httpx::call(addr, &Request::get(path), Duration::from_secs(10))
                 .await
-                .unwrap();
-            pingmesh_httpx::read_response(&mut stream).await.unwrap()
+                .unwrap()
         }
 
         let metrics = get(addr, "/metrics").await;

@@ -17,7 +17,6 @@
 #![forbid(unsafe_code)]
 
 pub mod agent_loop;
-pub mod backoff;
 pub mod chaos;
 pub mod cluster;
 pub mod collector;
@@ -27,7 +26,6 @@ pub mod vip;
 pub mod watchdog;
 
 pub use agent_loop::{RealAgent, RealAgentConfig};
-pub use backoff::Backoff;
 pub use chaos::{ChaosHandle, ChaosProxy, Toxic};
 pub use cluster::{ClusterOptions, LocalCluster};
 pub use collector::{
@@ -35,5 +33,6 @@ pub use collector::{
 };
 pub use directory::PeerDirectory;
 pub use mitigate::{LiveMitigator, ScanReport};
+pub use pingmesh_types::backoff::Backoff;
 pub use vip::ControllerVip;
 pub use watchdog::RealWatchdog;

@@ -190,14 +190,9 @@ impl RealWatchdog {
             .set_completeness(stored_delta, deliverable_delta);
         self.last_stored = records;
         self.last_deliverable = deliverable;
-        for status in cluster.collector().slo_statuses() {
-            if !status.healthy {
-                findings.push(WatchdogFinding::SloDegraded {
-                    kind: status.kind,
-                    burn_permille: (status.burn_rate * 1000.0).round().max(0.0) as u64,
-                });
-            }
-        }
+        findings.extend(WatchdogFinding::degraded_slos(
+            &cluster.collector().slo_statuses(),
+        ));
 
         // Durable-store IO health: errors since the previous check, plus
         // the fail-closed flag (a failed-closed WAL refuses every upload

@@ -375,41 +375,9 @@ impl QueryTier {
     }
 }
 
-async fn handle_conn(tier: QueryTier, stream: TcpStream) {
-    let mut conn = Conn::new(stream);
-    loop {
-        let req = match conn.read_request().await {
-            Ok(r) => r,
-            Err(_) => break,
-        };
-        let keep = req.keep_alive();
-        let mut resp = tier.respond(&req);
-        if keep {
-            resp.set_keep_alive();
-        }
-        conn.queue_response(&resp);
-        // Drain a pipelined burst before flushing: responses to a batch
-        // go out in one write, and neither side deadlocks on a full pipe.
-        if !(keep && conn.buffered_request_ready()) {
-            let flushed = if conn.queued_bytes() > 64 * 1024 {
-                conn.flush_chunked_with(64 * 1024, pingmesh_httpx::DEFAULT_IO_TIMEOUT)
-                    .await
-            } else {
-                conn.flush().await
-            };
-            if flushed.is_err() {
-                break;
-            }
-        }
-        if !keep {
-            break;
-        }
-    }
-}
-
 /// Runs one serve replica until dropped.
 pub async fn serve_query(listener: TcpListener, tier: QueryTier) {
-    pingmesh_httpx::serve_connections(listener, |stream| handle_conn(tier.clone(), stream)).await
+    pingmesh_httpx::serve(listener, move |req| tier.respond(req)).await
 }
 
 /// Client-side: one GET over an existing keep-alive [`Conn`], with an

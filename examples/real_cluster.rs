@@ -8,9 +8,8 @@
 //! ```
 
 use pingmesh::dsa::agg::WindowAggregate;
-use pingmesh::dsa::sla::SlaComputer;
 use pingmesh::realmode::LocalCluster;
-use pingmesh::topology::{ServiceMap, TopologySpec};
+use pingmesh::topology::TopologySpec;
 use pingmesh::types::{ServerId, SimTime};
 
 #[tokio::main(flavor = "multi_thread", worker_threads = 2)]
@@ -56,11 +55,10 @@ async fn main() {
         .collect();
     drop(store);
     let agg = WindowAggregate::build(records.iter());
-    let rep = SlaComputer.compute(records.iter(), &topo, &ServiceMap::new());
 
     println!("\nper-scope SLAs from real localhost RTTs:");
     for dc in topo.dcs() {
-        let sla = &rep.per_dc[&dc];
+        let sla = &agg.per_dc[&dc];
         println!(
             "  {:<10} n={:<6} p50={} p99={} drop_rate={:.1e}",
             topo.dc(dc).name,
@@ -70,7 +68,7 @@ async fn main() {
             sla.drop_rate()
         );
     }
-    let s0 = &rep.per_server[&ServerId(0)];
+    let s0 = &agg.per_server[&ServerId(0)];
     println!(
         "  srv0       n={:<6} p50={} p99={}",
         s0.stats.successful(),

@@ -2,7 +2,8 @@
 # CI gate; exits non-zero at the first failing step. `ci.sh` builds,
 # runs `cargo test` over the whole workspace (which includes the obs,
 # crash, chaos and mitigation drills and the allocation gates), checks fmt
-# and clippy, and checks that `unsafe` / FFI stays in its allowed files.
+# and clippy, and checks that `unsafe` / FFI stays in its allowed files
+# and that every HTTP server loop is `httpx::serve`.
 # `ci.sh --smoke [gate…]` then runs the gates `cargo test` does not cover —
 # all, or those named. Each checks outputs; none is a timing gate.
 #   bench  ingest_durable, query_dashboard and query_churn for 2 s each (output checks only: no acknowledged record lost, cached bytes ≡ rebuilt bytes, no stale fresh read)
@@ -50,6 +51,13 @@ if grep -rnE 'unsafe \{|unsafe fn|unsafe impl|extern "C"' --include='*.rs' \
 fi
 if grep -rnE 'READ_RETRY|ACCEPT_RETRY' --include='*.rs' crates shims src tests; then
   echo "the shim's sockets are woken by the reactor; no retry period" >&2
+  exit 1
+fi
+
+if grep -rnE '\.read_request\b|queue_response|fn handle_conn' --include='*.rs' \
+    crates src tests examples \
+    | grep -vE '^(crates/httpx/|crates/realmode/src/chaos\.rs:)'; then
+  echo "servers go through httpx::serve" >&2
   exit 1
 fi
 

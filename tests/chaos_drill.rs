@@ -51,30 +51,24 @@ fn counter(name: &str) -> u64 {
     pingmesh::obs::registry().counter(name).get()
 }
 
-async fn scrape_metrics(addr: std::net::SocketAddr) -> String {
-    let mut stream = tokio::net::TcpStream::connect(addr).await.expect("connect");
-    pingmesh::httpx::write_request(&mut stream, &pingmesh::httpx::Request::get("/metrics"))
+/// One GET over the wire, expecting a 200.
+async fn scrape(addr: std::net::SocketAddr, path: &str) -> Vec<u8> {
+    let req = pingmesh::httpx::Request::get(path);
+    let resp = pingmesh::httpx::call(addr, &req, pingmesh::httpx::DEFAULT_IO_TIMEOUT)
         .await
-        .expect("write");
-    let resp = pingmesh::httpx::read_response(&mut stream)
-        .await
-        .expect("read");
+        .expect("scrape");
     assert_eq!(resp.status, 200);
-    String::from_utf8(resp.body).expect("utf8 metrics")
+    resp.body
+}
+
+async fn scrape_metrics(addr: std::net::SocketAddr) -> String {
+    String::from_utf8(scrape(addr, "/metrics").await).expect("utf8 metrics")
 }
 
 /// Scrapes `/healthz` over the wire (only usable while the collector's
 /// proxy passes traffic; fault phases read the collector handle instead).
 async fn scrape_healthz(addr: std::net::SocketAddr) -> HealthReport {
-    let mut stream = tokio::net::TcpStream::connect(addr).await.expect("connect");
-    pingmesh::httpx::write_request(&mut stream, &pingmesh::httpx::Request::get("/healthz"))
-        .await
-        .expect("write");
-    let resp = pingmesh::httpx::read_response(&mut stream)
-        .await
-        .expect("read");
-    assert_eq!(resp.status, 200);
-    serde_json::from_slice(&resp.body).expect("healthz json")
+    serde_json::from_slice(&scrape(addr, "/healthz").await).expect("healthz json")
 }
 
 fn slo<'a>(report: &'a HealthReport, kind: &str) -> &'a pingmesh::realmode::SloJson {

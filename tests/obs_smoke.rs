@@ -171,13 +171,10 @@ fn parse_totals(text: &str) -> BTreeMap<String, f64> {
 }
 
 async fn get(addr: std::net::SocketAddr, path: &str) -> pingmesh::httpx::Response {
-    let mut stream = tokio::net::TcpStream::connect(addr).await.expect("connect");
-    pingmesh::httpx::write_request(&mut stream, &pingmesh::httpx::Request::get(path))
+    let req = pingmesh::httpx::Request::get(path);
+    pingmesh::httpx::call(addr, &req, pingmesh::httpx::DEFAULT_IO_TIMEOUT)
         .await
-        .expect("write");
-    pingmesh::httpx::read_response(&mut stream)
-        .await
-        .expect("read")
+        .expect("scrape")
 }
 
 /// `/metrics` parses, every `_total` counter is monotone across two
