@@ -43,7 +43,9 @@ fn main() {
             intra_dc_interval: SimDuration::from_secs(120),
             ..GeneratorConfig::default()
         },
-        auto_repair: false, // leave faults in place: measure pure detection
+        // Leave faults in place and every switch in ECMP: pure detection.
+        auto_repair: false,
+        auto_mitigate: false,
         ..OrchestratorConfig::default()
     };
     let mut o = Orchestrator::new(
@@ -125,6 +127,10 @@ fn main() {
             recall * 100.0
         ),
         recall >= 0.9,
+    );
+    check(
+        "no mitigation transition and no excluded podset (faults stayed in place)",
+        o.mitigation().transitions().is_empty() && o.excluded_podsets().is_empty(),
     );
     println!(
         "  note: thresholds trade recall for precision; 0.8 reaches 100% precision at\n\

@@ -32,8 +32,10 @@ fn scenario() -> Orchestrator {
             intra_dc_interval: SimDuration::from_secs(15),
             ..GeneratorConfig::default()
         },
-        // Observe the raw patterns without the repair loop cleaning up.
+        // Observe the raw patterns with nothing cleaning up: no reloads,
+        // and no drain engine cutting a dark podset out of the pinglists.
         auto_repair: false,
+        auto_mitigate: false,
         ..OrchestratorConfig::default()
     };
     Orchestrator::new(
@@ -44,7 +46,9 @@ fn scenario() -> Orchestrator {
     )
 }
 
-fn run_and_classify(mut o: Orchestrator, label: &str) -> (LatencyPattern, String, String) {
+/// Runs one scenario; the last element says whether the run ended with no
+/// mitigation transition logged and no podset excluded.
+fn run_and_classify(mut o: Orchestrator, label: &str) -> (LatencyPattern, String, String, bool) {
     let until = SimTime::ZERO + SimDuration::from_mins(50);
     let agg = run_and_aggregate(&mut o, until, SimDuration::from_mins(10));
     let matrix = HeatmapMatrix::from_aggregate(&agg, o.net().topology(), DcId(0));
@@ -55,7 +59,8 @@ fn run_and_classify(mut o: Orchestrator, label: &str) -> (LatencyPattern, String
     print!("{ansi}");
     println!("  classifier: {}", describe_pattern(pattern));
     println!();
-    (pattern, ascii, label.to_string())
+    let untouched = o.mitigation().transitions().is_empty() && o.excluded_podsets().is_empty();
+    (pattern, ascii, label.to_string(), untouched)
 }
 
 fn main() {
@@ -122,7 +127,7 @@ fn main() {
     }
 
     println!("--- ASCII renders (G=green Y=yellow R=red .=no data) ---");
-    for ((_, ascii, label), _) in &results {
+    for ((_, ascii, label, _), _) in &results {
         println!("{label}:");
         for line in ascii.lines().skip(1) {
             println!("    {line}");
@@ -131,7 +136,7 @@ fn main() {
 
     println!("\n--- shape checks ---");
     let mut ok = true;
-    for ((pattern, _, label), expected) in &results {
+    for ((pattern, _, label, _), expected) in &results {
         let good = pattern == expected;
         println!(
             "  [{}] {label}: classified {:?} (expected {:?})",
@@ -141,6 +146,12 @@ fn main() {
         );
         ok &= good;
     }
+    let untouched = results.iter().all(|((.., untouched), _)| *untouched);
+    println!(
+        "  [{}] no mitigation transition and no excluded podset in any scenario",
+        if untouched { "ok" } else { "FAIL" }
+    );
+    ok &= untouched;
     // The WindowAggregate import is exercised via run_and_aggregate.
     let _ = WindowAggregate::default();
     finish_telemetry("fig8");

@@ -242,7 +242,9 @@ mod tests {
         let expect = o
             .pipeline()
             .store
-            .scan_all_window(SimTime::ZERO, until)
+            .scan_all_window_chunks(SimTime::ZERO, until)
+            .into_iter()
+            .flatten()
             .count() as u64;
         assert_eq!(agg.record_count, expect);
     }

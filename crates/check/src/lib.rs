@@ -11,7 +11,7 @@
 //! 2. CRDT laws + shard-partition independence of window aggregates,
 //! 3. quantile monotonicity and histogram-vs-exact agreement,
 //! 4. SLA row consistency and scope-family count sums,
-//! 5. zero-copy scan equivalence,
+//! 5. windowed-scan equivalence against the oracles' own record filter,
 //! 6. shard determinism (the scenario re-run on a sharded engine yields
 //!    a bit-identical store, SLA rows and outputs — [`digest`]).
 //!
@@ -39,29 +39,3 @@ pub use oracle::Violation;
 pub use run::{build_orchestrator, build_orchestrator_sharded, run_scenario, RunReport};
 pub use scenario::ScenarioSpec;
 pub use shrink::{regression_snippet, shrink};
-
-/// Outcome of a seed campaign: every report, plus the shrunk spec of the
-/// first failure (if any).
-#[derive(Debug)]
-pub struct Campaign {
-    /// One report per seed, in seed order.
-    pub reports: Vec<RunReport>,
-    /// Minimal failing spec for the first failing seed.
-    pub shrunk: Option<ScenarioSpec>,
-}
-
-/// Runs `seeds` scenarios starting at seed 0. Stops shrinking after the
-/// first failure (later failures stay in the reports, unshrunk).
-pub fn run_campaign(seeds: u64, smoke: bool) -> Campaign {
-    let mut reports = Vec::with_capacity(seeds as usize);
-    let mut shrunk = None;
-    for seed in 0..seeds {
-        let spec = ScenarioSpec::generate(seed, smoke);
-        let report = run_scenario(&spec);
-        if !report.violations.is_empty() && shrunk.is_none() {
-            shrunk = Some(shrink::shrink(&spec));
-        }
-        reports.push(report);
-    }
-    Campaign { reports, shrunk }
-}

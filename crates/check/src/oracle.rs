@@ -21,11 +21,11 @@
 //! 4. **SLA row consistency** — drop rates are finite and in `[0, 1]`,
 //!    p50 ≤ p99, and every per-scope family's outcome counts sum to the
 //!    aggregate's record count.
-//! 5. **Zero-copy scan equivalence** — chunked scans concatenate to
-//!    exactly the record-copy scan, without bumping the copy counter.
+//! 5. **Scan equivalence** — windowed chunked scans concatenate to
+//!    exactly the oracle's own record-by-record filter ([`records_in`]).
 //! 6. **Data-quality SLOs** — the quality job's coverage and
 //!    completeness ratios equal ground truth derived independently: the
-//!    copying scan for observed pod pairs, and the probe-conservation
+//!    oracle's filter for observed pod pairs, and the probe-conservation
 //!    ledger (`stored + discarded`) for the completeness denominator.
 //! 7. **Crash recovery** — the run's records re-ingested into a durable
 //!    store, checkpointed at a seed-derived point and crashed with a
@@ -64,6 +64,21 @@ fn violation(oracle: &str, detail: String) -> Violation {
         oracle: oracle.to_string(),
         detail,
     }
+}
+
+/// The oracles' own raw read: every stored record with `ts` in
+/// `[from, to)`, in stream-then-append order, by brute force. It asks the
+/// store for its *whole* history — which only ever takes the scan's
+/// whole-extent branch — and filters record by record, so it shares no
+/// logic with the extent skip, the sorted trim or the unsorted-run split
+/// that a windowed scan exercises.
+fn records_in(store: &CosmosStore, from: SimTime, to: SimTime) -> Vec<ProbeRecord> {
+    let all = store.scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX));
+    let in_window = all
+        .into_iter()
+        .flatten()
+        .filter(|r| r.ts >= from && r.ts < to);
+    in_window.copied().collect()
 }
 
 /// Smallest 10-min-aligned time strictly after every stored record.
@@ -125,7 +140,7 @@ pub fn check_window_partials(orch: &Orchestrator) -> Vec<Violation> {
     let end = aligned_end(orch);
     let store = &orch.pipeline().store;
     let merged = store.merged_window_aggregate(SimTime::ZERO, end);
-    let records = store.collect_window_records(SimTime::ZERO, end);
+    let records = records_in(store, SimTime::ZERO, end);
     let rebuilt = WindowAggregate::build_with(&records, Some(orch.pipeline().services()));
     if rebuilt != merged {
         out.push(violation(
@@ -148,7 +163,7 @@ pub fn check_crdt_reingest(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Viol
     let end = aligned_end(orch);
     let store = &orch.pipeline().store;
     let services = orch.pipeline().services();
-    let mut records = store.collect_window_records(SimTime::ZERO, end);
+    let mut records = records_in(store, SimTime::ZERO, end);
     if records.is_empty() {
         return out;
     }
@@ -282,7 +297,7 @@ pub fn check_quantiles(orch: &Orchestrator) -> Vec<Violation> {
     }
 
     // Exact cross-check: per-DC raw successful RTTs vs the folded hist.
-    let records = store.collect_window_records(SimTime::ZERO, end);
+    let records = records_in(store, SimTime::ZERO, end);
     for (&dc, scope) in &agg.per_dc {
         let mut raw: Vec<u64> = records
             .iter()
@@ -377,9 +392,9 @@ pub fn check_sla_rows(orch: &Orchestrator) -> Vec<Violation> {
     out
 }
 
-/// Oracle 5: chunked zero-copy scans concatenate to exactly the
-/// record-by-record scan — on aligned and unaligned windows — and never
-/// touch the record-copy counter.
+/// Oracle 5: the windowed chunked scan concatenates to exactly the
+/// oracle's brute-force filter — same records, same (stream, append)
+/// order — on an aligned window and on one that straddles buckets.
 pub fn check_scan_equivalence(orch: &Orchestrator) -> Vec<Violation> {
     let mut out = Vec::new();
     let store = &orch.pipeline().store;
@@ -393,76 +408,34 @@ pub fn check_scan_equivalence(orch: &Orchestrator) -> Vec<Violation> {
             SimTime(end.0.saturating_sub(w / 3)),
         ),
     ];
-    let topo = orch.net().topology().clone();
-    let copies_before = store.record_copy_count();
     for (from, to) in windows {
-        let mut per_stream = 0usize;
-        for dc in topo.dcs() {
-            let s = StreamName { dc };
-            let flat: Vec<&ProbeRecord> = store
-                .scan_window_chunks(s, from, to)
-                .into_iter()
-                .flatten()
-                .collect();
-            let seq: Vec<&ProbeRecord> = store.scan_window(s, from, to).collect();
-            if flat != seq {
-                out.push(violation(
-                    "scan",
-                    format!(
-                        "stream dc{}: chunked scan of [{}, {}) yields {} records, \
-                         record scan {}  (or differing order/content)",
-                        dc.0,
-                        from.0,
-                        to.0,
-                        flat.len(),
-                        seq.len()
-                    ),
-                ));
-            }
-            per_stream += seq.len();
-        }
-        let all_chunked: usize = store
-            .scan_all_window_chunks(from, to)
-            .iter()
-            .map(|c| c.len())
-            .sum();
-        let all_seq = store.scan_all_window(from, to).count();
-        if all_chunked != all_seq || all_seq != per_stream {
+        let chunks = store.scan_all_window_chunks(from, to);
+        let chunked: Vec<ProbeRecord> = chunks.into_iter().flatten().copied().collect();
+        let reference = records_in(store, from, to);
+        if chunked != reference {
             out.push(violation(
                 "scan",
                 format!(
-                    "[{}, {}): all-stream chunked {} vs sequential {} vs per-stream {}",
-                    from.0, to.0, all_chunked, all_seq, per_stream
+                    "chunked scan of [{}, {}) yields {} records, the record-by-record \
+                     filter {} (or differing order/content)",
+                    from.0,
+                    to.0,
+                    chunked.len(),
+                    reference.len()
                 ),
             ));
         }
     }
-    if store.record_copy_count() != copies_before {
-        out.push(violation(
-            "scan",
-            "chunked scans bumped the record-copy counter".into(),
-        ));
-    }
-    // The copying path must agree with the zero-copy path in content.
-    let copied = store.collect_window_records(SimTime::ZERO, end);
-    let zero_copy: Vec<ProbeRecord> = store.scan_all_window(SimTime::ZERO, end).copied().collect();
-    if copied != zero_copy {
-        out.push(violation(
-            "scan",
-            "collect_window_records disagrees with scan_all_window".into(),
-        ));
-    }
     out
 }
 
-fn observed_pairs_by_copying_scan(
+fn observed_pairs_by_filter(
     store: &CosmosStore,
     expected: &pingmesh_dsa::ExpectedPairs,
     from: SimTime,
     to: SimTime,
 ) -> BTreeSet<(PodId, PodId)> {
-    store
-        .collect_window_records(from, to)
+    records_in(store, from, to)
         .iter()
         .filter(|r| expected.contains(r.src_pod, r.dst_pod))
         .map(|r| (r.src_pod, r.dst_pod))
@@ -474,8 +447,8 @@ fn observed_pairs_by_copying_scan(
 /// Two layers:
 ///
 /// * the report the last DSA tick left behind is internally consistent —
-///   its coverage numerator matches a *copying*-scan recount over the
-///   report's own window (the job itself uses the zero-copy path), its
+///   its coverage numerator matches a [`records_in`] recount over the
+///   report's own window (the job itself uses the windowed scan), its
 ///   denominators match the installed expectations, and every status is
 ///   the pure re-evaluation of its own value and target;
 /// * a fresh evaluation over the quiesced store agrees with the probe
@@ -525,7 +498,7 @@ pub fn check_quality(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Violation>
         // of the tick, and in-window records legitimately keep arriving
         // afterwards (agents buffer up to a full window). The recount
         // cross-check runs on the fresh quiescence-time evaluation below.
-        let recount = observed_pairs_by_copying_scan(store, expected, q.window_start, q.window_end);
+        let recount = observed_pairs_by_filter(store, expected, q.window_start, q.window_end);
         if q.coverage.num > recount.len() as u64 {
             out.push(violation(
                 "quality",
@@ -597,8 +570,7 @@ pub fn check_quality(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Violation>
             ),
         ));
     }
-    let recount =
-        observed_pairs_by_copying_scan(store, expected, report.window_start, report.window_end);
+    let recount = observed_pairs_by_filter(store, expected, report.window_start, report.window_end);
     if report.coverage.num != recount.len() as u64 || report.coverage.den != expected.len() as u64 {
         out.push(violation(
             "quality",
@@ -650,7 +622,7 @@ pub fn check_serve_coherence(orch: &Orchestrator) -> Vec<Violation> {
     let end = aligned_end(orch);
     let store = &orch.pipeline().store;
     let services = orch.pipeline().services();
-    let records = store.collect_window_records(SimTime::ZERO, end);
+    let records = records_in(store, SimTime::ZERO, end);
     if records.is_empty() {
         return out;
     }
@@ -787,12 +759,12 @@ pub fn check_serve_coherence(orch: &Orchestrator) -> Vec<Violation> {
 /// recovers from the files alone and demands the recovered store is
 /// observably identical to an in-memory re-ingest of the same batches:
 ///
-/// * record counts and per-stream scan contents match exactly (zero
-///   acknowledged-record loss, and the torn tail never surfaces);
+/// * record counts and stream-by-stream record sequences match exactly
+///   (zero acknowledged-record loss, and the torn tail never surfaces);
 /// * merged window aggregates are bit-equal (recovery refolds partials
 ///   from raw through the same order-independent CRDT fold);
-/// * chunked scans over the recovered store equal its sequential scans
-///   (segment-backed extents obey the same scan contract);
+/// * the windowed scan over the recovered store equals the oracle's
+///   filter (segment-backed extents obey the same scan contract);
 /// * every windowed API body built from the recovered store equals the
 ///   in-memory reference's bytes;
 /// * the recovered store still accepts appends (it came back writable).
@@ -803,7 +775,7 @@ pub fn check_crash_recovery(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Vio
     let end = aligned_end(orch);
     let store = &orch.pipeline().store;
     let services = orch.pipeline().services();
-    let records = store.collect_window_records(SimTime::ZERO, end);
+    let records = records_in(store, SimTime::ZERO, end);
     if records.is_empty() {
         return out;
     }
@@ -878,43 +850,27 @@ pub fn check_crash_recovery(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Vio
             "recovered merged aggregate is not bit-equal to the reference".into(),
         ));
     }
-    for &dc in &dcs {
-        let s = StreamName { dc };
-        let rec_seq: Vec<ProbeRecord> = recovered
-            .scan_window(s, SimTime::ZERO, end)
-            .copied()
-            .collect();
-        let ref_seq: Vec<ProbeRecord> = reference
-            .scan_window(s, SimTime::ZERO, end)
-            .copied()
-            .collect();
-        if rec_seq != ref_seq {
-            out.push(violation(
-                "crash",
-                format!(
-                    "stream dc{}: recovered scan yields {} records, reference {} \
-                     (or differing order/content)",
-                    dc.0,
-                    rec_seq.len(),
-                    ref_seq.len()
-                ),
-            ));
-        }
-        let rec_chunked: Vec<ProbeRecord> = recovered
-            .scan_window_chunks(s, SimTime::ZERO, end)
-            .into_iter()
-            .flatten()
-            .copied()
-            .collect();
-        if rec_chunked != rec_seq {
-            out.push(violation(
-                "crash",
-                format!(
-                    "stream dc{}: recovered chunked scan diverges from sequential",
-                    dc.0
-                ),
-            ));
-        }
+    // All-stream order is stream (`BTreeMap`) order, then append order,
+    // so one comparison covers every stream's sequence.
+    let rec_seq = records_in(&recovered, SimTime::ZERO, end);
+    let ref_seq = records_in(&reference, SimTime::ZERO, end);
+    if rec_seq != ref_seq {
+        out.push(violation(
+            "crash",
+            format!(
+                "recovered store holds {} records in sequence, reference {} \
+                 (or differing order/content)",
+                rec_seq.len(),
+                ref_seq.len()
+            ),
+        ));
+    }
+    let rec_chunks = recovered.scan_all_window_chunks(SimTime::ZERO, end);
+    if !rec_chunks.into_iter().flatten().eq(rec_seq.iter()) {
+        out.push(violation(
+            "crash",
+            "recovered chunked scan diverges from the record-by-record filter".into(),
+        ));
     }
 
     let w = PARTIAL_WINDOW.as_micros();

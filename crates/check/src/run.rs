@@ -207,15 +207,13 @@ pub fn build_orchestrator_sharded(spec: &ScenarioSpec, shards: usize) -> Orchest
         );
     }
     for o in &spec.store_outages {
-        orch.pipeline_mut()
-            .store
-            .add_down_window(minute(o.from_min), Some(minute(o.until_min)));
+        orch.add_store_outage(minute(o.from_min), minute(o.until_min));
     }
     for o in &spec.controller_outages {
         let i = o.replica as usize % 2;
         orch.cluster_mut()
             .replica_mut(i)
-            .add_down_window(minute(o.from_min), Some(minute(o.until_min)));
+            .add_outage(minute(o.from_min), Some(minute(o.until_min)));
     }
     orch
 }

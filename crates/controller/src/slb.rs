@@ -16,29 +16,20 @@
 //! fail-closed and stop probing.
 
 use crate::genalgo::PinglistSet;
-use pingmesh_types::{Pinglist, PingmeshError, ServerId, SimTime};
+use pingmesh_types::{DownWindows, Pinglist, PingmeshError, ServerId, SimTime};
 use std::sync::Arc;
 
 /// One controller replica.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimController {
     lists: Option<Arc<PinglistSet>>,
-    down_windows: Vec<(SimTime, Option<SimTime>)>,
-}
-
-impl Default for SimController {
-    fn default() -> Self {
-        Self::new()
-    }
+    outages: DownWindows,
 }
 
 impl SimController {
     /// A fresh replica with no pinglists yet.
     pub fn new() -> Self {
-        Self {
-            lists: None,
-            down_windows: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Installs a freshly generated pinglist set (the replica "ran the
@@ -53,8 +44,8 @@ impl SimController {
     }
 
     /// Declares an outage window for this replica.
-    pub fn add_down_window(&mut self, from: SimTime, until: Option<SimTime>) {
-        self.down_windows.push((from, until));
+    pub fn add_outage(&mut self, from: SimTime, until: Option<SimTime>) {
+        self.outages.add(from, until);
     }
 
     /// Whether this replica currently holds pinglist files.
@@ -64,10 +55,7 @@ impl SimController {
 
     /// Whether the replica is serving at `t`.
     pub fn is_up(&self, t: SimTime) -> bool {
-        !self
-            .down_windows
-            .iter()
-            .any(|&(from, until)| t >= from && until.is_none_or(|u| t < u))
+        self.outages.is_up(t)
     }
 
     /// Handles one pinglist request. `Err` = unreachable; `Ok(None)` = up
@@ -250,7 +238,7 @@ mod tests {
     fn replica_outage_is_an_error() {
         let mut c = SimController::new();
         c.set_pinglists(Arc::new(lists()));
-        c.add_down_window(SimTime(100), Some(SimTime(200)));
+        c.add_outage(SimTime(100), Some(SimTime(200)));
         assert!(c.fetch(ServerId(0), SimTime(150)).is_err());
         assert!(matches!(c.fetch(ServerId(0), SimTime(250)), Ok(Some(_))));
     }
@@ -266,7 +254,7 @@ mod tests {
     fn cluster_fails_over_to_healthy_replica() {
         let mut cluster = ControllerCluster::new(2);
         cluster.set_pinglists(lists());
-        cluster.replica_mut(0).add_down_window(SimTime(0), None);
+        cluster.replica_mut(0).add_outage(SimTime(0), None);
         for _ in 0..10 {
             // Regardless of the round-robin cursor, requests succeed.
             let got = cluster.fetch(ServerId(1), SimTime(50)).unwrap();
@@ -279,7 +267,7 @@ mod tests {
         let mut cluster = ControllerCluster::new(3);
         cluster.set_pinglists(lists());
         for i in 0..3 {
-            cluster.replica_mut(i).add_down_window(SimTime(0), None);
+            cluster.replica_mut(i).add_outage(SimTime(0), None);
         }
         assert!(cluster.fetch(ServerId(0), SimTime(1)).is_err());
         assert!(!cluster.any_up(SimTime(1)));

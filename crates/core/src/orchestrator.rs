@@ -27,7 +27,7 @@
 //! remaining cross-shard effect (uploads, counter deltas, probe counts)
 //! is either merged in a canonical sort order or commutative. Epoch
 //! boundaries line up with the global events (PA, jobs) plus a
-//! `barrier_interval` heartbeat, none of which depend on the shard
+//! [`BARRIER_INTERVAL`] heartbeat, none of which depend on the shard
 //! layout. `shards = 1` *is* the serial engine — same code path, no
 //! thread spawn.
 
@@ -48,11 +48,19 @@ use pingmesh_netsim::net::CounterDelta;
 use pingmesh_netsim::{tcp_traceroute, DcProfile, EventQueue, NetState, SimNet, TracerouteReport};
 use pingmesh_topology::{ServiceMap, Topology};
 use pingmesh_types::{
-    DcId, FiveTuple, PingTarget, PodsetId, ProbeKind, ProbeOutcome, ProbeRecord, QosClass,
-    ServerId, SimDuration, SimTime, SwitchId, SwitchTier,
+    DcId, DownWindows, FiveTuple, PingTarget, PodsetId, ProbeKind, ProbeOutcome, ProbeRecord,
+    QosClass, ServerId, SimDuration, SimTime, SwitchId, SwitchTier,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// PA counter collection interval (the paper's 5-minute fast path).
+const PA_INTERVAL: SimDuration = SimDuration::from_mins(5);
+
+/// Maximum sim-time an epoch may span between barriers. Barriers also
+/// land on every global event (PA sweep, job tick), so this only bounds
+/// how long shards run unsynchronized; it does not affect results.
+const BARRIER_INTERVAL: SimDuration = SimDuration::from_mins(1);
 
 /// Orchestrator configuration.
 #[derive(Debug, Clone)]
@@ -63,17 +71,15 @@ pub struct OrchestratorConfig {
     pub generator: GeneratorConfig,
     /// Controller replicas behind the VIP.
     pub controller_replicas: usize,
-    /// PA counter collection interval.
-    pub pa_interval: SimDuration,
     /// RNG seed for the whole run.
     pub seed: u64,
-    /// Whether detection findings drive automatic repair (reloads /
-    /// isolations). Disable to observe incidents without mitigation.
+    /// Whether black-hole reload candidates are handed to the repair
+    /// service (§5.1: ToR reloads under its daily budget). Nothing else.
     pub auto_repair: bool,
-    /// Whether detection findings drive the closed-loop mitigation
-    /// engine (drain → verify → un-drain). Independent of `auto_repair`
-    /// so experiments can keep the §5.1 reload loop while watching
-    /// incidents go unmitigated, or vice versa.
+    /// Whether findings drive the closed-loop mitigation engine (drain →
+    /// verify → un-drain): silent-drop and escalation suspects leave
+    /// ECMP, a dark podset leaves the pinglists. Set both flags off to
+    /// observe raw patterns with nothing cleaning up.
     pub auto_mitigate: bool,
     /// Mitigation engine tunables (drain budget, soak, cooldown).
     pub mitigation: MitigationConfig,
@@ -81,11 +87,6 @@ pub struct OrchestratorConfig {
     /// shards; `1` (the default) runs the serial engine inline. Output is
     /// bit-identical at any value.
     pub shards: usize,
-    /// Maximum sim-time an epoch may span between barriers. Barriers also
-    /// land on every global event (PA sweep, job tick), so this only
-    /// bounds how long shards run unsynchronized; it does not affect
-    /// results.
-    pub barrier_interval: SimDuration,
 }
 
 impl Default for OrchestratorConfig {
@@ -94,13 +95,11 @@ impl Default for OrchestratorConfig {
             agent: AgentConfig::default(),
             generator: GeneratorConfig::default(),
             controller_replicas: 2,
-            pa_interval: SimDuration::from_mins(5),
             seed: 0xC0FFEE,
             auto_repair: true,
             auto_mitigate: true,
             mitigation: MitigationConfig::default(),
             shards: 1,
-            barrier_interval: SimDuration::from_mins(1),
         }
     }
 }
@@ -149,7 +148,7 @@ struct EpochCtx<'a> {
     net: &'a NetState,
     seed: u64,
     cluster: &'a ControllerCluster,
-    store: &'a CosmosStore,
+    store_outages: &'a DownWindows,
     topo: &'a Topology,
     poll_interval: SimDuration,
     obs_enabled: bool,
@@ -260,15 +259,16 @@ impl Shard {
                 .record_outcome(idx, probe, attempt.dst, attempt.outcome, now);
         }
         self.fleet.recycle_due(due);
-        // Upload path: batch triggers + retry-then-discard. Store liveness
-        // is a pure function of `now`, so success is decided here (the
-        // retry loop can't change a verdict frozen in sim-time); the store
-        // mutation itself is deferred to the barrier.
+        // Upload path: batch triggers + retry-then-discard. Whether the
+        // store front end is reachable is a pure function of `now`, so
+        // success is decided here, once (the retry loop can't change a
+        // verdict frozen in sim-time); the store mutation itself is
+        // deferred to the barrier.
         if self.fleet.upload_due(idx, now) {
             let dc = ctx.topo.server(s).dc;
             if let Some(batch) = self.fleet.begin_upload(idx) {
                 pingmesh_obs::trace::on_upload_batch(&batch, Some(now));
-                if ctx.store.is_up(now) {
+                if ctx.store_outages.is_up(now) {
                     let bytes: u64 = batch.iter().map(|r| r.wire_size() as u64).sum();
                     self.fleet.note_uploaded(idx, bytes);
                     self.fleet.on_upload_result(idx, true);
@@ -300,6 +300,9 @@ pub struct Orchestrator {
     /// `server.index()` → (shard, fleet index within the shard).
     shard_of: Vec<(u32, u32)>,
     cluster: ControllerCluster,
+    /// When the store's upload front end is unreachable (the simulated
+    /// environment, like `cluster`'s replica outages — not store state).
+    store_outages: DownWindows,
     pipeline: Pipeline,
     pa: PerfCounterAggregator,
     jobman: JobManager,
@@ -365,7 +368,7 @@ impl Orchestrator {
         let mut pipeline = Pipeline::new(topo.clone(), services, CosmosStore::with_defaults());
         pipeline.set_expected_pairs(expected);
         let jobman = JobManager::new();
-        let next_pa = SimTime::ZERO + config.pa_interval;
+        let next_pa = SimTime::ZERO + PA_INTERVAL;
 
         let mitigation = MitigationEngine::new(config.mitigation);
         Self {
@@ -373,6 +376,7 @@ impl Orchestrator {
             shards,
             shard_of,
             cluster,
+            store_outages: DownWindows::default(),
             pipeline,
             pa: PerfCounterAggregator::new(),
             jobman,
@@ -406,6 +410,12 @@ impl Orchestrator {
     /// The controller cluster (schedule outages, clear pinglists).
     pub fn cluster_mut(&mut self) -> &mut ControllerCluster {
         &mut self.cluster
+    }
+
+    /// Makes the store refuse uploads over `[from, until)`: agents that
+    /// wake inside the window retry, then discard (§3.4).
+    pub fn add_store_outage(&mut self, from: SimTime, until: SimTime) {
+        self.store_outages.add(from, Some(until));
     }
 
     /// The DSA pipeline (results DB, store, detectors).
@@ -460,9 +470,9 @@ impl Orchestrator {
     }
 
     /// The §4.3 troubleshooting drill-down over a stored window, scoped
-    /// by `filter`. Reads the store through the zero-copy chunked scan —
-    /// borrowed extent slices, no record copies — so an on-call
-    /// investigation doesn't perturb the system it is diagnosing.
+    /// by `filter`. Reads borrowed extent slices — no record is copied —
+    /// so an on-call investigation doesn't perturb the system it is
+    /// diagnosing.
     pub fn investigate_window(
         &self,
         from: SimTime,
@@ -525,12 +535,12 @@ impl Orchestrator {
             let t_epoch = end
                 .min(self.next_pa)
                 .min(self.jobman.next_wakeup())
-                .min(self.now + self.config.barrier_interval);
+                .min(self.now + BARRIER_INTERVAL);
             let ctx = EpochCtx {
                 net: self.net.state(),
                 seed: self.net.run_seed(),
                 cluster: &self.cluster,
-                store: &self.pipeline.store,
+                store_outages: &self.store_outages,
                 topo: self.net.topology(),
                 poll_interval: self.config.agent.controller_poll_interval,
                 obs_enabled: pingmesh_obs::enabled(),
@@ -603,7 +613,7 @@ impl Orchestrator {
                 .pipeline
                 .store
                 .append(StreamName { dc: u.dc }, &u.batch, u.time);
-            debug_assert!(ok, "store liveness was decided at wake time");
+            debug_assert!(ok, "the simulator's store is in-memory: it never refuses");
             let (sh, _) = self.shard_of[u.server.index()];
             self.shards[sh as usize]
                 .fleet
@@ -627,7 +637,7 @@ impl Orchestrator {
     }
 
     fn handle_pa(&mut self, now: SimTime) {
-        self.next_pa = now + self.config.pa_interval;
+        self.next_pa = now + PA_INTERVAL;
         let topo = self.net.topology().clone();
         for dc in topo.dcs() {
             let snaps: Vec<_> = topo
@@ -921,10 +931,6 @@ impl Orchestrator {
                 let confidence = incident.confidence.max(localization);
                 self.report_switch(sw, FindingKind::SilentDrop, confidence, now);
             }
-        } else if self.config.auto_repair {
-            if let Some(&(sw, _rate)) = suspects.first() {
-                self.repair.isolate_for_rma(&mut self.net, sw, now);
-            }
         }
         self.outputs.traceroutes.push((now, merged));
     }
@@ -935,22 +941,21 @@ mod tests {
     use super::*;
     use pingmesh_topology::{DcSpec, TopologySpec};
 
-    fn small_orchestrator_sharded(shards: usize) -> Orchestrator {
+    fn small_orchestrator_with(config: OrchestratorConfig) -> Orchestrator {
         let topo = Arc::new(
             Topology::build(TopologySpec {
                 dcs: vec![DcSpec::tiny("t")],
             })
             .unwrap(),
         );
-        Orchestrator::new(
-            topo,
-            vec![DcProfile::ideal()],
-            ServiceMap::new(),
-            OrchestratorConfig {
-                shards,
-                ..OrchestratorConfig::default()
-            },
-        )
+        Orchestrator::new(topo, vec![DcProfile::ideal()], ServiceMap::new(), config)
+    }
+
+    fn small_orchestrator_sharded(shards: usize) -> Orchestrator {
+        small_orchestrator_with(OrchestratorConfig {
+            shards,
+            ..OrchestratorConfig::default()
+        })
     }
 
     fn small_orchestrator() -> Orchestrator {
@@ -979,15 +984,45 @@ mod tests {
     fn window_investigation_reads_store_without_copying() {
         let mut o = small_orchestrator();
         o.run_until(SimTime::ZERO + SimDuration::from_mins(25));
-        let copies0 = o.pipeline().store.record_copy_count();
         let inv = o.investigate_window(SimTime::ZERO, o.now(), 8, |_| true);
         assert!(inv.probes > 0, "the window has uploaded probes");
         assert_eq!(inv.bad_probes, 0, "ideal profile has no drops");
-        assert_eq!(
-            o.pipeline().store.record_copy_count(),
-            copies0,
-            "the drill-down must use the zero-copy chunked scan"
-        );
+    }
+
+    #[test]
+    fn store_outage_lands_no_upload_inside_the_window_at_any_shard_count() {
+        let mins = |m| SimTime::ZERO + SimDuration::from_mins(m);
+        let run = |shards: usize| {
+            // Batches upload within a minute of their oldest record, so a
+            // record probed in [5, 43) min can only have been uploaded
+            // inside the [5, 45) min outage.
+            let mut config = OrchestratorConfig {
+                shards,
+                ..OrchestratorConfig::default()
+            };
+            config.agent.upload_max_age = SimDuration::from_mins(1);
+            let mut o = small_orchestrator_with(config);
+            o.add_store_outage(mins(5), mins(45));
+            o.run_until(mins(60));
+            let store = &o.pipeline().store;
+            let stored = |a, b| {
+                let chunks = store.scan_all_window_chunks(mins(a), mins(b));
+                chunks.iter().map(|c| c.len()).sum::<usize>()
+            };
+            assert_eq!(stored(5, 43), 0, "shards={shards}");
+            assert!(stored(0, 4) > 0 && stored(45, 60) > 0, "shards={shards}");
+            let servers: Vec<ServerId> = o.net().topology().servers().collect();
+            let discarded: u64 = servers.iter().map(|&s| o.agent(s).discarded_total()).sum();
+            assert!(discarded > 0, "the outage must cost records");
+            (
+                o.outputs().probes_run,
+                store.record_count(),
+                store.logical_bytes(),
+                o.pipeline().db.len(),
+                discarded,
+            )
+        };
+        assert_eq!(run(1), run(4), "sharding must not move the outage");
     }
 
     #[test]
@@ -1020,9 +1055,7 @@ mod tests {
         let from = SimTime::ZERO + SimDuration::from_mins(5);
         let until = SimTime::ZERO + SimDuration::from_mins(60);
         for i in 0..2 {
-            o.cluster_mut()
-                .replica_mut(i)
-                .add_down_window(from, Some(until));
+            o.cluster_mut().replica_mut(i).add_outage(from, Some(until));
         }
         // After 3 failed polls (10-min interval), agents stop probing.
         o.run_until(SimTime::ZERO + SimDuration::from_mins(45));

@@ -363,7 +363,7 @@ mod tests {
         o.run_until(SimTime::ZERO + SimDuration::from_mins(15));
         let now = o.now();
         for i in 0..2 {
-            o.cluster_mut().replica_mut(i).add_down_window(now, None);
+            o.cluster_mut().replica_mut(i).add_outage(now, None);
         }
         o.run_until(SimTime::ZERO + SimDuration::from_mins(20));
         let findings = Watchdog::default().check(&o);
@@ -373,10 +373,7 @@ mod tests {
     #[test]
     fn store_outage_discards_are_reported() {
         let mut o = orch();
-        o.pipeline_mut().store.add_down_window(
-            SimTime::ZERO,
-            Some(SimTime::ZERO + SimDuration::from_mins(40)),
-        );
+        o.add_store_outage(SimTime::ZERO, SimTime::ZERO + SimDuration::from_mins(40));
         o.run_until(SimTime::ZERO + SimDuration::from_mins(50));
         let findings = Watchdog::default().check(&o);
         assert!(findings

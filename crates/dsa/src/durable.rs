@@ -188,8 +188,9 @@ fn corrupt(msg: String) -> io::Error {
 /// Appends one fully-framed `WalOp::Append` entry to `out`: frame
 /// header, then the payload encoded straight from the caller's slice
 /// (no `WalOp` clone, no intermediate payload buffer), then the length
-/// and checksum patched into the header. Shared by the live append path
-/// and the checkpoint tail-WAL writer so both emit identical frames.
+/// and checksum patched into the header. The only writer of the append
+/// layout: the live append path, the checkpoint tail-WAL writer and the
+/// torn-write hook all emit (a prefix of) this frame.
 fn encode_append_frame_into(
     out: &mut Vec<u8>,
     dc: DcId,
@@ -244,38 +245,14 @@ pub enum WalOp {
 }
 
 impl WalOp {
-    fn encode(&self) -> Vec<u8> {
-        match self {
-            WalOp::Append {
-                dc,
-                t,
-                epoch_after,
-                records,
-            } => {
-                let mut out = Vec::with_capacity(25 + records.len() * RECORD_WIRE);
-                out.push(1u8);
-                out.extend_from_slice(&dc.0.to_le_bytes());
-                out.extend_from_slice(&t.as_micros().to_le_bytes());
-                out.extend_from_slice(&epoch_after.to_le_bytes());
-                out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-                let mut buf = [0u8; RECORD_WIRE];
-                for r in records {
-                    encode_record(r, &mut buf);
-                    out.extend_from_slice(&buf);
-                }
-                out
-            }
-            WalOp::Retire {
-                horizon,
-                epoch_after,
-            } => {
-                let mut out = Vec::with_capacity(17);
-                out.push(2u8);
-                out.extend_from_slice(&horizon.as_micros().to_le_bytes());
-                out.extend_from_slice(&epoch_after.to_le_bytes());
-                out
-            }
-        }
+    /// Payload of a `Retire` entry. (An `Append` entry has one writer,
+    /// [`encode_append_frame_into`], which frames it in place.)
+    fn encode_retire(horizon: SimTime, epoch_after: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(17);
+        out.push(2u8);
+        out.extend_from_slice(&horizon.as_micros().to_le_bytes());
+        out.extend_from_slice(&epoch_after.to_le_bytes());
+        out
     }
 
     fn decode(payload: &[u8]) -> io::Result<WalOp> {
@@ -933,11 +910,7 @@ impl DurableLog {
     /// safe to ignore for the in-memory retire itself (retires only drop
     /// data; replaying without one can never lose acknowledged records).
     pub fn log_retire(&mut self, horizon: SimTime, epoch_after: u64) -> bool {
-        let op = WalOp::Retire {
-            horizon,
-            epoch_after,
-        };
-        let payload = op.encode();
+        let payload = WalOp::encode_retire(horizon, epoch_after);
         let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&fnv64(&payload).to_le_bytes());
@@ -1158,23 +1131,16 @@ impl DurableLog {
         Ok(())
     }
 
-    /// Chaos hook: appends a deliberately torn frame (header + partial
-    /// payload) to the WAL, modelling a crash mid-write. The frame is
-    /// *not* acknowledged; recovery must truncate it and lose nothing
-    /// that was acked.
+    /// Chaos hook: appends a deliberately torn frame (the real frame's
+    /// header + the first half of its payload) to the WAL, modelling a
+    /// crash mid-write. The frame is *not* acknowledged; recovery must
+    /// truncate it and lose nothing that was acked.
     pub fn write_torn_entry(&mut self, dc: DcId, records: &[ProbeRecord]) -> io::Result<()> {
-        let payload = WalOp::Append {
-            dc,
-            t: SimTime(0),
-            epoch_after: u64::MAX, // never recovered, value irrelevant
-            records: records.to_vec(),
-        }
-        .encode();
-        let cut = payload.len() / 2;
-        self.wal.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.wal.write_all(&fnv64(&payload).to_le_bytes())?;
-        self.wal.write_all(&payload[..cut])?;
-        Ok(())
+        let mut frame = Vec::new();
+        // Never recovered, so the time and epoch values are irrelevant.
+        encode_append_frame_into(&mut frame, dc, SimTime(0), u64::MAX, records);
+        let cut = FRAME_HEADER + (frame.len() - FRAME_HEADER) / 2;
+        self.wal.write_all(&frame[..cut])
     }
 }
 
@@ -1240,11 +1206,6 @@ impl DirGuard {
     /// Guards `path`, removing it recursively when dropped.
     pub fn new(path: PathBuf) -> Self {
         DirGuard(path)
-    }
-
-    /// The guarded path.
-    pub fn path(&self) -> &Path {
-        &self.0
     }
 }
 
@@ -1320,7 +1281,23 @@ mod tests {
             },
         ];
         for op in &ops {
-            assert_eq!(&WalOp::decode(&op.encode()).unwrap(), op);
+            let payload = match op {
+                WalOp::Append {
+                    dc,
+                    t,
+                    epoch_after,
+                    records,
+                } => {
+                    let mut frame = Vec::new();
+                    encode_append_frame_into(&mut frame, *dc, *t, *epoch_after, records);
+                    frame.split_off(FRAME_HEADER)
+                }
+                WalOp::Retire {
+                    horizon,
+                    epoch_after,
+                } => WalOp::encode_retire(*horizon, *epoch_after),
+            };
+            assert_eq!(&WalOp::decode(&payload).unwrap(), op);
         }
     }
 

@@ -4,20 +4,23 @@
 //! 'extents' and an extent is stored in multiple servers to provide high
 //! reliability" (§2.3). We reproduce the structure that matters to the
 //! pipeline: named streams of append-only extents, bounded extent size,
-//! replication accounting, and windowed scans. Availability windows can
-//! be injected to exercise the agents' upload-retry-then-discard path.
+//! and one windowed scan. The store knows nothing about *when* it is
+//! reachable — outages belong to whoever drives it (the simulator's
+//! timeline, the collector's accept switch) — and `append` refuses a
+//! batch only when its own WAL has failed closed.
 //!
 //! Since the streaming-DSA refactor the store also performs **ingest-time
 //! aggregation**: every appended batch is folded into per-(stream,
 //! 10-minute-window) partial [`WindowAggregate`]s, so each probe record
 //! is aggregated exactly once, at upload time. The 10-minute job reads a
 //! finished partial via [`CosmosStore::merged_window_aggregate`]; hourly
-//! and daily rollups merge the enclosed partials in O(scopes). Raw-record
-//! consumers (watchdog, investigations, the golden rebuild path) use the
-//! zero-copy chunked scans, which yield borrowed extent sub-slices.
+//! and daily rollups merge the enclosed partials in O(scopes). Raw records
+//! have one read path, [`CosmosStore::scan_all_window_chunks`], which
+//! yields borrowed extent sub-slices (investigations, the coverage job,
+//! the state digest and every test's rebuild-from-raw reference use it).
 
 use crate::agg::WindowAggregate;
-use crate::durable::{CheckpointPlan, DurabilityStats, DurableLog, WalOp};
+use crate::durable::{CheckpointPlan, DurabilityStats, DurableLog, SegmentMeta, WalOp};
 use pingmesh_topology::ServiceMap;
 use pingmesh_types::{DcId, ProbeRecord, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -26,8 +29,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// WAL growth past the last checkpoint at which
-/// [`CosmosStore::maybe_checkpoint`] triggers the next one (segments
+/// WAL growth past the last checkpoint at which the background compactor
+/// ([`CosmosStore::maybe_checkpoint_with`]) triggers the next one (segments
 /// written, WAL truncated to the live tail). Recovery replay is bounded
 /// by this plus the rewritten tail; at measured replay rates (>1M
 /// records/sec) that keeps recovery well under a second.
@@ -68,6 +71,14 @@ impl Extent {
     }
 }
 
+/// Partial-window readers take 10-min-aligned bounds (job windows are,
+/// by construction).
+fn debug_assert_aligned(from: SimTime, to: SimTime) {
+    let start = |t: SimTime| t.window_start(PARTIAL_WINDOW);
+    debug_assert_eq!(start(from), from, "window start must be 10-min aligned");
+    debug_assert_eq!(start(to), to, "window end must be 10-min aligned");
+}
+
 /// The store.
 #[derive(Debug)]
 pub struct CosmosStore {
@@ -96,14 +107,8 @@ pub struct CosmosStore {
     /// Service map used to fold per-service scopes at ingest. Installed
     /// by the pipeline; partials folded before installation are refolded.
     services: Option<Arc<ServiceMap>>,
-    down_windows: Vec<(SimTime, Option<SimTime>)>,
     total_records: u64,
     total_bytes: u64,
-    // Store-local mirrors of the registry counters, so tests can assert
-    // on this store's scans without racing other tests' registry traffic.
-    extents_scanned: AtomicU64,
-    extents_skipped: AtomicU64,
-    record_copies: AtomicU64,
     /// Persistence engine; `None` for a purely in-memory store.
     durable: Option<DurableLog>,
     /// Recovery generation: 0 on first boot, +1 per recovery. Folded into
@@ -113,6 +118,12 @@ pub struct CosmosStore {
 }
 
 impl CosmosStore {
+    /// Records per extent of [`CosmosStore::with_defaults`] and of the
+    /// collector's stores.
+    pub const DEFAULT_EXTENT_CAP: usize = 250_000;
+    /// Replication factor that goes with [`Self::DEFAULT_EXTENT_CAP`].
+    pub const DEFAULT_REPLICATION: u32 = 3;
+
     /// Creates a store with the given extent capacity (records per
     /// extent) and replication factor.
     pub fn new(extent_cap: usize, replication: u32) -> Self {
@@ -126,12 +137,8 @@ impl CosmosStore {
             service_generation: 0,
             epoch: Arc::new(AtomicU64::new(0)),
             services: None,
-            down_windows: Vec::new(),
             total_records: 0,
             total_bytes: 0,
-            extents_scanned: AtomicU64::new(0),
-            extents_skipped: AtomicU64::new(0),
-            record_copies: AtomicU64::new(0),
             durable: None,
             boot_id: 0,
         }
@@ -139,7 +146,7 @@ impl CosmosStore {
 
     /// A store with production-ish defaults.
     pub fn with_defaults() -> Self {
-        Self::new(250_000, 3)
+        Self::new(Self::DEFAULT_EXTENT_CAP, Self::DEFAULT_REPLICATION)
     }
 
     /// Records per extent before sealing (recovery reuses it).
@@ -258,30 +265,13 @@ impl CosmosStore {
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// Declares an outage window (uploads fail during it).
-    pub fn add_down_window(&mut self, from: SimTime, until: Option<SimTime>) {
-        self.down_windows.push((from, until));
-    }
-
-    /// Whether the store front-end accepts uploads at `t`.
-    pub fn is_up(&self, t: SimTime) -> bool {
-        !self
-            .down_windows
-            .iter()
-            .any(|&(from, until)| t >= from && until.is_none_or(|u| t < u))
-    }
-
-    /// Appends a batch to a stream. Returns `false` (and stores nothing)
-    /// if the store is down at `t` — the agent will retry and eventually
-    /// discard. Each accepted record is folded into its (stream,
-    /// 10-minute-window) partial aggregate as it lands.
+    /// Appends a batch to a stream; `t` is the store time of the upload
+    /// (WAL forensics and the ingest-delay span — it gates nothing). Each
+    /// record is folded into its (stream, 10-minute-window) partial
+    /// aggregate as it lands. Returns `false` (and stores nothing) for
+    /// one reason only: a durable store whose WAL has failed closed. An
+    /// in-memory store accepts every batch.
     pub fn append(&mut self, stream: StreamName, batch: &[ProbeRecord], t: SimTime) -> bool {
-        if !self.is_up(t) {
-            pingmesh_obs::registry()
-                .counter("pingmesh_dsa_store_rejected_batches_total")
-                .inc();
-            return false;
-        }
         // Durability first: the batch is acknowledged only once its WAL
         // frame is written. A failed-closed WAL refuses the append rather
         // than acknowledging data that would not survive a crash.
@@ -417,16 +407,7 @@ impl CosmosStore {
         from: SimTime,
         to: SimTime,
     ) -> impl Iterator<Item = &WindowAggregate> {
-        debug_assert_eq!(
-            from.window_start(PARTIAL_WINDOW),
-            from,
-            "window start must be 10-min aligned"
-        );
-        debug_assert_eq!(
-            to.window_start(PARTIAL_WINDOW),
-            to,
-            "window end must be 10-min aligned"
-        );
+        debug_assert_aligned(from, to);
         // An inverted range is empty, not a `BTreeMap::range` panic.
         let to = to.max(from);
         let merged = pingmesh_obs::registry().counter("pingmesh_dsa_partials_merged_total");
@@ -476,16 +457,7 @@ impl CosmosStore {
     /// in range), never touches records. Bounds must be aligned to
     /// [`PARTIAL_WINDOW`], like [`CosmosStore::merged_window_aggregate`].
     pub fn window_version(&self, from: SimTime, to: SimTime) -> u64 {
-        debug_assert_eq!(
-            from.window_start(PARTIAL_WINDOW),
-            from,
-            "window start must be 10-min aligned"
-        );
-        debug_assert_eq!(
-            to.window_start(PARTIAL_WINDOW),
-            to,
-            "window end must be 10-min aligned"
-        );
+        debug_assert_aligned(from, to);
         // FNV-1a over the little-endian encodings; BTreeMap range order
         // makes the byte stream — and therefore the hash — deterministic.
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -526,98 +498,41 @@ impl CosmosStore {
         self.newest_ts().map(|t| t.window_start(PARTIAL_WINDOW))
     }
 
-    /// Scans all records of a stream, in append order.
-    pub fn scan(&self, stream: StreamName) -> impl Iterator<Item = &ProbeRecord> {
-        self.streams
-            .get(&stream)
-            .into_iter()
-            .flat_map(|extents| extents.iter().flat_map(|e| e.records.iter()))
-    }
-
-    /// Scans records of a stream whose timestamps fall in `[from, to)`.
-    pub fn scan_window(
-        &self,
-        stream: StreamName,
-        from: SimTime,
-        to: SimTime,
-    ) -> impl Iterator<Item = &ProbeRecord> {
-        // Extents carry time bounds, so windowed scans skip whole extents
-        // outside the window — windows stay O(window), not O(history).
-        if let Some(extents) = self.streams.get(&stream) {
-            let scanned = extents.iter().filter(|e| e.overlaps(from, to)).count() as u64;
-            self.note_extent_scan(scanned, extents.len() as u64 - scanned);
-        }
-        self.streams
-            .get(&stream)
-            .into_iter()
-            .flat_map(move |extents| {
-                extents
-                    .iter()
-                    .filter(move |e| e.overlaps(from, to))
-                    .flat_map(|e| e.records.iter())
-            })
-            .filter(move |r| r.ts >= from && r.ts < to)
-    }
-
-    /// Scans every stream's records in `[from, to)`.
-    pub fn scan_all_window(
-        &self,
-        from: SimTime,
-        to: SimTime,
-    ) -> impl Iterator<Item = &ProbeRecord> {
-        let mut scanned = 0u64;
-        let mut total = 0u64;
-        for extents in self.streams.values() {
-            total += extents.len() as u64;
-            scanned += extents.iter().filter(|e| e.overlaps(from, to)).count() as u64;
-        }
-        self.note_extent_scan(scanned, total - scanned);
-        self.streams
-            .values()
-            .flat_map(move |extents| {
-                extents
-                    .iter()
-                    .filter(move |e| e.overlaps(from, to))
-                    .flat_map(|e| e.records.iter())
-            })
-            .filter(move |r| r.ts >= from && r.ts < to)
-    }
-
-    /// Zero-copy windowed scan of one stream: returns borrowed extent
-    /// sub-slices that together hold exactly the records in `[from, to)`,
-    /// in append order. Straddling extents are trimmed by binary search
-    /// when time-sorted, otherwise split into maximal in-window runs —
-    /// either way no record is copied.
-    pub fn scan_window_chunks(
-        &self,
-        stream: StreamName,
-        from: SimTime,
-        to: SimTime,
-    ) -> Vec<&[ProbeRecord]> {
-        let mut out = Vec::new();
-        if let Some(extents) = self.streams.get(&stream) {
-            self.chunks_of(extents, from, to, &mut out);
-        }
-        out
-    }
-
-    /// Zero-copy windowed scan across every stream (see
-    /// [`CosmosStore::scan_window_chunks`]).
+    /// The raw-record read path: borrowed extent sub-slices that together
+    /// hold exactly the records in `[from, to)`, stream by stream
+    /// (`BTreeMap` order) and in append order within a stream. Extents
+    /// carry time bounds, so whole extents outside the window are skipped
+    /// — windows stay O(window), not O(history) — and straddling extents
+    /// are trimmed by binary search when time-sorted, otherwise split
+    /// into maximal in-window runs. No record is copied.
     pub fn scan_all_window_chunks(&self, from: SimTime, to: SimTime) -> Vec<&[ProbeRecord]> {
         let mut out = Vec::new();
+        let (mut scanned, mut skipped) = (0, 0);
         for extents in self.streams.values() {
-            self.chunks_of(extents, from, to, &mut out);
+            let (s, k) = Self::chunks_of(extents, from, to, &mut out);
+            scanned += s;
+            skipped += k;
+        }
+        let reg = pingmesh_obs::registry();
+        if scanned > 0 {
+            reg.counter("pingmesh_dsa_extents_scanned_total")
+                .add(scanned);
+        }
+        if skipped > 0 {
+            reg.counter("pingmesh_dsa_extents_skipped_total")
+                .add(skipped);
         }
         out
     }
 
+    /// Pushes one stream's in-window chunks; returns how many extents it
+    /// (scanned, skipped on their time bounds alone).
     fn chunks_of<'a>(
-        &self,
         extents: &'a [Extent],
         from: SimTime,
         to: SimTime,
         out: &mut Vec<&'a [ProbeRecord]>,
-    ) {
+    ) -> (u64, u64) {
         let mut scanned = 0u64;
         let mut skipped = 0u64;
         for e in extents {
@@ -654,89 +569,30 @@ impl CosmosStore {
                 }
             }
         }
-        self.note_extent_scan(scanned, skipped);
-    }
-
-    fn note_extent_scan(&self, scanned: u64, skipped: u64) {
-        self.extents_scanned.fetch_add(scanned, Ordering::Relaxed);
-        self.extents_skipped.fetch_add(skipped, Ordering::Relaxed);
-        let reg = pingmesh_obs::registry();
-        if scanned > 0 {
-            reg.counter("pingmesh_dsa_extents_scanned_total")
-                .add(scanned);
-        }
-        if skipped > 0 {
-            reg.counter("pingmesh_dsa_extents_skipped_total")
-                .add(skipped);
-        }
-    }
-
-    /// (extents scanned, extents skipped) by this store's windowed scans
-    /// — the store-local view of `pingmesh_dsa_extents_{scanned,skipped}_total`.
-    pub fn extent_scan_stats(&self) -> (u64, u64) {
-        (
-            self.extents_scanned.load(Ordering::Relaxed),
-            self.extents_skipped.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Copies every record in `[from, to)` out of the store. This is the
-    /// slow golden-reference path (rebuild-from-raw); the hot tick path
-    /// must not use it. Each copied record bumps
-    /// `pingmesh_dsa_tick_record_copies_total` so benches and tests can
-    /// prove the hot path stays copy-free.
-    pub fn collect_window_records(&self, from: SimTime, to: SimTime) -> Vec<ProbeRecord> {
-        let records: Vec<ProbeRecord> = self.scan_all_window(from, to).copied().collect();
-        self.record_copies
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
-        if !records.is_empty() {
-            pingmesh_obs::registry()
-                .counter("pingmesh_dsa_tick_record_copies_total")
-                .add(records.len() as u64);
-        }
-        records
-    }
-
-    /// Records copied out by [`CosmosStore::collect_window_records`] —
-    /// the store-local view of `pingmesh_dsa_tick_record_copies_total`.
-    pub fn record_copy_count(&self) -> u64 {
-        self.record_copies.load(Ordering::Relaxed)
+        (scanned, skipped)
     }
 
     /// Timestamp of the newest stored record, from extent bounds (O(extents)).
     pub fn newest_ts(&self) -> Option<SimTime> {
-        self.streams
-            .values()
-            .flat_map(|extents| extents.iter())
-            .filter(|e| !e.records.is_empty())
-            .map(|e| e.max_ts)
-            .max()
+        self.stream_newest().map(|(_, ts)| ts).max()
     }
 
     /// Timestamp of the newest record per stream, from extent bounds
     /// (O(extents)) — the freshness SLO's per-stream input.
     pub fn newest_ts_per_stream(&self) -> Vec<(StreamName, SimTime)> {
-        self.streams
-            .iter()
-            .filter_map(|(stream, extents)| {
-                extents
-                    .iter()
-                    .filter(|e| !e.records.is_empty())
-                    .map(|e| e.max_ts)
-                    .max()
-                    .map(|ts| (*stream, ts))
-            })
-            .collect()
+        self.stream_newest().collect()
+    }
+
+    fn stream_newest(&self) -> impl Iterator<Item = (StreamName, SimTime)> + '_ {
+        self.streams.iter().filter_map(|(stream, extents)| {
+            let live = extents.iter().filter(|e| !e.records.is_empty());
+            live.map(|e| e.max_ts).max().map(|ts| (*stream, ts))
+        })
     }
 
     /// DCs that have a stream (sorted; the serving tier's warm axis).
     pub fn stream_dcs(&self) -> Vec<DcId> {
         self.streams.keys().map(|s| s.dc).collect()
-    }
-
-    /// Number of extents in a stream.
-    pub fn extent_count(&self, stream: StreamName) -> usize {
-        self.streams.get(&stream).map_or(0, |v| v.len())
     }
 
     /// Total records stored.
@@ -807,40 +663,14 @@ impl CosmosStore {
     /// garbage-collects the old WAL, tombstoned segments, and orphans.
     /// A no-op for in-memory stores.
     pub fn checkpoint(&mut self) -> io::Result<()> {
-        if self.durable.is_none() {
+        let Some(log) = self.durable.as_mut() else {
             return Ok(());
-        }
+        };
         let epoch_now = self.epoch.load(Ordering::Acquire);
-        let mut plan = CheckpointPlan::default();
-        for (stream, extents) in &self.streams {
-            for e in extents {
-                if !e.sealed {
-                    plan.tails.push((stream.dc.0, &e.records[..]));
-                } else if let Some(id) = e.seg {
-                    plan.keep.push(crate::durable::SegmentMeta {
-                        id,
-                        dc: stream.dc.0,
-                        count: e.records.len() as u32,
-                        sorted: e.sorted,
-                        min_ts: e.min_ts.as_micros(),
-                        max_ts: e.max_ts.as_micros(),
-                    });
-                } else {
-                    plan.fresh.push((
-                        stream.dc.0,
-                        e.sorted,
-                        e.min_ts.as_micros(),
-                        e.max_ts.as_micros(),
-                        &e.records[..],
-                    ));
-                }
-            }
-        }
-        let log = self.durable.as_mut().expect("checked above");
+        let plan = Self::checkpoint_plan(&self.streams);
         let assigned = log.commit_checkpoint(&plan, epoch_now)?;
-        drop(plan);
-        // Stamp the new segment ids back onto the extents, in the same
-        // traversal order the plan was built in.
+        // Stamp the new segment ids back onto the extents, in the order
+        // `checkpoint_plan` listed them as `fresh`.
         let mut ids = assigned.into_iter();
         for extents in self.streams.values_mut() {
             for e in extents.iter_mut() {
@@ -852,19 +682,12 @@ impl CosmosStore {
         Ok(())
     }
 
-    /// Checkpoints when the WAL has grown [`WAL_CHECKPOINT_BYTES`] past
-    /// the last checkpoint's rewritten tail (see
-    /// [`crate::durable::DurableLog::checkpoint_due`] for the doubling
-    /// policy), or when the WAL is failed-closed and a checkpoint would
-    /// heal it — the background-compaction entry point. Returns whether
-    /// a checkpoint ran.
-    pub fn maybe_checkpoint(&mut self) -> io::Result<bool> {
-        self.maybe_checkpoint_with(WAL_CHECKPOINT_BYTES)
-    }
-
-    /// [`CosmosStore::maybe_checkpoint`] with an explicit WAL-growth
-    /// threshold — the collector's background compactor passes its own
-    /// (tunable) threshold through here.
+    /// Checkpoints when the WAL has grown `threshold` bytes (production:
+    /// [`WAL_CHECKPOINT_BYTES`]) past the last checkpoint's rewritten
+    /// tail (see [`crate::durable::DurableLog::checkpoint_due`] for the
+    /// doubling policy), or when the WAL is failed-closed and a
+    /// checkpoint would heal it — the background-compaction entry point.
+    /// Returns whether a checkpoint ran.
     pub fn maybe_checkpoint_with(&mut self, threshold: u64) -> io::Result<bool> {
         let due = self
             .durable
@@ -894,12 +717,6 @@ impl CosmosStore {
     /// The durable directory, if this store persists.
     pub fn durable_dir(&self) -> Option<&Path> {
         self.durable.as_ref().map(|log| log.dir())
-    }
-
-    /// Whether the WAL has failed closed (appends refused; a successful
-    /// checkpoint heals it). Always `false` for in-memory stores.
-    pub fn io_failed(&self) -> bool {
-        self.durable.as_ref().is_some_and(|log| log.is_failed())
     }
 
     /// Point-in-time durability stats, `None` for in-memory stores.
@@ -935,16 +752,34 @@ impl CosmosStore {
     /// leaving both old and new files on disk. The old manifest still
     /// rules; recovery must come up consistent and GC the orphans.
     pub fn simulate_compaction_crash(&mut self) -> io::Result<()> {
-        if self.durable.is_none() {
+        let Some(log) = self.durable.as_mut() else {
             return Ok(());
-        }
+        };
         let epoch_now = self.epoch.load(Ordering::Acquire);
+        let plan = Self::checkpoint_plan(&self.streams);
+        log.prepare_checkpoint(&plan, epoch_now).map(|_| ())
+    }
+
+    /// The one traversal that decides what a checkpoint writes: unsealed
+    /// extents are re-logged as the new WAL's tail, sealed extents with a
+    /// segment are kept, sealed extents without one become fresh segments
+    /// — stream-major, extent order. The slices borrow the extents.
+    fn checkpoint_plan(streams: &BTreeMap<StreamName, Vec<Extent>>) -> CheckpointPlan<'_> {
         let mut plan = CheckpointPlan::default();
-        for (stream, extents) in &self.streams {
+        for (stream, extents) in streams {
             for e in extents {
                 if !e.sealed {
                     plan.tails.push((stream.dc.0, &e.records[..]));
-                } else if e.seg.is_none() {
+                } else if let Some(id) = e.seg {
+                    plan.keep.push(SegmentMeta {
+                        id,
+                        dc: stream.dc.0,
+                        count: e.records.len() as u32,
+                        sorted: e.sorted,
+                        min_ts: e.min_ts.as_micros(),
+                        max_ts: e.max_ts.as_micros(),
+                    });
+                } else {
                     plan.fresh.push((
                         stream.dc.0,
                         e.sorted,
@@ -955,9 +790,7 @@ impl CosmosStore {
                 }
             }
         }
-        let log = self.durable.as_mut().expect("checked above");
-        log.prepare_checkpoint(&plan, epoch_now)?;
-        Ok(())
+        plan
     }
 }
 
@@ -995,36 +828,64 @@ mod tests {
     /// 10 minutes in store-time microseconds.
     const W: u64 = 600_000_000;
 
+    /// The windowed scan under test, flattened.
+    fn chunked(store: &CosmosStore, from: SimTime, to: SimTime) -> Vec<ProbeRecord> {
+        let chunks = store.scan_all_window_chunks(from, to);
+        chunks.into_iter().flatten().copied().collect()
+    }
+
+    /// Every stored record (whole extents, no trimming).
+    fn all(store: &CosmosStore) -> Vec<ProbeRecord> {
+        chunked(store, SimTime(0), SimTime(u64::MAX))
+    }
+
+    /// The reference read: every record, filtered one by one.
+    fn filtered(store: &CosmosStore, from: SimTime, to: SimTime) -> Vec<ProbeRecord> {
+        let mut records = all(store);
+        records.retain(|r| r.ts >= from && r.ts < to);
+        records
+    }
+
+    /// Extents alive in the store: a whole-range scan yields each as one chunk.
+    fn extent_count(store: &CosmosStore) -> usize {
+        let chunks = store.scan_all_window_chunks(SimTime(0), SimTime(u64::MAX));
+        chunks.len()
+    }
+
+    fn ts_of(records: &[ProbeRecord]) -> Vec<u64> {
+        records.iter().map(|r| r.ts.as_micros()).collect()
+    }
+
     #[test]
     fn append_and_scan_preserve_order() {
         let mut store = CosmosStore::new(10, 3);
         let batch: Vec<ProbeRecord> = (0..25).map(rec).collect();
         assert!(store.append(S, &batch, SimTime(100)));
-        let ts: Vec<u64> = store.scan(S).map(|r| r.ts.as_micros()).collect();
+        let ts = ts_of(&all(&store));
         assert_eq!(ts, (0..25).collect::<Vec<_>>());
         // 25 records at 10/extent → 3 extents, earlier ones sealed.
-        assert_eq!(store.extent_count(S), 3);
+        assert_eq!(extent_count(&store), 3);
     }
 
     #[test]
     fn window_scan_filters_by_time() {
         let mut store = CosmosStore::with_defaults();
         store.append(S, &(0..100).map(rec).collect::<Vec<_>>(), SimTime(0));
-        let n = store.scan_window(S, SimTime(10), SimTime(20)).count();
+        let n = chunked(&store, SimTime(10), SimTime(20)).len();
         assert_eq!(n, 10);
-        let all = store.scan_all_window(SimTime(0), SimTime(1_000)).count();
+        let all = chunked(&store, SimTime(0), SimTime(1_000)).len();
         assert_eq!(all, 100);
     }
 
     #[test]
-    fn outage_rejects_appends() {
+    fn in_memory_append_accepts_a_batch_at_any_time() {
+        // Only a failed-closed WAL refuses a batch; the store has no
+        // notion of being "down at t" (outages are the simulator's).
         let mut store = CosmosStore::with_defaults();
-        store.add_down_window(SimTime(100), Some(SimTime(200)));
-        assert!(!store.append(S, &[rec(1)], SimTime(150)));
-        assert_eq!(store.record_count(), 0);
-        assert_eq!(store.partial_count(), 0);
-        assert!(store.append(S, &[rec(1)], SimTime(250)));
-        assert_eq!(store.record_count(), 1);
+        for (i, t) in [0, 150, u64::MAX, 7].into_iter().enumerate() {
+            assert!(store.append(S, &[rec(1)], SimTime(t)), "t = {t}");
+            assert_eq!(store.record_count(), i as u64 + 1);
+        }
         assert_eq!(store.partial_count(), 1);
     }
 
@@ -1041,21 +902,28 @@ mod tests {
     fn streams_are_independent() {
         let mut store = CosmosStore::with_defaults();
         let s1 = StreamName { dc: DcId(1) };
+        let in_dc1 = |ts| ProbeRecord {
+            src_dc: s1.dc,
+            ..rec(ts)
+        };
         store.append(S, &[rec(1)], SimTime(0));
-        store.append(s1, &[rec(2), rec(3)], SimTime(0));
-        assert_eq!(store.scan(S).count(), 1);
-        assert_eq!(store.scan(s1).count(), 2);
+        store.append(s1, &[in_dc1(2), in_dc1(3)], SimTime(0));
+        // Two streams, two extents, stream order: dc0's record first.
+        let chunks = store.scan_all_window_chunks(SimTime(0), SimTime(u64::MAX));
+        assert_eq!(chunks.len(), 2);
+        assert_eq!(chunks[0], [rec(1)]);
+        assert_eq!(chunks[1], [in_dc1(2), in_dc1(3)]);
     }
 
     #[test]
     fn retirement_drops_old_extents() {
         let mut store = CosmosStore::new(10, 1);
         store.append(S, &(0..30).map(rec).collect::<Vec<_>>(), SimTime(0));
-        assert_eq!(store.extent_count(S), 3);
+        assert_eq!(extent_count(&store), 3);
         // Horizon past the first two extents (records 0..20).
         store.retire_before(SimTime(20));
-        assert_eq!(store.extent_count(S), 1);
-        assert_eq!(store.scan(S).count(), 10);
+        assert_eq!(extent_count(&store), 1);
+        assert_eq!(all(&store).len(), 10);
     }
 
     #[test]
@@ -1089,22 +957,15 @@ mod tests {
         // 5 extents of 10 records, 1 s apart: extent k covers [10k, 10k+9] s.
         let batch: Vec<ProbeRecord> = (0..50).map(|i| rec(i * 1_000_000)).collect();
         store.append(S, &batch, SimTime(0));
-        assert_eq!(store.extent_count(S), 5);
-        let (s0, k0) = store.extent_scan_stats();
+        assert_eq!(extent_count(&store), 5);
         // Window [20 s, 30 s): only extent 2 overlaps.
-        let n = store
-            .scan_window(S, SimTime(20_000_000), SimTime(30_000_000))
-            .count();
-        assert_eq!(n, 10);
-        let (s1, k1) = store.extent_scan_stats();
-        assert_eq!(s1 - s0, 1, "exactly one extent scanned");
-        assert_eq!(k1 - k0, 4, "the four non-overlapping extents skipped");
-        // The chunked scan prunes identically.
-        let chunks = store.scan_all_window_chunks(SimTime(20_000_000), SimTime(30_000_000));
-        let (s2, k2) = store.extent_scan_stats();
+        let (from, to) = (SimTime(20_000_000), SimTime(30_000_000));
+        let mut chunks = Vec::new();
+        let (scanned, skipped) = CosmosStore::chunks_of(&store.streams[&S], from, to, &mut chunks);
         assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), 10);
-        assert_eq!(s2 - s1, 1);
-        assert_eq!(k2 - k1, 4);
+        assert_eq!(scanned, 1, "exactly one extent scanned");
+        assert_eq!(skipped, 4, "the four non-overlapping extents skipped");
+        assert_eq!(chunks, store.scan_all_window_chunks(from, to));
     }
 
     #[test]
@@ -1125,14 +986,8 @@ mod tests {
             SimTime(0),
         );
         let (from, to) = (SimTime(9_500_000), SimTime(31_000_000));
-        let flat: Vec<ProbeRecord> = store
-            .scan_all_window_chunks(from, to)
-            .iter()
-            .flat_map(|c| c.iter())
-            .copied()
-            .collect();
-        let scanned: Vec<ProbeRecord> = store.scan_all_window(from, to).copied().collect();
-        assert_eq!(flat, scanned);
+        let flat = chunked(&store, from, to);
+        assert_eq!(flat, filtered(&store, from, to));
         assert!(!flat.is_empty());
     }
 
@@ -1144,12 +999,8 @@ mod tests {
         let ts = [12_000_000u64, 3_000_000, 15_000_000, 7_000_000, 11_000_000];
         let batch: Vec<ProbeRecord> = ts.iter().map(|&t| rec(t)).collect();
         store.append(S, &batch, SimTime(0));
-        let chunks = store.scan_window_chunks(S, SimTime(10_000_000), SimTime(20_000_000));
-        let flat: Vec<u64> = chunks
-            .iter()
-            .flat_map(|c| c.iter())
-            .map(|r| r.ts.as_micros())
-            .collect();
+        let chunks = store.scan_all_window_chunks(SimTime(10_000_000), SimTime(20_000_000));
+        let flat = ts_of(&chunked(&store, SimTime(10_000_000), SimTime(20_000_000)));
         assert_eq!(flat, vec![12_000_000, 15_000_000, 11_000_000]);
         // Runs, not per-record slices: [12], [15], [11] are three runs
         // here because each is broken by an out-of-window neighbour.
@@ -1176,15 +1027,10 @@ mod tests {
         ];
         let batch: Vec<ProbeRecord> = ts.iter().map(|&t| rec(t)).collect();
         store.append(S, &batch, SimTime(0));
-        assert_eq!(store.extent_count(S), 1, "one straddling extent");
+        assert_eq!(extent_count(&store), 1, "one straddling extent");
         for (from, to) in [(0, W), (W, 2 * W), (0, 2 * W)] {
             let (from, to) = (SimTime(from), SimTime(to));
-            let mut flat: Vec<u64> = store
-                .scan_window_chunks(S, from, to)
-                .iter()
-                .flat_map(|c| c.iter())
-                .map(|r| r.ts.as_micros())
-                .collect();
+            let mut flat = ts_of(&chunked(&store, from, to));
             let mut expect: Vec<u64> = ts
                 .iter()
                 .copied()
@@ -1196,26 +1042,13 @@ mod tests {
         }
         // The two half-windows partition the full window exactly: no
         // record lost, none duplicated.
-        let count = |from, to| {
-            store
-                .scan_window_chunks(S, SimTime(from), SimTime(to))
-                .iter()
-                .map(|c| c.len())
-                .sum::<usize>()
-        };
+        let count = |from, to| chunked(&store, SimTime(from), SimTime(to)).len();
         assert_eq!(count(0, W) + count(W, 2 * W), ts.len());
         // And chunked output stays identical to the filtered scan.
-        let flat: Vec<ProbeRecord> = store
-            .scan_window_chunks(S, SimTime(0), SimTime(W))
-            .iter()
-            .flat_map(|c| c.iter())
-            .copied()
-            .collect();
-        let scanned: Vec<ProbeRecord> = store
-            .scan_window(S, SimTime(0), SimTime(W))
-            .copied()
-            .collect();
-        assert_eq!(flat, scanned);
+        assert_eq!(
+            chunked(&store, SimTime(0), SimTime(W)),
+            filtered(&store, SimTime(0), SimTime(W))
+        );
     }
 
     #[test]
@@ -1227,19 +1060,9 @@ mod tests {
         let mut store = CosmosStore::new(100, 1);
         let batch: Vec<ProbeRecord> = [W - 2, W - 1, W, W + 1].iter().map(|&t| rec(t)).collect();
         store.append(S, &batch, SimTime(0));
-        let flat: Vec<u64> = store
-            .scan_window_chunks(S, SimTime(0), SimTime(W))
-            .iter()
-            .flat_map(|c| c.iter())
-            .map(|r| r.ts.as_micros())
-            .collect();
+        let flat = ts_of(&chunked(&store, SimTime(0), SimTime(W)));
         assert_eq!(flat, vec![W - 2, W - 1]);
-        let flat: Vec<u64> = store
-            .scan_window_chunks(S, SimTime(W), SimTime(2 * W))
-            .iter()
-            .flat_map(|c| c.iter())
-            .map(|r| r.ts.as_micros())
-            .collect();
+        let flat = ts_of(&chunked(&store, SimTime(W), SimTime(2 * W)));
         assert_eq!(flat, vec![W, W + 1]);
     }
 
@@ -1257,11 +1080,10 @@ mod tests {
         for (from, to, want) in [(0, W, 6u64), (W, 2 * W, 6), (0, 2 * W, 12), (0, 4 * W, 20)] {
             let merged = store.merged_window_aggregate(SimTime(from), SimTime(to));
             assert_eq!(merged.record_count, want, "window [{from}, {to})");
-            let raw = store.collect_window_records(SimTime(from), SimTime(to));
+            let raw = chunked(&store, SimTime(from), SimTime(to));
             let rebuilt = WindowAggregate::build_with(&raw, None);
             assert_eq!(merged, rebuilt, "window [{from}, {to})");
         }
-        assert!(store.record_copy_count() > 0, "golden path counts copies");
     }
 
     #[test]
@@ -1346,10 +1168,8 @@ mod tests {
         store.retire_before(SimTime(W));
         let e3 = handle.load(Ordering::Acquire);
         assert!(e3 > e2, "retire bumps");
-        // Rejected append (store down) is not a mutation.
-        store.add_down_window(SimTime(100), Some(SimTime(200)));
-        assert!(!store.append(S, &[rec(1)], SimTime(150)));
-        assert_eq!(handle.load(Ordering::Acquire), e3);
+        // (A refused append is not a mutation: see
+        // `wal_io_failure_fails_closed_and_checkpoint_heals`.)
         assert_eq!(store.epoch(), e3);
     }
 
@@ -1363,14 +1183,11 @@ mod tests {
             b.merged_window_aggregate(from, to),
             "merged aggregates must be bit-identical"
         );
-        let flat = |s: &CosmosStore| -> Vec<ProbeRecord> {
-            s.scan_all_window_chunks(from, to)
-                .iter()
-                .flat_map(|c| c.iter())
-                .copied()
-                .collect()
-        };
-        assert_eq!(flat(a), flat(b), "chunked scans must agree");
+        assert_eq!(
+            chunked(a, from, to),
+            chunked(b, from, to),
+            "chunked scans must agree"
+        );
     }
 
     #[test]
@@ -1404,8 +1221,8 @@ mod tests {
         assert!(store.epoch() > pre_epoch, "epoch rises past every ack");
         recovered_equals(&store, &reference, 2);
         assert_eq!(
-            store.extent_count(S),
-            reference.extent_count(S),
+            extent_count(&store),
+            extent_count(&reference),
             "replay reproduces extent boundaries"
         );
     }
@@ -1425,7 +1242,7 @@ mod tests {
         let store = CosmosStore::durable(&dir, 8, 1).unwrap();
         assert_eq!(store.record_count(), 30, "all acked records survive");
         assert_eq!(
-            store.scan(S).count(),
+            all(&store).len(),
             30,
             "the torn batch must not partially appear"
         );
@@ -1509,7 +1326,7 @@ mod tests {
             assert_eq!(store.durability_stats().unwrap().tombstones, 0, "GC ran");
         }
         let store = CosmosStore::durable(&dir, 10, 1).unwrap();
-        assert_eq!(store.scan(S).count(), 20, "retired records stay gone");
+        assert_eq!(all(&store).len(), 20, "retired records stay gone");
         assert_eq!(store.partial_count(), 2, "retired window stays retired");
         assert_eq!(
             store
@@ -1538,13 +1355,13 @@ mod tests {
         // partials, not the epoch — moves. Fail-closed, not fail-silent.
         store.inject_wal_io_errors(5);
         assert!(!store.append(S, &[rec(2)], SimTime(0)));
-        assert!(store.io_failed());
+        assert!(store.durability_stats().unwrap().failed);
         assert_eq!(store.record_count(), count_before);
         assert_eq!(store.epoch(), epoch_before);
         assert!(!store.append(S, &[rec(3)], SimTime(0)), "stays closed");
         // A checkpoint rewrites the log from in-memory state and heals.
         store.checkpoint().unwrap();
-        assert!(!store.io_failed());
+        assert!(!store.durability_stats().unwrap().failed);
         assert!(store.append(S, &[rec(4)], SimTime(0)), "healed");
         let stats = store.durability_stats().unwrap();
         assert!(stats.io_errors > 0, "errors were counted");
@@ -1582,13 +1399,14 @@ mod tests {
         let dir = durable::unique_dir("store-auto-ckpt");
         let _guard = durable::DirGuard::new(dir.clone());
         let mut store = CosmosStore::durable(&dir, 50_000, 1).unwrap();
-        assert!(!store.maybe_checkpoint().unwrap(), "small WAL: no-op");
+        let maybe_checkpoint = |s: &mut CosmosStore| s.maybe_checkpoint_with(WAL_CHECKPOINT_BYTES);
+        assert!(!maybe_checkpoint(&mut store).unwrap(), "small WAL: no-op");
         // ~17 MiB of WAL (280k records × 64 B) crosses the threshold.
         let batch: Vec<ProbeRecord> = (0..8_000).map(rec).collect();
         for _ in 0..35 {
             assert!(store.append(S, &batch, SimTime(0)));
         }
-        assert!(store.maybe_checkpoint().unwrap(), "big WAL: checkpoint");
+        assert!(maybe_checkpoint(&mut store).unwrap(), "big WAL: checkpoint");
         let stats = store.durability_stats().unwrap();
         assert!(stats.wal_bytes < WAL_CHECKPOINT_BYTES, "WAL truncated");
         assert!(stats.segments > 0, "sealed extents persisted");

@@ -147,12 +147,6 @@ impl Faults {
             .filter(move |f| f.active_at(t))
     }
 
-    /// Switches that have any fault installed (active or not) — used by
-    /// experiment harnesses to enumerate ground truth.
-    pub fn faulty_switches(&self) -> impl Iterator<Item = SwitchId> + '_ {
-        self.switch_faults.keys().copied()
-    }
-
     /// Simulates a switch reload at `t`: clears reload-fixable faults
     /// (black-holes) and takes the switch down for `outage`.
     pub fn reload_switch(&mut self, sw: SwitchId, t: SimTime, outage: SimDuration) {

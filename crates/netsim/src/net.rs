@@ -43,7 +43,7 @@ use pingmesh_types::{
     SwitchId,
 };
 use rand::rngs::SmallRng;
-use rand::{Rng as _, SeedableRng};
+use rand::SeedableRng;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -492,11 +492,6 @@ impl SimNet {
         self.state.profile(dc)
     }
 
-    /// Mutable profile of a DC (for scenario tweaks).
-    pub fn profile_mut(&mut self, dc: DcId) -> &mut DcProfile {
-        &mut self.state.profiles[dc.index()]
-    }
-
     /// Inter-DC delay matrix.
     pub fn interdc_mut(&mut self) -> &mut InterDcMatrix {
         &mut self.state.interdc
@@ -662,11 +657,6 @@ impl SimNet {
             return false;
         }
         true
-    }
-
-    /// Deterministic sub-RNG for helpers that need isolated randomness.
-    pub fn fork_rng(&mut self) -> SmallRng {
-        SmallRng::seed_from_u64(self.rng.random::<u64>())
     }
 }
 

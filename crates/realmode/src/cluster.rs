@@ -199,11 +199,6 @@ impl LocalCluster {
         &self.controller_states[0]
     }
 
-    /// State handle of replica `i`.
-    pub fn controller_state_of(&self, i: usize) -> &Arc<WebState> {
-        &self.controller_states[i]
-    }
-
     /// Chaos control for controller replica `i` (chaos mode only).
     pub fn controller_chaos(&self, i: usize) -> &ChaosHandle {
         self.controller_proxies[i].handle()

@@ -138,7 +138,7 @@ pub struct Collector {
     /// Keeps the default scratch data directory alive across clones;
     /// removed from disk when the last clone drops. `None` when the
     /// store is in-memory or the caller owns the directory.
-    data_dir: Option<Arc<DirGuard>>,
+    _data_dir: Option<Arc<DirGuard>>,
     /// WAL-growth threshold (bytes) for background compaction.
     compact_threshold: Arc<AtomicU64>,
     /// The background compactor, shared across clones and joined when
@@ -206,7 +206,7 @@ impl Collector {
     /// if the scratch directory cannot be initialised.
     pub fn new() -> Self {
         let dir = unique_dir("collector");
-        match CosmosStore::durable(&dir, 250_000, 3) {
+        match Self::open_store(&dir) {
             Ok(store) => Self::from_store(store, Some(Arc::new(DirGuard::new(dir)))),
             Err(_) => {
                 pingmesh_obs::registry()
@@ -228,10 +228,15 @@ impl Collector {
     /// caller owns (nothing is removed on drop). Opening an existing
     /// directory runs crash recovery first.
     pub fn durable_at(dir: &Path) -> io::Result<Self> {
-        Ok(Self::from_store(
-            CosmosStore::durable(dir, 250_000, 3)?,
-            None,
-        ))
+        Ok(Self::from_store(Self::open_store(dir)?, None))
+    }
+
+    fn open_store(dir: &Path) -> io::Result<CosmosStore> {
+        let (cap, repl) = (
+            CosmosStore::DEFAULT_EXTENT_CAP,
+            CosmosStore::DEFAULT_REPLICATION,
+        );
+        CosmosStore::durable(dir, cap, repl)
     }
 
     fn from_store(store: CosmosStore, data_dir: Option<Arc<DirGuard>>) -> Self {
@@ -267,7 +272,7 @@ impl Collector {
                 expected: None,
                 completeness: None,
             })),
-            data_dir,
+            _data_dir: data_dir,
             compact_threshold,
             compactor,
         }
@@ -291,13 +296,6 @@ impl Collector {
                 let _ = t.join();
             }
         }
-    }
-
-    /// The scratch data directory this collector owns (`None` when
-    /// in-memory, or when the caller rooted it via
-    /// [`Collector::durable_at`]).
-    pub fn scratch_dir(&self) -> Option<&Path> {
-        self.data_dir.as_deref().map(DirGuard::path)
     }
 
     /// Chaos hook: simulates a process crash right now. All in-memory
@@ -1007,7 +1005,9 @@ mod tests {
         assert_eq!(
             c.store()
                 .lock()
-                .scan_all_window(SimTime(0), SimTime(1_000))
+                .scan_all_window_chunks(SimTime(0), SimTime(1_000))
+                .into_iter()
+                .flatten()
                 .count(),
             100
         );
@@ -1135,7 +1135,9 @@ mod tests {
         assert_eq!(
             c.store()
                 .lock()
-                .scan_all_window(SimTime(0), SimTime(1_000))
+                .scan_all_window_chunks(SimTime(0), SimTime(1_000))
+                .into_iter()
+                .flatten()
                 .count(),
             4
         );

@@ -39,4 +39,4 @@ pub use inline_vec::InlineVec;
 pub use net::{FiveTuple, IpProto, QosClass, VipId};
 pub use pinglist::{PingTarget, Pinglist, PinglistEntry};
 pub use probe::{PairStats, ProbeKind, ProbeOutcome, ProbeRecord};
-pub use time::{SimDuration, SimTime};
+pub use time::{DownWindows, SimDuration, SimTime};

@@ -133,11 +133,6 @@ impl ProbeRecord {
         self.src_pod == self.dst_pod
     }
 
-    /// True when source and destination share a DC but not a pod.
-    pub fn is_inter_pod_intra_dc(&self) -> bool {
-        self.src_dc == self.dst_dc && self.src_pod != self.dst_pod
-    }
-
     /// True when source and destination are in different DCs.
     pub fn is_inter_dc(&self) -> bool {
         self.src_dc != self.dst_dc

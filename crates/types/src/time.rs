@@ -133,6 +133,27 @@ impl SimDuration {
     }
 }
 
+/// An availability timeline in simulated time: the outage windows of one
+/// simulated service (a controller replica, the store's upload front
+/// end). Owned by the simulator that owns the clock it is written in.
+#[derive(Debug, Clone, Default)]
+pub struct DownWindows(Vec<(SimTime, Option<SimTime>)>);
+
+impl DownWindows {
+    /// Declares an outage over `[from, until)`; `None` never ends.
+    pub fn add(&mut self, from: SimTime, until: Option<SimTime>) {
+        self.0.push((from, until));
+    }
+
+    /// Whether the service is serving at `t`.
+    pub fn is_up(&self, t: SimTime) -> bool {
+        !self
+            .0
+            .iter()
+            .any(|&(from, until)| t >= from && until.is_none_or(|u| t < u))
+    }
+}
+
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
@@ -225,6 +246,17 @@ mod tests {
         assert_eq!(t.window_start(w), SimTime(w.0 * 3));
         assert_eq!(t.window_index(w), 3);
         assert_eq!(SimTime(5).window_start(SimDuration::ZERO), SimTime(5));
+    }
+
+    #[test]
+    fn down_windows_are_half_open_and_may_never_end() {
+        let mut d = DownWindows::default();
+        assert!(d.is_up(SimTime(150)));
+        d.add(SimTime(100), Some(SimTime(200)));
+        assert!(d.is_up(SimTime(99)) && !d.is_up(SimTime(100)));
+        assert!(!d.is_up(SimTime(199)) && d.is_up(SimTime(200)));
+        d.add(SimTime(300), None);
+        assert!(!d.is_up(SimTime(u64::MAX)));
     }
 
     #[test]

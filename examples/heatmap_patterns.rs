@@ -40,7 +40,9 @@ fn fresh() -> Orchestrator {
                 intra_dc_interval: SimDuration::from_secs(15),
                 ..GeneratorConfig::default()
             },
+            // Raw patterns: no reloads, no drains, no pinglist surgery.
             auto_repair: false,
+            auto_mitigate: false,
             ..OrchestratorConfig::default()
         },
     )
@@ -48,11 +50,19 @@ fn fresh() -> Orchestrator {
 
 fn show(mut o: Orchestrator, label: &str) {
     o.run_until(SimTime::ZERO + SimDuration::from_mins(40));
-    let agg = WindowAggregate::build(o.pipeline().store.scan_all_window(SimTime::ZERO, o.now()));
+    let chunks = o
+        .pipeline()
+        .store
+        .scan_all_window_chunks(SimTime::ZERO, o.now());
+    let agg = WindowAggregate::build(chunks.into_iter().flatten());
     let m = HeatmapMatrix::from_aggregate(&agg, o.net().topology(), DcId(0));
     println!("--- {label} ---");
     print!("{}", render_ansi(&m));
     println!("verdict: {}\n", describe_pattern(classify_pattern(&m)));
+    assert!(
+        o.mitigation().transitions().is_empty() && o.excluded_podsets().is_empty(),
+        "nothing may clean up under the figure"
+    );
 }
 
 fn main() {

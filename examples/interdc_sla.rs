@@ -64,7 +64,11 @@ fn main() {
     println!("running 2 virtual hours...");
     o.run_until(SimTime::ZERO + SimDuration::from_hours(2));
 
-    let agg = WindowAggregate::build(o.pipeline().store.scan_all_window(SimTime::ZERO, o.now()));
+    let chunks = o
+        .pipeline()
+        .store
+        .scan_all_window_chunks(SimTime::ZERO, o.now());
+    let agg = WindowAggregate::build(chunks.into_iter().flatten());
 
     println!("\ninter-DC latency (selected probers, complete graph over DCs):");
     for dc in topo.dcs() {

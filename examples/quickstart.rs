@@ -75,7 +75,11 @@ fn main() {
     );
 
     // 5. The visualization: podset-pair P99 heatmap (paper Figure 8).
-    let agg = WindowAggregate::build(o.pipeline().store.scan_all_window(SimTime::ZERO, o.now()));
+    let chunks = o
+        .pipeline()
+        .store
+        .scan_all_window_chunks(SimTime::ZERO, o.now());
+    let agg = WindowAggregate::build(chunks.into_iter().flatten());
     let matrix = HeatmapMatrix::from_aggregate(&agg, &topo, DcId(0));
     println!("\n{}", render_ansi(&matrix));
 

@@ -50,7 +50,9 @@ async fn main() {
     // Run the paper's analysis over the really-measured records.
     let store = cluster.collector().store().lock();
     let records: Vec<_> = store
-        .scan_all_window(SimTime::ZERO, SimTime(u64::MAX))
+        .scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX))
+        .into_iter()
+        .flatten()
         .copied()
         .collect();
     drop(store);

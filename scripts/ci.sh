@@ -2,8 +2,9 @@
 # CI gate; exits non-zero at the first failing step. `ci.sh` builds,
 # runs `cargo test` over the whole workspace (which includes the obs,
 # crash, chaos and mitigation drills and the allocation gates), checks fmt
-# and clippy, and checks that `unsafe` / FFI stays in its allowed files
-# and that every HTTP server loop is `httpx::serve`.
+# and clippy, and checks that `unsafe` / FFI stays in its allowed files,
+# that every HTTP server loop is `httpx::serve`, and that raw records are
+# read through `scan_all_window_chunks` only (outages live in the simulator).
 # `ci.sh --smoke [gate…]` then runs the gates `cargo test` does not cover —
 # all, or those named. Each checks outputs; none is a timing gate.
 #   bench  ingest_durable, query_dashboard and query_churn for 2 s each (output checks only: no acknowledged record lost, cached bytes ≡ rebuilt bytes, no stale fresh read)
@@ -58,6 +59,13 @@ if grep -rnE '\.read_request\b|queue_response|fn handle_conn' --include='*.rs' \
     crates src tests examples \
     | grep -vE '^(crates/httpx/|crates/realmode/src/chaos\.rs:)'; then
   echo "servers go through httpx::serve" >&2
+  exit 1
+fi
+
+if grep -rnE '\.scan_window\(|\.scan_all_window\(|scan_window_chunks|collect_window_records|record_copy_count|extent_scan_stats|add_down_window' \
+    --include='*.rs' \
+    crates/dsa crates/core crates/check crates/serve crates/realmode crates/bench src tests examples; then
+  echo "raw records are read through scan_all_window_chunks; outages belong to the simulator" >&2
   exit 1
 fi
 

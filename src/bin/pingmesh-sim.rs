@@ -184,7 +184,9 @@ fn main() {
     let agg = pingmesh::dsa::agg::WindowAggregate::build(
         o.pipeline()
             .store
-            .scan_all_window(o.now() - SimDuration::from_mins(30), o.now()),
+            .scan_all_window_chunks(o.now() - SimDuration::from_mins(30), o.now())
+            .into_iter()
+            .flatten(),
     );
     for dc in topo.dcs() {
         let m = HeatmapMatrix::from_aggregate(&agg, &topo, dc);

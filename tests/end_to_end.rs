@@ -200,10 +200,13 @@ fn podset_power_loss_shows_white_cross_and_recovers() {
     o.run_until(SimTime::ZERO + SimDuration::from_mins(40));
 
     // During the outage the heatmap shows the white cross.
-    let agg = WindowAggregate::build(o.pipeline().store.scan_all_window(
-        SimTime::ZERO + SimDuration::from_mins(10),
-        SimTime::ZERO + SimDuration::from_mins(30),
-    ));
+    let window_agg = |o: &Orchestrator, from_min, to_min| {
+        let mins = |m| SimTime::ZERO + SimDuration::from_mins(m);
+        let store = &o.pipeline().store;
+        let chunks = store.scan_all_window_chunks(mins(from_min), mins(to_min));
+        WindowAggregate::build(chunks.into_iter().flatten())
+    };
+    let agg = window_agg(&o, 10, 30);
     let m = HeatmapMatrix::from_aggregate(&agg, &topo, DcId(0));
     assert_eq!(
         classify_pattern(&m),
@@ -212,10 +215,7 @@ fn podset_power_loss_shows_white_cross_and_recovers() {
 
     // After power returns, probing to/from the podset resumes.
     o.run_until(SimTime::ZERO + SimDuration::from_mins(90));
-    let agg = WindowAggregate::build(o.pipeline().store.scan_all_window(
-        SimTime::ZERO + SimDuration::from_mins(60),
-        SimTime::ZERO + SimDuration::from_mins(85),
-    ));
+    let agg = window_agg(&o, 60, 85);
     let m = HeatmapMatrix::from_aggregate(&agg, &topo, DcId(0));
     assert_eq!(classify_pattern(&m), LatencyPattern::Normal);
 }
@@ -265,9 +265,9 @@ fn store_outage_triggers_retry_then_discard_without_memory_growth() {
         fast_config(),
     );
     // Cosmos is down for 40 minutes.
-    o.pipeline_mut().store.add_down_window(
+    o.add_store_outage(
         SimTime::ZERO + SimDuration::from_mins(5),
-        Some(SimTime::ZERO + SimDuration::from_mins(45)),
+        SimTime::ZERO + SimDuration::from_mins(45),
     );
     o.run_until(SimTime::ZERO + SimDuration::from_hours(1));
     // Some agents discarded data (bounded memory!), and the system kept
