@@ -12,6 +12,10 @@
 //!   (partial frame at EOF after a crash) and corrupt checksums are
 //!   detected at recovery and truncated away — torn frames were never
 //!   acknowledged, so truncation loses nothing that was promised.
+//! * **Upload frame**: an agent's upload body is one append frame
+//!   ([`encode_upload_frame_into`] / [`decode_upload_frame`]), so one
+//!   record codec is on the wire, in the WAL and in segments, and one
+//!   reader checks every frame, whether it came off a socket or a disk.
 //! * **Segment files** (`seg-<id>.dat`): at checkpoint, every sealed
 //!   extent is persisted once as an immutable segment using a fixed-width
 //!   64-byte record codec (matching `ProbeRecord::wire_size()`). The
@@ -61,6 +65,10 @@ pub const RECORD_WIRE: usize = 64;
 
 /// WAL frame header: `len: u32` + `crc: u64` (FNV-1a over the payload).
 const FRAME_HEADER: usize = 12;
+
+/// Append payload header: tag, `dc: u32`, `t: u64`, `epoch_after: u64`,
+/// `count: u32`; the records follow.
+const APPEND_HEADER: usize = 25;
 
 /// Upper bound on a sane frame payload; larger lengths at recovery are
 /// treated as corruption, not allocation requests.
@@ -140,7 +148,7 @@ pub fn encode_record(r: &ProbeRecord, out: &mut [u8; RECORD_WIRE]) {
 }
 
 /// Decodes one record from its fixed 64-byte wire form.
-pub fn decode_record(buf: &[u8; RECORD_WIRE]) -> io::Result<ProbeRecord> {
+pub fn decode_record(buf: &[u8; RECORD_WIRE]) -> Result<ProbeRecord, FrameError> {
     let u32_at = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().unwrap());
     let u64_at = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
     let u16_at = |o: usize| u16::from_le_bytes(buf[o..o + 2].try_into().unwrap());
@@ -148,12 +156,12 @@ pub fn decode_record(buf: &[u8; RECORD_WIRE]) -> io::Result<ProbeRecord> {
         0 => ProbeKind::TcpSyn,
         1 => ProbeKind::TcpPayload(u32_at(44)),
         2 => ProbeKind::Http,
-        t => return Err(corrupt(format!("unknown probe kind tag {t}"))),
+        _ => return Err(FrameError::Corrupt("unknown probe kind tag")),
     };
     let qos = match buf[41] {
         0 => QosClass::High,
         1 => QosClass::Low,
-        t => return Err(corrupt(format!("unknown qos tag {t}"))),
+        _ => return Err(FrameError::Corrupt("unknown qos tag")),
     };
     let outcome = match buf[42] {
         0 => ProbeOutcome::Success {
@@ -161,7 +169,7 @@ pub fn decode_record(buf: &[u8; RECORD_WIRE]) -> io::Result<ProbeRecord> {
         },
         1 => ProbeOutcome::Timeout,
         2 => ProbeOutcome::Refused,
-        t => return Err(corrupt(format!("unknown outcome tag {t}"))),
+        _ => return Err(FrameError::Corrupt("unknown outcome tag")),
     };
     Ok(ProbeRecord {
         ts: SimTime(u64_at(0)),
@@ -185,12 +193,49 @@ fn corrupt(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
+/// Why a frame or a record was refused. It carries only static text, so
+/// refusing bytes read off a socket costs no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// The bytes end inside the header or inside the payload it
+    /// announces: a torn write, or a truncated body.
+    Torn,
+    /// The bytes are there but wrong: a length past the frame limit, a
+    /// checksum mismatch, trailing bytes, or a payload that does not
+    /// decode.
+    Corrupt(&'static str),
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameError::Torn => f.write_str("torn frame"),
+            FrameError::Corrupt(why) => write!(f, "corrupt frame: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+impl From<FrameError> for io::Error {
+    fn from(e: FrameError) -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
+
+/// Bytes of one append frame holding `records` records: what the WAL
+/// writes per accepted batch and what an upload body is.
+pub const fn append_frame_len(records: usize) -> usize {
+    FRAME_HEADER + APPEND_HEADER + records * RECORD_WIRE
+}
+
 /// Appends one fully-framed `WalOp::Append` entry to `out`: frame
 /// header, then the payload encoded straight from the caller's slice
 /// (no `WalOp` clone, no intermediate payload buffer), then the length
 /// and checksum patched into the header. The only writer of the append
-/// layout: the live append path, the checkpoint tail-WAL writer and the
-/// torn-write hook all emit (a prefix of) this frame.
+/// layout: the live append path, the checkpoint tail-WAL writer, the
+/// torn-write hook and the agent's upload body
+/// ([`encode_upload_frame_into`]) all emit (a prefix of) this frame.
 fn encode_append_frame_into(
     out: &mut Vec<u8>,
     dc: DcId,
@@ -215,6 +260,55 @@ fn encode_append_frame_into(
     let crc = fnv64(&out[payload_start..]);
     out[frame_start..frame_start + 4].copy_from_slice(&(len as u32).to_le_bytes());
     out[frame_start + 4..frame_start + 12].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// The one reader of the frame envelope, for WAL bytes read back from
+/// disk and upload bodies read off a socket alike: checks the first
+/// frame in `buf` — header present, length within [`MAX_FRAME`] and
+/// within `buf`, checksum — and returns its payload and the frame's
+/// length in bytes. The only place a received frame's checksum is
+/// verified.
+fn read_frame(buf: &[u8]) -> Result<(&[u8], usize), FrameError> {
+    let hdr = buf.get(..FRAME_HEADER).ok_or(FrameError::Torn)?;
+    let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap());
+    let crc = u64::from_le_bytes(hdr[4..12].try_into().unwrap());
+    if len > MAX_FRAME {
+        return Err(FrameError::Corrupt("frame length past the limit"));
+    }
+    let end = FRAME_HEADER + len as usize;
+    let payload = buf.get(FRAME_HEADER..end).ok_or(FrameError::Torn)?;
+    if fnv64(payload) != crc {
+        return Err(FrameError::Corrupt("frame checksum mismatch"));
+    }
+    Ok((payload, end))
+}
+
+/// Appends `records` to `out` as one upload body: a single append frame
+/// written by the WAL's own writer, so the collector reads it with the
+/// WAL's own reader. The frame's `dc` is the first record's `src_dc`,
+/// `t` the newest `ts` and `epoch_after` 0 — the store assigns its own
+/// when it logs the batch. Reserve [`append_frame_len`] bytes first and
+/// this never allocates.
+pub fn encode_upload_frame_into(out: &mut Vec<u8>, records: &[ProbeRecord]) {
+    let dc = records.first().map_or(DcId(0), |r| r.src_dc);
+    let t = records.iter().map(|r| r.ts).max().unwrap_or(SimTime::ZERO);
+    encode_append_frame_into(out, dc, t, 0, records);
+}
+
+/// Decodes an upload body written by [`encode_upload_frame_into`]: the
+/// body must be exactly one frame whose envelope passes the reader WAL
+/// recovery uses, and it must hold an append (a retire frame is
+/// refused). Allocates only the returned `Vec`; a body refused for its
+/// envelope, its length or its record count allocates nothing.
+pub fn decode_upload_frame(body: &[u8]) -> Result<Vec<ProbeRecord>, FrameError> {
+    let (payload, len) = read_frame(body)?;
+    if len != body.len() {
+        return Err(FrameError::Corrupt("trailing bytes after the frame"));
+    }
+    match WalOp::decode(payload)? {
+        WalOp::Append { records, .. } => Ok(records),
+        WalOp::Retire { .. } => Err(FrameError::Corrupt("not an append frame")),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -255,30 +349,32 @@ impl WalOp {
         out
     }
 
-    fn decode(payload: &[u8]) -> io::Result<WalOp> {
-        let u64_at = |o: usize| -> io::Result<u64> {
+    /// Decodes one payload. The record count is checked against the
+    /// payload's length before anything is allocated.
+    fn decode(payload: &[u8]) -> Result<WalOp, FrameError> {
+        let u64_at = |o: usize| {
             payload
                 .get(o..o + 8)
                 .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                .ok_or_else(|| corrupt("short wal payload".into()))
+                .ok_or(FrameError::Corrupt("short wal payload"))
         };
         match payload.first() {
             Some(1) => {
                 let dc = payload
                     .get(1..5)
                     .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-                    .ok_or_else(|| corrupt("short append header".into()))?;
+                    .ok_or(FrameError::Corrupt("short append header"))?;
                 let t = u64_at(5)?;
                 let epoch_after = u64_at(13)?;
                 let count = payload
-                    .get(21..25)
+                    .get(21..APPEND_HEADER)
                     .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-                    .ok_or_else(|| corrupt("short append header".into()))?
+                    .ok_or(FrameError::Corrupt("short append header"))?
                     as usize;
                 let body = payload
-                    .get(25..)
-                    .filter(|b| b.len() == count * RECORD_WIRE)
-                    .ok_or_else(|| corrupt("append body length mismatch".into()))?;
+                    .get(APPEND_HEADER..)
+                    .filter(|b| Some(b.len()) == count.checked_mul(RECORD_WIRE))
+                    .ok_or(FrameError::Corrupt("append body length mismatch"))?;
                 let mut records = Vec::with_capacity(count);
                 for chunk in body.chunks_exact(RECORD_WIRE) {
                     records.push(decode_record(chunk.try_into().unwrap())?);
@@ -294,8 +390,8 @@ impl WalOp {
                 horizon: SimTime(u64_at(1)?),
                 epoch_after: u64_at(9)?,
             }),
-            Some(t) => Err(corrupt(format!("unknown wal op tag {t}"))),
-            None => Err(corrupt("empty wal payload".into())),
+            Some(_) => Err(FrameError::Corrupt("unknown wal op tag")),
+            None => Err(FrameError::Corrupt("empty wal payload")),
         }
     }
 }
@@ -541,7 +637,7 @@ pub struct CheckpointPlan<'a> {
 }
 
 /// Point-in-time durability counters and gauges, surfaced through the
-/// collector's `/status` and the `pingmesh-top` durability panel.
+/// collector's `/healthz` and the `pingmesh-top` durability panel.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DurabilityStats {
     /// Recovery generation: 0 on first boot, +1 per recovery.
@@ -688,56 +784,40 @@ impl DurableLog {
         } else {
             Vec::new()
         };
-        let mut off = 0usize;
         let mut valid_end = 0usize;
-        while off < wal_raw.len() {
-            let Some(hdr) = wal_raw.get(off..off + FRAME_HEADER) else {
-                recovered.truncated_entries += 1;
-                break;
-            };
-            let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap());
-            let crc = u64::from_le_bytes(hdr[4..12].try_into().unwrap());
-            if len > MAX_FRAME {
-                recovered.corrupt_entries += 1;
-                break;
-            }
-            let Some(payload) = wal_raw.get(off + FRAME_HEADER..off + FRAME_HEADER + len as usize)
-            else {
-                recovered.truncated_entries += 1;
-                break;
-            };
-            if fnv64(payload) != crc {
-                recovered.corrupt_entries += 1;
-                break;
-            }
-            match WalOp::decode(payload) {
-                Ok(op) => {
-                    match &op {
-                        WalOp::Append {
-                            epoch_after,
-                            records,
-                            ..
-                        } => {
-                            recovered.max_epoch = recovered.max_epoch.max(*epoch_after);
-                            recovered.recovered_records += records.len() as u64;
-                        }
-                        WalOp::Retire {
-                            horizon,
-                            epoch_after,
-                        } => {
-                            recovered.max_epoch = recovered.max_epoch.max(*epoch_after);
-                            recovered.retire_hwm = recovered.retire_hwm.max(horizon.as_micros());
-                        }
-                    }
-                    recovered.ops.push(op);
+        while valid_end < wal_raw.len() {
+            let frame = read_frame(&wal_raw[valid_end..])
+                .and_then(|(payload, len)| Ok((WalOp::decode(payload)?, len)));
+            let (op, len) = match frame {
+                Ok(frame) => frame,
+                Err(FrameError::Torn) => {
+                    recovered.truncated_entries += 1;
+                    break;
                 }
-                Err(_) => {
+                Err(FrameError::Corrupt(_)) => {
                     recovered.corrupt_entries += 1;
                     break;
                 }
+            };
+            match &op {
+                WalOp::Append {
+                    epoch_after,
+                    records,
+                    ..
+                } => {
+                    recovered.max_epoch = recovered.max_epoch.max(*epoch_after);
+                    recovered.recovered_records += records.len() as u64;
+                }
+                WalOp::Retire {
+                    horizon,
+                    epoch_after,
+                } => {
+                    recovered.max_epoch = recovered.max_epoch.max(*epoch_after);
+                    recovered.retire_hwm = recovered.retire_hwm.max(horizon.as_micros());
+                }
             }
-            off += FRAME_HEADER + len as usize;
-            valid_end = off;
+            recovered.ops.push(op);
+            valid_end += len;
         }
 
         let wal = OpenOptions::new()
@@ -894,7 +974,7 @@ impl DurableLog {
         t: SimTime,
         epoch_after: u64,
     ) -> bool {
-        let mut frame = Vec::with_capacity(FRAME_HEADER + 25 + records.len() * RECORD_WIRE);
+        let mut frame = Vec::with_capacity(append_frame_len(records.len()));
         encode_append_frame_into(&mut frame, dc, t, epoch_after, records);
         let ok = self.write_frame(&frame);
         if ok {
@@ -1299,6 +1379,44 @@ mod tests {
             };
             assert_eq!(&WalOp::decode(&payload).unwrap(), op);
         }
+    }
+
+    #[test]
+    fn upload_frame_is_the_wal_append_frame() {
+        let records: Vec<ProbeRecord> = [5u64, 9, 2].iter().map(|&ts| rec(ts)).collect();
+        let mut body = Vec::with_capacity(append_frame_len(records.len()));
+        encode_upload_frame_into(&mut body, &records);
+        assert_eq!(body.len(), append_frame_len(3));
+        assert_eq!(decode_upload_frame(&body).unwrap(), records);
+
+        // Byte for byte what the store logs for this batch at epoch 0,
+        // stamped with the newest `ts`. A retire frame the WAL holds is
+        // well formed but is not an upload.
+        let dir = unique_dir("upload-frame");
+        let _guard = DirGuard::new(dir.clone());
+        let (mut log, _) = DurableLog::open(&dir).unwrap();
+        assert!(log.log_append(DcId(0), &records, SimTime(9), 0));
+        assert!(log.log_retire(SimTime(1), 1));
+        let wal = fs::read(dir.join(wal_name(0))).unwrap();
+        let (append, retire) = wal.split_at(body.len());
+        assert_eq!(append, &body[..]);
+        assert_eq!(
+            decode_upload_frame(retire),
+            Err(FrameError::Corrupt("not an append frame"))
+        );
+        let mut trailing = body.clone();
+        trailing.push(0);
+        assert!(matches!(
+            decode_upload_frame(&trailing),
+            Err(FrameError::Corrupt(_))
+        ));
+        assert_eq!(
+            decode_upload_frame(&body[..body.len() - 1]),
+            Err(FrameError::Torn)
+        );
+        let mut empty = Vec::new();
+        encode_upload_frame_into(&mut empty, &[]);
+        assert_eq!(decode_upload_frame(&empty).unwrap(), Vec::new());
     }
 
     #[test]

@@ -6,9 +6,18 @@
 //!
 //! Endpoints:
 //!
-//! * `POST /upload` — body: JSON array of [`ProbeRecord`]s. `200` on
-//!   success; `503` while the store is marked down (drives the agents'
-//!   retry-then-discard path).
+//! * `POST /upload` — body: one WAL append frame holding the batch,
+//!   `content-type:` [`UPLOAD_CONTENT_TYPE`] — the store's 64-byte record
+//!   codec, written by `dsa::durable::encode_upload_frame_into` and read by
+//!   the reader WAL recovery uses, so one codec is on the wire, in the WAL
+//!   and in segments. `200` on success (`empty` for zero records); `400`
+//!   for a body that does not decode; `503` while the collector is not
+//!   accepting or the WAL has failed closed (drives the agents'
+//!   retry-then-discard path). A body without that content type is read
+//!   as a JSON array of [`ProbeRecord`]s: the compat branch, kept only
+//!   because the frozen benchmark's traced staged replay posts JSON to
+//!   [`Collector::respond`]; it goes with that caller. Bytes and malformed
+//!   bodies are counted per codec (`codec="frame"|"json"`).
 //! * `GET /stats` — JSON `{records, logical_bytes, physical_bytes}`.
 //! * `GET /metrics` — Prometheus-style text encoding of the global
 //!   [`pingmesh_obs`] registry snapshot.
@@ -32,19 +41,20 @@
 //! exactly as a restarted process would.
 
 use parking_lot::Mutex;
+use pingmesh_dsa::durable::{append_frame_len, decode_upload_frame, encode_upload_frame_into};
 use pingmesh_dsa::quality::{self, ExpectedPairs, QualityConfig, RatioSample};
 use pingmesh_dsa::store::{CosmosStore, StreamName};
 use pingmesh_dsa::{unique_dir, DirGuard, DurabilityStats};
 use pingmesh_httpx::{CallError, Request, Response};
 use pingmesh_obs::slo::{self, SloKind, SloStatus};
-use pingmesh_obs::SampleValue;
+use pingmesh_obs::{Counter, SampleValue};
 use pingmesh_types::{PingmeshError, ProbeRecord, SimTime};
 use serde::Serialize;
 use std::io;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use tokio::net::TcpListener;
 
@@ -60,6 +70,44 @@ const GROUP_COMMIT_LAG_US: u64 = 500_000;
 /// check is one lock acquisition and a stat read — cheap against a
 /// 500 ms group-commit lag bound.
 const COMPACTOR_POLL: Duration = Duration::from_millis(20);
+
+/// The content type of an upload body that is one append frame.
+pub const UPLOAD_CONTENT_TYPE: &str = "application/x-pingmesh-records";
+
+/// Per-codec upload counters, resolved once with both label values so
+/// `/metrics` always shows the pair and the cardinality stays 2.
+struct UploadCodec {
+    /// Bytes of upload bodies whose records were stored.
+    body_bytes: Arc<Counter>,
+    /// Upload bodies refused with `400`.
+    malformed: Arc<Counter>,
+}
+
+struct UploadMetrics {
+    frame: UploadCodec,
+    json: UploadCodec,
+}
+
+fn upload_metrics() -> &'static UploadMetrics {
+    static M: OnceLock<UploadMetrics> = OnceLock::new();
+    M.get_or_init(|| {
+        let r = pingmesh_obs::registry();
+        let codec = |name| UploadCodec {
+            body_bytes: r.counter_with(
+                "pingmesh_realmode_upload_body_bytes_total",
+                &[("codec", name)],
+            ),
+            malformed: r.counter_with(
+                "pingmesh_realmode_uploads_malformed_total",
+                &[("codec", name)],
+            ),
+        };
+        UploadMetrics {
+            frame: codec("frame"),
+            json: codec("json"),
+        }
+    })
+}
 
 /// Collector statistics, served on `GET /stats`.
 #[derive(Debug, Clone, Copy, Serialize, serde::Deserialize)]
@@ -240,6 +288,7 @@ impl Collector {
     }
 
     fn from_store(store: CosmosStore, data_dir: Option<Arc<DirGuard>>) -> Self {
+        upload_metrics();
         let durable = store.durable_dir().is_some();
         let store = Arc::new(Mutex::new(store));
         let compact_threshold = Arc::new(AtomicU64::new(pingmesh_dsa::store::WAL_CHECKPOINT_BYTES));
@@ -514,7 +563,19 @@ impl Collector {
                         .inc();
                     return Response::unavailable();
                 }
-                let Ok(records) = serde_json::from_slice::<Vec<ProbeRecord>>(&req.body) else {
+                let is_frame = req
+                    .header("content-type")
+                    .is_some_and(|v| v.trim().eq_ignore_ascii_case(UPLOAD_CONTENT_TYPE));
+                let m = upload_metrics();
+                let (codec, parsed) = if is_frame {
+                    (&m.frame, decode_upload_frame(&req.body).ok())
+                } else {
+                    // The compat branch: the frozen benchmark's traced
+                    // staged replay still posts JSON here.
+                    (&m.json, serde_json::from_slice(&req.body).ok())
+                };
+                let Some(records) = parsed else {
+                    codec.malformed.inc();
                     return Response::bad_request("malformed record batch");
                 };
                 if records.is_empty() {
@@ -536,10 +597,10 @@ impl Collector {
                 // store cares only about content timestamps.
                 let t = records.iter().map(|r| r.ts).max().unwrap_or(SimTime::ZERO);
                 if !store.append(stream, &records, t) {
-                    // The WAL failed closed (or the store is down): the
-                    // batch was NOT acknowledged and the agent's
-                    // retry-then-discard path takes over. Never claim
-                    // "stored" for data that would not survive a crash.
+                    // The WAL failed closed: the batch was NOT
+                    // acknowledged and the agent's retry-then-discard path
+                    // takes over. Never claim "stored" for data that would
+                    // not survive a crash.
                     registry
                         .counter("pingmesh_realmode_uploads_rejected_total")
                         .inc();
@@ -548,6 +609,7 @@ impl Collector {
                 registry
                     .counter("pingmesh_realmode_uploaded_records_total")
                     .add(records.len() as u64);
+                codec.body_bytes.add(req.body.len() as u64);
                 // Group commit: fsync once the unsynced tail is big
                 // enough that the sync amortizes across many acks. The
                 // lag-triggered sync and WAL compaction run on the
@@ -637,8 +699,8 @@ pub async fn serve_collector(listener: TcpListener, collector: Collector) {
     pingmesh_httpx::serve(listener, move |req| collector.respond(req)).await
 }
 
-/// Agent-side upload client: POSTs a record batch to the collector.
-/// Bounded by the httpx default deadline per phase.
+/// Agent-side upload client: POSTs a record batch to the collector as
+/// one append frame. Bounded by the httpx default deadline per phase.
 pub async fn upload_records(
     addr: SocketAddr,
     records: &[ProbeRecord],
@@ -655,8 +717,7 @@ pub async fn upload_records_with(
     records: &[ProbeRecord],
     deadline: std::time::Duration,
 ) -> Result<(), PingmeshError> {
-    let body = serde_json::to_vec(records).map_err(|e| PingmeshError::Parse(e.to_string()))?;
-    let resp = collector_call(addr, &Request::post("/upload", body), deadline).await?;
+    let resp = collector_call(addr, &upload_request(records), deadline).await?;
     if resp.status == 200 {
         Ok(())
     } else {
@@ -665,6 +726,17 @@ pub async fn upload_records_with(
             resp.status
         )))
     }
+}
+
+/// An upload of `records`: one append frame, sized exactly, typed as
+/// [`UPLOAD_CONTENT_TYPE`].
+fn upload_request(records: &[ProbeRecord]) -> Request {
+    let mut body = Vec::with_capacity(append_frame_len(records.len()));
+    encode_upload_frame_into(&mut body, records);
+    let mut req = Request::post("/upload", body);
+    req.headers
+        .push(("content-type".into(), UPLOAD_CONTENT_TYPE.into()));
+    req
 }
 
 /// Fetches collector statistics (default deadline per phase).
@@ -737,6 +809,184 @@ mod tests {
         let stats: CollectorStats = serde_json::from_slice(&stats_resp.body).unwrap();
         assert_eq!(stats.records, 2);
         assert!(stats.physical_bytes >= stats.logical_bytes);
+    }
+
+    /// Every arm of every enum and both ends of every integer, from a
+    /// seeded SplitMix64.
+    fn random_records(seed: u64, n: usize) -> Vec<ProbeRecord> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut int = |max: u64| match next() % 4 {
+            0 => 0,
+            1 => max,
+            _ => next() & max,
+        };
+        (0..n)
+            .map(|_| ProbeRecord {
+                ts: SimTime(int(u64::MAX)),
+                src: ServerId(int(u32::MAX.into()) as u32),
+                dst: ServerId(int(u32::MAX.into()) as u32),
+                src_pod: PodId(int(u32::MAX.into()) as u32),
+                dst_pod: PodId(int(u32::MAX.into()) as u32),
+                src_podset: PodsetId(int(u32::MAX.into()) as u32),
+                dst_podset: PodsetId(int(u32::MAX.into()) as u32),
+                src_dc: DcId(int(u32::MAX.into()) as u32),
+                dst_dc: DcId(int(u32::MAX.into()) as u32),
+                kind: match int(3) {
+                    0 => ProbeKind::TcpSyn,
+                    1 => ProbeKind::TcpPayload(int(u32::MAX.into()) as u32),
+                    _ => ProbeKind::Http,
+                },
+                qos: if int(1) == 0 {
+                    QosClass::High
+                } else {
+                    QosClass::Low
+                },
+                src_port: int(u16::MAX.into()) as u16,
+                dst_port: int(u16::MAX.into()) as u16,
+                outcome: match int(3) {
+                    0 => ProbeOutcome::Timeout,
+                    1 => ProbeOutcome::Refused,
+                    _ => ProbeOutcome::Success {
+                        rtt: SimDuration::from_micros(int(u64::MAX)),
+                    },
+                },
+            })
+            .collect()
+    }
+
+    fn stored(c: &Collector) -> Vec<ProbeRecord> {
+        let store = c.store().lock();
+        store
+            .scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX))
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn frame_upload_stores_the_records_sent() {
+        let c = Collector::new();
+        let batch: Vec<ProbeRecord> = (0..300).map(rec).collect();
+        let resp = c.respond(&upload_request(&batch));
+        assert_eq!((resp.status, &resp.body[..]), (200, &b"stored"[..]));
+        assert_eq!(stored(&c), batch);
+    }
+
+    #[test]
+    fn frame_with_a_flipped_payload_byte_gets_400_and_changes_nothing() {
+        let c = Collector::new();
+        assert_eq!(c.respond(&upload_request(&[rec(1)])).status, 200);
+        let (records, epoch) = (c.stats().records, c.store().lock().epoch());
+        let mut req = upload_request(&(0..10).map(rec).collect::<Vec<_>>());
+        let at = req.body.len() - 100;
+        req.body[at] ^= 0x01;
+        assert_eq!(c.respond(&req).status, 400);
+        assert_eq!(c.stats().records, records);
+        assert_eq!(c.store().lock().epoch(), epoch);
+    }
+
+    /// A retire frame, as the store's own WAL writer wrote it.
+    fn retire_frame() -> Vec<u8> {
+        let dir = unique_dir("collector-retire-frame");
+        let _guard = DirGuard::new(dir.clone());
+        let mut store = CosmosStore::durable(&dir, 8, 1).unwrap();
+        store.retire_before(SimTime(1));
+        drop(store);
+        let wal = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.to_string_lossy().ends_with(".log"))
+            .unwrap();
+        std::fs::read(wal).unwrap()
+    }
+
+    #[test]
+    fn retire_trailing_and_untyped_frames_get_400() {
+        let c = Collector::new();
+        let mut retire = upload_request(&[]);
+        retire.body = retire_frame();
+        let mut trailing = upload_request(&[rec(1)]);
+        trailing.body.push(0);
+        let untyped = Request::post("/upload", upload_request(&[rec(1)]).body);
+        for req in [retire, trailing, untyped] {
+            assert_eq!(c.respond(&req).status, 400, "{:?}", req.headers);
+        }
+        assert_eq!(c.stats().records, 0);
+    }
+
+    #[test]
+    fn zero_record_frame_is_empty() {
+        let c = Collector::new();
+        let resp = c.respond(&upload_request(&[]));
+        assert_eq!((resp.status, &resp.body[..]), (200, &b"empty"[..]));
+        assert_eq!(c.stats().records, 0);
+    }
+
+    #[test]
+    fn json_body_is_still_stored_by_the_compat_branch() {
+        // The frozen benchmark's traced staged replay posts JSON with no
+        // content type; this branch stays until that caller goes.
+        let c = Collector::new();
+        let batch = vec![rec(1), rec(2)];
+        let req = Request::post("/upload", serde_json::to_vec(&batch).unwrap());
+        assert_eq!(c.respond(&req).status, 200);
+        assert_eq!(stored(&c), batch);
+    }
+
+    #[test]
+    fn frame_decode_and_json_decode_agree_on_random_records() {
+        let records = random_records(25, 10_000);
+        let arms: std::collections::HashSet<_> = records
+            .iter()
+            .map(|r| {
+                let kind = std::mem::discriminant(&r.kind);
+                (kind, r.qos, std::mem::discriminant(&r.outcome))
+            })
+            .collect();
+        assert_eq!(
+            arms.len(),
+            3 * 2 * 3,
+            "every enum arm, in every combination"
+        );
+        assert!(records.iter().any(|r| r.ts == SimTime(u64::MAX)));
+        assert!(records.iter().any(|r| r.dst_pod == PodId(u32::MAX)));
+        assert!(records.iter().any(|r| r.src_port == u16::MAX));
+        let frame = decode_upload_frame(&upload_request(&records).body).unwrap();
+        let json: Vec<ProbeRecord> =
+            serde_json::from_slice(&serde_json::to_vec(&records).unwrap()).unwrap();
+        assert_eq!(frame, records);
+        assert_eq!(json, records);
+    }
+
+    #[tokio::test]
+    async fn upload_records_with_posts_one_exact_frame() {
+        let captured = Arc::new(Mutex::new(Vec::<Request>::new()));
+        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
+        let addr = listener.local_addr().unwrap();
+        let sink = Arc::clone(&captured);
+        let server = tokio::spawn(pingmesh_httpx::serve(listener, move |req: &Request| {
+            sink.lock().push(req.clone());
+            Response::ok(b"stored".to_vec())
+        }));
+        for n in [0u64, 1, 2_000] {
+            let batch: Vec<ProbeRecord> = (0..n).map(rec).collect();
+            upload_records_with(addr, &batch, Duration::from_secs(10))
+                .await
+                .unwrap();
+            let req = captured.lock().pop().expect("the stub saw the upload");
+            assert_eq!(req.header("content-type"), Some(UPLOAD_CONTENT_TYPE));
+            assert_eq!(req.body.len(), 12 + 25 + 64 * n as usize);
+            assert_eq!(decode_upload_frame(&req.body).unwrap(), batch);
+        }
+        server.abort();
     }
 
     #[test]

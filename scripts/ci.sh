@@ -7,7 +7,7 @@
 # read through `scan_all_window_chunks` only (outages live in the simulator).
 # `ci.sh --smoke [gate…]` then runs the gates `cargo test` does not cover —
 # all, or those named. Each checks outputs; none is a timing gate.
-#   bench  ingest_durable, query_dashboard and query_churn for 2 s each (output checks only: no acknowledged record lost, cached bytes ≡ rebuilt bytes, no stale fresh read)
+#   bench  ingest_durable, query_dashboard and query_churn for 2 s each (output checks only: no acknowledged record lost, cached bytes ≡ rebuilt bytes, no stale fresh read), then ingest_durable traced once (its staged replay is the one poster of the collector's JSON compat branch)
 #   fuzz   50 seeded scenarios through every crates/check oracle, run-to-run deterministic, 60 s cap
 #   scale  5k-server point: the sharded engine reproduces the serial engine bit for bit (bytes/server printed), then sim_mesh for 2 s (output checks only)
 set -euo pipefail
@@ -74,6 +74,8 @@ if want bench; then
     step "pipeline benchmark output checks ($workload, 2 s, nothing timed)"
     benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0
   done
+  step "pipeline benchmark traced run (ingest_durable, 2 s: the JSON upload compat branch)"
+  benchmark/run.sh --workload ingest_durable --seed 1 --seconds 2 --trace 1
 fi
 
 if want fuzz; then

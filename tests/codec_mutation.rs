@@ -1,6 +1,8 @@
-//! Seeded mutation test of the JSON decoder over the bodies the system
-//! really parses from outside: an agent upload, a durable store's manifest,
-//! a topology spec (compact and pretty) and a collector `/stats` body.
+//! Seeded mutation tests of the decoders over the bodies the system really
+//! parses from outside: an agent's upload frame (the store's binary record
+//! codec, below), and for the JSON decoder a JSON upload (the collector's
+//! compat branch), a durable store's manifest, a topology spec (compact
+//! and pretty) and a collector `/stats` body.
 //!
 //! Each body is mutated by bit flips, truncations, splices, duplicated and
 //! re-valued members, injected escapes, injected multi-byte UTF-8 and
@@ -18,8 +20,21 @@
 //!   spelled with a `\u` escape, an unknown member, a member repeated with
 //!   the same value) decodes to the original value.
 //!
+//! The upload frame gets mutators of its own — bit flips, truncations,
+//! splices with another frame, `len` and `count` rewritten (including a
+//! `count` of `u32::MAX` over a short body and a `len` past the frame
+//! limit), op and record tag bytes set to anything in 0–255 — and half of
+//! all mutants are re-sealed (checksum recomputed), so the structural
+//! checks behind the checksum are what is tested. Its oracle: decoding
+//! never panics; a mutant that is not re-sealed is refused unless it is
+//! the original; an accepted frame's records re-encode to a frame that
+//! decodes to the same records.
+//!
 //! Deterministic: the only randomness is a counter-seeded generator.
 
+mod upload_frame;
+
+use pingmesh::dsa::durable::decode_upload_frame;
 use pingmesh::dsa::store::{CosmosStore, StreamName};
 use pingmesh::dsa::{unique_dir, DirGuard};
 use pingmesh::realmode::collector::CollectorStats;
@@ -481,4 +496,115 @@ fn mutated_manifests_never_panic_the_store_open() {
         opened > 0 && refused > 0,
         "{opened} opened, {refused} refused"
     );
+}
+
+// ------------------------------------------------------------ upload frame
+
+fn mutate_frame(rng: &mut Rng, body: &[u8], other: &[u8]) -> Vec<u8> {
+    let mut out = body.to_vec();
+    let at = rng.below(body.len());
+    let records = (body.len().saturating_sub(upload_frame::FIRST_RECORD) / 64).max(1);
+    match rng.below(7) {
+        0 => out[at] ^= 1 << rng.below(8),
+        1 => out.truncate(at),
+        2 => {
+            // A slice of another frame, spliced in or written over.
+            let a = rng.below(other.len());
+            let b = a + rng.below((other.len() - a).min(4_096) + 1);
+            if rng.below(2) == 0 {
+                out.splice(at..at, other[a..b].iter().copied());
+            } else {
+                let n = (b - a).min(out.len() - at);
+                out[at..at + n].copy_from_slice(&other[a..a + n]);
+            }
+        }
+        3 if out.len() >= 4 => {
+            // The frame limit is 64 MiB.
+            let real = body.len() as u32 - 12;
+            let lens = [
+                0,
+                1,
+                24,
+                25,
+                real.saturating_sub(64),
+                real - 1,
+                real + 1,
+                real + 64,
+                64 << 20,
+                (64 << 20) + 1,
+                u32::MAX,
+                rng.next() as u32,
+            ];
+            out[0..4].copy_from_slice(&rng.pick(&lens).to_le_bytes());
+        }
+        4 if out.len() >= upload_frame::FIRST_RECORD => {
+            let real = records as u32;
+            let counts = [
+                0,
+                1,
+                real - 1,
+                real + 1,
+                real * 2,
+                u32::MAX,
+                rng.next() as u32,
+            ];
+            let count = upload_frame::FIRST_RECORD - 4;
+            out[count..count + 4].copy_from_slice(&rng.pick(&counts).to_le_bytes());
+        }
+        5 if out.len() > 12 => out[12] = rng.below(256) as u8,
+        _ => {
+            // A record's kind, qos or outcome tag.
+            let tag = upload_frame::FIRST_RECORD + rng.below(records) * 64 + 40 + rng.below(3);
+            if tag < out.len() {
+                out[tag] = rng.below(256) as u8;
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn mutated_upload_frames_never_panic_and_accepted_frames_are_stable() {
+    let records = upload_frame::records();
+    assert_eq!(records.len() as u64, upload_frame::RECORDS);
+    let body = upload_frame::frame(&records);
+    assert_eq!(decode_upload_frame(&body).unwrap(), records);
+    let shifted: Vec<ProbeRecord> = records[..700]
+        .iter()
+        .map(|r| ProbeRecord {
+            ts: SimTime(r.ts.as_micros() / 3),
+            src_dc: DcId(9),
+            ..*r
+        })
+        .collect();
+    let other = upload_frame::frame(&shifted);
+
+    let mut rng = Rng(0x4652_414d);
+    let (mut accepted, mut refused) = (0, 0);
+    for round in 0..1_000 {
+        let mut mutant = mutate_frame(&mut rng, &body, &other);
+        if rng.below(4) == 0 && !mutant.is_empty() {
+            mutant = mutate_frame(&mut rng, &mutant, &other);
+        }
+        let resealed = round % 2 == 1;
+        if resealed {
+            upload_frame::reseal(&mut mutant);
+        }
+        match decode_upload_frame(&mutant) {
+            Ok(decoded) => {
+                assert!(
+                    resealed || mutant == body,
+                    "round {round}: a mutant that was not re-sealed was accepted"
+                );
+                let again =
+                    decode_upload_frame(&upload_frame::frame(&decoded)).expect("re-encoded");
+                assert_eq!(again, decoded, "round {round}");
+                accepted += usize::from(resealed);
+            }
+            Err(_) => refused += usize::from(resealed),
+        }
+    }
+    // The re-sealed half must exercise both verdicts to mean anything.
+    assert!(accepted > 20, "only {accepted} re-sealed mutants accepted");
+    assert!(refused > 20, "only {refused} re-sealed mutants refused");
 }

@@ -1,8 +1,12 @@
 //! Structural gates: the paths every probe and every upload crosses stay
-//! off the allocator — ECMP path resolution, the upload batch codec, the
-//! disabled observability path and the unsampled trace path. A binary of
-//! its own because the counting allocator is process-wide.
+//! off the allocator — ECMP path resolution, the upload frame codec, the
+//! disabled observability path and the unsampled trace path. The JSON
+//! codec keeps its gate too: pinglists, stats and `/api` bodies are JSON.
+//! A binary of its own because the counting allocator is process-wide.
 
+mod upload_frame;
+
+use pingmesh::dsa::durable::{append_frame_len, decode_upload_frame, encode_upload_frame_into};
 use pingmesh::obs;
 use pingmesh::topology::{DcSpec, Router, Topology, TopologySpec};
 use pingmesh::types::{
@@ -152,6 +156,41 @@ fn upload_batch_codec_allocates_nothing_per_record() {
         "{calls} allocator calls decoding 2,000 records"
     );
     assert_eq!(decoded, batch);
+}
+
+#[test]
+fn upload_frame_encode_never_calls_the_allocator() {
+    let batch = upload_frame::records();
+    let mut body = Vec::with_capacity(append_frame_len(batch.len()));
+    let calls = allocator_calls(|| encode_upload_frame_into(&mut body, &batch));
+    assert_eq!(calls, 0, "encoding a frame into a pre-sized buffer");
+    assert_eq!(body.len(), append_frame_len(batch.len()));
+}
+
+#[test]
+fn upload_frame_decode_allocates_only_the_output_vec() {
+    let batch = upload_frame::records();
+    let body = upload_frame::frame(&batch);
+    let mut decoded = Vec::new();
+    let calls = allocator_calls(|| decoded = decode_upload_frame(&body).expect("decode"));
+    assert_eq!(calls, 1, "decoding {} records", upload_frame::RECORDS);
+    assert_eq!(decoded, batch);
+}
+
+#[test]
+fn upload_frame_with_a_lying_count_is_refused_without_the_allocator() {
+    let batch = upload_frame::records();
+    let mut body = upload_frame::frame(&batch);
+    assert!(body.len() > 128_000);
+    // The count claims one record more than the 128 KB body holds, and the
+    // checksum is re-sealed so that the count check is what refuses it.
+    let count = upload_frame::FIRST_RECORD - 4;
+    body[count..count + 4].copy_from_slice(&(batch.len() as u32 + 1).to_le_bytes());
+    upload_frame::reseal(&mut body);
+    let mut refused = false;
+    let calls = allocator_calls(|| refused = decode_upload_frame(&body).is_err());
+    assert!(refused);
+    assert_eq!(calls, 0, "refusing a frame whose count lies");
 }
 
 #[test]
