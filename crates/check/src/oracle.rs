@@ -28,11 +28,13 @@
 //!    oracle's filter for observed pod pairs, and the probe-conservation
 //!    ledger (`stored + discarded`) for the completeness denominator.
 //! 7. **Crash recovery** — the run's records re-ingested into a durable
-//!    store, checkpointed at a seed-derived point and crashed with a
-//!    torn WAL tail, recover to a store observably identical to an
-//!    in-memory re-ingest of the same batches: counts, bit-equal merged
-//!    aggregates, scans, and every windowed API body. No acknowledged
-//!    record is ever lost; the unacknowledged torn tail never surfaces.
+//!    store, checkpointed at a seed-derived point and crashed at one of
+//!    three seed-chosen points (a checkpoint written but never committed,
+//!    committed but not collected, or a torn WAL tail), recover to a
+//!    store observably identical to an in-memory re-ingest of the same
+//!    batches: counts, bit-equal merged aggregates, scans, and every
+//!    windowed API body. No acknowledged record is ever lost; the
+//!    unacknowledged torn tail never surfaces.
 //! 8. **Mitigation safety** — a replay of the mitigation engine's
 //!    transition log never exceeds any tier's drain budget, never
 //!    re-drains a device inside its cooldown, and at quiescence the
@@ -750,14 +752,30 @@ pub fn check_serve_coherence(orch: &Orchestrator) -> Vec<Violation> {
     out
 }
 
+/// Where [`check_crash_recovery`] kills the durable store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CrashPoint {
+    /// After a checkpoint's write phase, with appends and a retire having
+    /// raced it: the plan never commits and its files stay on disk.
+    Uncommitted,
+    /// After the checkpoint's manifest rename, before its garbage is
+    /// collected.
+    BeforeGc,
+    /// A torn, never-acknowledged frame at the tail of the newer WAL,
+    /// the older one (frozen by a plan that died before writing) intact.
+    TornTail,
+}
+
 /// Oracle 8: crash recovery (durability).
 ///
 /// Re-ingests the run's stored records into a *durable* store (WAL +
 /// segment files in a scratch directory), checkpoints after a
 /// seed-derived batch so the history spans both segments and live WAL,
-/// crashes with a torn never-acknowledged frame at the WAL tail, then
-/// recovers from the files alone and demands the recovered store is
-/// observably identical to an in-memory re-ingest of the same batches:
+/// takes a second checkpoint's plan at a later seed-derived batch, lets
+/// the remaining batches and a window-aligned retire race it, and crashes
+/// at a seed-chosen [`CrashPoint`]. Then it recovers from the files alone
+/// and demands the recovered store is observably identical to an
+/// in-memory re-ingest of the same batches:
 ///
 /// * record counts and stream-by-stream record sequences match exactly
 ///   (zero acknowledged-record loss, and the torn tail never surfaces);
@@ -798,7 +816,16 @@ pub fn check_crash_recovery(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Vio
     let dcs: Vec<DcId> = orch.net().topology().dcs().collect();
     let batches = (spec.reingest_batches.max(1) as usize).min(records.len());
     let chunk = records.len().div_ceil(batches);
-    let checkpoint_after = (rng.next_u64() as usize) % batches;
+    let crash = match rng.next_u64() % 3 {
+        0 => CrashPoint::Uncommitted,
+        1 => CrashPoint::BeforeGc,
+        _ => CrashPoint::TornTail,
+    };
+    let plan_after = (rng.next_u64() as usize) % batches;
+    let checkpoint_after = (rng.next_u64() as usize) % (plan_after + 1);
+    let w = PARTIAL_WINDOW.as_micros();
+    let horizon = SimTime(rng.next_u64() % (end.0 / w / 2 + 1) * w);
+    let mut written = None;
     for (i, batch) in records.chunks(chunk).enumerate() {
         let dc = dcs[(rng.next_u64() as usize) % dcs.len()];
         let t = batch.iter().map(|r| r.ts).max().unwrap_or(SimTime::ZERO);
@@ -814,19 +841,47 @@ pub fn check_crash_recovery(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Vio
                 out.push(violation("crash", format!("checkpoint failed: {e}")));
             }
         }
+        if i == plan_after {
+            // The plan rotates the WAL; a torn-tail crash drops it before
+            // writing, the other two write its files.
+            match durable.plan_checkpoint() {
+                Ok(Some(plan)) if crash != CrashPoint::TornTail => written = Some(plan.write()),
+                Ok(_) => {}
+                Err(e) => out.push(violation("crash", format!("plan failed: {e}"))),
+            }
+        }
     }
+    // The retire races the checkpoint too: it lands between plan and commit.
+    durable.retire_before(horizon);
+    reference.retire_before(horizon);
 
-    // Crash with a torn, never-acknowledged frame at the WAL tail; then
-    // the process is gone and only the files remain.
-    let torn: Vec<ProbeRecord> = records.iter().take(5).copied().collect();
-    if let Err(e) = durable.simulate_torn_append(StreamName { dc: dcs[0] }, &torn) {
-        out.push(violation("crash", format!("torn-append hook failed: {e}")));
+    match (crash, written) {
+        (CrashPoint::TornTail, _) => {
+            // Torn, never acknowledged, in the WAL the plan rotated to.
+            let torn: Vec<ProbeRecord> = records.iter().take(5).copied().collect();
+            if let Err(e) = durable.simulate_torn_append(StreamName { dc: dcs[0] }, &torn) {
+                out.push(violation("crash", format!("torn-append hook failed: {e}")));
+            }
+        }
+        (_, Some(Err(e))) => out.push(violation("crash", format!("checkpoint write failed: {e}"))),
+        (CrashPoint::BeforeGc, Some(Ok(written))) => match durable.commit_checkpoint(written) {
+            // Committed, and the process dies before collecting.
+            Ok(gc) if gc.committed() => drop(gc),
+            Ok(_) => out.push(violation("crash", "the racing plan was refused".into())),
+            Err(e) => out.push(violation("crash", format!("commit failed: {e}"))),
+        },
+        // Uncommitted: the written files stay on disk, named by nothing.
+        _ => {}
     }
+    // Then the process is gone and only the files remain.
     drop(durable);
     let mut recovered = match CosmosStore::durable(&dir, alt_cap, 1) {
         Ok(s) => s,
         Err(e) => {
-            out.push(violation("crash", format!("recovery failed: {e}")));
+            out.push(violation(
+                "crash",
+                format!("recovery after {crash:?} failed: {e}"),
+            ));
             return out;
         }
     };
@@ -873,7 +928,6 @@ pub fn check_crash_recovery(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Vio
         ));
     }
 
-    let w = PARTIAL_WINDOW.as_micros();
     let mut queries: Vec<ApiQuery> = Vec::new();
     for k in 0..end.0 / w {
         let (from, to) = (SimTime(k * w), SimTime((k + 1) * w));

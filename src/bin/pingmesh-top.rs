@@ -176,20 +176,20 @@ fn render_durability(samples: &[Sample], prev: Option<(&[Sample], f64)>, out: &m
         out,
         "  io errors {io_err:.0} (retries {io_retry:.0}, failed-closed {failed:.0})   wal frames truncated {truncated:.0}, corrupt {corrupt:.0}",
     );
-    // Store-lock contention: what uploads wait, and what checkpoints
-    // hold (that histogram's samples are milliseconds).
-    let quantiles = |name: &str, scale: f64| {
+    // Store-lock contention: what uploads wait, what checkpoints hold
+    // (plan + commit), and how long they write with the lock released.
+    let quantiles = |name: &str| {
         let q = |suffix: &str| {
-            find(samples, &format!("{name}_{suffix}"), None)
-                .map_or("-".into(), |s| fmt_us(s.value * scale))
+            find(samples, &format!("{name}_{suffix}"), None).map_or("-".into(), |s| fmt_us(s.value))
         };
         format!("p50 {} p99 {}", q("p50_us"), q("p99_us"))
     };
     let _ = writeln!(
         out,
-        "  store lock   upload wait {}   checkpoint held {}",
-        quantiles("pingmesh_realmode_upload_lock_wait_us", 1.0),
-        quantiles("pingmesh_store_checkpoint_lock_held_ms", 1_000.0),
+        "  store lock   upload wait {}   checkpoint held {}   checkpoint write {}",
+        quantiles("pingmesh_realmode_upload_lock_wait_us"),
+        quantiles("pingmesh_store_checkpoint_lock_held_us"),
+        quantiles("pingmesh_store_checkpoint_write_us"),
     );
 }
 
@@ -618,8 +618,10 @@ pingmesh_store_wal_truncated_total 1
 pingmesh_store_wal_corrupt_entries_total 0
 pingmesh_realmode_upload_lock_wait_us_p50_us 12
 pingmesh_realmode_upload_lock_wait_us_p99_us 310000
-pingmesh_store_checkpoint_lock_held_ms_p50_us 140
-pingmesh_store_checkpoint_lock_held_ms_p99_us 370
+pingmesh_store_checkpoint_lock_held_us_p50_us 140
+pingmesh_store_checkpoint_lock_held_us_p99_us 370
+pingmesh_store_checkpoint_write_us_p50_us 95000
+pingmesh_store_checkpoint_write_us_p99_us 210000
 "#;
 
     #[test]
@@ -646,7 +648,7 @@ pingmesh_store_checkpoint_lock_held_ms_p99_us 370
         );
         assert!(
             first.contains(
-                "store lock   upload wait p50 12us p99 310.0ms   checkpoint held p50 140.0ms p99 370.0ms"
+                "store lock   upload wait p50 12us p99 310.0ms   checkpoint held p50 140us p99 370us   checkpoint write p50 95.0ms p99 210.0ms"
             ),
             "{first}"
         );

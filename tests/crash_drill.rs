@@ -11,10 +11,11 @@
 //!    window aggregates come back bit-identical; the serve tier
 //!    revalidates (boot-id-salted fingerprints) and serves the same
 //!    dashboard bytes.
-//! 2. **Kill mid-compaction** — the next checkpoint generation's
-//!    segment files and WAL exist on disk but the manifest still names
-//!    the old generation. Recovery follows the manifest, collects the
-//!    orphans, and again loses nothing.
+//! 2. **Kill mid-compaction** — a real checkpoint is planned and written
+//!    but never committed: its segments, tail and manifest exist on disk
+//!    beside a rotated WAL while the manifest still names the old
+//!    generation. Recovery follows the manifest, replays both WALs,
+//!    collects the orphans, and again loses nothing.
 //!
 //! After each recovery the same agents keep probing and uploading,
 //! proving the store comes back writable end to end.
