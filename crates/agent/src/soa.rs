@@ -22,7 +22,7 @@
 //! agent (the same move `InlineVec` made for `Path.hops`):
 //!
 //! * all pinglist entries live in one `Vec<PinglistEntry>` arena, each
-//!   agent owning a contiguous [`Segment`] of it;
+//!   agent owning a contiguous `Segment` of it;
 //! * per-entry next-due times live in a parallel `Vec<SimTime>` arena, so
 //!   a due-scan is a cache-linear sweep of one agent's segment;
 //! * per-agent scalars (cached next wake, ephemeral port cursor,
@@ -30,7 +30,7 @@
 //!   index.
 //!
 //! The sweep emits probes in `(due time, entry index)` order — the pop
-//! order of [`crate::scheduler::ProbeScheduler`]'s binary heap, which is
+//! order of the test-only `scheduler::ProbeScheduler`'s binary heap, which is
 //! kept as the independent reference the differential test below checks
 //! wake times, due order and port rotation against. The sharded
 //! orchestrator gives each shard its own `AgentFleet` over its podset's

@@ -15,7 +15,7 @@
 //! 6. shard determinism (the scenario re-run on a sharded engine yields
 //!    a bit-identical store, SLA rows and outputs — [`digest`]).
 //!
-//! Failing seeds are [`shrink`]-able to a minimal spec and printed as a
+//! Failing seeds are [`shrink()`]-able to a minimal spec and printed as a
 //! ready-to-paste regression test ([`regression_snippet`]); pin those
 //! tests in the crate that owns the bug. The `pingmesh-fuzz` binary
 //! runs seed campaigns and the CI smoke gate (`scripts/ci.sh --smoke

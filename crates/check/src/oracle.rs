@@ -22,7 +22,7 @@
 //!    p50 ≤ p99, and every per-scope family's outcome counts sum to the
 //!    aggregate's record count.
 //! 5. **Scan equivalence** — windowed chunked scans concatenate to
-//!    exactly the oracle's own record-by-record filter ([`records_in`]).
+//!    exactly the oracle's own record-by-record filter (`records_in`).
 //! 6. **Data-quality SLOs** — the quality job's coverage and
 //!    completeness ratios equal ground truth derived independently: the
 //!    oracle's filter for observed pod pairs, and the probe-conservation
@@ -449,7 +449,7 @@ fn observed_pairs_by_filter(
 /// Two layers:
 ///
 /// * the report the last DSA tick left behind is internally consistent —
-///   its coverage numerator matches a [`records_in`] recount over the
+///   its coverage numerator matches a `records_in` recount over the
 ///   report's own window (the job itself uses the windowed scan), its
 ///   denominators match the installed expectations, and every status is
 ///   the pure re-evaluation of its own value and target;
@@ -773,7 +773,7 @@ enum CrashPoint {
 /// seed-derived batch so the history spans both segments and live WAL,
 /// takes a second checkpoint's plan at a later seed-derived batch, lets
 /// the remaining batches and a window-aligned retire race it, and crashes
-/// at a seed-chosen [`CrashPoint`]. Then it recovers from the files alone
+/// at a seed-chosen `CrashPoint`. Then it recovers from the files alone
 /// and demands the recovered store is observably identical to an
 /// in-memory re-ingest of the same batches:
 ///
@@ -783,6 +783,9 @@ enum CrashPoint {
 ///   from raw through the same order-independent CRDT fold);
 /// * the windowed scan over the recovered store equals the oracle's
 ///   filter (segment-backed extents obey the same scan contract);
+/// * extent boundaries match: the reference seals wherever the durable
+///   store checkpoints or plans, so equal chunk lengths pin "a WAL
+///   rotation is a seal point" through replay, retire included;
 /// * every windowed API body built from the recovered store equals the
 ///   in-memory reference's bytes;
 /// * the recovered store still accepts appends (it came back writable).
@@ -836,10 +839,14 @@ pub fn check_crash_recovery(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Vio
             ));
         }
         reference.append(StreamName { dc }, batch, t);
+        // The reference seals where the durable store's checkpoints and
+        // plans seal; an in-memory checkpoint does nothing else and cannot
+        // fail.
         if i == checkpoint_after {
             if let Err(e) = durable.checkpoint() {
                 out.push(violation("crash", format!("checkpoint failed: {e}")));
             }
+            let _ = reference.checkpoint();
         }
         if i == plan_after {
             // The plan rotates the WAL; a torn-tail crash drops it before
@@ -849,6 +856,7 @@ pub fn check_crash_recovery(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Vio
                 Ok(_) => {}
                 Err(e) => out.push(violation("crash", format!("plan failed: {e}"))),
             }
+            let _ = reference.checkpoint();
         }
     }
     // The retire races the checkpoint too: it lands between plan and commit.
@@ -921,6 +929,22 @@ pub fn check_crash_recovery(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Vio
         ));
     }
     let rec_chunks = recovered.scan_all_window_chunks(SimTime::ZERO, end);
+    let ref_chunks = reference.scan_all_window_chunks(SimTime::ZERO, end);
+    if !rec_chunks
+        .iter()
+        .map(|c| c.len())
+        .eq(ref_chunks.iter().map(|c| c.len()))
+    {
+        out.push(violation(
+            "crash",
+            format!(
+                "recovered extents differ in length from the reference's ({} vs {} extents): \
+                 a seal point moved",
+                rec_chunks.len(),
+                ref_chunks.len()
+            ),
+        ));
+    }
     if !rec_chunks.into_iter().flatten().eq(rec_seq.iter()) {
         out.push(violation(
             "crash",

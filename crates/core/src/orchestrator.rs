@@ -27,7 +27,7 @@
 //! remaining cross-shard effect (uploads, counter deltas, probe counts)
 //! is either merged in a canonical sort order or commutative. Epoch
 //! boundaries line up with the global events (PA, jobs) plus a
-//! [`BARRIER_INTERVAL`] heartbeat, none of which depend on the shard
+//! `BARRIER_INTERVAL` heartbeat, none of which depend on the shard
 //! layout. `shards = 1` *is* the serial engine — same code path, no
 //! thread spawn.
 

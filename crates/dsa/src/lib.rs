@@ -11,8 +11,9 @@
 //!   partial aggregates at ingest and serves zero-copy chunked scans,
 //! * [`durable`] — the persistence engine under the store: write-ahead
 //!   log, immutable segment files, a three-phase checkpoint (plan and
-//!   commit under the caller's lock, the file writes outside it) with
-//!   tombstone GC, and deterministic crash recovery,
+//!   commit under the caller's lock, the file writes outside it) that
+//!   seals every open extent, so everything it covers is in a segment,
+//!   with tombstone GC and deterministic crash recovery,
 //! * [`agg`] — the mergeable window aggregation every job consumes
 //!   (built once per record at ingest; coarser windows merge partials),
 //!   including the network SLA — drop rate, P50, P99 — at server / pod /
@@ -21,8 +22,8 @@
 //! * [`pa`] — the fast perf-counter path,
 //! * [`db`] — the results database feeding reports and alerts,
 //! * [`alert`] — threshold alerting (drop rate > 1e-3, P99 > 5 ms),
-//! * [`investigate`] — the §4.3 troubleshooting drill-down (scale of a
-//!   problem + concrete reproducible flows),
+//! * [`investigate`](mod@investigate) — the §4.3 troubleshooting
+//!   drill-down (scale of a problem + concrete reproducible flows),
 //! * [`detect`] — switch black-hole detection (§5.1), silent random
 //!   packet-drop incident detection (§5.2), and latency-pattern
 //!   classification (§6.3 / Figure 8),

@@ -21,7 +21,7 @@
 
 use crate::agg::WindowAggregate;
 use crate::durable::{
-    CheckpointGc, CheckpointPlan, DurabilityStats, DurableLog, FreshExtent, SegmentMeta, WalOp,
+    CheckpointGc, CheckpointPlan, DurabilityStats, DurableLog, SegmentMeta, WalOp,
     WrittenCheckpoint,
 };
 use parking_lot::Mutex;
@@ -34,11 +34,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// WAL growth past the last checkpoint at which the background compactor
-/// ([`CosmosStore::maybe_checkpoint_with`]) triggers the next one (segments
-/// written, WAL truncated to the live tail). Recovery replay is bounded
-/// by this plus the rewritten tail; at measured replay rates (>1M
-/// records/sec) that keeps recovery well under a second.
+/// Live WAL bytes at which the background compactor
+/// ([`CosmosStore::maybe_checkpoint_with`]) triggers the next checkpoint
+/// (every extent written as a segment, replay restarting at the rotated-to
+/// WAL). Recovery replays a few of these (see
+/// [`CosmosStore::checkpoint_backlogged`]); at measured replay rates (>1M
+/// records/sec) each is a fraction of a second.
 pub const WAL_CHECKPOINT_BYTES: u64 = 16 << 20;
 
 /// Width of the ingest-time partial-aggregate windows. This matches the
@@ -203,9 +204,12 @@ impl CosmosStore {
     /// same atomic across the restart. Recovery:
     ///
     /// 1. loads the manifest's segments as sealed extents,
-    /// 2. replays the tail file, then every WAL file from the manifest's
-    ///    `wal_seq` on, in order (appends rebuild tail extents through
-    ///    the normal extent-building path; retires re-drop expired ones),
+    /// 2. replays every WAL file from the manifest's `wal_seq` on, in
+    ///    order (appends rebuild extents through the normal
+    ///    extent-building path; retires re-drop expired ones), sealing the
+    ///    open extents after each file — every file boundary is a plan's
+    ///    rotation, where the live store sealed them, so extent boundaries
+    ///    come back as they were,
     /// 3. refolds the per-(stream, window) partials from surviving raw
     ///    records — bit-identical to the pre-crash fold because the
     ///    aggregates are order-independent CRDTs — and drops windows
@@ -248,16 +252,20 @@ impl CosmosStore {
             store.next_extent += 1;
         }
 
-        // 2. Replay WAL ops in order, raw only (partials come in step 3).
-        for op in recovered.ops {
-            match op {
-                WalOp::Append { dc, records, .. } => {
-                    store.append_raw(StreamName { dc }, &records);
-                }
-                WalOp::Retire { horizon, .. } => {
-                    store.retire_extents(horizon);
+        // 2. Replay WAL ops in order, raw only (partials come in step 3),
+        // sealing where the plan that rotated past each file sealed.
+        for ops in recovered.ops {
+            for op in ops {
+                match op {
+                    WalOp::Append { dc, records, .. } => {
+                        store.append_raw(StreamName { dc }, &records);
+                    }
+                    WalOp::Retire { horizon, .. } => {
+                        store.retire_extents(horizon);
+                    }
                 }
             }
+            store.seal_open_extents();
         }
 
         // 3. Partials: refold from surviving raw, leaving out windows the
@@ -709,13 +717,14 @@ impl CosmosStore {
     }
 
     /// Runs a whole checkpoint inline — plan, write, commit, GC — with
-    /// `&mut self` held throughout: persists every sealed-but-unsegmented
-    /// extent as an immutable segment file, rewrites each stream's
-    /// unsealed tail into the new tail file, atomically commits the
-    /// manifest and garbage-collects what it superseded. A no-op for
-    /// in-memory stores. A caller sharing the store behind a lock uses
-    /// [`Self::checkpoint_shared`], which holds the lock only for the
-    /// plan and the commit.
+    /// `&mut self` held throughout: seals each stream's open extent,
+    /// persists every sealed-but-unsegmented extent as an immutable
+    /// segment file, atomically commits the manifest and garbage-collects
+    /// what it superseded. On an in-memory store it only seals, so a
+    /// reference store can mirror a durable one's extent boundaries. A
+    /// caller sharing the store behind a lock uses
+    /// [`Self::checkpoint_shared`], which holds the lock only for the plan
+    /// and the commit.
     pub fn checkpoint(&mut self) -> io::Result<()> {
         let Some(plan) = self.plan_checkpoint()? else {
             return Ok(());
@@ -724,11 +733,10 @@ impl CosmosStore {
         Ok(())
     }
 
-    /// Whether a checkpoint is due: the live WAL has grown `threshold`
-    /// bytes (production: [`WAL_CHECKPOINT_BYTES`]) and past the last
-    /// rewritten tail (see [`DurableLog::checkpoint_due`] for the doubling
-    /// policy), or the WAL is failed-closed and a checkpoint would heal
-    /// it. Always `false` for in-memory stores.
+    /// Whether a checkpoint is due: the live WAL holds `threshold` bytes
+    /// (production: [`WAL_CHECKPOINT_BYTES`]), or the WAL is failed-closed
+    /// and a checkpoint would heal it. Always `false` for in-memory
+    /// stores.
     pub fn checkpoint_due(&self, threshold: u64) -> bool {
         self.durable
             .as_ref()
@@ -739,8 +747,8 @@ impl CosmosStore {
     /// caller sharing the store should hold them until the next plan
     /// rotates the WAL: it holds
     /// [`WAL_BACKLOG_CHECKPOINTS`](crate::durable::WAL_BACKLOG_CHECKPOINTS)
-    /// times the growth that makes a checkpoint due at `threshold`. This
-    /// bounds what recovery replays. Always `false` for in-memory stores.
+    /// times `threshold`. This bounds what recovery replays. Always
+    /// `false` for in-memory stores.
     pub fn checkpoint_backlogged(&self, threshold: u64) -> bool {
         self.durable
             .as_ref()
@@ -758,45 +766,54 @@ impl CosmosStore {
     }
 
     /// Phase 1 of a checkpoint (hold the lock): rotates the WAL to a fresh
-    /// file — freezing the old ones, and healing a failed-closed WAL — and
-    /// takes an owning plan in one pass over the extents: sealed extents
-    /// with a segment are kept, sealed ones without become fresh segments
-    /// (their records shared, not copied), and each stream's unsealed
-    /// tail is recorded by length only. `None` for in-memory stores.
+    /// file — freezing the old ones, and healing a failed-closed WAL —
+    /// then seals each stream's open extent, and takes an owning plan in
+    /// one pass over the extents: those with a segment are kept, those
+    /// without become fresh segments (their records shared, not copied).
+    /// An extent is sealed here exactly when the rotation succeeded, so
+    /// recovery, which seals at every WAL file boundary, rebuilds the same
+    /// extents. An in-memory store only seals, and gets `None`.
     pub fn plan_checkpoint(&mut self) -> io::Result<Option<CheckpointPlan>> {
+        if let Some(log) = self.durable.as_mut() {
+            log.rotate_wal()?;
+        }
+        self.seal_open_extents();
         let Some(log) = self.durable.as_mut() else {
             return Ok(None);
         };
-        let (mut keep, mut fresh, mut tails) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut keep, mut fresh) = (Vec::new(), Vec::new());
         for (stream, extents) in &self.streams {
-            let dc = stream.dc.0;
             for e in extents {
-                let (min_ts, max_ts) = (e.min_ts.as_micros(), e.max_ts.as_micros());
-                if !e.sealed {
-                    tails.push((dc, e.records.len()));
-                } else if let Some(id) = e.seg {
-                    keep.push(SegmentMeta {
-                        id,
-                        dc,
-                        count: e.records.len() as u32,
-                        sorted: e.sorted,
-                        min_ts,
-                        max_ts,
-                    });
-                } else {
-                    fresh.push(FreshExtent {
-                        extent: e.id,
-                        dc,
-                        sorted: e.sorted,
-                        min_ts,
-                        max_ts,
-                        records: Arc::clone(&e.records),
-                    });
+                let meta = SegmentMeta {
+                    id: e.seg.unwrap_or(0),
+                    dc: stream.dc.0,
+                    count: e.records.len() as u32,
+                    sorted: e.sorted,
+                    min_ts: e.min_ts.as_micros(),
+                    max_ts: e.max_ts.as_micros(),
+                };
+                match e.seg {
+                    Some(_) => keep.push(meta),
+                    None => fresh.push((e.id, meta, Arc::clone(&e.records))),
                 }
             }
         }
         let epoch = self.epoch.load(Ordering::Acquire);
-        log.plan_checkpoint(keep, fresh, tails, epoch).map(Some)
+        Ok(Some(log.plan_checkpoint(keep, fresh, epoch)))
+    }
+
+    /// Seals each stream's open extent — the only unsealed one, its last —
+    /// and gives back its spare capacity: the `Vec` is still unshared, and
+    /// a plan is about to share it for good.
+    fn seal_open_extents(&mut self) {
+        for e in self.streams.values_mut().filter_map(|x| x.last_mut()) {
+            if !e.sealed {
+                e.sealed = true;
+                Arc::get_mut(&mut e.records)
+                    .expect("an unsealed extent is never shared")
+                    .shrink_to_fit();
+            }
+        }
     }
 
     /// Phase 3 of a checkpoint (hold the lock; O(fresh extents)): commits
@@ -839,8 +856,8 @@ impl CosmosStore {
 
     /// Checkpoints a store shared behind `store` when
     /// [`Self::checkpoint_due`] at `threshold`, holding the lock only to
-    /// plan and to commit: the segments, the tail, the fsyncs and the
-    /// garbage collection run with it released, beside appends and
+    /// plan and to commit: the segments, the fsyncs and the garbage
+    /// collection run with it released, beside appends and
     /// readers. `Ok(None)` when no checkpoint was due. Callers serialise
     /// passes; two writes in flight at once make the older one stale.
     pub fn checkpoint_shared(
@@ -998,10 +1015,15 @@ mod tests {
         records
     }
 
-    /// Extents alive in the store: a whole-range scan yields each as one chunk.
-    fn extent_count(store: &CosmosStore) -> usize {
+    /// The length of every extent alive in the store: a whole-range scan
+    /// yields each as one chunk.
+    fn extent_lens(store: &CosmosStore) -> Vec<usize> {
         let chunks = store.scan_all_window_chunks(SimTime(0), SimTime(u64::MAX));
-        chunks.len()
+        chunks.iter().map(|c| c.len()).collect()
+    }
+
+    fn extent_count(store: &CosmosStore) -> usize {
+        extent_lens(store).len()
     }
 
     fn ts_of(records: &[ProbeRecord]) -> Vec<u64> {
@@ -1362,8 +1384,10 @@ mod tests {
                 assert!(store.append(S, b, SimTime(0)));
                 assert!(reference.append(S, b, SimTime(0)));
             }
-            // Checkpoint mid-history so recovery exercises segments + WAL.
+            // Checkpoint mid-history so recovery exercises segments + WAL;
+            // the reference seals where the checkpoint does.
             store.checkpoint().unwrap();
+            reference.checkpoint().unwrap();
             assert!(store.append(S, &batches[0], SimTime(0)));
             assert!(reference.append(S, &batches[0], SimTime(0)));
             pre_epoch = store.epoch();
@@ -1373,8 +1397,8 @@ mod tests {
         assert!(store.epoch() > pre_epoch, "epoch rises past every ack");
         recovered_equals(&store, &reference, 2);
         assert_eq!(
-            extent_count(&store),
-            extent_count(&reference),
+            extent_lens(&store),
+            extent_lens(&reference),
             "replay reproduces extent boundaries"
         );
     }
@@ -1411,27 +1435,38 @@ mod tests {
         let mut reference = CosmosStore::new(10, 1);
         {
             let mut store = CosmosStore::durable(&dir, 10, 1).unwrap();
-            assert!(store.append(S, &batch, SimTime(0)));
-            assert!(reference.append(S, &batch, SimTime(0)));
+            assert!(store.append(S, &batch[..45], SimTime(0)));
+            assert!(reference.append(S, &batch[..45], SimTime(0)));
             // Crash between compaction's file writes and the manifest
-            // commit: old and new segments, tails and WALs now coexist.
+            // commit: old and new segments and WALs now coexist. The plan
+            // sealed the 5-record open extent, and the next append lands
+            // behind it in the WAL the plan rotated to.
             let plan = store.plan_checkpoint().unwrap().expect("durable");
             drop(plan.write().unwrap());
+            assert!(store.append(S, &batch[45..], SimTime(0)));
+            assert!(reference.append(S, &batch[45..], SimTime(0)));
         }
         let files_before = std::fs::read_dir(&dir).unwrap().count();
         let store = CosmosStore::durable(&dir, 10, 1).unwrap();
         recovered_equals(&store, &reference, 1);
+        assert_eq!(
+            extent_lens(&store),
+            vec![10, 10, 10, 10, 5, 5],
+            "replay seals at the WAL file boundary, as the plan did"
+        );
         // Recovery's fresh checkpoint garbage-collected the orphans: one
-        // manifest, one tail, one WAL, and only the live segments remain.
-        let (mut wals, mut tails) = (0, 0);
+        // manifest, one WAL, and only the live segments remain.
+        let mut wals = 0;
         for entry in std::fs::read_dir(&dir).unwrap() {
             let name = entry.unwrap().file_name();
             let name = name.to_string_lossy().into_owned();
-            assert!(!name.starts_with("MANIFEST-"), "no temp manifests or pins");
+            assert!(
+                name == "MANIFEST" || name.starts_with("seg-") || name.starts_with("wal-"),
+                "{name}: no temp manifests, pins or other files"
+            );
             wals += usize::from(name.starts_with("wal-"));
-            tails += usize::from(name.starts_with("tail-"));
         }
-        assert_eq!((wals, tails), (1, 1), "exactly one live WAL and tail");
+        assert_eq!(wals, 1, "exactly one live WAL");
         assert!(
             std::fs::read_dir(&dir).unwrap().count() < files_before,
             "orphans from the crashed compaction were removed"
@@ -1511,7 +1546,7 @@ mod tests {
         assert_eq!(store.record_count(), count_before);
         assert_eq!(store.epoch(), epoch_before);
         assert!(!store.append(S, &[rec(3)], SimTime(0)), "stays closed");
-        // A checkpoint rewrites the log from in-memory state and heals.
+        // A checkpoint's rotation to a fresh WAL file heals it.
         store.checkpoint().unwrap();
         assert!(!store.durability_stats().unwrap().failed);
         assert!(store.append(S, &[rec(4)], SimTime(0)), "healed");

@@ -11,6 +11,8 @@ use pingmesh_types::{
     DcId, PodId, PodsetId, ProbeKind, ProbeOutcome, ProbeRecord, QosClass, ServerId, SimDuration,
     SimTime,
 };
+use std::collections::BTreeMap;
+use std::io::ErrorKind;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -67,17 +69,31 @@ fn contents(store: &CosmosStore, windows: u64) -> (Vec<ProbeRecord>, Vec<WindowA
     (records, aggs)
 }
 
-/// Files of each kind in the store directory: (tails, manifests other
-/// than `MANIFEST` — temporary ones and pins of replaced ones —, segments).
+/// The length of every extent, stream by stream: a whole-range scan
+/// yields each extent as one chunk.
+fn extents(store: &CosmosStore) -> Vec<usize> {
+    let chunks = store.scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX));
+    chunks.iter().map(|c| c.len()).collect()
+}
+
+/// Files of each kind in the store directory: (WALs, manifests other
+/// than `MANIFEST` — temporary ones and pins of replaced ones —,
+/// segments). Nothing else is ever there.
 fn files(dir: &Path) -> (usize, usize, usize) {
-    let (mut tails, mut tmps, mut segs) = (0, 0, 0);
+    let (mut wals, mut tmps, mut segs) = (0, 0, 0);
     for entry in std::fs::read_dir(dir).unwrap() {
         let name = entry.unwrap().file_name().to_string_lossy().into_owned();
-        tails += usize::from(name.starts_with("tail-"));
-        tmps += usize::from(name.starts_with("MANIFEST-"));
-        segs += usize::from(name.starts_with("seg-"));
+        let kind = [
+            name.starts_with("wal-"),
+            name.starts_with("MANIFEST-"),
+            name.starts_with("seg-"),
+        ];
+        assert!(name == "MANIFEST" || kind.contains(&true), "stray {name}");
+        wals += usize::from(kind[0]);
+        tmps += usize::from(kind[1]);
+        segs += usize::from(kind[2]);
     }
-    (tails, tmps, segs)
+    (wals, tmps, segs)
 }
 
 #[test]
@@ -91,22 +107,25 @@ fn checkpoint_write_races_appends_a_retire_and_reads_then_recovers_bit_equal() {
         append(&mut reference.lock(), records);
     };
 
-    // Window 0 in both streams: one extent each gets a segment, then one
-    // more fills and seals behind a 7-record unsealed tail.
+    // Window 0 in both streams: the checkpoint seals each stream's
+    // 2-record open extent, so both extents of each stream get a segment.
+    // The reference seals where the durable store does.
     for dc in [0, 1] {
         both(&batch(dc, 0, 12));
     }
     store.lock().checkpoint().unwrap();
+    reference.lock().checkpoint().unwrap();
     for dc in [0, 1] {
         both(&batch(dc, 20_000_000, 15));
     }
 
-    // Plan (locked): the sealed extents of the second batch are fresh,
-    // the first batch's are kept, the 7-record tails are lengths only.
+    // Plan (locked): it seals the 5-record open extents; they and the full
+    // extents before them are fresh, the first batch's are kept.
     let plan = store.lock().plan_checkpoint().unwrap().expect("durable");
+    reference.lock().checkpoint().unwrap();
 
     // Write (unlocked), beside a thread that appends into both streams
-    // (sealing the extents that were the tails at plan), retires window 0
+    // (new extents: the plan sealed the old ones), retires window 0
     // (every kept and every fresh extent) and reads.
     let racer = {
         let (store, reference) = (Arc::clone(&store), Arc::clone(&reference));
@@ -135,7 +154,7 @@ fn checkpoint_write_races_appends_a_retire_and_reads_then_recovers_bit_equal() {
     assert!(gc.committed());
     gc.run();
     let stats = store.lock().durability_stats().unwrap();
-    assert_eq!((stats.segments, stats.tombstones), (0, 4), "{stats:?}");
+    assert_eq!((stats.segments, stats.tombstones), (0, 8), "{stats:?}");
     let expected = contents(&reference.lock(), 3);
     assert_eq!(contents(&store.lock(), 3), expected);
 
@@ -147,9 +166,14 @@ fn checkpoint_write_races_appends_a_retire_and_reads_then_recovers_bit_equal() {
     assert_eq!(aggs, expected.1, "aggregate for aggregate");
     assert_eq!(recovered.record_count(), reference.lock().record_count());
     assert_eq!(
+        extents(&recovered),
+        extents(&reference.lock()),
+        "extent for extent"
+    );
+    assert_eq!(
         files(&dir),
         (1, 0, 2),
-        "one tail, no temp files, the sealed extents' segments"
+        "one WAL, no temp files, a segment for each window-1 extent"
     );
 }
 
@@ -169,18 +193,18 @@ fn a_stale_plan_is_refused_and_its_files_collected() {
     let written = store.plan_checkpoint().unwrap().unwrap().write().unwrap();
     assert_eq!(
         files(&dir),
-        (2, 2, 4),
-        "the written plan's tail, manifest and pin, segments"
+        (2, 2, 6),
+        "two WALs, the written plan's manifest and pin, a segment per extent"
     );
     drop(store.plan_checkpoint().unwrap());
     let gc = store.commit_checkpoint(written).unwrap();
     assert!(!gc.committed(), "a plan rotated past is stale");
     gc.run();
-    assert_eq!(files(&dir), (1, 0, 0), "the refused plan's files are gone");
+    assert_eq!(files(&dir), (3, 0, 0), "the refused plan's files are gone");
 
     // Nothing was lost, and the next checkpoint commits.
     store.checkpoint().unwrap();
-    assert_eq!(store.durability_stats().unwrap().segments, 4);
+    assert_eq!(store.durability_stats().unwrap().segments, 6);
     drop(store);
     let recovered = CosmosStore::durable(&dir, CAP, 1).unwrap();
     assert_eq!(contents(&recovered, 1), contents(&reference, 1));
@@ -195,10 +219,11 @@ fn a_failed_write_leaves_the_frozen_bytes_unsynced_until_a_group_commit() {
     let before = store.lock().durability_stats().unwrap();
     assert!(before.unsynced_bytes > 0);
 
-    // The write phase cannot create its tail file: a directory holds the
-    // name. The plan has rotated the WAL; the bytes it froze still count.
+    // The write phase cannot create its first segment: a directory holds
+    // the name (no checkpoint has reserved an id yet). The plan has
+    // rotated the WAL; the bytes it froze still count.
     let next = before.wal_seq + 1;
-    std::fs::create_dir(dir.join(format!("tail-{next}.log"))).unwrap();
+    std::fs::create_dir(dir.join("seg-0.dat")).unwrap();
     assert!(CosmosStore::checkpoint_shared(&store, 0).is_err());
     let after = store.lock().durability_stats().unwrap();
     assert_eq!(after.wal_seq, next, "the plan rotated");
@@ -218,44 +243,49 @@ fn a_failed_write_leaves_the_frozen_bytes_unsynced_until_a_group_commit() {
     assert_eq!(recovered.record_count(), 35);
 }
 
-#[test]
-fn a_version_1_directory_opens_to_the_same_records() {
-    // Version 1 kept the unsealed tail at the head of `wal-<wal_seq>`
-    // and replayed that one file. Built by hand: two tail frames, then
-    // an append; a stray older WAL the manifest no longer names; and the
-    // orphan a version 1 checkpoint that died before its manifest rename
-    // left: the next WAL, headed by a copy of the tail.
-    let dir = unique_dir("phases-v1");
-    let _guard = DirGuard::new(dir.clone());
-    std::fs::create_dir_all(&dir).unwrap();
-    let batches = [batch(0, 0, 5), batch(1, 0, 3), batch(0, 10_000_000, 4)];
-    let mut wal = Vec::new();
-    for b in &batches {
-        encode_upload_frame_into(&mut wal, b);
-    }
-    std::fs::write(dir.join("wal-3.log"), &wal).unwrap();
-    let mut stray = Vec::new();
-    encode_upload_frame_into(&mut stray, &batch(0, 0, 7));
-    std::fs::write(dir.join("wal-2.log"), &stray).unwrap();
-    std::fs::write(dir.join("wal-4.log"), &wal).unwrap();
-    std::fs::write(
-        dir.join("MANIFEST"),
-        r#"{"version":1,"boot_id":4,"epoch_hwm":9,"retire_hwm":0,"wal_seq":3,"next_seg":0,"segments":[]}"#,
-    )
-    .unwrap();
+/// Every file in `dir` with its length.
+fn listing(dir: &Path) -> BTreeMap<String, u64> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, entry.metadata().unwrap().len())
+        })
+        .collect()
+}
 
-    let mut reference = CosmosStore::new(CAP, 1);
-    for b in &batches {
-        append(&mut reference, b);
+#[test]
+fn a_directory_of_another_manifest_version_is_refused_untouched() {
+    // Versions 1 and 2 kept each stream's unsealed records outside the
+    // segments. This build does not read them: it refuses the directory,
+    // naming the version, and collects, truncates and creates nothing.
+    for version in [1, 2] {
+        let dir = unique_dir("phases-old");
+        let _guard = DirGuard::new(dir.clone());
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut wal = Vec::new();
+        encode_upload_frame_into(&mut wal, &batch(0, 0, 5));
+        std::fs::write(dir.join("wal-2.log"), &wal).unwrap();
+        std::fs::write(dir.join("wal-3.log"), &wal[..wal.len() - 7]).unwrap();
+        std::fs::write(dir.join("seg-9.dat"), b"not a segment").unwrap();
+        std::fs::write(dir.join("MANIFEST-3.tmp"), b"{}").unwrap();
+        std::fs::write(
+            dir.join("MANIFEST"),
+            format!(
+                r#"{{"version":{version},"boot_id":4,"epoch_hwm":9,"retire_hwm":0,"wal_seq":3,"next_seg":0,"segments":[]}}"#
+            ),
+        )
+        .unwrap();
+        let before = listing(&dir);
+
+        let err = CosmosStore::durable(&dir, CAP, 1).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        assert!(
+            err.to_string()
+                .contains(&format!("manifest version {version} ")),
+            "{err}"
+        );
+        assert_eq!(listing(&dir), before, "the directory is as it was");
     }
-    let store = CosmosStore::durable(&dir, CAP, 1).unwrap();
-    assert_eq!(store.boot_id(), 5);
-    assert_eq!(contents(&store, 1), contents(&reference, 1));
-    // Recovery rewrote it as a version 2 directory, whose live WAL is the
-    // orphan's name, emptied; that opens the same.
-    assert_eq!(store.durability_stats().unwrap().wal_seq, 4);
-    assert_eq!(std::fs::metadata(dir.join("wal-4.log")).unwrap().len(), 0);
-    drop(store);
-    let again = CosmosStore::durable(&dir, CAP, 1).unwrap();
-    assert_eq!(contents(&again, 1), contents(&reference, 1));
 }

@@ -214,9 +214,9 @@ pub struct Collector {
 /// checkpoint never holds up a sync. Neither holds the store lock for
 /// disk IO: a sync clones the WAL handles under the lock and fsyncs them
 /// outside, and a checkpoint holds the lock only to plan (rotate the WAL,
-/// snapshot the extents) and to commit (rename the manifest); its
-/// segment, tail and fsync work runs with the lock released, beside
-/// uploads and readers. Uploads that get too far ahead of either wait for
+/// seal the open extents, snapshot the extents) and to commit (rename the
+/// manifest); its segment and fsync work runs with the lock released,
+/// beside uploads and readers. Uploads that get too far ahead of either wait for
 /// it ([`Compactor::wait_out_backlog`]).
 struct Compactor {
     stop: Arc<AtomicBool>,
@@ -492,10 +492,11 @@ impl Collector {
 
     /// Chaos hook: crash mid-compaction — runs a real checkpoint's plan
     /// and write phases, then drops it uncommitted, so the next
-    /// generation's segments, tail and manifest are on disk beside a WAL
-    /// rotated past the old one while the manifest still names the old
-    /// generation; then recovers. Recovery must follow the manifest,
-    /// replay both WAL files, and garbage-collect the orphans.
+    /// generation's segments and manifest are on disk beside a WAL rotated
+    /// past the old one while the manifest still names the old generation;
+    /// then recovers. Recovery must follow the manifest, replay both WAL
+    /// files (sealing at the boundary, as the plan did), and
+    /// garbage-collect the orphans.
     pub fn crash_and_recover_mid_compaction(&self) -> io::Result<bool> {
         let _pass = self.compaction.lock();
         let plan = self.store.lock().plan_checkpoint()?;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate; exits non-zero at the first failing step. `ci.sh` builds,
 # runs `cargo test` over the whole workspace (which includes the obs,
-# crash, chaos and mitigation drills and the allocation gates), checks fmt
-# and clippy, and checks that `unsafe` / FFI stays in its allowed files,
+# crash, chaos and mitigation drills and the allocation gates), checks fmt,
+# clippy and rustdoc, and checks that `unsafe` / FFI stays in its allowed files,
 # that every HTTP server loop is `httpx::serve`, that raw records are
 # read through `scan_all_window_chunks` only (outages live in the simulator),
 # and that fsyncs and renames stay in `dsa::durable` while the collector
@@ -45,6 +45,9 @@ cargo fmt --check
 
 step "cargo clippy -D warnings (workspace, all targets)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+step "cargo doc -D warnings (workspace libraries: no broken or private links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib
 
 step "unsafe / FFI stays in its allowed files, no readiness-retry constants"
 if grep -rnE 'unsafe \{|unsafe fn|unsafe impl|extern "C"' --include='*.rs' \

@@ -4,8 +4,8 @@
 //!
 //! These are thin entry points over the `serde` shim's streaming model: a
 //! value writes itself into the output buffer through one
-//! [`Writer`](serde::ser::Writer) and reads itself off the input through one
-//! [`Reader`](serde::de::Reader), whatever its type — [`parse_value`] is
+//! [`serde::ser::Writer`] and reads itself off the input through one
+//! [`serde::de::Reader`], whatever its type — [`parse_value`] is
 //! `from_str::<Value>`. Output conventions match serde_json where
 //! observable: string escaping, `null` for `None` and for non-finite
 //! floats, externally tagged enums, shortest-round-trip float formatting,

@@ -12,7 +12,7 @@
 //!    revalidates (boot-id-salted fingerprints) and serves the same
 //!    dashboard bytes.
 //! 2. **Kill mid-compaction** — a real checkpoint is planned and written
-//!    but never committed: its segments, tail and manifest exist on disk
+//!    but never committed: its segments and manifest exist on disk
 //!    beside a rotated WAL while the manifest still names the old
 //!    generation. Recovery follows the manifest, replays both WALs,
 //!    collects the orphans, and again loses nothing.
