@@ -20,12 +20,14 @@ use std::sync::Arc;
 /// the throughput-heavy US-West profile, DC2 with the latency-sensitive
 /// US-Central profile.
 pub fn two_dc_scenario(config: OrchestratorConfig) -> Orchestrator {
+    two_dcs(DcSpec::medium, config)
+}
+
+/// [`two_dc_scenario`] with both DCs built by `spec`.
+fn two_dcs(spec: fn(&str) -> DcSpec, config: OrchestratorConfig) -> Orchestrator {
     let topo = Arc::new(
         Topology::build(TopologySpec {
-            dcs: vec![
-                DcSpec::medium("DC1 (US West)"),
-                DcSpec::medium("DC2 (US Central)"),
-            ],
+            dcs: vec![spec("DC1 (US West)"), spec("DC2 (US Central)")],
         })
         .expect("valid spec"),
     );
@@ -233,7 +235,8 @@ mod tests {
 
     #[test]
     fn run_and_aggregate_is_lossless_despite_upload_lag() {
-        let mut o = two_dc_scenario(OrchestratorConfig::default());
+        // Two tiny DCs: the property does not depend on scale.
+        let mut o = two_dcs(DcSpec::tiny, OrchestratorConfig::default());
         let until = SimTime::ZERO + SimDuration::from_mins(12);
         let agg = run_and_aggregate(&mut o, until, SimDuration::from_mins(6));
         assert!(agg.record_count > 0);

@@ -205,7 +205,7 @@ impl Shard {
             return; // the server has no power; it will poll when back
         }
         let had_schedule = self.fleet.next_wakeup(idx).is_some();
-        let outcome = match ctx.cluster.fetch_keyed(s, now) {
+        let outcome = match ctx.cluster.fetch(s, now) {
             Ok(Some(pl)) => ControllerPollOutcome::Pinglist(pl),
             Ok(None) => ControllerPollOutcome::NoPinglist,
             Err(_) => ControllerPollOutcome::Unreachable,

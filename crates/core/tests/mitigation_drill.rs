@@ -242,7 +242,7 @@ fn podset_power_down_drains_pinglists_then_reincludes() {
     let now = o.now();
     let list = o
         .cluster()
-        .fetch_keyed(outside_server, now)
+        .fetch(outside_server, now)
         .unwrap()
         .expect("healthy server keeps a pinglist");
     assert!(
@@ -256,7 +256,7 @@ fn podset_power_down_drains_pinglists_then_reincludes() {
         .servers()
         .find(|&s| topo.server(s).podset == ps)
         .unwrap();
-    let dark_list = o.cluster().fetch_keyed(dark_server, now).unwrap().unwrap();
+    let dark_list = o.cluster().fetch(dark_server, now).unwrap().unwrap();
     assert!(
         dark_list.entries.is_empty(),
         "the dark podset's servers get empty lists"
@@ -274,7 +274,7 @@ fn podset_power_down_drains_pinglists_then_reincludes() {
     // The re-include regenerated pinglists again: the podset is a probe
     // target once more, and its own servers have non-empty lists.
     let now = o.now();
-    let back = o.cluster().fetch_keyed(dark_server, now).unwrap().unwrap();
+    let back = o.cluster().fetch(dark_server, now).unwrap().unwrap();
     assert!(
         !back.entries.is_empty(),
         "re-included servers probe the mesh again"

@@ -101,11 +101,11 @@ const SEG_VERSION: u32 = 1;
 /// WAL write attempts beyond the first before failing closed.
 const WAL_WRITE_RETRIES: u32 = 4;
 
-/// How many checkpoint thresholds the live WAL may hold before
-/// [`CosmosStore::checkpoint_backlogged`](crate::CosmosStore::checkpoint_backlogged):
-/// with the checkpoint in flight holding about as much again, recovery
-/// replays at most this many plus one thresholds of WAL.
-pub const WAL_BACKLOG_CHECKPOINTS: u64 = 4;
+/// How many checkpoint thresholds the live WAL may hold before the
+/// [`Compactor`](crate::compactor::Compactor) holds appends back: with the
+/// checkpoint in flight holding about as much again, recovery replays at
+/// most this many plus one thresholds of WAL.
+const WAL_BACKLOG_CHECKPOINTS: u64 = 4;
 
 /// Manifest schema version, and the only one this build opens: version 3
 /// checkpoints seal every open extent, so no record a manifest covers

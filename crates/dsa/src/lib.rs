@@ -14,6 +14,10 @@
 //!   commit under the caller's lock, the file writes outside it) that
 //!   seals every open extent, so everything it covers is in a segment,
 //!   with tombstone GC and deterministic crash recovery,
+//! * [`compactor`] — the durable store's background durability loop: the
+//!   group-commit fsyncs and the checkpoints of a store shared behind a
+//!   lock, run on two threads, and the backpressure that holds an append
+//!   while they are behind,
 //! * [`agg`] — the mergeable window aggregation every job consumes
 //!   (built once per record at ingest; coarser windows merge partials),
 //!   including the network SLA — drop rate, P50, P99 — at server / pod /
@@ -34,6 +38,7 @@
 
 pub mod agg;
 pub mod alert;
+pub mod compactor;
 pub mod db;
 pub mod detect;
 pub mod durable;

@@ -24,7 +24,6 @@ use crate::durable::{
     CheckpointGc, CheckpointPlan, DurabilityStats, DurableLog, SegmentMeta, WalOp,
     WrittenCheckpoint,
 };
-use parking_lot::Mutex;
 use pingmesh_topology::ServiceMap;
 use pingmesh_types::{DcId, ProbeRecord, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -32,13 +31,12 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Live WAL bytes at which the background compactor
-/// ([`CosmosStore::maybe_checkpoint_with`]) triggers the next checkpoint
+/// Live WAL bytes at which the background
+/// [`Compactor`](crate::compactor::Compactor) triggers the next checkpoint
 /// (every extent written as a segment, replay restarting at the rotated-to
-/// WAL). Recovery replays a few of these (see
-/// [`CosmosStore::checkpoint_backlogged`]); at measured replay rates (>1M
+/// WAL). Recovery replays a few of these; at measured replay rates (>1M
 /// records/sec) each is a fraction of a second.
 pub const WAL_CHECKPOINT_BYTES: u64 = 16 << 20;
 
@@ -54,18 +52,6 @@ pub const PARTIAL_WINDOW: SimDuration = SimDuration::from_mins(10);
 pub struct StreamName {
     /// The data center whose agents feed this stream.
     pub dc: DcId,
-}
-
-/// What one [`CosmosStore::checkpoint_shared`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointPass {
-    /// Whether the checkpoint committed; `false` when it was refused as
-    /// stale.
-    pub committed: bool,
-    /// How long it held the store lock: the plan plus the commit.
-    pub locked: Duration,
-    /// How long its write phase ran with the lock released.
-    pub writing: Duration,
 }
 
 /// One append-only extent. Not `Clone`: an unsealed extent's records
@@ -140,7 +126,7 @@ pub struct CosmosStore {
     /// are gone and stay gone.
     retired_before: SimTime,
     /// Persistence engine; `None` for a purely in-memory store.
-    durable: Option<DurableLog>,
+    pub(crate) durable: Option<DurableLog>,
     /// Recovery generation: 0 on first boot, +1 per recovery. Folded into
     /// every [`CosmosStore::window_version`] so caches built before a
     /// crash can never falsely revalidate against the recovered store.
@@ -318,7 +304,13 @@ impl CosmosStore {
         // than acknowledging data that would not survive a crash.
         if let Some(log) = self.durable.as_mut() {
             let epoch_after = self.epoch.load(Ordering::Acquire) + 1;
-            if !log.log_append(stream.dc, batch, t, epoch_after) {
+            let write = Instant::now();
+            let logged = log.log_append(stream.dc, batch, t, epoch_after);
+            // The WAL write's share of the appender's hold on the store.
+            pingmesh_obs::registry()
+                .histogram("pingmesh_store_wal_append_us")
+                .record_wall(write.elapsed());
+            if !logged {
                 pingmesh_obs::registry()
                     .counter("pingmesh_dsa_store_rejected_batches_total")
                     .inc();
@@ -722,9 +714,8 @@ impl CosmosStore {
     /// segment file, atomically commits the manifest and garbage-collects
     /// what it superseded. On an in-memory store it only seals, so a
     /// reference store can mirror a durable one's extent boundaries. A
-    /// caller sharing the store behind a lock uses
-    /// [`Self::checkpoint_shared`], which holds the lock only for the plan
-    /// and the commit.
+    /// shared store's [`Compactor`](crate::compactor::Compactor) locks
+    /// only for the plan and the commit.
     pub fn checkpoint(&mut self) -> io::Result<()> {
         let Some(plan) = self.plan_checkpoint()? else {
             return Ok(());
@@ -733,36 +724,23 @@ impl CosmosStore {
         Ok(())
     }
 
-    /// Whether a checkpoint is due: the live WAL holds `threshold` bytes
-    /// (production: [`WAL_CHECKPOINT_BYTES`]), or the WAL is failed-closed
-    /// and a checkpoint would heal it. Always `false` for in-memory
-    /// stores.
-    pub fn checkpoint_due(&self, threshold: u64) -> bool {
-        self.durable
-            .as_ref()
-            .is_some_and(|log| log.checkpoint_due(threshold))
-    }
-
-    /// Whether appends have run so far ahead of the checkpoints that a
-    /// caller sharing the store should hold them until the next plan
-    /// rotates the WAL: it holds
-    /// [`WAL_BACKLOG_CHECKPOINTS`](crate::durable::WAL_BACKLOG_CHECKPOINTS)
-    /// times `threshold`. This bounds what recovery replays. Always
-    /// `false` for in-memory stores.
-    pub fn checkpoint_backlogged(&self, threshold: u64) -> bool {
-        self.durable
-            .as_ref()
-            .is_some_and(|log| log.checkpoint_backlogged(threshold))
-    }
-
-    /// Checkpoints inline when [`Self::checkpoint_due`]. Returns whether a
-    /// checkpoint ran.
+    /// Checkpoints inline when one is due: the live WAL holds `threshold`
+    /// bytes (production: [`WAL_CHECKPOINT_BYTES`]), or it is failed-closed
+    /// and a checkpoint would heal it. Returns whether a checkpoint ran
+    /// (never on an in-memory store).
     pub fn maybe_checkpoint_with(&mut self, threshold: u64) -> io::Result<bool> {
         let due = self.checkpoint_due(threshold);
         if due {
             self.checkpoint()?;
         }
         Ok(due)
+    }
+
+    /// Whether a checkpoint is due at `threshold` (see
+    /// [`Self::maybe_checkpoint_with`]).
+    pub(crate) fn checkpoint_due(&self, threshold: u64) -> bool {
+        let log = self.durable.as_ref();
+        log.is_some_and(|log| log.checkpoint_due(threshold))
     }
 
     /// Phase 1 of a checkpoint (hold the lock): rotates the WAL to a fresh
@@ -845,82 +823,13 @@ impl CosmosStore {
     }
 
     /// Forces the WAL to stable storage inline, zeroing the flush lag. A
-    /// no-op for in-memory stores. A caller sharing the store behind a
-    /// lock uses [`Self::sync_wal_shared`] instead.
+    /// no-op for in-memory stores. A shared store's
+    /// [`Compactor`](crate::compactor::Compactor) fsyncs unlocked.
     pub fn sync_wal(&mut self) -> io::Result<()> {
         match self.durable.as_mut() {
             Some(log) => log.sync(),
             None => Ok(()),
         }
-    }
-
-    /// Checkpoints a store shared behind `store` when
-    /// [`Self::checkpoint_due`] at `threshold`, holding the lock only to
-    /// plan and to commit: the segments, the fsyncs and the garbage
-    /// collection run with it released, beside appends and
-    /// readers. `Ok(None)` when no checkpoint was due. Callers serialise
-    /// passes; two writes in flight at once make the older one stale.
-    pub fn checkpoint_shared(
-        store: &Mutex<CosmosStore>,
-        threshold: u64,
-    ) -> io::Result<Option<CheckpointPass>> {
-        let (plan, plan_held) = {
-            let mut store = store.lock();
-            let locked = Instant::now();
-            if !store.checkpoint_due(threshold) {
-                return Ok(None);
-            }
-            (store.plan_checkpoint()?, locked.elapsed())
-        };
-        let Some(plan) = plan else {
-            return Ok(None);
-        };
-        let writing = Instant::now();
-        let written = plan.write()?;
-        let writing = writing.elapsed();
-        let (gc, commit_held) = {
-            let mut store = store.lock();
-            let locked = Instant::now();
-            (store.commit_checkpoint(written)?, locked.elapsed())
-        };
-        let committed = gc.committed();
-        gc.run();
-        Ok(Some(CheckpointPass {
-            committed,
-            locked: plan_held + commit_held,
-            writing,
-        }))
-    }
-
-    /// A group commit on a store shared behind `store`: when at least
-    /// `bytes` acknowledged WAL bytes are unsynced, or some have waited
-    /// `lag_us`, fdatasyncs them through cloned handles with the lock
-    /// released, then clears only the bytes that sync covered (appends
-    /// that land meanwhile stay unsynced). Returns whether a sync ran.
-    pub fn sync_wal_shared(
-        store: &Mutex<CosmosStore>,
-        bytes: u64,
-        lag_us: u64,
-    ) -> io::Result<bool> {
-        let sync = {
-            let store = store.lock();
-            let Some(log) = store.durable.as_ref() else {
-                return Ok(false);
-            };
-            let unsynced = log.unsynced_bytes();
-            if unsynced < bytes && (unsynced == 0 || log.flush_lag_us() < lag_us) {
-                return Ok(false);
-            }
-            log.begin_sync()?
-        };
-        let Some(sync) = sync else {
-            return Ok(false);
-        };
-        sync.run()?;
-        if let Some(log) = store.lock().durable.as_mut() {
-            log.finish_sync(&sync);
-        }
-        Ok(true)
     }
 
     /// Recovery generation: 0 on first boot, +1 per recovery (and always
@@ -964,14 +873,15 @@ impl CosmosStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::durable;
     use pingmesh_types::{
         PodId, PodsetId, ProbeKind, ProbeOutcome, QosClass, ServerId, SimDuration,
     };
 
-    fn rec(ts: u64) -> ProbeRecord {
+    /// A stream-0 record at `ts` µs (shared with other modules' tests).
+    pub(crate) fn rec(ts: u64) -> ProbeRecord {
         ProbeRecord {
             ts: SimTime(ts),
             src: ServerId(0),

@@ -210,39 +210,6 @@ fn a_stale_plan_is_refused_and_its_files_collected() {
     assert_eq!(contents(&recovered, 1), contents(&reference, 1));
 }
 
-#[test]
-fn a_failed_write_leaves_the_frozen_bytes_unsynced_until_a_group_commit() {
-    let dir = unique_dir("phases-failed");
-    let _guard = DirGuard::new(dir.clone());
-    let store = Mutex::new(CosmosStore::durable(&dir, CAP, 1).unwrap());
-    append(&mut store.lock(), &batch(0, 0, 25));
-    let before = store.lock().durability_stats().unwrap();
-    assert!(before.unsynced_bytes > 0);
-
-    // The write phase cannot create its first segment: a directory holds
-    // the name (no checkpoint has reserved an id yet). The plan has
-    // rotated the WAL; the bytes it froze still count.
-    let next = before.wal_seq + 1;
-    std::fs::create_dir(dir.join("seg-0.dat")).unwrap();
-    assert!(CosmosStore::checkpoint_shared(&store, 0).is_err());
-    let after = store.lock().durability_stats().unwrap();
-    assert_eq!(after.wal_seq, next, "the plan rotated");
-    assert_eq!(after.unsynced_bytes, before.unsynced_bytes);
-    assert!(after.flush_lag_us > 0 && after.flush_lag_us >= before.flush_lag_us);
-
-    // A group commit covers the frozen file, and a later checkpoint
-    // commits; nothing was lost.
-    assert!(CosmosStore::sync_wal_shared(&store, 1, u64::MAX).unwrap());
-    let synced = store.lock().durability_stats().unwrap();
-    assert_eq!((synced.unsynced_bytes, synced.flush_lag_us), (0, 0));
-    append(&mut store.lock(), &batch(0, 25_000_000, 10));
-    let pass = CosmosStore::checkpoint_shared(&store, 0).unwrap();
-    assert!(pass.is_some_and(|p| p.committed));
-    drop(store);
-    let recovered = CosmosStore::durable(&dir, CAP, 1).unwrap();
-    assert_eq!(recovered.record_count(), 35);
-}
-
 /// Every file in `dir` with its length.
 fn listing(dir: &Path) -> BTreeMap<String, u64> {
     std::fs::read_dir(dir)

@@ -200,25 +200,45 @@ impl NetState {
             return false;
         }
         for sw in path.switches() {
-            if let Some(v) = self.faults.deterministic_verdict(sw, tuple, t) {
-                match v {
-                    Verdict::DropVisible => counters.entry(sw).or_default().visible_discards += 1,
-                    _ => counters.entry(sw).or_default().silent_discards_ground_truth += 1,
-                }
-                return false;
-            }
-            let dc = self.topo.dc_of_switch(sw).expect("switch has a DC");
-            let base = self.profiles[dc.index()].drops.for_tier(sw.tier);
-            let (silent, visible) = self.faults.random_drop_probs(sw, payload_bytes, t);
-            if chance(rng, base + silent) {
-                counters.entry(sw).or_default().silent_discards_ground_truth += 1;
-                return false;
-            }
-            if chance(rng, visible) {
-                counters.entry(sw).or_default().visible_discards += 1;
+            if !self.hop_survives(rng, counters, sw, tuple, payload_bytes, t) {
                 return false;
             }
             counters.entry(sw).or_default().forwarded += 1;
+        }
+        true
+    }
+
+    /// One switch traversal: the faults' deterministic verdict, then a
+    /// silent drop (the tier's base rate plus any injected), then a visible
+    /// one. Records the discard it draws; forwarding is the caller's to
+    /// count. Always inlined: it is on the probe path.
+    #[inline(always)]
+    fn hop_survives(
+        &self,
+        rng: &mut SmallRng,
+        counters: &mut CounterDelta,
+        sw: SwitchId,
+        tuple: &FiveTuple,
+        payload_bytes: u32,
+        t: SimTime,
+    ) -> bool {
+        if let Some(v) = self.faults.deterministic_verdict(sw, tuple, t) {
+            match v {
+                Verdict::DropVisible => counters.entry(sw).or_default().visible_discards += 1,
+                _ => counters.entry(sw).or_default().silent_discards_ground_truth += 1,
+            }
+            return false;
+        }
+        let dc = self.topo.dc_of_switch(sw).expect("switch has a DC");
+        let base = self.profiles[dc.index()].drops.for_tier(sw.tier);
+        let (silent, visible) = self.faults.random_drop_probs(sw, payload_bytes, t);
+        if chance(rng, base + silent) {
+            counters.entry(sw).or_default().silent_discards_ground_truth += 1;
+            return false;
+        }
+        if chance(rng, visible) {
+            counters.entry(sw).or_default().visible_discards += 1;
+            return false;
         }
         true
     }
@@ -630,33 +650,14 @@ impl SimNet {
         payload_bytes: u32,
         t: SimTime,
     ) -> bool {
-        if let Some(v) = self.state.faults.deterministic_verdict(sw, tuple, t) {
-            match v {
-                Verdict::DropVisible => self.counters.entry(sw).or_default().visible_discards += 1,
-                _ => {
-                    self.counters
-                        .entry(sw)
-                        .or_default()
-                        .silent_discards_ground_truth += 1
-                }
-            }
-            return false;
-        }
-        let dc = self.state.topo.dc_of_switch(sw).expect("switch has a DC");
-        let base = self.state.profiles[dc.index()].drops.for_tier(sw.tier);
-        let (silent, visible) = self.state.faults.random_drop_probs(sw, payload_bytes, t);
-        if chance(&mut self.rng, base + silent) {
-            self.counters
-                .entry(sw)
-                .or_default()
-                .silent_discards_ground_truth += 1;
-            return false;
-        }
-        if chance(&mut self.rng, visible) {
-            self.counters.entry(sw).or_default().visible_discards += 1;
-            return false;
-        }
-        true
+        self.state.hop_survives(
+            &mut self.rng,
+            &mut self.counters,
+            sw,
+            tuple,
+            payload_bytes,
+            t,
+        )
     }
 }
 

@@ -1,6 +1,7 @@
 //! Exporters: JSON-lines for events and snapshots, Prometheus text
-//! exposition for metrics. Hand-rolled encoding — the output grammar is
-//! tiny and this keeps the observability crate dependency-free.
+//! exposition for metrics, and the one reader of that exposition
+//! ([`parse_prometheus`]). Hand-rolled — the grammar is tiny and this
+//! keeps the observability crate dependency-free.
 
 use crate::event::{Event, Field};
 use crate::metrics::{MetricId, SampleValue, Snapshot};
@@ -206,6 +207,95 @@ pub fn snapshot_to_prometheus(snap: &Snapshot) -> String {
     out
 }
 
+/// One sample line of a Prometheus text exposition: `name{labels} value`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PromSample {
+    /// The series name, with any `_bucket` / `_count` / `_p50_us` suffix.
+    pub name: String,
+    /// Label pairs in exposition order, values unescaped.
+    pub labels: Vec<(String, String)>,
+    /// The sample value.
+    pub value: f64,
+}
+
+impl PromSample {
+    /// The value of label `key`, if the sample has it.
+    pub fn label(&self, key: &str) -> Option<&str> {
+        self.labels
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// Parses Prometheus text exposition, as [`snapshot_to_prometheus`]
+/// writes it, back into samples. Comment lines are skipped; malformed
+/// lines are dropped rather than failing the page (a dashboard scrape
+/// racing a registry update beats a dead dashboard).
+pub fn parse_prometheus(text: &str) -> Vec<PromSample> {
+    let mut out = Vec::new();
+    for line in text.lines() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let Some((key, value)) = line.rsplit_once(' ') else {
+            continue;
+        };
+        let Ok(value) = value.parse::<f64>() else {
+            continue;
+        };
+        let (name, labels) = match key.split_once('{') {
+            None => (key, Vec::new()),
+            Some((name, rest)) => match rest.strip_suffix('}').and_then(parse_labels) {
+                Some(labels) => (name, labels),
+                None => continue,
+            },
+        };
+        out.push(PromSample {
+            name: name.to_string(),
+            labels,
+            value,
+        });
+    }
+    out
+}
+
+/// Parses `k="v",k2="v2"`, undoing the escapes [`json_escape_into`]
+/// writes inside values.
+fn parse_labels(body: &str) -> Option<Vec<(String, String)>> {
+    let mut labels = Vec::new();
+    let mut chars = body.chars().peekable();
+    while chars.peek().is_some() {
+        let key: String = chars.by_ref().take_while(|c| *c != '=').collect();
+        if chars.next() != Some('"') {
+            return None;
+        }
+        let mut value = String::new();
+        loop {
+            match chars.next()? {
+                '"' => break,
+                '\\' => match chars.next()? {
+                    'n' => value.push('\n'),
+                    'r' => value.push('\r'),
+                    't' => value.push('\t'),
+                    'u' => {
+                        let hex: String = chars.by_ref().take(4).collect();
+                        value.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
+                    }
+                    c => value.push(c),
+                },
+                c => value.push(c),
+            }
+        }
+        labels.push((key, value));
+        if chars.peek() == Some(&',') {
+            chars.next();
+        }
+    }
+    Some(labels)
+}
+
 /// Encodes a metrics snapshot as one JSON object: `{"metric{k=v}": value}`
 /// with histograms expanded to summary objects. Used by the bench
 /// telemetry manifests.
@@ -314,6 +404,50 @@ mod tests {
         assert!(text.contains("pingmesh_test_rtt_us_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("pingmesh_test_rtt_us_count 2"));
         assert!(text.contains("pingmesh_test_rtt_us_p50_us"));
+    }
+
+    #[test]
+    fn prometheus_text_parses_back_to_every_sample() {
+        let r = Registry::new();
+        let odd = "a \"quoted\" \\ path\nwith\ttabs, {braces} = and \u{1}";
+        r.counter_with("pingmesh_test_reqs_total", &[("code", "200"), ("odd", odd)])
+            .add(7);
+        r.counter("pingmesh_test_plain_total").add(3);
+        r.gauge_with("pingmesh_test_depth", &[("q", "x y")])
+            .set(-3.25);
+        let h = r.histogram_with("pingmesh_test_rtt_us", &[("route", odd)]);
+        for us in [100, 250, 10_000] {
+            h.record_micros(us);
+        }
+        let snap = r.snapshot();
+        let parsed = parse_prometheus(&snapshot_to_prometheus(&snap));
+        let parsed: Vec<_> = parsed
+            .into_iter()
+            .map(|s| (s.name, s.labels, s.value))
+            .collect();
+        let mut expected = Vec::new();
+        for (id, value) in &snap.samples {
+            let name = |suffix: &str| format!("{}{suffix}", id.name);
+            let labels = &id.labels;
+            match value {
+                SampleValue::Counter(v) => expected.push((name(""), labels.clone(), *v as f64)),
+                SampleValue::Gauge(v) => expected.push((name(""), labels.clone(), *v)),
+                SampleValue::Histogram(h) => {
+                    let le = h.buckets.iter().map(|&(le, cum)| (le.to_string(), cum));
+                    for (le, cum) in le.chain([("+Inf".to_string(), h.count)]) {
+                        let bucket = [labels.clone(), vec![("le".into(), le)]].concat();
+                        expected.push((name("_bucket"), bucket, cum as f64));
+                    }
+                    expected.push((name("_count"), labels.clone(), h.count as f64));
+                    for (suffix, q) in [("_p50_us", h.p50_us), ("_p99_us", h.p99_us)] {
+                        let q = q.expect("a recorded histogram has quantiles");
+                        expected.push((name(suffix), labels.clone(), q as f64));
+                    }
+                }
+            }
+        }
+        assert_eq!(snap.samples.len(), 4);
+        assert_eq!(parsed, expected);
     }
 
     #[test]

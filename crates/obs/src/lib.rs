@@ -204,13 +204,25 @@ macro_rules! emit_sim {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// One test here turns the process-wide switch off for a moment, and
+    /// `cargo test` runs tests on parallel threads: every test that needs
+    /// events on holds this.
+    static ENABLED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Turns events on for the caller's scope.
+    pub(crate) fn events_on() -> std::sync::MutexGuard<'static, ()> {
+        let guard = ENABLED.lock().unwrap_or_else(|e| e.into_inner());
+        set_enabled(true);
+        guard
+    }
+
     #[test]
     fn emit_lands_in_global_ring() {
-        set_enabled(true);
+        let _on = events_on();
         let before = events().last_seq();
         emit!(Info, "obs.test", "lib_emit", "n" => 3u64, "ok" => true);
         let evs = events().snapshot_since(before);
@@ -222,7 +234,7 @@ mod tests {
 
     #[test]
     fn emit_sim_carries_virtual_time() {
-        set_enabled(true);
+        let _on = events_on();
         let before = events().last_seq();
         emit_sim!(SimTime(77); Debug, "obs.test", "sim_emit");
         let evs = events().snapshot_since(before);
@@ -234,7 +246,7 @@ mod tests {
 
     #[test]
     fn disabled_gates_emission_and_field_evaluation() {
-        set_enabled(true);
+        let _on = events_on();
         let before = events().last_seq();
         set_enabled(false);
         let evaluated = AtomicUsize::new(0);
@@ -258,7 +270,7 @@ mod tests {
 
     #[test]
     fn sink_sees_events() {
-        set_enabled(true);
+        let _on = events_on();
         static HITS: AtomicUsize = AtomicUsize::new(0);
         install_sink(|ev| {
             if ev.name == "sink_probe" {

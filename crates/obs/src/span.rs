@@ -71,7 +71,7 @@ mod tests {
 
     #[test]
     fn span_emits_duration_event() {
-        crate::set_enabled(true);
+        let _on = crate::tests::events_on();
         let before = crate::events().last_seq();
         {
             let _s = crate::span("obs.test", "span_region");
@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn span_with_sim_bounds_reports_sim_duration() {
-        crate::set_enabled(true);
+        let _on = crate::tests::events_on();
         let before = crate::events().last_seq();
         {
             let mut s = crate::span("obs.test", "sim_span").sim_start(SimTime(1_000));

@@ -508,6 +508,7 @@ mod tests {
 
     struct Exclusive {
         _guard: std::sync::MutexGuard<'static, ()>,
+        _on: std::sync::MutexGuard<'static, ()>,
     }
 
     /// Takes the tracer for one test: enabled, empty, sampling at `m`.
@@ -515,10 +516,13 @@ mod tests {
         // Poisoned means an earlier holder failed an assert; its drop
         // below already put the tracer back, so the lock is still good.
         let guard = TRACER.lock().unwrap_or_else(|e| e.into_inner());
-        crate::set_enabled(true);
+        let on = crate::tests::events_on();
         reset();
         set_sample_mod(m);
-        Exclusive { _guard: guard }
+        Exclusive {
+            _guard: guard,
+            _on: on,
+        }
     }
 
     impl Drop for Exclusive {

@@ -17,10 +17,9 @@
 //!   as a JSON array of [`ProbeRecord`]s: the compat branch, kept only
 //!   because the frozen benchmark's traced staged replay posts JSON to
 //!   [`Collector::respond`]; it goes with that caller. Bytes and malformed
-//!   bodies are counted per codec (`codec="frame"|"json"`). An upload
-//!   that finds the background compactor behind — an acknowledged byte
-//!   unsynced for 500 ms, or a backlog of checkpoints in the live WAL —
-//!   waits for it before its `200`.
+//!   bodies are counted per codec (`codec="frame"|"json"`). Storing is
+//!   one `CosmosStore::append` and one [`Compactor::after_append`]: group
+//!   commit, checkpoints and backpressure are the store's.
 //! * `GET /stats` — JSON `{records, logical_bytes, physical_bytes}`.
 //! * `GET /metrics` — Prometheus-style text encoding of the global
 //!   [`pingmesh_obs`] registry snapshot.
@@ -44,6 +43,7 @@
 //! exactly as a restarted process would.
 
 use parking_lot::Mutex;
+use pingmesh_dsa::compactor::Compactor;
 use pingmesh_dsa::durable::{append_frame_len, decode_upload_frame, encode_upload_frame_into};
 use pingmesh_dsa::quality::{self, ExpectedPairs, QualityConfig, RatioSample};
 use pingmesh_dsa::store::{CosmosStore, StreamName};
@@ -56,31 +56,10 @@ use serde::Serialize;
 use std::io;
 use std::net::SocketAddr;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tokio::net::TcpListener;
-
-/// Group commit: fsync the WAL once this many acknowledged bytes sit
-/// unsynced, so upload throughput amortizes the sync cost. An upload that
-/// crosses it wakes the compactor, which runs the sync.
-const GROUP_COMMIT_BYTES: u64 = 4 * 1024 * 1024;
-
-/// Group commit: the crash exposure bound. No upload is acknowledged
-/// while the oldest unsynced acknowledged byte is older than this (µs);
-/// the compactor syncs at half of it, so only a sync that stalls makes an
-/// upload wait.
-const GROUP_COMMIT_LAG_US: u64 = 500_000;
-
-/// How often the background compactor wakes unasked to check the WAL.
-/// Each check is one lock acquisition and a stat read — cheap against a
-/// 500 ms group-commit lag bound.
-const COMPACTOR_POLL: Duration = Duration::from_millis(20);
-
-/// The longest an upload waits out a backlog before it is acknowledged
-/// anyway: its records are already logged, and only a compactor that
-/// fails pass after pass gets this far behind.
-const BACKLOG_WAIT_MAX: Duration = Duration::from_secs(5);
 
 /// The content type of an upload body that is one append frame.
 pub const UPLOAD_CONTENT_TYPE: &str = "application/x-pingmesh-records";
@@ -198,125 +177,9 @@ pub struct Collector {
     /// removed from disk when the last clone drops. `None` when the
     /// store is in-memory or the caller owns the directory.
     _data_dir: Option<Arc<DirGuard>>,
-    /// WAL-growth threshold (bytes) for background compaction.
-    compact_threshold: Arc<AtomicU64>,
-    /// The background compactor, shared across clones and joined when
+    /// The store's durability loop, shared across clones and stopped when
     /// the last clone drops. `None` for in-memory stores.
     compactor: Option<Arc<Compactor>>,
-    /// Held across each compactor pass and by the crash hooks, so a
-    /// simulated crash never lands between a live checkpoint's phases
-    /// (a real crash stops the compactor with everything else).
-    compaction: Arc<Mutex<()>>,
-}
-
-/// Owns the background compaction threads, off the upload request path:
-/// one runs group-commit fsyncs, the other checkpoints, so a long
-/// checkpoint never holds up a sync. Neither holds the store lock for
-/// disk IO: a sync clones the WAL handles under the lock and fsyncs them
-/// outside, and a checkpoint holds the lock only to plan (rotate the WAL,
-/// seal the open extents, snapshot the extents) and to commit (rename the
-/// manifest); its segment and fsync work runs with the lock released,
-/// beside uploads and readers. Uploads that get too far ahead of either wait for
-/// it ([`Compactor::wait_out_backlog`]).
-struct Compactor {
-    stop: Arc<AtomicBool>,
-    /// The group-commit thread; an upload that crossed
-    /// [`GROUP_COMMIT_BYTES`] unparks it.
-    syncer: std::thread::Thread,
-    /// The checkpoint thread.
-    checkpointer: std::thread::Thread,
-    /// Notified after every pass of either thread.
-    progress: Arc<(std::sync::Mutex<()>, std::sync::Condvar)>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl Compactor {
-    fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.syncer.unpark();
-        self.checkpointer.unpark();
-        for t in self.threads.lock().drain(..) {
-            let _ = t.join();
-        }
-    }
-
-    /// Backpressure, with the store lock released: holds an upload while
-    /// an acknowledged byte has waited [`GROUP_COMMIT_LAG_US`] for its
-    /// sync or the live WAL holds a backlog of checkpoints, until the
-    /// compactor catches up, stops, or [`BACKLOG_WAIT_MAX`] passes. Only
-    /// the compactor fsyncs and checkpoints, so without this uploads
-    /// could outrun both.
-    fn wait_out_backlog(&self, store: &Mutex<CosmosStore>, threshold: u64) {
-        let started = Instant::now();
-        let (lock, progress) = &*self.progress;
-        while !self.stop.load(Ordering::SeqCst)
-            && started.elapsed() < BACKLOG_WAIT_MAX
-            && backlogged(&store.lock(), threshold)
-        {
-            self.syncer.unpark();
-            self.checkpointer.unpark();
-            let guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-            let _ = progress.wait_timeout(guard, COMPACTOR_POLL);
-        }
-        pingmesh_obs::registry()
-            .histogram("pingmesh_realmode_upload_backlog_wait_us")
-            .record_wall(started.elapsed());
-    }
-
-    /// Runs `pass` until stopped, parked between passes, waking every
-    /// waiter after each.
-    fn run(
-        stop: &AtomicBool,
-        progress: &(std::sync::Mutex<()>, std::sync::Condvar),
-        mut pass: impl FnMut(),
-    ) {
-        while !stop.load(Ordering::SeqCst) {
-            pass();
-            progress.1.notify_all();
-            std::thread::park_timeout(COMPACTOR_POLL);
-        }
-    }
-}
-
-/// Whether an upload should wait for the compactor: see
-/// [`Compactor::wait_out_backlog`].
-fn backlogged(store: &CosmosStore, threshold: u64) -> bool {
-    store
-        .durability_stats()
-        .is_some_and(|d| d.flush_lag_us >= GROUP_COMMIT_LAG_US)
-        || store.checkpoint_backlogged(threshold)
-}
-
-impl Drop for Compactor {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// One checkpoint thread pass: a checkpoint if the WAL has outgrown
-/// `threshold`, with the store lock released for its IO. Failures
-/// surface via the store's IO counters and fail-closed flag — and a
-/// failed-closed WAL is always checkpoint-due, so the next pass retries
-/// the heal.
-fn checkpoint_pass(store: &Mutex<CosmosStore>, compaction: &Mutex<()>, threshold: u64) {
-    let _pass = compaction.lock();
-    let Ok(Some(pass)) = CosmosStore::checkpoint_shared(store, threshold) else {
-        return;
-    };
-    if pass.committed {
-        let registry = pingmesh_obs::registry();
-        registry
-            .counter("pingmesh_realmode_background_checkpoints_total")
-            .inc();
-        // How long this checkpoint kept uploads and readers out of the
-        // store, and how long it wrote beside them.
-        registry
-            .histogram("pingmesh_store_checkpoint_lock_held_us")
-            .record_wall(pass.locked);
-        registry
-            .histogram("pingmesh_store_checkpoint_write_us")
-            .record_wall(pass.writing);
-    }
 }
 
 impl Default for Collector {
@@ -360,58 +223,15 @@ impl Collector {
     }
 
     fn open_store(dir: &Path) -> io::Result<CosmosStore> {
-        let (cap, repl) = (
-            CosmosStore::DEFAULT_EXTENT_CAP,
-            CosmosStore::DEFAULT_REPLICATION,
-        );
-        CosmosStore::durable(dir, cap, repl)
+        let cap = CosmosStore::DEFAULT_EXTENT_CAP;
+        CosmosStore::durable(dir, cap, CosmosStore::DEFAULT_REPLICATION)
     }
 
     fn from_store(store: CosmosStore, data_dir: Option<Arc<DirGuard>>) -> Self {
         upload_metrics();
-        let durable = store.durable_dir().is_some();
         let store = Arc::new(Mutex::new(store));
-        let compact_threshold = Arc::new(AtomicU64::new(pingmesh_dsa::store::WAL_CHECKPOINT_BYTES));
-        let compaction = Arc::new(Mutex::new(()));
-        let compactor = durable.then(|| {
-            let stop = Arc::new(AtomicBool::new(false));
-            let progress = Arc::new((std::sync::Mutex::new(()), std::sync::Condvar::new()));
-            let syncer = {
-                let (store, stop, progress) =
-                    (Arc::clone(&store), Arc::clone(&stop), Arc::clone(&progress));
-                std::thread::spawn(move || {
-                    Compactor::run(&stop, &progress, || {
-                        let _ = CosmosStore::sync_wal_shared(
-                            &store,
-                            GROUP_COMMIT_BYTES,
-                            GROUP_COMMIT_LAG_US / 2,
-                        );
-                    })
-                })
-            };
-            let checkpointer = {
-                let (store, compaction, stop, progress, threshold) = (
-                    Arc::clone(&store),
-                    Arc::clone(&compaction),
-                    Arc::clone(&stop),
-                    Arc::clone(&progress),
-                    Arc::clone(&compact_threshold),
-                );
-                std::thread::spawn(move || {
-                    Compactor::run(&stop, &progress, || {
-                        checkpoint_pass(&store, &compaction, threshold.load(Ordering::SeqCst))
-                    })
-                })
-            };
-            Arc::new(Compactor {
-                stop,
-                syncer: syncer.thread().clone(),
-                checkpointer: checkpointer.thread().clone(),
-                progress,
-                threads: Mutex::new(vec![syncer, checkpointer]),
-            })
-        });
         Self {
+            compactor: Compactor::start(&store),
             store,
             accepting: Arc::new(AtomicBool::new(true)),
             epoch: Instant::now(),
@@ -421,24 +241,21 @@ impl Collector {
                 completeness: None,
             })),
             _data_dir: data_dir,
-            compact_threshold,
-            compactor,
-            compaction,
         }
     }
 
-    /// Lowers (or raises) the WAL-growth threshold that triggers
-    /// background compaction. Tests use a small value so a checkpoint
-    /// becomes due after a few uploads.
+    /// Sets the WAL growth (bytes) that makes a background checkpoint
+    /// due. Tests use a small value so one is due after a few uploads.
     pub fn set_compaction_threshold(&self, bytes: u64) {
-        self.compact_threshold.store(bytes, Ordering::SeqCst);
+        if let Some(c) = &self.compactor {
+            c.set_threshold(bytes);
+        }
     }
 
-    /// Stops the background compactor (joining its threads). After this,
-    /// nothing compacts or group-commits the store — the upload path never
-    /// does, and no longer waits for it — so the WAL grows, synced only by
-    /// the OS, until the process restarts. An ops escape hatch, and how
-    /// the append-path regression test proves uploads don't compact.
+    /// Stops the store's durability loop (joining its threads). After
+    /// this nothing compacts or group-commits the store, and uploads no
+    /// longer wait for it, so the WAL grows, synced only by the OS, until
+    /// the process restarts. An ops escape hatch.
     pub fn stop_background_compaction(&self) {
         if let Some(c) = &self.compactor {
             c.stop();
@@ -455,11 +272,12 @@ impl Collector {
     /// store is down (locked) while it recovers, as a restarting
     /// collector's would be.
     pub fn crash_and_recover(&self) -> io::Result<bool> {
-        let _pass = self.compaction.lock();
+        let _pass = self.compactor.as_deref().map(Compactor::pause);
         self.recover()
     }
 
-    /// The restart behind every crash hook; the caller holds `compaction`.
+    /// The restart behind every crash hook; the caller has paused the
+    /// compactor.
     fn recover(&self) -> io::Result<bool> {
         let mut store = self.store.lock();
         let Some(dir) = store.durable_dir().map(Path::to_path_buf) else {
@@ -476,16 +294,11 @@ impl Collector {
     /// tail must be truncated away: it was never acknowledged to any
     /// agent, so losing it loses nothing.
     pub fn crash_and_recover_mid_append(&self, records: &[ProbeRecord]) -> io::Result<bool> {
-        let _pass = self.compaction.lock();
-        if !records.is_empty() {
-            let mut store = self.store.lock();
-            if store.durable_dir().is_none() {
-                return Ok(false);
-            }
-            let stream = StreamName {
-                dc: records[0].src_dc,
-            };
-            store.simulate_torn_append(stream, records)?;
+        let _pass = self.compactor.as_deref().map(Compactor::pause);
+        if let Some(first) = records.first() {
+            let stream = StreamName { dc: first.src_dc };
+            // A no-op on an in-memory store, which recovers nothing.
+            self.store.lock().simulate_torn_append(stream, records)?;
         }
         self.recover()
     }
@@ -498,7 +311,7 @@ impl Collector {
     /// files (sealing at the boundary, as the plan did), and
     /// garbage-collect the orphans.
     pub fn crash_and_recover_mid_compaction(&self) -> io::Result<bool> {
-        let _pass = self.compaction.lock();
+        let _pass = self.compactor.as_deref().map(Compactor::pause);
         let plan = self.store.lock().plan_checkpoint()?;
         let Some(plan) = plan else {
             return Ok(false);
@@ -597,29 +410,23 @@ impl Collector {
                     id.name == "pingmesh_stage_duration_us"
                         && id.labels.iter().any(|(k, v)| k == "stage" && v == stage)
                 });
-                match sample {
-                    Some((_, SampleValue::Histogram(h))) => StageHealth {
-                        stage: stage.to_string(),
-                        spans: h.count,
-                        p50_us: h.p50_us.unwrap_or(0),
-                        p99_us: h.p99_us.unwrap_or(0),
-                    },
-                    _ => StageHealth {
-                        stage: stage.to_string(),
-                        spans: 0,
-                        p50_us: 0,
-                        p99_us: 0,
-                    },
+                let (spans, p50_us, p99_us) = match sample {
+                    Some((_, SampleValue::Histogram(h))) => (h.count, h.p50_us, h.p99_us),
+                    _ => (0, None, None),
+                };
+                StageHealth {
+                    stage: stage.to_string(),
+                    spans,
+                    p50_us: p50_us.unwrap_or(0),
+                    p99_us: p99_us.unwrap_or(0),
                 }
             })
             .collect();
-        let healthy = slos.iter().all(|s| s.healthy);
-        let durability = self.store.lock().durability_stats();
         HealthReport {
-            healthy,
+            healthy: slos.iter().all(|s| s.healthy),
             stages,
             slos,
-            durability,
+            durability: self.store.lock().durability_stats(),
         }
     }
 
@@ -646,19 +453,12 @@ impl Collector {
     /// Handles one parsed request (pure; unit-testable without sockets).
     pub fn respond(&self, req: &Request) -> Response {
         let registry = pingmesh_obs::registry();
-        let (path, query) = match req.path.split_once('?') {
-            Some((p, q)) => (p, Some(q)),
-            None => (req.path.as_str(), None),
-        };
+        let split = req.path.split_once('?');
+        let (path, query) = split.map_or((req.path.as_str(), None), |(p, q)| (p, Some(q)));
         // Fixed route set keeps metric label cardinality bounded even when
         // clients request arbitrary paths.
         let route = match path {
-            "/upload" => "upload",
-            "/stats" => "stats",
-            "/metrics" => "metrics",
-            "/events" => "events",
-            "/healthz" => "healthz",
-            "/slo" => "slo",
+            "/upload" | "/stats" | "/metrics" | "/events" | "/healthz" | "/slo" => &path[1..],
             _ => "other",
         };
         registry
@@ -715,66 +515,34 @@ impl Collector {
                         .inc();
                     return Response::unavailable();
                 }
-                let sync_due = store
-                    .durability_stats()
-                    .is_some_and(|d| d.unsynced_bytes >= GROUP_COMMIT_BYTES);
-                let threshold = self.compact_threshold.load(Ordering::SeqCst);
-                let behind = backlogged(&store, threshold);
-                drop(store);
+                match &self.compactor {
+                    Some(c) => c.after_append(store),
+                    None => drop(store),
+                }
                 registry
                     .counter("pingmesh_realmode_uploaded_records_total")
                     .add(records.len() as u64);
                 codec.body_bytes.add(req.body.len() as u64);
-                // Group commit: once the unsynced tail is big enough that
-                // one fsync amortizes across many acks, wake the compactor
-                // to run it off the lock. Syncs and checkpoints never run
-                // on a request thread; an upload that got too far ahead
-                // of them waits before its ack.
-                if let Some(c) = &self.compactor {
-                    if sync_due {
-                        c.syncer.unpark();
-                    }
-                    if behind {
-                        c.wait_out_backlog(&self.store, threshold);
-                    }
-                }
                 Response::ok(b"stored".to_vec())
             }
-            ("GET", "/stats") => {
-                let Ok(body) = serde_json::to_vec(&self.stats()) else {
-                    return Response::internal_error("stats serialize failed");
-                };
-                let mut resp = Response::ok(body);
-                resp.headers
-                    .push(("content-type".into(), "application/json".into()));
-                resp
-            }
+            ("GET", "/stats") => json(&self.stats(), "stats"),
             ("GET", "/metrics") => {
                 let body = pingmesh_obs::encode::snapshot_to_prometheus(&registry.snapshot());
-                let mut resp = Response::ok(body.into_bytes());
-                resp.headers
-                    .push(("content-type".into(), "text/plain; version=0.0.4".into()));
-                resp
+                typed(body.into_bytes(), "text/plain; version=0.0.4")
             }
             ("GET", "/events") => {
                 // `?since=SEQ` returns only events with seq > SEQ, so a
                 // scraper can poll incrementally. Malformed values are 400
                 // rather than silently treated as zero.
-                let since = match query
-                    .and_then(|q| q.split('&').find_map(|kv| kv.strip_prefix("since=")))
-                {
-                    Some(v) => match v.parse::<u64>() {
-                        Ok(n) => n,
-                        Err(_) => return Response::bad_request("bad since= value"),
-                    },
-                    None => 0,
+                let since =
+                    query.and_then(|q| q.split('&').find_map(|kv| kv.strip_prefix("since=")));
+                let Ok(since) = since.map_or(Ok(0), str::parse::<u64>) else {
+                    return Response::bad_request("bad since= value");
                 };
                 let ring = pingmesh_obs::events();
                 let evs = ring.snapshot_since(since);
                 let body = pingmesh_obs::encode::events_to_jsonl(&evs);
-                let mut resp = Response::ok(body.into_bytes());
-                resp.headers
-                    .push(("content-type".into(), "application/x-ndjson".into()));
+                let mut resp = typed(body.into_bytes(), "application/x-ndjson");
                 // Exact drop accounting: with these two headers a client
                 // can compute how many events it can never see as
                 // (last_seq − since) − returned_count, and attribute them
@@ -789,26 +557,26 @@ impl Collector {
                 ));
                 resp
             }
-            ("GET", "/healthz") => {
-                let Ok(body) = serde_json::to_vec(&self.health_report()) else {
-                    return Response::internal_error("healthz serialize failed");
-                };
-                let mut resp = Response::ok(body);
-                resp.headers
-                    .push(("content-type".into(), "application/json".into()));
-                resp
-            }
-            ("GET", "/slo") => {
-                let Ok(body) = serde_json::to_vec(&self.health_report().slos) else {
-                    return Response::internal_error("slo serialize failed");
-                };
-                let mut resp = Response::ok(body);
-                resp.headers
-                    .push(("content-type".into(), "application/json".into()));
-                resp
-            }
+            ("GET", "/healthz") => json(&self.health_report(), "healthz"),
+            ("GET", "/slo") => json(&self.health_report().slos, "slo"),
             _ => Response::not_found(),
         }
+    }
+}
+
+/// A `200` carrying `body` as `content_type`.
+fn typed(body: Vec<u8>, content_type: &str) -> Response {
+    let mut resp = Response::ok(body);
+    resp.headers
+        .push(("content-type".into(), content_type.into()));
+    resp
+}
+
+/// A `200` with `value` as its JSON body, or a `500` naming `what`.
+fn json(value: &impl Serialize, what: &str) -> Response {
+    match serde_json::to_vec(value) {
+        Ok(body) => typed(body, "application/json"),
+        Err(_) => Response::internal_error(&format!("{what} serialize failed")),
     }
 }
 
@@ -893,6 +661,7 @@ mod tests {
     use pingmesh_types::{
         DcId, PodId, PodsetId, ProbeKind, ProbeOutcome, QosClass, ServerId, SimDuration,
     };
+    use std::time::Duration;
     use tokio::net::TcpStream;
 
     fn rec(ts: u64) -> ProbeRecord {
@@ -1133,44 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn append_path_never_compacts_inline() {
-        let c = Collector::new();
-        assert!(c.store().lock().durable_dir().is_some(), "durable store");
-        // With the compactor stopped, nothing else may checkpoint; set a
-        // threshold small enough that uploads alone would have forced
-        // several inline checkpoints under the old behaviour.
-        c.stop_background_compaction();
-        c.set_compaction_threshold(4 * 1024);
-        // Opening the store may commit a recovery checkpoint of its own;
-        // measure upload-time checkpoints against this baseline.
-        let base = wal_checkpoints(&c);
-        let mut uploaded = 0u64;
-        for i in 0..40u64 {
-            let batch: Vec<ProbeRecord> = (0..50).map(|j| rec(i * 50 + j)).collect();
-            let req = Request::post("/upload", serde_json::to_vec(&batch).unwrap());
-            assert_eq!(c.respond(&req).status, 200);
-            uploaded += 50;
-        }
-        let stats = c.store().lock().durability_stats().expect("durable");
-        assert!(
-            stats.wal_bytes > 4 * 1024,
-            "the WAL outgrew the threshold ({} bytes)",
-            stats.wal_bytes
-        );
-        assert_eq!(
-            stats.checkpoints, base,
-            "no upload may pay for a checkpoint — that is the background \
-             compactor's job"
-        );
-        assert_eq!(c.stats().records, uploaded);
-        // The work was deferred, not dropped: a direct compactor pass
-        // performs exactly the checkpoint the uploads never ran.
-        checkpoint_pass(c.store(), &c.compaction, 4 * 1024);
-        assert_eq!(wal_checkpoints(&c), base + 1);
-        assert_eq!(c.stats().records, uploaded, "compaction loses nothing");
-    }
-
-    #[test]
     fn no_upload_is_acknowledged_with_a_checkpoint_backlog_behind_it() {
         let c = Collector::new();
         // A backlog is four checkpoints' worth, 16 KiB here: about five
@@ -1181,8 +912,10 @@ mod tests {
             let batch: Vec<ProbeRecord> = (0..50).map(|j| rec(i * 50 + j)).collect();
             assert_eq!(c.respond(&upload_request(&batch)).status, 200);
             // Only a rotation shrinks the live WAL, so what held when the
-            // upload was acknowledged still holds.
-            assert!(!c.store().lock().checkpoint_backlogged(4 * 1024));
+            // upload was acknowledged still holds: less than four
+            // checkpoints' worth.
+            let wal = c.store().lock().durability_stats().unwrap().wal_bytes;
+            assert!(wal < 4 * 4 * 1024, "{wal} bytes");
         }
         assert_eq!(c.stats().records, 3000);
     }
@@ -1201,7 +934,7 @@ mod tests {
         // checkpoint up on its own within a few poll intervals.
         let deadline = Instant::now() + Duration::from_secs(10);
         while wal_checkpoints(&c) <= base && Instant::now() < deadline {
-            std::thread::sleep(COMPACTOR_POLL);
+            std::thread::sleep(Duration::from_millis(20));
         }
         assert!(
             wal_checkpoints(&c) > base,
@@ -1209,9 +942,9 @@ mod tests {
         );
         assert_eq!(c.stats().records, 1000);
         // Both sides of the store lock left a sample: every upload's
-        // wait, and the checkpoint's locked and unlocked phases (taking
-        // `compaction` waits for that pass to finish recording).
-        drop(c.compaction.lock());
+        // wait, and the checkpoint's locked and unlocked phases (pausing
+        // the compactor waits for that pass to finish recording).
+        drop(c.compactor.as_ref().unwrap().pause());
         let samples = |name| pingmesh_obs::registry().histogram(name).snapshot().count();
         assert!(samples("pingmesh_realmode_upload_lock_wait_us") >= 20);
         assert!(samples("pingmesh_store_checkpoint_lock_held_us") >= 1);

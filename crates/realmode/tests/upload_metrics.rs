@@ -1,8 +1,10 @@
-//! The upload counters as a scraper sees them on `GET /metrics`. A binary
-//! of its own because the registry is process-wide: no other test here
-//! uploads, so the totals are this test's alone.
+//! The upload counters, and the WAL-append timing under them, as a
+//! scraper sees them on `GET /metrics`. A binary of its own because the
+//! registry is process-wide: no other test here uploads, so the totals are
+//! this test's alone.
 
 use pingmesh_httpx::{Request, Response};
+use pingmesh_obs::encode::parse_prometheus;
 use pingmesh_realmode::collector::{
     serve_collector, upload_records, Collector, UPLOAD_CONTENT_TYPE,
 };
@@ -42,22 +44,22 @@ async fn call(addr: SocketAddr, req: &Request) -> Response {
 }
 
 /// Every sample of the counter `name` on a metrics page, by its labels.
-fn series(page: &str, name: &str) -> Vec<(String, u64)> {
-    page.lines()
-        .filter_map(|l| l.strip_prefix(name))
-        .filter(|rest| rest.starts_with('{') || rest.starts_with(' '))
-        .map(|rest| {
-            let (labels, value) = rest.rsplit_once(' ').unwrap();
-            (labels.to_string(), value.parse().unwrap())
-        })
-        .collect()
+fn series(page: &str, name: &str) -> Vec<(Vec<(String, String)>, u64)> {
+    let samples = parse_prometheus(page).into_iter();
+    let named = samples.filter(|s| s.name == name);
+    named.map(|s| (s.labels, s.value as u64)).collect()
 }
 
-fn value(page: &str, name: &str, labels: &str) -> u64 {
+/// The counter `name` with `codec` as its one label, or with none.
+fn value(page: &str, name: &str, codec: Option<&str>) -> u64 {
+    let labels: Vec<_> = codec
+        .map(|c| ("codec".into(), c.into()))
+        .into_iter()
+        .collect();
     series(page, name)
         .into_iter()
-        .find(|(l, _)| l == labels)
-        .unwrap_or_else(|| panic!("no {name}{labels}"))
+        .find(|(l, _)| *l == labels)
+        .unwrap_or_else(|| panic!("no {name}{labels:?}"))
         .1
 }
 
@@ -65,7 +67,13 @@ fn value(page: &str, name: &str, labels: &str) -> u64 {
 async fn frame_uploads_cost_64_bytes_a_record_and_refusals_are_counted() {
     const BYTES: &str = "pingmesh_realmode_upload_body_bytes_total";
     const MALFORMED: &str = "pingmesh_realmode_uploads_malformed_total";
-    let (frame, json) = ("{codec=\"frame\"}", "{codec=\"json\"}");
+    const WAL_APPENDS: &str = "pingmesh_store_wal_append_us_count";
+    let (frame, json) = (Some("frame"), Some("json"));
+
+    // An in-memory store writes no WAL, so its append times none.
+    let mut in_memory = pingmesh_dsa::CosmosStore::with_defaults();
+    let stream = pingmesh_dsa::StreamName { dc: DcId(0) };
+    assert!(in_memory.append(stream, &[rec(0)], SimTime(0)));
 
     let c = Collector::new();
     let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
@@ -75,10 +83,12 @@ async fn frame_uploads_cost_64_bytes_a_record_and_refusals_are_counted() {
     // Both label values exist before the first upload, and only they.
     let page = String::from_utf8(call(addr, &Request::get("/metrics")).await.body).unwrap();
     for name in [BYTES, MALFORMED] {
-        let labels: Vec<String> = series(&page, name).into_iter().map(|s| s.0).collect();
-        assert_eq!(labels.len(), 2, "{name}: {labels:?}");
-        assert!(labels.contains(&frame.to_string()) && labels.contains(&json.to_string()));
+        let codecs: Vec<_> = series(&page, name).into_iter().map(|s| s.0).collect();
+        let codec = |c: &str| vec![("codec".to_string(), c.to_string())];
+        assert_eq!(codecs.len(), 2, "{name}: {codecs:?}");
+        assert!(codecs.contains(&codec("frame")) && codecs.contains(&codec("json")));
     }
+    assert!(series(&page, WAL_APPENDS).is_empty(), "no WAL append yet");
 
     for b in 0..5u64 {
         let batch: Vec<ProbeRecord> = (b * 2_000..(b + 1) * 2_000).map(rec).collect();
@@ -93,12 +103,13 @@ async fn frame_uploads_cost_64_bytes_a_record_and_refusals_are_counted() {
     assert_eq!(call(addr, &not_json).await.status, 400);
 
     let page = String::from_utf8(call(addr, &Request::get("/metrics")).await.body).unwrap();
-    let records = value(&page, "pingmesh_realmode_uploaded_records_total", "");
+    let records = value(&page, "pingmesh_realmode_uploaded_records_total", None);
     assert_eq!(records, 10_000);
     let per_record = value(&page, BYTES, frame) as f64 / records as f64;
     assert!(per_record <= 64.1, "{per_record} bytes a record");
     assert_eq!(value(&page, BYTES, json), 0);
     assert_eq!(value(&page, MALFORMED, frame), 1);
     assert_eq!(value(&page, MALFORMED, json), 1);
+    assert_eq!(value(&page, WAL_APPENDS, None), 5, "one per durable upload");
     assert_eq!(c.stats().records, 10_000);
 }

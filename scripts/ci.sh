@@ -5,9 +5,9 @@
 # clippy and rustdoc, and checks that `unsafe` / FFI stays in its allowed files,
 # that every HTTP server loop is `httpx::serve`, that raw records are
 # read through `scan_all_window_chunks` only (outages live in the simulator),
-# and that fsyncs and renames stay in `dsa::durable` while the collector
-# checkpoints and group-commits only through the store's lock-sharing
-# passes.
+# that fsyncs and renames stay in `dsa::durable`, and that the collector
+# neither checkpoints nor group-commits: the durability loop is
+# `dsa::compactor`'s.
 # `ci.sh --smoke [gate…]` then runs the gates `cargo test` does not cover —
 # all, or those named. Each checks outputs; none is a timing gate.
 #   bench  ingest_durable, query_dashboard and query_churn for 2 s each (output checks only: no acknowledged record lost, cached bytes ≡ rebuilt bytes, no stale fresh read), then ingest_durable traced once (its staged replay is the one poster of the collector's JSON compat branch)
@@ -82,7 +82,11 @@ if grep -rnE 'sync_data\(|sync_all\(|fs::rename\(' --include='*.rs' \
   exit 1
 fi
 if grep -rnE '\.sync_wal\(|\.checkpoint\(|\.maybe_checkpoint_with\(|\.commit_checkpoint\(' --include='*.rs' crates/realmode/src; then
-  echo "the collector checkpoints and group-commits through CosmosStore::checkpoint_shared / sync_wal_shared, which hold the store lock for no disk IO" >&2
+  echo "the collector never checkpoints or syncs the WAL: dsa::compactor::Compactor does, holding the store lock for no disk IO" >&2
+  exit 1
+fi
+if grep -rnE 'GROUP_COMMIT|COMPACTOR_POLL|BACKLOG_WAIT|park_timeout|Condvar|checkpoint_shared|sync_wal_shared' --include='*.rs' crates/realmode/src; then
+  echo "the durability loop is dsa's (dsa::compactor): the collector holds no group-commit, checkpoint or backpressure policy" >&2
   exit 1
 fi
 

@@ -15,7 +15,10 @@ use std::ops::{Deref, DerefMut};
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
 /// RAII guard returned by [`Mutex::lock`].
-pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
+pub struct MutexGuard<'a, T: ?Sized> {
+    guard: std::sync::MutexGuard<'a, T>,
+    mutex: &'a Mutex<T>,
+}
 
 impl<T> Mutex<T> {
     /// Creates a new mutex.
@@ -32,16 +35,18 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(self.0.lock().unwrap_or_else(|e| e.into_inner()))
+        let guard = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        MutexGuard { guard, mutex: self }
     }
 
     /// Attempts to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(g)),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(e.into_inner())),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        let guard = match self.0.try_lock() {
+            Ok(g) => g,
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard { guard, mutex: self })
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -56,16 +61,24 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
+impl<'a, T: ?Sized> MutexGuard<'a, T> {
+    /// The mutex this guard holds, so a caller handed the guard can
+    /// release it and lock again later.
+    pub fn mutex(s: &Self) -> &'a Mutex<T> {
+        s.mutex
+    }
+}
+
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.0
+        &self.guard
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
+        &mut self.guard
     }
 }
 
@@ -139,6 +152,7 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert!(m.try_lock().is_some());
+        assert!(std::ptr::eq(MutexGuard::mutex(&m.lock()), &m));
     }
 
     #[test]

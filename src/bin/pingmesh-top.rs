@@ -10,94 +10,16 @@
 //! `--once` prints a single frame and exits (useful in scripts and
 //! tests); otherwise the screen redraws every interval until ^C.
 
+use pingmesh::obs::encode::{parse_prometheus, PromSample};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// One parsed exposition sample: `name{labels} value`.
-struct Sample {
-    name: String,
-    labels: Vec<(String, String)>,
-    value: f64,
-}
-
-impl Sample {
-    fn label(&self, key: &str) -> Option<&str> {
-        self.labels
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Parses Prometheus text exposition. Comment lines are skipped;
-/// malformed lines are dropped rather than failing the frame (a scrape
-/// racing a registry update beats a dead dashboard).
-fn parse_prometheus(text: &str) -> Vec<Sample> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let Some((key, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let Ok(value) = value.parse::<f64>() else {
-            continue;
-        };
-        let (name, labels) = match key.split_once('{') {
-            None => (key.to_string(), Vec::new()),
-            Some((name, rest)) => {
-                let Some(rest) = rest.strip_suffix('}') else {
-                    continue;
-                };
-                match parse_labels(rest) {
-                    Some(labels) => (name.to_string(), labels),
-                    None => continue,
-                }
-            }
-        };
-        out.push(Sample {
-            name,
-            labels,
-            value,
-        });
-    }
-    out
-}
-
-/// Parses `k="v",k2="v2"` with JSON-style escapes inside values.
-fn parse_labels(body: &str) -> Option<Vec<(String, String)>> {
-    let mut labels = Vec::new();
-    let mut chars = body.chars().peekable();
-    while chars.peek().is_some() {
-        let key: String = chars.by_ref().take_while(|c| *c != '=').collect();
-        if chars.next() != Some('"') {
-            return None;
-        }
-        let mut value = String::new();
-        loop {
-            match chars.next()? {
-                '"' => break,
-                '\\' => match chars.next()? {
-                    'n' => value.push('\n'),
-                    'r' => value.push('\r'),
-                    't' => value.push('\t'),
-                    c => value.push(c),
-                },
-                c => value.push(c),
-            }
-        }
-        labels.push((key, value));
-        if chars.peek() == Some(&',') {
-            chars.next();
-        }
-    }
-    Some(labels)
-}
-
-fn find<'a>(samples: &'a [Sample], name: &str, label: Option<(&str, &str)>) -> Option<&'a Sample> {
+fn find<'a>(
+    samples: &'a [PromSample],
+    name: &str,
+    label: Option<(&str, &str)>,
+) -> Option<&'a PromSample> {
     samples.iter().find(|s| {
         s.name == name
             && match label {
@@ -118,7 +40,7 @@ fn fmt_us(us: f64) -> String {
 }
 
 /// Sums a counter family across all of its label sets.
-fn sum_of(samples: &[Sample], name: &str) -> f64 {
+fn sum_of(samples: &[PromSample], name: &str) -> f64 {
     samples
         .iter()
         .filter(|s| s.name == name)
@@ -142,7 +64,7 @@ fn fmt_bytes(b: f64) -> String {
 /// delta against the previous frame), checkpoint/segment churn, IO
 /// error and fail-closed counts, and recovery history. Rendered only
 /// when the scraped process runs a durable store (WAL counters moved).
-fn render_durability(samples: &[Sample], prev: Option<(&[Sample], f64)>, out: &mut String) {
+fn render_durability(samples: &[PromSample], prev: Option<(&[PromSample], f64)>, out: &mut String) {
     let wal_bytes = sum_of(samples, "pingmesh_store_wal_bytes_total");
     let appends = sum_of(samples, "pingmesh_store_wal_appends_total");
     if wal_bytes == 0.0 && appends == 0.0 {
@@ -176,8 +98,9 @@ fn render_durability(samples: &[Sample], prev: Option<(&[Sample], f64)>, out: &m
         out,
         "  io errors {io_err:.0} (retries {io_retry:.0}, failed-closed {failed:.0})   wal frames truncated {truncated:.0}, corrupt {corrupt:.0}",
     );
-    // Store-lock contention: what uploads wait, what checkpoints hold
-    // (plan + commit), and how long they write with the lock released.
+    // Store-lock contention: what uploads wait, what of an upload's hold
+    // is its WAL write, what checkpoints hold (plan + commit), and how
+    // long they write with the lock released.
     let quantiles = |name: &str| {
         let q = |suffix: &str| {
             find(samples, &format!("{name}_{suffix}"), None).map_or("-".into(), |s| fmt_us(s.value))
@@ -186,8 +109,9 @@ fn render_durability(samples: &[Sample], prev: Option<(&[Sample], f64)>, out: &m
     };
     let _ = writeln!(
         out,
-        "  store lock   upload wait {}   checkpoint held {}   checkpoint write {}",
+        "  store lock   upload wait {}   wal append {}   checkpoint held {}   checkpoint write {}",
         quantiles("pingmesh_realmode_upload_lock_wait_us"),
+        quantiles("pingmesh_store_wal_append_us"),
         quantiles("pingmesh_store_checkpoint_lock_held_us"),
         quantiles("pingmesh_store_checkpoint_write_us"),
     );
@@ -197,7 +121,7 @@ fn render_durability(samples: &[Sample], prev: Option<(&[Sample], f64)>, out: &m
 /// frame for the counter delta), cache hit ratio split by entry kind,
 /// conditional-GET (304) ratio, and per-route latency. Rendered only
 /// when the scraped process actually runs a serve tier.
-fn render_serve(samples: &[Sample], prev: Option<(&[Sample], f64)>, out: &mut String) {
+fn render_serve(samples: &[PromSample], prev: Option<(&[PromSample], f64)>, out: &mut String) {
     let reqs = sum_of(samples, "pingmesh_serve_requests_total");
     if reqs == 0.0 {
         return;
@@ -267,7 +191,7 @@ fn render_serve(samples: &[Sample], prev: Option<(&[Sample], f64)>, out: &mut St
 /// machine's transition counts, findings by detector kind, and drains
 /// blocked by a guard. Rendered only when the scraped process has ever
 /// reported a finding to the mitigation engine.
-fn render_mitigation(samples: &[Sample], out: &mut String) {
+fn render_mitigation(samples: &[PromSample], out: &mut String) {
     let findings = sum_of(samples, "pingmesh_mitigation_findings_total");
     let transitions = sum_of(samples, "pingmesh_mitigation_transitions_total");
     if findings == 0.0 && transitions == 0.0 {
@@ -321,7 +245,7 @@ fn render_mitigation(samples: &[Sample], out: &mut String) {
 /// Renders one dashboard frame from a parsed scrape. `prev` is the
 /// previous frame's samples and its age in seconds, for counter-delta
 /// rates (serve QPS); the first frame passes `None`.
-fn render(samples: &[Sample], target: &str, prev: Option<(&[Sample], f64)>) -> String {
+fn render(samples: &[PromSample], target: &str, prev: Option<(&[PromSample], f64)>) -> String {
     let mut out = String::new();
 
     let uptime = find(samples, "pingmesh_uptime_seconds", None).map_or(0.0, |s| s.value);
@@ -375,7 +299,7 @@ fn render(samples: &[Sample], target: &str, prev: Option<(&[Sample], f64)>) -> S
         );
     }
 
-    let fresh: Vec<&Sample> = samples
+    let fresh: Vec<&PromSample> = samples
         .iter()
         .filter(|s| s.name == "pingmesh_dsa_freshness_us")
         .collect();
@@ -452,7 +376,7 @@ fn main() {
         .build()
         .expect("runtime");
     rt.block_on(async {
-        let mut prev: Option<(Vec<Sample>, std::time::Instant)> = None;
+        let mut prev: Option<(Vec<PromSample>, std::time::Instant)> = None;
         loop {
             let frame = match scrape(&target).await {
                 Ok(text) => {
@@ -525,9 +449,9 @@ bogus line that is not a sample
 
     #[test]
     fn labels_with_escapes_survive() {
-        let labels = parse_labels(r#"a="x\"y",b="z""#).expect("parse");
+        let samples = parse_prometheus(r#"m{a="x\"y",b="z"} 1"#);
         assert_eq!(
-            labels,
+            samples[0].labels,
             vec![("a".into(), "x\"y".into()), ("b".into(), "z".into())]
         );
     }
@@ -618,6 +542,8 @@ pingmesh_store_wal_truncated_total 1
 pingmesh_store_wal_corrupt_entries_total 0
 pingmesh_realmode_upload_lock_wait_us_p50_us 12
 pingmesh_realmode_upload_lock_wait_us_p99_us 310000
+pingmesh_store_wal_append_us_p50_us 45
+pingmesh_store_wal_append_us_p99_us 2100
 pingmesh_store_checkpoint_lock_held_us_p50_us 140
 pingmesh_store_checkpoint_lock_held_us_p99_us 370
 pingmesh_store_checkpoint_write_us_p50_us 95000
@@ -648,7 +574,7 @@ pingmesh_store_checkpoint_write_us_p99_us 210000
         );
         assert!(
             first.contains(
-                "store lock   upload wait p50 12us p99 310.0ms   checkpoint held p50 140us p99 370us   checkpoint write p50 95.0ms p99 210.0ms"
+                "store lock   upload wait p50 12us p99 310.0ms   wal append p50 45us p99 2.1ms   checkpoint held p50 140us p99 370us   checkpoint write p50 95.0ms p99 210.0ms"
             ),
             "{first}"
         );

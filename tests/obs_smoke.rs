@@ -147,27 +147,22 @@ fn sampled_trace_spans_every_pipeline_stage() {
     );
 }
 
-/// Parses Prometheus text exposition into `name{labels}` → value for
-/// every `_total` counter line.
-fn parse_totals(text: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        if line.starts_with('#') {
-            continue;
-        }
-        let Some((key, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let name = key.split('{').next().unwrap_or(key);
-        if !name.ends_with("_total") {
-            continue;
-        }
-        let v: f64 = value
-            .parse()
-            .unwrap_or_else(|_| panic!("bad sample: {line}"));
-        out.insert(key.to_string(), v);
-    }
-    out
+/// A series: its name and labels.
+type Series = (String, Vec<(String, String)>);
+
+/// Every `_total` counter on a `/metrics` page, by series. Every sample
+/// line on the page must parse.
+fn parse_totals(text: &str) -> BTreeMap<Series, f64> {
+    let samples = obs::encode::parse_prometheus(text);
+    let lines = text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'));
+    assert_eq!(samples.len(), lines.count(), "a sample line did not parse");
+    samples
+        .into_iter()
+        .filter(|s| s.name.ends_with("_total"))
+        .map(|s| ((s.name, s.labels), s.value))
+        .collect()
 }
 
 async fn get(addr: std::net::SocketAddr, path: &str) -> pingmesh::httpx::Response {
@@ -197,7 +192,7 @@ async fn metrics_are_monotone_and_healthz_lists_every_stage() {
     assert_eq!(first.status, 200);
     let first = parse_totals(&String::from_utf8(first.body).unwrap());
     assert!(
-        first.keys().any(|k| k.starts_with("pingmesh_")),
+        first.keys().any(|(name, _)| name.starts_with("pingmesh_")),
         "exposition holds no pingmesh counters"
     );
 
@@ -221,12 +216,12 @@ async fn metrics_are_monotone_and_healthz_lists_every_stage() {
     for (key, v1) in &first {
         let v2 = second
             .get(key)
-            .unwrap_or_else(|| panic!("{key} vanished between scrapes"));
-        assert!(v2 >= v1, "{key} went backwards: {v1} -> {v2}");
+            .unwrap_or_else(|| panic!("{key:?} vanished between scrapes"));
+        assert!(v2 >= v1, "{key:?} went backwards: {v1} -> {v2}");
     }
     let requests = second
         .iter()
-        .filter(|(k, _)| k.starts_with("pingmesh_realmode_requests_total"))
+        .filter(|((name, _), _)| name == "pingmesh_realmode_requests_total")
         .map(|(_, v)| *v)
         .sum::<f64>();
     assert!(
