@@ -9,12 +9,125 @@
 
 use pingmesh_topology::ServiceMap;
 use pingmesh_types::counters::{classify_rtt, RttClass};
+use pingmesh_types::hist::Sample;
 use pingmesh_types::{
     DcId, LatencyHistogram, PairStats, PodId, PodsetId, ProbeOutcome, ProbeRecord, QosClass,
     ServerId, ServiceId, SimDuration,
 };
+use std::cell::Cell;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash, Hasher};
+
+/// Builds the hashers of [`WindowAggregate`]'s maps: aHash's fallback
+/// construction (a folded 64×64→128-bit multiply per integer written)
+/// under two secret keys. The keys are drawn from std's [`RandomState`]
+/// once per thread and advanced for every new map, as `RandomState::new()`
+/// advances its own, so no two new maps share a hash function (a clone
+/// keeps its original's): iterating one map into another with the same
+/// function would cluster hashbrown's probes, and every merge does
+/// exactly that. The keys are never exposed, `Debug` included, so
+/// colliding ids cannot be computed offline and uploaded (DESIGN §7).
+#[derive(Clone, Copy)]
+pub struct FoldState {
+    k0: u64,
+    k1: u64,
+}
+
+thread_local! {
+    static FOLD_KEYS: Cell<(u64, u64)> = {
+        let seed = RandomState::new();
+        Cell::new((seed.hash_one(0u8), seed.hash_one(1u8)))
+    };
+}
+
+impl Default for FoldState {
+    fn default() -> Self {
+        FOLD_KEYS.with(|keys| {
+            let (k0, k1) = keys.get();
+            keys.set((k0.wrapping_add(1), k1));
+            Self { k0, k1 }
+        })
+    }
+}
+
+impl std::fmt::Debug for FoldState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FoldState").finish_non_exhaustive()
+    }
+}
+
+impl BuildHasher for FoldState {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher {
+            buffer: self.k0,
+            pad: self.k1,
+        }
+    }
+}
+
+/// The hasher [`FoldState`] builds.
+pub struct FoldHasher {
+    buffer: u64,
+    pad: u64,
+}
+
+/// The high and low halves of a full 64×64-bit product, xored.
+#[inline(always)]
+fn folded_multiply(s: u64, by: u64) -> u64 {
+    let wide = u128::from(s) * u128::from(by);
+    (wide as u64) ^ ((wide >> 64) as u64)
+}
+
+impl FoldHasher {
+    #[inline(always)]
+    fn update(&mut self, word: u64) {
+        // PCG's multiplier, as in aHash's fallback.
+        self.buffer = folded_multiply(word ^ self.buffer, 6_364_136_223_846_793_005);
+    }
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        let rot = (self.buffer & 63) as u32;
+        folded_multiply(self.buffer, self.pad).rotate_left(rot)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.update(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.update(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.update(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.update(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.update(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.update(i as u64);
+    }
+}
+
+/// A map of a [`WindowAggregate`], hashed by [`FoldState`].
+pub type FoldMap<K, V> = HashMap<K, V, FoldState>;
 
 /// A (source server, destination server) pair key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -89,14 +202,6 @@ impl ScopeStats {
         self.latency.p99()
     }
 
-    /// Folds one probe outcome.
-    pub fn fold_outcome(&mut self, outcome: ProbeOutcome) {
-        fold_pair_outcome(&mut self.stats, outcome);
-        if let ProbeOutcome::Success { rtt } = outcome {
-            self.latency.record(rtt);
-        }
-    }
-
     /// Merges another scope's accumulation into this one.
     pub fn merge(&mut self, other: &ScopeStats) {
         self.stats.merge(&other.stats);
@@ -104,24 +209,48 @@ impl ScopeStats {
     }
 }
 
-/// Folds one outcome into bare pair counts (3 s / 9 s drop signature).
-fn fold_pair_outcome(stats: &mut PairStats, outcome: ProbeOutcome) {
-    match outcome {
-        ProbeOutcome::Success { rtt } => match classify_rtt(rtt) {
-            RttClass::Normal => stats.ok += 1,
-            RttClass::OneDrop => stats.rtt_3s += 1,
-            RttClass::TwoDrops => stats.rtt_9s += 1,
-        },
-        ProbeOutcome::Timeout | ProbeOutcome::Refused => stats.failed += 1,
+/// One record's outcome, classified once for every map it lands in: a
+/// successful probe's drop class (3 s / 9 s signature) and bucketed RTT,
+/// or `None` for a failed one.
+#[derive(Debug, Clone, Copy)]
+struct Classified(Option<(RttClass, Sample)>);
+
+impl Classified {
+    fn of(outcome: ProbeOutcome) -> Self {
+        let classify = |rtt| (classify_rtt(rtt), Sample::new(rtt));
+        Self(outcome.rtt().map(classify))
+    }
+
+    #[inline]
+    fn count(self, stats: &mut PairStats) {
+        match self.0 {
+            Some((RttClass::Normal, _)) => stats.ok += 1,
+            Some((RttClass::OneDrop, _)) => stats.rtt_3s += 1,
+            Some((RttClass::TwoDrops, _)) => stats.rtt_9s += 1,
+            None => stats.failed += 1,
+        }
+    }
+
+    #[inline]
+    fn record(self, latency: &mut LatencyHistogram) {
+        if let Some((_, s)) = self.0 {
+            latency.record_sample(s);
+        }
+    }
+
+    #[inline]
+    fn fold(self, scope: &mut ScopeStats) {
+        self.count(&mut scope.stats);
+        self.record(&mut scope.latency);
     }
 }
 
 /// Merges one map of an aggregate into the same map of another, entry
 /// by entry — the whole of [`WindowAggregate::merge`] is this per map, and
 /// a reader that needs only some maps applies it to those alone.
-pub fn merge_map<K: Copy + Eq + Hash, V: Default>(
-    into: &mut HashMap<K, V>,
-    from: &HashMap<K, V>,
+pub fn merge_map<K: Copy + Eq + Hash, V: Default, S: BuildHasher>(
+    into: &mut HashMap<K, V, S>,
+    from: &HashMap<K, V, S>,
     merge: impl Fn(&mut V, &V),
 ) {
     for (k, v) in from {
@@ -129,37 +258,40 @@ pub fn merge_map<K: Copy + Eq + Hash, V: Default>(
     }
 }
 
+/// The source fields of a record: a fold run shares all four.
+type Source = (ServerId, PodId, PodsetId, DcId);
+
 /// The aggregate of one analysis window.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowAggregate {
     /// Records folded in.
     pub record_count: u64,
     /// Latency histograms per (DC, scope, payload, QoS).
-    pub hists: HashMap<HistKey, LatencyHistogram>,
+    pub hists: FoldMap<HistKey, LatencyHistogram>,
     /// Outcome stats per (src, dst) server pair.
-    pub pairs: HashMap<PairKey, PairStats>,
+    pub pairs: FoldMap<PairKey, PairStats>,
     /// Outcome stats per probing server.
-    pub per_server: HashMap<ServerId, ScopeStats>,
+    pub per_server: FoldMap<ServerId, ScopeStats>,
     /// Outcome stats per pod (of the probing server).
-    pub per_pod: HashMap<PodId, ScopeStats>,
+    pub per_pod: FoldMap<PodId, ScopeStats>,
     /// Outcome stats per podset (of the probing server).
-    pub per_podset: HashMap<PodsetId, ScopeStats>,
+    pub per_podset: FoldMap<PodsetId, ScopeStats>,
     /// Outcome stats per data center (of the probing server).
-    pub per_dc: HashMap<DcId, ScopeStats>,
+    pub per_dc: FoldMap<DcId, ScopeStats>,
     /// Outcome stats per (source DC, destination DC); inter-DC probes only.
-    pub per_dc_pair: HashMap<(DcId, DcId), ScopeStats>,
+    pub per_dc_pair: FoldMap<(DcId, DcId), ScopeStats>,
     /// Outcome stats per service — only populated when folding with a
-    /// [`ServiceMap`] (see [`WindowAggregate::fold_with_services`]).
-    pub per_service: HashMap<ServiceId, ScopeStats>,
+    /// [`ServiceMap`] (see [`WindowAggregate::fold_records`]).
+    pub per_service: FoldMap<ServiceId, ScopeStats>,
     /// P99-relevant histogram per (src podset, dst podset), intra-DC only
     /// — the heatmap input.
-    pub podset_matrix: HashMap<(PodsetId, PodsetId), LatencyHistogram>,
+    pub podset_matrix: FoldMap<(PodsetId, PodsetId), LatencyHistogram>,
     /// Outcome stats per (src podset, dst podset), intra-DC only.
-    pub podset_pairs: HashMap<(PodsetId, PodsetId), PairStats>,
+    pub podset_pairs: FoldMap<(PodsetId, PodsetId), PairStats>,
     /// Outcome stats per (src pod, dst pod), intra-DC only — the
     /// pod-granularity heatmap the serving tier renders. Cardinality is
     /// bounded by the server-pair map above (pods ≤ servers).
-    pub pod_pairs: HashMap<(PodId, PodId), PairStats>,
+    pub pod_pairs: FoldMap<(PodId, PodId), PairStats>,
 }
 
 impl WindowAggregate {
@@ -175,102 +307,105 @@ impl WindowAggregate {
         services: Option<&ServiceMap>,
     ) -> Self {
         let mut agg = WindowAggregate::default();
-        match services {
-            Some(s) => {
-                for r in records {
-                    agg.fold_with_services(r, s);
-                }
-            }
-            None => {
-                for r in records {
-                    agg.fold(r);
-                }
-            }
-        }
+        agg.fold_records(records, services);
         agg
     }
 
     /// Folds one record.
     pub fn fold(&mut self, r: &ProbeRecord) {
-        self.record_count += 1;
-        let scope = if r.is_inter_dc() {
-            LatencyScope::InterDc
-        } else if r.is_intra_pod() {
-            LatencyScope::IntraPod
-        } else {
-            LatencyScope::InterPod
-        };
+        self.fold_records([r], None);
+    }
 
-        // Pair stats bucketing by the 3 s / 9 s signature.
-        let pair = self
-            .pairs
-            .entry(PairKey {
-                src: r.src,
-                dst: r.dst,
-            })
-            .or_default();
-        fold_pair_outcome(pair, r.outcome);
-        self.per_server
-            .entry(r.src)
-            .or_default()
-            .fold_outcome(r.outcome);
-        self.per_pod
-            .entry(r.src_pod)
-            .or_default()
-            .fold_outcome(r.outcome);
-        self.per_podset
-            .entry(r.src_podset)
-            .or_default()
-            .fold_outcome(r.outcome);
-        self.per_dc
-            .entry(r.src_dc)
-            .or_default()
-            .fold_outcome(r.outcome);
-        if r.is_inter_dc() {
-            self.per_dc_pair
-                .entry((r.src_dc, r.dst_dc))
-                .or_default()
-                .fold_outcome(r.outcome);
-        }
-        if let ProbeOutcome::Success { rtt } = r.outcome {
-            self.hists
-                .entry(HistKey {
+    /// Folds one record, additionally attributing it to every service
+    /// that covers both endpoints.
+    pub fn fold_with_services(&mut self, r: &ProbeRecord, services: &ServiceMap) {
+        self.fold_records([r], Some(services));
+    }
+
+    /// Folds records, classifying each outcome once. A maximal run of
+    /// records from one source — equal `src`, `src_pod`, `src_podset` and
+    /// `src_dc`; an agent's upload is one run — looks up its per-server,
+    /// per-pod, per-podset and per-DC entries (and its services) once.
+    /// With a [`ServiceMap`], a record also counts toward every service
+    /// that covers both its endpoints.
+    pub fn fold_records<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = &'a ProbeRecord>,
+        services: Option<&ServiceMap>,
+    ) {
+        let WindowAggregate {
+            record_count,
+            hists,
+            pairs,
+            per_server,
+            per_pod,
+            per_podset,
+            per_dc,
+            per_dc_pair,
+            per_service,
+            podset_matrix,
+            podset_pairs,
+            pod_pairs,
+        } = self;
+        let mut run: Option<(Source, [&mut ScopeStats; 4], &[ServiceId])> = None;
+        for r in records {
+            *record_count += 1;
+            let c = Classified::of(r.outcome);
+            let source = (r.src, r.src_pod, r.src_podset, r.src_dc);
+            if run.as_ref().is_none_or(|(s, ..)| *s != source) {
+                let scopes = [
+                    per_server.entry(r.src).or_default(),
+                    per_pod.entry(r.src_pod).or_default(),
+                    per_podset.entry(r.src_podset).or_default(),
+                    per_dc.entry(r.src_dc).or_default(),
+                ];
+                let src_services = services.map_or(&[][..], |s| s.services_on(r.src));
+                run = Some((source, scopes, src_services));
+            }
+            let (_, scopes, src_services) = run.as_mut().expect("the run was just started");
+            for scope in scopes {
+                c.fold(scope);
+            }
+            c.count(
+                pairs
+                    .entry(PairKey {
+                        src: r.src,
+                        dst: r.dst,
+                    })
+                    .or_default(),
+            );
+            let scope = if r.is_inter_dc() {
+                LatencyScope::InterDc
+            } else if r.is_intra_pod() {
+                LatencyScope::IntraPod
+            } else {
+                LatencyScope::InterPod
+            };
+            if c.0.is_some() {
+                let key = HistKey {
                     dc: r.src_dc,
                     scope,
                     payload: r.kind.has_payload(),
                     qos: r.qos,
-                })
-                .or_default()
-                .record(rtt);
-            if !r.is_inter_dc() {
-                self.podset_matrix
-                    .entry((r.src_podset, r.dst_podset))
-                    .or_default()
-                    .record(rtt);
+                };
+                c.record(hists.entry(key).or_default());
             }
-        }
-        if !r.is_inter_dc() {
-            let ps = self
-                .podset_pairs
-                .entry((r.src_podset, r.dst_podset))
-                .or_default();
-            fold_pair_outcome(ps, r.outcome);
-            let pp = self.pod_pairs.entry((r.src_pod, r.dst_pod)).or_default();
-            fold_pair_outcome(pp, r.outcome);
-        }
-    }
-
-    /// Folds one record, additionally attributing it to every service
-    /// that covers both endpoints (a probe counts toward a service when
-    /// source and destination both host it).
-    pub fn fold_with_services(&mut self, r: &ProbeRecord, services: &ServiceMap) {
-        self.fold(r);
-        for &svc in services.services_on(r.src) {
-            if services.covers_pair(svc, r.src, r.dst) {
-                self.per_service
-                    .entry(svc)
-                    .or_default()
-                    .fold_outcome(r.outcome);
+            if r.is_inter_dc() {
+                c.fold(per_dc_pair.entry((r.src_dc, r.dst_dc)).or_default());
+            } else {
+                let podsets = (r.src_podset, r.dst_podset);
+                if c.0.is_some() {
+                    c.record(podset_matrix.entry(podsets).or_default());
+                }
+                c.count(podset_pairs.entry(podsets).or_default());
+                c.count(pod_pairs.entry((r.src_pod, r.dst_pod)).or_default());
+            }
+            if let Some(map) = services {
+                for &svc in src_services.iter() {
+                    if map.services_on(r.dst).contains(&svc) {
+                        c.fold(per_service.entry(svc).or_default());
+                    }
+                }
             }
         }
     }
@@ -543,6 +678,27 @@ mod tests {
         assert_eq!(agg.per_dc_pair.len(), 2, "one scope per direction");
         assert_eq!(agg.per_dc_pair[&(DcId(0), DcId(1))].stats.ok, 1);
         assert_eq!(agg.per_dc_pair[&(DcId(1), DcId(0))].stats.ok, 1);
+    }
+
+    #[test]
+    fn every_map_hashes_with_its_own_keys() {
+        let key = PairKey {
+            src: ServerId(1),
+            dst: ServerId(2),
+        };
+        let (a, b) = (FoldState::default(), FoldState::default());
+        assert_ne!(a.hash_one(key), b.hash_one(key), "two maps, two functions");
+        let other_thread = std::thread::spawn(move || FoldState::default().hash_one(key));
+        assert_ne!(a.hash_one(key), other_thread.join().unwrap());
+        // A clone keeps its keys, so a cloned map's table stays valid.
+        assert_eq!(a.hash_one(key), a.clone().hash_one(key));
+        assert_ne!(
+            a.hash_one(key),
+            a.hash_one(PairKey {
+                src: ServerId(2),
+                ..key
+            })
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Live WAL bytes at which the background
@@ -90,6 +90,59 @@ fn debug_assert_aligned(from: SimTime, to: SimTime) {
     debug_assert_eq!(start(to), to, "window end must be 10-min aligned");
 }
 
+/// The append path's metrics, resolved once: `append` runs under the
+/// store lock.
+struct AppendMetrics {
+    wal_append_us: Arc<pingmesh_obs::Histogram>,
+    fold_us: Arc<pingmesh_obs::Histogram>,
+    rejected_batches: Arc<pingmesh_obs::Counter>,
+    appended_records: Arc<pingmesh_obs::Counter>,
+    folded_records: Arc<pingmesh_obs::Counter>,
+}
+
+fn metrics() -> &'static AppendMetrics {
+    static M: OnceLock<AppendMetrics> = OnceLock::new();
+    M.get_or_init(|| {
+        let r = pingmesh_obs::registry();
+        AppendMetrics {
+            wal_append_us: r.histogram("pingmesh_store_wal_append_us"),
+            fold_us: r.histogram("pingmesh_store_fold_us"),
+            rejected_batches: r.counter("pingmesh_dsa_store_rejected_batches_total"),
+            appended_records: r.counter("pingmesh_dsa_store_appended_records_total"),
+            folded_records: r.counter("pingmesh_dsa_ingest_folded_records_total"),
+        }
+    })
+}
+
+/// Ingest-time partial aggregates, keyed by (stream, window start).
+type Partials = BTreeMap<(StreamName, SimTime), WindowAggregate>;
+
+/// The one path from raw records to partials: folds `records` into their
+/// (stream, window) partials, one partials lookup per maximal same-window
+/// run (agent batches are nearly time-ordered, so about one per batch),
+/// and stamps each touched partial with `seq`.
+fn fold_window_runs(
+    partials: &mut Partials,
+    versions: &mut BTreeMap<(StreamName, SimTime), u64>,
+    stream: StreamName,
+    records: &[ProbeRecord],
+    seq: u64,
+    services: Option<&ServiceMap>,
+) {
+    let width = PARTIAL_WINDOW.as_micros();
+    let mut rest = records;
+    while let Some(first) = rest.first() {
+        let ws = first.ts.window_start(PARTIAL_WINDOW);
+        // One compare covers both sides: a record before `ws` wraps.
+        let outside = |r: &ProbeRecord| r.ts.as_micros().wrapping_sub(ws.as_micros()) >= width;
+        let (run, later) = rest.split_at(rest.iter().position(outside).unwrap_or(rest.len()));
+        let agg = partials.entry((stream, ws)).or_default();
+        agg.fold_records(run, services);
+        versions.insert((stream, ws), seq);
+        rest = later;
+    }
+}
+
 /// The store.
 #[derive(Debug)]
 pub struct CosmosStore {
@@ -98,7 +151,7 @@ pub struct CosmosStore {
     streams: BTreeMap<StreamName, Vec<Extent>>,
     /// Ingest-time partial aggregates, keyed by (stream, window start).
     /// Window starts are aligned to [`PARTIAL_WINDOW`].
-    partials: BTreeMap<(StreamName, SimTime), WindowAggregate>,
+    partials: Partials,
     /// Monotone fold sequence: bumped once per mutation that touches
     /// partials (append batch, refold). `partial_versions` records the
     /// fold_seq that last touched each partial, so a query tier can
@@ -302,24 +355,19 @@ impl CosmosStore {
         // Durability first: the batch is acknowledged only once its WAL
         // frame is written. A failed-closed WAL refuses the append rather
         // than acknowledging data that would not survive a crash.
+        let m = metrics();
         if let Some(log) = self.durable.as_mut() {
             let epoch_after = self.epoch.load(Ordering::Acquire) + 1;
             let write = Instant::now();
             let logged = log.log_append(stream.dc, batch, t, epoch_after);
             // The WAL write's share of the appender's hold on the store.
-            pingmesh_obs::registry()
-                .histogram("pingmesh_store_wal_append_us")
-                .record_wall(write.elapsed());
+            m.wal_append_us.record_wall(write.elapsed());
             if !logged {
-                pingmesh_obs::registry()
-                    .counter("pingmesh_dsa_store_rejected_batches_total")
-                    .inc();
+                m.rejected_batches.inc();
                 return false;
             }
         }
-        pingmesh_obs::registry()
-            .counter("pingmesh_dsa_store_appended_records_total")
-            .add(batch.len() as u64);
+        m.appended_records.add(batch.len() as u64);
         // Sim-bounded span: wall duration is the append compute; the sim
         // bounds measure oldest-record-to-store ingest delay.
         let mut span = pingmesh_obs::span("dsa.store", "append");
@@ -330,7 +378,10 @@ impl CosmosStore {
         // Provenance: sampled records park here until their window ticks.
         pingmesh_obs::trace::on_append_batch(batch, t, PARTIAL_WINDOW.as_micros());
         self.append_raw(stream, batch);
+        // The fold's share of the hold.
+        let fold = Instant::now();
         self.fold_into_partials(stream, batch);
+        m.fold_us.record_wall(fold.elapsed());
         self.epoch.fetch_add(1, Ordering::Release);
         true
     }
@@ -379,36 +430,21 @@ impl CosmosStore {
         }
     }
 
-    /// Folds a just-accepted batch into its window partials. Consecutive
-    /// same-window runs share one map lookup (agent batches are nearly
-    /// time-ordered, so this is ~one lookup per batch).
+    /// Folds a just-accepted batch into its window partials.
     fn fold_into_partials(&mut self, stream: StreamName, batch: &[ProbeRecord]) {
         if batch.is_empty() {
             return;
         }
-        let services = self.services.clone();
-        let svc = services.as_deref();
         self.fold_seq += 1;
-        let mut i = 0;
-        while i < batch.len() {
-            let ws = batch[i].ts.window_start(PARTIAL_WINDOW);
-            let mut j = i + 1;
-            while j < batch.len() && batch[j].ts.window_start(PARTIAL_WINDOW) == ws {
-                j += 1;
-            }
-            let agg = self.partials.entry((stream, ws)).or_default();
-            for r in &batch[i..j] {
-                match svc {
-                    Some(s) => agg.fold_with_services(r, s),
-                    None => agg.fold(r),
-                }
-            }
-            self.partial_versions.insert((stream, ws), self.fold_seq);
-            i = j;
-        }
-        pingmesh_obs::registry()
-            .counter("pingmesh_dsa_ingest_folded_records_total")
-            .add(batch.len() as u64);
+        fold_window_runs(
+            &mut self.partials,
+            &mut self.partial_versions,
+            stream,
+            batch,
+            self.fold_seq,
+            self.services.as_deref(),
+        );
+        metrics().folded_records.add(batch.len() as u64);
     }
 
     /// Rebuilds every partial from the raw extents (used when the
@@ -419,20 +455,16 @@ impl CosmosStore {
         self.partials.clear();
         self.partial_versions.clear();
         self.fold_seq += 1;
-        let seq = self.fold_seq;
-        let services = self.services.clone();
-        let svc = services.as_deref();
-        for (stream, extents) in &self.streams {
+        for (&stream, extents) in &self.streams {
             for e in extents {
-                for r in e.records.iter() {
-                    let ws = r.ts.window_start(PARTIAL_WINDOW);
-                    let agg = self.partials.entry((*stream, ws)).or_default();
-                    match svc {
-                        Some(s) => agg.fold_with_services(r, s),
-                        None => agg.fold(r),
-                    }
-                    self.partial_versions.insert((*stream, ws), seq);
-                }
+                fold_window_runs(
+                    &mut self.partials,
+                    &mut self.partial_versions,
+                    stream,
+                    &e.records,
+                    self.fold_seq,
+                    self.services.as_deref(),
+                );
             }
         }
         self.drop_retired_partials();
@@ -1167,6 +1199,138 @@ pub(crate) mod tests {
             let raw = chunked(&store, SimTime(from), SimTime(to));
             let rebuilt = WindowAggregate::build_with(&raw, None);
             assert_eq!(merged, rebuilt, "window [{from}, {to})");
+        }
+    }
+
+    /// Seeded batches of interleaved agents' runs in two streams: ranges
+    /// straddle windows, and records are intra-pod, inter-pod and inter-DC,
+    /// of both payload kinds and both QoS classes, with timeouts, refusals
+    /// and 3 s / 9 s RTTs. Batch 5 keeps one `src` but changes its other
+    /// source fields record by record, so a run must break on each.
+    fn mixed_batches(seed: u64) -> Vec<(StreamName, Vec<ProbeRecord>)> {
+        let mut state = seed | 1;
+        let mut next = move |n: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) % n
+        };
+        let mut batches = Vec::new();
+        for b in 0..40u64 {
+            let dc = next(2) as u32;
+            let (mut t, step) = (b * W / 4 + next(W / 2), 1 + next(W / 400));
+            let mut src = next(12) as u32;
+            let records = (0..300u32)
+                .map(|i| {
+                    if next(5) == 0 {
+                        src = next(12) as u32;
+                    }
+                    t += step;
+                    let (dst, dst_dc) = match next(3) {
+                        0 => (src ^ 1, dc),         // same pod
+                        1 => (next(12) as u32, dc), // usually another pod
+                        _ => (next(12) as u32, 1 - dc),
+                    };
+                    let server = |s: u32, dc: u32| s + 100 * dc;
+                    let mut r = ProbeRecord {
+                        ts: SimTime(if next(20) == 0 {
+                            t.saturating_sub(W)
+                        } else {
+                            t
+                        }),
+                        src: ServerId(server(src, dc)),
+                        dst: ServerId(server(dst, dst_dc)),
+                        src_pod: PodId(server(src / 2, dc)),
+                        dst_pod: PodId(server(dst / 2, dst_dc)),
+                        src_podset: PodsetId(server(src / 4, dc)),
+                        dst_podset: PodsetId(server(dst / 4, dst_dc)),
+                        src_dc: DcId(dc),
+                        dst_dc: DcId(dst_dc),
+                        kind: [ProbeKind::TcpSyn, ProbeKind::TcpPayload(1_000)][next(2) as usize],
+                        qos: [QosClass::High, QosClass::Low][next(2) as usize],
+                        src_port: 40_000,
+                        dst_port: 8_100,
+                        outcome: match next(10) {
+                            0 => ProbeOutcome::Timeout,
+                            1 => ProbeOutcome::Refused,
+                            2 => ProbeOutcome::Success {
+                                rtt: SimDuration::from_micros(3_000_000 + next(900)),
+                            },
+                            3 => ProbeOutcome::Success {
+                                rtt: SimDuration::from_micros(9_000_000 + next(900)),
+                            },
+                            _ => ProbeOutcome::Success {
+                                rtt: SimDuration::from_micros(100 + next(2_000)),
+                            },
+                        },
+                    };
+                    if b == 5 {
+                        r.src = ServerId(7);
+                        match i % 4 {
+                            1 => r.src_pod = PodId(r.src_pod.0 + 50),
+                            2 => r.src_podset = PodsetId(r.src_podset.0 + 50),
+                            3 => r.src_dc = DcId(r.src_dc.0 + 2),
+                            _ => {}
+                        }
+                    }
+                    r
+                })
+                .collect();
+            batches.push((StreamName { dc: DcId(dc) }, records));
+        }
+        batches
+    }
+
+    #[test]
+    fn run_folded_partials_equal_per_record_folds_per_stream_and_window() {
+        let mut services = ServiceMap::new();
+        let ids = |r: std::ops::Range<u32>| r.map(ServerId).collect::<Vec<_>>();
+        services.register("search", ids(0..6)).unwrap();
+        services.register("web", ids(3..9)).unwrap();
+        services.register("storage", ids(100..108)).unwrap();
+        let services = Arc::new(services);
+        for seed in [41, 42, 43] {
+            let batches = mixed_batches(seed);
+            let mut by_window: BTreeMap<(StreamName, SimTime), Vec<ProbeRecord>> = BTreeMap::new();
+            for (stream, batch) in &batches {
+                for r in batch {
+                    let key = (*stream, r.ts.window_start(PARTIAL_WINDOW));
+                    by_window.entry(key).or_default().push(*r);
+                }
+            }
+            // Service map: none, installed before the appends (the
+            // append's fold), installed after them (the refold).
+            for (early, late) in [
+                (None, None),
+                (Some(&services), None),
+                (None, Some(&services)),
+            ] {
+                let mut store = CosmosStore::new(97, 1);
+                if let Some(s) = early {
+                    store.set_service_map(Arc::clone(s));
+                }
+                for (stream, batch) in &batches {
+                    assert!(store.append(*stream, batch, SimTime(0)));
+                }
+                if let Some(s) = late {
+                    store.set_service_map(Arc::clone(s));
+                }
+                let svc = early.or(late).map(|s| &**s);
+                assert_eq!(store.partial_count(), by_window.len());
+                for (key, records) in &by_window {
+                    let mut one_by_one = WindowAggregate::default();
+                    for r in records {
+                        match svc {
+                            Some(s) => one_by_one.fold_with_services(r, s),
+                            None => one_by_one.fold(r),
+                        }
+                    }
+                    let part = &store.partials[key];
+                    assert_eq!(*part, one_by_one, "seed {seed} {key:?}");
+                    assert_eq!(*part, WindowAggregate::build_with(records, svc), "{key:?}");
+                    assert_eq!(part.per_service.is_empty(), svc.is_none(), "{key:?}");
+                }
+            }
         }
     }
 

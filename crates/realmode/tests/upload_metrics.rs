@@ -1,5 +1,5 @@
-//! The upload counters, and the WAL-append timing under them, as a
-//! scraper sees them on `GET /metrics`. A binary of its own because the
+//! The upload counters, and the WAL-append and fold timings under them,
+//! as a scraper sees them on `GET /metrics`. A binary of its own because the
 //! registry is process-wide: no other test here uploads, so the totals are
 //! this test's alone.
 
@@ -68,9 +68,11 @@ async fn frame_uploads_cost_64_bytes_a_record_and_refusals_are_counted() {
     const BYTES: &str = "pingmesh_realmode_upload_body_bytes_total";
     const MALFORMED: &str = "pingmesh_realmode_uploads_malformed_total";
     const WAL_APPENDS: &str = "pingmesh_store_wal_append_us_count";
+    const FOLDS: &str = "pingmesh_store_fold_us_count";
     let (frame, json) = (Some("frame"), Some("json"));
 
-    // An in-memory store writes no WAL, so its append times none.
+    // An in-memory store writes no WAL, so its append times none; it
+    // still folds.
     let mut in_memory = pingmesh_dsa::CosmosStore::with_defaults();
     let stream = pingmesh_dsa::StreamName { dc: DcId(0) };
     assert!(in_memory.append(stream, &[rec(0)], SimTime(0)));
@@ -88,7 +90,8 @@ async fn frame_uploads_cost_64_bytes_a_record_and_refusals_are_counted() {
         assert_eq!(codecs.len(), 2, "{name}: {codecs:?}");
         assert!(codecs.contains(&codec("frame")) && codecs.contains(&codec("json")));
     }
-    assert!(series(&page, WAL_APPENDS).is_empty(), "no WAL append yet");
+    assert_eq!(value(&page, WAL_APPENDS, None), 0, "no WAL append yet");
+    assert_eq!(value(&page, FOLDS, None), 1, "the in-memory append's fold");
 
     for b in 0..5u64 {
         let batch: Vec<ProbeRecord> = (b * 2_000..(b + 1) * 2_000).map(rec).collect();
@@ -111,5 +114,6 @@ async fn frame_uploads_cost_64_bytes_a_record_and_refusals_are_counted() {
     assert_eq!(value(&page, MALFORMED, frame), 1);
     assert_eq!(value(&page, MALFORMED, json), 1);
     assert_eq!(value(&page, WAL_APPENDS, None), 5, "one per durable upload");
+    assert_eq!(value(&page, FOLDS, None), 1 + 5, "one per durable upload");
     assert_eq!(c.stats().records, 10_000);
 }

@@ -33,9 +33,10 @@ pub enum RttClass {
     TwoDrops,
 }
 
-/// Classifies an RTT into the paper's 3 s / 9 s signature bands.
+/// Classifies an RTT into the paper's 3 s / 9 s signature bands. Pure: the
+/// `pingmesh_types_rtts_classified` gauge counts
+/// [`AgentCounters::observe`]'s classifications, not the DSA fold's.
 pub fn classify_rtt(rtt: SimDuration) -> RttClass {
-    crate::telemetry::RTTS_CLASSIFIED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let in_band = |center: SimDuration| {
         let lo = center.as_micros().saturating_sub(RETRY_BAND.as_micros());
         let hi = center.as_micros() + RETRY_BAND.as_micros();
@@ -85,6 +86,8 @@ impl AgentCounters {
             ProbeOutcome::Success { rtt } => {
                 self.probes_succeeded += 1;
                 self.latency.record(rtt);
+                crate::telemetry::RTTS_CLASSIFIED
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 match classify_rtt(rtt) {
                     RttClass::Normal => {}
                     RttClass::OneDrop => self.probes_3s += 1,

@@ -21,6 +21,25 @@ const OCTAVES: u32 = 38;
 /// Total bucket count (plus one overflow bucket at the end).
 const BUCKETS: usize = (OCTAVES * SUB) as usize + 1;
 
+/// One RTT sample with its bucket computed, so that a record folded into
+/// several histograms pays for the bucket once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sample {
+    bucket: usize,
+    us: u64,
+}
+
+impl Sample {
+    /// Buckets `rtt`.
+    pub fn new(rtt: SimDuration) -> Self {
+        let us = rtt.as_micros();
+        Self {
+            bucket: LatencyHistogram::bucket_of(us),
+            us,
+        }
+    }
+}
+
 /// A mergeable latency histogram over microsecond samples.
 ///
 /// ```
@@ -105,6 +124,11 @@ impl LatencyHistogram {
         self.record_n(rtt, 1);
     }
 
+    /// Records one sample bucketed beforehand by [`Sample::new`].
+    pub fn record_sample(&mut self, s: Sample) {
+        self.add(s, 1);
+    }
+
     /// Records `n` identical samples (used when replaying aggregates).
     /// Counters saturate instead of wrapping: a histogram fed more than
     /// `u64::MAX` samples pins at the ceiling rather than corrupting its
@@ -113,9 +137,11 @@ impl LatencyHistogram {
         if n == 0 {
             return;
         }
-        let us = rtt.as_micros();
-        let b = Self::bucket_of(us);
-        self.counts[b] = self.counts[b].saturating_add(n);
+        self.add(Sample::new(rtt), n);
+    }
+
+    fn add(&mut self, Sample { bucket, us }: Sample, n: u64) {
+        self.counts[bucket] = self.counts[bucket].saturating_add(n);
         self.total = self.total.saturating_add(n);
         self.min_us = self.min_us.min(us);
         self.max_us = self.max_us.max(us);

@@ -17,6 +17,8 @@ pub static HISTOGRAMS_CREATED: AtomicU64 = AtomicU64::new(0);
 /// this tracks aggregation activity without touching the record path).
 pub static HISTOGRAM_MERGES: AtomicU64 = AtomicU64::new(0);
 
-/// RTT classifications performed by [`crate::counters::classify_rtt`]
-/// (one per successful probe folded into agent counters).
+/// RTT classifications counted by [`crate::AgentCounters::observe`]: one
+/// per successful probe folded into agent counters. The DSA fold's
+/// classifications are not counted ([`crate::counters::classify_rtt`] is
+/// pure).
 pub static RTTS_CLASSIFIED: AtomicU64 = AtomicU64::new(0);

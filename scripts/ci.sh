@@ -7,7 +7,8 @@
 # read through `scan_all_window_chunks` only (outages live in the simulator),
 # that fsyncs and renames stay in `dsa::durable`, and that the collector
 # neither checkpoints nor group-commits: the durability loop is
-# `dsa::compactor`'s.
+# `dsa::compactor`'s. No map under crates/ takes an unkeyed
+# `BuildHasherDefault`: maps keyed by uploaded ids use the keyed fold hasher.
 # `ci.sh --smoke [gate…]` then runs the gates `cargo test` does not cover —
 # all, or those named. Each checks outputs; none is a timing gate.
 #   bench  ingest_durable, query_dashboard and query_churn for 2 s each (output checks only: no acknowledged record lost, cached bytes ≡ rebuilt bytes, no stale fresh read), then ingest_durable traced once (its staged replay is the one poster of the collector's JSON compat branch)
@@ -87,6 +88,11 @@ if grep -rnE '\.sync_wal\(|\.checkpoint\(|\.maybe_checkpoint_with\(|\.commit_che
 fi
 if grep -rnE 'GROUP_COMMIT|COMPACTOR_POLL|BACKLOG_WAIT|park_timeout|Condvar|checkpoint_shared|sync_wal_shared' --include='*.rs' crates/realmode/src; then
   echo "the durability loop is dsa's (dsa::compactor): the collector holds no group-commit, checkpoint or backpressure policy" >&2
+  exit 1
+fi
+
+if grep -rn 'BuildHasherDefault' --include='*.rs' crates; then
+  echo "maps keyed by uploaded ids use the keyed fold hasher" >&2
   exit 1
 fi
 

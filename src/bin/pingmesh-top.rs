@@ -99,8 +99,8 @@ fn render_durability(samples: &[PromSample], prev: Option<(&[PromSample], f64)>,
         "  io errors {io_err:.0} (retries {io_retry:.0}, failed-closed {failed:.0})   wal frames truncated {truncated:.0}, corrupt {corrupt:.0}",
     );
     // Store-lock contention: what uploads wait, what of an upload's hold
-    // is its WAL write, what checkpoints hold (plan + commit), and how
-    // long they write with the lock released.
+    // is its WAL write and its fold, what checkpoints hold (plan +
+    // commit), and how long they write with the lock released.
     let quantiles = |name: &str| {
         let q = |suffix: &str| {
             find(samples, &format!("{name}_{suffix}"), None).map_or("-".into(), |s| fmt_us(s.value))
@@ -109,9 +109,10 @@ fn render_durability(samples: &[PromSample], prev: Option<(&[PromSample], f64)>,
     };
     let _ = writeln!(
         out,
-        "  store lock   upload wait {}   wal append {}   checkpoint held {}   checkpoint write {}",
+        "  store lock   upload wait {}   wal append {}   fold {}   checkpoint held {}   checkpoint write {}",
         quantiles("pingmesh_realmode_upload_lock_wait_us"),
         quantiles("pingmesh_store_wal_append_us"),
+        quantiles("pingmesh_store_fold_us"),
         quantiles("pingmesh_store_checkpoint_lock_held_us"),
         quantiles("pingmesh_store_checkpoint_write_us"),
     );
@@ -544,6 +545,8 @@ pingmesh_realmode_upload_lock_wait_us_p50_us 12
 pingmesh_realmode_upload_lock_wait_us_p99_us 310000
 pingmesh_store_wal_append_us_p50_us 45
 pingmesh_store_wal_append_us_p99_us 2100
+pingmesh_store_fold_us_p50_us 230
+pingmesh_store_fold_us_p99_us 610
 pingmesh_store_checkpoint_lock_held_us_p50_us 140
 pingmesh_store_checkpoint_lock_held_us_p99_us 370
 pingmesh_store_checkpoint_write_us_p50_us 95000
@@ -574,7 +577,7 @@ pingmesh_store_checkpoint_write_us_p99_us 210000
         );
         assert!(
             first.contains(
-                "store lock   upload wait p50 12us p99 310.0ms   wal append p50 45us p99 2.1ms   checkpoint held p50 140us p99 370us   checkpoint write p50 95.0ms p99 210.0ms"
+                "store lock   upload wait p50 12us p99 310.0ms   wal append p50 45us p99 2.1ms   fold p50 230us p99 610us   checkpoint held p50 140us p99 370us   checkpoint write p50 95.0ms p99 210.0ms"
             ),
             "{first}"
         );
