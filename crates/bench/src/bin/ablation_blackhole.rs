@@ -44,7 +44,6 @@ fn main() {
             ..GeneratorConfig::default()
         },
         // Leave faults in place and every switch in ECMP: pure detection.
-        auto_repair: false,
         auto_mitigate: false,
         ..OrchestratorConfig::default()
     };

@@ -13,7 +13,7 @@
 //! a Spine switch then starts flipping bits in its fabric module (0.4 %
 //! silent per-packet drops — invisible to its own counters); the 10-min
 //! job sees the DC drop rate jump, the traceroute campaign localizes the
-//! switch, the repair service isolates it, and the rate recovers.
+//! switch, the mitigation engine drains it, and the rate recovers.
 
 use pingmesh_bench::*;
 use pingmesh_core::controller::GeneratorConfig;
@@ -109,8 +109,8 @@ fn main() {
             inc.suspect_pairs.len()
         );
     }
-    let isolations = &o.repair().isolation_log;
-    for (t, sw) in isolations {
+    let isolations: Vec<_> = o.switch_drains().collect();
+    for (t, sw) in &isolations {
         println!("  isolated for RMA at {t}: {sw}");
     }
 

@@ -34,7 +34,6 @@ fn scenario() -> Orchestrator {
         },
         // Observe the raw patterns with nothing cleaning up: no reloads,
         // and no drain engine cutting a dark podset out of the pinglists.
-        auto_repair: false,
         auto_mitigate: false,
         ..OrchestratorConfig::default()
     };

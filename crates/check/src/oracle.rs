@@ -1000,40 +1000,27 @@ pub fn check_crash_recovery(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Vio
 /// * **actuation sync** — a switch holding a drain is excluded from ECMP
 ///   and an un-drained one is back in; a podset holding a drain is cut
 ///   out of pinglist generation and an un-drained one re-included; and
-///   (when the engine alone drives isolation) every exclusion the fabric
-///   carries is owned by the engine.
+///   every exclusion the fabric carries is owned by the engine (its
+///   actuator is the only writer of switch isolation).
 ///
 /// Probe conservation across drain / un-drain is not re-proved here —
 /// oracle 1 already runs on every scenario, including the mitigation
 /// drills this oracle exists for.
-pub fn check_mitigation(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Violation> {
+pub fn check_mitigation(orch: &Orchestrator) -> Vec<Violation> {
     use pingmesh_controller::MitigationState as St;
-    use pingmesh_core::mitigation as mit;
     use pingmesh_core::MitDevice;
     use std::collections::HashMap;
 
     let mut out = Vec::new();
     let eng = orch.mitigation();
     let topo = orch.net().topology().clone();
-    let tier_of = |d: MitDevice| -> (u32, usize) {
-        match d {
-            MitDevice::Switch(s) => (
-                mit::switch_tier_key(&topo, s),
-                mit::switch_tier_size(&topo, s),
-            ),
-            MitDevice::Podset(p) => (
-                mit::podset_tier_key(&topo, p),
-                mit::podset_tier_size(&topo, p),
-            ),
-        }
-    };
 
     let mut held: HashMap<u32, BTreeSet<MitDevice>> = HashMap::new();
     let mut last_undrain: HashMap<MitDevice, SimTime> = HashMap::new();
     let mut last_state: HashMap<MitDevice, St> = HashMap::new();
     let cooldown = eng.config().cooldown;
     for t in eng.transitions() {
-        let (tier, size) = tier_of(t.device);
+        let (tier, size) = t.device.tier(&topo);
         match t.to {
             St::Pending => {
                 if let Some(&u) = last_undrain.get(&t.device) {
@@ -1131,21 +1118,19 @@ pub fn check_mitigation(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Violati
             ));
         }
     }
-    // With the engine alone driving isolation (no legacy auto-repair RMA
-    // path), every ECMP exclusion must be engine-owned.
-    if spec.auto_mitigate.unwrap_or(spec.auto_repair) {
-        for sw in topo.switches() {
-            if orch.net().faults().is_isolated(sw)
-                && !matches!(
-                    last_state.get(&MitDevice::Switch(sw)),
-                    Some(St::Pending | St::Drained | St::Verifying | St::Escalated)
-                )
-            {
-                out.push(violation(
-                    "mitigation",
-                    format!("{sw} is isolated but the engine never drained it"),
-                ));
-            }
+    // The engine's actuator is the only writer of switch isolation, so
+    // every ECMP exclusion must be engine-owned.
+    for sw in topo.switches() {
+        if orch.net().faults().is_isolated(sw)
+            && !matches!(
+                last_state.get(&MitDevice::Switch(sw)),
+                Some(St::Pending | St::Drained | St::Verifying | St::Escalated)
+            )
+        {
+            out.push(violation(
+                "mitigation",
+                format!("{sw} is isolated but the engine never drained it"),
+            ));
         }
     }
     out

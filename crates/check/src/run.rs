@@ -106,8 +106,7 @@ pub fn build_orchestrator_sharded(spec: &ScenarioSpec, shards: usize) -> Orchest
         },
         controller_replicas: 2,
         seed: spec.seed,
-        auto_repair: spec.auto_repair,
-        auto_mitigate: spec.auto_mitigate.unwrap_or(spec.auto_repair),
+        auto_mitigate: spec.auto_mitigate,
         shards,
         ..OrchestratorConfig::default()
     };
@@ -233,7 +232,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> RunReport {
     violations.extend(oracle::check_quality(&orch, spec));
     violations.extend(oracle::check_serve_coherence(&orch));
     violations.extend(oracle::check_crash_recovery(&orch, spec));
-    violations.extend(oracle::check_mitigation(&orch, spec));
+    violations.extend(oracle::check_mitigation(&orch));
 
     // Sixth family: shard determinism. Re-run the whole scenario on the
     // sharded engine (shard count varies with the seed so campaigns

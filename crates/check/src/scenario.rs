@@ -124,12 +124,8 @@ pub struct ScenarioSpec {
     pub payload_probes: bool,
     /// Generate low-QoS probes too.
     pub qos_low: bool,
-    /// Let detection findings drive automatic repair.
-    pub auto_repair: bool,
-    /// Let findings drive the closed-loop mitigation engine. `None`
-    /// mirrors `auto_repair` — and keeps specs pinned before the engine
-    /// existed byte-compatible (`Option` tolerates the missing key).
-    pub auto_mitigate: Option<bool>,
+    /// Let findings act on the fabric: reloads, drains, verifications.
+    pub auto_mitigate: bool,
     /// Open-ended switch fault that makes the run mitigation-eligible.
     pub mitigation_drill: Option<MitigationDrillPlan>,
     /// Scheduled switch faults.
@@ -182,8 +178,7 @@ impl ScenarioSpec {
             inter_dc_interval_secs: r.range(10, 60) as u32,
             payload_probes: r.chance(300),
             qos_low: r.chance(300),
-            auto_repair: r.chance(700),
-            auto_mitigate: None,
+            auto_mitigate: r.chance(700),
             mitigation_drill: None,
             switch_faults: Vec::new(),
             podset_downs: Vec::new(),
@@ -233,7 +228,7 @@ impl ScenarioSpec {
         // fires and clears the engine's confidence gate.
         if r.chance(250) {
             spec.sim_minutes = spec.sim_minutes.max(if smoke { 42 } else { 52 });
-            spec.auto_mitigate = Some(true);
+            spec.auto_mitigate = true;
             spec.mitigation_drill = Some(MitigationDrillPlan {
                 tier: r.range(0, 2) as u8,
                 pick: r.next_u64() as u32,

@@ -32,8 +32,7 @@ fn four_podset_spec() -> ScenarioSpec {
         inter_dc_interval_secs: 30,
         payload_probes: true,
         qos_low: true,
-        auto_repair: true,
-        auto_mitigate: Some(true),
+        auto_mitigate: true,
         mitigation_drill: None,
         switch_faults: vec![FaultPlan {
             tier: TIER_LEAF,

@@ -9,9 +9,13 @@
 //!
 //! * [`orchestrator::Orchestrator`] — build a deployment, inject faults,
 //!   `run_until` a virtual time, inspect SLAs / alerts / findings.
-//! * [`repair::RepairService`] — the §5.1 repair loop: reloads
-//!   black-holed ToRs under the 20-reloads-per-day budget, and isolates
-//!   silently-dropping switches located by traceroute (§5.2).
+//! * [`repair::RepairService`] — the §5.1 reload budget: reloads
+//!   black-holed ToRs, at most 20 a day.
+//! * [`mitigation`] — what the orchestrator's one actuator needs to drive
+//!   the controller's mitigation engine: drained switches (§5.2's
+//!   silent droppers, located by traceroute) leave ECMP, dark podsets
+//!   leave the pinglists, and the engine's transition log is the one
+//!   drain record.
 //!
 //! # Example
 //!

@@ -7,9 +7,10 @@
 //! * [`MitDevice`] — the drainable-device id: a switch (taken out of
 //!   ECMP via the route tables' exclusion support) or a whole podset
 //!   (taken out of pinglist generation after a power-down);
-//! * tier bookkeeping — the engine's "never drain >N% of a tier" guard
-//!   needs each device's tier key and tier population, both DC-scoped
-//!   (draining a quarter of *this* DC's spines, not of the world's);
+//! * tier bookkeeping ([`MitDevice::tier`]) — the engine's "never
+//!   drain >N% of a tier" guard needs each device's tier key and tier
+//!   population, both DC-scoped (draining a quarter of *this* DC's
+//!   spines, not of the world's);
 //! * the verification planner — deterministic enumeration of confirmation
 //!   probes whose ECMP path traverses a specific switch, used to prove a
 //!   drained device healthy before it is returned to service.
@@ -35,44 +36,33 @@ impl std::fmt::Display for MitDevice {
     }
 }
 
-/// The engine's tier key for a switch: tier × DC, so budgets are scoped
-/// to one data center's population of that tier.
-pub fn switch_tier_key(topo: &Topology, sw: SwitchId) -> u32 {
-    let dc = topo.dc_of_switch(sw).map_or(0, |d| d.0);
-    let tier = match sw.tier {
-        SwitchTier::Tor => 0u32,
-        SwitchTier::Leaf => 1,
-        SwitchTier::Spine => 2,
-        SwitchTier::Border => 3,
-    };
-    dc * 8 + tier
-}
-
-/// The engine's tier key for a podset (its own budget class, per DC).
-pub fn podset_tier_key(topo: &Topology, ps: PodsetId) -> u32 {
-    let dc = topo.podset(ps).dc.0;
-    dc * 8 + 4
-}
-
-/// How many devices share a switch's tier within its DC.
-pub fn switch_tier_size(topo: &Topology, sw: SwitchId) -> usize {
-    let Some(dc) = topo.dc_of_switch(sw) else {
-        return 0;
-    };
-    match sw.tier {
-        SwitchTier::Tor => topo.pods_in_dc(dc).count(),
-        SwitchTier::Leaf => topo
-            .podsets_in_dc(dc)
-            .map(|ps| topo.leaf_slice_of_podset(ps).len())
-            .sum(),
-        SwitchTier::Spine => topo.spine_slice_of_dc(dc).len(),
-        SwitchTier::Border => topo.borders_of_dc(dc).count(),
+impl MitDevice {
+    /// The engine's tier key and tier population for this device. The
+    /// key is tier × DC (podsets are their own class), so budgets are
+    /// scoped to one data center's population of that tier.
+    pub fn tier(self, topo: &Topology) -> (u32, usize) {
+        match self {
+            MitDevice::Switch(sw) => {
+                let Some(dc) = topo.dc_of_switch(sw) else {
+                    return (sw.tier as u32, 0);
+                };
+                let size = match sw.tier {
+                    SwitchTier::Tor => topo.pods_in_dc(dc).count(),
+                    SwitchTier::Leaf => topo
+                        .podsets_in_dc(dc)
+                        .map(|ps| topo.leaf_slice_of_podset(ps).len())
+                        .sum(),
+                    SwitchTier::Spine => topo.spine_slice_of_dc(dc).len(),
+                    SwitchTier::Border => topo.borders_of_dc(dc).count(),
+                };
+                (dc.0 * 8 + sw.tier as u32, size)
+            }
+            MitDevice::Podset(ps) => {
+                let dc = topo.podset(ps).dc;
+                (dc.0 * 8 + 4, topo.podsets_in_dc(dc).count())
+            }
+        }
     }
-}
-
-/// How many podsets share a podset's DC.
-pub fn podset_tier_size(topo: &Topology, ps: PodsetId) -> usize {
-    topo.podsets_in_dc(topo.podset(ps).dc).count()
 }
 
 /// A planned confirmation probe: the (src, dst, src_port) of a flow
@@ -197,14 +187,17 @@ mod tests {
         let t = topo();
         let spine = t.spines_of_dc(pingmesh_types::DcId(0)).next().unwrap();
         let leaf = t.leaves_of_podset(PodsetId(0)).next().unwrap();
-        assert_ne!(switch_tier_key(&t, spine), switch_tier_key(&t, leaf));
+        let (spine_key, spine_size) = MitDevice::Switch(spine).tier(&t);
+        let (leaf_key, leaf_size) = MitDevice::Switch(leaf).tier(&t);
+        let (podset_key, podset_size) = MitDevice::Podset(PodsetId(0)).tier(&t);
+        assert_ne!(spine_key, leaf_key);
         assert_eq!(
-            switch_tier_size(&t, spine),
+            spine_size,
             t.spine_slice_of_dc(pingmesh_types::DcId(0)).len()
         );
-        assert!(switch_tier_size(&t, leaf) > 0);
-        assert_eq!(podset_tier_size(&t, PodsetId(0)), 2);
-        assert_ne!(podset_tier_key(&t, PodsetId(0)), switch_tier_key(&t, spine));
+        assert!(leaf_size > 0);
+        assert_eq!(podset_size, 2);
+        assert_ne!(podset_key, spine_key);
     }
 
     #[test]

@@ -31,18 +31,19 @@
 //! layout. `shards = 1` *is* the serial engine — same code path, no
 //! thread spawn.
 
-use crate::mitigation::{self, MitDevice, VERIFY_DST_PORT};
+use crate::mitigation::{self, MitDevice, PlannedProbe, VERIFY_DST_PORT};
 use crate::repair::RepairService;
 use crate::watchdog::detect_podset_power_down;
 use pingmesh_agent::{AgentConfig, AgentFleet, AgentView, ControllerPollOutcome};
 use pingmesh_controller::{
     ControllerCluster, Decision, FindingKind, GeneratorConfig, MitigationConfig, MitigationEngine,
-    PinglistGenerator, VerifyOutcome,
+    MitigationState, PinglistGenerator, VerifyOutcome,
 };
 use pingmesh_dsa::jobs::{JobKind, JobManager, Pipeline};
 use pingmesh_dsa::store::{CosmosStore, StreamName};
 use pingmesh_dsa::{
-    EscalationFinding, ExpectedPairs, LatencyPattern, PerfCounterAggregator, SilentDropFinding,
+    EscalationFinding, ExpectedPairs, LatencyPattern, PairKey, PerfCounterAggregator,
+    SilentDropFinding,
 };
 use pingmesh_netsim::net::CounterDelta;
 use pingmesh_netsim::{tcp_traceroute, DcProfile, EventQueue, NetState, SimNet, TracerouteReport};
@@ -73,13 +74,12 @@ pub struct OrchestratorConfig {
     pub controller_replicas: usize,
     /// RNG seed for the whole run.
     pub seed: u64,
-    /// Whether black-hole reload candidates are handed to the repair
-    /// service (§5.1: ToR reloads under its daily budget). Nothing else.
-    pub auto_repair: bool,
-    /// Whether findings drive the closed-loop mitigation engine (drain →
-    /// verify → un-drain): silent-drop and escalation suspects leave
-    /// ECMP, a dark podset leaves the pinglists. Set both flags off to
-    /// observe raw patterns with nothing cleaning up.
+    /// Whether findings act on the fabric (§5): black-hole candidates are
+    /// reloaded under the repair service's daily budget, and the
+    /// mitigation engine drains, verifies and un-drains silent-drop and
+    /// escalation suspects (out of ECMP) and dark podsets (out of the
+    /// pinglists). Off, the detectors still report into [`SimOutputs`]
+    /// with nothing cleaning up.
     pub auto_mitigate: bool,
     /// Mitigation engine tunables (drain budget, soak, cooldown).
     pub mitigation: MitigationConfig,
@@ -96,7 +96,6 @@ impl Default for OrchestratorConfig {
             generator: GeneratorConfig::default(),
             controller_replicas: 2,
             seed: 0xC0FFEE,
-            auto_repair: true,
             auto_mitigate: true,
             mitigation: MitigationConfig::default(),
             shards: 1,
@@ -438,7 +437,7 @@ impl Orchestrator {
         &self.outputs
     }
 
-    /// The repair service (reload / isolation logs).
+    /// The repair service (the §5.1 reload budget and its log).
     pub fn repair(&self) -> &RepairService {
         &self.repair
     }
@@ -446,6 +445,20 @@ impl Orchestrator {
     /// The mitigation engine (drain states, transition log, counters).
     pub fn mitigation(&self) -> &MitigationEngine<MitDevice> {
         &self.mitigation
+    }
+
+    /// Every switch drain the engine decided, in order: the (time,
+    /// switch) of each of its `→ Pending` transitions — the §5.2 "taken
+    /// out of service for RMA" record, read off the engine's one log.
+    pub fn switch_drains(&self) -> impl Iterator<Item = (SimTime, SwitchId)> + '_ {
+        self.mitigation
+            .transitions()
+            .iter()
+            .filter(|t| t.to == MitigationState::Pending)
+            .filter_map(|t| match t.device {
+                MitDevice::Switch(sw) => Some((t.at, sw)),
+                MitDevice::Podset(_) => None,
+            })
     }
 
     /// Podsets currently drained out of pinglist generation.
@@ -687,7 +700,7 @@ impl Orchestrator {
                     self.outputs
                         .blackhole_candidates
                         .push((now, c.tor, c.score));
-                    if self.config.auto_repair {
+                    if self.config.auto_mitigate {
                         self.repair.request_reload(&mut self.net, c.tor, now);
                     }
                 }
@@ -712,7 +725,12 @@ impl Orchestrator {
                     .merged_window_aggregate(tick.window_start, tick.window_end);
                 let topo = self.net.topology().clone();
                 for (ps, conf) in detect_podset_power_down(&agg, &topo) {
-                    self.report_podset(ps, conf, now);
+                    self.report(
+                        MitDevice::Podset(ps),
+                        FindingKind::PodsetPowerDown,
+                        conf,
+                        now,
+                    );
                 }
             }
         }
@@ -724,44 +742,62 @@ impl Orchestrator {
         }
     }
 
-    /// Routes a switch finding through the mitigation engine; on a Drain
-    /// decision the switch leaves ECMP via the route tables' exclusion
-    /// support (the same actuator the §5.2 RMA path uses).
-    fn report_switch(&mut self, sw: SwitchId, kind: FindingKind, confidence: f64, now: SimTime) {
-        let topo = self.net.topology().clone();
-        let tier = mitigation::switch_tier_key(&topo, sw);
-        let size = mitigation::switch_tier_size(&topo, sw);
+    /// Routes a finding through the mitigation engine and actuates a
+    /// drain decision.
+    fn report(&mut self, dev: MitDevice, kind: FindingKind, confidence: f64, now: SimTime) {
+        let (tier, size) = dev.tier(self.net.topology());
         match self
             .mitigation
-            .report(MitDevice::Switch(sw), tier, size, kind, confidence, now)
+            .report(dev, tier, size, kind, confidence, now)
         {
-            Decision::Drain | Decision::DrainAndEscalate => {
-                self.repair.isolate_for_rma(&mut self.net, sw, now);
-            }
+            Decision::Drain | Decision::DrainAndEscalate => self.actuate(dev, true),
             Decision::Rejected(_) => {}
         }
     }
 
-    /// Routes a podset power-down finding through the engine; on Drain
-    /// the podset is cut out of pinglist generation.
-    fn report_podset(&mut self, ps: PodsetId, confidence: f64, now: SimTime) {
-        let topo = self.net.topology().clone();
-        let tier = mitigation::podset_tier_key(&topo, ps);
-        let size = mitigation::podset_tier_size(&topo, ps);
-        match self.mitigation.report(
-            MitDevice::Podset(ps),
-            tier,
-            size,
-            FindingKind::PodsetPowerDown,
-            confidence,
-            now,
-        ) {
-            Decision::Drain | Decision::DrainAndEscalate => {
-                self.excluded_podsets.insert(ps);
-                self.regenerate_pinglists(self.config.generator.clone());
+    /// The one actuator: takes `dev` out of service (`drained`) or puts
+    /// it back. A switch leaves or rejoins ECMP through the route tables'
+    /// exclusion support; a podset leaves or rejoins pinglist generation,
+    /// and the pinglists are regenerated when that set changes.
+    fn actuate(&mut self, dev: MitDevice, drained: bool) {
+        match dev {
+            MitDevice::Switch(sw) if drained => self.net.faults_mut().isolate_switch(sw),
+            MitDevice::Switch(sw) => self.net.faults_mut().unisolate_switch(sw),
+            MitDevice::Podset(ps) => {
+                let changed = if drained {
+                    self.excluded_podsets.insert(ps)
+                } else {
+                    self.excluded_podsets.remove(&ps)
+                };
+                if changed {
+                    self.regenerate_pinglists(self.config.generator.clone());
+                }
             }
-            Decision::Rejected(_) => {}
         }
+    }
+
+    /// Traceroutes up to 8 of a finding's suspect pairs, pair `i` from
+    /// source ports `port_base + 128·i`, and merges the reports.
+    fn traceroute_campaign(
+        &mut self,
+        pairs: &[PairKey],
+        port_base: u16,
+        now: SimTime,
+    ) -> TracerouteReport {
+        let mut merged = TracerouteReport::default();
+        for (i, pair) in pairs.iter().take(8).enumerate() {
+            let port = port_base + (i as u16) * 128;
+            merged.merge(&tcp_traceroute(
+                &mut self.net,
+                pair.src,
+                pair.dst,
+                64,
+                100,
+                port,
+                now,
+            ));
+        }
+        merged
     }
 
     /// A black-hole podset escalation: traceroute the blackholed pairs,
@@ -770,21 +806,9 @@ impl Orchestrator {
         if esc.suspect_pairs.is_empty() {
             return;
         }
-        let mut merged = TracerouteReport::default();
-        for (i, pair) in esc.suspect_pairs.iter().take(8).enumerate() {
-            // Base ports 21_000+ keep the keyed RNG streams disjoint from
-            // the silent-drop campaigns at 20_000+.
-            let report = tcp_traceroute(
-                &mut self.net,
-                pair.src,
-                pair.dst,
-                64,
-                100,
-                21_000 + (i as u16) * 128,
-                now,
-            );
-            merged.merge(&report);
-        }
+        // Base ports 21_000+ keep the keyed RNG streams disjoint from the
+        // silent-drop campaigns at 20_000+.
+        let merged = self.traceroute_campaign(&esc.suspect_pairs, 21_000, now);
         // A type-2 black hole drops its flows deterministically, so the
         // guilty device's attributed loss is far above background noise.
         let candidate = merged
@@ -793,40 +817,61 @@ impl Orchestrator {
             .map(|(sw, _)| sw)
             .find(|sw| matches!(sw.tier, SwitchTier::Leaf | SwitchTier::Spine));
         if let Some(sw) = candidate {
-            self.report_switch(sw, FindingKind::Blackhole, esc.confidence, now);
+            self.report(
+                MitDevice::Switch(sw),
+                FindingKind::Blackhole,
+                esc.confidence,
+                now,
+            );
         }
         self.outputs.traceroutes.push((now, merged));
     }
 
     /// Runs confirmation probes for every drained device whose soak
-    /// period has elapsed, and acts on the engine's verdicts.
+    /// period has elapsed, and acts on the engine's verdicts: anything
+    /// but an un-drain leaves the device drained.
     fn run_due_verifications(&mut self, now: SimTime) {
         for dev in self.mitigation.due_verifications(now) {
-            match dev {
-                MitDevice::Switch(sw) => self.verify_switch(sw, now),
-                MitDevice::Podset(ps) => self.verify_podset(ps, now),
-            }
+            let topo = self.net.topology().clone();
+            let plan = match dev {
+                MitDevice::Switch(sw) => {
+                    // Lift the exclusion first: verification must exercise
+                    // the paths traffic would take with the device back in
+                    // service.
+                    self.actuate(dev, false);
+                    let net = &self.net;
+                    mitigation::plan_switch_verification(&topo, sw, 12, 512, |src, dst, port| {
+                        let tuple =
+                            FiveTuple::tcp(topo.ip_of(src), port, topo.ip_of(dst), VERIFY_DST_PORT);
+                        net.path_of(src, dst, &tuple).switches().collect::<Vec<_>>()
+                    })
+                }
+                MitDevice::Podset(ps) => mitigation::plan_podset_verification(&topo, ps, 12),
+            };
+            let (ok, n) = (self.run_planned_probes(&topo, &plan, now), plan.len());
+            // Healthy needs real evidence. A switch: enough probes actually
+            // traversed it, and nearly all came back. A podset: at least
+            // half of its outside-in probes answered.
+            let healthy = match dev {
+                MitDevice::Switch(_) => n >= 4 && ok * 10 >= n * 9,
+                MitDevice::Podset(_) => n > 0 && ok * 2 >= n,
+            };
+            let verdict = self.mitigation.record_verification(dev, healthy, now);
+            self.actuate(dev, verdict != VerifyOutcome::Undrain);
         }
     }
 
-    /// Proves (or fails to prove) a drained switch healthy: lift the
-    /// exclusion, plan probes whose ECMP path traverses the device, fire
-    /// them against live network state, and re-drain unless ≥90% succeed.
-    fn verify_switch(&mut self, sw: SwitchId, now: SimTime) {
-        let topo = self.net.topology().clone();
-        // Lift the exclusion first: verification must exercise the paths
-        // traffic would take with the device back in service.
-        self.net.faults_mut().unisolate_switch(sw);
-        let plan = {
-            let net = &self.net;
-            mitigation::plan_switch_verification(&topo, sw, 12, 512, |src, dst, port| {
-                let tuple = FiveTuple::tcp(topo.ip_of(src), port, topo.ip_of(dst), VERIFY_DST_PORT);
-                net.path_of(src, dst, &tuple).switches().collect::<Vec<_>>()
-            })
-        };
+    /// Fires planned confirmation probes against live network state;
+    /// returns how many came back.
+    fn run_planned_probes(
+        &mut self,
+        topo: &Topology,
+        plan: &[PlannedProbe],
+        now: SimTime,
+    ) -> usize {
         let mut delta = CounterDelta::new();
         let mut ok = 0usize;
-        for p in &plan {
+        for p in plan {
             let attempt = self.net.state().probe_keyed(
                 self.net.run_seed(),
                 &mut delta,
@@ -843,73 +888,16 @@ impl Orchestrator {
             }
         }
         self.net.merge_counters(&delta);
-        // Healthy needs real evidence: enough probes actually traversed
-        // the device, and nearly all of them came back.
-        let healthy = plan.len() >= 4 && ok * 10 >= plan.len() * 9;
-        match self
-            .mitigation
-            .record_verification(MitDevice::Switch(sw), healthy, now)
-        {
-            VerifyOutcome::Undrain => {} // exclusion stays lifted
-            VerifyOutcome::KeepDrained | VerifyOutcome::Escalated => {
-                self.net.faults_mut().isolate_switch(sw);
-            }
-        }
-    }
-
-    /// Proves a powered-down podset live again by probing it from every
-    /// other podset in its DC; on Undrain it rejoins pinglist generation.
-    fn verify_podset(&mut self, ps: PodsetId, now: SimTime) {
-        let topo = self.net.topology().clone();
-        let plan = mitigation::plan_podset_verification(&topo, ps, 12);
-        let mut delta = CounterDelta::new();
-        let mut ok = 0usize;
-        for p in &plan {
-            let attempt = self.net.state().probe_keyed(
-                self.net.run_seed(),
-                &mut delta,
-                p.src,
-                topo.ip_of(p.dst),
-                p.src_port,
-                VERIFY_DST_PORT,
-                ProbeKind::TcpSyn,
-                QosClass::High,
-                now,
-            );
-            if matches!(attempt.outcome, ProbeOutcome::Success { .. }) {
-                ok += 1;
-            }
-        }
-        self.net.merge_counters(&delta);
-        let healthy = !plan.is_empty() && ok * 2 >= plan.len();
-        if let VerifyOutcome::Undrain =
-            self.mitigation
-                .record_verification(MitDevice::Podset(ps), healthy, now)
-        {
-            self.excluded_podsets.remove(&ps);
-            self.regenerate_pinglists(self.config.generator.clone());
-        }
+        ok
     }
 
     /// §5.2 in code: traceroute the worst pairs of an incident, rank
-    /// switches by attributed loss, isolate the top one.
+    /// switches by attributed loss, drain the top one.
     fn localize_and_mitigate(&mut self, incident: &SilentDropFinding, now: SimTime) {
         if incident.suspect_pairs.is_empty() {
             return;
         }
-        let mut merged = TracerouteReport::default();
-        for (i, pair) in incident.suspect_pairs.iter().take(8).enumerate() {
-            let report = tcp_traceroute(
-                &mut self.net,
-                pair.src,
-                pair.dst,
-                64,
-                100,
-                20_000 + (i as u16) * 128,
-                now,
-            );
-            merged.merge(&report);
-        }
+        let merged = self.traceroute_campaign(&incident.suspect_pairs, 20_000, now);
         // A switch is suspect when its attributed loss clearly exceeds
         // what the DC-wide incident rate predicts for a healthy device;
         // half the incident rate separates the faulty switch (whose
@@ -929,7 +917,12 @@ impl Orchestrator {
                 // packets. Forward whichever signal is stronger.
                 let localization = (1.0 - min_rate / rate.max(f64::MIN_POSITIVE)).clamp(0.0, 1.0);
                 let confidence = incident.confidence.max(localization);
-                self.report_switch(sw, FindingKind::SilentDrop, confidence, now);
+                self.report(
+                    MitDevice::Switch(sw),
+                    FindingKind::SilentDrop,
+                    confidence,
+                    now,
+                );
             }
         }
         self.outputs.traceroutes.push((now, merged));

@@ -1,16 +1,12 @@
-//! The network repair service.
+//! The switch reload budget.
 //!
-//! Closes the loop from detection to mitigation:
-//!
-//! * **Black-holes** are "fixed by reloading the switch" (§5.1); the
-//!   repair service performs the reload, but "we limit the algorithm to
-//!   reload at most 20 switches per day. This is to limit the maximum
-//!   number of switch reboots." Requests beyond the daily budget are
-//!   deferred to the next day's budget.
-//! * **Silent random drops** "cannot be fixed by switch reload and we
-//!   have to RMA the faulty switch or components" (§5.2); the repair
-//!   service isolates the switch from live traffic and queues it for
-//!   RMA.
+//! Black-holes are "fixed by reloading the switch" (§5.1); the repair
+//! service performs the reload, but "we limit the algorithm to reload at
+//! most 20 switches per day. This is to limit the maximum number of
+//! switch reboots." Requests beyond the daily budget are deferred to the
+//! next day's budget. Silent random drops "cannot be fixed by switch
+//! reload" (§5.2): taking such a switch out of service is a drain, which
+//! the orchestrator's mitigation engine decides and logs.
 
 use pingmesh_netsim::SimNet;
 use pingmesh_types::constants::MAX_SWITCH_RELOADS_PER_DAY;
@@ -28,8 +24,6 @@ pub struct RepairService {
     pub reload_log: Vec<(SimTime, SwitchId)>,
     /// Reloads refused because the daily budget was exhausted.
     pub deferred: Vec<SwitchId>,
-    /// Log of isolations (switch pulled from rotation, awaiting RMA).
-    pub isolation_log: Vec<(SimTime, SwitchId)>,
 }
 
 impl RepairService {
@@ -44,12 +38,6 @@ impl RepairService {
             self.today = day;
             self.reloads_today = 0;
         }
-    }
-
-    /// Remaining reload budget for the current day.
-    pub fn budget_left(&mut self, now: SimTime) -> u32 {
-        self.roll_day(now);
-        MAX_SWITCH_RELOADS_PER_DAY.saturating_sub(self.reloads_today)
     }
 
     /// Requests a switch reload. Applies it to the network if the daily
@@ -72,17 +60,6 @@ impl RepairService {
         self.reloads_today += 1;
         net.faults_mut().reload_switch(sw, now, RELOAD_OUTAGE);
         self.reload_log.push((now, sw));
-        true
-    }
-
-    /// Isolates a switch from live traffic (ECMP routes around it) and
-    /// queues it for RMA. Idempotent.
-    pub fn isolate_for_rma(&mut self, net: &mut SimNet, sw: SwitchId, now: SimTime) -> bool {
-        if net.faults().is_isolated(sw) {
-            return false;
-        }
-        net.faults_mut().isolate_switch(sw);
-        self.isolation_log.push((now, sw));
         true
     }
 
@@ -130,7 +107,7 @@ mod tests {
         }
         assert_eq!(done, 20);
         assert_eq!(svc.deferred.len(), 10);
-        assert_eq!(svc.budget_left(SimTime(100)), 0);
+        assert_eq!(svc.reloads_on_day(0), 20);
     }
 
     #[test]
@@ -142,7 +119,6 @@ mod tests {
         }
         assert!(!svc.request_reload(&mut net, SwitchId::spine(20), SimTime(21)));
         let next_day = SimTime::ZERO + SimDuration::from_days(1) + SimDuration::from_secs(1);
-        assert_eq!(svc.budget_left(next_day), 20);
         assert!(svc.request_reload(&mut net, SwitchId::spine(21), next_day));
         assert_eq!(svc.reloads_on_day(0), 20);
         assert_eq!(svc.reloads_on_day(1), 1);
@@ -155,16 +131,5 @@ mod tests {
         assert!(svc.request_reload(&mut net, SwitchId::tor(0), SimTime(0)));
         assert!(!svc.request_reload(&mut net, SwitchId::tor(0), SimTime(1_000)));
         assert_eq!(svc.reload_log.len(), 1);
-    }
-
-    #[test]
-    fn isolation_is_idempotent_and_applies() {
-        let mut net = net();
-        let mut svc = RepairService::new();
-        let sw = SwitchId::spine(2);
-        assert!(svc.isolate_for_rma(&mut net, sw, SimTime(5)));
-        assert!(net.faults().is_isolated(sw));
-        assert!(!svc.isolate_for_rma(&mut net, sw, SimTime(6)));
-        assert_eq!(svc.isolation_log.len(), 1);
     }
 }

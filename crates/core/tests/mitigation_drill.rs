@@ -10,13 +10,15 @@
 //! * the tier drain-budget guard — with a budget that floors to zero the
 //!   engine refuses to act and pages instead;
 //! * a podset power-down — the Figure-8(b) signature drains the podset
-//!   out of pinglist generation and re-includes it once power returns.
+//!   out of pinglist generation and re-includes it once power returns;
+//! * the switch off — with `auto_mitigate: false` every detector still
+//!   reports, and nothing is reloaded, drained or cut out of the mesh.
 
-use pingmesh_core::controller::{FindingKind, MitigationConfig, MitigationState};
+use pingmesh_core::controller::{FindingKind, GeneratorConfig, MitigationConfig, MitigationState};
 use pingmesh_core::netsim::faults::{ActiveFault, FaultKind};
 use pingmesh_core::netsim::DcProfile;
 use pingmesh_core::topology::{ServiceMap, Topology, TopologySpec};
-use pingmesh_core::types::{PingTarget, PodsetId, SimDuration, SimTime, SwitchId};
+use pingmesh_core::types::{DcId, PingTarget, PodsetId, SimDuration, SimTime, SwitchId};
 use pingmesh_core::{MitDevice, Orchestrator, OrchestratorConfig};
 use std::sync::Arc;
 
@@ -279,4 +281,65 @@ fn podset_power_down_drains_pinglists_then_reincludes() {
         !back.entries.is_empty(),
         "re-included servers probe the mesh again"
     );
+}
+
+/// One switch gates every actuation: with `auto_mitigate` off, a
+/// black-holed ToR and a silently dropping spine are still found beside
+/// a dark podset, but no switch is reloaded or isolated, no podset
+/// leaves the pinglists, and the engine logs nothing. With the switch on,
+/// this scenario reloads the ToR, drains the spine and drains the podset.
+#[test]
+fn mitigation_off_reports_findings_and_touches_nothing() {
+    let mut o = orch_with(OrchestratorConfig {
+        auto_mitigate: false,
+        // A sparser mesh than the default keeps the 72-minute debug run
+        // cheap; the findings below still fire.
+        generator: GeneratorConfig {
+            intra_pod_interval: SimDuration::from_secs(60),
+            intra_dc_interval: SimDuration::from_secs(120),
+            ..GeneratorConfig::default()
+        },
+        mitigation: MitigationConfig {
+            // A budget that would let the dark podset drain.
+            max_drain_fraction: 0.5,
+            ..MitigationConfig::default()
+        },
+        ..OrchestratorConfig::default()
+    });
+    let topo = o.net().topology().clone();
+    let bad_tor = topo.tor_of_pod(topo.pods_in_podset(PodsetId(1)).next().unwrap());
+    let bad_spine = topo.spines_of_dc(DcId(0)).next().unwrap();
+    let faults = o.net_mut().faults_mut();
+    faults.add_switch_fault(
+        bad_tor,
+        ActiveFault {
+            kind: FaultKind::BlackholeIp { frac: 0.15 },
+            from: SimTime::ZERO,
+            until: None,
+        },
+    );
+    faults.add_switch_fault(
+        bad_spine,
+        ActiveFault {
+            kind: FaultKind::SilentRandomDrop { prob: 0.1 },
+            from: mins(12),
+            until: Some(mins(32)),
+        },
+    );
+    faults.set_podset_down(PodsetId(0), mins(22), Some(mins(52)));
+    o.run_until(mins(72));
+
+    let out = o.outputs();
+    assert!(
+        out.blackhole_candidates
+            .iter()
+            .any(|&(_, sw, _)| sw == bad_tor),
+        "the black-holed ToR is a reload candidate: {:?}",
+        out.blackhole_candidates
+    );
+    assert!(!out.incidents.is_empty(), "the spine raises an incident");
+    assert!(o.repair().reload_log.is_empty() && o.repair().deferred.is_empty());
+    assert!(topo.switches().all(|sw| !o.net().faults().is_isolated(sw)));
+    assert!(o.excluded_podsets().is_empty());
+    assert!(o.mitigation().transitions().is_empty());
 }

@@ -61,24 +61,21 @@ pub struct RealAgentConfig {
     pub controller: ControllerVip,
     /// The collector address records are uploaded to.
     pub collector: SocketAddr,
-    /// Per-probe timeout.
-    pub probe_timeout: Duration,
     /// Per-phase deadline for every control-plane call (connect, request
     /// write, response read — against controller replicas and collector).
     pub call_deadline: Duration,
-    /// Seed for the jittered retry/poll backoff. Runs with the same seed
-    /// retry on an identical schedule.
-    pub backoff_seed: u64,
-    /// Upload when this many records are buffered (or the oldest ages
-    /// out). Read once: it seeds the engine's `upload_batch_records` when
-    /// the agent is created.
-    pub upload_batch: usize,
-    /// Max probes in flight at once (the paper's agent spreads load
-    /// across cores; we bound concurrency instead).
-    pub max_inflight: usize,
     /// Peer address resolution mode.
     pub addressing: Addressing,
 }
+
+/// Per-probe timeout.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
+/// Max probes in flight at once (the paper's agent spreads load across
+/// cores; we bound concurrency instead).
+const MAX_INFLIGHT: usize = 32;
+/// Upload when this many records are buffered (or the oldest ages out):
+/// the engine's `upload_batch_records` for a real agent.
+const UPLOAD_BATCH: usize = 500;
 
 impl RealAgentConfig {
     /// Sensible defaults for a localhost deployment with an unreplicated
@@ -97,13 +94,7 @@ impl RealAgentConfig {
             me,
             controller: ControllerVip::new(controllers),
             collector,
-            probe_timeout: Duration::from_secs(2),
             call_deadline: Duration::from_secs(5),
-            // Decorrelate agents so a fleet doesn't retry in lockstep,
-            // while staying reproducible for a given server id.
-            backoff_seed: 0x5EED ^ me.0 as u64,
-            upload_batch: 500,
-            max_inflight: 32,
             addressing: Addressing::Directory,
         }
     }
@@ -127,7 +118,7 @@ impl RealAgent {
         let mut fleet = AgentFleet::new(
             topo,
             AgentConfig {
-                upload_batch_records: config.upload_batch,
+                upload_batch_records: UPLOAD_BATCH,
                 ..AgentConfig::default()
             },
         );
@@ -192,6 +183,13 @@ impl RealAgent {
         self.fleet.collect_counters(ME)
     }
 
+    /// The jittered retry/poll backoff. Seeded from the server id, so
+    /// agents of a fleet don't retry in lockstep, while each retries on
+    /// the same schedule from run to run.
+    fn backoff(&self) -> Backoff {
+        Backoff::control_plane(0x5EED ^ u64::from(self.config.me.0))
+    }
+
     /// Wall-clock microseconds since this agent started: the engine's
     /// notion of "now".
     fn now(&self) -> SimTime {
@@ -246,7 +244,7 @@ impl RealAgent {
     /// stopping drops every installed entry.
     pub async fn probe_round_once(&mut self) -> usize {
         let entries = self.fleet.entries(ME).to_vec();
-        let timeout = self.config.probe_timeout;
+        let timeout = PROBE_TIMEOUT;
         let mut inflight = tokio::task::JoinSet::new();
         let mut sent = 0usize;
         for (entry_index, entry) in entries.into_iter().enumerate() {
@@ -266,7 +264,7 @@ impl RealAgent {
                     http: SocketAddr::from((ip, 80)),
                 },
             };
-            if inflight.len() >= self.config.max_inflight {
+            if inflight.len() >= MAX_INFLIGHT {
                 if let Some(done) = inflight.join_next().await {
                     self.absorb(done.expect("probe task panicked"));
                 }
@@ -326,7 +324,7 @@ impl RealAgent {
         };
         pingmesh_obs::trace::on_upload_batch(&batch, Some(self.now()));
         let registry = pingmesh_obs::registry();
-        let mut backoff = Backoff::control_plane(self.config.backoff_seed);
+        let mut backoff = self.backoff();
         loop {
             let result =
                 upload_records_with(self.config.collector, &batch, self.config.call_deadline).await;
@@ -368,7 +366,7 @@ impl RealAgent {
         // While the controller is failing, re-poll on a capped jittered
         // backoff instead of the full poll interval — the agent recovers
         // quickly after an outage without hammering a struggling VIP.
-        let mut poll_backoff = Backoff::control_plane(self.config.backoff_seed);
+        let mut poll_backoff = self.backoff();
         let mut shutdown = shutdown;
         loop {
             if *shutdown.borrow() {
@@ -442,7 +440,7 @@ mod tests {
         let mut agent = cluster.agent(ServerId(5));
         agent.poll_controller().await;
         let sent = agent.probe_round_once().await as u64;
-        assert!(sent > 0 && sent < agent.config.upload_batch as u64);
+        assert!(sent > 0 && sent < UPLOAD_BATCH as u64);
         // Fresh records below the batch size: not due.
         agent.flush(false).await;
         assert_eq!(agent.buffered(), sent);

@@ -41,7 +41,6 @@ fn fresh() -> Orchestrator {
                 ..GeneratorConfig::default()
             },
             // Raw patterns: no reloads, no drains, no pinglist surgery.
-            auto_repair: false,
             auto_mitigate: false,
             ..OrchestratorConfig::default()
         },

@@ -9,6 +9,8 @@
 # neither checkpoints nor group-commits: the durability loop is
 # `dsa::compactor`'s. No map under crates/ takes an unkeyed
 # `BuildHasherDefault`: maps keyed by uploaded ids use the keyed fold hasher.
+# The simulator isolates switches only in its one actuator and reloads
+# them only through the repair service's budget, under one flag.
 # `ci.sh --smoke [gate…]` then runs the gates `cargo test` does not cover —
 # all, or those named. Each checks outputs; none is a timing gate.
 #   bench  ingest_durable, query_dashboard and query_churn for 2 s each (output checks only: no acknowledged record lost, cached bytes ≡ rebuilt bytes, no stale fresh read), then ingest_durable traced once (its staged replay is the one poster of the collector's JSON compat branch)
@@ -93,6 +95,21 @@ fi
 
 if grep -rn 'BuildHasherDefault' --include='*.rs' crates; then
   echo "maps keyed by uploaded ids use the keyed fold hasher" >&2
+  exit 1
+fi
+
+# The simulator touches the fabric in two places only: the orchestrator's
+# `actuate` (drains) and `RepairService::request_reload` (the §5.1 budget).
+if awk 'FNR == 1 { f = "" }
+        match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+        /isolate_switch\(|reload_switch\(/ && f != "actuate" && f != "request_reload" {
+          print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' $(find crates/core/src -name '*.rs'); then
+  echo "switches are isolated only by the orchestrator's actuator and reloaded only by RepairService::request_reload" >&2
+  exit 1
+fi
+if grep -rnE 'auto_repair|isolate_for_rma|isolation_log' --include='*.rs' crates src tests examples; then
+  echo "one switch (auto_mitigate) gates every actuation; the mitigation engine's transitions are the one drain log" >&2
   exit 1
 fi
 

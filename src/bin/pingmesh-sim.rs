@@ -220,7 +220,7 @@ fn main() {
     for (t, sw) in &o.repair().reload_log {
         println!("  {t}: reloaded {sw}");
     }
-    for (t, sw) in &o.repair().isolation_log {
+    for (t, sw) in o.switch_drains() {
         println!("  {t}: isolated {sw} for RMA");
     }
     if o.outputs().blackhole_candidates.is_empty()
@@ -275,7 +275,7 @@ fn write_json_report(o: &Orchestrator, topo: &Topology, path: &str) {
         alerts,
         o.outputs().incidents.len(),
         o.repair().reload_log.len(),
-        o.repair().isolation_log.len(),
+        o.switch_drains().count(),
         dcs
     );
     std::fs::write(path, report).expect("write json report");

@@ -165,10 +165,7 @@ fn silent_spine_incident_is_detected_localized_isolated() {
         "the re-drain must be flagged as a recurrence"
     );
     assert!(
-        o.repair()
-            .isolation_log
-            .iter()
-            .all(|&(_, sw)| sw == bad_spine),
+        o.switch_drains().all(|(_, sw)| sw == bad_spine),
         "only the bad spine was ever isolated"
     );
     // The drop-rate series recovered after isolation.
