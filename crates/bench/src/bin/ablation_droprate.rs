@@ -12,10 +12,10 @@
 //!   destinations are down for non-network reasons.
 
 use pingmesh_bench::*;
-use pingmesh_core::netsim::{DcProfile, SimNet};
+use pingmesh_core::netsim::{CounterDelta, DcProfile, SimNet};
 use pingmesh_core::topology::{DcSpec, Topology, TopologySpec};
 use pingmesh_core::types::counters::{classify_rtt, RttClass};
-use pingmesh_core::types::{PodId, PodsetId, ProbeKind, SimTime};
+use pingmesh_core::types::{PodId, PodsetId, ProbeKind, QosClass, SimTime};
 use std::sync::Arc;
 
 #[derive(Default)]
@@ -38,30 +38,39 @@ impl Counts {
     }
 }
 
-fn run(net: &mut SimNet, probes: u32) -> Counts {
+fn run(net: &SimNet, probes: u32) -> Counts {
     let topo = net.topology().clone();
     let a = topo.servers_in_pod(PodId(0)).next().unwrap();
     let b = topo.servers_in_pod(PodId(4)).next().unwrap();
     let ip = topo.ip_of(b);
     let mut c = Counts::default();
+    let mut delta = CounterDelta::new();
+    let mut rtts = Vec::new();
     for i in 0..probes {
-        let r = net.probe(
+        let r = net.state().probe_keyed(
+            net.run_seed(),
+            &mut delta,
             a,
             ip,
             (32_768 + (i % 28_000)) as u16,
             8_100,
             ProbeKind::TcpSyn,
+            QosClass::High,
             SimTime(i as u64 * 1_000),
         );
         match r.outcome.rtt() {
-            Some(rtt) => match classify_rtt(rtt) {
-                RttClass::Normal => c.ok += 1,
-                RttClass::OneDrop => c.d3 += 1,
-                RttClass::TwoDrops => c.d9 += 1,
-            },
+            Some(rtt) => {
+                rtts.push(rtt);
+                match classify_rtt(rtt) {
+                    RttClass::Normal => c.ok += 1,
+                    RttClass::OneDrop => c.d3 += 1,
+                    RttClass::TwoDrops => c.d9 += 1,
+                }
+            }
             None => c.failed += 1,
         }
     }
+    net.flush_probe_metrics(u64::from(probes), c.failed, &rtts);
     c
 }
 
@@ -88,8 +97,8 @@ fn main() {
     // algebra: (1-c)(1+2c) = 1.)
     profile.burst_correlation = 0.25;
     profile.drops.spine = 0.02;
-    let mut net = SimNet::new(topo.clone(), vec![profile], 11);
-    let c = run(&mut net, 400_000);
+    let net = SimNet::new(topo.clone(), vec![profile], 11);
+    let c = run(&net, 400_000);
     // Ground truth: each direction crosses 1 spine; first-attempt loss
     // probability = 1 - (1-p)^2 per connection.
     let truth = 1.0 - (1.0f64 - 0.02).powi(2);
@@ -125,7 +134,7 @@ fn main() {
     net.faults_mut()
         .set_podset_down(podset_b, SimTime(200_000_000), None);
     let _ = PodsetId(0);
-    let c = run(&mut net, 400_000);
+    let c = run(&net, 400_000);
     let truth = 1.0 - (1.0f64 - 0.005).powi(2);
     compare_row(
         "ground-truth network loss rate",

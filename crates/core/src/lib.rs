@@ -57,7 +57,7 @@ pub mod watchdog;
 pub use mitigation::{plan_podset_verification, plan_switch_verification, MitDevice, PlannedProbe};
 pub use orchestrator::{Orchestrator, OrchestratorConfig, SimOutputs};
 pub use repair::RepairService;
-pub use watchdog::{detect_podset_power_down, Watchdog, WatchdogFinding};
+pub use watchdog::{detect_podset_power_down, WatchdogFinding};
 
 // Re-export the component crates so downstream users (examples, the
 // bench harness) can depend on `pingmesh-core` alone.

@@ -23,7 +23,9 @@
 //! against the network state, which is immutable during an epoch. The
 //! only per-probe randomness comes from [`NetState::probe_keyed`]'s
 //! counter-based RNG — a pure function of (run seed, five-tuple, launch
-//! time) — so a probe's outcome is independent of execution order. Every
+//! time) — so a probe's outcome is independent of execution order. The
+//! barrier-side traceroute campaigns and verification probes draw from
+//! the same keyed RNG, so no campaign depends on what ran before it. Every
 //! remaining cross-shard effect (uploads, counter deltas, probe counts)
 //! is either merged in a canonical sort order or commutative. Epoch
 //! boundaries line up with the global events (PA, jobs) plus a
@@ -777,7 +779,9 @@ impl Orchestrator {
     }
 
     /// Traceroutes up to 8 of a finding's suspect pairs, pair `i` from
-    /// source ports `port_base + 128·i`, and merges the reports.
+    /// source ports `port_base + 128·i`, and merges the reports. Every
+    /// flow draws from its own keyed RNG, so the result depends only on
+    /// the network state and these arguments.
     fn traceroute_campaign(
         &mut self,
         pairs: &[PairKey],
@@ -785,10 +789,13 @@ impl Orchestrator {
         now: SimTime,
     ) -> TracerouteReport {
         let mut merged = TracerouteReport::default();
+        let mut delta = CounterDelta::new();
         for (i, pair) in pairs.iter().take(8).enumerate() {
             let port = port_base + (i as u16) * 128;
             merged.merge(&tcp_traceroute(
-                &mut self.net,
+                self.net.state(),
+                self.net.run_seed(),
+                &mut delta,
                 pair.src,
                 pair.dst,
                 64,
@@ -797,6 +804,7 @@ impl Orchestrator {
                 now,
             ));
         }
+        self.net.merge_counters(&delta);
         merged
     }
 
@@ -806,8 +814,9 @@ impl Orchestrator {
         if esc.suspect_pairs.is_empty() {
             return;
         }
-        // Base ports 21_000+ keep the keyed RNG streams disjoint from the
-        // silent-drop campaigns at 20_000+.
+        // Base ports 21_000+ (flows on 21_000–21_959) keep the keyed RNG
+        // streams disjoint from the silent-drop campaigns' (20_000–20_959)
+        // when both traceroute one pair at one time.
         let merged = self.traceroute_campaign(&esc.suspect_pairs, 21_000, now);
         // A type-2 black hole drops its flows deterministically, so the
         // guilty device's attributed loss is far above background noise.
@@ -839,7 +848,7 @@ impl Orchestrator {
                     // the paths traffic would take with the device back in
                     // service.
                     self.actuate(dev, false);
-                    let net = &self.net;
+                    let net = self.net.state();
                     mitigation::plan_switch_verification(&topo, sw, 12, 512, |src, dst, port| {
                         let tuple =
                             FiveTuple::tcp(topo.ip_of(src), port, topo.ip_of(dst), VERIFY_DST_PORT);

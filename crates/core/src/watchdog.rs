@@ -7,7 +7,7 @@
 //! usages are within budget, whether pingmesh data are reported and
 //! stored, whether DSA reports network SLAs in time."
 //!
-//! [`Watchdog::check`] audits a running deployment against exactly those
+//! [`check`] audits a running deployment against exactly those
 //! conditions and returns machine-readable findings; a healthy system
 //! returns none.
 
@@ -203,113 +203,98 @@ pub fn detect_podset_power_down(agg: &WindowAggregate, topo: &Topology) -> Vec<(
     dark
 }
 
-/// Watchdog configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Watchdog {
-    /// Store freshness horizon: records older than this (and nothing
-    /// newer) mean the report path is broken. The paper's end-to-end
-    /// budget for the near-real-time path is ~20 minutes.
-    pub store_horizon: SimDuration,
-    /// SLA-row freshness horizon: one 10-min window + ingest lag + slack.
-    pub sla_horizon: SimDuration,
-}
+/// Store freshness horizon: records older than this (and nothing newer)
+/// mean the report path is broken. The paper's end-to-end budget for the
+/// near-real-time path is ~20 minutes.
+const STORE_HORIZON: SimDuration = SimDuration::from_mins(20);
+/// SLA-row freshness horizon: one 10-min window + ingest lag + slack.
+const SLA_HORIZON: SimDuration = SimDuration::from_mins(35);
 
-impl Default for Watchdog {
-    fn default() -> Self {
-        Self {
-            store_horizon: SimDuration::from_mins(20),
-            sla_horizon: SimDuration::from_mins(35),
-        }
+/// Audits a deployment at its current virtual time.
+pub fn check(o: &Orchestrator) -> Vec<WatchdogFinding> {
+    let now = o.now();
+    let mut findings = Vec::new();
+    let topo = o.net().topology().clone();
+
+    // Controller health.
+    if !o.cluster().any_up(now) {
+        findings.push(WatchdogFinding::ControllerClusterDown);
+    } else if !o.cluster().serves_pinglists() {
+        findings.push(WatchdogFinding::NoPinglistsServed);
     }
-}
 
-impl Watchdog {
-    /// Audits a deployment at its current virtual time.
-    pub fn check(&self, o: &Orchestrator) -> Vec<WatchdogFinding> {
-        let now = o.now();
-        let mut findings = Vec::new();
-        let topo = o.net().topology().clone();
+    // Agent health.
+    let stopped = topo.servers().filter(|&s| o.agent(s).is_stopped()).count();
+    if stopped > 0 {
+        findings.push(WatchdogFinding::AgentsStopped(stopped));
+    }
+    let sanitized: u64 = topo.servers().map(|s| o.agent(s).sanitized_entries()).sum();
+    if sanitized > 0 {
+        findings.push(WatchdogFinding::ControllerViolatedSafetyLimits(sanitized));
+    }
+    let discarded: u64 = topo.servers().map(|s| o.agent(s).discarded_total()).sum();
+    if discarded > 0 {
+        findings.push(WatchdogFinding::RecordsDiscarded(discarded));
+    }
 
-        // Controller health.
-        if !o.cluster().any_up(now) {
-            findings.push(WatchdogFinding::ControllerClusterDown);
-        } else if !o.cluster().serves_pinglists() {
-            findings.push(WatchdogFinding::NoPinglistsServed);
-        }
-
-        // Agent health.
-        let stopped = topo.servers().filter(|&s| o.agent(s).is_stopped()).count();
-        if stopped > 0 {
-            findings.push(WatchdogFinding::AgentsStopped(stopped));
-        }
-        let sanitized: u64 = topo.servers().map(|s| o.agent(s).sanitized_entries()).sum();
-        if sanitized > 0 {
-            findings.push(WatchdogFinding::ControllerViolatedSafetyLimits(sanitized));
-        }
-        let discarded: u64 = topo.servers().map(|s| o.agent(s).discarded_total()).sum();
-        if discarded > 0 {
-            findings.push(WatchdogFinding::RecordsDiscarded(discarded));
-        }
-
-        // Report path: is data reaching the store? Only meaningful once
-        // the system has been up long enough to upload anything. The
-        // newest-record probe reads extent time bounds — O(extents),
-        // no record scan or copy.
-        if now.as_micros() > self.store_horizon.as_micros() {
-            let newest = o.pipeline().store.newest_ts();
-            let fresh = newest.is_some_and(|ts| now.since(ts) <= self.store_horizon);
-            if !fresh {
-                findings.push(WatchdogFinding::StaleStore {
-                    newest_age: newest.map(|ts| now.since(ts)),
-                });
-            }
-        }
-
-        // Analysis path: are SLA rows being produced on time?
-        if now.as_micros() > self.sla_horizon.as_micros() {
-            let horizon_start = now - self.sla_horizon;
-            let fresh = topo.dcs().any(|dc| {
-                o.pipeline()
-                    .db
-                    .latest(pingmesh_dsa::ScopeKey::Dc(dc))
-                    .is_some_and(|row| row.window_start >= horizon_start)
+    // Report path: is data reaching the store? Only meaningful once
+    // the system has been up long enough to upload anything. The
+    // newest-record probe reads extent time bounds — O(extents),
+    // no record scan or copy.
+    if now.as_micros() > STORE_HORIZON.as_micros() {
+        let newest = o.pipeline().store.newest_ts();
+        let fresh = newest.is_some_and(|ts| now.since(ts) <= STORE_HORIZON);
+        if !fresh {
+            findings.push(WatchdogFinding::StaleStore {
+                newest_age: newest.map(|ts| now.since(ts)),
             });
-            if !fresh {
-                findings.push(WatchdogFinding::StaleSlaRows);
-            }
         }
-
-        // PA fast path.
-        if now.as_micros() > SimDuration::from_mins(10).as_micros()
-            && topo.dcs().all(|dc| o.pa().series(dc).is_empty())
-        {
-            findings.push(WatchdogFinding::PaSilent);
-        }
-
-        // Mitigation trigger: a whole podset gone dark (the Figure-8(b)
-        // power-down signature) over the last fully-ingested window.
-        let w = pingmesh_dsa::PARTIAL_WINDOW;
-        if now.as_micros() >= 3 * w.as_micros() {
-            let ws = now.window_start(w);
-            let agg = o
-                .pipeline()
-                .store
-                .merged_window_aggregate(ws - w - w, ws - w);
-            for (podset, conf) in detect_podset_power_down(&agg, &topo) {
-                findings.push(WatchdogFinding::PodsetPowerDown {
-                    podset,
-                    confidence_permille: (conf * 1000.0).round() as u64,
-                });
-            }
-        }
-
-        // Data-quality SLOs, straight off the latest 10-min quality job.
-        if let Some(quality) = o.pipeline().latest_quality() {
-            findings.extend(WatchdogFinding::degraded_slos(&quality.statuses));
-        }
-
-        findings
     }
+
+    // Analysis path: are SLA rows being produced on time?
+    if now.as_micros() > SLA_HORIZON.as_micros() {
+        let horizon_start = now - SLA_HORIZON;
+        let fresh = topo.dcs().any(|dc| {
+            o.pipeline()
+                .db
+                .latest(pingmesh_dsa::ScopeKey::Dc(dc))
+                .is_some_and(|row| row.window_start >= horizon_start)
+        });
+        if !fresh {
+            findings.push(WatchdogFinding::StaleSlaRows);
+        }
+    }
+
+    // PA fast path.
+    if now.as_micros() > SimDuration::from_mins(10).as_micros()
+        && topo.dcs().all(|dc| o.pa().series(dc).is_empty())
+    {
+        findings.push(WatchdogFinding::PaSilent);
+    }
+
+    // Mitigation trigger: a whole podset gone dark (the Figure-8(b)
+    // power-down signature) over the last fully-ingested window.
+    let w = pingmesh_dsa::PARTIAL_WINDOW;
+    if now.as_micros() >= 3 * w.as_micros() {
+        let ws = now.window_start(w);
+        let agg = o
+            .pipeline()
+            .store
+            .merged_window_aggregate(ws - w - w, ws - w);
+        for (podset, conf) in detect_podset_power_down(&agg, &topo) {
+            findings.push(WatchdogFinding::PodsetPowerDown {
+                podset,
+                confidence_permille: (conf * 1000.0).round() as u64,
+            });
+        }
+    }
+
+    // Data-quality SLOs, straight off the latest 10-min quality job.
+    if let Some(quality) = o.pipeline().latest_quality() {
+        findings.extend(WatchdogFinding::degraded_slos(&quality.statuses));
+    }
+
+    findings
 }
 
 #[cfg(test)]
@@ -335,7 +320,7 @@ mod tests {
     fn healthy_system_has_no_findings() {
         let mut o = orch();
         o.run_until(SimTime::ZERO + SimDuration::from_mins(45));
-        let findings = Watchdog::default().check(&o);
+        let findings = check(&o);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -347,7 +332,7 @@ mod tests {
         // Agents notice at the next poll and fail-close; the store goes
         // stale after the horizon.
         o.run_until(SimTime::ZERO + SimDuration::from_mins(90));
-        let findings = Watchdog::default().check(&o);
+        let findings = check(&o);
         assert!(findings.contains(&WatchdogFinding::NoPinglistsServed));
         assert!(findings
             .iter()
@@ -366,7 +351,7 @@ mod tests {
             o.cluster_mut().replica_mut(i).add_outage(now, None);
         }
         o.run_until(SimTime::ZERO + SimDuration::from_mins(20));
-        let findings = Watchdog::default().check(&o);
+        let findings = check(&o);
         assert!(findings.contains(&WatchdogFinding::ControllerClusterDown));
     }
 
@@ -375,7 +360,7 @@ mod tests {
         let mut o = orch();
         o.add_store_outage(SimTime::ZERO, SimTime::ZERO + SimDuration::from_mins(40));
         o.run_until(SimTime::ZERO + SimDuration::from_mins(50));
-        let findings = Watchdog::default().check(&o);
+        let findings = check(&o);
         assert!(findings
             .iter()
             .any(|f| matches!(f, WatchdogFinding::RecordsDiscarded(_))));

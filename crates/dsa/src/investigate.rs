@@ -56,20 +56,6 @@ pub struct Investigation {
     pub worst_rtt: Option<SimDuration>,
 }
 
-impl Investigation {
-    /// One-line scale summary ("how big is this?").
-    pub fn scale_summary(&self) -> String {
-        format!(
-            "{} of {} probes bad; {} source servers in {} pods affected, {} destinations",
-            self.bad_probes,
-            self.probes,
-            self.affected_sources,
-            self.affected_pods,
-            self.affected_destinations
-        )
-    }
-}
-
 /// Drills into a window of records: keeps probes matching `filter` (e.g.
 /// a DC, service, or pair restriction) and summarizes the problem's scale
 /// plus the concrete flows that reproduce it.
@@ -240,7 +226,6 @@ mod tests {
         assert_eq!(flow.example_src_port, 41_000);
         assert_eq!(flow.dst_port, 8_100);
         assert_eq!(stats.failed, 10);
-        assert!(inv.scale_summary().contains("11 of 111 probes bad"));
     }
 
     #[test]

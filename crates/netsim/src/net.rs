@@ -30,8 +30,11 @@
 //! ([`SimNet::merge_counters`]); the sums are commutative, so the merged
 //! state is bit-identical at any shard count.
 //!
-//! [`SimNet::probe_qos`] keeps the original sequential-stream RNG for
-//! direct (single-threaded) use: unit tests, traceroutes, experiments.
+//! Every packet decision in the simulator draws from such a keyed RNG:
+//! agent and verification probes through [`NetState::probe_keyed`], and
+//! traceroutes through [`crate::traceroute::tcp_traceroute`], which keys
+//! one RNG per flow with a salted seed. No draw depends on what ran
+//! before it.
 
 use crate::faults::{Faults, Verdict};
 use crate::latency::{DcProfile, InterDcMatrix};
@@ -157,7 +160,9 @@ impl NetState {
         }
     }
 
-    fn resolve_path(&self, src: ServerId, dst: ServerId, tuple: &FiveTuple) -> Path {
+    /// Resolves the forward path a five-tuple takes from `src` to `dst`,
+    /// honoring isolations.
+    pub fn path_of(&self, src: ServerId, dst: ServerId, tuple: &FiveTuple) -> Path {
         let router = Router::new(&self.topo);
         let faults = &self.faults;
         router.resolve_excluding(src, dst, tuple, &|sw| faults.is_isolated(sw))
@@ -213,7 +218,7 @@ impl NetState {
     /// one. Records the discard it draws; forwarding is the caller's to
     /// count. Always inlined: it is on the probe path.
     #[inline(always)]
-    fn hop_survives(
+    pub(crate) fn hop_survives(
         &self,
         rng: &mut SmallRng,
         counters: &mut CounterDelta,
@@ -328,11 +333,9 @@ impl NetState {
         )
     }
 
-    /// Executes one probe drawing from the caller's RNG. The probe logic
-    /// shared by the sequential stream path ([`SimNet::probe_qos`]) and
-    /// the keyed shard path ([`NetState::probe_keyed`]).
+    /// Executes one probe drawing from `rng`, the probe's keyed stream.
     #[allow(clippy::too_many_arguments)]
-    pub fn probe_with(
+    fn probe_with(
         &self,
         rng: &mut SmallRng,
         counters: &mut CounterDelta,
@@ -363,8 +366,8 @@ impl NetState {
             };
         }
 
-        let fwd = self.resolve_path(src, dst, &tuple);
-        let rev = self.resolve_path(dst, src, &tuple.reversed());
+        let fwd = self.path_of(src, dst, &tuple);
+        let rev = self.path_of(dst, src, &tuple.reversed());
         let dst_up = self.server_is_up(dst, t);
 
         // --- TCP connect: SYN attempts with 3s / 6s timeouts. ---
@@ -455,10 +458,8 @@ impl NetState {
 pub struct SimNet {
     state: NetState,
     counters: CounterDelta,
-    rng: SmallRng,
     seed: u64,
-    // Cached metric handles: probe_qos is the hot path, so per-probe
-    // observability cost must stay at a couple of atomic adds.
+    // Cached metric handles for the batched flush of shard epochs.
     probes_ctr: Arc<pingmesh_obs::Counter>,
     timeouts_ctr: Arc<pingmesh_obs::Counter>,
     rtt_hist: Arc<pingmesh_obs::Histogram>,
@@ -483,7 +484,6 @@ impl SimNet {
                 faults: Faults::new(),
             },
             counters: HashMap::new(),
-            rng: SmallRng::seed_from_u64(seed),
             seed,
             probes_ctr: pingmesh_obs::registry().counter("pingmesh_netsim_probes_total"),
             timeouts_ctr: pingmesh_obs::registry().counter("pingmesh_netsim_probe_timeouts_total"),
@@ -578,87 +578,6 @@ impl SimNet {
     pub fn resolve_target(&self, ip: Ipv4Addr, tuple: &FiveTuple) -> Option<ServerId> {
         self.state.resolve_target(ip, tuple)
     }
-
-    /// Executes one probe at virtual time `t`.
-    ///
-    /// `target_ip` may be a server IP or a VIP. The source port must be a
-    /// fresh ephemeral port (the agent guarantees this).
-    pub fn probe(
-        &mut self,
-        src: ServerId,
-        target_ip: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-        kind: ProbeKind,
-        t: SimTime,
-    ) -> ProbeAttempt {
-        self.probe_qos(src, target_ip, src_port, dst_port, kind, QosClass::High, t)
-    }
-
-    /// Like [`SimNet::probe`] with an explicit QoS class: low-priority
-    /// probes see the scavenger queue's inflated queuing delay.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_qos(
-        &mut self,
-        src: ServerId,
-        target_ip: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-        kind: ProbeKind,
-        qos: QosClass,
-        t: SimTime,
-    ) -> ProbeAttempt {
-        self.probes_ctr.inc();
-        let attempt = self.state.probe_with(
-            &mut self.rng,
-            &mut self.counters,
-            src,
-            target_ip,
-            src_port,
-            dst_port,
-            kind,
-            qos,
-            t,
-        );
-        if matches!(attempt.outcome, ProbeOutcome::Timeout) {
-            self.timeouts_ctr.inc();
-        }
-        // Histogram recording takes a mutex, so unlike the counters it is
-        // gated on the observability switch.
-        if pingmesh_obs::enabled() {
-            if let ProbeOutcome::Success { rtt } = attempt.outcome {
-                self.rtt_hist.record(rtt);
-            }
-        }
-        attempt
-    }
-
-    /// Resolves the forward path a five-tuple takes from `src` to `dst`,
-    /// honoring isolations. Public for the traceroute tool.
-    pub fn path_of(&self, src: ServerId, dst: ServerId, tuple: &FiveTuple) -> Path {
-        self.state.resolve_path(src, dst, tuple)
-    }
-
-    /// One switch-traversal survival check for the given packet — the
-    /// primitive the simulated TCP traceroute uses. Does not bump the
-    /// forwarded counter (traceroute volume is negligible), but silent /
-    /// visible discards are recorded as ground truth.
-    pub(crate) fn switch_passes(
-        &mut self,
-        sw: SwitchId,
-        tuple: &FiveTuple,
-        payload_bytes: u32,
-        t: SimTime,
-    ) -> bool {
-        self.state.hop_survives(
-            &mut self.rng,
-            &mut self.counters,
-            sw,
-            tuple,
-            payload_bytes,
-            t,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -681,6 +600,35 @@ mod tests {
         SimNet::new(topo2(), vec![profile], 99)
     }
 
+    /// Runs one keyed probe against `n`'s state and folds its counter
+    /// delta back in.
+    #[allow(clippy::too_many_arguments)]
+    fn probe(
+        n: &mut SimNet,
+        src: ServerId,
+        ip: Ipv4Addr,
+        src_port: u16,
+        dst_port: u16,
+        kind: ProbeKind,
+        qos: QosClass,
+        t: SimTime,
+    ) -> ProbeAttempt {
+        let mut delta = CounterDelta::new();
+        let r = n.state().probe_keyed(
+            n.run_seed(),
+            &mut delta,
+            src,
+            ip,
+            src_port,
+            dst_port,
+            kind,
+            qos,
+            t,
+        );
+        n.merge_counters(&delta);
+        r
+    }
+
     fn pair_cross_podset(net: &SimNet) -> (ServerId, ServerId) {
         let t = net.topology();
         (
@@ -694,7 +642,16 @@ mod tests {
         let mut n = net(DcProfile::ideal());
         let (a, b) = pair_cross_podset(&n);
         let ip = n.topology().ip_of(b);
-        let r = n.probe(a, ip, 40_000, 8_100, ProbeKind::TcpSyn, SimTime(0));
+        let r = probe(
+            &mut n,
+            a,
+            ip,
+            40_000,
+            8_100,
+            ProbeKind::TcpSyn,
+            QosClass::High,
+            SimTime(0),
+        );
         assert_eq!(r.dst, Some(b));
         let rtt = r.outcome.rtt().unwrap().as_micros();
         // ideal: 2 * 100us host + 10 switch traversals * 5us = 250us.
@@ -706,23 +663,32 @@ mod tests {
         let mut n = net(DcProfile::ideal());
         let (a, b) = pair_cross_podset(&n);
         let ip = n.topology().ip_of(b);
-        let syn = n
-            .probe(a, ip, 40_000, 8_100, ProbeKind::TcpSyn, SimTime(0))
-            .outcome
-            .rtt()
-            .unwrap();
-        let pay = n
-            .probe(
-                a,
-                ip,
-                40_001,
-                8_100,
-                ProbeKind::TcpPayload(1_000),
-                SimTime(0),
-            )
-            .outcome
-            .rtt()
-            .unwrap();
+        let syn = probe(
+            &mut n,
+            a,
+            ip,
+            40_000,
+            8_100,
+            ProbeKind::TcpSyn,
+            QosClass::High,
+            SimTime(0),
+        )
+        .outcome
+        .rtt()
+        .unwrap();
+        let pay = probe(
+            &mut n,
+            a,
+            ip,
+            40_001,
+            8_100,
+            ProbeKind::TcpPayload(1_000),
+            QosClass::High,
+            SimTime(0),
+        )
+        .outcome
+        .rtt()
+        .unwrap();
         assert!(pay > syn, "payload {pay} vs syn {syn}");
     }
 
@@ -730,12 +696,14 @@ mod tests {
     fn unknown_target_times_out() {
         let mut n = net(DcProfile::ideal());
         let a = ServerId(0);
-        let r = n.probe(
+        let r = probe(
+            &mut n,
             a,
             Ipv4Addr::new(192, 168, 1, 1),
             40_000,
             8_100,
             ProbeKind::TcpSyn,
+            QosClass::High,
             SimTime(0),
         );
         assert_eq!(r.dst, None);
@@ -747,7 +715,16 @@ mod tests {
         let mut n = net(DcProfile::ideal());
         let a = ServerId(3);
         let ip = n.topology().ip_of(a);
-        let r = n.probe(a, ip, 40_000, 8_100, ProbeKind::TcpSyn, SimTime(0));
+        let r = probe(
+            &mut n,
+            a,
+            ip,
+            40_000,
+            8_100,
+            ProbeKind::TcpSyn,
+            QosClass::High,
+            SimTime(0),
+        );
         assert_eq!(r.dst, Some(a));
         assert_eq!(r.outcome.rtt().unwrap().as_micros(), 100);
     }
@@ -760,11 +737,29 @@ mod tests {
         n.faults_mut()
             .set_podset_down(podset_b, SimTime(0), Some(SimTime(1_000_000)));
         let ip = n.topology().ip_of(b);
-        let r = n.probe(a, ip, 40_000, 8_100, ProbeKind::TcpSyn, SimTime(10));
+        let r = probe(
+            &mut n,
+            a,
+            ip,
+            40_000,
+            8_100,
+            ProbeKind::TcpSyn,
+            QosClass::High,
+            SimTime(10),
+        );
         assert_eq!(r.outcome, ProbeOutcome::Timeout);
         assert!(!n.server_is_up(b, SimTime(10)));
         // After power restoration, probes work again.
-        let r2 = n.probe(a, ip, 40_001, 8_100, ProbeKind::TcpSyn, SimTime(2_000_000));
+        let r2 = probe(
+            &mut n,
+            a,
+            ip,
+            40_001,
+            8_100,
+            ProbeKind::TcpSyn,
+            QosClass::High,
+            SimTime(2_000_000),
+        );
         assert!(r2.outcome.is_success());
     }
 
@@ -782,7 +777,16 @@ mod tests {
             },
         );
         let ip = n.topology().ip_of(b);
-        let r = n.probe(a, ip, 40_000, 8_100, ProbeKind::TcpSyn, SimTime(0));
+        let r = probe(
+            &mut n,
+            a,
+            ip,
+            40_000,
+            8_100,
+            ProbeKind::TcpSyn,
+            QosClass::High,
+            SimTime(0),
+        );
         assert_eq!(r.outcome, ProbeOutcome::Timeout);
         // The drop was silent: no visible discards.
         let c = n.switch_counters(tor_a);
@@ -811,9 +815,18 @@ mod tests {
             // Several probes per pair: the fate must be identical.
             let outcomes: Vec<bool> = (0..4)
                 .map(|i| {
-                    n.probe(a, ip, 41_000 + i, 8_100, ProbeKind::TcpSyn, SimTime(0))
-                        .outcome
-                        .is_success()
+                    probe(
+                        &mut n,
+                        a,
+                        ip,
+                        41_000 + i,
+                        8_100,
+                        ProbeKind::TcpSyn,
+                        QosClass::High,
+                        SimTime(0),
+                    )
+                    .outcome
+                    .is_success()
                 })
                 .collect();
             assert!(
@@ -850,7 +863,16 @@ mod tests {
         let mut n3s = 0;
         let mut normal = 0;
         for i in 0..400u16 {
-            let r = n.probe(a, ip, 42_000 + i, 8_100, ProbeKind::TcpSyn, SimTime(0));
+            let r = probe(
+                &mut n,
+                a,
+                ip,
+                42_000 + i,
+                8_100,
+                ProbeKind::TcpSyn,
+                QosClass::High,
+                SimTime(0),
+            );
             if let Some(rtt) = r.outcome.rtt() {
                 if rtt >= SimDuration::from_secs(2) {
                     n3s += 1;
@@ -880,9 +902,18 @@ mod tests {
         let ip = n.topology().ip_of(b);
         let before: usize = (0..200u16)
             .filter(|i| {
-                !n.probe(a, ip, 43_000 + i, 8_100, ProbeKind::TcpSyn, SimTime(0))
-                    .outcome
-                    .is_success()
+                !probe(
+                    &mut n,
+                    a,
+                    ip,
+                    43_000 + i,
+                    8_100,
+                    ProbeKind::TcpSyn,
+                    QosClass::High,
+                    SimTime(0),
+                )
+                .outcome
+                .is_success()
             })
             .count();
         assert!(
@@ -892,9 +923,18 @@ mod tests {
         n.faults_mut().isolate_switch(spine);
         let after: usize = (0..200u16)
             .filter(|i| {
-                !n.probe(a, ip, 44_000 + i, 8_100, ProbeKind::TcpSyn, SimTime(0))
-                    .outcome
-                    .is_success()
+                !probe(
+                    &mut n,
+                    a,
+                    ip,
+                    44_000 + i,
+                    8_100,
+                    ProbeKind::TcpSyn,
+                    QosClass::High,
+                    SimTime(0),
+                )
+                .outcome
+                .is_success()
             })
             .count();
         assert_eq!(after, 0, "isolation must route around the bad spine");
@@ -910,7 +950,16 @@ mod tests {
         let a = t.servers_in_pod(PodId(0)).next().unwrap();
         let mut seen = std::collections::HashSet::new();
         for i in 0..64u16 {
-            let r = n.probe(a, vip_ip, 45_000 + i, 80, ProbeKind::Http, SimTime(0));
+            let r = probe(
+                &mut n,
+                a,
+                vip_ip,
+                45_000 + i,
+                80,
+                ProbeKind::Http,
+                QosClass::High,
+                SimTime(0),
+            );
             let dst = r.dst.expect("vip must resolve");
             assert!(dips.contains(&dst));
             assert!(r.outcome.is_success());
@@ -937,19 +986,30 @@ mod tests {
         let mut syn_delayed = 0;
         let mut pay_delayed = 0;
         for i in 0..300u16 {
-            let r = n.probe(a, ip, 46_000 + i, 8_100, ProbeKind::TcpSyn, SimTime(0));
+            let r = probe(
+                &mut n,
+                a,
+                ip,
+                46_000 + i,
+                8_100,
+                ProbeKind::TcpSyn,
+                QosClass::High,
+                SimTime(0),
+            );
             if r.outcome
                 .rtt()
                 .is_some_and(|x| x > SimDuration::from_millis(100))
             {
                 syn_delayed += 1;
             }
-            let r = n.probe(
+            let r = probe(
+                &mut n,
                 a,
                 ip,
                 48_000 + i,
                 8_100,
                 ProbeKind::TcpPayload(4_096),
+                QosClass::High,
                 SimTime(0),
             );
             if r.outcome
@@ -979,32 +1039,32 @@ mod tests {
         let mut sum_high = 0u64;
         let mut sum_low = 0u64;
         for i in 0..400u16 {
-            let hi = n
-                .probe_qos(
-                    a,
-                    ip,
-                    50_000 + i,
-                    8_100,
-                    ProbeKind::TcpSyn,
-                    QosClass::High,
-                    SimTime(0),
-                )
-                .outcome
-                .rtt()
-                .unwrap();
-            let lo = n
-                .probe_qos(
-                    a,
-                    ip,
-                    52_000 + i,
-                    8_101,
-                    ProbeKind::TcpSyn,
-                    QosClass::Low,
-                    SimTime(0),
-                )
-                .outcome
-                .rtt()
-                .unwrap();
+            let hi = probe(
+                &mut n,
+                a,
+                ip,
+                50_000 + i,
+                8_100,
+                ProbeKind::TcpSyn,
+                QosClass::High,
+                SimTime(0),
+            )
+            .outcome
+            .rtt()
+            .unwrap();
+            let lo = probe(
+                &mut n,
+                a,
+                ip,
+                52_000 + i,
+                8_101,
+                ProbeKind::TcpSyn,
+                QosClass::Low,
+                SimTime(0),
+            )
+            .outcome
+            .rtt()
+            .unwrap();
             sum_high += hi.as_micros();
             sum_low += lo.as_micros();
         }
@@ -1019,7 +1079,16 @@ mod tests {
         let mut n = net(DcProfile::ideal());
         let (a, b) = pair_cross_podset(&n);
         let ip = n.topology().ip_of(b);
-        n.probe(a, ip, 40_000, 8_100, ProbeKind::TcpSyn, SimTime(0));
+        probe(
+            &mut n,
+            a,
+            ip,
+            40_000,
+            8_100,
+            ProbeKind::TcpSyn,
+            QosClass::High,
+            SimTime(0),
+        );
         let tor_a = n.topology().tor_of_pod(n.topology().server(a).pod);
         assert!(n.switch_counters(tor_a).forwarded > 0);
     }

@@ -2,8 +2,9 @@
 //!
 //! The simulator needs a handful of distributions (normal, lognormal,
 //! exponential, Bernoulli). We keep the dependency surface at plain `rand`
-//! (pre-approved) and implement the transforms here; every consumer seeds a
-//! [`SmallRng`] from an experiment seed so runs are exactly reproducible.
+//! (pre-approved) and implement the transforms here. The simulator's draws
+//! all come from a [`SmallRng`] keyed per probe or traceroute flow
+//! ([`crate::net::NetState::keyed_rng`]), so runs are exactly reproducible.
 
 use rand::rngs::SmallRng;
 use rand::Rng;

@@ -12,7 +12,7 @@
 //! replies at depth `k` while depth `k-1` answers implicates switch `k`.
 //! Per-switch loss ratios across many flows localize the faulty device.
 
-use crate::net::SimNet;
+use crate::net::{CounterDelta, NetState};
 use pingmesh_types::{FiveTuple, ServerId, SimTime, SwitchId};
 use std::collections::HashMap;
 
@@ -71,14 +71,28 @@ impl TracerouteReport {
     }
 }
 
+/// Salt XOR-ed into the run seed before a flow's RNG is keyed, so a
+/// traceroute flow never shares a stream with a probe of the same
+/// five-tuple and launch time.
+const TRACEROUTE_SALT: u64 = 0x7472_6163_6572_7465;
+
 /// Runs a TCP traceroute campaign from `src` to `dst` at virtual time `t`.
 ///
 /// * `flows` — number of distinct ephemeral source ports (ECMP paths).
 /// * `probes_per_hop` — TTL-limited packets per hop depth per flow.
 /// * `base_port` — first ephemeral port to use (caller varies it across
 ///   campaigns to explore different paths).
+///
+/// Each flow's packets draw from one RNG keyed on `(seed, flow
+/// five-tuple, t)` (see [`NetState::keyed_rng`]), so the report is a pure
+/// function of the network state and the arguments: no earlier campaign
+/// or probe changes it. Discards are recorded in `counters` (forwarding
+/// is not counted; traceroute volume is negligible).
+#[allow(clippy::too_many_arguments)]
 pub fn tcp_traceroute(
-    net: &mut SimNet,
+    net: &NetState,
+    seed: u64,
+    counters: &mut CounterDelta,
     src: ServerId,
     dst: ServerId,
     flows: u16,
@@ -87,11 +101,12 @@ pub fn tcp_traceroute(
     t: SimTime,
 ) -> TracerouteReport {
     let mut report = TracerouteReport::default();
-    let topo = net.topology().clone();
+    let topo = net.topology();
     let dst_port = 8_100u16;
     for f in 0..flows {
         let src_port = base_port.wrapping_add(f);
         let tuple = FiveTuple::tcp(topo.ip_of(src), src_port, topo.ip_of(dst), dst_port);
+        let mut rng = NetState::keyed_rng(seed ^ TRACEROUTE_SALT, &tuple, t);
         let path = net.path_of(src, dst, &tuple);
         let switches: Vec<SwitchId> = path.switches().collect();
         report.flows += 1;
@@ -99,13 +114,10 @@ pub fn tcp_traceroute(
             for _ in 0..probes_per_hop {
                 // The packet must survive all switches before `depth`;
                 // the switch at `depth` then decides its fate.
-                let mut alive = true;
-                for sw in switches.iter().take(depth) {
-                    if !net.switch_passes(*sw, &tuple, 0, t) {
-                        alive = false;
-                        break;
-                    }
-                }
+                let alive = switches
+                    .iter()
+                    .take(depth)
+                    .all(|&sw| net.hop_survives(&mut rng, counters, sw, &tuple, 0, t));
                 if !alive {
                     // Lost before reaching the measured hop; attributed to
                     // an earlier depth in that iteration — nothing to
@@ -115,7 +127,7 @@ pub fn tcp_traceroute(
                 let decided_by = switches[depth];
                 let e = report.per_switch.entry(decided_by).or_default();
                 e.sent += 1;
-                if !net.switch_passes(decided_by, &tuple, 0, t) {
+                if !net.hop_survives(&mut rng, counters, decided_by, &tuple, 0, t) {
                     e.lost += 1;
                 }
             }
@@ -129,6 +141,7 @@ mod tests {
     use super::*;
     use crate::faults::{ActiveFault, FaultKind};
     use crate::latency::DcProfile;
+    use crate::net::SimNet;
     use pingmesh_topology::{DcSpec, Topology, TopologySpec};
     use pingmesh_types::{DcId, PodId, SwitchTier};
     use std::sync::Arc;
@@ -143,6 +156,32 @@ mod tests {
         SimNet::new(topo, vec![DcProfile::ideal()], 7)
     }
 
+    /// Runs one campaign at time 0 against `n`'s state and folds its
+    /// counter delta back in.
+    fn trace(
+        n: &mut SimNet,
+        src: ServerId,
+        dst: ServerId,
+        flows: u16,
+        probes_per_hop: u32,
+        base_port: u16,
+    ) -> TracerouteReport {
+        let mut delta = CounterDelta::new();
+        let r = tcp_traceroute(
+            n.state(),
+            n.run_seed(),
+            &mut delta,
+            src,
+            dst,
+            flows,
+            probes_per_hop,
+            base_port,
+            SimTime(0),
+        );
+        n.merge_counters(&delta);
+        r
+    }
+
     fn cross_podset_pair(net: &SimNet) -> (ServerId, ServerId) {
         let t = net.topology();
         (
@@ -155,7 +194,7 @@ mod tests {
     fn clean_network_attributes_no_loss() {
         let mut n = net();
         let (a, b) = cross_podset_pair(&n);
-        let r = tcp_traceroute(&mut n, a, b, 16, 10, 30_000, SimTime(0));
+        let r = trace(&mut n, a, b, 16, 10, 30_000);
         assert_eq!(r.flows, 16);
         assert!(r.suspects(0.01, 1).is_empty());
         // Every attributed switch saw traffic.
@@ -175,7 +214,7 @@ mod tests {
                 until: None,
             },
         );
-        let r = tcp_traceroute(&mut n, a, b, 64, 20, 30_000, SimTime(0));
+        let r = trace(&mut n, a, b, 64, 20, 30_000);
         let suspects = r.suspects(0.1, 20);
         assert!(
             !suspects.is_empty(),
@@ -193,8 +232,8 @@ mod tests {
     fn merge_accumulates() {
         let mut n = net();
         let (a, b) = cross_podset_pair(&n);
-        let r1 = tcp_traceroute(&mut n, a, b, 8, 5, 30_000, SimTime(0));
-        let r2 = tcp_traceroute(&mut n, a, b, 8, 5, 31_000, SimTime(0));
+        let r1 = trace(&mut n, a, b, 8, 5, 30_000);
+        let r2 = trace(&mut n, a, b, 8, 5, 31_000);
         let mut merged = TracerouteReport::default();
         merged.merge(&r1);
         merged.merge(&r2);
@@ -219,7 +258,7 @@ mod tests {
                 until: None,
             },
         );
-        let r = tcp_traceroute(&mut n, a, b, 32, 10, 30_000, SimTime(0));
+        let r = trace(&mut n, a, b, 32, 10, 30_000);
         let tor_loss = r.per_switch[&tor_a];
         assert!(tor_loss.loss_rate() > 0.3);
         let spine_sent: u64 = r
@@ -234,5 +273,61 @@ mod tests {
         );
         // And the suspect list still ranks the ToR first.
         assert_eq!(r.suspects(0.1, 10)[0].0, tor_a);
+    }
+
+    #[test]
+    fn a_campaign_does_not_depend_on_what_ran_before_it() {
+        // A silently dropping spine makes every campaign draw randomness.
+        let mut n = net();
+        let spine = n.topology().spines_of_dc(DcId(0)).nth(1).unwrap();
+        n.faults_mut().add_switch_fault(
+            spine,
+            ActiveFault {
+                kind: FaultKind::SilentRandomDrop { prob: 0.3 },
+                from: SimTime(0),
+                until: None,
+            },
+        );
+        let t = n.topology().clone();
+        let first = |pod| t.servers_in_pod(PodId(pod)).next().unwrap();
+        let (a, b, c, d) = (first(0), first(4), first(1), first(5));
+        let campaign_a = |n: &mut SimNet| {
+            let r = trace(n, a, b, 32, 10, 20_000);
+            (r.per_switch, r.flows)
+        };
+        let campaign_b = |n: &mut SimNet| trace(n, c, d, 32, 10, 21_000);
+
+        // A then B.
+        let a1 = campaign_a(&mut n);
+        campaign_b(&mut n);
+        // B then A.
+        campaign_b(&mut n);
+        let a2 = campaign_a(&mut n);
+        // A then B again, with a probe in between.
+        let a3 = campaign_a(&mut n);
+        let mut delta = CounterDelta::new();
+        n.state().probe_keyed(
+            n.run_seed(),
+            &mut delta,
+            a,
+            t.ip_of(b),
+            20_000,
+            8_100,
+            pingmesh_types::ProbeKind::TcpSyn,
+            pingmesh_types::QosClass::High,
+            SimTime(0),
+        );
+        n.merge_counters(&delta);
+        campaign_b(&mut n);
+        // And once more after all of that.
+        let a4 = campaign_a(&mut n);
+
+        assert!(
+            a1.0[&spine].lost > 0,
+            "the campaign must see the spine's drops"
+        );
+        assert_eq!(a1, a2, "B before A changed A's report");
+        assert_eq!(a1, a3, "earlier campaigns changed A's report");
+        assert_eq!(a1, a4, "a probe and B before A changed A's report");
     }
 }

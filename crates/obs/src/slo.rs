@@ -5,13 +5,11 @@
 //! reported (**coverage**), what fraction of scheduled probes became
 //! stored records (**completeness**), and how stale the newest stored
 //! record is (**freshness**). This module holds the vocabulary: SLO
-//! kinds, point-in-time [`SloStatus`] evaluation with burn rates, a small
-//! windowed [`SloTracker`], and gauge publication
+//! kinds, point-in-time [`SloStatus`] evaluation with burn rates, and
+//! gauge publication
 //! (`pingmesh_slo_value{slo=...}` / `pingmesh_slo_healthy` /
 //! `pingmesh_slo_burn_rate`). The values themselves are computed by the
 //! DSA quality job (`pingmesh_dsa::quality`) and the realmode watchdog.
-
-use std::collections::VecDeque;
 
 /// The data-quality SLO dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,64 +93,6 @@ pub fn evaluate(kind: SloKind, value: f64, target: f64) -> SloStatus {
     }
 }
 
-/// Windowed burn-rate tracker: keeps the last few evaluations per kind so
-/// a single noisy window doesn't flap the alert-worthy signal.
-#[derive(Debug)]
-pub struct SloTracker {
-    window: usize,
-    burns: [VecDeque<f64>; 4],
-}
-
-impl Default for SloTracker {
-    fn default() -> Self {
-        SloTracker::new(6)
-    }
-}
-
-impl SloTracker {
-    /// A tracker averaging over the last `window` evaluations.
-    pub fn new(window: usize) -> SloTracker {
-        SloTracker {
-            window: window.max(1),
-            burns: std::array::from_fn(|_| VecDeque::new()),
-        }
-    }
-
-    fn index(kind: SloKind) -> usize {
-        match kind {
-            SloKind::Coverage => 0,
-            SloKind::Completeness => 1,
-            SloKind::Freshness => 2,
-            SloKind::WalFlushLag => 3,
-        }
-    }
-
-    fn slot(&mut self, kind: SloKind) -> &mut VecDeque<f64> {
-        &mut self.burns[Self::index(kind)]
-    }
-
-    /// Records one evaluation and returns the windowed mean burn rate.
-    pub fn observe(&mut self, status: &SloStatus) -> f64 {
-        let window = self.window;
-        let q = self.slot(status.kind);
-        q.push_back(status.burn_rate);
-        while q.len() > window {
-            q.pop_front();
-        }
-        q.iter().sum::<f64>() / q.len() as f64
-    }
-
-    /// The current windowed mean burn rate for a kind (0 if unobserved).
-    pub fn windowed_burn(&self, kind: SloKind) -> f64 {
-        let q = &self.burns[Self::index(kind)];
-        if q.is_empty() {
-            0.0
-        } else {
-            q.iter().sum::<f64>() / q.len() as f64
-        }
-    }
-}
-
 /// Publishes a set of statuses as gauges on the global registry:
 /// `pingmesh_slo_value{slo=...}`, `pingmesh_slo_healthy{slo=...}` (0/1),
 /// `pingmesh_slo_burn_rate{slo=...}`.
@@ -194,21 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn tracker_windows_burn_rates() {
-        let mut t = SloTracker::new(2);
-        let hot = evaluate(SloKind::Completeness, 0.0, 0.9);
-        let cold = evaluate(SloKind::Completeness, 1.0, 0.9);
-        t.observe(&hot);
-        t.observe(&hot);
-        assert!(t.windowed_burn(SloKind::Completeness) > 1.0);
-        t.observe(&cold);
-        t.observe(&cold);
-        assert_eq!(t.windowed_burn(SloKind::Completeness), 0.0);
-        // Other kinds unaffected.
-        assert_eq!(t.windowed_burn(SloKind::Coverage), 0.0);
-    }
-
-    #[test]
     fn wal_flush_lag_is_age_valued_and_tracked() {
         // Lower is better, like freshness: 0 µs lag is perfect health.
         assert!(!SloKind::WalFlushLag.higher_is_better());
@@ -218,11 +143,6 @@ mod tests {
         let bad = evaluate(SloKind::WalFlushLag, 6_000_000.0, 2_000_000.0);
         assert!(!bad.healthy);
         assert!((bad.burn_rate - 3.0).abs() < 1e-9);
-        // The tracker has a slot for it, independent of the other kinds.
-        let mut t = SloTracker::new(2);
-        t.observe(&bad);
-        assert!(t.windowed_burn(SloKind::WalFlushLag) > 1.0);
-        assert_eq!(t.windowed_burn(SloKind::Freshness), 0.0);
         assert_eq!(SloKind::all().len(), 4);
     }
 

@@ -625,20 +625,6 @@ fn upload_request(records: &[ProbeRecord]) -> Request {
     req
 }
 
-/// Fetches collector statistics (default deadline per phase).
-pub async fn fetch_stats(addr: SocketAddr) -> Result<CollectorStats, PingmeshError> {
-    fetch_stats_with(addr, pingmesh_httpx::DEFAULT_IO_TIMEOUT).await
-}
-
-/// Like [`fetch_stats`], with an explicit per-phase `deadline`.
-pub async fn fetch_stats_with(
-    addr: SocketAddr,
-    deadline: std::time::Duration,
-) -> Result<CollectorStats, PingmeshError> {
-    let resp = collector_call(addr, &Request::get("/stats"), deadline).await?;
-    serde_json::from_slice(&resp.body).map_err(|e| PingmeshError::Parse(e.to_string()))
-}
-
 async fn collector_call(
     addr: SocketAddr,
     req: &Request,
@@ -1119,7 +1105,10 @@ mod tests {
 
         let batch: Vec<ProbeRecord> = (0..100).map(rec).collect();
         upload_records(addr, &batch).await.unwrap();
-        let stats = fetch_stats(addr).await.unwrap();
+        let resp = pingmesh_httpx::call(addr, &Request::get("/stats"), Duration::from_secs(10))
+            .await
+            .unwrap();
+        let stats: CollectorStats = serde_json::from_slice(&resp.body).unwrap();
         assert_eq!(stats.records, 100);
         // And the shared store is directly scannable for analysis.
         assert_eq!(

@@ -37,11 +37,6 @@ impl PeerDirectory {
         self.inner.write().insert(server, endpoints);
     }
 
-    /// Removes a server (its responders went away).
-    pub fn deregister(&self, server: ServerId) {
-        self.inner.write().remove(&server);
-    }
-
     /// Looks a server up.
     pub fn lookup(&self, server: ServerId) -> Option<PeerEndpoints> {
         self.inner.read().get(&server).copied()
@@ -70,15 +65,13 @@ mod tests {
     }
 
     #[test]
-    fn register_lookup_deregister() {
+    fn register_and_lookup() {
         let d = PeerDirectory::new();
         assert!(d.is_empty());
         d.register(ServerId(3), ep(9000));
         assert_eq!(d.lookup(ServerId(3)), Some(ep(9000)));
         assert_eq!(d.lookup(ServerId(4)), None);
         assert_eq!(d.len(), 1);
-        d.deregister(ServerId(3));
-        assert!(d.lookup(ServerId(3)).is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! "All the components of Pingmesh have watchdogs to watch whether they
 //! are running correctly or not." The simulator's
-//! [`pingmesh_core::Watchdog`] audits virtual state; [`RealWatchdog`] is
+//! [`pingmesh_core::watchdog::check`] audits virtual state; [`RealWatchdog`] is
 //! its real-socket twin: it probes the live control plane over actual
 //! TCP — through whatever chaos proxies sit in front of it, so it sees
 //! exactly what the agents see — and reports the same machine-readable

@@ -351,13 +351,6 @@ impl Topology {
         &self.routes.borders[r.start as usize..r.end as usize]
     }
 
-    /// The podset a leaf switch belongs to.
-    pub fn podset_of_leaf(&self, leaf: SwitchId) -> Option<PodsetId> {
-        (leaf.tier == SwitchTier::Leaf)
-            .then(|| self.leaf_podset.get(leaf.index as usize).copied())
-            .flatten()
-    }
-
     /// The DC a switch belongs to.
     pub fn dc_of_switch(&self, sw: SwitchId) -> Option<DcId> {
         match sw.tier {
@@ -458,12 +451,6 @@ mod tests {
     #[test]
     fn switch_ownership() {
         let t = two_dc_topology();
-        // Every leaf belongs to the podset that lists it.
-        for ps in 0..t.podset_count() as u32 {
-            for leaf in t.leaves_of_podset(PodsetId(ps)) {
-                assert_eq!(t.podset_of_leaf(leaf), Some(PodsetId(ps)));
-            }
-        }
         // Spines and borders are partitioned across DCs.
         let dc0_spines: Vec<_> = t.spines_of_dc(DcId(0)).collect();
         let dc1_spines: Vec<_> = t.spines_of_dc(DcId(1)).collect();

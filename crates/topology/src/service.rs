@@ -6,7 +6,6 @@
 //! on; the DSA pipeline later filters probe records through this map to
 //! compute per-service latency and drop-rate SLAs.
 
-use crate::model::Topology;
 use pingmesh_types::{PingmeshError, ServerId, ServiceId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -50,19 +49,6 @@ impl ServiceMap {
         Ok(id)
     }
 
-    /// Registers a service spanning every `stride`-th server of a DC —
-    /// a convenient way to lay services across pods in experiments.
-    pub fn register_strided(
-        &mut self,
-        name: &str,
-        topo: &Topology,
-        dc: pingmesh_types::DcId,
-        stride: usize,
-    ) -> Result<ServiceId, PingmeshError> {
-        let servers = topo.servers_in_dc(dc).step_by(stride.max(1));
-        self.register(name, servers)
-    }
-
     /// Number of registered services.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -94,12 +80,6 @@ impl ServiceMap {
             .unwrap_or(&[])
     }
 
-    /// True when both endpoints belong to the service — the condition for
-    /// a probe record to count toward that service's SLA.
-    pub fn covers_pair(&self, id: ServiceId, a: ServerId, b: ServerId) -> bool {
-        self.services_on(a).contains(&id) && self.services_on(b).contains(&id)
-    }
-
     /// All service ids.
     pub fn services(&self) -> impl Iterator<Item = ServiceId> + '_ {
         (0..self.names.len() as u32).map(ServiceId)
@@ -122,7 +102,6 @@ impl ServiceMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::TopologySpec;
 
     #[test]
     fn register_and_query() {
@@ -135,27 +114,11 @@ mod tests {
         assert_eq!(m.name(search), Some("search"));
         assert_eq!(m.servers_of(search), &[ServerId(0), ServerId(1)]);
         assert_eq!(m.services_on(ServerId(1)), &[search, store]);
-        assert!(m.covers_pair(search, ServerId(0), ServerId(1)));
-        assert!(!m.covers_pair(search, ServerId(0), ServerId(2)));
-        assert!(m.covers_pair(store, ServerId(1), ServerId(2)));
     }
 
     #[test]
     fn empty_service_is_rejected() {
         assert!(ServiceMap::new().register("void", []).is_err());
-    }
-
-    #[test]
-    fn strided_registration_spreads_across_pods() {
-        let topo = Topology::build(TopologySpec::single_tiny()).unwrap();
-        let mut m = ServiceMap::new();
-        let id = m
-            .register_strided("svc", &topo, pingmesh_types::DcId(0), 4)
-            .unwrap();
-        let servers = m.servers_of(id);
-        assert_eq!(servers.len(), topo.server_count() / 4);
-        let pods: HashSet<_> = servers.iter().map(|&s| topo.server(s).pod).collect();
-        assert!(pods.len() > 1, "service should span multiple pods");
     }
 
     #[test]

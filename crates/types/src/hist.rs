@@ -205,16 +205,6 @@ impl LatencyHistogram {
         self.quantile(0.99)
     }
 
-    /// Fraction of samples ≤ `rtt`.
-    pub fn cdf_at(&self, rtt: SimDuration) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let b = Self::bucket_of(rtt.as_micros());
-        let below: u64 = self.counts[..=b].iter().sum();
-        below as f64 / self.total as f64
-    }
-
     /// The CDF as (latency, cumulative fraction) points over non-empty
     /// buckets — what the figure-4 plots consume.
     pub fn cdf_points(&self) -> Vec<(SimDuration, f64)> {
@@ -267,7 +257,6 @@ mod tests {
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
         assert_eq!(h.mean(), None);
-        assert_eq!(h.cdf_at(us(100)), 0.0);
     }
 
     #[test]

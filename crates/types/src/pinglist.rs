@@ -81,99 +81,11 @@ impl Pinglist {
             entries: Vec::new(),
         }
     }
-
-    /// Number of probes this server launches per second under this list.
-    pub fn probes_per_second(&self) -> f64 {
-        self.entries
-            .iter()
-            .map(|e| {
-                let us = e.interval.as_micros();
-                if us == 0 {
-                    0.0
-                } else {
-                    1e6 / us as f64
-                }
-            })
-            .sum()
-    }
-
-    /// Estimated worst-case probing bandwidth in bits per second (paper
-    /// §3.4.2 bounds worst-case traffic volume; this is what the agent's
-    /// watchdog checks against its budget).
-    pub fn traffic_budget_bps(&self) -> f64 {
-        self.entries
-            .iter()
-            .map(|e| {
-                let us = e.interval.as_micros();
-                if us == 0 {
-                    return 0.0;
-                }
-                // SYN + SYN-ACK + ACK + FIN handshakes ≈ 320 bytes framing,
-                // plus payload echoed both ways.
-                let bytes = 320 + 2 * e.kind.payload_bytes() as u64;
-                (bytes * 8) as f64 / (us as f64 / 1e6)
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn entry(interval_s: u64, kind: ProbeKind) -> PinglistEntry {
-        PinglistEntry {
-            target: PingTarget::Server {
-                id: ServerId(7),
-                ip: Ipv4Addr::new(10, 0, 0, 7),
-            },
-            port: 8100,
-            kind,
-            qos: QosClass::High,
-            interval: SimDuration::from_secs(interval_s),
-        }
-    }
-
-    #[test]
-    fn probes_per_second_sums_entries() {
-        let pl = Pinglist {
-            server: ServerId(1),
-            generation: 1,
-            entries: vec![entry(10, ProbeKind::TcpSyn), entry(20, ProbeKind::TcpSyn)],
-        };
-        assert!((pl.probes_per_second() - 0.15).abs() < 1e-9);
-    }
-
-    #[test]
-    fn traffic_budget_counts_payload_twice() {
-        let pl_syn = Pinglist {
-            server: ServerId(1),
-            generation: 1,
-            entries: vec![entry(10, ProbeKind::TcpSyn)],
-        };
-        let pl_payload = Pinglist {
-            server: ServerId(1),
-            generation: 1,
-            entries: vec![entry(10, ProbeKind::TcpPayload(1000))],
-        };
-        let syn = pl_syn.traffic_budget_bps();
-        let payload = pl_payload.traffic_budget_bps();
-        assert!((syn - 320.0 * 8.0 / 10.0).abs() < 1e-9);
-        assert!((payload - (320.0 + 2000.0) * 8.0 / 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_interval_entries_do_not_divide_by_zero() {
-        let mut e = entry(0, ProbeKind::TcpSyn);
-        e.interval = SimDuration::ZERO;
-        let pl = Pinglist {
-            server: ServerId(1),
-            generation: 1,
-            entries: vec![e],
-        };
-        assert_eq!(pl.probes_per_second(), 0.0);
-        assert_eq!(pl.traffic_budget_bps(), 0.0);
-    }
 
     #[test]
     fn target_ip_accessor() {

@@ -125,12 +125,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Scales the duration by a float factor, rounding to microseconds.
-    #[inline]
-    pub fn mul_f64(self, k: f64) -> Self {
-        SimDuration((self.0 as f64 * k).round().max(0.0) as u64)
-    }
 }
 
 /// An availability timeline in simulated time: the outage windows of one
@@ -269,11 +263,5 @@ mod tests {
         assert_eq!(SimDuration(12).to_string(), "12us");
         assert_eq!(SimDuration(1_500).to_string(), "1.500ms");
         assert_eq!(SimDuration::from_secs(3).to_string(), "3.000s");
-    }
-
-    #[test]
-    fn mul_f64_rounds_and_clamps() {
-        assert_eq!(SimDuration(100).mul_f64(1.5), SimDuration(150));
-        assert_eq!(SimDuration(100).mul_f64(-2.0), SimDuration(0));
     }
 }

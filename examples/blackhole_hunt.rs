@@ -6,11 +6,37 @@
 //! ```
 
 use pingmesh::controller::GeneratorConfig;
-use pingmesh::netsim::{ActiveFault, DcProfile, FaultKind};
+use pingmesh::netsim::{ActiveFault, CounterDelta, DcProfile, FaultKind, ProbeAttempt};
 use pingmesh::topology::{ServiceMap, Topology, TopologySpec};
-use pingmesh::types::{PodId, ProbeKind, SimDuration, SimTime};
+use pingmesh::types::{PodId, ProbeKind, QosClass, ServerId, SimDuration, SimTime};
 use pingmesh::{Orchestrator, OrchestratorConfig};
 use std::sync::Arc;
+
+/// One side probe from `a` to `b` at `t`, through the network's keyed
+/// probe path; its switch counters count like any agent probe's.
+fn probe(
+    o: &mut Orchestrator,
+    a: ServerId,
+    b: ServerId,
+    src_port: u16,
+    t: SimTime,
+) -> ProbeAttempt {
+    let mut delta = CounterDelta::new();
+    let net = o.net();
+    let attempt = net.state().probe_keyed(
+        net.run_seed(),
+        &mut delta,
+        a,
+        net.topology().ip_of(b),
+        src_port,
+        8_100,
+        ProbeKind::TcpSyn,
+        QosClass::High,
+        t,
+    );
+    o.net_mut().merge_counters(&delta);
+    attempt
+}
 
 fn main() {
     let topo = Arc::new(
@@ -63,14 +89,7 @@ fn main() {
     let mut shown = 0;
     for pod in [0u32, 1, 2, 3, 6, 9, 12] {
         let b = topo.servers_in_pod(PodId(pod)).next().unwrap();
-        let outcome = o.net_mut().probe(
-            a,
-            topo.ip_of(b),
-            40_000,
-            8_100,
-            ProbeKind::TcpSyn,
-            SimTime(1),
-        );
+        let outcome = probe(&mut o, a, b, 40_000, SimTime(1));
         println!(
             "  {a} -> {b}: {}",
             match outcome.outcome.rtt() {
@@ -113,8 +132,6 @@ fn main() {
     // not complain about packet black-holes anymore"), probes flow again:
     let b = topo.nth_server_of_pod(PodId(2), 0).expect("peer exists");
     let now = o.now();
-    let after = o
-        .net_mut()
-        .probe(a, topo.ip_of(b), 41_000, 8_100, ProbeKind::TcpSyn, now);
+    let after = probe(&mut o, a, b, 41_000, now);
     println!("post-repair probe {a} -> {b}: {:?}", after.outcome);
 }

@@ -10,7 +10,9 @@
 # `dsa::compactor`'s. No map under crates/ takes an unkeyed
 # `BuildHasherDefault`: maps keyed by uploaded ids use the keyed fold hasher.
 # The simulator isolates switches only in its one actuator and reloads
-# them only through the repair service's budget, under one flag.
+# them only through the repair service's budget, under one flag. Every
+# simulated packet draws from a keyed RNG: no struct holds a `SmallRng`
+# stream, and the stream probe and hop APIs stay gone.
 # `ci.sh --smoke [gate…]` then runs the gates `cargo test` does not cover —
 # all, or those named. Each checks outputs; none is a timing gate.
 #   bench  ingest_durable, query_dashboard and query_churn for 2 s each (output checks only: no acknowledged record lost, cached bytes ≡ rebuilt bytes, no stale fresh read), then ingest_durable traced once (its staged replay is the one poster of the collector's JSON compat branch)
@@ -110,6 +112,11 @@ if awk 'FNR == 1 { f = "" }
 fi
 if grep -rnE 'auto_repair|isolate_for_rma|isolation_log' --include='*.rs' crates src tests examples; then
   echo "one switch (auto_mitigate) gates every actuation; the mitigation engine's transitions are the one drain log" >&2
+  exit 1
+fi
+if grep -rnE 'probe_qos|switch_passes|^[[:space:]]*(pub(\([a-z]+\))? )?[a-z_][a-z_0-9]*: SmallRng\b' \
+    --include='*.rs' crates src tests examples; then
+  echo "every simulated packet draws from a keyed RNG (NetState::probe_keyed, tcp_traceroute); no sequential stream" >&2
   exit 1
 fi
 

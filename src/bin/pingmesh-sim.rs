@@ -12,7 +12,7 @@ use pingmesh::dsa::{HeatmapMatrix, ScopeKey};
 use pingmesh::netsim::{ActiveFault, DcProfile, FaultKind};
 use pingmesh::topology::{DcSpec, ServiceMap, Topology, TopologySpec};
 use pingmesh::types::{DcId, PodId, PodsetId, SimDuration, SimTime};
-use pingmesh::{Orchestrator, OrchestratorConfig, Watchdog};
+use pingmesh::{watchdog, Orchestrator, OrchestratorConfig};
 use std::sync::Arc;
 
 struct Args {
@@ -231,7 +231,7 @@ fn main() {
     }
 
     println!("\n=== watchdog ===");
-    let findings = Watchdog::default().check(&o);
+    let findings = watchdog::check(&o);
     if findings.is_empty() {
         println!("  all components healthy");
     }

@@ -291,25 +291,30 @@ fn xml_parser_never_panics_on_garbage() {
 
 #[test]
 fn simnet_probes_are_deterministic_per_seed() {
-    use pingmesh::netsim::{DcProfile, SimNet};
-    use pingmesh::types::{ProbeKind, SimTime};
+    use pingmesh::netsim::{CounterDelta, DcProfile, SimNet};
+    use pingmesh::types::{ProbeKind, QosClass, SimTime};
     let spec = TopologySpec::single_tiny();
     let topo = std::sync::Arc::new(Topology::build(spec).unwrap());
     let run = |seed: u64| {
-        let mut net = SimNet::new(topo.clone(), vec![DcProfile::us_west()], seed);
+        let net = SimNet::new(topo.clone(), vec![DcProfile::us_west()], seed);
         let a = ServerId(0);
         let ip = topo.ip_of(ServerId(17));
+        let mut delta = CounterDelta::new();
         (0..50u16)
             .map(|i| {
-                net.probe(
-                    a,
-                    ip,
-                    40_000 + i,
-                    8_100,
-                    ProbeKind::TcpSyn,
-                    SimTime(i as u64),
-                )
-                .outcome
+                net.state()
+                    .probe_keyed(
+                        net.run_seed(),
+                        &mut delta,
+                        a,
+                        ip,
+                        40_000 + i,
+                        8_100,
+                        ProbeKind::TcpSyn,
+                        QosClass::High,
+                        SimTime(i as u64),
+                    )
+                    .outcome
             })
             .collect::<Vec<_>>()
     };
