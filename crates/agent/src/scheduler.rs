@@ -43,9 +43,9 @@ pub(crate) fn phase_of(server: ServerId, idx: usize, interval_us: u64) -> u64 {
 }
 
 /// Reference scheduler: one binary heap of `(next due, entry index)` per
-/// agent. [`crate::AgentFleet`] replaced it in production with an arena
-/// sweep; it stays, test-only, as the independent algorithm the fleet's
-/// differential test is checked against.
+/// agent. [`crate::AgentFleet`] replaced it in production with one due
+/// ring per cadence; it stays, test-only, as the independent algorithm
+/// the fleet's differential tests are checked against.
 #[cfg(test)]
 #[derive(Debug)]
 pub(crate) struct ProbeScheduler {

@@ -18,20 +18,31 @@
 //!   [`AgentFleet::begin_upload`] / [`AgentFleet::on_upload_result`]).
 //!
 //! Layout: state is flattened into parallel arenas so that a 100k-agent
-//! simulation sweeps memory linearly instead of chasing one heap per
-//! agent (the same move `InlineVec` made for `Path.hops`):
+//! simulation does not chase one heap per agent (the same move
+//! `InlineVec` made for `Path.hops`):
 //!
 //! * all pinglist entries live in one `Vec<PinglistEntry>` arena, each
-//!   agent owning a contiguous `Segment` of it;
-//! * per-entry next-due times live in a parallel `Vec<SimTime>` arena, so
-//!   a due-scan is a cache-linear sweep of one agent's segment;
+//!   agent owning a contiguous `Segment` of it, in pinglist order;
+//! * the agent's schedule is one **due ring per cadence**: entries that
+//!   share an interval form a group, and each group holds, in two
+//!   parallel arenas over the same segment, its entry indices (`ring`)
+//!   and their next-due times (`due`) in `(due time, entry index)` order
+//!   from a head cursor. The group descriptors live in a `groups` arena,
+//!   one slice per agent (a pinglist has two or three cadences);
 //! * per-agent scalars (cached next wake, ephemeral port cursor,
 //!   generation, lifetime ledgers) are plain `Vec`s indexed by the fleet
 //!   index.
 //!
-//! The sweep emits probes in `(due time, entry index)` order — the pop
-//! order of the test-only `scheduler::ProbeScheduler`'s binary heap, which is
-//! kept as the independent reference the differential test below checks
+//! A wake costs O(probes due), not O(pinglist entries): it merges the
+//! group heads while `head.due ≤ now`, and each fired entry moves to its
+//! ring's tail with due `now + interval`. That keeps every ring sorted —
+//! every other entry of the group is due before `now + interval`, since
+//! it last fired before `now` or was phased inside one interval at
+//! install — except that the entries one wake fires from a group tie on
+//! `now + interval`, so those slots are re-sorted by entry index. The
+//! merge therefore emits `(due time, entry index)` order — the pop order
+//! of the test-only `scheduler::ProbeScheduler`'s binary heap, which is
+//! kept as the independent reference the differential tests below check
 //! wake times, due order and port rotation against. The sharded
 //! orchestrator gives each shard its own `AgentFleet` over its podset's
 //! servers, so fleets are mutated thread-locally and need no locks.
@@ -43,12 +54,14 @@ use crate::scheduler::{phase_of, DueProbe, EPHEMERAL_LO};
 use pingmesh_topology::Topology;
 use pingmesh_types::{
     AgentCounters, CounterSnapshot, Pinglist, PinglistEntry, ProbeOutcome, ProbeRecord, ServerId,
-    SimTime,
+    SimDuration, SimTime,
 };
 use std::sync::{Arc, OnceLock};
 
 /// Fleet-wide agent metrics. Every agent of every fleet shares these
-/// handles, so they are resolved once; each touch is an atomic add.
+/// handles, so they are resolved once; each touch is an atomic add. The
+/// per-probe count is the exception: it is tallied per fleet and
+/// published by [`AgentFleet::flush_metrics`].
 struct AgentMetrics {
     probes_sent: Arc<pingmesh_obs::Counter>,
     guard_trips: Arc<pingmesh_obs::Counter>,
@@ -87,16 +100,48 @@ pub enum ControllerPollOutcome {
     Unreachable,
 }
 
-/// "No wake pending" sentinel in the `next_wake` arena (scans stay
-/// branch-free: the min of an empty segment is simply the sentinel).
+/// "No wake pending" sentinel in the `next_wake` arena (the least head
+/// of an agent with no cadence groups is simply the sentinel).
 const NEVER: SimTime = SimTime(u64::MAX);
 
-/// One agent's slice of the entry/due arenas.
+/// One agent's slices: `start..start + len` of the entry, ring and due
+/// arenas (capacity `cap`), and `gstart..gstart + glen` of the group
+/// arena (capacity `gcap`).
 #[derive(Debug, Clone, Copy, Default)]
 struct Segment {
     start: u32,
     len: u32,
     cap: u32,
+    gstart: u32,
+    glen: u32,
+    gcap: u32,
+}
+
+/// One cadence of one agent: the entries sharing `interval` occupy ring
+/// slots `start..start + len` of the agent's segment, in `(due, entry
+/// index)` order read circularly from `head`. `head_due` caches the
+/// head slot's due time, so picking among heads reads one cache line;
+/// `fired` counts the slots the current wake fired.
+#[derive(Debug, Clone, Copy, Default)]
+struct Group {
+    interval: SimDuration,
+    head_due: SimTime,
+    start: u32,
+    len: u32,
+    head: u32,
+    fired: u32,
+}
+
+impl Group {
+    /// Segment offset of the ring's `k`-th slot counted from the head.
+    #[inline]
+    fn slot(&self, k: u32) -> usize {
+        let mut i = self.head + k;
+        if i >= self.len {
+            i -= self.len;
+        }
+        (self.start + i) as usize
+    }
 }
 
 /// The flattened agent fleet. Every per-agent operation takes the agent's
@@ -108,7 +153,11 @@ pub struct AgentFleet {
     // --- hot state: arenas + per-agent scalars ---
     segs: Vec<Segment>,
     entries: Vec<PinglistEntry>,
+    /// Per ring slot: the entry index (into the agent's segment) and its
+    /// next-due time.
+    ring: Vec<u32>,
     due: Vec<SimTime>,
+    groups: Vec<Group>,
     next_wake: Vec<SimTime>,
     next_port: Vec<u16>,
     generation: Vec<u64>,
@@ -120,9 +169,13 @@ pub struct AgentFleet {
     probes_observed: Vec<u64>,
     unresolved_probes: Vec<u64>,
     discarded_seen: Vec<u64>,
-    // Recycled wake-path scratch (calls within a shard are sequential, so
-    // one per fleet suffices): due picks and the output buffer.
-    picks_scratch: Vec<(SimTime, u32)>,
+    /// Probes recorded since the last [`AgentFleet::flush_metrics`].
+    probes_unpublished: u64,
+    // Recycled scratch (calls within a shard are sequential, so one per
+    // fleet suffices): the install sort, a wake's tied ring slots and
+    // the output buffer.
+    install_scratch: Vec<(SimDuration, SimTime, u32)>,
+    tie_scratch: Vec<u32>,
     due_scratch: Vec<DueProbe>,
 }
 
@@ -135,7 +188,9 @@ impl AgentFleet {
             servers: Vec::new(),
             segs: Vec::new(),
             entries: Vec::new(),
+            ring: Vec::new(),
             due: Vec::new(),
+            groups: Vec::new(),
             next_wake: Vec::new(),
             next_port: Vec::new(),
             generation: Vec::new(),
@@ -146,7 +201,9 @@ impl AgentFleet {
             probes_observed: Vec::new(),
             unresolved_probes: Vec::new(),
             discarded_seen: Vec::new(),
-            picks_scratch: Vec::new(),
+            probes_unpublished: 0,
+            install_scratch: Vec::new(),
+            tie_scratch: Vec::new(),
             due_scratch: Vec::new(),
         }
     }
@@ -219,40 +276,66 @@ impl AgentFleet {
             "server" => self.servers[idx].0 as u64, "reason" => reason);
     }
 
-    /// Installs a pinglist into agent `idx`'s arena segment: in place when
-    /// the segment has capacity, else at the arena tail (the old slice is
-    /// abandoned — reinstalls are rare, one per pinglist generation).
+    /// Installs a pinglist into agent `idx`'s arena segments: in place
+    /// when they have capacity, else at the arena tails (the old slices
+    /// are abandoned — reinstalls are rare, one per pinglist generation).
+    /// Entries keep pinglist order; the rings are built by one sort of
+    /// `(interval, due, entry index)`, each run of equal interval a group.
     fn install(&mut self, idx: usize, pl: &Pinglist, now: SimTime) {
         let server = self.servers[idx];
         let n = pl.entries.len();
+        let scratch = &mut self.install_scratch;
+        scratch.clear();
+        scratch.extend(pl.entries.iter().enumerate().map(|(i, e)| {
+            let phase = phase_of(server, i, e.interval.as_micros());
+            (e.interval, now + SimDuration(phase), i as u32)
+        }));
+        scratch.sort_unstable();
+        let cadences = scratch.chunk_by(|a, b| a.0 == b.0).count();
+
         let seg = &mut self.segs[idx];
-        let grow = n as u32 > seg.cap;
-        if grow {
+        if n as u32 > seg.cap {
             seg.start = self.entries.len() as u32;
             seg.cap = n as u32;
-            self.entries.reserve(n);
-            self.due.reserve(n);
+            self.entries.resize(self.entries.len() + n, pl.entries[0]);
+            self.ring.resize(self.ring.len() + n, 0);
+            self.due.resize(self.due.len() + n, NEVER);
+        }
+        if cadences as u32 > seg.gcap {
+            seg.gstart = self.groups.len() as u32;
+            seg.gcap = cadences as u32;
+            self.groups
+                .resize(self.groups.len() + cadences, Group::default());
         }
         seg.len = n as u32;
-        let start = seg.start as usize;
-        let mut min_due = NEVER;
-        for (i, e) in pl.entries.iter().enumerate() {
-            let phase = phase_of(server, i, e.interval.as_micros());
-            let due = now + pingmesh_types::SimDuration(phase);
-            if grow {
-                self.entries.push(*e);
-                self.due.push(due);
-            } else {
-                self.entries[start + i] = *e;
-                self.due[start + i] = due;
+        seg.glen = cadences as u32;
+        let (start, gstart) = (seg.start as usize, seg.gstart as usize);
+
+        self.entries[start..start + n].copy_from_slice(&pl.entries);
+        let mut k = 0;
+        let mut next = NEVER;
+        for (g, run) in scratch.chunk_by(|a, b| a.0 == b.0).enumerate() {
+            self.groups[gstart + g] = Group {
+                interval: run[0].0,
+                head_due: run[0].1,
+                start: k as u32,
+                len: run.len() as u32,
+                head: 0,
+                fired: 0,
+            };
+            next = next.min(run[0].1);
+            for &(_, due, i) in run {
+                self.ring[start + k] = i;
+                self.due[start + k] = due;
+                k += 1;
             }
-            min_due = min_due.min(due);
         }
-        self.next_wake[idx] = min_due;
+        self.next_wake[idx] = next;
     }
 
     fn clear_schedule(&mut self, idx: usize) {
         self.segs[idx].len = 0;
+        self.segs[idx].glen = 0;
         self.next_wake[idx] = NEVER;
     }
 
@@ -304,45 +387,79 @@ impl AgentFleet {
         (t != NEVER).then_some(t)
     }
 
-    /// Probes of agent `idx` due at `now`: a linear sweep of the agent's
-    /// due segment, emitted in `(due time, entry index)` order (the
-    /// reference heap's pop order, so port assignment is reproducible).
-    /// Hand the buffer back via [`AgentFleet::recycle_due`].
+    /// Probes of agent `idx` due at `now`, emitted in `(due time, entry
+    /// index)` order (the reference heap's pop order, so port assignment
+    /// is reproducible): a merge of the agent's cadence rings while a
+    /// head is due, so a wake costs O(probes due). Each fired entry is
+    /// next due at `now + interval`. `now` never goes backwards between
+    /// installs; every driver advances time. Hand the buffer back via
+    /// [`AgentFleet::recycle_due`].
     pub fn due_probes(&mut self, idx: usize, now: SimTime) -> Vec<DueProbe> {
         let mut out = std::mem::take(&mut self.due_scratch);
         out.clear();
-        if self.guards[idx].is_stopped() {
+        // A stopped agent has no schedule: stopping clears it to `NEVER`.
+        if self.next_wake[idx] > now {
             return out;
         }
+        debug_assert!(!self.guards[idx].is_stopped());
         let seg = self.segs[idx];
-        let (start, len) = (seg.start as usize, seg.len as usize);
-        self.picks_scratch.clear();
-        for i in 0..len {
-            let t = self.due[start + i];
-            if t <= now {
-                self.picks_scratch.push((t, i as u32));
+        let base = seg.start as usize;
+        let groups = &mut self.groups[seg.gstart as usize..][..seg.glen as usize];
+        let (ring, due) = (&mut self.ring[base..], &mut self.due[base..]);
+        loop {
+            // The due head with the least (due time, entry index).
+            let mut pick: Option<usize> = None;
+            for (g, grp) in groups.iter().enumerate() {
+                if grp.head_due > now {
+                    continue;
+                }
+                pick = match pick {
+                    Some(b)
+                        if (groups[b].head_due, ring[groups[b].slot(0)])
+                            < (grp.head_due, ring[grp.slot(0)]) =>
+                    {
+                        Some(b)
+                    }
+                    _ => Some(g),
+                };
             }
-        }
-        self.picks_scratch.sort_unstable();
-        for &(_, i) in self.picks_scratch.iter() {
-            let i = i as usize;
-            let entry = self.entries[start + i];
+            let Some(g) = pick else { break };
+            let grp = &mut groups[g];
+            let slot = grp.slot(0);
+            let i = ring[slot];
+            due[slot] = now + grp.interval;
+            grp.head = if grp.head + 1 == grp.len {
+                0
+            } else {
+                grp.head + 1
+            };
+            grp.head_due = due[grp.slot(0)];
+            grp.fired += 1;
             let p = self.next_port[idx];
             self.next_port[idx] = if p == u16::MAX { EPHEMERAL_LO } else { p + 1 };
-            self.due[start + i] = now + entry.interval;
             out.push(DueProbe {
-                entry_index: i,
-                entry,
+                entry_index: i as usize,
+                entry: self.entries[base + i as usize],
                 src_port: p,
             });
         }
-        if !self.picks_scratch.is_empty() {
-            let mut min_due = NEVER;
-            for i in 0..len {
-                min_due = min_due.min(self.due[start + i]);
+        // A group's fired slots are the `fired` ones just behind its head,
+        // all due at `now + interval`; order those ties by entry index.
+        let mut next = NEVER;
+        for grp in groups.iter_mut() {
+            let k = std::mem::take(&mut grp.fired);
+            if k > 1 {
+                let ties = &mut self.tie_scratch;
+                ties.clear();
+                ties.extend((grp.len - k..grp.len).map(|j| ring[grp.slot(j)]));
+                ties.sort_unstable();
+                for (j, &i) in (grp.len - k..grp.len).zip(ties.iter()) {
+                    ring[grp.slot(j)] = i;
+                }
             }
-            self.next_wake[idx] = min_due;
+            next = next.min(grp.head_due);
         }
+        self.next_wake[idx] = next;
         out
     }
 
@@ -367,7 +484,7 @@ impl AgentFleet {
         now: SimTime,
     ) {
         self.counters[idx].observe(outcome);
-        metrics().probes_sent.inc();
+        self.probes_unpublished += 1;
         self.probes_observed[idx] += 1;
         let Some(dst) = dst else {
             self.unresolved_probes[idx] += 1;
@@ -394,6 +511,18 @@ impl AgentFleet {
         };
         pingmesh_obs::trace::on_probe(&rec);
         self.buffers[idx].push(rec);
+    }
+
+    /// Publishes the fleet's per-probe tally to
+    /// `pingmesh_agent_probes_sent_total`: one atomic add per flush
+    /// instead of one per probe. Drivers call it at their natural
+    /// boundary — the orchestrator at each barrier, `RealAgent` after
+    /// each probe round.
+    pub fn flush_metrics(&mut self) {
+        if self.probes_unpublished > 0 {
+            metrics().probes_sent.add(self.probes_unpublished);
+            self.probes_unpublished = 0;
+        }
     }
 
     /// Whether agent `idx` should start an upload now.
@@ -562,7 +691,7 @@ mod tests {
     use super::*;
     use crate::scheduler::ProbeScheduler;
     use pingmesh_topology::TopologySpec;
-    use pingmesh_types::{PingTarget, ProbeKind, QosClass, SimDuration};
+    use pingmesh_types::{PingTarget, ProbeKind, QosClass};
     use std::net::Ipv4Addr;
 
     fn topo() -> Arc<Topology> {
@@ -620,10 +749,11 @@ mod tests {
         fleet.recycle_due(due);
     }
 
-    /// The load-bearing test: the arena sweep and the reference binary
+    /// The load-bearing test: the due rings and the reference binary
     /// heap are two different algorithms, and must agree step for step on
     /// wake times, due order and port rotation — across same-generation
-    /// re-polls, in-place shrinks and relocating grows.
+    /// re-polls, in-place shrinks and relocating grows. Every entry has
+    /// its own interval here; the shared-cadence test below covers ties.
     #[test]
     fn fleet_schedule_matches_reference_heap_step_for_step() {
         let mut heap = ProbeScheduler::new(ServerId(0));
@@ -660,6 +790,107 @@ mod tests {
                 fleet.recycle_due(df);
             }
         }
+    }
+
+    /// The ring's own cases against the reference heap, seeded: two
+    /// agents whose pinglists share two or three cadences (so groups hold
+    /// many entries and phases collide), wakes on time, late wakes that
+    /// collapse several dues into one instant (their ties must come out
+    /// in entry-index order), wakes with nothing due, guard stops and
+    /// restarts, and reinstalls that fit in place or relocate.
+    #[test]
+    fn fleet_schedule_matches_reference_heap_on_shared_cadences() {
+        let mut state = 0x5eed_0033_u64;
+        let mut draw = move |m: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % m
+        };
+        let servers = [ServerId(3), ServerId(9)];
+        let mut fleet = AgentFleet::new(topo(), AgentConfig::default());
+        let mut heaps: Vec<ProbeScheduler> =
+            servers.iter().map(|&s| ProbeScheduler::new(s)).collect();
+        let mut generations = [0u64; 2];
+        let mut next_generation = 1u64;
+        for &s in &servers {
+            fleet.push_server(s);
+        }
+        let mut now = SimTime::ZERO;
+        let (mut wakes, mut late, mut idle, mut stops, mut fired) = (0, 0, 0, 0, 0usize);
+        let mut max_burst = 0usize;
+        while wakes < 12_000 {
+            let idx = draw(2) as usize;
+            let roll = draw(1_000);
+            if roll < 8 || fleet.next_wakeup(idx).is_none() {
+                // (Re)install: 1..=48 peers on two or three shared cadences.
+                let cadences: &[u64] = if draw(2) == 0 {
+                    &[120, 600]
+                } else {
+                    &[120, 600, 300]
+                };
+                let mut pl = pinglist(servers[idx], next_generation, 1 + draw(48) as usize);
+                next_generation += 1;
+                for e in &mut pl.entries {
+                    e.interval =
+                        SimDuration::from_secs(cadences[draw(cadences.len() as u64) as usize]);
+                }
+                heaps[idx].install(&pl, now);
+                generations[idx] = pl.generation;
+                fleet.on_controller_poll(idx, ControllerPollOutcome::Pinglist(pl), now);
+            } else if roll < 12 {
+                // Guard stop; the next round restarts it with a new list.
+                let stop = if draw(2) == 0 {
+                    ControllerPollOutcome::NoPinglist
+                } else {
+                    ControllerPollOutcome::Unreachable
+                };
+                while !fleet.is_stopped(idx) {
+                    fleet.on_controller_poll(idx, stop.clone(), now);
+                }
+                heaps[idx].clear();
+                generations[idx] = 0;
+                stops += 1;
+            } else if roll < 20 && generations[idx] != 0 {
+                // A same-generation re-poll changes nothing.
+                let pl = pinglist(servers[idx], generations[idx], heaps[idx].peer_count());
+                fleet.on_controller_poll(idx, ControllerPollOutcome::Pinglist(pl), now);
+            } else {
+                let t = heaps[idx].next_due().unwrap();
+                let at = if roll < 120 && t > now + SimDuration(1) {
+                    idle += 1;
+                    now + SimDuration(draw((t.0 - now.0).min(30_000_000)))
+                } else if roll < 350 {
+                    late += 1;
+                    t.max(now) + SimDuration::from_secs(draw(1_800))
+                } else {
+                    t.max(now)
+                };
+                now = at;
+                let dh = heaps[idx].pop_due(now);
+                let df = fleet.due_probes(idx, now);
+                assert_eq!(dh, df, "due stream diverged at {now:?} (wake {wakes})");
+                fired += df.len();
+                max_burst = max_burst.max(df.len());
+                fleet.recycle_due(df);
+                wakes += 1;
+            }
+            for (i, heap) in heaps.iter().enumerate() {
+                assert_eq!(
+                    fleet.next_wakeup(i),
+                    heap.next_due(),
+                    "agent {i} at {now:?}"
+                );
+                assert_eq!(fleet.peer_count(i), heap.peer_count());
+                assert_eq!(fleet.generation(i), generations[i]);
+            }
+        }
+        assert!(
+            late > 2_000 && idle > 500 && stops > 20,
+            "{late} {idle} {stops}"
+        );
+        assert!(fired > 30_000 && max_burst > 20, "{fired} {max_burst}");
     }
 
     #[test]

@@ -142,6 +142,7 @@ fn measure_memory() {
             recorded += 1;
         }
     }
+    fleet.flush_metrics();
     let rss1 = rss_bytes();
     let delta_mb = (rss1.saturating_sub(rss0)) as f64 / 1e6;
     println!("  records buffered in 10 min: {recorded}");

@@ -3,7 +3,8 @@
 //!
 //! The sharded engine partitions the event queue by podset and runs the
 //! shards with scoped threads between barriers; agent hot state lives in
-//! struct-of-arrays arenas so the wake scan is cache-linear. This binary
+//! struct-of-arrays arenas, and a wake merges per-cadence due rings, so it
+//! costs O(probes due) however long the pinglists grow. This binary
 //! drives full deployments at increasing fleet sizes — up to the paper's
 //! 100k-server regime sampled at 50k+ — and measures wall-clock per
 //! simulated minute on both engines. Every sharded run's observable
@@ -11,7 +12,8 @@
 //! and compared against the serial run: the two must match bit for bit,
 //! at any shard count. Bytes are recorded beside milliseconds: each
 //! point's resident set (`VmRSS`) is read while its serial engine is still
-//! alive, and divided by the fleet size.
+//! alive, and divided by the fleet size, and each point records the
+//! serial engine's wall time per probe (`serial_ns_per_probe`).
 //!
 //! Probe cadence is turned down from the paper's 10s/30s defaults to
 //! 120s/600s so a 50k-server point holds ~20M probes rather than
@@ -22,7 +24,10 @@
 //! [--check] [--out PATH]`. The full run sweeps 5k→50k servers and
 //! writes `BENCH_scale.json` at the repo root; `--smoke` runs the 5k
 //! point only and writes `target/BENCH_scale.smoke.json`. `--check`
-//! exits non-zero if any sharded run diverges from its serial twin.
+//! exits non-zero if any sharded run diverges from its serial twin, or if
+//! a serial digest differs from the `state_digest` that the committed
+//! `BENCH_scale.json` records for the same fleet size: the sharded twin
+//! alone cannot catch a change that shifts both engines alike.
 
 use pingmesh_bench::{header, rss_bytes};
 use pingmesh_check::state_digest;
@@ -31,8 +36,30 @@ use pingmesh_core::netsim::DcProfile;
 use pingmesh_core::topology::{DcSpec, ServiceMap, Topology, TopologySpec};
 use pingmesh_core::types::{SimDuration, SimTime};
 use pingmesh_core::{Orchestrator, OrchestratorConfig};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The committed curve, read before a full run overwrites it.
+const RECORDED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
+
+/// `servers` → serial `state_digest` of every point the committed curve
+/// records.
+fn recorded_digests() -> BTreeMap<u64, String> {
+    let text = std::fs::read_to_string(RECORDED).expect("read the committed BENCH_scale.json");
+    let doc: serde_json::Value = serde_json::from_str(&text).expect("BENCH_scale.json is JSON");
+    doc["points"]
+        .as_array()
+        .expect("BENCH_scale.json has points")
+        .iter()
+        .filter_map(|p| {
+            Some((
+                p["servers"].as_u64()?,
+                p["state_digest"].as_str()?.to_string(),
+            ))
+        })
+        .collect()
+}
 
 struct Args {
     smoke: bool,
@@ -179,9 +206,15 @@ fn main() {
         ]
     };
     let sim_mins: u64 = 3;
+    let recorded = if args.check {
+        recorded_digests()
+    } else {
+        BTreeMap::new()
+    };
 
     let mut rows = Vec::new();
     let mut all_match = true;
+    let mut all_as_recorded = true;
     for p in curve {
         let serial = run_point(p, 1, sim_mins);
         let sharded = run_point(p, p.podsets as usize, sim_mins);
@@ -189,14 +222,26 @@ fn main() {
             && sharded.probes == serial.probes
             && sharded.records == serial.records;
         all_match &= bit_identical;
+        let digest = format!("{:#018x}", serial.digest);
+        let as_recorded = recorded.get(&p.servers()).is_none_or(|d| *d == digest);
+        if !as_recorded {
+            println!(
+                "  {} servers: serial digest {digest} differs from the committed {}",
+                p.servers(),
+                recorded[&p.servers()]
+            );
+        }
+        all_as_recorded &= as_recorded;
         let speedup = serial.wall_ms / sharded.wall_ms.max(1e-6);
+        let ns_per_probe = serial.wall_ms * 1e6 / serial.probes.max(1) as f64;
         let rss_mb = serial.rss_bytes as f64 / (1024.0 * 1024.0);
         let rss_per_server = serial.rss_bytes / p.servers();
         println!(
-            "  {:>6} servers   serial {:>8.0} ms ({:>7.0} ms/sim-min, rss {:.0} MB = {} B/server)   {}-shard {:>8.0} ms ({:>7.0} ms/sim-min)   speedup {:.2}x   {} probes   {}",
+            "  {:>6} servers   serial {:>8.0} ms ({:>7.0} ms/sim-min, {:.0} ns/probe, rss {:.0} MB = {} B/server)   {}-shard {:>8.0} ms ({:>7.0} ms/sim-min)   speedup {:.2}x   {} probes   {}",
             p.servers(),
             serial.wall_ms,
             serial.ms_per_sim_min,
+            ns_per_probe,
             rss_mb,
             rss_per_server,
             sharded.shards,
@@ -216,13 +261,14 @@ fn main() {
                 "      \"records_stored\": {},\n",
                 "      \"serial_wall_ms\": {:.0},\n",
                 "      \"serial_ms_per_sim_min\": {:.0},\n",
+                "      \"serial_ns_per_probe\": {:.0},\n",
                 "      \"rss_mb\": {:.1},\n",
                 "      \"rss_bytes_per_server\": {},\n",
                 "      \"shards\": {},\n",
                 "      \"sharded_wall_ms\": {:.0},\n",
                 "      \"sharded_ms_per_sim_min\": {:.0},\n",
                 "      \"speedup\": {:.2},\n",
-                "      \"state_digest\": \"{:#018x}\",\n",
+                "      \"state_digest\": \"{}\",\n",
                 "      \"bit_identical\": {}\n",
                 "    }}"
             ),
@@ -233,13 +279,14 @@ fn main() {
             serial.records,
             serial.wall_ms,
             serial.ms_per_sim_min,
+            ns_per_probe,
             rss_mb,
             rss_per_server,
             sharded.shards,
             sharded.wall_ms,
             sharded.ms_per_sim_min,
             speedup,
-            serial.digest,
+            digest,
             bit_identical,
         ));
     }
@@ -277,7 +324,11 @@ fn main() {
             "  [{}] every sharded run bit-identical to its serial twin",
             if all_match { "ok" } else { "FAIL" }
         );
-        if !all_match {
+        println!(
+            "  [{}] every serial digest equal to the committed BENCH_scale.json row",
+            if all_as_recorded { "ok" } else { "FAIL" }
+        );
+        if !(all_match && all_as_recorded) {
             std::process::exit(1);
         }
     }

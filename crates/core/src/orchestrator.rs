@@ -639,7 +639,7 @@ impl Orchestrator {
             self.net.merge_counters(&sh.counter_delta);
             sh.counter_delta.clear();
         }
-        // Probe + queue metrics: one flush per shard per barrier.
+        // Probe, queue and agent metrics: one flush per shard per barrier.
         for sh in &mut self.shards {
             self.outputs.probes_run += sh.probes_run;
             self.net
@@ -648,6 +648,7 @@ impl Orchestrator {
             sh.timeouts = 0;
             sh.rtts.clear();
             sh.queue.flush_metrics();
+            sh.fleet.flush_metrics();
         }
     }
 

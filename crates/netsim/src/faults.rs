@@ -19,7 +19,7 @@
 
 use pingmesh_types::{FiveTuple, PodsetId, ServerId, SimDuration, SimTime, SwitchId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// A single fault mode on a switch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -122,7 +122,7 @@ struct PodsetDownWindow {
 /// The deployment-wide fault state.
 #[derive(Debug, Clone, Default)]
 pub struct Faults {
-    switch_faults: HashMap<SwitchId, Vec<ActiveFault>>,
+    switch_faults: BTreeMap<SwitchId, Vec<ActiveFault>>,
     podset_down: Vec<PodsetDownWindow>,
     isolated: HashSet<SwitchId>,
 }

@@ -47,7 +47,6 @@ use pingmesh_types::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -91,8 +90,59 @@ pub struct ProbeAttempt {
     pub outcome: ProbeOutcome,
 }
 
-/// Per-switch counter deltas accumulated by one shard during one epoch.
-pub type CounterDelta = HashMap<SwitchId, SwitchCounters>;
+/// Per-switch counters, dense: one `Vec` per tier indexed by
+/// `SwitchId.index`, grown on first touch. A packet's hop bumps an array
+/// slot instead of hashing its switch id. Used for one shard's deltas
+/// during an epoch and for the network's authoritative totals.
+#[derive(Debug, Clone, Default)]
+pub struct CounterDelta {
+    tiers: [Vec<SwitchCounters>; 4],
+}
+
+impl CounterDelta {
+    /// No counts.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The counters of `sw`, zeroed if never touched.
+    pub fn get(&self, sw: SwitchId) -> SwitchCounters {
+        self.tiers[sw.tier as usize]
+            .get(sw.index as usize)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// The slot of `sw`, grown into on first touch.
+    #[inline]
+    fn slot(&mut self, sw: SwitchId) -> &mut SwitchCounters {
+        let tier = &mut self.tiers[sw.tier as usize];
+        let i = sw.index as usize;
+        if i >= tier.len() {
+            tier.resize(i + 1, SwitchCounters::default());
+        }
+        &mut tier[i]
+    }
+
+    /// Adds `other`'s counts (all sums, so merge order is immaterial).
+    pub fn merge(&mut self, other: &CounterDelta) {
+        for (mine, theirs) in self.tiers.iter_mut().zip(&other.tiers) {
+            if mine.len() < theirs.len() {
+                mine.resize(theirs.len(), SwitchCounters::default());
+            }
+            for (m, t) in mine.iter_mut().zip(theirs) {
+                m.merge(t);
+            }
+        }
+    }
+
+    /// Zeroes every count, keeping the slots for the next epoch.
+    pub fn clear(&mut self) {
+        for tier in &mut self.tiers {
+            tier.fill(SwitchCounters::default());
+        }
+    }
+}
 
 /// The immutable-during-an-epoch part of the network: topology, latency
 /// profiles, VIPs and the fault timeline. Shard threads borrow this
@@ -208,7 +258,7 @@ impl NetState {
             if !self.hop_survives(rng, counters, sw, tuple, payload_bytes, t) {
                 return false;
             }
-            counters.entry(sw).or_default().forwarded += 1;
+            counters.slot(sw).forwarded += 1;
         }
         true
     }
@@ -229,8 +279,8 @@ impl NetState {
     ) -> bool {
         if let Some(v) = self.faults.deterministic_verdict(sw, tuple, t) {
             match v {
-                Verdict::DropVisible => counters.entry(sw).or_default().visible_discards += 1,
-                _ => counters.entry(sw).or_default().silent_discards_ground_truth += 1,
+                Verdict::DropVisible => counters.slot(sw).visible_discards += 1,
+                _ => counters.slot(sw).silent_discards_ground_truth += 1,
             }
             return false;
         }
@@ -238,11 +288,11 @@ impl NetState {
         let base = self.profiles[dc.index()].drops.for_tier(sw.tier);
         let (silent, visible) = self.faults.random_drop_probs(sw, payload_bytes, t);
         if chance(rng, base + silent) {
-            counters.entry(sw).or_default().silent_discards_ground_truth += 1;
+            counters.slot(sw).silent_discards_ground_truth += 1;
             return false;
         }
         if chance(rng, visible) {
-            counters.entry(sw).or_default().visible_discards += 1;
+            counters.slot(sw).visible_discards += 1;
             return false;
         }
         true
@@ -483,7 +533,7 @@ impl SimNet {
                 vips: VipTable::new(),
                 faults: Faults::new(),
             },
-            counters: HashMap::new(),
+            counters: CounterDelta::new(),
             seed,
             probes_ctr: pingmesh_obs::registry().counter("pingmesh_netsim_probes_total"),
             timeouts_ctr: pingmesh_obs::registry().counter("pingmesh_netsim_probe_timeouts_total"),
@@ -539,16 +589,14 @@ impl SimNet {
 
     /// Counters of a switch (zeroed view if never touched).
     pub fn switch_counters(&self, sw: SwitchId) -> SwitchCounters {
-        self.counters.get(&sw).copied().unwrap_or_default()
+        self.counters.get(sw)
     }
 
     /// Folds a shard's per-epoch counter deltas into the authoritative
     /// counters. Addition commutes, so merge order (and hence shard
     /// count) never changes the totals.
     pub fn merge_counters(&mut self, delta: &CounterDelta) {
-        for (sw, c) in delta {
-            self.counters.entry(*sw).or_default().merge(c);
-        }
+        self.counters.merge(delta);
     }
 
     /// Publishes probe metrics accumulated off-thread (shard epochs batch
@@ -1104,10 +1152,10 @@ mod tests {
         // totals must be identical.
         let run = |order: &[u16], groups: usize| {
             let mut outcomes = std::collections::HashMap::new();
-            let mut merged: CounterDelta = HashMap::new();
+            let mut merged = CounterDelta::new();
             for (g, chunk) in order.chunks(order.len() / groups).enumerate() {
                 let _ = g;
-                let mut local: CounterDelta = HashMap::new();
+                let mut local = CounterDelta::new();
                 for &port in chunk {
                     let r = state.probe_keyed(
                         7,
@@ -1122,9 +1170,7 @@ mod tests {
                     );
                     outcomes.insert(port, r);
                 }
-                for (sw, c) in &local {
-                    merged.entry(*sw).or_default().merge(c);
-                }
+                merged.merge(&local);
             }
             (outcomes, merged)
         };
@@ -1133,7 +1179,17 @@ mod tests {
         let (o1, c1) = run(&fwd_order, 1);
         let (o2, c2) = run(&rev_order, 4);
         assert_eq!(o1, o2, "probe outcomes must not depend on order/batching");
-        assert_eq!(c1, c2, "counter totals must merge identically");
+        let totals = |c: &CounterDelta| {
+            n.topology()
+                .switches()
+                .map(|sw| c.get(sw))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            totals(&c1),
+            totals(&c2),
+            "counter totals must merge identically"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::net::{CounterDelta, NetState};
 use pingmesh_types::{FiveTuple, ServerId, SimTime, SwitchId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Loss accounting for one switch across a traceroute run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,7 +41,7 @@ impl HopLoss {
 #[derive(Debug, Clone, Default)]
 pub struct TracerouteReport {
     /// Per-switch loss attribution.
-    pub per_switch: HashMap<SwitchId, HopLoss>,
+    pub per_switch: BTreeMap<SwitchId, HopLoss>,
     /// Number of (flow) paths explored.
     pub flows: usize,
 }

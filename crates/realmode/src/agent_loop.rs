@@ -297,6 +297,7 @@ impl RealAgent {
         while let Some(done) = inflight.join_next().await {
             self.absorb(done.expect("probe task panicked"));
         }
+        self.fleet.flush_metrics();
         sent
     }
 

@@ -12,12 +12,13 @@
 # The simulator isolates switches only in its one actuator and reloads
 # them only through the repair service's budget, under one flag. Every
 # simulated packet draws from a keyed RNG: no struct holds a `SmallRng`
-# stream, and the stream probe and hop APIs stay gone.
+# stream, and the stream probe and hop APIs stay gone. Netsim keys no
+# hash map by switch: per-hop counters are a dense per-tier array.
 # `ci.sh --smoke [gate…]` then runs the gates `cargo test` does not cover —
 # all, or those named. Each checks outputs; none is a timing gate.
 #   bench  ingest_durable, query_dashboard and query_churn for 2 s each (output checks only: no acknowledged record lost, cached bytes ≡ rebuilt bytes, no stale fresh read), then ingest_durable traced once (its staged replay is the one poster of the collector's JSON compat branch)
 #   fuzz   50 seeded scenarios through every crates/check oracle, run-to-run deterministic, 60 s cap
-#   scale  5k-server point: the sharded engine reproduces the serial engine bit for bit (bytes/server printed), then sim_mesh for 2 s (output checks only)
+#   scale  5k-server point: the sharded engine reproduces the serial engine bit for bit and the serial digest equals BENCH_scale.json's (bytes/server printed), then sim_mesh for 2 s (output checks only)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -120,6 +121,11 @@ if grep -rnE 'probe_qos|switch_passes|^[[:space:]]*(pub(\([a-z]+\))? )?[a-z_][a-
   exit 1
 fi
 
+if grep -rn 'HashMap<SwitchId' --include='*.rs' crates/netsim/src; then
+  echo "netsim hashes no switch id: a packet's hop indexes the dense per-tier CounterDelta" >&2
+  exit 1
+fi
+
 if want bench; then
   for workload in ingest_durable query_dashboard query_churn; do
     step "pipeline benchmark output checks ($workload, 2 s, nothing timed)"
@@ -136,7 +142,7 @@ if want fuzz; then
 fi
 
 if want scale; then
-  step "scale bench smoke (5k+ servers, sharded == serial bit-for-bit)"
+  step "scale bench smoke (5k+ servers, sharded == serial == BENCH_scale.json bit-for-bit)"
   cargo run --release -q -p pingmesh-bench --bin scale -- --smoke --check
 
   step "pipeline benchmark output checks (sim_mesh, 2 s, nothing timed)"
