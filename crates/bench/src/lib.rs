@@ -79,7 +79,9 @@ pub fn run_and_aggregate(
                 .pipeline()
                 .store
                 .scan_all_window_chunks(scanned_to, scan_to);
-            agg.merge(&WindowAggregate::build(chunks.into_iter().flatten()));
+            agg.merge(&WindowAggregate::build(
+                chunks.iter().flat_map(|c| c.iter()),
+            ));
             // Retire with one extra lag of slack so late uploads whose
             // timestamps precede scan_to are never double-counted or lost.
             o.pipeline_mut().store.retire_before(scanned_to - lag);
@@ -91,7 +93,9 @@ pub fn run_and_aggregate(
     // uploaded, then fold the remainder.
     o.run_until(until + lag);
     let chunks = o.pipeline().store.scan_all_window_chunks(scanned_to, until);
-    agg.merge(&WindowAggregate::build(chunks.into_iter().flatten()));
+    agg.merge(&WindowAggregate::build(
+        chunks.iter().flat_map(|c| c.iter()),
+    ));
     agg
 }
 
@@ -246,8 +250,8 @@ mod tests {
             .pipeline()
             .store
             .scan_all_window_chunks(SimTime::ZERO, until)
-            .into_iter()
-            .flatten()
+            .iter()
+            .flat_map(|c| c.iter())
             .count() as u64;
         assert_eq!(agg.record_count, expect);
     }

@@ -82,7 +82,7 @@ pub fn store_digest(orch: &Orchestrator) -> u64 {
     let store = &orch.pipeline().store;
     let mut multiset: u64 = 0;
     for chunk in store.scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX)) {
-        for rec in chunk {
+        for rec in chunk.iter() {
             multiset = multiset.wrapping_add(mix64(record_hash(rec)));
         }
     }

@@ -77,8 +77,8 @@ fn violation(oracle: &str, detail: String) -> Violation {
 fn records_in(store: &CosmosStore, from: SimTime, to: SimTime) -> Vec<ProbeRecord> {
     let all = store.scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX));
     let in_window = all
-        .into_iter()
-        .flatten()
+        .iter()
+        .flat_map(|c| c.iter())
         .filter(|r| r.ts >= from && r.ts < to);
     in_window.copied().collect()
 }
@@ -209,7 +209,9 @@ pub fn check_crdt_reingest(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Viol
     rng.shuffle(&mut records);
     let alt_cap = (spec.extent_cap as usize % 97) + 3;
     let mut fresh = CosmosStore::new(alt_cap, 1);
-    fresh.set_service_map(Arc::new(services.clone()));
+    fresh
+        .set_service_map(Arc::new(services.clone()))
+        .expect("an in-memory refold cannot fail");
     let dcs: Vec<DcId> = orch.net().topology().dcs().collect();
     let batches = (spec.reingest_batches.max(1) as usize).min(records.len());
     for chunk in records.chunks(records.len().div_ceil(batches)) {
@@ -412,7 +414,7 @@ pub fn check_scan_equivalence(orch: &Orchestrator) -> Vec<Violation> {
     ];
     for (from, to) in windows {
         let chunks = store.scan_all_window_chunks(from, to);
-        let chunked: Vec<ProbeRecord> = chunks.into_iter().flatten().copied().collect();
+        let chunked: Vec<ProbeRecord> = chunks.iter().flat_map(|c| c.iter()).copied().collect();
         let reference = records_in(store, from, to);
         if chunked != reference {
             out.push(violation(
@@ -546,13 +548,19 @@ pub fn check_quality(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Violation>
         discarded += a.discarded_total();
     }
     let scheduled_now = observed - unresolved - buffered;
-    let report = pingmesh_dsa::quality::evaluate(
+    let report = match pingmesh_dsa::quality::evaluate(
         store,
         expected,
         scheduled_now,
         orch.now(),
         &pipeline.quality_cfg,
-    );
+    ) {
+        Ok(report) => report,
+        Err(e) => {
+            out.push(violation("quality", format!("evaluation failed: {e}")));
+            return out;
+        }
+    };
     let stored = store.record_count();
     if report.completeness.den != stored + discarded {
         out.push(violation(
@@ -631,7 +639,9 @@ pub fn check_serve_coherence(orch: &Orchestrator) -> Vec<Violation> {
 
     // A private store so the oracle can refold without touching the run.
     let mut fresh = CosmosStore::with_defaults();
-    fresh.set_service_map(Arc::new(services.clone()));
+    fresh
+        .set_service_map(Arc::new(services.clone()))
+        .expect("an in-memory refold cannot fail");
     let dcs: Vec<DcId> = orch.net().topology().dcs().collect();
     for dc in &dcs {
         let for_dc: Vec<ProbeRecord> = records
@@ -724,7 +734,10 @@ pub fn check_serve_coherence(orch: &Orchestrator) -> Vec<Violation> {
     // validator misses and the rebuilt bytes match a pure rebuild.
     let mut refolded = services.clone();
     let _ = refolded.register("svc-serve-oracle", [pingmesh_types::ServerId(0)]);
-    shared.lock().set_service_map(Arc::new(refolded));
+    shared
+        .lock()
+        .set_service_map(Arc::new(refolded))
+        .expect("an in-memory refold cannot fail");
     for q in queries.iter().take(3) {
         let key = q.cache_key();
         let path = format!("/api/{key}");
@@ -812,9 +825,14 @@ pub fn check_crash_recovery(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Vio
             return out;
         }
     };
-    durable.set_service_map(Arc::new(services.clone()));
+    if let Err(e) = durable.set_service_map(Arc::new(services.clone())) {
+        out.push(violation("crash", format!("service map refused: {e}")));
+        return out;
+    }
     let mut reference = CosmosStore::new(alt_cap, 1);
-    reference.set_service_map(Arc::new(services.clone()));
+    reference
+        .set_service_map(Arc::new(services.clone()))
+        .expect("an in-memory refold cannot fail");
 
     let dcs: Vec<DcId> = orch.net().topology().dcs().collect();
     let batches = (spec.reingest_batches.max(1) as usize).min(records.len());
@@ -893,7 +911,13 @@ pub fn check_crash_recovery(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Vio
             return out;
         }
     };
-    recovered.set_service_map(Arc::new(services.clone()));
+    if let Err(e) = recovered.set_service_map(Arc::new(services.clone())) {
+        out.push(violation(
+            "crash",
+            format!("refold after recovery failed: {e}"),
+        ));
+        return out;
+    }
 
     if recovered.record_count() != reference.record_count() {
         out.push(violation(
@@ -945,7 +969,7 @@ pub fn check_crash_recovery(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Vio
             ),
         ));
     }
-    if !rec_chunks.into_iter().flatten().eq(rec_seq.iter()) {
+    if !rec_chunks.iter().flat_map(|c| c.iter()).eq(rec_seq.iter()) {
         out.push(violation(
             "crash",
             "recovered chunked scan diverges from the record-by-record filter".into(),

@@ -116,7 +116,9 @@ pub fn build_orchestrator_sharded(spec: &ScenarioSpec, shards: usize) -> Orchest
     // re-seat a store with the spec's (often tiny) extent cap so extents
     // straddle window boundaries and the scan oracles bite.
     let mut store = CosmosStore::new(spec.extent_cap as usize, 3);
-    store.set_service_map(Arc::new(services));
+    store
+        .set_service_map(Arc::new(services))
+        .expect("an in-memory refold cannot fail");
     orch.pipeline_mut().store = store;
 
     // Install the fault schedule.

@@ -23,7 +23,9 @@
 //!   store's `partition_point` window trimming extends to disk:
 //!   [`SegmentReader::read_window`] binary-searches a sorted segment on
 //!   disk and bulk-reads only the in-window byte range, and
-//!   non-overlapping segments are skipped from the header alone.
+//!   non-overlapping segments are skipped from the header alone. Once an
+//!   extent's windows are frozen its segment is the only copy: the store
+//!   evicts the records and reads them back from here.
 //! * **Manifest** (`MANIFEST`, version 3): the commit point. It names the
 //!   live segments and `wal_seq`, the first WAL file recovery replays. A
 //!   checkpoint runs in three phases so the store lock is held only for
@@ -44,18 +46,20 @@
 //!   a complete, consistent set; everything else is an orphan removed at
 //!   the next commit.
 //!
-//! **Recovery** loads the manifest's segments as sealed extents, then
-//! replays every `wal-j` with `j ≥ wal_seq` in ascending order (appends
-//! rebuild extents, retires re-drop expired ones; a torn or corrupt frame
-//! ends its own file, not the replay). Every file boundary is a plan's
-//! rotation, so the store seals its open extents there and the recovered
-//! extent boundaries are the pre-crash ones. It then refolds the
-//! per-(stream, window) partial aggregates from the surviving raw
-//! records, and drops partials for windows closed before the persisted
-//! retire high-water mark. Because the window aggregates are
-//! order-independent CRDTs, the refold is bit-identical to the pre-crash
-//! fold for append-only histories; with window-aligned retention horizons
-//! (the pipeline's convention) it stays identical under retirement too.
+//! **Recovery** checks the manifest's segment headers and takes the
+//! segments as sealed, evicted extents, then replays every `wal-j` with
+//! `j ≥ wal_seq` in ascending order (appends rebuild extents, retires
+//! re-drop expired ones; a torn or corrupt frame ends its own file, not
+//! the replay). Every file boundary is a plan's rotation, so the store
+//! seals its open extents there and the recovered extent boundaries are
+//! the pre-crash ones. It then refolds the per-(stream, window) partial
+//! aggregates from the surviving raw records, streaming each segment once
+//! ([`SegmentReader::read_chunks`]), and drops partials for windows
+//! closed before the persisted retire high-water mark. Because the window
+//! aggregates are order-independent CRDTs, the refold is bit-identical to
+//! the pre-crash fold for append-only histories; with window-aligned
+//! retention horizons (the pipeline's convention) it stays identical
+//! under retirement too.
 //!
 //! **IO-error resilience**: WAL writes retry on a seeded
 //! [`Backoff`] (bounded attempts, jittered millisecond delays) and then
@@ -610,6 +614,21 @@ impl SegmentReader {
                 u32_at(4)
             )));
         }
+        // Every header byte means something: the flag is 0 or 1 and the
+        // padding is zero, so no flipped header byte goes unnoticed.
+        if hdr[16] > 1 || hdr[17..24] != [0u8; 7] {
+            return Err(corrupt("bad segment header flags".into()));
+        }
+        // The file must hold exactly the records the header announces, so
+        // no read sized from the header can run past it or allocate for
+        // records that are not there.
+        let want = SEG_HEADER as u64 + u64::from(u32_at(12)) * RECORD_WIRE as u64;
+        let have = file.metadata()?.len();
+        if have != want {
+            return Err(corrupt(format!(
+                "segment holds {have} bytes, its header announces {want}"
+            )));
+        }
         Ok(SegmentReader {
             file,
             dc: DcId(u32_at(8)),
@@ -647,6 +666,31 @@ impl SegmentReader {
         self.count > 0 && self.min_ts < to && self.max_ts >= from
     }
 
+    /// Errs unless the header agrees with `meta`, the segment's entry in
+    /// the manifest (or its extent in the store).
+    pub(crate) fn check(&self, meta: &SegmentMeta) -> io::Result<()> {
+        if self.count != meta.count {
+            return Err(corrupt(format!(
+                "segment {} count mismatch: manifest {} file {}",
+                meta.id, meta.count, self.count
+            )));
+        }
+        let header = (self.dc.0, self.sorted, self.min_ts, self.max_ts);
+        let entry = (
+            meta.dc,
+            meta.sorted,
+            SimTime(meta.min_ts),
+            SimTime(meta.max_ts),
+        );
+        if header != entry {
+            return Err(corrupt(format!(
+                "segment {} header {header:?} disagrees with its entry {entry:?}",
+                meta.id
+            )));
+        }
+        Ok(())
+    }
+
     fn ts_at(&mut self, idx: u32) -> io::Result<u64> {
         self.file.seek(SeekFrom::Start(
             (SEG_HEADER + idx as usize * RECORD_WIRE) as u64,
@@ -671,6 +715,8 @@ impl SegmentReader {
         Ok(lo)
     }
 
+    /// Records `lo..hi` of a sorted segment, checked as
+    /// [`Self::read_window`] says.
     fn read_range(&mut self, lo: u32, hi: u32) -> io::Result<Vec<ProbeRecord>> {
         let n = (hi - lo) as usize;
         let mut bytes = vec![0u8; n * RECORD_WIRE];
@@ -679,32 +725,63 @@ impl SegmentReader {
         ))?;
         self.file.read_exact(&mut bytes)?;
         let mut out = Vec::with_capacity(n);
+        let mut last = self.min_ts;
         for chunk in bytes.chunks_exact(RECORD_WIRE) {
-            out.push(decode_record(chunk.try_into().unwrap())?);
+            let r = decode_record(chunk.try_into().unwrap())?;
+            if r.ts < last || r.ts > self.max_ts {
+                return Err(corrupt(
+                    "sorted segment out of order or out of bounds".into(),
+                ));
+            }
+            last = r.ts;
+            out.push(r);
         }
+        note_read(bytes.len());
         Ok(out)
     }
 
-    /// Reads every record, verifying the header checksum — the recovery
-    /// path. Corruption is an error, not silent loss.
-    pub fn read_all(&mut self) -> io::Result<Vec<ProbeRecord>> {
-        let n = self.count as usize;
-        let mut bytes = vec![0u8; n * RECORD_WIRE];
+    /// Streams every record to `f`, 1 MiB of records at a time, then
+    /// verifies the header checksum over all of them: corruption is an
+    /// error, never silent loss. `f` has seen every piece by the time a
+    /// mismatch is found, so a caller must discard whatever it built from
+    /// them on an error. Holds one piece, never the whole segment.
+    pub fn read_chunks(&mut self, mut f: impl FnMut(&[ProbeRecord])) -> io::Result<()> {
+        let total = self.count as usize * RECORD_WIRE;
+        let mut bytes = vec![0u8; WRITE_PIECE.min(total)];
+        let mut records = Vec::with_capacity(bytes.len() / RECORD_WIRE);
         self.file.seek(SeekFrom::Start(SEG_HEADER as u64))?;
-        self.file.read_exact(&mut bytes)?;
-        if fnv64(&bytes) != self.crc {
+        let (mut h, mut done) = (FNV_OFFSET, 0);
+        while done < total {
+            let piece = &mut bytes[..WRITE_PIECE.min(total - done)];
+            self.file.read_exact(piece)?;
+            h = fnv64_fold(h, piece);
+            records.clear();
+            for chunk in piece.chunks_exact(RECORD_WIRE) {
+                records.push(decode_record(chunk.try_into().unwrap())?);
+            }
+            f(&records);
+            done += piece.len();
+        }
+        note_read(total);
+        if fnv64_finish(h, total) != self.crc {
             return Err(corrupt("segment checksum mismatch".into()));
         }
-        let mut out = Vec::with_capacity(n);
-        for chunk in bytes.chunks_exact(RECORD_WIRE) {
-            out.push(decode_record(chunk.try_into().unwrap())?);
-        }
+        Ok(())
+    }
+
+    /// Reads every record, verifying the header checksum.
+    pub fn read_all(&mut self) -> io::Result<Vec<ProbeRecord>> {
+        let mut out = Vec::with_capacity(self.count as usize);
+        self.read_chunks(|piece| out.extend_from_slice(piece))?;
         Ok(out)
     }
 
     /// Records with `ts` in `[from, to)`. Sorted segments are trimmed by
-    /// on-disk binary search and bulk-read only the in-window byte range;
-    /// unsorted ones fall back to a full read + filter (checksummed).
+    /// on-disk binary search and bulk-read only the in-window byte range,
+    /// which is not checksummed (the checksum covers the whole file): its
+    /// records must decode, and their timestamps be non-decreasing and
+    /// inside the header's bounds. Unsorted ones fall back to a full,
+    /// checksummed read and a filter.
     pub fn read_window(&mut self, from: SimTime, to: SimTime) -> io::Result<Vec<ProbeRecord>> {
         if !self.overlaps(from, to) {
             return Ok(Vec::new());
@@ -717,13 +794,19 @@ impl SegmentReader {
             }
             self.read_range(lo, hi)
         } else {
-            Ok(self
-                .read_all()?
-                .into_iter()
-                .filter(|r| r.ts >= from && r.ts < to)
-                .collect())
+            let mut out = self.read_all()?;
+            out.retain(|r| r.ts >= from && r.ts < to);
+            Ok(out)
         }
     }
+}
+
+/// Counts one segment read of `bytes` record bytes.
+fn note_read(bytes: usize) {
+    let reg = pingmesh_obs::registry();
+    reg.counter("pingmesh_store_segment_reads_total").inc();
+    reg.counter("pingmesh_store_segment_read_bytes_total")
+        .add(bytes as u64);
 }
 
 /// Writes a segment file: a zeroed header, the records [`WRITE_PIECE`]
@@ -813,6 +896,9 @@ pub struct WrittenCheckpoint {
 pub struct CheckpointGc {
     dir: PathBuf,
     garbage: Garbage,
+    /// Records of the extents the commit evicted, freed with the lock
+    /// released.
+    pub(crate) evicted: Vec<Arc<Vec<ProbeRecord>>>,
 }
 
 #[derive(Debug)]
@@ -891,6 +977,7 @@ impl WrittenCheckpoint {
         CheckpointGc {
             dir: self.dir,
             garbage: Garbage::Own(own),
+            evicted: Vec::new(),
         }
     }
 }
@@ -901,9 +988,11 @@ impl CheckpointGc {
         matches!(self.garbage, Garbage::Superseded { .. })
     }
 
-    /// Unlinks the garbage. Run it with the store lock released;
-    /// dropping it instead leaves orphans that the next commit collects.
+    /// Unlinks the garbage and frees the evicted records. Run it with the
+    /// store lock released; dropping it instead frees the records there
+    /// and leaves orphans that the next commit collects.
     pub fn run(self) {
+        drop(self.evicted);
         match self.garbage {
             Garbage::Own(paths) => {
                 for path in paths {
@@ -1033,8 +1122,9 @@ pub struct DurabilityStats {
 /// Everything recovery needs, read from disk by [`DurableLog::open`].
 #[derive(Debug, Default)]
 pub(crate) struct Recovered {
-    /// Segments in manifest order, with their decoded records.
-    pub segments: Vec<(SegmentMeta, Vec<ProbeRecord>)>,
+    /// Segments in manifest order; their headers are checked, their
+    /// records are still on disk.
+    pub segments: Vec<SegmentMeta>,
     /// WAL operations in log order, one list per WAL file. Each boundary
     /// between two files is a checkpoint plan's rotation, where the store
     /// sealed every open extent.
@@ -1129,22 +1219,15 @@ impl DurableLog {
             ..Recovered::default()
         };
 
-        // Segments named by the manifest are committed data: failure to
-        // read one is an error, never silent loss.
+        // Segments named by the manifest are committed data: one that is
+        // missing or disagrees with its entry is an error, never silent
+        // loss. Only headers are read here, before anything is truncated;
+        // recovery reads the records one segment at a time.
         for meta in &manifest.segments {
-            let mut reader = SegmentReader::open(&dir.join(seg_name(meta.id)))?;
-            let records = reader.read_all()?;
-            if records.len() as u32 != meta.count {
-                return Err(corrupt(format!(
-                    "segment {} count mismatch: manifest {} file {}",
-                    meta.id,
-                    meta.count,
-                    records.len()
-                )));
-            }
-            recovered.recovered_records += records.len() as u64;
-            recovered.segments.push((meta.clone(), records));
+            SegmentReader::open(&dir.join(seg_name(meta.id)))?.check(meta)?;
+            recovered.recovered_records += u64::from(meta.count);
         }
+        recovered.segments = manifest.segments.clone();
 
         // Replay every WAL from `wal_seq` on. A torn or corrupt frame ends
         // its own file, which is truncated there.
@@ -1259,6 +1342,13 @@ impl DurableLog {
     /// The directory this log persists to.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// Opens segment `meta.id` and checks its header against `meta`.
+    pub(crate) fn open_segment(&self, meta: &SegmentMeta) -> io::Result<SegmentReader> {
+        let reader = SegmentReader::open(&self.dir.join(seg_name(meta.id)))?;
+        reader.check(meta)?;
+        Ok(reader)
     }
 
     /// Recovery generation of this open (0 = first boot).
@@ -1611,6 +1701,7 @@ impl DurableLog {
                 seg_end,
                 live,
             },
+            evicted: Vec::new(),
         };
         Ok((gc, assigned))
     }

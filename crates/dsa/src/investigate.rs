@@ -149,16 +149,21 @@ pub fn investigate<'a>(
     inv
 }
 
-/// [`investigate`] over the zero-copy chunked scan form (borrowed extent
-/// sub-slices from `CosmosStore::scan_all_window_chunks`) — drills down
-/// without copying the window's records out of the store.
+/// [`investigate`] over the chunked scan form (extent sub-slices from
+/// `CosmosStore::scan_all_window_chunks`) — drills down without copying
+/// the window's records out of the store.
 pub fn investigate_chunks(
-    chunks: &[&[ProbeRecord]],
+    chunks: &[impl AsRef<[ProbeRecord]>],
     topo: &Topology,
     max_flows: usize,
     filter: impl Fn(&ProbeRecord) -> bool,
 ) -> Investigation {
-    investigate(chunks.iter().copied().flatten(), topo, max_flows, filter)
+    investigate(
+        chunks.iter().flat_map(|c| c.as_ref()),
+        topo,
+        max_flows,
+        filter,
+    )
 }
 
 #[cfg(test)]

@@ -173,12 +173,16 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// Creates a pipeline with default detectors and a 2-month retention
-    /// horizon ("We keep Pingmesh historical data for 2 months").
+    /// horizon ("We keep Pingmesh historical data for 2 months"). The
+    /// pipeline's store is the simulator's, in memory; a durable one whose
+    /// evicted segments cannot be read back panics here.
     pub fn new(topo: Arc<Topology>, services: ServiceMap, mut store: CosmosStore) -> Self {
         let services = Arc::new(services);
         // The store folds per-service scopes into its ingest-time window
         // partials; give it the map (refolding anything appended early).
-        store.set_service_map(services.clone());
+        store
+            .set_service_map(services.clone())
+            .expect("refold the pipeline's store");
         Self {
             topo,
             services,
@@ -307,15 +311,18 @@ impl Pipeline {
                 // count records still buffered at agents and read
                 // healthy runs as under-covered.
                 if let Some(expected) = self.expected.clone() {
-                    self.latest_quality = Some(crate::quality::evaluate_window(
-                        &self.store,
-                        &expected,
-                        self.scheduled_probes,
-                        tick.window_start,
-                        tick.window_end,
-                        tick_now,
-                        &self.quality_cfg,
-                    ));
+                    self.latest_quality = Some(
+                        crate::quality::evaluate_window(
+                            &self.store,
+                            &expected,
+                            self.scheduled_probes,
+                            tick.window_start,
+                            tick.window_end,
+                            tick_now,
+                            &self.quality_cfg,
+                        )
+                        .expect("the pipeline's store is in memory: its scans cannot fail"),
+                    );
                 }
                 // SLA rows for this window are now visible: finalize any
                 // sampled traces that were waiting on it.
@@ -546,7 +553,7 @@ mod tests {
         let raw = p.store.scan_all_window_chunks(SimTime(0), SimTime(6 * W));
         assert_eq!(
             merged,
-            WindowAggregate::build_with(raw.into_iter().flatten(), Some(p.services()))
+            WindowAggregate::build_with(raw.iter().flat_map(|c| c.iter()), Some(p.services()))
         );
         // Per-service rows landed in the DB off the same aggregate.
         assert!(merged.per_service.len() == 1);

@@ -22,6 +22,7 @@ use pingmesh_obs::slo::{self, SloKind, SloStatus};
 use pingmesh_topology::Topology;
 use pingmesh_types::{PingTarget, Pinglist, PodId, SimDuration, SimTime};
 use std::collections::BTreeSet;
+use std::io;
 
 /// Targets and horizons for the quality job.
 #[derive(Debug, Clone)]
@@ -150,31 +151,32 @@ pub fn evaluate(
     scheduled: u64,
     now: SimTime,
     cfg: &QualityConfig,
-) -> QualityReport {
+) -> io::Result<QualityReport> {
     let from = now - cfg.coverage_horizon;
     evaluate_window(store, expected, scheduled, from, now, now, cfg)
 }
 
 /// Pod-pair coverage over `[from, to)`: expected pairs with at least one
-/// stored record in the window, over expected pairs.
+/// stored record in the window, over expected pairs. Errs when the raw
+/// scan does (an evicted extent's segment could not be read back).
 pub fn coverage(
     store: &CosmosStore,
     expected: &ExpectedPairs,
     from: SimTime,
     to: SimTime,
-) -> RatioSample {
+) -> io::Result<RatioSample> {
     let mut observed: BTreeSet<(PodId, PodId)> = BTreeSet::new();
-    for chunk in store.scan_all_window_chunks(from, to) {
-        for r in chunk {
+    for chunk in store.try_scan_all_window_chunks(from, to)? {
+        for r in chunk.iter() {
             if expected.contains(r.src_pod, r.dst_pod) {
                 observed.insert((r.src_pod, r.dst_pod));
             }
         }
     }
-    RatioSample {
+    Ok(RatioSample {
         num: observed.len() as u64,
         den: expected.len() as u64,
-    }
+    })
 }
 
 /// Age at `now` of the newest stored record: per stream (labeled by DC,
@@ -208,7 +210,7 @@ pub fn freshness(store: &CosmosStore, now: SimTime) -> (u64, Vec<(String, u64)>)
 /// healthy pipeline reads full coverage even while newer records are
 /// still buffered at agents. Publishes the SLO gauges and per-stream
 /// freshness gauges as a side effect; the returned report is otherwise
-/// pure over the inputs.
+/// pure over the inputs. Errs when the coverage scan does.
 pub fn evaluate_window(
     store: &CosmosStore,
     expected: &ExpectedPairs,
@@ -217,8 +219,8 @@ pub fn evaluate_window(
     cov_to: SimTime,
     now: SimTime,
     cfg: &QualityConfig,
-) -> QualityReport {
-    let coverage = coverage(store, expected, cov_from, cov_to);
+) -> io::Result<QualityReport> {
+    let coverage = coverage(store, expected, cov_from, cov_to)?;
     let completeness = RatioSample {
         num: store.record_count().min(scheduled),
         den: scheduled,
@@ -245,14 +247,14 @@ pub fn evaluate_window(
         "completeness_den" => completeness.den,
         "freshness_worst_us" => worst_age,
     );
-    QualityReport {
+    Ok(QualityReport {
         window_start: cov_from,
         window_end: cov_to,
         coverage,
         completeness,
         freshness_us,
         statuses,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -303,7 +305,7 @@ mod tests {
         store.append(s, &[rec(1_000, 1, 0)], SimTime(2_000));
         let exp = expected(&[(0, 1), (1, 0)]);
         let cfg = QualityConfig::default();
-        let rep = evaluate(&store, &exp, 3, SimTime(1_000_000_000), &cfg);
+        let rep = evaluate(&store, &exp, 3, SimTime(1_000_000_000), &cfg).unwrap();
         assert_eq!(rep.coverage.num, 1, "only (0,1) observed in window");
         assert_eq!(rep.coverage.den, 2);
         assert_eq!(rep.completeness, RatioSample { num: 3, den: 3 });
@@ -318,7 +320,7 @@ mod tests {
         store.append(s, &[rec(100, 0, 1)], SimTime(100));
         let cfg = QualityConfig::default();
         let now = SimTime(100 + cfg.freshness_target.as_micros() + 1);
-        let rep = evaluate(&store, &expected(&[(0, 1)]), 1, now, &cfg);
+        let rep = evaluate(&store, &expected(&[(0, 1)]), 1, now, &cfg).unwrap();
         let status = rep.status(SloKind::Freshness).unwrap();
         assert!(!status.healthy, "one record, older than target");
         assert_eq!(rep.freshness_us.len(), 1);
@@ -335,7 +337,8 @@ mod tests {
             0,
             SimTime(cfg.freshness_target.as_micros() * 2),
             &cfg,
-        );
+        )
+        .unwrap();
         assert_eq!(rep.coverage.value(), 1.0, "no expected pairs → vacuous");
         assert_eq!(rep.completeness.value(), 1.0, "nothing scheduled → vacuous");
         assert!(!rep.status(SloKind::Freshness).unwrap().healthy);

@@ -15,19 +15,28 @@
 //! is aggregated exactly once, at upload time. The 10-minute job reads a
 //! finished partial via [`CosmosStore::merged_window_aggregate`]; hourly
 //! and daily rollups merge the enclosed partials in O(scopes). Raw records
-//! have one read path, [`CosmosStore::scan_all_window_chunks`], which
-//! yields borrowed extent sub-slices (investigations, the coverage job,
-//! the state digest and every test's rebuild-from-raw reference use it).
+//! have one read path, [`CosmosStore::try_scan_all_window_chunks`], which
+//! yields extent sub-slices (investigations, the coverage job, the state
+//! digest and every test's rebuild-from-raw reference use it).
+//!
+//! A durable store keeps on disk what it has already persisted: once an
+//! extent has a segment and every window it touches is frozen, a
+//! checkpoint's commit evicts its records. Partials, which serve every
+//! hot query, stay resident; a raw scan reads an evicted extent back from
+//! its segment, and recovery folds the segments one at a time, keeping
+//! only the records of windows still filling.
 
 use crate::agg::WindowAggregate;
 use crate::durable::{
     CheckpointGc, CheckpointPlan, DurabilityStats, DurableLog, SegmentMeta, WalOp,
-    WrittenCheckpoint,
+    WrittenCheckpoint, RECORD_WIRE,
 };
 use pingmesh_topology::ServiceMap;
 use pingmesh_types::{DcId, ProbeRecord, SimDuration, SimTime};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -61,10 +70,13 @@ struct Extent {
     /// Stable id, increasing in append order within a stream; a
     /// checkpoint plan names the extents it persists by it.
     id: u64,
-    /// Shared with a checkpoint plan once sealed (and then never written
-    /// again); an unsealed extent is never shared, so appends write
-    /// through `Arc::get_mut`.
-    records: Arc<Vec<ProbeRecord>>,
+    /// The records while resident. Shared with a checkpoint plan once
+    /// sealed (and then never written again); an unsealed extent is never
+    /// shared, so appends write through `Arc::get_mut`. `None` once
+    /// evicted: sealed, persisted as segment `seg`, every window frozen.
+    records: Option<Arc<Vec<ProbeRecord>>>,
+    /// Record count, resident or evicted.
+    len: usize,
     sealed: bool,
     min_ts: SimTime,
     max_ts: SimTime,
@@ -78,9 +90,79 @@ struct Extent {
 
 impl Extent {
     fn overlaps(&self, from: SimTime, to: SimTime) -> bool {
-        !self.records.is_empty() && self.min_ts < to && self.max_ts >= from
+        self.len > 0 && self.min_ts < to && self.max_ts >= from
+    }
+
+    /// Whether this extent may give up its records: it has a segment to
+    /// read them back from, and every window it touches is frozen.
+    fn evictable(&self, frozen_before: Option<SimTime>) -> bool {
+        self.seg.is_some() && frozen_before.is_some_and(|f| self.max_ts < f)
+    }
+
+    /// Its segment's manifest entry; `id` is the segment id, 0 when none.
+    fn meta(&self, stream: StreamName) -> SegmentMeta {
+        SegmentMeta {
+            id: self.seg.unwrap_or(0),
+            dc: stream.dc.0,
+            count: self.len as u32,
+            sorted: self.sorted,
+            min_ts: self.min_ts.as_micros(),
+            max_ts: self.max_ts.as_micros(),
+        }
+    }
+
+    /// The resident records of an extent `append_raw` may write to.
+    fn open_records(&mut self) -> &mut Vec<ProbeRecord> {
+        let records = self
+            .records
+            .as_mut()
+            .expect("an unsealed extent is resident");
+        Arc::get_mut(records).expect("an unsealed extent is never shared")
+    }
+
+    /// The index ranges of `records` (this extent's) that together hold
+    /// exactly its records in `[from, to)`: the whole extent when it lies
+    /// inside, a binary-search trim when time-sorted, otherwise its
+    /// maximal in-window runs.
+    fn window_runs(
+        &self,
+        records: &[ProbeRecord],
+        from: SimTime,
+        to: SimTime,
+        mut push: impl FnMut(Range<usize>),
+    ) {
+        if self.min_ts >= from && self.max_ts < to {
+            push(0..records.len());
+        } else if self.sorted {
+            let lo = records.partition_point(|r| r.ts < from);
+            let hi = records.partition_point(|r| r.ts < to);
+            if lo < hi {
+                push(lo..hi);
+            }
+        } else {
+            let mut start = None;
+            for (i, r) in records.iter().enumerate() {
+                let inside = r.ts >= from && r.ts < to;
+                match (inside, start) {
+                    (true, None) => start = Some(i),
+                    (false, Some(s)) => {
+                        push(s..i);
+                        start = None;
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(s) = start {
+                push(s..records.len());
+            }
+        }
     }
 }
+
+/// One chunk of a raw scan: borrowed from a resident extent, or owned when
+/// read back from an evicted extent's segment. Derefs to
+/// `[ProbeRecord]`.
+pub type Chunk<'a> = Cow<'a, [ProbeRecord]>;
 
 /// Partial-window readers take 10-min-aligned bounds (job windows are,
 /// by construction).
@@ -98,6 +180,7 @@ struct AppendMetrics {
     rejected_batches: Arc<pingmesh_obs::Counter>,
     appended_records: Arc<pingmesh_obs::Counter>,
     folded_records: Arc<pingmesh_obs::Counter>,
+    resident_records: Arc<pingmesh_obs::Gauge>,
 }
 
 fn metrics() -> &'static AppendMetrics {
@@ -110,6 +193,7 @@ fn metrics() -> &'static AppendMetrics {
             rejected_batches: r.counter("pingmesh_dsa_store_rejected_batches_total"),
             appended_records: r.counter("pingmesh_dsa_store_appended_records_total"),
             folded_records: r.counter("pingmesh_dsa_ingest_folded_records_total"),
+            resident_records: r.gauge("pingmesh_store_resident_records"),
         }
     })
 }
@@ -173,6 +257,8 @@ pub struct CosmosStore {
     services: Option<Arc<ServiceMap>>,
     total_records: u64,
     total_bytes: u64,
+    /// Records held in memory: `total_records` less the evicted ones.
+    resident_records: u64,
     /// Id of the next extent created.
     next_extent: u64,
     /// The newest retention horizon: partials of windows closed before it
@@ -208,6 +294,7 @@ impl CosmosStore {
             services: None,
             total_records: 0,
             total_bytes: 0,
+            resident_records: 0,
             next_extent: 0,
             retired_before: SimTime::ZERO,
             durable: None,
@@ -242,7 +329,8 @@ impl CosmosStore {
     /// existing epoch handle so read tiers holding it keep observing the
     /// same atomic across the restart. Recovery:
     ///
-    /// 1. loads the manifest's segments as sealed extents,
+    /// 1. takes the manifest's segments as sealed, evicted extents (their
+    ///    headers checked, their records still on disk),
     /// 2. replays every WAL file from the manifest's `wal_seq` on, in
     ///    order (appends rebuild extents through the normal
     ///    extent-building path; retires re-drop expired ones), sealing the
@@ -252,7 +340,10 @@ impl CosmosStore {
     /// 3. refolds the per-(stream, window) partials from surviving raw
     ///    records — bit-identical to the pre-crash fold because the
     ///    aggregates are order-independent CRDTs — and drops windows
-    ///    closed before the persisted retention horizon,
+    ///    closed before the persisted retention horizon. Each surviving
+    ///    segment is read once, checksummed, and streamed into the fold a
+    ///    piece at a time; only a segment with a window still filling keeps
+    ///    its records,
     /// 4. raises the epoch above every acknowledged pre-crash value and
     ///    bumps the boot id (salting every window fingerprint), then
     /// 5. commits a fresh checkpoint, retiring the replayed files and
@@ -273,15 +364,17 @@ impl CosmosStore {
         store.boot_id = log.boot_id();
         store.durable = Some(log);
 
-        // 1. Segments become sealed extents, in manifest (stream-major,
-        // append) order.
-        for (meta, records) in recovered.segments {
+        // 1. Segments become sealed, evicted extents, in manifest
+        // (stream-major, append) order.
+        for meta in recovered.segments {
             let stream = StreamName { dc: DcId(meta.dc) };
-            store.total_records += records.len() as u64;
-            store.total_bytes += records.iter().map(|r| r.wire_size() as u64).sum::<u64>();
+            let len = meta.count as usize;
+            store.total_records += len as u64;
+            store.total_bytes += (len * RECORD_WIRE) as u64;
             store.streams.entry(stream).or_default().push(Extent {
                 id: store.next_extent,
-                records: Arc::new(records),
+                records: None,
+                len,
                 sealed: true,
                 min_ts: SimTime(meta.min_ts),
                 max_ts: SimTime(meta.max_ts),
@@ -308,11 +401,13 @@ impl CosmosStore {
         }
 
         // 3. Partials: refold from surviving raw, leaving out windows the
-        // retention horizon already closed.
+        // retention horizon already closed, and bring back the records of
+        // segments whose windows are still filling.
         store.retired_before = SimTime(recovered.retire_hwm);
         if store.total_records > 0 {
-            store.refold_partials();
+            store.refold_partials(true)?;
         }
+        store.publish_residency();
 
         // 4. The epoch must rise above everything any pre-crash reader
         // (or the adopted handle) could have observed.
@@ -336,13 +431,21 @@ impl CosmosStore {
     /// ingest-time partials. If records were appended before the map was
     /// available, the affected partials are refolded from raw so the
     /// per-service scopes are complete.
-    pub fn set_service_map(&mut self, services: Arc<ServiceMap>) {
-        self.services = Some(services);
-        self.service_generation += 1;
+    ///
+    /// The refold reads evicted extents back from their segments; if one
+    /// cannot be read, the store is left as it was — the old map, the old
+    /// partials — and the error is returned.
+    pub fn set_service_map(&mut self, services: Arc<ServiceMap>) -> io::Result<()> {
+        let previous = self.services.replace(services);
         if self.total_records > 0 {
-            self.refold_partials();
+            if let Err(e) = self.refold_partials(false) {
+                self.services = previous;
+                return Err(e);
+            }
         }
+        self.service_generation += 1;
         self.epoch.fetch_add(1, Ordering::Release);
+        Ok(())
     }
 
     /// Appends a batch to a stream; `t` is the store time of the upload
@@ -378,6 +481,7 @@ impl CosmosStore {
         // Provenance: sampled records park here until their window ticks.
         pingmesh_obs::trace::on_append_batch(batch, t, PARTIAL_WINDOW.as_micros());
         self.append_raw(stream, batch);
+        self.publish_residency();
         // The fold's share of the hold.
         let fold = Instant::now();
         self.fold_into_partials(stream, batch);
@@ -395,16 +499,14 @@ impl CosmosStore {
         let extents = self.streams.entry(stream).or_default();
         let mut rest = batch;
         while let Some(first) = rest.first() {
-            if extents
-                .last()
-                .is_none_or(|e| e.sealed || e.records.len() >= cap)
-            {
+            if extents.last().is_none_or(|e| e.sealed || e.len >= cap) {
                 if let Some(last) = extents.last_mut() {
                     last.sealed = true;
                 }
                 extents.push(Extent {
                     id: self.next_extent,
-                    records: Arc::new(Vec::new()),
+                    records: Some(Arc::new(Vec::new())),
+                    len: 0,
                     sealed: false,
                     min_ts: first.ts,
                     max_ts: first.ts,
@@ -414,18 +516,22 @@ impl CosmosStore {
                 self.next_extent += 1;
             }
             let e = extents.last_mut().expect("just ensured");
-            let (now, later) = rest.split_at((cap - e.records.len()).min(rest.len()));
-            let records = Arc::get_mut(&mut e.records).expect("an unsealed extent is never shared");
+            let (now, later) = rest.split_at((cap - e.len).min(rest.len()));
+            let (mut min_ts, mut max_ts, mut sorted) = (e.min_ts, e.max_ts, e.sorted);
+            let records = e.open_records();
             for &rec in now {
-                if rec.ts < e.max_ts {
-                    e.sorted = false;
+                if rec.ts < max_ts {
+                    sorted = false;
                 }
-                e.min_ts = e.min_ts.min(rec.ts);
-                e.max_ts = e.max_ts.max(rec.ts);
+                min_ts = min_ts.min(rec.ts);
+                max_ts = max_ts.max(rec.ts);
                 records.push(rec);
                 self.total_bytes += rec.wire_size() as u64;
             }
+            (e.min_ts, e.max_ts, e.sorted) = (min_ts, max_ts, sorted);
+            e.len += now.len();
             self.total_records += now.len() as u64;
+            self.resident_records += now.len() as u64;
             rest = later;
         }
     }
@@ -450,24 +556,43 @@ impl CosmosStore {
     /// Rebuilds every partial from the raw extents (used when the
     /// service map arrives after records did, and at recovery). Windows a
     /// retire closed stay closed: a kept extent that straddles the horizon
-    /// must not bring their partials back.
-    fn refold_partials(&mut self) {
-        self.partials.clear();
-        self.partial_versions.clear();
-        self.fold_seq += 1;
+    /// must not bring their partials back. An evicted extent is read back
+    /// from its segment (checksummed) and folded a piece at a time; with
+    /// `rehydrate` (recovery), one that is no longer evictable keeps the
+    /// records it read. Nothing changes unless every read succeeds.
+    fn refold_partials(&mut self, rehydrate: bool) -> io::Result<()> {
+        let (mut partials, mut versions) = (Partials::new(), BTreeMap::new());
+        let seq = self.fold_seq + 1;
+        let services = self.services.as_deref();
+        let frozen = self.frozen_before();
+        let mut loaded = Vec::new();
         for (&stream, extents) in &self.streams {
-            for e in extents {
-                fold_window_runs(
-                    &mut self.partials,
-                    &mut self.partial_versions,
-                    stream,
-                    &e.records,
-                    self.fold_seq,
-                    self.services.as_deref(),
-                );
+            for (i, e) in extents.iter().enumerate() {
+                let mut fold = |records: &[ProbeRecord]| {
+                    fold_window_runs(&mut partials, &mut versions, stream, records, seq, services);
+                };
+                let Some(log) = self.durable.as_ref().filter(|_| e.records.is_none()) else {
+                    fold(e.records.as_deref().expect("resident"));
+                    continue;
+                };
+                let mut reader = log.open_segment(&e.meta(stream))?;
+                if rehydrate && !e.evictable(frozen) {
+                    let records = reader.read_all()?;
+                    fold(&records);
+                    loaded.push((stream, i, records));
+                } else {
+                    reader.read_chunks(fold)?;
+                }
             }
         }
+        (self.partials, self.partial_versions, self.fold_seq) = (partials, versions, seq);
+        for (stream, i, records) in loaded {
+            let e = &mut self.streams.get_mut(&stream).expect("read above")[i];
+            self.resident_records += e.len as u64;
+            e.records = Some(Arc::new(records));
+        }
         self.drop_retired_partials();
+        Ok(())
     }
 
     /// Borrows the ingest-time partials covering `[from, to)`, stream by
@@ -574,18 +699,26 @@ impl CosmosStore {
         self.newest_ts().map(|t| t.window_start(PARTIAL_WINDOW))
     }
 
-    /// The raw-record read path: borrowed extent sub-slices that together
-    /// hold exactly the records in `[from, to)`, stream by stream
-    /// (`BTreeMap` order) and in append order within a stream. Extents
-    /// carry time bounds, so whole extents outside the window are skipped
-    /// — windows stay O(window), not O(history) — and straddling extents
-    /// are trimmed by binary search when time-sorted, otherwise split
-    /// into maximal in-window runs. No record is copied.
-    pub fn scan_all_window_chunks(&self, from: SimTime, to: SimTime) -> Vec<&[ProbeRecord]> {
+    /// The raw-record read path: extent sub-slices that together hold
+    /// exactly the records in `[from, to)`, stream by stream (`BTreeMap`
+    /// order) and in append order within a stream. Extents carry time
+    /// bounds, so whole extents outside the window are skipped — windows
+    /// stay O(window), not O(history) — and straddling extents are
+    /// trimmed by binary search when time-sorted, otherwise split into
+    /// maximal in-window runs. A resident extent's chunks are borrowed,
+    /// never copied; an evicted extent is read back from its segment with
+    /// the same boundaries (DESIGN §13 says what each read checks). A
+    /// segment that cannot be read fails the scan: it never comes back
+    /// short.
+    pub fn try_scan_all_window_chunks(
+        &self,
+        from: SimTime,
+        to: SimTime,
+    ) -> io::Result<Vec<Chunk<'_>>> {
         let mut out = Vec::new();
         let (mut scanned, mut skipped) = (0, 0);
-        for extents in self.streams.values() {
-            let (s, k) = Self::chunks_of(extents, from, to, &mut out);
+        for (&stream, extents) in &self.streams {
+            let (s, k) = self.chunks_of(stream, extents, from, to, &mut out)?;
             scanned += s;
             skipped += k;
         }
@@ -598,17 +731,28 @@ impl CosmosStore {
             reg.counter("pingmesh_dsa_extents_skipped_total")
                 .add(skipped);
         }
-        out
+        Ok(out)
+    }
+
+    /// [`Self::try_scan_all_window_chunks`] for a caller with no error path:
+    /// an in-memory store never fails a scan, and on a durable store a
+    /// committed segment that cannot be read back panics here rather than
+    /// letting the scan come back short.
+    pub fn scan_all_window_chunks(&self, from: SimTime, to: SimTime) -> Vec<Chunk<'_>> {
+        self.try_scan_all_window_chunks(from, to)
+            .unwrap_or_else(|e| panic!("raw scan of [{from:?}, {to:?}) failed: {e}"))
     }
 
     /// Pushes one stream's in-window chunks; returns how many extents it
     /// (scanned, skipped on their time bounds alone).
     fn chunks_of<'a>(
+        &self,
+        stream: StreamName,
         extents: &'a [Extent],
         from: SimTime,
         to: SimTime,
-        out: &mut Vec<&'a [ProbeRecord]>,
-    ) -> (u64, u64) {
+        out: &mut Vec<Chunk<'a>>,
+    ) -> io::Result<(u64, u64)> {
         let mut scanned = 0u64;
         let mut skipped = 0u64;
         for e in extents {
@@ -617,35 +761,46 @@ impl CosmosStore {
                 continue;
             }
             scanned += 1;
-            if e.min_ts >= from && e.max_ts < to {
-                // Fully contained: the whole extent is in-window.
-                out.push(&e.records[..]);
-            } else if e.sorted {
-                let lo = e.records.partition_point(|r| r.ts < from);
-                let hi = e.records.partition_point(|r| r.ts < to);
-                if lo < hi {
-                    out.push(&e.records[lo..hi]);
+            match (&e.records, &self.durable) {
+                (Some(records), _) => {
+                    e.window_runs(records, from, to, |r| out.push(Cow::Borrowed(&records[r])));
                 }
-            } else {
-                // Unsorted straddler: emit maximal in-window runs.
-                let mut start = None;
-                for (i, r) in e.records.iter().enumerate() {
-                    let inside = r.ts >= from && r.ts < to;
-                    match (inside, start) {
-                        (true, None) => start = Some(i),
-                        (false, Some(s)) => {
-                            out.push(&e.records[s..i]);
-                            start = None;
-                        }
-                        _ => {}
-                    }
-                }
-                if let Some(s) = start {
-                    out.push(&e.records[s..]);
-                }
+                (None, Some(log)) => Self::read_back(log, stream, e, from, to, out)?,
+                (None, None) => unreachable!("only a durable store evicts"),
             }
         }
-        (scanned, skipped)
+        Ok((scanned, skipped))
+    }
+
+    /// An evicted extent's in-window chunks, read from its segment. A
+    /// time-sorted straddler reads only its in-window byte range; every
+    /// other read covers the whole segment and is checksummed.
+    fn read_back(
+        log: &DurableLog,
+        stream: StreamName,
+        e: &Extent,
+        from: SimTime,
+        to: SimTime,
+        out: &mut Vec<Chunk<'_>>,
+    ) -> io::Result<()> {
+        let mut reader = log.open_segment(&e.meta(stream))?;
+        let inside = e.min_ts >= from && e.max_ts < to;
+        if e.sorted && !inside {
+            let records = reader.read_window(from, to)?;
+            if !records.is_empty() {
+                out.push(Cow::Owned(records));
+            }
+            return Ok(());
+        }
+        let records = reader.read_all()?;
+        if inside {
+            out.push(Cow::Owned(records));
+        } else {
+            e.window_runs(&records, from, to, |r| {
+                out.push(Cow::Owned(records[r].to_vec()))
+            });
+        }
+        Ok(())
     }
 
     /// Timestamp of the newest stored record, from extent bounds (O(extents)).
@@ -661,7 +816,7 @@ impl CosmosStore {
 
     fn stream_newest(&self) -> impl Iterator<Item = (StreamName, SimTime)> + '_ {
         self.streams.iter().filter_map(|(stream, extents)| {
-            let live = extents.iter().filter(|e| !e.records.is_empty());
+            let live = extents.iter().filter(|e| e.len > 0);
             live.map(|e| e.max_ts).max().map(|ts| (*stream, ts))
         })
     }
@@ -674,6 +829,20 @@ impl CosmosStore {
     /// Total records stored.
     pub fn record_count(&self) -> u64 {
         self.total_records
+    }
+
+    /// Records held in memory: every record of an in-memory store; of a
+    /// durable one, those of extents not evicted.
+    pub fn resident_records(&self) -> u64 {
+        self.resident_records
+    }
+
+    /// Publishes `pingmesh_store_resident_records` (durable stores only:
+    /// the gauge tracks what persistence lets the store give up).
+    fn publish_residency(&self) {
+        if self.durable.is_some() {
+            metrics().resident_records.set(self.resident_records as f64);
+        }
     }
 
     /// Logical bytes stored (before replication).
@@ -704,6 +873,7 @@ impl CosmosStore {
         self.retire_extents(horizon);
         self.retired_before = self.retired_before.max(horizon);
         self.drop_retired_partials();
+        self.publish_residency();
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
@@ -728,6 +898,9 @@ impl CosmosStore {
                 } else {
                     if let Some(id) = e.seg {
                         dropped.push(id);
+                    }
+                    if e.records.is_some() {
+                        self.resident_records -= e.len as u64;
                     }
                     false
                 }
@@ -792,19 +965,13 @@ impl CosmosStore {
             return Ok(None);
         };
         let (mut keep, mut fresh) = (Vec::new(), Vec::new());
-        for (stream, extents) in &self.streams {
+        for (&stream, extents) in &self.streams {
             for e in extents {
-                let meta = SegmentMeta {
-                    id: e.seg.unwrap_or(0),
-                    dc: stream.dc.0,
-                    count: e.records.len() as u32,
-                    sorted: e.sorted,
-                    min_ts: e.min_ts.as_micros(),
-                    max_ts: e.max_ts.as_micros(),
-                };
-                match e.seg {
-                    Some(_) => keep.push(meta),
-                    None => fresh.push((e.id, meta, Arc::clone(&e.records))),
+                let meta = e.meta(stream);
+                match (e.seg, &e.records) {
+                    (Some(_), _) => keep.push(meta),
+                    (None, Some(records)) => fresh.push((e.id, meta, Arc::clone(records))),
+                    (None, None) => unreachable!("an extent without a segment is resident"),
                 }
             }
         }
@@ -818,25 +985,26 @@ impl CosmosStore {
     fn seal_open_extents(&mut self) {
         for e in self.streams.values_mut().filter_map(|x| x.last_mut()) {
             if !e.sealed {
+                e.open_records().shrink_to_fit();
                 e.sealed = true;
-                Arc::get_mut(&mut e.records)
-                    .expect("an unsealed extent is never shared")
-                    .shrink_to_fit();
             }
         }
     }
 
-    /// Phase 3 of a checkpoint (hold the lock; O(fresh extents)): commits
-    /// the written files unless the plan went stale (a recovery, or
-    /// another plan, since it was taken), then stamps each new segment id
-    /// onto its extent. An extent retired while the files were written
-    /// has its new segment tombstoned instead. Run the returned
-    /// [`CheckpointGc`] after releasing the lock.
+    /// Phase 3 of a checkpoint (hold the lock; O(extents)): commits the
+    /// written files unless the plan went stale (a recovery, or another
+    /// plan, since it was taken), then stamps each new segment id onto its
+    /// extent. An extent retired while the files were written has its new
+    /// segment tombstoned instead. Then every extent that has a segment
+    /// and only frozen windows is evicted — this commit's and those whose
+    /// windows froze since an earlier one. Run the returned
+    /// [`CheckpointGc`] after releasing the lock: it frees the evicted
+    /// records.
     pub fn commit_checkpoint(&mut self, written: WrittenCheckpoint) -> io::Result<CheckpointGc> {
         let Some(log) = self.durable.as_mut() else {
             return Err(io::Error::other("commit_checkpoint on an in-memory store"));
         };
-        let (gc, assigned) = log.commit_checkpoint(written)?;
+        let (mut gc, assigned) = log.commit_checkpoint(written)?;
         for (dc, id, seg) in assigned {
             // Extent ids increase in append order within a stream.
             let extent = self
@@ -851,6 +1019,16 @@ impl CosmosStore {
                 None => log.tombstone(seg),
             }
         }
+        let frozen = self.frozen_before();
+        for e in self.streams.values_mut().flatten() {
+            if e.evictable(frozen) {
+                if let Some(records) = e.records.take() {
+                    self.resident_records -= e.len as u64;
+                    gc.evicted.push(records);
+                }
+            }
+        }
+        self.publish_residency();
         Ok(gc)
     }
 
@@ -942,7 +1120,7 @@ pub(crate) mod tests {
     /// The windowed scan under test, flattened.
     fn chunked(store: &CosmosStore, from: SimTime, to: SimTime) -> Vec<ProbeRecord> {
         let chunks = store.scan_all_window_chunks(from, to);
-        chunks.into_iter().flatten().copied().collect()
+        chunks.iter().flat_map(|c| c.iter()).copied().collect()
     }
 
     /// Every stored record (whole extents, no trimming).
@@ -1027,8 +1205,8 @@ pub(crate) mod tests {
         // Two streams, two extents, stream order: dc0's record first.
         let chunks = store.scan_all_window_chunks(SimTime(0), SimTime(u64::MAX));
         assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0], [rec(1)]);
-        assert_eq!(chunks[1], [in_dc1(2), in_dc1(3)]);
+        assert_eq!(chunks[0][..], [rec(1)]);
+        assert_eq!(chunks[1][..], [in_dc1(2), in_dc1(3)]);
     }
 
     #[test]
@@ -1077,7 +1255,9 @@ pub(crate) mod tests {
         // Window [20 s, 30 s): only extent 2 overlaps.
         let (from, to) = (SimTime(20_000_000), SimTime(30_000_000));
         let mut chunks = Vec::new();
-        let (scanned, skipped) = CosmosStore::chunks_of(&store.streams[&S], from, to, &mut chunks);
+        let (scanned, skipped) = store
+            .chunks_of(S, &store.streams[&S], from, to, &mut chunks)
+            .unwrap();
         assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), 10);
         assert_eq!(scanned, 1, "exactly one extent scanned");
         assert_eq!(skipped, 4, "the four non-overlapping extents skipped");
@@ -1307,13 +1487,13 @@ pub(crate) mod tests {
             ] {
                 let mut store = CosmosStore::new(97, 1);
                 if let Some(s) = early {
-                    store.set_service_map(Arc::clone(s));
+                    store.set_service_map(Arc::clone(s)).unwrap();
                 }
                 for (stream, batch) in &batches {
                     assert!(store.append(*stream, batch, SimTime(0)));
                 }
                 if let Some(s) = late {
-                    store.set_service_map(Arc::clone(s));
+                    store.set_service_map(Arc::clone(s)).unwrap();
                 }
                 let svc = early.or(late).map(|s| &**s);
                 assert_eq!(store.partial_count(), by_window.len());
@@ -1344,7 +1524,7 @@ pub(crate) mod tests {
         services
             .register("search", [ServerId(0), ServerId(1)])
             .unwrap();
-        store.set_service_map(Arc::new(services));
+        store.set_service_map(Arc::new(services)).unwrap();
         let agg = store.merged_window_aggregate(SimTime(0), SimTime(W));
         assert_eq!(agg.per_service.len(), 1);
         assert_eq!(agg.per_service.values().next().unwrap().stats.ok, 5);
@@ -1386,7 +1566,7 @@ pub(crate) mod tests {
         // version must move even though record contents didn't.
         let mut services = ServiceMap::new();
         services.register("web", [ServerId(0)]).unwrap();
-        store.set_service_map(Arc::new(services));
+        store.set_service_map(Arc::new(services)).unwrap();
         let v1 = store.window_version(SimTime(0), SimTime(W));
         assert_ne!(v0, v1, "refold must invalidate");
         // Retiring the window changes it again (partial disappears).
@@ -1410,7 +1590,7 @@ pub(crate) mod tests {
         assert!(e1 > e0, "append bumps");
         let mut services = ServiceMap::new();
         services.register("web", [ServerId(0)]).unwrap();
-        store.set_service_map(Arc::new(services));
+        store.set_service_map(Arc::new(services)).unwrap();
         let e2 = handle.load(Ordering::Acquire);
         assert!(e2 > e1, "service install bumps");
         store.retire_before(SimTime(W));
@@ -1671,6 +1851,125 @@ pub(crate) mod tests {
         let stats = store.durability_stats().unwrap();
         assert!(stats.wal_bytes < WAL_CHECKPOINT_BYTES, "WAL truncated");
         assert!(stats.segments > 0, "sealed extents persisted");
+    }
+
+    /// Asserts `a` (durable, evicting) reads exactly like `b` (in memory):
+    /// the same partials, and chunk-for-chunk the same scans over the
+    /// whole history, each window, and ranges straddling window bounds.
+    fn reads_like(a: &CosmosStore, b: &CosmosStore, windows: u64, what: &str) {
+        assert_eq!(held(a), held(b), "{what}: records held");
+        assert!(a.partials == b.partials, "{what}: partials differ");
+        let mut ranges = vec![(0, u64::MAX)];
+        for k in 0..windows {
+            ranges.push((k * W, (k + 1) * W));
+            ranges.push((k * W + W / 3, (k + 2) * W - 7));
+        }
+        for (from, to) in ranges {
+            let (from, to) = (SimTime(from), SimTime(to));
+            let got = a.try_scan_all_window_chunks(from, to).unwrap();
+            assert_eq!(
+                got,
+                b.scan_all_window_chunks(from, to),
+                "{what}: [{from:?}, {to:?})"
+            );
+        }
+    }
+
+    /// Records in the store's extents, resident or evicted.
+    fn held(store: &CosmosStore) -> u64 {
+        store.streams.values().flatten().map(|e| e.len as u64).sum()
+    }
+
+    /// Every segment file of the evicted extents of `store`.
+    fn evicted_segments(store: &CosmosStore, dir: &Path) -> Vec<std::path::PathBuf> {
+        let evicted = store
+            .streams
+            .values()
+            .flatten()
+            .filter(|e| e.records.is_none());
+        evicted
+            .map(|e| dir.join(format!("seg-{}.dat", e.seg.unwrap())))
+            .collect()
+    }
+
+    #[test]
+    fn evicting_durable_store_reads_like_an_in_memory_reference() {
+        let mut services = ServiceMap::new();
+        services.register("web", (0..6).map(ServerId)).unwrap();
+        let services = Arc::new(services);
+        for seed in [7, 8, 9] {
+            let dir = durable::unique_dir("store-evict");
+            let _guard = durable::DirGuard::new(dir.clone());
+            let mut durable = CosmosStore::durable(&dir, 97, 1).unwrap();
+            let mut reference = CosmosStore::new(97, 1);
+            // Stream 2 is time-sorted, so its straddlers take the on-disk
+            // trim; the mixed streams are unsorted and carry stragglers
+            // into frozen windows.
+            let sorted = StreamName { dc: DcId(2) };
+            for (i, (stream, batch)) in mixed_batches(seed).iter().enumerate() {
+                let i = i as u64;
+                let run: Vec<ProbeRecord> = (0..50).map(|k| rec(i * W / 4 + k * W / 200)).collect();
+                for (stream, batch) in [(*stream, batch), (sorted, &run)] {
+                    assert!(durable.append(stream, batch, SimTime(0)));
+                    assert!(reference.append(stream, batch, SimTime(0)));
+                }
+                if i % 7 == 6 {
+                    durable.checkpoint().unwrap();
+                    reference.checkpoint().unwrap();
+                }
+                if i == 25 {
+                    durable.retire_before(SimTime(2 * W));
+                    reference.retire_before(SimTime(2 * W));
+                }
+            }
+            let resident = durable.resident_records();
+            assert!(
+                resident < held(&durable) / 2,
+                "seed {seed}: {resident} resident"
+            );
+            assert_eq!(reference.resident_records(), held(&reference));
+            reads_like(&durable, &reference, 12, "live");
+
+            // A late service map refolds evicted extents from disk.
+            durable.set_service_map(Arc::clone(&services)).unwrap();
+            reference.set_service_map(Arc::clone(&services)).unwrap();
+            reads_like(&durable, &reference, 12, "refolded");
+            assert_eq!(
+                durable.resident_records(),
+                resident,
+                "a refold evicts nothing back"
+            );
+
+            // Recovery streams the segments back; the reference seals
+            // where recovery seals the WAL's open extents.
+            drop(durable);
+            reference.checkpoint().unwrap();
+            let mut reopened = CosmosStore::durable(&dir, 97, 1).unwrap();
+            reopened.set_service_map(Arc::clone(&services)).unwrap();
+            reads_like(&reopened, &reference, 12, "reopened");
+            let frozen = reopened.frozen_before();
+            for e in reopened.streams.values().flatten() {
+                assert_eq!(e.records.is_none(), e.evictable(frozen), "extent {}", e.id);
+            }
+
+            // A damaged evicted segment fails the scan and the refold; it
+            // never reads short, and a failed refold changes nothing.
+            let segs = evicted_segments(&reopened, &dir);
+            let mut bytes = std::fs::read(&segs[0]).unwrap();
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0x10;
+            std::fs::write(&segs[0], &bytes).unwrap();
+            let all = (SimTime(0), SimTime(u64::MAX));
+            assert!(reopened.try_scan_all_window_chunks(all.0, all.1).is_err());
+            let before = reopened.window_version(SimTime(0), SimTime(12 * W));
+            assert!(reopened
+                .set_service_map(Arc::new(ServiceMap::new()))
+                .is_err());
+            assert_eq!(before, reopened.window_version(SimTime(0), SimTime(12 * W)));
+            assert!(reopened.partials == reference.partials, "unchanged");
+            std::fs::remove_file(&segs[1]).unwrap();
+            assert!(reopened.try_scan_all_window_chunks(all.0, all.1).is_err());
+        }
     }
 
     #[test]

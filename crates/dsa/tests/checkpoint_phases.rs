@@ -59,8 +59,8 @@ fn append(store: &mut CosmosStore, records: &[ProbeRecord]) {
 fn contents(store: &CosmosStore, windows: u64) -> (Vec<ProbeRecord>, Vec<WindowAggregate>) {
     let records = store
         .scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX))
-        .into_iter()
-        .flatten()
+        .iter()
+        .flat_map(|c| c.iter())
         .copied()
         .collect();
     let aggs = (0..windows)

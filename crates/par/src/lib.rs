@@ -3,10 +3,10 @@
 //!
 //! The build environment is fully offline, so `rayon` is unavailable, and
 //! the orchestrator needs only a sliver of it: split the shard list into
-//! contiguous chunks, run each chunk on its own scoped thread with mutable
-//! access to its shards, and join results **in chunk order** so the
-//! barrier merge is deterministic — identical to a serial run —
-//! regardless of thread count or scheduling.
+//! contiguous chunks, run the first on the calling thread and each other
+//! on its own scoped thread, with mutable access to its shards, and join
+//! results **in chunk order** so the barrier merge is deterministic —
+//! identical to a serial run — regardless of thread count or scheduling.
 //!
 //! Built on [`std::thread::scope`], so borrowed (non-`'static`) state
 //! works and panics propagate to the caller. No thread pool is kept alive
@@ -46,7 +46,7 @@ fn chunk_ranges(len: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// Runs `f` over every element of `items` **by mutable reference** on up
-/// to `threads` scoped threads, returning per-element results in input
+/// to `threads` threads (the caller's among them), returning per-element results in input
 /// order. This is the fan-out the sharded simulation engine uses: each
 /// shard owns disjoint mutable state (its event queue, its agents, its
 /// outboxes), advances independently for one epoch, and the results come
@@ -55,8 +55,9 @@ fn chunk_ranges(len: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
 /// `f` receives the element's index alongside the element so workers can
 /// key derived state (e.g. a shard id) without interior mutability.
 ///
-/// `threads <= 1` (or a single-item input) runs inline on the caller's
-/// thread with no spawning at all — a 1-shard run is exactly a serial run.
+/// The first chunk runs on the calling thread; the rest each get a scoped
+/// thread. `threads <= 1` (or a single-item input) runs inline with no
+/// spawning at all — a 1-shard run is exactly a serial run.
 pub fn par_map_mut_threads<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
@@ -68,30 +69,35 @@ where
     }
     let ranges = chunk_ranges(items.len(), threads);
     let f = &f;
-    // Split the slice into disjoint mutable chunks matching `ranges`
-    // (chunk i starts at ranges[i].start), then spawn one worker per
-    // chunk. Disjointness is what makes the mutable fan-out safe.
-    let chunk_results: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let mut rest = items;
-        let mut handles = Vec::with_capacity(ranges.len());
-        let mut offset = 0usize;
-        for r in &ranges {
-            let (chunk, tail) = rest.split_at_mut(r.len());
-            rest = tail;
-            let base = offset;
-            offset += r.len();
-            handles.push(scope.spawn(move || {
-                chunk
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, t)| f(base + i, t))
-                    .collect::<Vec<R>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_map_mut worker panicked"))
+    let run = move |base: usize, chunk: &mut [T]| -> Vec<R> {
+        chunk
+            .iter_mut()
+            .enumerate()
+            .map(|(i, t)| f(base + i, t))
             .collect()
+    };
+    // Split the slice into disjoint mutable chunks matching `ranges`
+    // (chunk i starts at ranges[i].start), spawn one worker per chunk
+    // after the first, and run the first on the calling thread, which
+    // would otherwise only wait. Disjointness is what makes the mutable
+    // fan-out safe.
+    let (first, mut rest) = items.split_at_mut(ranges[0].len());
+    let chunk_results: Vec<Vec<R>> = std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(ranges.len() - 1);
+        for r in &ranges[1..] {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+            rest = tail;
+            let base = r.start;
+            handles.push(scope.spawn(move || run(base, chunk)));
+        }
+        let mut results = Vec::with_capacity(ranges.len());
+        results.push(run(0, first));
+        results.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("par_map_mut worker panicked")),
+        );
+        results
     });
     let mut out = Vec::with_capacity(chunk_results.iter().map(Vec::len).sum());
     for chunk in chunk_results {

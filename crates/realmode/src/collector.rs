@@ -348,7 +348,16 @@ impl Collector {
         let mut out = Vec::with_capacity(4);
         if let Some(expected) = &state.expected {
             let from = now - state.cfg.coverage_horizon;
-            let value = quality::coverage(&store, expected, from, now).value();
+            // A scan that cannot read an evicted segment back reads as no
+            // coverage: the SLO fails, loudly, rather than passing short.
+            let value = match quality::coverage(&store, expected, from, now) {
+                Ok(sample) => sample.value(),
+                Err(e) => {
+                    pingmesh_obs::emit!(Error, "realmode.collector", "coverage_scan_failed",
+                        "error" => e.to_string());
+                    0.0
+                }
+            };
             out.push(slo::evaluate(
                 SloKind::Coverage,
                 value,
@@ -738,8 +747,8 @@ mod tests {
         let store = c.store().lock();
         store
             .scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX))
-            .into_iter()
-            .flatten()
+            .iter()
+            .flat_map(|c| c.iter())
             .copied()
             .collect()
     }
@@ -1115,8 +1124,8 @@ mod tests {
             c.store()
                 .lock()
                 .scan_all_window_chunks(SimTime(0), SimTime(1_000))
-                .into_iter()
-                .flatten()
+                .iter()
+                .flat_map(|c| c.iter())
                 .count(),
             100
         );
@@ -1245,8 +1254,8 @@ mod tests {
             c.store()
                 .lock()
                 .scan_all_window_chunks(SimTime(0), SimTime(1_000))
-                .into_iter()
-                .flatten()
+                .iter()
+                .flat_map(|c| c.iter())
                 .count(),
             4
         );

@@ -447,7 +447,7 @@ mod tests {
         services
             .register("search", (0..8).map(ServerId).collect::<Vec<_>>())
             .unwrap();
-        store.set_service_map(Arc::new(services));
+        store.set_service_map(Arc::new(services)).unwrap();
         for batch in corpus(windows, 64).chunks(50) {
             let t = batch.iter().map(|r| r.ts).max().unwrap();
             store.append(StreamName { dc: DcId(0) }, batch, t);
@@ -555,7 +555,7 @@ mod tests {
         services
             .register("web", (0..16).map(ServerId).collect::<Vec<_>>())
             .unwrap();
-        store.lock().set_service_map(Arc::new(services));
+        store.lock().set_service_map(Arc::new(services)).unwrap();
         let third = tier.respond(&conditional);
         assert_eq!(third.status, 200, "refold must invalidate the 304");
         let new_etag = third.header("etag").expect("etag").to_string();
@@ -585,7 +585,7 @@ mod tests {
             services
                 .register("search", (0..8).map(ServerId).collect::<Vec<_>>())
                 .unwrap();
-            store.set_service_map(Arc::new(services));
+            store.set_service_map(Arc::new(services)).unwrap();
         }
         let mut durable = CosmosStore::durable(&dir, 512, 1).unwrap();
         install_services(&mut durable);

@@ -663,7 +663,9 @@ mod tests {
         services
             .register("search", (0..12).map(ServerId).collect::<Vec<_>>())
             .unwrap();
-        store.set_service_map(std::sync::Arc::new(services));
+        store
+            .set_service_map(std::sync::Arc::new(services))
+            .unwrap();
         for dc in 0..2u32 {
             let recs: Vec<ProbeRecord> = (0..2_100u64)
                 .map(|i| {

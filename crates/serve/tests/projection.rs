@@ -34,7 +34,7 @@ fn store() -> CosmosStore {
             .collect();
         services.register(name, servers).unwrap();
     }
-    store.set_service_map(Arc::new(services));
+    store.set_service_map(Arc::new(services)).unwrap();
     let place = |server: u32| {
         (
             PodId(server / SERVERS_PER_POD),

@@ -51,8 +51,8 @@ async fn main() {
     let store = cluster.collector().store().lock();
     let records: Vec<_> = store
         .scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX))
-        .into_iter()
-        .flatten()
+        .iter()
+        .flat_map(|c| c.iter())
         .copied()
         .collect();
     drop(store);

@@ -185,8 +185,8 @@ fn main() {
         o.pipeline()
             .store
             .scan_all_window_chunks(o.now() - SimDuration::from_mins(30), o.now())
-            .into_iter()
-            .flatten(),
+            .iter()
+            .flat_map(|c| c.iter()),
     );
     for dc in topo.dcs() {
         let m = HeatmapMatrix::from_aggregate(&agg, &topo, dc);

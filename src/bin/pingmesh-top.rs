@@ -61,8 +61,9 @@ fn fmt_bytes(b: f64) -> String {
 }
 
 /// Renders the durable-store panel: WAL volume and write rate (counter
-/// delta against the previous frame), checkpoint/segment churn, IO
-/// error and fail-closed counts, and recovery history. Rendered only
+/// delta against the previous frame), checkpoint/segment churn, records
+/// held in memory and segment read-back, IO error and fail-closed
+/// counts, and recovery history. Rendered only
 /// when the scraped process runs a durable store (WAL counters moved).
 fn render_durability(samples: &[PromSample], prev: Option<(&[PromSample], f64)>, out: &mut String) {
     let wal_bytes = sum_of(samples, "pingmesh_store_wal_bytes_total");
@@ -88,6 +89,16 @@ fn render_durability(samples: &[PromSample], prev: Option<(&[PromSample], f64)>,
     let _ = writeln!(
         out,
         "  checkpoints {ckpts:.0}   segments +{seg_w:.0}/-{seg_d:.0}   recoveries {recoveries:.0} ({replayed:.0} records replayed)",
+    );
+    // What the store holds in memory, and what it has read back from the
+    // segments of evicted extents (scans, refolds, recovery).
+    let resident = sum_of(samples, "pingmesh_store_resident_records");
+    let reads = sum_of(samples, "pingmesh_store_segment_reads_total");
+    let read_bytes = sum_of(samples, "pingmesh_store_segment_read_bytes_total");
+    let _ = writeln!(
+        out,
+        "  residency    {resident:.0} records resident   segment reads {reads:.0} ({})",
+        fmt_bytes(read_bytes),
     );
     let io_err = sum_of(samples, "pingmesh_store_io_errors_total");
     let io_retry = sum_of(samples, "pingmesh_store_io_retries_total");
@@ -536,6 +547,9 @@ pingmesh_store_segments_written_total 12
 pingmesh_store_segments_deleted_total 3
 pingmesh_store_recoveries_total 1
 pingmesh_store_recovered_records_total 250000
+pingmesh_store_resident_records 125000
+pingmesh_store_segment_reads_total 9
+pingmesh_store_segment_read_bytes_total 3145728
 pingmesh_store_io_errors_total 5
 pingmesh_store_io_retries_total 4
 pingmesh_store_wal_failed_closed_total 1
@@ -567,6 +581,10 @@ pingmesh_store_checkpoint_write_us_p99_us 210000
             first.contains(
                 "checkpoints 7   segments +12/-3   recoveries 1 (250000 records replayed)"
             ),
+            "{first}"
+        );
+        assert!(
+            first.contains("residency    125000 records resident   segment reads 9 (3.0 MiB)"),
             "{first}"
         );
         assert!(

@@ -30,6 +30,15 @@
 //! the original; an accepted frame's records re-encode to a frame that
 //! decodes to the same records.
 //!
+//! Segment files get mutators of their own too — bit flips, truncations,
+//! trailing bytes, a run of bytes zeroed or spliced in from another
+//! segment, and header fields (`count`, the sorted flag and its padding,
+//! the bounds, the checksum) rewritten. A mutant is read two ways: by a
+//! live store whose extent it persists was evicted (a whole-history scan,
+//! and a window scan), and by recovery. Oracle: nothing panics, and every
+//! mutant but the original itself comes back as an `Err` from the
+//! whole-history scan and from recovery.
+//!
 //! Deterministic: the only randomness is a counter-seeded generator.
 
 mod upload_frame;
@@ -496,6 +505,154 @@ fn mutated_manifests_never_panic_the_store_open() {
         opened > 0 && refused > 0,
         "{opened} opened, {refused} refused"
     );
+}
+
+// ------------------------------------------------------------ segment files
+
+/// One 10-minute window, µs.
+const W: u64 = 600_000_000;
+
+/// Offsets in a segment header.
+const SEG_HEADER: usize = 48;
+
+/// A store directory holding four segments, one per window, and a store
+/// open on it with the first three evicted (their windows are frozen).
+fn segment_store(dir: &Path) -> CosmosStore {
+    let records: Vec<ProbeRecord> = serde_json::from_slice(&upload_body()).unwrap();
+    let stream = StreamName { dc: DcId(0) };
+    let mut store = CosmosStore::durable(dir, 8, 1).unwrap();
+    for w in 0..4u64 {
+        let window: Vec<ProbeRecord> = records[..8]
+            .iter()
+            .enumerate()
+            .map(|(i, r)| ProbeRecord {
+                ts: SimTime(w * W + i as u64 * 1_000_003),
+                ..*r
+            })
+            .collect();
+        assert!(store.append(stream, &window, SimTime(0)));
+    }
+    store.checkpoint().unwrap();
+    assert_eq!(store.resident_records(), 8, "three windows evicted");
+    store
+}
+
+fn seg_path(dir: &Path, id: u64) -> std::path::PathBuf {
+    dir.join(format!("seg-{id}.dat"))
+}
+
+fn mutate_segment(rng: &mut Rng, body: &[u8], other: &[u8]) -> Vec<u8> {
+    let mut out = body.to_vec();
+    let at = rng.below(body.len());
+    let field = |out: &mut Vec<u8>, at: usize, bytes: &[u8]| {
+        out[at..at + bytes.len()].copy_from_slice(bytes);
+    };
+    match rng.below(8) {
+        0 => out[at] ^= 1 << rng.below(8),
+        1 => out.truncate(at),
+        2 => out.extend((0..1 + rng.below(130)).map(|_| rng.next() as u8)),
+        3 => {
+            let n = (1 + rng.below(96)).min(out.len() - at);
+            out[at..at + n].fill(0);
+        }
+        4 => {
+            // The same bytes of another segment (of the same length)
+            // written over.
+            let n = (1 + rng.below(128)).min(out.len() - at);
+            out[at..at + n].copy_from_slice(&other[at..at + n]);
+        }
+        5 => {
+            let counts = [0u32, 1, 7, 9, 16, u32::MAX, rng.next() as u32];
+            field(&mut out, 12, &rng.pick(&counts).to_le_bytes());
+        }
+        6 => {
+            // The sorted flag, or a padding byte after it.
+            let b = 16 + rng.below(8);
+            out[b] = rng.below(256) as u8;
+        }
+        _ => {
+            // A bound or the checksum.
+            let off = *rng.pick(&[24usize, 32, 40]);
+            let v = match rng.below(3) {
+                0 => 0u64,
+                1 => u64::MAX,
+                _ => rng.next(),
+            };
+            field(&mut out, off, &v.to_le_bytes());
+        }
+    }
+    out
+}
+
+#[test]
+fn mutated_segments_never_panic_and_always_fail_the_read() {
+    let template = unique_dir("segment-mutation");
+    let _guard = DirGuard::new(template.clone());
+    let store = segment_store(&template);
+    let (all_from, all_to) = (SimTime(0), SimTime(u64::MAX));
+    let whole: Vec<ProbeRecord> = store
+        .scan_all_window_chunks(all_from, all_to)
+        .iter()
+        .flat_map(|c| c.iter())
+        .copied()
+        .collect();
+    let segments: Vec<Vec<u8>> = (0..4)
+        .map(|id| std::fs::read(seg_path(&template, id)).unwrap())
+        .collect();
+    assert!(segments.iter().all(|s| s.len() == SEG_HEADER + 8 * 64));
+
+    // Read back by the live store: the evicted segments 0..3.
+    let mut rng = Rng(0x5345_474d);
+    for round in 0..600 {
+        let id = rng.below(3);
+        let mutant = mutate_segment(&mut rng, &segments[id], &segments[(id + 1) % 4]);
+        std::fs::write(seg_path(&template, id as u64), &mutant).unwrap();
+        let from = SimTime(id as u64 * W + 2_000_000);
+        let _ = store.try_scan_all_window_chunks(from, from + SimDuration::from_secs(4));
+        match store.try_scan_all_window_chunks(all_from, all_to) {
+            Ok(chunks) => {
+                assert!(mutant == segments[id], "round {round}: a mutant read back");
+                let flat: Vec<ProbeRecord> =
+                    chunks.iter().flat_map(|c| c.iter()).copied().collect();
+                assert_eq!(flat, whole);
+            }
+            Err(_) => assert!(
+                mutant != segments[id],
+                "round {round}: the original refused"
+            ),
+        }
+        std::fs::write(seg_path(&template, id as u64), &segments[id]).unwrap();
+    }
+    drop(store);
+
+    // Read by recovery: every segment, evicted or not.
+    let files: Vec<_> = std::fs::read_dir(&template)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    let mut refused = 0;
+    for round in 0..150 {
+        let id = rng.below(4);
+        let mutant = mutate_segment(&mut rng, &segments[id], &segments[(id + 1) % 4]);
+        let dir = unique_dir(&format!("segment-mutation-{round}"));
+        let _guard = DirGuard::new(dir.clone());
+        std::fs::create_dir_all(&dir).unwrap();
+        for file in &files {
+            std::fs::copy(file, dir.join(file.file_name().unwrap())).unwrap();
+        }
+        std::fs::write(seg_path(&dir, id as u64), &mutant).unwrap();
+        match CosmosStore::durable(&dir, 8, 1) {
+            Ok(_) => assert!(mutant == segments[id], "round {round}: recovered a mutant"),
+            Err(_) => {
+                assert!(
+                    mutant != segments[id],
+                    "round {round}: the original refused"
+                );
+                refused += 1;
+            }
+        }
+    }
+    assert!(refused > 100, "only {refused} refused");
 }
 
 // ------------------------------------------------------------ upload frame

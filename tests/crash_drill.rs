@@ -72,8 +72,8 @@ async fn crash_drill_mid_append_and_mid_compaction_lose_nothing_acked() {
         let agg = store.merged_window_aggregate(SimTime(0), SimTime(W));
         let sample: ProbeRecord = *store
             .scan_all_window_chunks(SimTime(0), SimTime(W))
-            .into_iter()
-            .flatten()
+            .iter()
+            .flat_map(|c| c.iter())
             .next()
             .expect("stored record");
         (agg, store.boot_id(), sample)
