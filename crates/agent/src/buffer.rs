@@ -9,12 +9,19 @@
 //! files. The size of log files is limited to a configurable size."
 //! (§3.4.2)
 //!
-//! An agent holds each result once: a [`ProbeRecord`] until its upload and
-//! a packed 24-byte log entry until the cap evicts it. The ring stands in
-//! for the paper's log *file*; text exists only while `log_lines` is read.
+//! An agent holds each result once, as a 32-byte entry in one ring: the
+//! newest `unsent` entries are the buffered records, the newest
+//! `log_cap_bytes / MAX_LOG_LINE_BYTES` the capped local log. A
+//! [`ProbeRecord`] exists only in the batch an upload expands, its pod,
+//! podset and DC ids read from the topology. The ring stands in for the
+//! paper's log *file*; text exists only while `log_lines` is read.
 
 use crate::config::AgentConfig;
-use pingmesh_types::{ProbeOutcome, ProbeRecord, ServerId, SimDuration, SimTime};
+use crate::scheduler::DueProbe;
+use pingmesh_topology::Topology;
+use pingmesh_types::{
+    ProbeKind, ProbeOutcome, ProbeRecord, QosClass, ServerId, SimDuration, SimTime,
+};
 use std::collections::VecDeque;
 
 /// The batch in the uploader's hands: its length and the attempts made.
@@ -29,139 +36,210 @@ struct PendingUpload {
 /// `log_cap_bytes / MAX_LOG_LINE_BYTES` lines, so no push formats or counts.
 pub const MAX_LOG_LINE_BYTES: usize = 20 + 1 + 13 + 1 + 13 + 1 + 30 + 20;
 
-/// One log line's per-record fields, `ProbeOutcome` split into `rtt` + `kind`.
+/// One result: the fields the probe chose or measured, `ProbeKind` split
+/// into a tag and its payload and `ProbeOutcome` into a tag and its RTT.
 #[derive(Debug, Clone, Copy)]
-struct LogEntry {
+pub(crate) struct Entry {
     ts: SimTime,
     rtt: SimDuration,
     dst: ServerId,
-    kind: OutcomeKind,
+    payload: u32,
+    src_port: u16,
+    dst_port: u16,
+    kind: KindTag,
+    qos: QosClass,
+    outcome: OutcomeTag,
 }
 
 #[derive(Debug, Clone, Copy)]
-enum OutcomeKind {
+enum KindTag {
+    TcpSyn,
+    TcpPayload,
+    Http,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum OutcomeTag {
     Success,
     Timeout,
     Refused,
 }
 
-const _: () = assert!(std::mem::size_of::<LogEntry>() <= 24);
+const _: () = assert!(std::mem::size_of::<Entry>() == 32);
 
-/// The agent's in-memory result buffer plus capped local log.
+impl Entry {
+    /// Packs the result of `due`, launched at `ts`, that reached `dst`.
+    pub(crate) fn new(ts: SimTime, dst: ServerId, due: &DueProbe, outcome: ProbeOutcome) -> Self {
+        let (kind, payload) = match due.entry.kind {
+            ProbeKind::TcpSyn => (KindTag::TcpSyn, 0),
+            ProbeKind::TcpPayload(n) => (KindTag::TcpPayload, n),
+            ProbeKind::Http => (KindTag::Http, 0),
+        };
+        let (outcome, rtt) = match outcome {
+            ProbeOutcome::Success { rtt } => (OutcomeTag::Success, rtt),
+            ProbeOutcome::Timeout => (OutcomeTag::Timeout, SimDuration::ZERO),
+            ProbeOutcome::Refused => (OutcomeTag::Refused, SimDuration::ZERO),
+        };
+        Self {
+            ts,
+            rtt,
+            dst,
+            payload,
+            src_port: due.src_port,
+            dst_port: due.entry.port,
+            kind,
+            qos: due.entry.qos,
+            outcome,
+        }
+    }
+
+    fn outcome(&self) -> ProbeOutcome {
+        match self.outcome {
+            OutcomeTag::Success => ProbeOutcome::Success { rtt: self.rtt },
+            OutcomeTag::Timeout => ProbeOutcome::Timeout,
+            OutcomeTag::Refused => ProbeOutcome::Refused,
+        }
+    }
+
+    /// The record agent `src` uploads for this entry; every pod, podset
+    /// and DC id is read from `topo`.
+    pub(crate) fn expand(&self, src: ServerId, topo: &Topology) -> ProbeRecord {
+        let (s, d) = (topo.server(src), topo.server(self.dst));
+        let kind = match self.kind {
+            KindTag::TcpSyn => ProbeKind::TcpSyn,
+            KindTag::TcpPayload => ProbeKind::TcpPayload(self.payload),
+            KindTag::Http => ProbeKind::Http,
+        };
+        ProbeRecord {
+            ts: self.ts,
+            src,
+            dst: self.dst,
+            src_pod: s.pod,
+            dst_pod: d.pod,
+            src_podset: s.podset,
+            dst_podset: d.podset,
+            src_dc: s.dc,
+            dst_dc: d.dc,
+            kind,
+            qos: self.qos,
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            outcome: self.outcome(),
+        }
+    }
+}
+
+/// The agent's result ring: in-memory buffer and capped local log in one.
 #[derive(Debug)]
-pub struct ResultBuffer {
+pub(crate) struct ResultBuffer {
     config: AgentConfig,
     src: ServerId,
-    records: Vec<ProbeRecord>,
+    /// Oldest first; the newest `unsent` entries are the buffered records.
+    ring: VecDeque<Entry>,
+    unsent: usize,
     pending: Option<PendingUpload>,
     /// Records dropped (buffer overflow or upload give-up).
     discarded: u64,
-    /// Capped local log: newest lines win.
-    log: VecDeque<LogEntry>,
 }
 
 impl ResultBuffer {
     /// Creates an empty buffer for the agent running on `src`.
-    pub fn new(config: AgentConfig, src: ServerId) -> Self {
+    pub(crate) fn new(config: AgentConfig, src: ServerId) -> Self {
         Self {
             config,
             src,
-            records: Vec::new(),
+            ring: VecDeque::new(),
+            unsent: 0,
             pending: None,
             discarded: 0,
-            log: VecDeque::new(),
         }
     }
 
     /// Number of buffered (not yet batched) records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the buffer holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+    pub(crate) fn len(&self) -> usize {
+        self.unsent
     }
 
     /// Total records discarded so far.
-    pub fn discarded(&self) -> u64 {
+    pub(crate) fn discarded(&self) -> u64 {
         self.discarded
     }
 
-    /// Appends a record; drops it (counting) if the byte cap is reached.
-    pub fn push(&mut self, rec: ProbeRecord) {
-        debug_assert_eq!(rec.src, self.src, "one buffer per agent");
-        if (self.records.len() + 1) * rec.wire_size() > self.config.buffer_cap_bytes {
+    /// Entries the ring holds: buffered records and log lines, each once.
+    pub(crate) fn held(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// Bytes the ring has allocated.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.ring.capacity() * std::mem::size_of::<Entry>()
+    }
+
+    /// Lines the log keeps: `log_cap_bytes` at the longest line's size.
+    fn log_cap_lines(&self) -> usize {
+        self.config.log_cap_bytes / MAX_LOG_LINE_BYTES
+    }
+
+    /// Appends a result; drops it (counting) if the byte cap is reached.
+    /// Evicts before it inserts, and only entries that are neither log
+    /// lines nor unsent, so a ring at its working size never grows past it.
+    pub(crate) fn push(&mut self, entry: Entry) {
+        if (self.unsent + 1) * ProbeRecord::WIRE_SIZE > self.config.buffer_cap_bytes {
             self.discarded += 1;
             return;
         }
-        self.log_line(&rec);
-        self.records.push(rec);
-    }
-
-    /// Evicts before it inserts, so a ring at its working size never grows
-    /// past it; a cap below one line has nothing to evict and keeps nothing.
-    fn log_line(&mut self, rec: &ProbeRecord) {
-        let max_lines = self.config.log_cap_bytes / MAX_LOG_LINE_BYTES;
-        if self.log.len() >= max_lines && self.log.pop_front().is_none() {
-            return;
-        }
-        let (kind, rtt) = match rec.outcome {
-            ProbeOutcome::Success { rtt } => (OutcomeKind::Success, rtt),
-            ProbeOutcome::Timeout => (OutcomeKind::Timeout, SimDuration::ZERO),
-            ProbeOutcome::Refused => (OutcomeKind::Refused, SimDuration::ZERO),
-        };
-        self.log.push_back(LogEntry {
-            ts: rec.ts,
-            rtt,
-            dst: rec.dst,
-            kind,
-        });
+        let keep = self.log_cap_lines().max(self.unsent + 1);
+        let evict = (self.ring.len() + 1).saturating_sub(keep);
+        self.ring.drain(..evict);
+        self.ring.push_back(entry);
+        self.unsent += 1;
     }
 
     /// The capped local log (oldest first), rendered on read as
     /// `ts_us,src,dst,outcome`.
-    pub fn log_lines(&self) -> impl Iterator<Item = String> + '_ {
-        self.log.iter().map(|e| {
-            let outcome = match e.kind {
-                OutcomeKind::Success => ProbeOutcome::Success { rtt: e.rtt },
-                OutcomeKind::Timeout => ProbeOutcome::Timeout,
-                OutcomeKind::Refused => ProbeOutcome::Refused,
-            };
-            format!("{},{},{},{:?}", e.ts.as_micros(), self.src, e.dst, outcome)
-        })
+    pub(crate) fn log_lines(&self) -> impl Iterator<Item = String> + '_ {
+        let from = self.ring.len().saturating_sub(self.log_cap_lines());
+        let src = self.src;
+        self.ring
+            .range(from..)
+            .map(move |e| format!("{},{src},{},{:?}", e.ts.as_micros(), e.dst, e.outcome()))
     }
 
     /// Whether an upload should fire now (batch size or age trigger), and
     /// no batch is already in flight.
-    pub fn upload_due(&self, now: SimTime) -> bool {
+    pub(crate) fn upload_due(&self, now: SimTime) -> bool {
         self.pending.is_none()
-            && self.records.first().is_some_and(|oldest| {
-                self.records.len() >= self.config.upload_batch_records
-                    || now.since(oldest.ts) >= self.config.upload_max_age
-            })
+            && self.unsent > 0
+            && (self.unsent >= self.config.upload_batch_records
+                || now.since(self.ring[self.ring.len() - self.unsent].ts)
+                    >= self.config.upload_max_age)
     }
 
-    /// Cuts the current records into a batch the caller owns for the whole
-    /// retry cycle and drops afterwards; the next cycle's buffer starts at
-    /// this batch's length. `None` if one is pending or nothing is buffered.
-    pub fn begin_upload(&mut self) -> Option<Vec<ProbeRecord>> {
-        if self.pending.is_some() || self.records.is_empty() {
+    /// Expands the unsent entries into a batch the caller owns for the
+    /// whole retry cycle and drops afterwards; they stay in the ring as log
+    /// lines. `None` if one is pending or nothing is buffered.
+    pub(crate) fn begin_upload(&mut self, topo: &Topology) -> Option<Vec<ProbeRecord>> {
+        if self.pending.is_some() || self.unsent == 0 {
             return None;
         }
-        let next = Vec::with_capacity(self.records.len());
-        let records = std::mem::replace(&mut self.records, next);
+        let from = self.ring.len() - self.unsent;
+        let batch = self
+            .ring
+            .range(from..)
+            .map(|e| e.expand(self.src, topo))
+            .collect();
         self.pending = Some(PendingUpload {
-            len: records.len(),
+            len: self.unsent,
             attempts: 1,
         });
-        Some(records)
+        self.unsent = 0;
+        Some(batch)
     }
 
     /// Reports the uploader's result. Returns `true` if the caller should
     /// retry with the batch it already holds: on failure the batch stays
     /// pending until the retry budget is exhausted, then it is discarded.
-    pub fn on_upload_result(&mut self, ok: bool) -> bool {
+    pub(crate) fn on_upload_result(&mut self, ok: bool) -> bool {
         let Some(mut p) = self.pending.take() else {
             return false;
         };
@@ -178,7 +256,7 @@ impl ResultBuffer {
     }
 
     /// Records uploaded successfully? (Used by counters.)
-    pub fn has_pending(&self) -> bool {
+    pub(crate) fn has_pending(&self) -> bool {
         self.pending.is_some()
     }
 }
@@ -186,8 +264,38 @@ impl ResultBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pingmesh_topology::TopologySpec;
     use pingmesh_types::backoff::{next_u64, seed_state};
-    use pingmesh_types::{DcId, PodId, PodsetId, ProbeKind, QosClass};
+    use pingmesh_types::{DcId, PingTarget, PinglistEntry, PodId, PodsetId};
+    use std::net::Ipv4Addr;
+
+    fn topo() -> Topology {
+        Topology::build(TopologySpec::single_tiny()).unwrap()
+    }
+
+    impl ResultBuffer {
+        /// Pushes the entry `rec` packs, as `AgentFleet::record_outcome`
+        /// does for the probe `rec` records.
+        fn push_record(&mut self, rec: ProbeRecord) {
+            assert_eq!(rec.src, self.src, "one buffer per agent");
+            let entry = PinglistEntry {
+                target: PingTarget::Server {
+                    id: rec.dst,
+                    ip: Ipv4Addr::UNSPECIFIED,
+                },
+                port: rec.dst_port,
+                kind: rec.kind,
+                qos: rec.qos,
+                interval: SimDuration::from_secs(10),
+            };
+            let due = DueProbe {
+                entry_index: 0,
+                entry,
+                src_port: rec.src_port,
+            };
+            self.push(Entry::new(rec.ts, rec.dst, &due, rec.outcome));
+        }
+    }
 
     fn rec(ts: u64) -> ProbeRecord {
         ProbeRecord {
@@ -228,20 +336,20 @@ mod tests {
     #[test]
     fn batch_size_triggers_upload() {
         let mut b = buffer(small_config());
-        b.push(rec(1));
-        b.push(rec(2));
+        b.push_record(rec(1));
+        b.push_record(rec(2));
         assert!(!b.upload_due(SimTime(10)));
-        b.push(rec(3));
+        b.push_record(rec(3));
         assert!(b.upload_due(SimTime(10)));
-        let batch = b.begin_upload().unwrap();
+        let batch = b.begin_upload(&topo()).unwrap();
         assert_eq!(batch.len(), 3);
-        assert!(b.is_empty());
+        assert_eq!(b.len(), 0);
     }
 
     #[test]
     fn age_triggers_upload() {
         let mut b = buffer(small_config());
-        b.push(rec(0));
+        b.push_record(rec(0));
         assert!(!b.upload_due(SimTime(59_000_000)));
         assert!(b.upload_due(SimTime(60_000_000)));
     }
@@ -250,15 +358,15 @@ mod tests {
     fn no_double_batches_in_flight() {
         let mut b = buffer(small_config());
         for i in 0..3 {
-            b.push(rec(i));
+            b.push_record(rec(i));
         }
-        assert!(b.begin_upload().is_some());
-        b.push(rec(10));
-        b.push(rec(11));
-        b.push(rec(12));
+        assert!(b.begin_upload(&topo()).is_some());
+        b.push_record(rec(10));
+        b.push_record(rec(11));
+        b.push_record(rec(12));
         // A batch is pending: neither due nor beginnable.
         assert!(!b.upload_due(SimTime(100)));
-        assert!(b.begin_upload().is_none());
+        assert!(b.begin_upload(&topo()).is_none());
         // Success clears the pending slot.
         assert!(!b.on_upload_result(true));
         assert!(b.upload_due(SimTime(100)));
@@ -268,9 +376,9 @@ mod tests {
     fn failed_uploads_retry_then_discard() {
         let mut b = buffer(small_config());
         for i in 0..3 {
-            b.push(rec(i));
+            b.push_record(rec(i));
         }
-        let batch = b.begin_upload().unwrap();
+        let batch = b.begin_upload(&topo()).unwrap();
         assert_eq!(batch.len(), 3);
         // retries allowed: 2 → attempts 2 and 3 ask the caller to retry
         // the batch it already holds.
@@ -282,30 +390,34 @@ mod tests {
         assert!(!b.has_pending());
     }
 
-    /// Successor of the ping-pong test: between uploads the only batch
-    /// memory an agent holds is the next cycle's buffer, one batch long.
+    /// Successor of the exact-size-buffer test: between uploads an agent
+    /// holds its ring and nothing else, and the next cycle refills the
+    /// ring's allocation without growing it.
     #[test]
-    fn idle_agent_holds_one_exact_size_buffer_and_refills_it_in_place() {
+    fn idle_agent_holds_only_its_ring_and_refills_it_in_place() {
+        let topo = topo();
         let mut b = buffer(small_config());
         for i in 0..3 {
-            b.push(rec(i));
+            b.push_record(rec(i));
         }
-        let batch = b.begin_upload().unwrap();
+        let batch = b.begin_upload(&topo).unwrap();
         assert!(!b.on_upload_result(true));
         drop(batch); // all `AgentFleet::recycle_batch` does
-        assert_eq!(b.records.capacity(), 3, "no spare beyond one batch");
-        let ptr = b.records.as_ptr();
+        assert_eq!(b.held(), 3, "the batch's entries stay as log lines");
+        let bytes = b.resident_bytes();
+        assert_eq!(bytes, 4 * 32, "the ring's first allocation");
         for i in 0..3 {
-            b.push(rec(i));
-            assert_eq!(b.records.as_ptr(), ptr, "refill does not reallocate");
+            b.push_record(rec(i));
+            assert_eq!(b.resident_bytes(), bytes, "refill does not reallocate");
         }
+        assert_eq!(b.held(), 3, "two log lines, all three unsent");
     }
 
     #[test]
     fn buffer_cap_drops_excess_records() {
         let mut b = buffer(small_config());
         for i in 0..20 {
-            b.push(rec(i));
+            b.push_record(rec(i));
         }
         assert_eq!(b.len(), 10, "cap = ten records");
         assert_eq!(b.discarded(), 10);
@@ -313,12 +425,13 @@ mod tests {
 
     #[test]
     fn local_log_is_byte_capped() {
+        let topo = topo();
         let mut b = buffer(small_config());
         for i in 0..50 {
-            b.push(rec(i));
+            b.push_record(rec(i));
             // keep buffer under its cap so pushes aren't dropped
             if b.len() >= 3 {
-                b.begin_upload();
+                b.begin_upload(&topo);
                 b.on_upload_result(true);
             }
         }
@@ -406,7 +519,7 @@ mod tests {
             let records = seeded_records(seed, src, 120);
             let mut b = ResultBuffer::new(AgentConfig::default(), src);
             for r in &records {
-                b.push(*r);
+                b.push_record(*r);
             }
             let want: Vec<String> = records.iter().map(reference_line).collect();
             assert_eq!(b.log_lines().collect::<Vec<_>>(), want);
@@ -425,7 +538,7 @@ mod tests {
             };
             let mut b = ResultBuffer::new(config, src);
             for (i, r) in records.iter().enumerate() {
-                b.push(*r);
+                b.push_record(*r);
                 let kept: Vec<String> = b.log_lines().collect();
                 let bytes: usize = kept.iter().map(String::len).sum();
                 assert!(bytes <= cap, "cap {cap}: {bytes} rendered bytes");
@@ -434,6 +547,187 @@ mod tests {
                     assert_eq!(kept.last(), Some(&want[i]), "cap {cap}");
                 }
             }
+        }
+    }
+
+    /// The two-structure buffer the ring replaced — unsent records in a
+    /// `Vec`, the log in its own ring capped at `log_cap_lines` — kept as
+    /// the reference the one ring must match.
+    struct Reference {
+        config: AgentConfig,
+        records: Vec<ProbeRecord>,
+        log: VecDeque<ProbeRecord>,
+        pending: Option<(usize, u32)>,
+        discarded: u64,
+    }
+
+    impl Reference {
+        fn new(config: AgentConfig) -> Self {
+            Self {
+                config,
+                records: Vec::new(),
+                log: VecDeque::new(),
+                pending: None,
+                discarded: 0,
+            }
+        }
+
+        fn push(&mut self, rec: ProbeRecord) {
+            if (self.records.len() + 1) * rec.wire_size() > self.config.buffer_cap_bytes {
+                self.discarded += 1;
+                return;
+            }
+            let max_lines = self.config.log_cap_bytes / MAX_LOG_LINE_BYTES;
+            if self.log.len() < max_lines || self.log.pop_front().is_some() {
+                self.log.push_back(rec);
+            }
+            self.records.push(rec);
+        }
+
+        fn upload_due(&self, now: SimTime) -> bool {
+            self.pending.is_none()
+                && self.records.first().is_some_and(|oldest| {
+                    self.records.len() >= self.config.upload_batch_records
+                        || now.since(oldest.ts) >= self.config.upload_max_age
+                })
+        }
+
+        fn begin_upload(&mut self) -> Option<Vec<ProbeRecord>> {
+            if self.pending.is_some() || self.records.is_empty() {
+                return None;
+            }
+            self.pending = Some((self.records.len(), 1));
+            Some(std::mem::take(&mut self.records))
+        }
+
+        fn on_upload_result(&mut self, ok: bool) -> bool {
+            let Some((len, attempts)) = self.pending.take() else {
+                return false;
+            };
+            if ok {
+                return false;
+            }
+            if attempts > self.config.upload_retries {
+                self.discarded += len as u64;
+                return false;
+            }
+            self.pending = Some((len, attempts + 1));
+            true
+        }
+
+        fn log_lines(&self) -> Vec<String> {
+            self.log.iter().map(reference_line).collect()
+        }
+    }
+
+    /// A record `src` could have produced in `topo`: every location id
+    /// from the topology, every per-probe field seeded.
+    fn topo_record(topo: &Topology, rng: &mut u64, src: ServerId, ts: SimTime) -> ProbeRecord {
+        let dst = ServerId((next_u64(rng) % topo.server_count() as u64) as u32);
+        let (s, d) = (topo.server(src), topo.server(dst));
+        let kind = match next_u64(rng) % 3 {
+            0 => ProbeKind::TcpSyn,
+            1 => ProbeKind::TcpPayload(next_u64(rng) as u32),
+            _ => ProbeKind::Http,
+        };
+        let outcome = match next_u64(rng) % 4 {
+            0 => ProbeOutcome::Timeout,
+            1 => ProbeOutcome::Refused,
+            _ => ProbeOutcome::Success {
+                rtt: SimDuration(next_u64(rng) >> (next_u64(rng) % 64)),
+            },
+        };
+        ProbeRecord {
+            ts,
+            src,
+            dst,
+            src_pod: s.pod,
+            dst_pod: d.pod,
+            src_podset: s.podset,
+            dst_podset: d.podset,
+            src_dc: s.dc,
+            dst_dc: d.dc,
+            kind,
+            qos: QosClass::ALL[(next_u64(rng) % 2) as usize],
+            src_port: next_u64(rng) as u16,
+            dst_port: next_u64(rng) as u16,
+            outcome,
+        }
+    }
+
+    /// Seeded pushes, cap-overflow discards and uploads that succeed, fail
+    /// through their retries, or are given up on, driven through the ring
+    /// and the reference side by side: every observable agrees after every
+    /// step, each batch expands to exactly the records pushed, and the
+    /// ring's capacity never passes the next power of two of the most it
+    /// has had to hold.
+    #[test]
+    fn one_ring_matches_the_two_structure_reference() {
+        let topo = topo();
+        let src = ServerId(3);
+        // Log caps of 0 lines, below one batch (5 < 16) and above it.
+        for (log_lines, seed) in [(0, 1u64), (5, 2), (100, 3), (0, 4), (5, 5), (100, 6)] {
+            let config = AgentConfig {
+                upload_batch_records: 16,
+                upload_max_age: SimDuration::from_secs(20),
+                buffer_cap_bytes: 64 * 40,
+                upload_retries: 2,
+                log_cap_bytes: log_lines * MAX_LOG_LINE_BYTES + (seed as usize % 3) * 30,
+                ..AgentConfig::default()
+            };
+            let mut b = ResultBuffer::new(config.clone(), src);
+            let mut r = Reference::new(config);
+            let mut rng = seed_state(seed);
+            let mut now = SimTime::ZERO;
+            let mut peak = log_lines;
+            let (mut overflowed, mut given_up) = (0, 0);
+            for step in 0..4_000 {
+                now += SimDuration::from_millis(next_u64(&mut rng) % 5_000);
+                match next_u64(&mut rng) % 16 {
+                    0..=10 => {
+                        let (rec, before) = (topo_record(&topo, &mut rng, src, now), r.discarded);
+                        b.push_record(rec);
+                        r.push(rec);
+                        overflowed += r.discarded - before;
+                    }
+                    11 | 12 => {
+                        let (got, want) = (b.begin_upload(&topo), r.begin_upload());
+                        assert_eq!(got, want, "seed {seed} step {step}: batch");
+                    }
+                    _ => {
+                        // Success one time in three; a failure asks for a
+                        // retry until the budget is spent.
+                        let (ok, before) = (next_u64(&mut rng).is_multiple_of(3), r.discarded);
+                        let retry = b.on_upload_result(ok);
+                        assert_eq!(retry, r.on_upload_result(ok), "seed {seed} step {step}");
+                        given_up += r.discarded - before;
+                    }
+                }
+                peak = peak.max(b.len());
+                assert_eq!(b.len(), r.records.len(), "seed {seed} step {step}: len");
+                assert_eq!(b.discarded(), r.discarded, "seed {seed} step {step}");
+                assert_eq!(b.has_pending(), r.pending.is_some());
+                assert_eq!(
+                    b.upload_due(now),
+                    r.upload_due(now),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(b.log_lines().collect::<Vec<_>>(), r.log_lines());
+                assert!(
+                    b.held() <= peak,
+                    "seed {seed} step {step}: {} held",
+                    b.held()
+                );
+                let cap = b.resident_bytes() / 32;
+                assert!(
+                    cap <= peak.next_power_of_two().max(4),
+                    "seed {seed} step {step}: capacity {cap}, peak {peak}"
+                );
+            }
+            assert!(
+                overflowed > 0 && given_up > 0,
+                "seed {seed}: both discard paths ran"
+            );
         }
     }
 }

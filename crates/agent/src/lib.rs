@@ -33,7 +33,6 @@ pub mod real;
 pub mod scheduler;
 pub mod soa;
 
-pub use buffer::ResultBuffer;
 pub use config::AgentConfig;
 pub use guard::SafetyGuard;
 pub use soa::{AgentFleet, AgentView, ControllerPollOutcome};

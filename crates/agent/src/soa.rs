@@ -47,7 +47,7 @@
 //! orchestrator gives each shard its own `AgentFleet` over its podset's
 //! servers, so fleets are mutated thread-locally and need no locks.
 
-use crate::buffer::ResultBuffer;
+use crate::buffer::{Entry, ResultBuffer};
 use crate::config::AgentConfig;
 use crate::guard::{GuardDecision, SafetyGuard};
 use crate::scheduler::{phase_of, DueProbe, EPHEMERAL_LO};
@@ -59,9 +59,9 @@ use pingmesh_types::{
 use std::sync::{Arc, OnceLock};
 
 /// Fleet-wide agent metrics. Every agent of every fleet shares these
-/// handles, so they are resolved once; each touch is an atomic add. The
-/// per-probe count is the exception: it is tallied per fleet and
-/// published by [`AgentFleet::flush_metrics`].
+/// handles, so they are resolved once; each touch is an atomic add. Probes,
+/// discards and ring bytes are the exception: they are tallied per fleet
+/// and published by [`AgentFleet::flush_metrics`].
 struct AgentMetrics {
     probes_sent: Arc<pingmesh_obs::Counter>,
     guard_trips: Arc<pingmesh_obs::Counter>,
@@ -70,6 +70,7 @@ struct AgentMetrics {
     upload_retries: Arc<pingmesh_obs::Counter>,
     records_discarded: Arc<pingmesh_obs::Counter>,
     upload_batch_size: Arc<pingmesh_obs::Histogram>,
+    resident_bytes: Arc<pingmesh_obs::Gauge>,
 }
 
 fn metrics() -> &'static AgentMetrics {
@@ -84,6 +85,7 @@ fn metrics() -> &'static AgentMetrics {
             upload_retries: r.counter("pingmesh_agent_upload_retries_total"),
             records_discarded: r.counter("pingmesh_agent_records_discarded_total"),
             upload_batch_size: r.histogram("pingmesh_agent_upload_batch_size"),
+            resident_bytes: r.gauge("pingmesh_agent_resident_bytes"),
         }
     })
 }
@@ -168,9 +170,11 @@ pub struct AgentFleet {
     sanitized_entries: Vec<u64>,
     probes_observed: Vec<u64>,
     unresolved_probes: Vec<u64>,
-    discarded_seen: Vec<u64>,
-    /// Probes recorded since the last [`AgentFleet::flush_metrics`].
+    /// Probes recorded since the last [`AgentFleet::flush_metrics`], and
+    /// the discards and ring bytes it last published.
     probes_unpublished: u64,
+    discarded_published: u64,
+    resident_published: f64,
     // Recycled scratch (calls within a shard are sequential, so one per
     // fleet suffices): the install sort, a wake's tied ring slots and
     // the output buffer.
@@ -200,8 +204,9 @@ impl AgentFleet {
             sanitized_entries: Vec::new(),
             probes_observed: Vec::new(),
             unresolved_probes: Vec::new(),
-            discarded_seen: Vec::new(),
             probes_unpublished: 0,
+            discarded_published: 0,
+            resident_published: 0.0,
             install_scratch: Vec::new(),
             tie_scratch: Vec::new(),
             due_scratch: Vec::new(),
@@ -223,7 +228,6 @@ impl AgentFleet {
         self.sanitized_entries.push(0);
         self.probes_observed.push(0);
         self.unresolved_probes.push(0);
-        self.discarded_seen.push(0);
         idx
     }
 
@@ -240,26 +244,6 @@ impl AgentFleet {
     /// The server of agent `idx`.
     pub fn server(&self, idx: usize) -> ServerId {
         self.servers[idx]
-    }
-
-    /// Active pinglist generation of agent `idx` (0 = none yet).
-    pub fn generation(&self, idx: usize) -> u64 {
-        self.generation[idx]
-    }
-
-    /// Whether agent `idx` is fail-closed (not probing).
-    pub fn is_stopped(&self, idx: usize) -> bool {
-        self.guards[idx].is_stopped()
-    }
-
-    /// Number of peers agent `idx` currently schedules.
-    pub fn peer_count(&self, idx: usize) -> usize {
-        self.segs[idx].len as usize
-    }
-
-    /// Entries the guard had to clamp over agent `idx`'s lifetime.
-    pub fn sanitized_entries(&self, idx: usize) -> u64 {
-        self.sanitized_entries[idx]
     }
 
     /// Agent `idx`'s installed (already sanitized) pinglist entries, for
@@ -490,39 +474,31 @@ impl AgentFleet {
             self.unresolved_probes[idx] += 1;
             return;
         };
-        let src = self.servers[idx];
-        let s = self.topo.server(src);
-        let d = self.topo.server(dst);
-        let rec = ProbeRecord {
-            ts: now,
-            src,
-            dst,
-            src_pod: s.pod,
-            dst_pod: d.pod,
-            src_podset: s.podset,
-            dst_podset: d.podset,
-            src_dc: s.dc,
-            dst_dc: d.dc,
-            kind: due.entry.kind,
-            qos: due.entry.qos,
-            src_port: due.src_port,
-            dst_port: due.entry.port,
-            outcome,
-        };
-        pingmesh_obs::trace::on_probe(&rec);
-        self.buffers[idx].push(rec);
+        let entry = Entry::new(now, dst, due, outcome);
+        pingmesh_obs::trace::on_probe(&entry.expand(self.servers[idx], &self.topo));
+        self.buffers[idx].push(entry);
     }
 
-    /// Publishes the fleet's per-probe tally to
-    /// `pingmesh_agent_probes_sent_total`: one atomic add per flush
-    /// instead of one per probe. Drivers call it at their natural
-    /// boundary — the orchestrator at each barrier, `RealAgent` after
-    /// each probe round.
+    /// Publishes the fleet's tallies — probes to
+    /// `pingmesh_agent_probes_sent_total` and discards to
+    /// `pingmesh_agent_records_discarded_total`, one atomic add per flush
+    /// instead of one per event — and its result rings' allocation to the
+    /// `pingmesh_agent_resident_bytes` gauge, which sums every live fleet.
+    /// Drivers call it at their natural boundary — the orchestrator at
+    /// each barrier, `RealAgent` after each probe round.
     pub fn flush_metrics(&mut self) {
-        if self.probes_unpublished > 0 {
-            metrics().probes_sent.add(self.probes_unpublished);
-            self.probes_unpublished = 0;
+        let m = metrics();
+        m.probes_sent
+            .add(std::mem::take(&mut self.probes_unpublished));
+        let (mut resident, mut discarded) = (0.0, 0);
+        for b in &self.buffers {
+            resident += b.resident_bytes() as f64;
+            discarded += b.discarded();
         }
+        m.records_discarded
+            .add(discarded - self.discarded_published);
+        m.resident_bytes.add(resident - self.resident_published);
+        (self.discarded_published, self.resident_published) = (discarded, resident);
     }
 
     /// Whether agent `idx` should start an upload now.
@@ -532,7 +508,7 @@ impl AgentFleet {
 
     /// Starts an upload for agent `idx`; returns the batch.
     pub fn begin_upload(&mut self, idx: usize) -> Option<Vec<ProbeRecord>> {
-        let batch = self.buffers[idx].begin_upload()?;
+        let batch = self.buffers[idx].begin_upload(&self.topo)?;
         metrics().uploads_started.inc();
         metrics().upload_batch_size.record_value(batch.len() as u64);
         Some(batch)
@@ -546,13 +522,6 @@ impl AgentFleet {
             metrics().upload_retries.inc();
         }
         self.counters[idx].records_discarded = self.buffers[idx].discarded();
-        let newly = self.buffers[idx]
-            .discarded()
-            .saturating_sub(self.discarded_seen[idx]);
-        if newly > 0 {
-            self.discarded_seen[idx] = self.buffers[idx].discarded();
-            metrics().records_discarded.add(newly);
-        }
         retry
     }
 
@@ -566,36 +535,6 @@ impl AgentFleet {
         self.counters[idx].bytes_uploaded += bytes;
     }
 
-    /// Cumulative records agent `idx` discarded over its lifetime.
-    pub fn discarded_total(&self, idx: usize) -> u64 {
-        self.buffers[idx].discarded()
-    }
-
-    /// Lifetime probe outcomes fed back into agent `idx`.
-    pub fn probes_observed(&self, idx: usize) -> u64 {
-        self.probes_observed[idx]
-    }
-
-    /// Lifetime unresolved (recordless) probes of agent `idx`.
-    pub fn unresolved_probes(&self, idx: usize) -> u64 {
-        self.unresolved_probes[idx]
-    }
-
-    /// Records agent `idx` currently buffers.
-    pub fn buffered_records(&self, idx: usize) -> u64 {
-        self.buffers[idx].len() as u64
-    }
-
-    /// Whether agent `idx` has an upload batch in flight.
-    pub fn has_pending_upload(&self, idx: usize) -> bool {
-        self.buffers[idx].has_pending()
-    }
-
-    /// Live counters of agent `idx`.
-    pub fn counters(&self, idx: usize) -> &AgentCounters {
-        &self.counters[idx]
-    }
-
     /// PA collection for agent `idx`: snapshot and reset the window.
     pub fn collect_counters(&mut self, idx: usize) -> CounterSnapshot {
         let snap = self.counters[idx].snapshot();
@@ -607,6 +546,12 @@ impl AgentFleet {
     /// consume.
     pub fn view(&self, idx: usize) -> AgentView<'_> {
         AgentView { fleet: self, idx }
+    }
+}
+
+impl Drop for AgentFleet {
+    fn drop(&mut self) {
+        metrics().resident_bytes.add(-self.resident_published);
     }
 }
 
@@ -627,22 +572,22 @@ impl<'a> AgentView<'a> {
 
     /// Active pinglist generation (0 = none yet).
     pub fn generation(&self) -> u64 {
-        self.fleet.generation(self.idx)
+        self.fleet.generation[self.idx]
     }
 
     /// Whether the agent is fail-closed (not probing).
     pub fn is_stopped(&self) -> bool {
-        self.fleet.is_stopped(self.idx)
+        self.fleet.guards[self.idx].is_stopped()
     }
 
     /// Number of peers currently scheduled.
     pub fn peer_count(&self) -> usize {
-        self.fleet.peer_count(self.idx)
+        self.fleet.segs[self.idx].len as usize
     }
 
     /// Entries the guard had to clamp over this agent's lifetime.
     pub fn sanitized_entries(&self) -> u64 {
-        self.fleet.sanitized_entries(self.idx)
+        self.fleet.sanitized_entries[self.idx]
     }
 
     /// When the agent next needs to act.
@@ -652,32 +597,37 @@ impl<'a> AgentView<'a> {
 
     /// Lifetime probe outcomes fed back.
     pub fn probes_observed(&self) -> u64 {
-        self.fleet.probes_observed(self.idx)
+        self.fleet.probes_observed[self.idx]
     }
 
     /// Lifetime unresolved (recordless) probes.
     pub fn unresolved_probes(&self) -> u64 {
-        self.fleet.unresolved_probes(self.idx)
+        self.fleet.unresolved_probes[self.idx]
     }
 
     /// Records currently buffered.
     pub fn buffered_records(&self) -> u64 {
-        self.fleet.buffered_records(self.idx)
+        self.fleet.buffers[self.idx].len() as u64
+    }
+
+    /// Result entries held: buffered records and log lines, each once.
+    pub fn held_entries(&self) -> u64 {
+        self.fleet.buffers[self.idx].held() as u64
     }
 
     /// Whether an upload batch is in flight.
     pub fn has_pending_upload(&self) -> bool {
-        self.fleet.has_pending_upload(self.idx)
+        self.fleet.buffers[self.idx].has_pending()
     }
 
     /// Cumulative records discarded.
     pub fn discarded_total(&self) -> u64 {
-        self.fleet.discarded_total(self.idx)
+        self.fleet.buffers[self.idx].discarded()
     }
 
     /// Live counters.
-    pub fn counters(&self) -> &AgentCounters {
-        self.fleet.counters(self.idx)
+    pub fn counters(&self) -> &'a AgentCounters {
+        &self.fleet.counters[self.idx]
     }
 
     /// The agent's capped local log, oldest line first, rendered on read.
@@ -777,8 +727,8 @@ mod tests {
                 }
             }
             fleet.on_controller_poll(idx, poll, now);
-            assert_eq!(fleet.generation(idx), heap_generation);
-            assert_eq!(fleet.peer_count(idx), heap.peer_count());
+            assert_eq!(fleet.view(idx).generation(), heap_generation);
+            assert_eq!(fleet.view(idx).peer_count(), heap.peer_count());
 
             for _ in 0..4 {
                 let t = heap.next_due().unwrap();
@@ -846,7 +796,7 @@ mod tests {
                 } else {
                     ControllerPollOutcome::Unreachable
                 };
-                while !fleet.is_stopped(idx) {
+                while !fleet.view(idx).is_stopped() {
                     fleet.on_controller_poll(idx, stop.clone(), now);
                 }
                 heaps[idx].clear();
@@ -882,8 +832,8 @@ mod tests {
                     heap.next_due(),
                     "agent {i} at {now:?}"
                 );
-                assert_eq!(fleet.peer_count(i), heap.peer_count());
-                assert_eq!(fleet.generation(i), generations[i]);
+                assert_eq!(fleet.view(i).peer_count(), heap.peer_count());
+                assert_eq!(fleet.view(i).generation(), generations[i]);
             }
         }
         assert!(
@@ -897,21 +847,21 @@ mod tests {
     fn pinglist_install_and_probing() {
         let mut fleet = AgentFleet::new(topo(), AgentConfig::default());
         let idx = fleet.push_server(ServerId(0));
-        assert_eq!(fleet.peer_count(idx), 0);
+        assert_eq!(fleet.view(idx).peer_count(), 0);
         assert!(fleet.entries(idx).is_empty());
         fleet.on_controller_poll(
             idx,
             ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 1, 1)),
             SimTime::ZERO,
         );
-        assert_eq!(fleet.peer_count(idx), 1);
-        assert_eq!(fleet.generation(idx), 1);
+        assert_eq!(fleet.view(idx).peer_count(), 1);
+        assert_eq!(fleet.view(idx).generation(), 1);
         assert_eq!(fleet.entries(idx), &pinglist(ServerId(0), 1, 1).entries[..]);
         probe_once(&mut fleet, idx, Some(ServerId(1)), OK);
-        assert_eq!(fleet.counters(idx).probes_sent, 1);
-        assert_eq!(fleet.counters(idx).probes_succeeded, 1);
-        assert_eq!(fleet.probes_observed(idx), 1);
-        assert_eq!(fleet.buffered_records(idx), 1);
+        assert_eq!(fleet.view(idx).counters().probes_sent, 1);
+        assert_eq!(fleet.view(idx).counters().probes_succeeded, 1);
+        assert_eq!(fleet.view(idx).probes_observed(), 1);
+        assert_eq!(fleet.view(idx).buffered_records(), 1);
     }
 
     #[test]
@@ -931,7 +881,7 @@ mod tests {
             ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 2, 1)),
             SimTime(5_000_000),
         );
-        assert_eq!(fleet.generation(idx), 2);
+        assert_eq!(fleet.view(idx).generation(), 2);
         assert!(fleet.next_wakeup(idx).unwrap() >= SimTime(5_000_000));
     }
 
@@ -945,18 +895,18 @@ mod tests {
             (ControllerPollOutcome::Unreachable, 3),
         ] {
             let (mut fleet, idx) = fleet_of_one(3);
-            assert_eq!(fleet.peer_count(idx), 3);
+            assert_eq!(fleet.view(idx).peer_count(), 3);
             for k in 1..=polls_to_stop {
-                assert!(!fleet.is_stopped(idx));
+                assert!(!fleet.view(idx).is_stopped());
                 assert_eq!(
-                    fleet.peer_count(idx),
+                    fleet.view(idx).peer_count(),
                     3,
                     "stale-list grace below the threshold"
                 );
                 fleet.on_controller_poll(idx, stop.clone(), SimTime(k));
             }
-            assert!(fleet.is_stopped(idx), "{stop:?}");
-            assert_eq!(fleet.peer_count(idx), 0);
+            assert!(fleet.view(idx).is_stopped(), "{stop:?}");
+            assert_eq!(fleet.view(idx).peer_count(), 0);
             assert!(fleet.entries(idx).is_empty());
             assert_eq!(fleet.next_wakeup(idx), None);
             assert!(fleet.due_probes(idx, SimTime(100_000_000)).is_empty());
@@ -966,13 +916,13 @@ mod tests {
                 ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 4, 2)),
                 SimTime(10),
             );
-            assert!(!fleet.is_stopped(idx));
-            assert_eq!(fleet.peer_count(idx), 2);
+            assert!(!fleet.view(idx).is_stopped());
+            assert_eq!(fleet.view(idx).peer_count(), 2);
             assert!(fleet.next_wakeup(idx).is_some());
             // Re-armed: two more failures are again tolerated.
             fleet.on_controller_poll(idx, ControllerPollOutcome::Unreachable, SimTime(11));
             fleet.on_controller_poll(idx, ControllerPollOutcome::Unreachable, SimTime(12));
-            assert!(!fleet.is_stopped(idx));
+            assert!(!fleet.view(idx).is_stopped());
         }
     }
 
@@ -983,7 +933,7 @@ mod tests {
         let mut pl = pinglist(ServerId(0), 1, 2);
         pl.entries[0].interval = SimDuration::from_secs(1); // below the floor
         fleet.on_controller_poll(idx, ControllerPollOutcome::Pinglist(pl), SimTime::ZERO);
-        assert_eq!(fleet.sanitized_entries(idx), 1);
+        assert_eq!(fleet.view(idx).sanitized_entries(), 1);
         assert_eq!(
             fleet.entries(idx)[0].interval,
             pingmesh_types::constants::MIN_PROBE_INTERVAL,
@@ -1008,9 +958,9 @@ mod tests {
     fn unresolved_targets_count_but_produce_no_record() {
         let (mut fleet, idx) = fleet_of_one(1);
         probe_once(&mut fleet, idx, None, ProbeOutcome::Timeout);
-        assert_eq!(fleet.counters(idx).probes_failed, 1);
-        assert_eq!(fleet.probes_observed(idx), 1);
-        assert_eq!(fleet.unresolved_probes(idx), 1);
+        assert_eq!(fleet.view(idx).counters().probes_failed, 1);
+        assert_eq!(fleet.view(idx).probes_observed(), 1);
+        assert_eq!(fleet.view(idx).unresolved_probes(), 1);
         assert!(fleet.begin_upload(idx).is_none());
     }
 
@@ -1022,8 +972,12 @@ mod tests {
         let snap = fleet.collect_counters(idx);
         assert_eq!(snap.probes_sent, 1);
         assert_eq!(snap.bytes_uploaded, 100);
-        assert_eq!(fleet.counters(idx).probes_sent, 0, "window reset");
-        assert_eq!(fleet.probes_observed(idx), 1, "lifetime ledger is not");
+        assert_eq!(fleet.view(idx).counters().probes_sent, 0, "window reset");
+        assert_eq!(
+            fleet.view(idx).probes_observed(),
+            1,
+            "lifetime ledger is not"
+        );
     }
 
     /// The upload cycle as a driver sees it: age trigger, one batch in
@@ -1032,24 +986,24 @@ mod tests {
     #[test]
     fn upload_cycle_retries_then_discards() {
         let (mut fleet, idx) = fleet_of_one(3);
-        while fleet.buffered_records(idx) < 3 {
+        while fleet.view(idx).buffered_records() < 3 {
             probe_once(&mut fleet, idx, Some(ServerId(1)), OK);
         }
-        let n = fleet.buffered_records(idx);
+        let n = fleet.view(idx).buffered_records();
         let newest = fleet.next_wakeup(idx).unwrap();
         assert!(!fleet.upload_due(idx, newest), "below batch size and age");
         assert!(fleet.upload_due(idx, newest + AgentConfig::default().upload_max_age));
         let batch = fleet.begin_upload(idx).unwrap();
         assert_eq!(batch.len() as u64, n);
-        assert!(fleet.has_pending_upload(idx));
+        assert!(fleet.view(idx).has_pending_upload());
         assert!(fleet.begin_upload(idx).is_none(), "one batch in flight");
         for _ in 0..AgentConfig::default().upload_retries {
             assert!(fleet.on_upload_result(idx, false), "retry the held batch");
         }
         assert!(!fleet.on_upload_result(idx, false), "budget spent: discard");
-        assert!(!fleet.has_pending_upload(idx));
-        assert_eq!(fleet.discarded_total(idx), n);
-        assert_eq!(fleet.counters(idx).records_discarded, n);
+        assert!(!fleet.view(idx).has_pending_upload());
+        assert_eq!(fleet.view(idx).discarded_total(), n);
+        assert_eq!(fleet.view(idx).counters().records_discarded, n);
         fleet.recycle_batch(idx, batch);
     }
 
@@ -1094,8 +1048,8 @@ mod tests {
             ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 2, 9)),
             SimTime(50),
         );
-        assert_eq!(fleet.peer_count(a), 9);
-        assert_eq!(fleet.peer_count(b), 2);
+        assert_eq!(fleet.view(a).peer_count(), 9);
+        assert_eq!(fleet.view(b).peer_count(), 2);
         assert_eq!(fleet.entries(b), &pinglist(ServerId(5), 1, 2).entries[..]);
         let tb = fleet.next_wakeup(b).unwrap();
         let due_b = fleet.due_probes(b, tb);

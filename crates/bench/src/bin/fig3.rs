@@ -151,7 +151,7 @@ fn measure_memory() {
         "<45MB",
         &format!("{delta_mb:.1}MB"),
     );
-    let ok = delta_mb < 45.0 && fleet.peer_count(me) > 2_000;
+    let ok = delta_mb < 45.0 && fleet.view(me).peer_count() > 2_000;
     println!(
         "  [{}] agent fits the paper's 45MB envelope",
         if ok { "ok" } else { "FAIL" }

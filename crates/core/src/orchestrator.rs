@@ -683,9 +683,8 @@ impl Orchestrator {
                 .map(|sh| {
                     (0..sh.fleet.len())
                         .map(|i| {
-                            sh.fleet.probes_observed(i)
-                                - sh.fleet.unresolved_probes(i)
-                                - sh.fleet.buffered_records(i)
+                            let a = sh.fleet.view(i);
+                            a.probes_observed() - a.unresolved_probes() - a.buffered_records()
                         })
                         .sum::<u64>()
                 })
@@ -725,7 +724,7 @@ impl Orchestrator {
                 let agg = self
                     .pipeline
                     .store
-                    .merged_window_aggregate(tick.window_start, tick.window_end);
+                    .window_aggregate(tick.window_start, tick.window_end);
                 let topo = self.net.topology().clone();
                 for (ps, conf) in detect_podset_power_down(&agg, &topo) {
                     self.report(

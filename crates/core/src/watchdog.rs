@@ -277,10 +277,7 @@ pub fn check(o: &Orchestrator) -> Vec<WatchdogFinding> {
     let w = pingmesh_dsa::PARTIAL_WINDOW;
     if now.as_micros() >= 3 * w.as_micros() {
         let ws = now.window_start(w);
-        let agg = o
-            .pipeline()
-            .store
-            .merged_window_aggregate(ws - w - w, ws - w);
+        let agg = o.pipeline().store.window_aggregate(ws - w - w, ws - w);
         for (podset, conf) in detect_podset_power_down(&agg, &topo) {
             findings.push(WatchdogFinding::PodsetPowerDown {
                 podset,

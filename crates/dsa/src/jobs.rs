@@ -237,9 +237,9 @@ impl Pipeline {
     /// Runs the job set of one tick.
     ///
     /// Every cadence reads the window through the store's ingest-time
-    /// partials: the 10-minute job picks up one finished partial per
-    /// stream, hourly/daily merge the enclosed partials — O(scopes ×
-    /// windows) with zero per-record copies.
+    /// partials: the 10-minute job borrows the one finished partial of a
+    /// single-stream store in place, hourly/daily merge the enclosed
+    /// partials — O(scopes × windows) with zero per-record copies.
     pub fn run_tick(&mut self, tick: JobTick) -> TickOutput {
         let started = std::time::Instant::now();
         // Sim-bounded span: wall duration is the tick compute, sim bounds
@@ -252,7 +252,7 @@ impl Pipeline {
         let mut out = TickOutput::default();
         let agg = self
             .store
-            .merged_window_aggregate(tick.window_start, tick.window_end);
+            .window_aggregate(tick.window_start, tick.window_end);
         out.records = agg.record_count;
 
         match tick.kind {

@@ -201,6 +201,15 @@ fn metrics() -> &'static AppendMetrics {
 /// Ingest-time partial aggregates, keyed by (stream, window start).
 type Partials = BTreeMap<(StreamName, SimTime), WindowAggregate>;
 
+/// One aggregate merged from `parts`, in order.
+fn merge_all<'a>(parts: impl Iterator<Item = &'a WindowAggregate>) -> WindowAggregate {
+    let mut out = WindowAggregate::default();
+    for part in parts {
+        out.merge(part);
+    }
+    out
+}
+
 /// The one path from raw records to partials: folds `records` into their
 /// (stream, window) partials, one partials lookup per maximal same-window
 /// run (agent batches are nearly time-ordered, so about one per batch),
@@ -621,15 +630,23 @@ impl CosmosStore {
             })
     }
 
+    /// The aggregate of `[from, to)`, read in place: borrowed when exactly
+    /// one partial lies in range (a 10-minute tick over one stream),
+    /// merged as [`CosmosStore::merged_window_aggregate`] otherwise.
+    /// Bounds as for [`CosmosStore::partials_in`].
+    pub fn window_aggregate(&self, from: SimTime, to: SimTime) -> Cow<'_, WindowAggregate> {
+        let mut parts = self.partials_in(from, to);
+        match (parts.next(), parts.next()) {
+            (Some(only), None) => Cow::Borrowed(only),
+            (first, second) => Cow::Owned(merge_all(first.into_iter().chain(second).chain(parts))),
+        }
+    }
+
     /// Merges the ingest-time partials covering `[from, to)` across all
     /// streams into one aggregate — O(scopes × windows), no record pass.
     /// Bounds as for [`CosmosStore::partials_in`].
     pub fn merged_window_aggregate(&self, from: SimTime, to: SimTime) -> WindowAggregate {
-        let mut out = WindowAggregate::default();
-        for part in self.partials_in(from, to) {
-            out.merge(part);
-        }
-        out
+        merge_all(self.partials_in(from, to))
     }
 
     /// Number of live ingest-time partials (across all streams).
@@ -1243,6 +1260,31 @@ pub(crate) mod tests {
                 .record_count,
             20
         );
+    }
+
+    #[test]
+    fn window_view_borrows_one_partial_and_merges_the_rest() {
+        let mut store = CosmosStore::new(10, 1);
+        let s1 = StreamName { dc: DcId(1) };
+        // Stream S fills windows 0 and 1, stream s1 window 0 only.
+        let batch: Vec<ProbeRecord> = (0..20).map(|i| rec(i * 60_000_000)).collect();
+        store.append(S, &batch, SimTime(0));
+        let in_dc1 = |ts| ProbeRecord {
+            src_dc: s1.dc,
+            ..rec(ts)
+        };
+        store.append(s1, &[in_dc1(5), in_dc1(7)], SimTime(0));
+        for (from, to, partials) in [(2 * W, 3 * W, 0), (W, 2 * W, 1), (0, 2 * W, 3)] {
+            let (from, to) = (SimTime(from), SimTime(to));
+            assert_eq!(store.partials_in(from, to).count(), partials);
+            let view = store.window_aggregate(from, to);
+            assert_eq!(matches!(view, Cow::Borrowed(_)), partials == 1);
+            assert_eq!(
+                *view,
+                store.merged_window_aggregate(from, to),
+                "{partials} partials"
+            );
+        }
     }
 
     #[test]

@@ -141,9 +141,12 @@ impl ProbeRecord {
     /// Approximate serialized size in bytes, used to account for upload
     /// bandwidth and the agent's bounded in-memory buffer.
     pub fn wire_size(&self) -> usize {
-        // 9 fixed fields at 4-8 bytes each in the CSV-ish upload format.
-        64
+        Self::WIRE_SIZE
     }
+
+    /// Every record's wire size: 9 fixed fields at 4-8 bytes each in the
+    /// CSV-ish upload format.
+    pub const WIRE_SIZE: usize = 64;
 }
 
 /// Aggregate of probe outcomes used when classifying a (src, dst) pair

@@ -244,6 +244,14 @@ fn main() {
         o.pipeline().store.record_count(),
         o.pipeline().store.physical_bytes()
     );
+    let resident = pingmesh::obs::registry()
+        .gauge("pingmesh_agent_resident_bytes")
+        .get();
+    let held: u64 = topo.servers().map(|s| o.agent(s).held_entries()).sum();
+    println!(
+        "agent result rings: {resident:.0} resident bytes for {held} held entries ({:.1} B per entry)",
+        resident / held.max(1) as f64
+    );
 
     if let Some(path) = args.json {
         write_json_report(&o, &topo, &path);

@@ -43,6 +43,28 @@ fn pingmesh_sim_runs_a_tiny_healthy_scenario() {
     assert!(stdout.contains("probes executed:"));
 }
 
+/// After 12 sim-minutes every agent has uploaded, and its result ring —
+/// the `pingmesh_agent_resident_bytes` gauge — costs at most 64 bytes per
+/// entry it holds.
+#[test]
+fn pingmesh_sim_agents_hold_each_result_in_at_most_64_bytes() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pingmesh-sim"))
+        .args(["--tiny", "--minutes", "12", "--seed", "3"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("agent result rings: "))
+        .expect("the summary reports the agents' rings");
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let resident: f64 = words[0].parse().unwrap();
+    let held: f64 = words[4].parse().unwrap();
+    assert!(held > 0.0, "{line}");
+    assert!(resident / held <= 64.0, "{line}");
+}
+
 #[test]
 fn pingmesh_sim_writes_a_json_report() {
     let dir = std::env::temp_dir().join(format!("pm-json-{}", std::process::id()));
