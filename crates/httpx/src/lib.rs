@@ -500,13 +500,38 @@ const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
 /// in `pingmesh_httpx_accept_errors_total` and followed by a short pause.
 /// HTTP services use [`serve`]; this is what it is built on, and what a
 /// service that does not speak HTTP to its peer (the agent's TCP echo
-/// responder, the chaos proxy) uses directly.
+/// responder, the chaos proxy) uses directly. The first call in a
+/// process bridges the runtime's counters onto `/metrics` as
+/// `pingmesh_runtime_*` gauges.
 pub async fn serve_connections<H, F>(listener: TcpListener, handle: H)
 where
     H: FnMut(TcpStream) -> F,
     F: Future<Output = ()> + Send + 'static,
 {
+    register_runtime_gauges();
     accept_loop(|| listener.accept(), handle).await
+}
+
+/// The tokio shim sits below `pingmesh-obs` and cannot register metrics
+/// itself, so its counters are bridged in as callback gauges, as
+/// `pingmesh_obs::registry` does for `pingmesh_types_*`.
+fn register_runtime_gauges() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let r = pingmesh_obs::registry();
+        r.callback_gauge("pingmesh_runtime_driver_parks", &[], || {
+            tokio::diag::driver_parks() as f64
+        });
+        r.callback_gauge("pingmesh_runtime_wakeups_sent", &[], || {
+            tokio::diag::wakeups_sent() as f64
+        });
+        r.callback_gauge("pingmesh_runtime_sockets", &[], || {
+            tokio::diag::io_registrations() as f64
+        });
+        r.callback_gauge("pingmesh_runtime_timers", &[], || {
+            tokio::diag::timer_entries() as f64
+        });
+    });
 }
 
 /// [`serve_connections`] over any source of connections, so a test can

@@ -3,7 +3,8 @@
 # runs `cargo test` over the whole workspace (which includes the obs,
 # crash, chaos and mitigation drills and the allocation gates), checks fmt,
 # clippy and rustdoc, and checks that `unsafe` / FFI stays in its allowed files,
-# that every HTTP server loop is `httpx::serve`, that raw records are
+# that the tokio shim's reactor and timer modules start no thread of their
+# own, that every HTTP server loop is `httpx::serve`, that raw records are
 # read through `scan_all_window_chunks` only (outages live in the simulator),
 # that fsyncs and renames stay in `dsa::durable`, and that the collector
 # neither checkpoints nor group-commits: the durability loop is
@@ -64,6 +65,11 @@ if grep -rnE 'unsafe \{|unsafe fn|unsafe impl|extern "C"' --include='*.rs' \
 fi
 if grep -rnE 'READ_RETRY|ACCEPT_RETRY' --include='*.rs' crates shims src tests; then
   echo "the shim's sockets are woken by the reactor; no retry period" >&2
+  exit 1
+fi
+
+if grep -nE 'thread::spawn|thread::Builder' shims/tokio/src/reactor.rs shims/tokio/src/timer.rs; then
+  echo "the worker pool drives epoll and timers; a readiness event runs on the thread that harvested it" >&2
   exit 1
 fi
 

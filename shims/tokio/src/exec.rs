@@ -1,13 +1,29 @@
 //! The executor core: a global pool of worker threads polling tasks from a
 //! shared injector queue, with a wake-coalescing per-task state machine.
+//!
+//! The workers are the runtime's only threads. A worker with nothing to
+//! run takes the single *driver role*: it blocks in `epoll_wait` until a
+//! socket edge, an unpark or the earliest timer deadline, fires the due
+//! timers, wakes what it harvested without notifying anyone, and runs
+//! the first woken task itself — a readiness event runs on the thread
+//! that harvested it. Before it gives up the role to run that task it
+//! notifies one sleeping worker, which takes the role over, so a task
+//! that blocks its thread (on the store lock, on a group commit) never
+//! stalls the other sockets.
+//!
+//! A wake from anywhere else — another worker's task, a foreign thread —
+//! notifies a sleeping worker, or, when none sleeps, unparks the driver.
 
+use crate::{reactor, timer};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::task::{Context, Poll, Wake, Waker};
+use std::time::Instant;
 
 // Task states. Wakes during RUNNING move to NOTIFIED so the worker re-polls
 // instead of racing a concurrent re-schedule.
@@ -40,7 +56,7 @@ impl Wake for Task {
                         .compare_exchange(IDLE, SCHEDULED, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
-                        injector().push(self.clone());
+                        schedule(self.clone());
                         return;
                     }
                 }
@@ -60,43 +76,114 @@ impl Wake for Task {
     }
 }
 
-struct Injector {
-    queue: Mutex<VecDeque<Arc<Task>>>,
+struct State {
+    queue: VecDeque<Arc<Task>>,
+    /// Workers waiting on the condvar, and how many of them have been
+    /// notified but have not yet woken.
+    sleeping: usize,
+    notified: usize,
+    /// Some worker holds the driver role.
+    driving: bool,
+    /// The driver is in (or about to enter) `epoll_wait`, until this
+    /// deadline (`None`: no timer pending).
+    parked: Option<Option<Instant>>,
+    /// An unpark byte has been written during the current park.
+    unparked: bool,
+}
+
+struct Pool {
+    state: Mutex<State>,
     available: Condvar,
 }
 
-fn injector() -> &'static Injector {
-    static INJECTOR: OnceLock<Injector> = OnceLock::new();
-    INJECTOR.get_or_init(|| Injector {
-        queue: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-    })
+static POOL: Pool = Pool {
+    state: Mutex::new(State {
+        queue: VecDeque::new(),
+        sleeping: 0,
+        notified: 0,
+        driving: false,
+        parked: None,
+        unparked: false,
+    }),
+    available: Condvar::new(),
+};
+
+/// Condvar notifies plus unpark writes, for `tokio::diag::wakeups_sent`.
+static WAKEUPS: AtomicU64 = AtomicU64::new(0);
+
+pub(crate) fn wakeups_sent() -> u64 {
+    WAKEUPS.load(Ordering::Relaxed)
 }
 
-impl Injector {
-    fn push(&self, task: Arc<Task>) {
-        self.queue.lock().unwrap().push_back(task);
-        self.available.notify_one();
+thread_local! {
+    /// Set while this thread, as driver, wakes what it harvested: those
+    /// tasks are queued for it to run, and nobody is notified.
+    static HARVESTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn lock() -> MutexGuard<'static, State> {
+    // Held only by the pool's own bookkeeping, never across a task poll.
+    POOL.state
+        .lock()
+        .expect("the pool lock is never held across a panic")
+}
+
+impl State {
+    /// Notifies one sleeping worker not already on its way; false if
+    /// there is none.
+    fn notify_one(&mut self) -> bool {
+        if self.sleeping == self.notified {
+            return false;
+        }
+        self.notified += 1;
+        WAKEUPS.fetch_add(1, Ordering::Relaxed);
+        POOL.available.notify_one();
+        true
     }
 
-    fn pop_blocking(&self) -> Arc<Task> {
-        let mut q = self.queue.lock().unwrap();
-        loop {
-            if let Some(t) = q.pop_front() {
-                return t;
-            }
-            q = self.available.wait(q).unwrap();
+    /// Gets a parked driver out of `epoll_wait` (at most one byte per
+    /// park).
+    fn unpark(&mut self) {
+        if self.parked.is_some() && !self.unparked {
+            self.unparked = true;
+            WAKEUPS.fetch_add(1, Ordering::Relaxed);
+            reactor::unpark();
         }
+    }
+}
+
+fn schedule(task: Arc<Task>) {
+    let mut st = lock();
+    st.queue.push_back(task);
+    if !HARVESTING.get() && !st.notify_one() {
+        st.unpark();
+    }
+}
+
+/// A timer entry that became the earliest: a driver parked past `at`
+/// must get up sooner.
+pub(crate) fn earlier_deadline(at: Instant) {
+    let mut st = lock();
+    let later = match st.parked {
+        Some(Some(until)) => at < until,
+        Some(None) => true,
+        None => false,
+    };
+    if later {
+        st.unpark();
     }
 }
 
 pub(crate) fn ensure_workers() {
     static STARTED: OnceLock<()> = OnceLock::new();
     STARTED.get_or_init(|| {
+        // One runnable worker per core: a second runnable thread per core
+        // only adds switches. The floor of two is the hand-off's other
+        // worker.
         let n = std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(4, 8);
+            .unwrap_or(2)
+            .clamp(2, 8);
         for i in 0..n {
             std::thread::Builder::new()
                 .name(format!("tokio-shim-worker-{i}"))
@@ -107,11 +194,78 @@ pub(crate) fn ensure_workers() {
 }
 
 fn worker_loop() {
+    let mut wakers = Vec::new();
+    let mut st = lock();
     loop {
-        let task = injector().pop_blocking();
+        let task = if let Some(task) = st.queue.pop_front() {
+            // Work is left, or nobody watches the sockets: pass it on.
+            if !st.queue.is_empty() || !st.driving {
+                st.notify_one();
+            }
+            task
+        } else if !st.driving {
+            st.driving = true;
+            let task;
+            (st, task) = drive(st, &mut wakers);
+            task
+        } else {
+            st.sleeping += 1;
+            while st.notified == 0 {
+                st = POOL
+                    .available
+                    .wait(st)
+                    .expect("the pool lock is never held across a panic");
+            }
+            st.notified -= 1;
+            st.sleeping -= 1;
+            continue;
+        };
+        drop(st);
         // The spawn wrapper catches user panics per-poll; this outer guard
         // only protects the worker from bugs in the shim itself.
         let _ = catch_unwind(AssertUnwindSafe(|| run_task(task)));
+        st = lock();
+    }
+}
+
+/// The driver role, entered with the lock held: turns the reactor and
+/// fires timers until something is runnable, then gives the role up and
+/// returns the first runnable task for this worker to run, with a
+/// sleeping worker notified to drive in its place.
+fn drive(
+    mut st: MutexGuard<'static, State>,
+    wakers: &mut Vec<Waker>,
+) -> (MutexGuard<'static, State>, Arc<Task>) {
+    loop {
+        if let Some(task) = st.queue.pop_front() {
+            st.driving = false;
+            st.notify_one();
+            return (st, task);
+        }
+        // Read under the pool lock: a timer inserted after this read
+        // finds `parked` set and unparks.
+        let until = timer::next_deadline();
+        let timeout_ms = until.map_or(-1, |at| {
+            let ns = at.saturating_duration_since(Instant::now()).as_nanos();
+            i32::try_from(ns.div_ceil(1_000_000)).unwrap_or(i32::MAX)
+        });
+        st.parked = Some(until);
+        drop(st);
+        reactor::turn(timeout_ms, wakers);
+        timer::fire_due(Instant::now(), wakers);
+        st = lock();
+        st.parked = None;
+        st.unparked = false;
+        if wakers.is_empty() {
+            continue;
+        }
+        drop(st);
+        HARVESTING.set(true);
+        for w in wakers.drain(..) {
+            w.wake();
+        }
+        HARVESTING.set(false);
+        st = lock();
     }
 }
 
@@ -301,7 +455,7 @@ where
             on_cancel.complete(Err(JoinError { panicked: false }));
         }))),
     });
-    injector().push(task.clone());
+    schedule(task.clone());
     JoinHandle { state, task }
 }
 

@@ -1,12 +1,14 @@
 //! Offline in-tree shim for the subset of tokio this workspace uses.
 //!
-//! A small async runtime on std plus `epoll`: a global worker pool with
-//! wake-coalescing tasks, one timer thread whose entries live and die
-//! with their `Sleep`, nonblocking TCP woken by one reactor thread
-//! blocked in `epoll_wait` (Linux only, like the rest of the workspace's
-//! real-socket mode), an in-memory duplex pipe, `watch` channels,
-//! `JoinSet`, and a two-branch `select!`. See each module for the
-//! deliberate simplifications versus real tokio.
+//! A small async runtime on std plus `epoll`: a global pool of one worker
+//! per core with wake-coalescing tasks, a timer map whose entries live
+//! and die with their `Sleep`, nonblocking TCP woken by readiness edges
+//! (Linux only, like the rest of the workspace's real-socket mode), an
+//! in-memory duplex pipe, `watch` channels, `JoinSet`, and a two-branch
+//! `select!`. The workers are the only runtime threads: an idle one
+//! takes the driver role, blocks in `epoll_wait` until a socket edge or
+//! the earliest timer, and runs the first task it woke itself. See each
+//! module for the deliberate simplifications versus real tokio.
 //!
 //! `sys` holds the three foreign `epoll` declarations and is the only
 //! place in the crate where `unsafe` is allowed.
@@ -41,6 +43,16 @@ pub mod diag {
     /// Pending timer entries.
     pub fn timer_entries() -> usize {
         crate::timer::len()
+    }
+
+    /// Returns from `epoll_wait`, by whichever worker held the driver role.
+    pub fn driver_parks() -> u64 {
+        crate::reactor::parks()
+    }
+
+    /// Sleeping workers notified plus parked drivers unparked.
+    pub fn wakeups_sent() -> u64 {
+        crate::exec::wakeups_sent()
     }
 }
 

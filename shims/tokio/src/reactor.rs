@@ -1,5 +1,6 @@
-//! The readiness reactor: one thread blocked in `epoll_wait`, waking the
-//! task parked on whichever socket direction became ready.
+//! The readiness reactor: one epoll instance, turned by whichever
+//! worker holds the driver role (see `exec`), waking the task parked on
+//! whichever socket direction became ready.
 //!
 //! A socket is registered once, edge-triggered and for both directions,
 //! when it is wrapped in [`Registered`], and deregistered when that
@@ -9,11 +10,16 @@
 //! try the system call first and park only on `WouldBlock`; the
 //! per-direction `ready` bit exists solely to close the window between
 //! that `WouldBlock` and the waker being stored.
+//!
+//! A driver parked in `epoll_wait` is interrupted by one byte written to
+//! a nonblocking socket pair whose read end sits in the same epoll set
+//! under a token of its own.
 
 use crate::sys;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read as _, Write as _};
 use std::os::fd::{AsFd, OwnedFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::task::{Context, Poll, Waker};
@@ -27,14 +33,14 @@ pub(crate) enum Direction {
 
 #[derive(Default)]
 struct Slot {
-    /// Set by the reactor on an edge, cleared by the task before each
+    /// Set by the driver on an edge, cleared by the task before each
     /// attempt. SeqCst throughout; the waker mutex would also order it.
     ready: AtomicBool,
     waker: Mutex<Option<Waker>>,
 }
 
 impl Slot {
-    /// Reactor side: publish the edge, then hand back whoever is parked.
+    /// Driver side: publish the edge, then hand back whoever is parked.
     fn set_ready(&self) -> Option<Waker> {
         self.ready.store(true, Ordering::SeqCst);
         self.waker.lock().unwrap().take()
@@ -47,10 +53,17 @@ struct ScheduledIo {
     write: Slot,
 }
 
+/// The unpark pair's token; socket tokens count up from 0 and never
+/// reach it.
+const UNPARK: u64 = u64::MAX;
+
 struct Reactor {
     epoll: OwnedFd,
     table: Mutex<HashMap<u64, Arc<ScheduledIo>>>,
     next_token: AtomicU64,
+    /// Written by [`unpark`], drained by [`turn`].
+    unpark_tx: UnixStream,
+    unpark_rx: UnixStream,
 }
 
 fn reactor() -> io::Result<&'static Reactor> {
@@ -58,52 +71,75 @@ fn reactor() -> io::Result<&'static Reactor> {
     if let Some(r) = REACTOR.get() {
         return Ok(r);
     }
-    let fresh = Reactor {
-        epoll: sys::create()?,
+    let (unpark_tx, unpark_rx) = UnixStream::pair()?;
+    unpark_tx.set_nonblocking(true)?;
+    unpark_rx.set_nonblocking(true)?;
+    let epoll = sys::create()?;
+    sys::add(&epoll, unpark_rx.as_fd(), UNPARK)?;
+    // Of two racing first users, one instance is kept; the other's
+    // descriptors close with it.
+    let _ = REACTOR.set(Reactor {
+        epoll,
         table: Mutex::new(HashMap::new()),
         next_token: AtomicU64::new(0),
-    };
-    // Of two racing first users, only the one whose instance was kept
-    // starts the thread; the other's epoll fd closes with `fresh`.
-    if REACTOR.set(fresh).is_ok() {
-        std::thread::Builder::new()
-            .name("tokio-shim-reactor".into())
-            .spawn(|| run(REACTOR.get().expect("set above")))
-            .expect("spawn reactor thread");
-    }
+        unpark_tx,
+        unpark_rx,
+    });
     Ok(REACTOR.get().expect("set above"))
 }
 
-fn run(reactor: &'static Reactor) {
+/// Returns from `epoll_wait`, counted for `tokio::diag::driver_parks`.
+static PARKS: AtomicU64 = AtomicU64::new(0);
+
+/// Number of times a driver has returned from `epoll_wait`.
+pub(crate) fn parks() -> u64 {
+    PARKS.load(Ordering::Relaxed)
+}
+
+/// Blocks in `epoll_wait` for at most `timeout_ms` (-1: until an event),
+/// then adds the waker of every socket direction that became ready to
+/// `wakers`. An unpark byte only ends the wait.
+pub(crate) fn turn(timeout_ms: i32, wakers: &mut Vec<Waker>) {
+    let reactor = reactor().expect("the shim's epoll instance");
     let mut events = [sys::Event::EMPTY; 256];
-    let mut wakers = Vec::new();
-    loop {
-        let n = match sys::wait(&reactor.epoll, &mut events) {
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => panic!("epoll_wait: {e}"),
+    let n = match sys::wait(&reactor.epoll, &mut events, timeout_ms) {
+        Ok(n) => n,
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+        Err(e) => panic!("epoll_wait: {e}"),
+    };
+    PARKS.fetch_add(1, Ordering::Relaxed);
+    let table = reactor
+        .table
+        .lock()
+        .expect("the socket table is never held across a panic");
+    for event in &events[..n] {
+        let (bits, token) = (event.events, event.token);
+        if token == UNPARK {
+            // Drained to `WouldBlock`, so the next byte is a new edge.
+            let mut sink = [0u8; 64];
+            while matches!((&reactor.unpark_rx).read(&mut sink), Ok(n) if n > 0) {}
+            continue;
+        }
+        // A miss is an event harvested just before its socket
+        // deregistered.
+        let Some(io) = table.get(&token) else {
+            continue;
         };
-        {
-            let table = reactor.table.lock().unwrap();
-            for event in &events[..n] {
-                let (bits, token) = (event.events, event.token);
-                // A miss is an event harvested just before its socket
-                // deregistered.
-                let Some(io) = table.get(&token) else {
-                    continue;
-                };
-                let broken = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
-                if broken || bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 {
-                    wakers.extend(io.read.set_ready());
-                }
-                if broken || bits & sys::EPOLLOUT != 0 {
-                    wakers.extend(io.write.set_ready());
-                }
-            }
+        let broken = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
+        if broken || bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 {
+            wakers.extend(io.read.set_ready());
         }
-        for w in wakers.drain(..) {
-            w.wake();
+        if broken || bits & sys::EPOLLOUT != 0 {
+            wakers.extend(io.write.set_ready());
         }
+    }
+}
+
+/// Ends a driver's `epoll_wait`, or its next one if it is not parked.
+pub(crate) fn unpark() {
+    if let Ok(r) = reactor() {
+        // A full pipe already holds a wake-up.
+        let _ = (&r.unpark_tx).write(&[1]);
     }
 }
 

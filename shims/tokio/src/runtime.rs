@@ -1,5 +1,6 @@
-//! Runtime construction. The shim has a single flavor — a global worker
-//! pool plus on-thread `block_on` — so the builder only records intent.
+//! Runtime construction. The shim has a single flavor — a global pool of
+//! workers that also drive epoll and the timers, plus on-thread
+//! `block_on` — so the builder only records intent.
 
 use std::future::Future;
 use std::io;
@@ -25,7 +26,8 @@ impl Builder {
         self
     }
 
-    /// Number of worker threads (accepted and ignored; the pool is global).
+    /// Number of worker threads (accepted and ignored; the pool is global
+    /// and sized to the cores).
     pub fn worker_threads(&mut self, _n: usize) -> &mut Self {
         self
     }

@@ -89,13 +89,16 @@ pub(crate) fn delete(epoll: &OwnedFd, fd: BorrowedFd<'_>) -> io::Result<()> {
     Ok(())
 }
 
-/// Blocks until at least one registered descriptor has an event, fills
-/// the front of `events` and returns how many were written.
-pub(crate) fn wait(epoll: &OwnedFd, events: &mut [Event]) -> io::Result<usize> {
+/// Blocks until at least one registered descriptor has an event or
+/// `timeout_ms` milliseconds pass (-1: no limit), fills the front of
+/// `events` and returns how many were written.
+pub(crate) fn wait(epoll: &OwnedFd, events: &mut [Event], timeout_ms: c_int) -> io::Result<usize> {
     let capacity = c_int::try_from(events.len()).unwrap_or(c_int::MAX);
     // SAFETY: `events` is a live, writable buffer of at least `capacity`
     // correctly laid out `epoll_event`s, and the kernel writes at most
-    // `capacity` of them; the descriptor is owned, hence open.
-    let n = check(unsafe { epoll_wait(epoll.as_raw_fd(), events.as_mut_ptr(), capacity, -1) })?;
+    // `capacity` of them; the descriptor is owned, hence open. Any
+    // timeout value is safe to pass.
+    let n =
+        check(unsafe { epoll_wait(epoll.as_raw_fd(), events.as_mut_ptr(), capacity, timeout_ms) })?;
     Ok(n as usize)
 }

@@ -1,4 +1,5 @@
-//! Timers: `sleep` and `timeout`, backed by the shared timer thread.
+//! Timers: `sleep` and `timeout`, backed by the timer map the driving
+//! worker fires.
 
 use crate::timer;
 use std::future::Future;

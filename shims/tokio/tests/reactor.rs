@@ -1,5 +1,6 @@
 //! The readiness reactor and the timer map, checked from outside the
-//! crate: nothing is lost, nothing leaks, and nothing runs while idle.
+//! crate: nothing is lost, nothing leaks, nothing runs while idle, and a
+//! worker that blocks never takes the sockets or the timers down with it.
 //!
 //! Several tests compare process-wide counts (open descriptors, reactor
 //! registrations, timer entries), so every test in this file holds one
@@ -7,11 +8,11 @@
 
 use std::future::Future;
 use std::net::{Shutdown, SocketAddr};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::Poll;
-use std::time::Duration;
-use tokio::diag::{io_registrations, timer_entries};
+use std::time::{Duration, Instant};
+use tokio::diag::{driver_parks, io_registrations, timer_entries, wakeups_sent};
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
 use tokio::net::{TcpListener, TcpStream};
 use tokio::time::timeout;
@@ -375,4 +376,143 @@ fn one_timeout_polled_many_times_holds_one_entry() {
         assert_eq!(most, before + 1);
         assert_eq!(timer_entries(), before);
     });
+}
+
+#[test]
+fn a_blocked_worker_hands_the_sockets_to_another() {
+    let _g = serial();
+    run(async {
+        let (l, addr) = listener().await;
+        let mut trigger = TcpStream::connect(addr).await.unwrap();
+        let (mut parked, _) = l.accept().await.unwrap();
+        let blocking = Arc::new(AtomicBool::new(false));
+        let flag = blocking.clone();
+        // Woken by a readiness edge, so the driver that harvests it runs
+        // it, then holds its thread for 300 ms.
+        let blocker = tokio::spawn(async move {
+            let mut b = [0u8; 1];
+            parked.read_exact(&mut b).await.unwrap();
+            flag.store(true, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(300));
+        });
+        let mut c = TcpStream::connect(addr).await.unwrap();
+        c.set_nodelay(true).unwrap();
+        let server = tokio::spawn(echo_until_eof(l.accept().await.unwrap().0));
+        tokio::time::sleep(Duration::from_millis(5)).await;
+        trigger.write_all(b"x").await.unwrap();
+        // This thread is not a worker; it may block.
+        while !blocking.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let t0 = Instant::now();
+        for i in 0..50u32 {
+            c.write_all(&i.to_be_bytes()).await.unwrap();
+            let mut back = [0u8; 4];
+            c.read_exact(&mut back).await.unwrap();
+            assert_eq!(back, i.to_be_bytes());
+        }
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(100),
+            "50 round trips took {took:?} beside a blocked worker"
+        );
+        blocker.await.unwrap();
+        drop(c);
+        server.await.unwrap();
+    });
+}
+
+#[test]
+fn a_new_earliest_deadline_cuts_a_long_park_short() {
+    let _g = serial();
+    run(async {
+        let long = tokio::spawn(tokio::time::sleep(Duration::from_secs(30)));
+        // Let the driver park on the 30 s deadline. Not a timer: this
+        // thread is not a worker and may block.
+        std::thread::sleep(Duration::from_millis(20));
+        let short = tokio::spawn(async {
+            let t0 = Instant::now();
+            tokio::time::sleep(Duration::from_millis(20)).await;
+            t0.elapsed()
+        });
+        let took = short.await.unwrap();
+        assert!(
+            took >= Duration::from_millis(20) && took < Duration::from_millis(200),
+            "a 20 ms sleep took {took:?} behind a 30 s one"
+        );
+        long.abort();
+        let _ = long.await;
+    });
+}
+
+#[test]
+fn short_sleeps_never_return_early_and_never_spin() {
+    let _g = serial();
+    run(async {
+        let parks = driver_parks();
+        let sleeps = tokio::spawn(async {
+            for i in 0..200u64 {
+                let d = Duration::from_micros(i * 3_000 / 199);
+                let t0 = Instant::now();
+                tokio::time::sleep(d).await;
+                let took = t0.elapsed();
+                assert!(took >= d, "a {d:?} sleep returned after {took:?}");
+            }
+        });
+        sleeps.await.unwrap();
+        // A park rounded down to whole milliseconds wakes short of the
+        // deadline and then polls `epoll_wait` with a zero timeout until
+        // it passes: hundreds of parks per sleep.
+        let parks = driver_parks() - parks;
+        assert!(parks <= 3 * 200, "{parks} driver parks for 200 sleeps");
+    });
+}
+
+#[test]
+fn an_idle_runtime_stays_parked() {
+    let _g = serial();
+    run(async {
+        let (l, addr) = listener().await;
+        let mut c = TcpStream::connect(addr).await.unwrap();
+        let (mut s, _) = l.accept().await.unwrap();
+        let reader = tokio::spawn(async move {
+            let mut b = [0u8; 1];
+            s.read(&mut b).await.unwrap()
+        });
+        let timer = tokio::spawn(tokio::time::sleep(Duration::from_secs(10)));
+        // The new sockets' first edges are harvested and done with.
+        tokio::time::sleep(Duration::from_millis(20)).await;
+        let (parks, wakeups) = (driver_parks(), wakeups_sent());
+        std::thread::sleep(Duration::from_millis(200));
+        let (parks, wakeups) = (driver_parks() - parks, wakeups_sent() - wakeups);
+        assert!(parks <= 3, "{parks} driver parks in 200 idle ms");
+        assert!(wakeups <= 3, "{wakeups} wake-ups sent in 200 idle ms");
+        c.write_all(b"x").await.unwrap();
+        assert_eq!(reader.await.unwrap(), 1);
+        timer.abort();
+        let _ = timer.await;
+    });
+}
+
+#[test]
+fn the_workers_are_the_only_runtime_threads() {
+    let _g = serial();
+    run(async {
+        let (l, addr) = listener().await;
+        let _c = TcpStream::connect(addr).await.unwrap();
+        let _s = l.accept().await.unwrap();
+        tokio::time::sleep(Duration::from_millis(1)).await;
+    });
+    // `comm` holds the first 15 bytes of a thread's name. Connect
+    // helpers live for one handshake each.
+    for task in std::fs::read_dir("/proc/self/task").unwrap() {
+        let comm = std::fs::read_to_string(task.unwrap().path().join("comm")).unwrap();
+        let comm = comm.trim_end();
+        assert!(
+            !comm.starts_with("tokio-shim")
+                || comm.starts_with("tokio-shim-work")
+                || comm.starts_with("tokio-shim-conn"),
+            "runtime thread {comm:?} besides the workers"
+        );
+    }
 }

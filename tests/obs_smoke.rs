@@ -212,7 +212,27 @@ async fn metrics_are_monotone_and_healthz_lists_every_stage() {
     );
 
     let second = get(addr, "/metrics").await;
-    let second = parse_totals(&String::from_utf8(second.body).unwrap());
+    let second = String::from_utf8(second.body).unwrap();
+    // The runtime under every httpx server, bridged in as gauges: the
+    // listener is a live socket, this scrape's client deadline a live
+    // timer, and each earlier request parked the driver at least once.
+    let gauges = obs::encode::parse_prometheus(&second);
+    let gauge = |name: &str| {
+        gauges
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("{name} missing from /metrics"))
+            .value
+    };
+    for (name, floor) in [
+        ("pingmesh_runtime_driver_parks", 4.0),
+        ("pingmesh_runtime_wakeups_sent", 0.0),
+        ("pingmesh_runtime_sockets", 1.0),
+        ("pingmesh_runtime_timers", 1.0),
+    ] {
+        assert!(gauge(name) >= floor, "{name} = {}", gauge(name));
+    }
+    let second = parse_totals(&second);
     for (key, v1) in &first {
         let v2 = second
             .get(key)
