@@ -21,8 +21,17 @@
 //! simulation does not chase one heap per agent (the same move
 //! `InlineVec` made for `Path.hops`):
 //!
-//! * all pinglist entries live in one `Vec<PinglistEntry>` arena, each
-//!   agent owning a contiguous `Segment` of it, in pinglist order;
+//! * all pinglist entries live in one arena of 8-byte packed entries,
+//!   each agent owning a contiguous `Segment` of it, in pinglist order.
+//!   A packed entry keeps only what nothing else can rebuild: the peer's
+//!   `ServerId`, the port, the kind and the QoS. The interval is the
+//!   entry's cadence group's, and the address is `topo.ip_of(id)`, read
+//!   at probe time. Whatever the topology cannot rebuild — a VIP target,
+//!   an address other than `topo.ip_of(id)`, an id ≥ 2^31, a payload
+//!   kind — is one `(target, kind)` item of a per-fleet side table,
+//!   append-only and deduplicated, so it grows with the distinct targets
+//!   a fleet has seen, not with its entries. [`AgentFleet::due_probes`]
+//!   and [`AgentFleet::entries`] hand out expanded `PinglistEntry`s;
 //! * the agent's schedule is one **due ring per cadence**: entries that
 //!   share an interval form a group, and each group holds, in two
 //!   parallel arenas over the same segment, its entry indices (`ring`)
@@ -53,9 +62,10 @@ use crate::guard::{GuardDecision, SafetyGuard};
 use crate::scheduler::{phase_of, DueProbe, EPHEMERAL_LO};
 use pingmesh_topology::Topology;
 use pingmesh_types::{
-    AgentCounters, CounterSnapshot, Pinglist, PinglistEntry, ProbeOutcome, ProbeRecord, ServerId,
-    SimDuration, SimTime,
+    AgentCounters, CounterSnapshot, PingTarget, Pinglist, PinglistEntry, ProbeKind, ProbeOutcome,
+    ProbeRecord, QosClass, ServerId, SimDuration, SimTime,
 };
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Fleet-wide agent metrics. Every agent of every fleet shares these
@@ -71,6 +81,7 @@ struct AgentMetrics {
     records_discarded: Arc<pingmesh_obs::Counter>,
     upload_batch_size: Arc<pingmesh_obs::Histogram>,
     resident_bytes: Arc<pingmesh_obs::Gauge>,
+    pinglist_bytes: Arc<pingmesh_obs::Gauge>,
 }
 
 fn metrics() -> &'static AgentMetrics {
@@ -86,6 +97,7 @@ fn metrics() -> &'static AgentMetrics {
             records_discarded: r.counter("pingmesh_agent_records_discarded_total"),
             upload_batch_size: r.histogram("pingmesh_agent_upload_batch_size"),
             resident_bytes: r.gauge("pingmesh_agent_resident_bytes"),
+            pinglist_bytes: r.gauge("pingmesh_agent_pinglist_bytes"),
         }
     })
 }
@@ -105,6 +117,112 @@ pub enum ControllerPollOutcome {
 /// "No wake pending" sentinel in the `next_wake` arena (the least head
 /// of an agent with no cadence groups is simply the sentinel).
 const NEVER: SimTime = SimTime(u64::MAX);
+
+/// Bit of [`Packed::peer`] that makes the rest an index into the fleet's
+/// side table instead of a `ServerId`.
+const SIDE: u32 = 1 << 31;
+/// [`Packed::flags`]: the probe is marked low-priority.
+const QOS_LOW: u16 = 1;
+/// [`Packed::flags`]: a `ServerId` peer is probed over HTTP, not TCP SYN.
+const KIND_HTTP: u16 = 2;
+
+/// One installed pinglist entry without its interval (its cadence
+/// group's) and without anything the topology rebuilds.
+#[derive(Debug, Clone, Copy, Default)]
+struct Packed {
+    /// The peer's `ServerId`, probed at `topo.ip_of(id)` with the kind in
+    /// `flags`; or `SIDE | k`, whose target and kind are side item `k`.
+    peer: u32,
+    port: u16,
+    flags: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<Packed>() == 8);
+
+/// The `(target, kind)` pairs that do not fit a [`Packed`] entry,
+/// interned: append-only, each distinct pair once.
+#[derive(Default)]
+struct SideTable {
+    items: Vec<(PingTarget, ProbeKind)>,
+    index: HashMap<(PingTarget, ProbeKind), u32>,
+}
+
+impl SideTable {
+    fn intern(&mut self, item: (PingTarget, ProbeKind)) -> u32 {
+        let next = self.items.len();
+        *self.index.entry(item).or_insert_with(|| {
+            self.items.push(item);
+            u32::try_from(next)
+                .ok()
+                .filter(|&k| k < SIDE)
+                .expect("fewer than 2^31 distinct side-table targets")
+        })
+    }
+}
+
+/// Packs `e`, interning in `side` what `topo` cannot rebuild.
+fn pack(topo: &Topology, side: &mut SideTable, e: &PinglistEntry) -> Packed {
+    let topo_peer = match (e.target, e.kind) {
+        (PingTarget::Server { id, ip }, ProbeKind::TcpSyn | ProbeKind::Http)
+            if id.0 < SIDE && id.index() < topo.server_count() && topo.ip_of(id) == ip =>
+        {
+            Some(id)
+        }
+        _ => None,
+    };
+    let mut flags = if e.qos == QosClass::Low { QOS_LOW } else { 0 };
+    let peer = match topo_peer {
+        Some(id) => {
+            if e.kind == ProbeKind::Http {
+                flags |= KIND_HTTP;
+            }
+            id.0
+        }
+        None => SIDE | side.intern((e.target, e.kind)),
+    };
+    Packed {
+        peer,
+        port: e.port,
+        flags,
+    }
+}
+
+/// The entry `p` was packed from, given its cadence.
+fn expand(
+    topo: &Topology,
+    side: &[(PingTarget, ProbeKind)],
+    p: Packed,
+    interval: SimDuration,
+) -> PinglistEntry {
+    let (target, kind) = if p.peer & SIDE != 0 {
+        side[(p.peer & !SIDE) as usize]
+    } else {
+        let id = ServerId(p.peer);
+        let kind = if p.flags & KIND_HTTP != 0 {
+            ProbeKind::Http
+        } else {
+            ProbeKind::TcpSyn
+        };
+        (
+            PingTarget::Server {
+                id,
+                ip: topo.ip_of(id),
+            },
+            kind,
+        )
+    };
+    PinglistEntry {
+        target,
+        port: p.port,
+        kind,
+        qos: if p.flags & QOS_LOW != 0 {
+            QosClass::Low
+        } else {
+            QosClass::High
+        },
+        interval,
+    }
+}
 
 /// One agent's slices: `start..start + len` of the entry, ring and due
 /// arenas (capacity `cap`), and `gstart..gstart + glen` of the group
@@ -154,7 +272,8 @@ pub struct AgentFleet {
     servers: Vec<ServerId>,
     // --- hot state: arenas + per-agent scalars ---
     segs: Vec<Segment>,
-    entries: Vec<PinglistEntry>,
+    entries: Vec<Packed>,
+    side: SideTable,
     /// Per ring slot: the entry index (into the agent's segment) and its
     /// next-due time.
     ring: Vec<u32>,
@@ -171,10 +290,11 @@ pub struct AgentFleet {
     probes_observed: Vec<u64>,
     unresolved_probes: Vec<u64>,
     /// Probes recorded since the last [`AgentFleet::flush_metrics`], and
-    /// the discards and ring bytes it last published.
+    /// the discards, ring bytes and pinglist bytes it last published.
     probes_unpublished: u64,
     discarded_published: u64,
     resident_published: f64,
+    pinglist_published: f64,
     // Recycled scratch (calls within a shard are sequential, so one per
     // fleet suffices): the install sort, a wake's tied ring slots and
     // the output buffer.
@@ -192,6 +312,7 @@ impl AgentFleet {
             servers: Vec::new(),
             segs: Vec::new(),
             entries: Vec::new(),
+            side: SideTable::default(),
             ring: Vec::new(),
             due: Vec::new(),
             groups: Vec::new(),
@@ -207,6 +328,7 @@ impl AgentFleet {
             probes_unpublished: 0,
             discarded_published: 0,
             resident_published: 0.0,
+            pinglist_published: 0.0,
             install_scratch: Vec::new(),
             tie_scratch: Vec::new(),
             due_scratch: Vec::new(),
@@ -246,12 +368,24 @@ impl AgentFleet {
         self.servers[idx]
     }
 
-    /// Agent `idx`'s installed (already sanitized) pinglist entries, for
-    /// a driver that probes in rounds instead of by [`Self::due_probes`]
-    /// cadence. Empty while fail-closed: stopping clears the schedule.
-    pub fn entries(&self, idx: usize) -> &[PinglistEntry] {
+    /// Agent `idx`'s installed (already sanitized) pinglist entries, in
+    /// pinglist order and expanded, for a driver that probes in rounds
+    /// instead of by [`Self::due_probes`] cadence. Empty while
+    /// fail-closed: stopping clears the schedule.
+    pub fn entries(&self, idx: usize) -> Vec<PinglistEntry> {
         let seg = self.segs[idx];
-        &self.entries[seg.start as usize..][..seg.len as usize]
+        let base = seg.start as usize;
+        let mut intervals = vec![SimDuration::ZERO; seg.len as usize];
+        for g in &self.groups[seg.gstart as usize..][..seg.glen as usize] {
+            for &i in &self.ring[base + g.start as usize..][..g.len as usize] {
+                intervals[i as usize] = g.interval;
+            }
+        }
+        self.entries[base..][..seg.len as usize]
+            .iter()
+            .zip(intervals)
+            .map(|(&p, interval)| expand(&self.topo, &self.side.items, p, interval))
+            .collect()
     }
 
     fn note_guard_trip(&self, idx: usize, reason: &'static str, now: SimTime) {
@@ -281,7 +415,8 @@ impl AgentFleet {
         if n as u32 > seg.cap {
             seg.start = self.entries.len() as u32;
             seg.cap = n as u32;
-            self.entries.resize(self.entries.len() + n, pl.entries[0]);
+            self.entries
+                .resize(self.entries.len() + n, Packed::default());
             self.ring.resize(self.ring.len() + n, 0);
             self.due.resize(self.due.len() + n, NEVER);
         }
@@ -295,7 +430,9 @@ impl AgentFleet {
         seg.glen = cadences as u32;
         let (start, gstart) = (seg.start as usize, seg.gstart as usize);
 
-        self.entries[start..start + n].copy_from_slice(&pl.entries);
+        for (slot, e) in self.entries[start..start + n].iter_mut().zip(&pl.entries) {
+            *slot = pack(&self.topo, &mut self.side, e);
+        }
         let mut k = 0;
         let mut next = NEVER;
         for (g, run) in scratch.chunk_by(|a, b| a.0 == b.0).enumerate() {
@@ -390,6 +527,7 @@ impl AgentFleet {
         let base = seg.start as usize;
         let groups = &mut self.groups[seg.gstart as usize..][..seg.glen as usize];
         let (ring, due) = (&mut self.ring[base..], &mut self.due[base..]);
+        let (topo, side, entries) = (&self.topo, &self.side.items, &self.entries[base..]);
         loop {
             // The due head with the least (due time, entry index).
             let mut pick: Option<usize> = None;
@@ -423,7 +561,7 @@ impl AgentFleet {
             self.next_port[idx] = if p == u16::MAX { EPHEMERAL_LO } else { p + 1 };
             out.push(DueProbe {
                 entry_index: i as usize,
-                entry: self.entries[base + i as usize],
+                entry: expand(topo, side, entries[i as usize], grp.interval),
                 src_port: p,
             });
         }
@@ -482,8 +620,10 @@ impl AgentFleet {
     /// Publishes the fleet's tallies — probes to
     /// `pingmesh_agent_probes_sent_total` and discards to
     /// `pingmesh_agent_records_discarded_total`, one atomic add per flush
-    /// instead of one per event — and its result rings' allocation to the
-    /// `pingmesh_agent_resident_bytes` gauge, which sums every live fleet.
+    /// instead of one per event — its result rings' allocation to the
+    /// `pingmesh_agent_resident_bytes` gauge, and its pinglist arenas'
+    /// (entries, side table, rings, due times, groups) to
+    /// `pingmesh_agent_pinglist_bytes`. Both gauges sum every live fleet.
     /// Drivers call it at their natural boundary — the orchestrator at
     /// each barrier, `RealAgent` after each probe round.
     pub fn flush_metrics(&mut self) {
@@ -499,6 +639,20 @@ impl AgentFleet {
             .add(discarded - self.discarded_published);
         m.resident_bytes.add(resident - self.resident_published);
         (self.discarded_published, self.resident_published) = (discarded, resident);
+        let pinglist = self.pinglist_bytes() as f64;
+        m.pinglist_bytes.add(pinglist - self.pinglist_published);
+        self.pinglist_published = pinglist;
+    }
+
+    /// Bytes allocated to the fleet's pinglists: the entry arena, the side
+    /// table's items, and the ring, due-time and group arenas.
+    fn pinglist_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.entries.capacity() * size_of::<Packed>()
+            + self.side.items.capacity() * size_of::<(PingTarget, ProbeKind)>()
+            + self.ring.capacity() * size_of::<u32>()
+            + self.due.capacity() * size_of::<SimTime>()
+            + self.groups.capacity() * size_of::<Group>()
     }
 
     /// Whether agent `idx` should start an upload now.
@@ -552,6 +706,7 @@ impl AgentFleet {
 impl Drop for AgentFleet {
     fn drop(&mut self) {
         metrics().resident_bytes.add(-self.resident_published);
+        metrics().pinglist_bytes.add(-self.pinglist_published);
     }
 }
 
@@ -843,6 +998,115 @@ mod tests {
         assert!(fired > 30_000 && max_burst > 20, "{fired} {max_burst}");
     }
 
+    /// The packed arena gives back exactly what was installed: seeded
+    /// lists over topology peers at their own address (packed in full),
+    /// and VIPs, payload probes, misaddressed peers, ids past the topology
+    /// and ids ≥ 2^31 (side table), in both QoS classes and kinds, read
+    /// through `entries` and through `due_probes` across reinstalls.
+    #[test]
+    fn packed_entries_round_trip_through_entries_and_due_probes() {
+        use pingmesh_types::constants::MAX_PAYLOAD_BYTES;
+        use pingmesh_types::VipId;
+        let mut state = 0x9ac4_ed08_u64;
+        let mut draw = move |m: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % m
+        };
+        let topo = topo();
+        let servers = topo.server_count() as u64;
+        let mut fleet = AgentFleet::new(topo.clone(), AgentConfig::default());
+        let agents: Vec<usize> = (0..3).map(|s| fleet.push_server(ServerId(s))).collect();
+        let mut side_worthy = std::collections::HashSet::new();
+        for generation in 1..=6u64 {
+            for &idx in &agents {
+                let entries: Vec<PinglistEntry> = (0..1 + draw(40))
+                    .map(|_| {
+                        let id = ServerId(draw(servers) as u32);
+                        let target = match draw(8) {
+                            0 => PingTarget::Vip {
+                                id: VipId(draw(3) as u32),
+                                ip: Ipv4Addr::new(172, 16, 0, draw(3) as u8),
+                            },
+                            1 => PingTarget::Server {
+                                id,
+                                ip: Ipv4Addr::new(192, 0, 2, draw(4) as u8),
+                            },
+                            2 => {
+                                let id = ServerId((1 << 31) + draw(4) as u32);
+                                PingTarget::Server {
+                                    id,
+                                    ip: Ipv4Addr::new(198, 51, 100, 7),
+                                }
+                            }
+                            3 => PingTarget::Server {
+                                id: ServerId(servers as u32 + draw(4) as u32),
+                                ip: Ipv4Addr::new(198, 51, 100, 9),
+                            },
+                            _ => PingTarget::Server {
+                                id,
+                                ip: topo.ip_of(id),
+                            },
+                        };
+                        let kind = match draw(4) {
+                            0 => ProbeKind::Http,
+                            1 => ProbeKind::TcpPayload(draw(MAX_PAYLOAD_BYTES as u64 + 1) as u32),
+                            _ => ProbeKind::TcpSyn,
+                        };
+                        PinglistEntry {
+                            target,
+                            port: draw(1 << 16) as u16,
+                            kind,
+                            qos: QosClass::ALL[draw(2) as usize],
+                            interval: SimDuration::from_secs([10, 30, 45][draw(3) as usize]),
+                        }
+                    })
+                    .collect();
+                for e in &entries {
+                    let in_topo = matches!(e.target, PingTarget::Server { id, ip }
+                        if id.index() < topo.server_count() && topo.ip_of(id) == ip);
+                    if !in_topo || matches!(e.kind, ProbeKind::TcpPayload(_)) {
+                        side_worthy.insert((e.target, e.kind));
+                    }
+                }
+                let pl = Pinglist {
+                    server: fleet.server(idx),
+                    generation,
+                    entries,
+                };
+                let now = SimTime(generation * 100_000_000);
+                fleet.on_controller_poll(idx, ControllerPollOutcome::Pinglist(pl.clone()), now);
+                assert_eq!(fleet.view(idx).sanitized_entries(), 0);
+                assert_eq!(fleet.entries(idx), pl.entries, "generation {generation}");
+                // One full round of every cadence fires every entry.
+                let mut fired = vec![false; pl.entries.len()];
+                while let Some(t) = fleet
+                    .next_wakeup(idx)
+                    .filter(|&t| t < now + SimDuration::from_secs(45))
+                {
+                    let due = fleet.due_probes(idx, t);
+                    for d in &due {
+                        assert_eq!(
+                            d.entry, pl.entries[d.entry_index],
+                            "generation {generation}"
+                        );
+                        fired[d.entry_index] = true;
+                    }
+                    fleet.recycle_due(due);
+                }
+                assert!(fired.iter().all(|&f| f), "generation {generation}");
+            }
+        }
+        assert!(side_worthy.len() > 20, "{}", side_worthy.len());
+        assert_eq!(
+            fleet.side.items.len(),
+            side_worthy.len(),
+            "each side pair once"
+        );
+    }
+
     #[test]
     fn pinglist_install_and_probing() {
         let mut fleet = AgentFleet::new(topo(), AgentConfig::default());
@@ -856,7 +1120,7 @@ mod tests {
         );
         assert_eq!(fleet.view(idx).peer_count(), 1);
         assert_eq!(fleet.view(idx).generation(), 1);
-        assert_eq!(fleet.entries(idx), &pinglist(ServerId(0), 1, 1).entries[..]);
+        assert_eq!(fleet.entries(idx), pinglist(ServerId(0), 1, 1).entries);
         probe_once(&mut fleet, idx, Some(ServerId(1)), OK);
         assert_eq!(fleet.view(idx).counters().probes_sent, 1);
         assert_eq!(fleet.view(idx).counters().probes_succeeded, 1);
@@ -1050,7 +1314,7 @@ mod tests {
         );
         assert_eq!(fleet.view(a).peer_count(), 9);
         assert_eq!(fleet.view(b).peer_count(), 2);
-        assert_eq!(fleet.entries(b), &pinglist(ServerId(5), 1, 2).entries[..]);
+        assert_eq!(fleet.entries(b), pinglist(ServerId(5), 1, 2).entries);
         let tb = fleet.next_wakeup(b).unwrap();
         let due_b = fleet.due_probes(b, tb);
         assert!(!due_b.is_empty());

@@ -12,7 +12,8 @@
 //! and compared against the serial run: the two must match bit for bit,
 //! at any shard count. Bytes are recorded beside milliseconds: each
 //! point's resident set (`VmRSS`) is read while its serial engine is still
-//! alive, and divided by the fleet size, and each point records the
+//! alive, and divided by the fleet size and by the pinglist entries the
+//! agents hold (`entries`, `bytes_per_entry`), and each point records the
 //! serial engine's wall time per probe (`serial_ns_per_probe`).
 //!
 //! Probe cadence is turned down from the paper's 10s/30s defaults to
@@ -137,6 +138,8 @@ struct Measured {
     ms_per_sim_min: f64,
     probes: u64,
     records: u64,
+    /// Pinglist entries installed across the fleet.
+    entries: u64,
     digest: u64,
     shards: usize,
     /// `VmRSS` at the end of the run, the engine still alive.
@@ -153,6 +156,12 @@ fn run_point(p: &Point, shards: usize, sim_mins: u64) -> Measured {
         ms_per_sim_min: wall_ms / sim_mins as f64,
         probes: o.outputs().probes_run,
         records: o.pipeline().store.record_count(),
+        entries: o
+            .net()
+            .topology()
+            .servers()
+            .map(|s| o.agent(s).peer_count() as u64)
+            .sum(),
         digest: state_digest(&o),
         shards: o.shard_count(),
         rss_bytes: rss_bytes(),
@@ -236,14 +245,16 @@ fn main() {
         let ns_per_probe = serial.wall_ms * 1e6 / serial.probes.max(1) as f64;
         let rss_mb = serial.rss_bytes as f64 / (1024.0 * 1024.0);
         let rss_per_server = serial.rss_bytes / p.servers();
+        let bytes_per_entry = serial.rss_bytes / serial.entries.max(1);
         println!(
-            "  {:>6} servers   serial {:>8.0} ms ({:>7.0} ms/sim-min, {:.0} ns/probe, rss {:.0} MB = {} B/server)   {}-shard {:>8.0} ms ({:>7.0} ms/sim-min)   speedup {:.2}x   {} probes   {}",
+            "  {:>6} servers   serial {:>8.0} ms ({:>7.0} ms/sim-min, {:.0} ns/probe, rss {:.0} MB = {} B/server = {} B/entry)   {}-shard {:>8.0} ms ({:>7.0} ms/sim-min)   speedup {:.2}x   {} probes   {}",
             p.servers(),
             serial.wall_ms,
             serial.ms_per_sim_min,
             ns_per_probe,
             rss_mb,
             rss_per_server,
+            bytes_per_entry,
             sharded.shards,
             sharded.wall_ms,
             sharded.ms_per_sim_min,
@@ -264,6 +275,8 @@ fn main() {
                 "      \"serial_ns_per_probe\": {:.0},\n",
                 "      \"rss_mb\": {:.1},\n",
                 "      \"rss_bytes_per_server\": {},\n",
+                "      \"entries\": {},\n",
+                "      \"bytes_per_entry\": {},\n",
                 "      \"shards\": {},\n",
                 "      \"sharded_wall_ms\": {:.0},\n",
                 "      \"sharded_ms_per_sim_min\": {:.0},\n",
@@ -282,6 +295,8 @@ fn main() {
             ns_per_probe,
             rss_mb,
             rss_per_server,
+            serial.entries,
+            bytes_per_entry,
             sharded.shards,
             sharded.wall_ms,
             sharded.ms_per_sim_min,
@@ -301,7 +316,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"pingmesh-bench-scale/2\",\n",
+            "  \"schema\": \"pingmesh-bench-scale/3\",\n",
             "  \"smoke\": {},\n",
             "  \"threads\": {},\n",
             "  \"points\": [\n{}\n  ]\n",

@@ -186,9 +186,38 @@ impl PinglistGenerator {
         v
     }
 
+    /// Entries [`Self::push_peer`] adds per peer.
+    fn entries_per_peer(&self, with_payload: bool) -> usize {
+        1 + usize::from(with_payload && self.config.payload_probes)
+            + usize::from(self.config.qos_low)
+    }
+
+    /// The length of `s`'s list, counted without building it: the peers
+    /// `generate_for` visits, at [`Self::entries_per_peer`] each, plus the
+    /// VIPs, capped at `max_entries_per_server`.
+    fn entry_count(&self, topo: &Topology, s: ServerId) -> usize {
+        let info = *topo.server(s);
+        let pod_peers = topo.servers_in_pod(info.pod).filter(|&p| p != s).count();
+        let dc_peers = topo
+            .pods_in_dc(info.dc)
+            .filter(|&pod| pod != info.pod)
+            .filter(|&pod| topo.nth_server_of_pod(pod, info.index_in_pod).is_some())
+            .count();
+        let mut n = (pod_peers + dc_peers) * self.entries_per_peer(true);
+        if self.is_inter_dc_prober(topo, s) {
+            let probers: usize = topo
+                .dcs()
+                .filter(|&dc| dc != info.dc)
+                .map(|dc| self.inter_dc_probers(topo, dc).len())
+                .sum();
+            n += probers * self.entries_per_peer(false) + self.config.vip_targets.len();
+        }
+        n.min(self.config.max_entries_per_server)
+    }
+
     fn push_peer(
         &self,
-        entries: &mut Vec<PinglistEntry>,
+        push: &mut impl FnMut(PinglistEntry),
         topo: &Topology,
         peer: ServerId,
         interval: SimDuration,
@@ -198,7 +227,7 @@ impl PinglistGenerator {
             id: peer,
             ip: topo.ip_of(peer),
         };
-        entries.push(PinglistEntry {
+        push(PinglistEntry {
             target,
             port: AGENT_PORT_HIGH,
             kind: ProbeKind::TcpSyn,
@@ -206,7 +235,7 @@ impl PinglistGenerator {
             interval,
         });
         if with_payload && self.config.payload_probes {
-            entries.push(PinglistEntry {
+            push(PinglistEntry {
                 target,
                 port: AGENT_PORT_HIGH,
                 kind: ProbeKind::TcpPayload(self.config.payload_bytes),
@@ -217,7 +246,7 @@ impl PinglistGenerator {
             });
         }
         if self.config.qos_low {
-            entries.push(PinglistEntry {
+            push(PinglistEntry {
                 target,
                 port: AGENT_PORT_LOW,
                 kind: ProbeKind::TcpSyn,
@@ -227,21 +256,25 @@ impl PinglistGenerator {
         }
     }
 
-    /// Generates the pinglist for one server.
+    /// Generates the pinglist for one server, allocated at its exact
+    /// length.
     pub fn generate_for(&self, topo: &Topology, s: ServerId, generation: u64) -> Pinglist {
         let info = *topo.server(s);
-        let mut entries = Vec::new();
+        // Threshold: the list holds the first `cap` entries in the order
+        // below, which is priority order (intra-pod, intra-DC, inter-DC,
+        // VIP).
+        let cap = self.entry_count(topo, s);
+        let mut entries = Vec::with_capacity(cap);
+        let mut push = |e| {
+            if entries.len() < cap {
+                entries.push(e);
+            }
+        };
 
         // Level 1: intra-pod complete graph.
         for peer in topo.servers_in_pod(info.pod) {
             if peer != s {
-                self.push_peer(
-                    &mut entries,
-                    topo,
-                    peer,
-                    self.config.intra_pod_interval,
-                    true,
-                );
+                self.push_peer(&mut push, topo, peer, self.config.intra_pod_interval, true);
             }
         }
 
@@ -253,13 +286,7 @@ impl PinglistGenerator {
                 continue;
             }
             if let Some(peer) = topo.nth_server_of_pod(pod, i) {
-                self.push_peer(
-                    &mut entries,
-                    topo,
-                    peer,
-                    self.config.intra_dc_interval,
-                    true,
-                );
+                self.push_peer(&mut push, topo, peer, self.config.intra_dc_interval, true);
             }
         }
 
@@ -270,18 +297,12 @@ impl PinglistGenerator {
                     continue;
                 }
                 for peer in self.inter_dc_probers(topo, dc) {
-                    self.push_peer(
-                        &mut entries,
-                        topo,
-                        peer,
-                        self.config.inter_dc_interval,
-                        false,
-                    );
+                    self.push_peer(&mut push, topo, peer, self.config.inter_dc_interval, false);
                 }
             }
             // VIP monitoring rides on the selected probers too.
             for &(id, ip) in &self.config.vip_targets {
-                entries.push(PinglistEntry {
+                push(PinglistEntry {
                     target: PingTarget::Vip { id, ip },
                     port: 80,
                     kind: ProbeKind::Http,
@@ -291,10 +312,7 @@ impl PinglistGenerator {
             }
         }
 
-        // Threshold: cap the number of entries. Order above is priority
-        // order (intra-pod, intra-DC, inter-DC, VIP).
-        entries.truncate(self.config.max_entries_per_server);
-
+        debug_assert_eq!(entries.len(), cap, "entry_count agrees with the loops");
         Pinglist {
             server: s,
             generation,
@@ -603,6 +621,34 @@ mod tests {
         let forwarded = g.generate_all_threads(&t, 3, 7);
         assert_eq!(forwarded.generation, serial.generation);
         assert_eq!(forwarded.lists, serial.lists);
+    }
+
+    /// Every list is allocated at its exact length, with and without
+    /// the extensions and with the entry cap biting.
+    #[test]
+    fn lists_are_generated_at_exact_size() {
+        let t = topo();
+        let configs = [
+            GeneratorConfig::default(),
+            GeneratorConfig {
+                payload_probes: true,
+                qos_low: true,
+                vip_targets: vec![(VipId(0), Ipv4Addr::new(172, 16, 0, 0))],
+                ..GeneratorConfig::default()
+            },
+            GeneratorConfig {
+                payload_probes: true,
+                max_entries_per_server: 5,
+                ..GeneratorConfig::default()
+            },
+        ];
+        for config in configs {
+            let set = PinglistGenerator::new(config.clone()).generate_all(&t, 1);
+            for l in &set.lists {
+                assert_eq!(l.entries.capacity(), l.entries.len(), "{config:?}");
+                assert!(l.entries.len() <= config.max_entries_per_server);
+            }
+        }
     }
 
     #[test]

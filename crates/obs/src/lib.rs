@@ -84,6 +84,9 @@ pub fn registry() -> &'static Registry {
         r.callback_gauge("pingmesh_types_histograms_created", &[], || {
             telemetry::HISTOGRAMS_CREATED.load(Ordering::Relaxed) as f64
         });
+        r.callback_gauge("pingmesh_types_histogram_pages", &[], || {
+            telemetry::HISTOGRAM_PAGES.load(Ordering::Relaxed) as f64
+        });
         r.callback_gauge("pingmesh_types_histogram_merges", &[], || {
             telemetry::HISTOGRAM_MERGES.load(Ordering::Relaxed) as f64
         });

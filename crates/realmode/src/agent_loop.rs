@@ -243,7 +243,7 @@ impl RealAgent {
     /// Returns the number of probes sent — zero while fail-closed, since
     /// stopping drops every installed entry.
     pub async fn probe_round_once(&mut self) -> usize {
-        let entries = self.fleet.entries(ME).to_vec();
+        let entries = self.fleet.entries(ME);
         let timeout = PROBE_TIMEOUT;
         let mut inflight = tokio::task::JoinSet::new();
         let mut sent = 0usize;

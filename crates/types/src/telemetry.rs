@@ -13,6 +13,12 @@ use std::sync::atomic::AtomicU64;
 /// the `Default` path both count).
 pub static HISTOGRAMS_CREATED: AtomicU64 = AtomicU64::new(0);
 
+/// Histogram pages alive now: one per octave a live histogram has held
+/// a sample in (see [`crate::hist`]). Added when a page is allocated or a
+/// histogram cloned, subtracted when a histogram drops, so this is a level
+/// (`× 128 B` = the histograms' count bytes), not a running total.
+pub static HISTOGRAM_PAGES: AtomicU64 = AtomicU64::new(0);
+
 /// Histogram merge operations performed (DSA rollups are merge-heavy;
 /// this tracks aggregation activity without touching the record path).
 pub static HISTOGRAM_MERGES: AtomicU64 = AtomicU64::new(0);

@@ -252,6 +252,22 @@ fn main() {
         "agent result rings: {resident:.0} resident bytes for {held} held entries ({:.1} B per entry)",
         resident / held.max(1) as f64
     );
+    let pinglist = pingmesh::obs::registry()
+        .gauge("pingmesh_agent_pinglist_bytes")
+        .get();
+    let entries: usize = topo.servers().map(|s| o.agent(s).peer_count()).sum();
+    println!(
+        "agent pinglists: {pinglist:.0} bytes for {entries} installed entries ({:.1} B per entry)",
+        pinglist / entries.max(1) as f64
+    );
+    let pages = pingmesh::obs::registry()
+        .snapshot()
+        .gauge("pingmesh_types_histogram_pages")
+        .unwrap_or(0.0);
+    println!(
+        "histogram pages: {pages:.0} live ({:.0} bytes of counts)",
+        pages * 128.0
+    );
 
     if let Some(path) = args.json {
         write_json_report(&o, &topo, &path);

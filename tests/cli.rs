@@ -65,6 +65,36 @@ fn pingmesh_sim_agents_hold_each_result_in_at_most_64_bytes() {
     assert!(resident / held <= 64.0, "{line}");
 }
 
+/// The fleet keeps each installed pinglist entry once, packed: entry,
+/// ring slot and due time are 20 bytes, and the arenas' growth slack and
+/// cadence groups stay under 2× that (a 32-byte entry copy alone would
+/// read 44). The live histogram-page gauge reads the agents' and the
+/// store's histograms.
+#[test]
+fn pingmesh_sim_reports_pinglist_bytes_and_histogram_pages() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pingmesh-sim"))
+        .args(["--tiny", "--minutes", "12", "--seed", "3"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let words = |prefix: &str| -> Vec<f64> {
+        let line = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix))
+            .unwrap_or_else(|| panic!("the summary has a {prefix:?} line"));
+        line.split_whitespace()
+            .filter_map(|w| w.parse().ok())
+            .collect()
+    };
+    let pinglist = words("agent pinglists: ");
+    let (bytes, entries) = (pinglist[0], pinglist[1]);
+    assert!(entries > 0.0, "{pinglist:?}");
+    assert!(bytes / entries <= 40.0, "{pinglist:?}");
+    let pages = words("histogram pages: ");
+    assert!(pages[0] > 0.0, "{pages:?}");
+}
+
 #[test]
 fn pingmesh_sim_writes_a_json_report() {
     let dir = std::env::temp_dir().join(format!("pm-json-{}", std::process::id()));
