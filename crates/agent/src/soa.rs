@@ -11,9 +11,8 @@
 //! wall-clock time) — and the stimuli are the same three for both:
 //!
 //! * controller poll results ([`AgentFleet::on_controller_poll`]),
-//! * probes — [`AgentFleet::due_probes`] (or, for a round-based driver,
-//!   [`AgentFleet::entries`]) out, network outcomes back in through
-//!   [`AgentFleet::record_outcome`],
+//! * probes — [`AgentFleet::due_probes`] out, network outcomes back in
+//!   through [`AgentFleet::record_outcome`],
 //! * upload opportunities ([`AgentFleet::upload_due`] /
 //!   [`AgentFleet::begin_upload`] / [`AgentFleet::on_upload_result`]).
 //!
@@ -31,7 +30,8 @@
 //!   kind — is one `(target, kind)` item of a per-fleet side table,
 //!   append-only and deduplicated, so it grows with the distinct targets
 //!   a fleet has seen, not with its entries. [`AgentFleet::due_probes`]
-//!   and [`AgentFleet::entries`] hand out expanded `PinglistEntry`s;
+//!   hands out expanded `PinglistEntry`s (and so does the test-only
+//!   `entries`, which reads an installed list back);
 //! * the agent's schedule is one **due ring per cadence**: entries that
 //!   share an interval form a group, and each group holds, in two
 //!   parallel arenas over the same segment, its entry indices (`ring`)
@@ -369,10 +369,11 @@ impl AgentFleet {
     }
 
     /// Agent `idx`'s installed (already sanitized) pinglist entries, in
-    /// pinglist order and expanded, for a driver that probes in rounds
-    /// instead of by [`Self::due_probes`] cadence. Empty while
-    /// fail-closed: stopping clears the schedule.
-    pub fn entries(&self, idx: usize) -> Vec<PinglistEntry> {
+    /// pinglist order and expanded: what the tests read back to check that
+    /// packing an entry loses nothing. Empty while fail-closed: stopping
+    /// clears the schedule.
+    #[cfg(test)]
+    pub(crate) fn entries(&self, idx: usize) -> Vec<PinglistEntry> {
         let seg = self.segs[idx];
         let base = seg.start as usize;
         let mut intervals = vec![SimDuration::ZERO; seg.len as usize];
@@ -625,7 +626,7 @@ impl AgentFleet {
     /// (entries, side table, rings, due times, groups) to
     /// `pingmesh_agent_pinglist_bytes`. Both gauges sum every live fleet.
     /// Drivers call it at their natural boundary — the orchestrator at
-    /// each barrier, `RealAgent` after each probe round.
+    /// each barrier, `RealAgent` after each wake's probes complete.
     pub fn flush_metrics(&mut self) {
         let m = metrics();
         m.probes_sent

@@ -5,21 +5,24 @@
 //! and only tells it what happened — so the §3.4.2 rules (sanitize every
 //! served entry, fail closed after 3 consecutive controller failures or
 //! an empty controller, bounded buffer, upload on size *or* age,
-//! retry-then-discard) and the `pingmesh_agent_*` metrics are the ones
+//! retry-then-discard), the per-entry probe cadence the pinglist carries
+//! (the fleet's due rings) and the `pingmesh_agent_*` metrics are the ones
 //! the simulator runs. What lives here is only what a driver is:
 //!
 //! * polling the controller VIP over HTTP and mapping the answer to a
 //!   [`ControllerPollOutcome`];
-//! * turning installed entries into socket addresses and probing them,
-//!   every probe on a fresh connection (the OS assigns the ephemeral
-//!   port), bounded in flight;
+//! * turning the probes the engine says are due into socket addresses
+//!   and probing them, every probe on a fresh connection (the OS assigns
+//!   the ephemeral port), bounded in flight;
 //! * carrying upload batches to the collector, sleeping a jittered
 //!   backoff between the retries the engine asks for;
 //! * the `pingmesh_realmode_*` transport counters and the run loop.
 //!
-//! [`RealAgent::run`] is the faithful always-on loop (probe cadence
-//! clamped to the hard 10-second floor); [`RealAgent::probe_round_once`]
-//! runs a single round immediately for demos and tests.
+//! [`RealAgent::run`] is the always-on loop: it sleeps until the engine's
+//! next wake or the next controller poll. [`RealAgent::probe_due`] probes
+//! what is due now; demos and tests that want every entry probed now step
+//! the schedule clock past the longest interval with [`RealAgent::skip`]
+//! first. Records are stamped by the wall clock either way.
 
 use crate::collector::upload_records_with;
 use crate::directory::{PeerDirectory, PeerEndpoints};
@@ -29,10 +32,8 @@ use pingmesh_agent::scheduler::DueProbe;
 use pingmesh_agent::{AgentConfig, AgentFleet, AgentView, ControllerPollOutcome};
 use pingmesh_topology::Topology;
 use pingmesh_types::backoff::Backoff;
-use pingmesh_types::constants::MIN_PROBE_INTERVAL;
 use pingmesh_types::{
-    CounterSnapshot, PingTarget, PingmeshError, ProbeKind, ProbeOutcome, ServerId, SimDuration,
-    SimTime,
+    PingTarget, PingmeshError, ProbeKind, ProbeOutcome, ServerId, SimDuration, SimTime,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -107,6 +108,9 @@ pub struct RealAgent {
     /// The engine: one agent, fleet index [`ME`].
     fleet: AgentFleet,
     epoch: Instant,
+    /// How far the schedule clock runs ahead of the wall clock: zero for
+    /// a daemon, stepped by [`RealAgent::skip`].
+    skipped: SimDuration,
 }
 
 /// This agent's index in its own one-agent fleet.
@@ -128,6 +132,7 @@ impl RealAgent {
             directory,
             fleet,
             epoch: Instant::now(),
+            skipped: SimDuration::ZERO,
         }
     }
 
@@ -153,36 +158,6 @@ impl RealAgent {
         self.view().is_stopped()
     }
 
-    /// Active peer count.
-    pub fn peer_count(&self) -> usize {
-        self.view().peer_count()
-    }
-
-    /// Records discarded because uploads kept failing (or the buffer cap
-    /// was hit).
-    pub fn discarded(&self) -> u64 {
-        self.view().discarded_total()
-    }
-
-    /// Lifetime count of probe records this agent has produced (whether
-    /// or not they were ultimately uploaded) — one side of the
-    /// completeness SLO's conservation ledger.
-    pub fn produced(&self) -> u64 {
-        self.view().probes_observed() - self.view().unresolved_probes()
-    }
-
-    /// Records currently buffered awaiting upload. Buffered records are
-    /// lag, not loss — the completeness ledger subtracts them from the
-    /// produced side.
-    pub fn buffered(&self) -> u64 {
-        self.view().buffered_records()
-    }
-
-    /// Counter snapshot for the PA path (resets the window).
-    pub fn collect_counters(&mut self) -> CounterSnapshot {
-        self.fleet.collect_counters(ME)
-    }
-
     /// The jittered retry/poll backoff. Seeded from the server id, so
     /// agents of a fleet don't retry in lockstep, while each retries on
     /// the same schedule from run to run.
@@ -190,10 +165,23 @@ impl RealAgent {
         Backoff::control_plane(0x5EED ^ u64::from(self.config.me.0))
     }
 
-    /// Wall-clock microseconds since this agent started: the engine's
-    /// notion of "now".
+    /// Wall-clock microseconds since this agent started: the record
+    /// clock, which stamps results and ages the upload buffer.
     fn now(&self) -> SimTime {
         SimTime(self.epoch.elapsed().as_micros() as u64)
+    }
+
+    /// The schedule clock: the record clock plus every [`Self::skip`].
+    /// Pinglists are installed and probes fall due by it.
+    fn schedule_now(&self) -> SimTime {
+        self.now() + self.skipped
+    }
+
+    /// Steps the schedule clock forward by `d` without touching the
+    /// record clock. Stepping past the longest installed interval makes
+    /// every entry due, so the next [`Self::probe_due`] probes each once.
+    pub fn skip(&mut self, d: Duration) {
+        self.skipped += SimDuration::from_micros(d.as_micros() as u64);
     }
 
     /// Polls the controller VIP once and hands the engine the outcome;
@@ -217,7 +205,8 @@ impl RealAgent {
             Err(_) => ControllerPollOutcome::Unreachable,
         };
         let answered = !matches!(outcome, ControllerPollOutcome::Unreachable);
-        self.fleet.on_controller_poll(ME, outcome, self.now());
+        self.fleet
+            .on_controller_poll(ME, outcome, self.schedule_now());
         match (was_stopped, self.is_stopped()) {
             (false, true) => {
                 pingmesh_obs::registry()
@@ -238,17 +227,15 @@ impl RealAgent {
         answered
     }
 
-    /// Runs one probe round: one probe per installed pinglist entry,
-    /// concurrently (bounded), feeding outcomes back to the engine.
-    /// Returns the number of probes sent — zero while fail-closed, since
-    /// stopping drops every installed entry.
-    pub async fn probe_round_once(&mut self) -> usize {
-        let entries = self.fleet.entries(ME);
-        let timeout = PROBE_TIMEOUT;
+    /// Probes what the engine says is due now, concurrently (bounded),
+    /// feeding outcomes back to it. Returns the number of probes launched
+    /// — zero while fail-closed, since stopping clears the schedule.
+    pub async fn probe_due(&mut self) -> usize {
+        let mut due = self.fleet.due_probes(ME, self.schedule_now());
         let mut inflight = tokio::task::JoinSet::new();
         let mut sent = 0usize;
-        for (entry_index, entry) in entries.into_iter().enumerate() {
-            let PingTarget::Server { id: peer, ip } = entry.target else {
+        for mut probe in due.drain(..) {
+            let PingTarget::Server { id: peer, ip } = probe.entry.target else {
                 continue; // VIP targets need the production LB; skip here
             };
             let endpoints = match self.config.addressing {
@@ -260,7 +247,7 @@ impl RealAgent {
                     // Production addressing: the pinglist's IP and port
                     // are the peer agent's actual endpoints; HTTP probes
                     // use the conventional HTTP port on the same host.
-                    echo: SocketAddr::from((ip, entry.port)),
+                    echo: SocketAddr::from((ip, probe.entry.port)),
                     http: SocketAddr::from((ip, 80)),
                 },
             };
@@ -271,29 +258,26 @@ impl RealAgent {
             }
             sent += 1;
             // The OS picks the ephemeral port of a real connection.
-            let due = DueProbe {
-                entry_index,
-                entry,
-                src_port: 0,
-            };
+            probe.src_port = 0;
             inflight.spawn(async move {
-                let rtt = match entry.kind {
-                    ProbeKind::TcpSyn => tcp_ping(endpoints.echo, None, timeout)
+                let rtt = match probe.entry.kind {
+                    ProbeKind::TcpSyn => tcp_ping(endpoints.echo, None, PROBE_TIMEOUT)
                         .await
                         .map(|r| r.connect_rtt)
                         .ok(),
                     ProbeKind::TcpPayload(n) => {
                         let payload = vec![0xA5u8; n as usize];
-                        tcp_ping(endpoints.echo, Some(&payload), timeout)
+                        tcp_ping(endpoints.echo, Some(&payload), PROBE_TIMEOUT)
                             .await
                             .ok()
                             .and_then(|r| r.payload_rtt)
                     }
-                    ProbeKind::Http => http_ping(endpoints.http, timeout).await.ok(),
+                    ProbeKind::Http => http_ping(endpoints.http, PROBE_TIMEOUT).await.ok(),
                 };
-                (due, peer, rtt)
+                (probe, peer, rtt)
             });
         }
+        self.fleet.recycle_due(due);
         while let Some(done) = inflight.join_next().await {
             self.absorb(done.expect("probe task panicked"));
         }
@@ -351,28 +335,22 @@ impl RealAgent {
         self.fleet.recycle_batch(ME, batch);
     }
 
-    /// The always-on loop: poll the controller, then run probe rounds at
-    /// the configured cadence — clamped to the hard 10-second floor so a
-    /// full round never probes any pair more often than the paper's
-    /// limit. Runs until `shutdown` resolves.
+    /// The always-on loop. Each pass polls the controller when a poll is
+    /// due, probes what the engine says is due and uploads if an upload is
+    /// due; then it sleeps until the engine's next wake or the next poll,
+    /// whichever is earlier. Shutdown is looked at between passes, so the
+    /// first pass always runs; after it the buffer is flushed.
     pub async fn run(
         mut self,
-        round_interval: Duration,
         poll_interval: Duration,
-        shutdown: tokio::sync::watch::Receiver<bool>,
+        mut shutdown: tokio::sync::watch::Receiver<bool>,
     ) -> Self {
-        let floor = Duration::from_micros(MIN_PROBE_INTERVAL.as_micros());
-        let round_interval = round_interval.max(floor);
         let mut next_poll = Instant::now();
         // While the controller is failing, re-poll on a capped jittered
         // backoff instead of the full poll interval — the agent recovers
         // quickly after an outage without hammering a struggling VIP.
         let mut poll_backoff = self.backoff();
-        let mut shutdown = shutdown;
         loop {
-            if *shutdown.borrow() {
-                break;
-            }
             if Instant::now() >= next_poll {
                 next_poll = if self.poll_controller().await {
                     poll_backoff.reset();
@@ -381,11 +359,20 @@ impl RealAgent {
                     Instant::now() + poll_backoff.next_delay()
                 };
             }
-            self.probe_round_once().await;
+            self.probe_due().await;
             self.flush(false).await;
+            let mut nap = next_poll.saturating_duration_since(Instant::now());
+            if let Some(wake) = self.view().next_wakeup() {
+                nap = nap.min(Duration::from_micros(
+                    (wake - self.schedule_now()).as_micros(),
+                ));
+            }
             tokio::select! {
-                _ = tokio::time::sleep(round_interval) => {}
+                _ = tokio::time::sleep(nap) => {}
                 _ = shutdown.changed() => {}
+            }
+            if *shutdown.borrow() {
+                break;
             }
         }
         self.flush(true).await;
@@ -394,12 +381,17 @@ impl RealAgent {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cluster::LocalCluster;
     use pingmesh_controller::GeneratorConfig;
     use pingmesh_topology::TopologySpec;
     use pingmesh_types::constants::UPLOAD_RETRIES;
+
+    /// A schedule step longer than any interval the default generator
+    /// assigns (payload and low-QoS entries included, 120 s at most):
+    /// after `skip(STEP)` every installed entry is due once.
+    pub(crate) const STEP: Duration = Duration::from_secs(180);
 
     #[tokio::test]
     async fn full_loop_fetch_probe_upload() {
@@ -420,12 +412,16 @@ mod tests {
         );
         agent.poll_controller().await;
         assert!(!agent.is_stopped());
-        assert!(agent.peer_count() > 0);
-        let sent = agent.probe_round_once().await;
+        assert!(agent.view().peer_count() > 0);
+        agent.skip(STEP);
+        let sent = agent.probe_due().await;
         assert!(sent > 0, "must probe peers");
         assert_eq!(agent.view().counters().probes_sent as usize, sent);
         assert!(agent.view().counters().probes_succeeded > 0);
-        assert_eq!(agent.produced(), sent as u64);
+        assert_eq!(
+            agent.view().probes_observed() - agent.view().unresolved_probes(),
+            sent as u64
+        );
         agent.flush(true).await;
         let stats = cluster.collector().stats();
         assert_eq!(stats.records, sent as u64);
@@ -440,11 +436,12 @@ mod tests {
             LocalCluster::start(TopologySpec::single_tiny(), GeneratorConfig::default()).await;
         let mut agent = cluster.agent(ServerId(5));
         agent.poll_controller().await;
-        let sent = agent.probe_round_once().await as u64;
+        agent.skip(STEP);
+        let sent = agent.probe_due().await as u64;
         assert!(sent > 0 && sent < UPLOAD_BATCH as u64);
         // Fresh records below the batch size: not due.
         agent.flush(false).await;
-        assert_eq!(agent.buffered(), sent);
+        assert_eq!(agent.view().buffered_records(), sent);
         assert_eq!(cluster.collector().stats().records, 0);
         // The engine's age trigger, read at a crafted "now"…
         let max_age = AgentConfig::default().upload_max_age;
@@ -453,7 +450,7 @@ mod tests {
         // sleeping ten minutes.
         agent.epoch -= Duration::from_micros(max_age.as_micros());
         agent.flush(false).await;
-        assert_eq!(agent.buffered(), 0);
+        assert_eq!(agent.view().buffered_records(), 0);
         assert_eq!(cluster.collector().stats().records, sent);
     }
 
@@ -463,7 +460,7 @@ mod tests {
             LocalCluster::start(TopologySpec::single_tiny(), GeneratorConfig::default()).await;
         let mut agent = cluster.agent(ServerId(1));
         agent.poll_controller().await;
-        assert!(agent.peer_count() > 0);
+        assert!(agent.view().peer_count() > 0);
         // Point the agent at a dead controller.
         let dead = {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -475,11 +472,12 @@ mod tests {
         // Stale-pinglist grace: below the threshold the cached list is
         // kept and the agent still probes.
         assert!(!agent.is_stopped());
-        assert!(agent.peer_count() > 0);
+        assert!(agent.view().peer_count() > 0);
         agent.poll_controller().await;
         assert!(agent.is_stopped());
-        assert_eq!(agent.peer_count(), 0);
-        assert_eq!(agent.probe_round_once().await, 0);
+        assert_eq!(agent.view().peer_count(), 0);
+        agent.skip(STEP);
+        assert_eq!(agent.probe_due().await, 0);
     }
 
     #[tokio::test]
@@ -505,8 +503,9 @@ mod tests {
         agent.config.controller = live;
         agent.poll_controller().await;
         assert!(!agent.is_stopped());
-        assert!(agent.peer_count() > 0);
-        assert!(agent.probe_round_once().await > 0);
+        assert!(agent.view().peer_count() > 0);
+        agent.skip(STEP);
+        assert!(agent.probe_due().await > 0);
         let resumes_after = pingmesh_obs::registry()
             .counter("pingmesh_realmode_resumes_total")
             .get();
@@ -516,7 +515,7 @@ mod tests {
         agent.config.controller = ControllerVip::single(dead);
         assert!(!agent.poll_controller().await);
         assert!(!agent.is_stopped());
-        assert!(agent.peer_count() > 0);
+        assert!(agent.view().peer_count() > 0);
     }
 
     #[tokio::test]
@@ -542,7 +541,7 @@ mod tests {
         for _ in 0..3 {
             agent.poll_controller().await;
             assert!(!agent.is_stopped());
-            assert!(agent.peer_count() > 0);
+            assert!(agent.view().peer_count() > 0);
         }
     }
 
@@ -550,22 +549,102 @@ mod tests {
     async fn run_loop_probes_until_shutdown_and_flushes() {
         let cluster =
             LocalCluster::start(TopologySpec::single_tiny(), GeneratorConfig::default()).await;
-        let agent = cluster.agent(ServerId(3));
+        let mut agent = cluster.agent(ServerId(3));
+        agent.poll_controller().await;
+        agent.skip(STEP);
+        let entries = agent.view().peer_count() as u64;
         let (tx, rx) = tokio::sync::watch::channel(false);
-        let handle = tokio::spawn(agent.run(
-            Duration::from_secs(3600), // one round, then sleep until shutdown
-            Duration::from_secs(3600),
-            rx,
-        ));
-        // Give the loop time for its first poll + round, then stop it.
-        tokio::time::sleep(Duration::from_millis(500)).await;
+        // Shutdown is already requested: the loop makes its one pass
+        // (poll, probe what is due, upload if due) and stops.
         tx.send(true).unwrap();
-        let agent = handle.await.unwrap();
-        let probed = agent.view().counters().probes_sent;
-        assert!(probed > 0, "the loop must have probed");
+        let agent = agent.run(Duration::from_secs(3600), rx).await;
+        // Every entry was due once; the pass's poll served the same
+        // generation, so nothing was reinstalled or probed twice.
+        assert_eq!(agent.view().counters().probes_sent, entries);
         // The final flush delivered everything.
-        assert_eq!(agent.buffered(), 0);
-        assert_eq!(cluster.collector().stats().records, probed);
+        assert_eq!(agent.view().buffered_records(), 0);
+        assert_eq!(cluster.collector().stats().records, entries);
+    }
+
+    #[tokio::test]
+    async fn probes_follow_the_fleet_schedule_step_for_step() {
+        let generator = GeneratorConfig {
+            payload_probes: true,
+            ..GeneratorConfig::default()
+        };
+        let cluster = LocalCluster::start(TopologySpec::single_tiny(), generator).await;
+        let me = ServerId(5);
+        let pl = pingmesh_controller::fetch_pinglist(cluster.controller_addr(), me)
+            .await
+            .unwrap()
+            .unwrap();
+        let mut agent = cluster.agent(me);
+        agent.poll_controller().await;
+        let mut fleet = AgentFleet::new(cluster.topology().clone(), AgentConfig::default());
+        fleet.push_server(me);
+        let mut t = agent.schedule_now();
+        fleet.on_controller_poll(0, ControllerPollOutcome::Pinglist(pl.clone()), t);
+
+        // Initial phases fall anywhere in an interval, so the first step
+        // is a full one: it fires every entry on both sides whatever the
+        // microseconds between the two installs. From then on each due
+        // time is a step time plus an interval on both sides.
+        let steps: Vec<Duration> = std::iter::once(STEP)
+            .chain([Duration::from_secs(10); 6])
+            .chain([STEP])
+            .collect();
+        let mut fleet_launched = std::collections::HashMap::new();
+        for (k, step) in steps.into_iter().enumerate() {
+            agent.skip(step);
+            let sent = agent.probe_due().await;
+            agent.flush(true).await;
+            t += SimDuration::from_micros(step.as_micros() as u64);
+            let due = fleet.due_probes(0, t);
+            assert_eq!(sent, due.len(), "step {k}: launch count");
+            for p in &due {
+                let PingTarget::Server { id, .. } = p.entry.target else {
+                    unreachable!("no VIP targets configured")
+                };
+                *fleet_launched.entry((id, p.entry.kind)).or_insert(0) += 1;
+            }
+            // Cadence: after the full first step, an entry of interval I
+            // fires on the 10 s steps whose offset I divides.
+            if (1..=6).contains(&k) {
+                let offset = SimDuration::from_secs(10 * k as u64);
+                let expected = pl
+                    .entries
+                    .iter()
+                    .filter(|e| offset.as_micros().is_multiple_of(e.interval.as_micros()))
+                    .count();
+                assert_eq!(due.len(), expected, "step {k}: entries due at +{offset}");
+            } else {
+                assert_eq!(due.len(), pl.entries.len(), "step {k}: every entry");
+            }
+            fleet.recycle_due(due);
+            // The real side, read from what the collector stored.
+            let mut stored = std::collections::HashMap::new();
+            let store = cluster.collector().store().lock();
+            for r in store
+                .scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX))
+                .iter()
+                .flat_map(|c| c.iter())
+            {
+                assert_eq!(r.src, me);
+                *stored.entry((r.dst, r.kind)).or_insert(0) += 1;
+            }
+            assert_eq!(stored, fleet_launched, "step {k}: (dst, kind) multiset");
+        }
+        // The pinglist has three cadences, so the steps above exercised
+        // each: 10 s intra-pod, 30 s intra-pod payload and intra-DC,
+        // 90 s intra-DC payload.
+        let mut intervals: Vec<_> = pl.entries.iter().map(|e| e.interval).collect();
+        intervals.sort_unstable();
+        intervals.dedup();
+        assert_eq!(
+            intervals,
+            [10, 30, 90].map(SimDuration::from_secs).to_vec(),
+            "cadences of the tiny mesh's payload pinglist"
+        );
     }
 
     #[tokio::test]
@@ -574,16 +653,20 @@ mod tests {
             LocalCluster::start(TopologySpec::single_tiny(), GeneratorConfig::default()).await;
         let mut agent = cluster.agent(ServerId(2));
         agent.poll_controller().await;
-        agent.probe_round_once().await;
+        agent.skip(STEP);
+        agent.probe_due().await;
         cluster.collector().set_accepting(false);
         let retries_before = pingmesh_obs::registry()
             .counter("pingmesh_realmode_retries_total")
             .get();
         let t0 = Instant::now();
         agent.flush(true).await;
-        assert!(agent.discarded() > 0, "retries exhausted must discard");
+        assert!(
+            agent.view().discarded_total() > 0,
+            "retries exhausted must discard"
+        );
         // Memory is bounded: the buffer is empty again.
-        assert_eq!(agent.buffered(), 0);
+        assert_eq!(agent.view().buffered_records(), 0);
         assert!(!agent.view().has_pending_upload());
         // Retries are spaced by jittered exponential backoff, not fired
         // back-to-back: 3 retries with a 50 ms base wait at least

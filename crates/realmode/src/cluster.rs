@@ -274,6 +274,7 @@ impl LocalCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent_loop::tests::STEP;
 
     #[tokio::test]
     async fn cluster_starts_all_services() {
@@ -298,7 +299,8 @@ mod tests {
         for s in [ServerId(0), ServerId(5), ServerId(9)] {
             let mut a = cluster.agent(s);
             a.poll_controller().await;
-            total += a.probe_round_once().await as u64;
+            a.skip(STEP);
+            total += a.probe_due().await as u64;
             a.flush(true).await;
         }
         assert_eq!(cluster.collector().stats().records, total);
@@ -320,7 +322,8 @@ mod tests {
         // Probe and upload so the store has content.
         let mut a = cluster.agent(ServerId(0));
         a.poll_controller().await;
-        assert!(a.probe_round_once().await > 0);
+        a.skip(STEP);
+        assert!(a.probe_due().await > 0);
         a.flush(true).await;
         // Every replica answers the live-status query over real sockets,
         // spreading connections with the shared round-robin rotation.
@@ -368,7 +371,8 @@ mod tests {
         // An agent probes and uploads through the collector proxy.
         let mut a = cluster.agent(ServerId(1));
         a.poll_controller().await;
-        assert!(a.probe_round_once().await > 0);
+        a.skip(STEP);
+        assert!(a.probe_due().await > 0);
         a.flush(true).await;
         assert!(cluster.collector().stats().records > 0);
         assert!(cluster.collector_chaos().connections() > 0);

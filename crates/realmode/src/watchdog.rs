@@ -160,10 +160,10 @@ impl RealWatchdog {
             self.last_records = records;
             self.last_progress = Instant::now();
         } else if probing && self.last_progress.elapsed() > self.store_horizon {
+            // A store that has never received a record has no newest age.
+            let age = self.last_progress.elapsed().as_micros() as u64;
             findings.push(WatchdogFinding::StaleStore {
-                newest_age: Some(SimDuration::from_micros(
-                    self.last_progress.elapsed().as_micros() as u64,
-                )),
+                newest_age: (records > 0).then(|| SimDuration::from_micros(age)),
             });
         } else if !probing {
             // Nothing probing: staleness is expected, don't double-report
@@ -228,6 +228,7 @@ impl RealWatchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent_loop::tests::STEP;
     use crate::chaos::Toxic;
     use crate::cluster::ClusterOptions;
     use pingmesh_controller::GeneratorConfig;
@@ -239,7 +240,8 @@ mod tests {
             LocalCluster::start(TopologySpec::single_tiny(), GeneratorConfig::default()).await;
         let mut agent = cluster.agent(ServerId(0));
         agent.poll_controller().await;
-        agent.probe_round_once().await;
+        agent.skip(STEP);
+        agent.probe_due().await;
         agent.flush(true).await;
         let mut wd = RealWatchdog::new(Duration::from_secs(60));
         let findings = wd.check(&cluster, &[&agent]).await;
@@ -273,7 +275,8 @@ mod tests {
         assert_eq!(agent.view().sanitized_entries(), unsafe_entries);
         assert!(metric.get() >= metric_before + unsafe_entries);
         // Clamped, not refused: the agent still probes the list.
-        assert!(agent.probe_round_once().await > 0);
+        agent.skip(STEP);
+        assert!(agent.probe_due().await > 0);
         agent.flush(true).await;
 
         let mut wd = RealWatchdog::new(Duration::from_secs(60));
@@ -383,6 +386,25 @@ mod tests {
                     ..
                 }
             )),
+            "{findings:?}"
+        );
+    }
+
+    #[tokio::test]
+    async fn a_store_that_never_received_a_record_has_no_newest_age() {
+        let cluster =
+            LocalCluster::start(TopologySpec::single_tiny(), GeneratorConfig::default()).await;
+        let mut agent = cluster.agent(ServerId(6));
+        agent.poll_controller().await;
+        agent.skip(STEP);
+        assert!(agent.probe_due().await > 0);
+        // The agent probes but never uploads: its records stay buffered.
+        let mut wd = RealWatchdog::new(Duration::from_millis(50));
+        tokio::time::sleep(Duration::from_millis(100)).await;
+        let findings = wd.check(&cluster, &[&agent]).await;
+        assert_eq!(cluster.collector().stats().records, 0);
+        assert!(
+            findings.contains(&WatchdogFinding::StaleStore { newest_age: None }),
             "{findings:?}"
         );
     }

@@ -18,6 +18,9 @@ use pingmesh::types::ServerId;
 use std::time::Duration;
 
 const CALL_DEADLINE: Duration = Duration::from_millis(300);
+/// A schedule step longer than any interval the default generator
+/// assigns: after `skip(STEP)` every installed entry is due once.
+const STEP: Duration = Duration::from_secs(180);
 
 fn counter(name: &str) -> u64 {
     pingmesh::obs::registry().counter(name).get()
@@ -67,13 +70,14 @@ async fn main() {
     println!("\n── phase 1: healthy baseline ──");
     for a in &mut agents {
         a.poll_controller().await;
-        let sent = a.probe_round_once().await;
+        a.skip(STEP);
+        let sent = a.probe_due().await;
         a.flush(true).await;
         println!(
             "  agent {}: {} probes, {} peers",
             a.server().0,
             sent,
-            a.peer_count()
+            a.view().peer_count()
         );
     }
     println!(
@@ -91,7 +95,7 @@ async fn main() {
             "  agent {}: stopped={} peers={}",
             a.server().0,
             a.is_stopped(),
-            a.peer_count()
+            a.view().peer_count()
         );
     }
     println!(
@@ -103,12 +107,13 @@ async fn main() {
     println!("\n── phase 3: stall the collector ──");
     cluster.collector_chaos().set_toxic(Toxic::Stall);
     let a = &mut agents[0];
-    a.probe_round_once().await;
+    a.skip(STEP);
+    a.probe_due().await;
     a.flush(true).await;
     println!(
         "  agent {}: discarded {} records after {} retries (timeouts {})",
         a.server().0,
-        a.discarded(),
+        a.view().discarded_total(),
         counter("pingmesh_realmode_retries_total"),
         counter("pingmesh_realmode_timeouts_total")
     );
@@ -131,7 +136,8 @@ async fn main() {
     cluster.collector_chaos().set_toxic(Toxic::Pass);
     for a in &mut agents {
         a.poll_controller().await;
-        let sent = a.probe_round_once().await;
+        a.skip(STEP);
+        let sent = a.probe_due().await;
         a.flush(true).await;
         println!(
             "  agent {}: stopped={} probed {} peers again",

@@ -11,6 +11,11 @@ use pingmesh::dsa::agg::WindowAggregate;
 use pingmesh::realmode::LocalCluster;
 use pingmesh::topology::TopologySpec;
 use pingmesh::types::{ServerId, SimTime};
+use std::time::Duration;
+
+/// A schedule step longer than any interval the generator below assigns
+/// (90 s: intra-DC payload): each step probes every installed entry once.
+const STEP: Duration = Duration::from_secs(180);
 
 #[tokio::main(flavor = "multi_thread", worker_threads = 2)]
 async fn main() {
@@ -31,13 +36,15 @@ async fn main() {
     );
 
     // Every server runs a real agent: fetch over HTTP, probe over TCP,
-    // upload over HTTP. Three rounds each.
+    // upload over HTTP. Three schedule steps each, every entry probed in
+    // each.
     let mut total_probes = 0u64;
     for server in topo.servers() {
         let mut agent = cluster.agent(server);
         agent.poll_controller().await;
         for _ in 0..3 {
-            total_probes += agent.probe_round_once().await as u64;
+            agent.skip(STEP);
+            total_probes += agent.probe_due().await as u64;
         }
         agent.flush(true).await;
     }

@@ -13,8 +13,10 @@
 # The simulator isolates switches only in its one actuator and reloads
 # them only through the repair service's budget, under one flag. Every
 # simulated packet draws from a keyed RNG: no struct holds a `SmallRng`
-# stream, and the stream probe and hop APIs stay gone. Netsim keys no
-# hash map by switch: per-hop counters are a dense per-tier array.
+# stream, and the stream probe and hop APIs stay gone. The real agent
+# probes on the fleet's due rings: no probe rounds, no round interval.
+# Netsim keys no hash map by switch: per-hop counters are a dense
+# per-tier array.
 # `ci.sh --smoke [gate…]` then runs the gates `cargo test` does not cover —
 # all, or those named. Each checks outputs; none is a timing gate.
 #   bench  ingest_durable, query_dashboard and query_churn for 2 s each (output checks only: no acknowledged record lost, cached bytes ≡ rebuilt bytes, no stale fresh read), then ingest_durable traced once (its staged replay is the one poster of the collector's JSON compat branch)
@@ -124,6 +126,11 @@ fi
 if grep -rnE 'probe_qos|switch_passes|^[[:space:]]*(pub(\([a-z]+\))? )?[a-z_][a-z_0-9]*: SmallRng\b' \
     --include='*.rs' crates src tests examples; then
   echo "every simulated packet draws from a keyed RNG (NetState::probe_keyed, tcp_traceroute); no sequential stream" >&2
+  exit 1
+fi
+
+if grep -rnE 'probe_round_once|round_interval|round-secs|round_secs' --include='*.rs' crates src tests examples; then
+  echo "the real agent probes on the fleet's due rings" >&2
   exit 1
 fi
 

@@ -7,13 +7,14 @@
 //! pingmesh-agent --server ID --controller ADDR [--controller ADDR ...]
 //!                --collector ADDR
 //!                [--listen-echo ADDR] [--listen-http ADDR]
-//!                [--topology FILE] [--round-secs N] [--poll-secs N]
+//!                [--topology FILE] [--poll-secs N]
 //! ```
 //!
 //! `--controller` may be repeated: the agent round-robins its polls over
 //! the replicas and fails over past dead ones, like the paper's SLB VIP.
 //! Addresses in the pinglist are probed directly (production behaviour).
-//! Probe rounds are clamped to the hard-coded 10-second floor.
+//! Each entry is probed at the interval its pinglist entry carries, never
+//! faster than the hard-coded 10-second floor the agent clamps it to.
 //!
 //! Note: the daemon binds one echo port (default 8100, the high-priority
 //! agent port). If the controller generates low-priority QoS entries
@@ -36,7 +37,6 @@ struct Args {
     listen_echo: String,
     listen_http: String,
     topology: Option<String>,
-    round_secs: u64,
     poll_secs: u64,
 }
 
@@ -47,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
     let mut listen_echo = "0.0.0.0:8100".to_string();
     let mut listen_http = "0.0.0.0:8180".to_string();
     let mut topology = None;
-    let mut round_secs = 30u64;
     let mut poll_secs = 600u64;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -63,9 +62,6 @@ fn parse_args() -> Result<Args, String> {
             "--listen-echo" => listen_echo = value("--listen-echo")?,
             "--listen-http" => listen_http = value("--listen-http")?,
             "--topology" => topology = Some(value("--topology")?),
-            "--round-secs" => {
-                round_secs = value("--round-secs")?.parse().map_err(|e| format!("{e}"))?
-            }
             "--poll-secs" => {
                 poll_secs = value("--poll-secs")?.parse().map_err(|e| format!("{e}"))?
             }
@@ -73,7 +69,7 @@ fn parse_args() -> Result<Args, String> {
                 return Err("usage: pingmesh-agent --server ID --controller ADDR \
                             [--controller ADDR ...] --collector ADDR \
                             [--listen-echo ADDR] [--listen-http ADDR] \
-                            [--topology FILE] [--round-secs N] [--poll-secs N]"
+                            [--topology FILE] [--poll-secs N]"
                     .into());
             }
             other => return Err(format!("unknown flag {other} (try --help)")),
@@ -90,7 +86,6 @@ fn parse_args() -> Result<Args, String> {
         listen_echo,
         listen_http,
         topology,
-        round_secs,
         poll_secs,
     })
 }
@@ -163,17 +158,11 @@ fn main() {
         config.addressing = Addressing::Direct;
         let agent = RealAgent::new(config, topo, PeerDirectory::new());
         println!(
-            "agent srv{} probing via controllers {:?} / collector {} (rounds every {}s, polls every {}s)",
-            args.server, args.controllers, args.collector, args.round_secs, args.poll_secs
+            "agent srv{} probing via controllers {:?} / collector {} (polls every {}s)",
+            args.server, args.controllers, args.collector, args.poll_secs
         );
         let (_tx, rx) = tokio::sync::watch::channel(false);
         // Runs until killed; _tx is held so the channel stays open.
-        let _agent = agent
-            .run(
-                Duration::from_secs(args.round_secs),
-                Duration::from_secs(args.poll_secs),
-                rx,
-            )
-            .await;
+        let _agent = agent.run(Duration::from_secs(args.poll_secs), rx).await;
     });
 }

@@ -47,6 +47,10 @@ use std::time::{Duration, Instant};
 /// from it.
 const CALL_DEADLINE: Duration = Duration::from_millis(300);
 
+/// A schedule step longer than any interval the default generator
+/// assigns: after `skip(STEP)` every installed entry is due once.
+const STEP: Duration = Duration::from_secs(180);
+
 fn counter(name: &str) -> u64 {
     pingmesh::obs::registry().counter(name).get()
 }
@@ -150,7 +154,8 @@ async fn chaos_drill_kill_stall_restore() {
     for a in &mut agents {
         a.poll_controller().await;
         assert!(!a.is_stopped());
-        assert!(a.probe_round_once().await > 0, "baseline probes");
+        a.skip(STEP);
+        assert!(a.probe_due().await > 0, "baseline probes");
         a.flush(true).await;
     }
     let baseline_records = cluster.collector().stats().records;
@@ -194,7 +199,7 @@ async fn chaos_drill_kill_stall_restore() {
                 t0.elapsed()
             );
             assert!(!a.is_stopped(), "failover must prevent fail-close");
-            assert!(a.peer_count() > 0);
+            assert!(a.view().peer_count() > 0);
         }
     }
     assert!(
@@ -208,7 +213,8 @@ async fn chaos_drill_kill_stall_restore() {
     let timeouts_before = counter("pingmesh_realmode_timeouts_total");
     {
         let a = &mut agents[0];
-        assert!(a.probe_round_once().await > 0);
+        a.skip(STEP);
+        assert!(a.probe_due().await > 0);
         let t0 = Instant::now();
         a.flush(true).await;
         // 4 attempts × deadline + 3 jittered backoff sleeps (≤ 350 ms
@@ -218,7 +224,10 @@ async fn chaos_drill_kill_stall_restore() {
             "flush must be retry-bounded, not stall-bound: {:?}",
             t0.elapsed()
         );
-        assert!(a.discarded() > 0, "retries exhausted must discard");
+        assert!(
+            a.view().discarded_total() > 0,
+            "retries exhausted must discard"
+        );
     }
     assert!(counter("pingmesh_realmode_retries_total") > retries_before);
     assert!(counter("pingmesh_realmode_timeouts_total") > timeouts_before);
@@ -279,11 +288,8 @@ async fn chaos_drill_kill_stall_restore() {
             );
         }
         assert!(a.is_stopped(), "3 failed polls fail-close the agent");
-        assert_eq!(
-            a.probe_round_once().await,
-            0,
-            "fail-closed agents don't probe"
-        );
+        a.skip(STEP);
+        assert_eq!(a.probe_due().await, 0, "fail-closed agents don't probe");
     }
     assert_eq!(
         counter("pingmesh_realmode_fail_closed_transitions_total"),
@@ -342,7 +348,8 @@ async fn chaos_drill_kill_stall_restore() {
             !a.is_stopped(),
             "one valid pinglist resumes a stopped agent"
         );
-        assert!(a.probe_round_once().await > 0, "probing resumes");
+        a.skip(STEP);
+        assert!(a.probe_due().await > 0, "probing resumes");
         a.flush(true).await;
     }
     assert_eq!(

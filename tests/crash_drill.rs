@@ -24,10 +24,15 @@ use pingmesh::controller::GeneratorConfig;
 use pingmesh::realmode::{ClusterOptions, LocalCluster, RealAgent};
 use pingmesh::topology::TopologySpec;
 use pingmesh::types::{ProbeRecord, ServerId, SimTime};
+use std::time::Duration;
 
 /// One 10-minute partial window in microseconds; agent-epoch record
 /// timestamps land well inside the first window during the drill.
 const W: u64 = 600_000_000;
+
+/// A schedule step longer than any interval the default generator
+/// assigns: after `skip(STEP)` every installed entry is due once.
+const STEP: Duration = Duration::from_secs(180);
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn crash_drill_mid_append_and_mid_compaction_lose_nothing_acked() {
@@ -55,7 +60,8 @@ async fn crash_drill_mid_append_and_mid_compaction_lose_nothing_acked() {
         .collect();
     for a in &mut agents {
         a.poll_controller().await;
-        assert!(a.probe_round_once().await > 0, "baseline probes");
+        a.skip(STEP);
+        assert!(a.probe_due().await > 0, "baseline probes");
         a.flush(true).await;
     }
     let acked = cluster.collector().stats().records;
@@ -108,7 +114,8 @@ async fn crash_drill_mid_append_and_mid_compaction_lose_nothing_acked() {
     // Agents keep working against the recovered collector.
     for a in &mut agents {
         a.poll_controller().await;
-        assert!(a.probe_round_once().await > 0, "probing after recovery");
+        a.skip(STEP);
+        assert!(a.probe_due().await > 0, "probing after recovery");
         a.flush(true).await;
     }
     let grown = cluster.collector().stats().records;
@@ -137,7 +144,8 @@ async fn crash_drill_mid_append_and_mid_compaction_lose_nothing_acked() {
     // Still writable end to end after the second recovery.
     for a in &mut agents {
         a.poll_controller().await;
-        a.probe_round_once().await;
+        a.skip(STEP);
+        a.probe_due().await;
         a.flush(true).await;
     }
     assert!(
