@@ -11,10 +11,12 @@
 //!
 //! An agent holds each result once, as a 32-byte entry in one ring: the
 //! newest `unsent` entries are the buffered records, the newest
-//! `log_cap_bytes / MAX_LOG_LINE_BYTES` the capped local log. A
-//! [`ProbeRecord`] exists only in the batch an upload expands, its pod,
-//! podset and DC ids read from the topology. The ring stands in for the
-//! paper's log *file*; text exists only while `log_lines` is read.
+//! `log_cap_bytes / MAX_LOG_LINE_BYTES` the capped local log. An upload
+//! carries a copy of the unsent entries, still 32 bytes each
+//! ([`UploadBatch`]); a [`ProbeRecord`] exists only while a driver expands
+//! a batch for the wire or the store, its pod, podset and DC ids read from
+//! the topology. The ring stands in for the paper's log *file*; text
+//! exists only while `log_lines` is read.
 
 use crate::config::AgentConfig;
 use crate::scheduler::DueProbe;
@@ -129,6 +131,47 @@ impl Entry {
     }
 }
 
+/// The results one upload carries, as the ring held them: the unsent
+/// entries, 32 bytes each, and the agent's server id. A driver expands them
+/// with [`UploadBatch::records`] where it needs [`ProbeRecord`]s.
+#[derive(Debug, Clone)]
+pub struct UploadBatch {
+    src: ServerId,
+    entries: Vec<Entry>,
+}
+
+impl UploadBatch {
+    /// Number of records in the batch.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the batch holds no record (never the case for a batch
+    /// `begin_upload` returned).
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The uploading agent's server.
+    pub fn src(&self) -> ServerId {
+        self.src
+    }
+
+    /// Bytes the batch has allocated: 32 per record.
+    pub fn resident_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<Entry>()
+    }
+
+    /// The batch's records, oldest first; every pod, podset and DC id is
+    /// read from `topo`.
+    pub fn records<'a>(
+        &'a self,
+        topo: &'a Topology,
+    ) -> impl ExactSizeIterator<Item = ProbeRecord> + 'a {
+        self.entries.iter().map(move |e| e.expand(self.src, topo))
+    }
+}
+
 /// The agent's result ring: in-memory buffer and capped local log in one.
 #[derive(Debug)]
 pub(crate) struct ResultBuffer {
@@ -215,19 +258,21 @@ impl ResultBuffer {
                     >= self.config.upload_max_age)
     }
 
-    /// Expands the unsent entries into a batch the caller owns for the
-    /// whole retry cycle and drops afterwards; they stay in the ring as log
-    /// lines. `None` if one is pending or nothing is buffered.
-    pub(crate) fn begin_upload(&mut self, topo: &Topology) -> Option<Vec<ProbeRecord>> {
+    /// Copies the unsent entries into a batch, at its exact size, that the
+    /// caller owns for the whole retry cycle and drops afterwards; they
+    /// stay in the ring as log lines. `None` if one is pending or nothing
+    /// is buffered.
+    pub(crate) fn begin_upload(&mut self) -> Option<UploadBatch> {
         if self.pending.is_some() || self.unsent == 0 {
             return None;
         }
         let from = self.ring.len() - self.unsent;
-        let batch = self
-            .ring
-            .range(from..)
-            .map(|e| e.expand(self.src, topo))
-            .collect();
+        let mut entries = Vec::with_capacity(self.unsent);
+        entries.extend(self.ring.range(from..));
+        let batch = UploadBatch {
+            src: self.src,
+            entries,
+        };
         self.pending = Some(PendingUpload {
             len: self.unsent,
             attempts: 1,
@@ -295,6 +340,27 @@ mod tests {
             };
             self.push(Entry::new(rec.ts, rec.dst, &due, rec.outcome));
         }
+
+        /// The eager `begin_upload` that [`UploadBatch`] replaced: the
+        /// unsent entries expanded into records at once. Kept as the
+        /// reference every packed batch must expand to.
+        fn begin_upload_eager(&mut self, topo: &Topology) -> Option<Vec<ProbeRecord>> {
+            if self.pending.is_some() || self.unsent == 0 {
+                return None;
+            }
+            let from = self.ring.len() - self.unsent;
+            let batch = self
+                .ring
+                .range(from..)
+                .map(|e| e.expand(self.src, topo))
+                .collect();
+            self.pending = Some(PendingUpload {
+                len: self.unsent,
+                attempts: 1,
+            });
+            self.unsent = 0;
+            Some(batch)
+        }
     }
 
     fn rec(ts: u64) -> ProbeRecord {
@@ -341,7 +407,7 @@ mod tests {
         assert!(!b.upload_due(SimTime(10)));
         b.push_record(rec(3));
         assert!(b.upload_due(SimTime(10)));
-        let batch = b.begin_upload(&topo()).unwrap();
+        let batch = b.begin_upload().unwrap();
         assert_eq!(batch.len(), 3);
         assert_eq!(b.len(), 0);
     }
@@ -360,13 +426,13 @@ mod tests {
         for i in 0..3 {
             b.push_record(rec(i));
         }
-        assert!(b.begin_upload(&topo()).is_some());
+        assert!(b.begin_upload().is_some());
         b.push_record(rec(10));
         b.push_record(rec(11));
         b.push_record(rec(12));
         // A batch is pending: neither due nor beginnable.
         assert!(!b.upload_due(SimTime(100)));
-        assert!(b.begin_upload(&topo()).is_none());
+        assert!(b.begin_upload().is_none());
         // Success clears the pending slot.
         assert!(!b.on_upload_result(true));
         assert!(b.upload_due(SimTime(100)));
@@ -378,7 +444,7 @@ mod tests {
         for i in 0..3 {
             b.push_record(rec(i));
         }
-        let batch = b.begin_upload(&topo()).unwrap();
+        let batch = b.begin_upload().unwrap();
         assert_eq!(batch.len(), 3);
         // retries allowed: 2 → attempts 2 and 3 ask the caller to retry
         // the batch it already holds.
@@ -395,12 +461,12 @@ mod tests {
     /// ring's allocation without growing it.
     #[test]
     fn idle_agent_holds_only_its_ring_and_refills_it_in_place() {
-        let topo = topo();
         let mut b = buffer(small_config());
         for i in 0..3 {
             b.push_record(rec(i));
         }
-        let batch = b.begin_upload(&topo).unwrap();
+        let batch = b.begin_upload().unwrap();
+        assert_eq!(batch.resident_bytes(), 3 * 32, "exact size, 32 B each");
         assert!(!b.on_upload_result(true));
         drop(batch); // all `AgentFleet::recycle_batch` does
         assert_eq!(b.held(), 3, "the batch's entries stay as log lines");
@@ -425,13 +491,12 @@ mod tests {
 
     #[test]
     fn local_log_is_byte_capped() {
-        let topo = topo();
         let mut b = buffer(small_config());
         for i in 0..50 {
             b.push_record(rec(i));
             // keep buffer under its cap so pushes aren't dropped
             if b.len() >= 3 {
-                b.begin_upload(&topo);
+                b.begin_upload();
                 b.on_upload_result(true);
             }
         }
@@ -691,7 +756,8 @@ mod tests {
                         overflowed += r.discarded - before;
                     }
                     11 | 12 => {
-                        let (got, want) = (b.begin_upload(&topo), r.begin_upload());
+                        let got = b.begin_upload().map(|x| x.records(&topo).collect());
+                        let want = r.begin_upload();
                         assert_eq!(got, want, "seed {seed} step {step}: batch");
                     }
                     _ => {
@@ -729,5 +795,80 @@ mod tests {
                 "seed {seed}: both discard paths ran"
             );
         }
+    }
+
+    /// Seeded pushes of every probe kind and outcome, and upload cycles
+    /// that succeed, retry or are given up on, driven through two buffers
+    /// side by side: each packed batch, once expanded, equals the records
+    /// the eager `begin_upload` returns at the same step, and holds them in
+    /// 32 bytes each.
+    #[test]
+    fn packed_batches_expand_to_what_the_eager_upload_returned() {
+        let topo = topo();
+        let src = ServerId(5);
+        let (mut kinds, mut outcomes) = ([0usize; 3], [0usize; 3]);
+        let (mut batches, mut retries, mut given_up) = (0, 0, 0);
+        for seed in 1..=4u64 {
+            let config = AgentConfig {
+                upload_batch_records: 12,
+                upload_max_age: SimDuration::from_secs(20),
+                buffer_cap_bytes: 64 * 30,
+                upload_retries: 2,
+                log_cap_bytes: (seed as usize % 3) * 10 * MAX_LOG_LINE_BYTES,
+                ..AgentConfig::default()
+            };
+            let mut packed = ResultBuffer::new(config.clone(), src);
+            let mut eager = ResultBuffer::new(config, src);
+            let mut rng = seed_state(seed);
+            let mut now = SimTime::ZERO;
+            for step in 0..3_000 {
+                now += SimDuration::from_millis(next_u64(&mut rng) % 4_000);
+                match next_u64(&mut rng) % 12 {
+                    0..=7 => {
+                        let rec = topo_record(&topo, &mut rng, src, now);
+                        kinds[match rec.kind {
+                            ProbeKind::TcpSyn => 0,
+                            ProbeKind::TcpPayload(_) => 1,
+                            ProbeKind::Http => 2,
+                        }] += 1;
+                        outcomes[match rec.outcome {
+                            ProbeOutcome::Success { .. } => 0,
+                            ProbeOutcome::Timeout => 1,
+                            ProbeOutcome::Refused => 2,
+                        }] += 1;
+                        packed.push_record(rec);
+                        eager.push_record(rec);
+                    }
+                    8 | 9 => {
+                        let batch = packed.begin_upload();
+                        let want = eager.begin_upload_eager(&topo);
+                        if let Some(b) = &batch {
+                            assert_eq!(b.src(), src);
+                            assert_eq!(b.resident_bytes(), 32 * b.len());
+                            batches += 1;
+                        }
+                        let got = batch.map(|b| b.records(&topo).collect::<Vec<_>>());
+                        assert_eq!(got, want, "seed {seed} step {step}");
+                    }
+                    _ => {
+                        let ok = next_u64(&mut rng).is_multiple_of(3);
+                        let before = eager.discarded();
+                        let retry = packed.on_upload_result(ok);
+                        assert_eq!(retry, eager.on_upload_result(ok), "seed {seed} step {step}");
+                        retries += usize::from(retry);
+                        given_up += usize::from(eager.discarded() > before && !ok);
+                    }
+                }
+                assert_eq!(packed.len(), eager.len(), "seed {seed} step {step}");
+                assert_eq!(packed.discarded(), eager.discarded());
+                assert_eq!(packed.has_pending(), eager.has_pending());
+            }
+        }
+        assert!(kinds.iter().all(|&n| n > 0), "every kind: {kinds:?}");
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "every outcome: {outcomes:?}"
+        );
+        assert!(batches > 0 && retries > 0 && given_up > 0);
     }
 }

@@ -33,6 +33,7 @@ pub mod real;
 pub mod scheduler;
 pub mod soa;
 
+pub use buffer::UploadBatch;
 pub use config::AgentConfig;
 pub use guard::SafetyGuard;
 pub use soa::{AgentFleet, AgentView, ControllerPollOutcome};

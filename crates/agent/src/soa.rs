@@ -56,14 +56,14 @@
 //! orchestrator gives each shard its own `AgentFleet` over its podset's
 //! servers, so fleets are mutated thread-locally and need no locks.
 
-use crate::buffer::{Entry, ResultBuffer};
+use crate::buffer::{Entry, ResultBuffer, UploadBatch};
 use crate::config::AgentConfig;
 use crate::guard::{GuardDecision, SafetyGuard};
 use crate::scheduler::{phase_of, DueProbe, EPHEMERAL_LO};
 use pingmesh_topology::Topology;
 use pingmesh_types::{
     AgentCounters, CounterSnapshot, PingTarget, Pinglist, PinglistEntry, ProbeKind, ProbeOutcome,
-    ProbeRecord, QosClass, ServerId, SimDuration, SimTime,
+    QosClass, ServerId, SimDuration, SimTime,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -656,14 +656,20 @@ impl AgentFleet {
             + self.groups.capacity() * size_of::<Group>()
     }
 
+    /// The topology every agent's records are expanded against.
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
     /// Whether agent `idx` should start an upload now.
     pub fn upload_due(&self, idx: usize, now: SimTime) -> bool {
         self.buffers[idx].upload_due(now)
     }
 
-    /// Starts an upload for agent `idx`; returns the batch.
-    pub fn begin_upload(&mut self, idx: usize) -> Option<Vec<ProbeRecord>> {
-        let batch = self.buffers[idx].begin_upload(&self.topo)?;
+    /// Starts an upload for agent `idx`; returns the batch, its results
+    /// still packed (expand them with [`UploadBatch::records`]).
+    pub fn begin_upload(&mut self, idx: usize) -> Option<UploadBatch> {
+        let batch = self.buffers[idx].begin_upload()?;
         metrics().uploads_started.inc();
         metrics().upload_batch_size.record_value(batch.len() as u64);
         Some(batch)
@@ -681,7 +687,7 @@ impl AgentFleet {
     }
 
     /// Ends agent `idx`'s upload cycle by freeing the batch (DESIGN.md §3).
-    pub fn recycle_batch(&mut self, _idx: usize, batch: Vec<ProbeRecord>) {
+    pub fn recycle_batch(&mut self, _idx: usize, batch: UploadBatch) {
         drop(batch);
     }
 
@@ -1211,8 +1217,8 @@ mod tests {
         let (mut fleet, idx) = fleet_of_one(1);
         probe_once(&mut fleet, idx, Some(ServerId(1)), OK);
         let batch = fleet.begin_upload(idx).unwrap();
-        let rec = batch[0];
         let topo = topo();
+        let rec = batch.records(&topo).next().unwrap();
         assert_eq!(rec.src_pod, topo.server(ServerId(0)).pod);
         assert_eq!(rec.dst_pod, topo.server(ServerId(1)).pod);
         assert_eq!(rec.src_dc, rec.dst_dc);
@@ -1284,7 +1290,7 @@ mod tests {
         let lines: Vec<String> = fleet.view(idx).log_lines().collect();
         let batch = fleet.begin_upload(idx).unwrap();
         let want: Vec<String> = batch
-            .iter()
+            .records(fleet.topology())
             .map(|r| format!("{},srv0,srv2,{:?}", r.ts.as_micros(), r.outcome))
             .collect();
         assert!(want.len() >= 4);

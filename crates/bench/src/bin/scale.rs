@@ -28,7 +28,11 @@
 //! exits non-zero if any sharded run diverges from its serial twin, or if
 //! a serial digest differs from the `state_digest` that the committed
 //! `BENCH_scale.json` records for the same fleet size: the sharded twin
-//! alone cannot catch a change that shifts both engines alike.
+//! alone cannot catch a change that shifts both engines alike. It also
+//! fails if the 5,120-server point holds more than
+//! [`BYTES_PER_ENTRY_CEILING`] resident bytes per installed pinglist
+//! entry, so a second copy of the pinglists (a controller holding every
+//! list, at 32 B an entry) cannot come back unnoticed.
 
 use pingmesh_bench::{header, rss_bytes};
 use pingmesh_check::state_digest;
@@ -40,6 +44,10 @@ use pingmesh_core::{Orchestrator, OrchestratorConfig};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Most resident bytes per installed pinglist entry `--check` accepts at
+/// the 5,120-server point: 78 measured (2 cores) plus 10 %.
+const BYTES_PER_ENTRY_CEILING: u64 = 86;
 
 /// The committed curve, read before a full run overwrites it.
 const RECORDED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
@@ -224,6 +232,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut all_match = true;
     let mut all_as_recorded = true;
+    let mut within_bytes = true;
     for p in curve {
         let serial = run_point(p, 1, sim_mins);
         let sharded = run_point(p, p.podsets as usize, sim_mins);
@@ -246,6 +255,7 @@ fn main() {
         let rss_mb = serial.rss_bytes as f64 / (1024.0 * 1024.0);
         let rss_per_server = serial.rss_bytes / p.servers();
         let bytes_per_entry = serial.rss_bytes / serial.entries.max(1);
+        within_bytes &= p.servers() != 5_120 || bytes_per_entry <= BYTES_PER_ENTRY_CEILING;
         println!(
             "  {:>6} servers   serial {:>8.0} ms ({:>7.0} ms/sim-min, {:.0} ns/probe, rss {:.0} MB = {} B/server = {} B/entry)   {}-shard {:>8.0} ms ({:>7.0} ms/sim-min)   speedup {:.2}x   {} probes   {}",
             p.servers(),
@@ -343,7 +353,11 @@ fn main() {
             "  [{}] every serial digest equal to the committed BENCH_scale.json row",
             if all_as_recorded { "ok" } else { "FAIL" }
         );
-        if !(all_match && all_as_recorded) {
+        println!(
+            "  [{}] at most {BYTES_PER_ENTRY_CEILING} resident bytes per pinglist entry at 5,120 servers",
+            if within_bytes { "ok" } else { "FAIL" }
+        );
+        if !(all_match && all_as_recorded && within_bytes) {
             std::process::exit(1);
         }
     }

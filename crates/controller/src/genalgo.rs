@@ -21,10 +21,13 @@
 use pingmesh_topology::Topology;
 use pingmesh_types::constants::MIN_PROBE_INTERVAL;
 use pingmesh_types::{
-    DcId, PingTarget, Pinglist, PinglistEntry, ProbeKind, QosClass, ServerId, SimDuration, VipId,
+    DcId, PingTarget, Pinglist, PinglistEntry, PodsetId, ProbeKind, QosClass, ServerId,
+    SimDuration, VipId,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Destination port agents listen on for high-priority probes.
 pub const AGENT_PORT_HIGH: u16 = 8_100;
@@ -110,25 +113,48 @@ pub struct PinglistSet {
 }
 
 impl PinglistSet {
-    /// List for a server, if it exists.
-    pub fn for_server(&self, s: ServerId) -> Option<&Pinglist> {
-        self.lists.get(s.index())
-    }
-
     /// Total number of entries across all lists.
     pub fn total_entries(&self) -> usize {
         self.lists.iter().map(|l| l.entries.len()).sum()
     }
+}
 
-    /// Largest pinglist size (the paper's "a server in Pingmesh needs to
-    /// ping 2000-5000 peer servers depending on the size of the data
-    /// center").
-    pub fn max_entries(&self) -> usize {
-        self.lists
-            .iter()
-            .map(|l| l.entries.len())
-            .max()
-            .unwrap_or(0)
+/// One pinglist generation as a controller serves it. A list is a pure
+/// function of the topology, the generator (config and drained podsets),
+/// the generation number and the server id, so a controller holds those
+/// inputs and generates a list per request, holding none (§3.3.2).
+#[derive(Debug, Clone)]
+pub struct PinglistSource {
+    topo: Arc<Topology>,
+    generator: PinglistGenerator,
+    generation: u64,
+}
+
+impl PinglistSource {
+    /// Generation `generation` of `generator`'s lists over `topo`.
+    pub fn new(topo: Arc<Topology>, generator: PinglistGenerator, generation: u64) -> Self {
+        pingmesh_obs::registry()
+            .counter("pingmesh_controller_generations_total")
+            .inc();
+        Self {
+            topo,
+            generator,
+            generation,
+        }
+    }
+
+    /// Server `s`'s list; `None` for a server the topology does not have.
+    pub fn for_server(&self, s: ServerId) -> Option<Pinglist> {
+        (s.index() < self.topo.server_count())
+            .then(|| self.generator.generate_for(&self.topo, s, self.generation))
+    }
+
+    /// Every server's list in server-id order, each generated when the
+    /// iterator reaches it.
+    pub fn lists(&self) -> impl Iterator<Item = Pinglist> + '_ {
+        self.topo
+            .servers()
+            .map(|s| self.generator.generate_for(&self.topo, s, self.generation))
     }
 }
 
@@ -143,11 +169,13 @@ impl PinglistSet {
 /// let set = generator.generate_all(&topo, 1);
 /// assert_eq!(set.lists.len(), topo.server_count());
 /// // Every server probes its pod peers plus one server per other ToR.
-/// assert!(set.max_entries() >= topo.pod_count() - 1);
+/// assert!(set.lists[0].entries.len() >= topo.pod_count() - 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PinglistGenerator {
     config: GeneratorConfig,
+    /// Podsets drained out of the mesh (power-down mitigation).
+    excluded: BTreeSet<PodsetId>,
 }
 
 impl PinglistGenerator {
@@ -155,7 +183,16 @@ impl PinglistGenerator {
     pub fn new(config: GeneratorConfig) -> Self {
         Self {
             config: config.sanitized(),
+            excluded: BTreeSet::new(),
         }
+    }
+
+    /// Cuts `podsets` out of the mesh, as the paper's operators did by
+    /// hand: their servers get empty lists, and other lists lose their
+    /// entries for them after the entry cap. VIP entries stay.
+    pub fn with_excluded_podsets(mut self, podsets: BTreeSet<PodsetId>) -> Self {
+        self.excluded = podsets;
+        self
     }
 
     /// The active configuration.
@@ -313,6 +350,14 @@ impl PinglistGenerator {
         }
 
         debug_assert_eq!(entries.len(), cap, "entry_count agrees with the loops");
+        if self.excluded.contains(&info.podset) {
+            entries.clear();
+        } else if !self.excluded.is_empty() {
+            entries.retain(|e| match e.target {
+                PingTarget::Server { id, .. } => !self.excluded.contains(&topo.server(id).podset),
+                PingTarget::Vip { .. } => true,
+            });
+        }
         Pinglist {
             server: s,
             generation,
@@ -321,29 +366,15 @@ impl PinglistGenerator {
     }
 
     /// Generates pinglists for every server in the topology, indexed by
-    /// server id. One serial loop: the generator runs a few times a day,
-    /// off the data path (§3.3.1), and a thread fan-out did not pay for
-    /// itself there (EXPERIMENTS.md, "One timing system").
+    /// server id, all held at once. Controllers serve from a
+    /// [`PinglistSource`] instead; this is for tools that inspect or
+    /// edit a whole generation.
     pub fn generate_all(&self, topo: &Topology, generation: u64) -> PinglistSet {
-        let started = std::time::Instant::now();
-        let lists: Vec<Pinglist> = topo
+        let lists = topo
             .servers()
             .map(|s| self.generate_for(topo, s, generation))
             .collect();
-        let set = PinglistSet { generation, lists };
-        pingmesh_obs::registry()
-            .counter("pingmesh_controller_generations_total")
-            .inc();
-        pingmesh_obs::registry()
-            .histogram("pingmesh_controller_generate_us")
-            .record_wall(started.elapsed());
-        pingmesh_obs::emit!(Info, "controller.genalgo", "pinglists_generated",
-            "generation" => generation,
-            "servers" => set.lists.len() as u64,
-            "entries" => set.total_entries() as u64,
-            "duration_us" => started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-        );
-        set
+        PinglistSet { generation, lists }
     }
 
     /// [`PinglistGenerator::generate_all`]; `threads` is ignored. Kept only
@@ -658,7 +689,6 @@ mod tests {
         assert_eq!(set.lists.len(), t.server_count());
         assert_eq!(set.generation, 7);
         assert!(set.total_entries() > 0);
-        assert!(set.max_entries() >= set.total_entries() / set.lists.len());
         for (i, l) in set.lists.iter().enumerate() {
             assert_eq!(l.server, ServerId(i as u32));
             assert_eq!(l.generation, 7);

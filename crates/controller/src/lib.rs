@@ -25,7 +25,7 @@ pub mod slb;
 pub mod web;
 pub mod xml;
 
-pub use genalgo::{GeneratorConfig, PinglistGenerator, PinglistSet};
+pub use genalgo::{GeneratorConfig, PinglistGenerator, PinglistSet, PinglistSource};
 pub use mitigate::{
     Decision, FindingKind, MitigationConfig, MitigationEngine, MitigationState, RejectReason,
     TransitionRecord, VerifyOutcome,

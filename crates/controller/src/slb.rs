@@ -8,21 +8,22 @@
 //! once a Pingmesh Controller server stops functioning, it is
 //! automatically removed from rotation by the SLB." (§3.3.2)
 //!
-//! [`SimController`] is one replica with an availability timeline;
+//! [`SimController`] is one replica with an availability timeline and the
+//! generation it serves, as generator inputs: a fetch generates the list;
 //! [`ControllerCluster`] is the VIP: it spreads requests across replicas
 //! by requesting server and retries on failure, so the cluster answers as long as one replica is
 //! alive. Removing the pinglist files (`clear_pinglists`) is the paper's
 //! global kill switch: agents that see "controller up, no pinglist"
 //! fail-closed and stop probing.
 
-use crate::genalgo::PinglistSet;
+use crate::genalgo::PinglistSource;
 use pingmesh_types::{DownWindows, Pinglist, PingmeshError, ServerId, SimTime};
 use std::sync::Arc;
 
 /// One controller replica.
 #[derive(Debug, Clone, Default)]
 pub struct SimController {
-    lists: Option<Arc<PinglistSet>>,
+    lists: Option<Arc<PinglistSource>>,
     outages: DownWindows,
 }
 
@@ -32,10 +33,10 @@ impl SimController {
         Self::default()
     }
 
-    /// Installs a freshly generated pinglist set (the replica "ran the
-    /// generation algorithm").
-    pub fn set_pinglists(&mut self, set: Arc<PinglistSet>) {
-        self.lists = Some(set);
+    /// Installs a pinglist generation: from now on every fetch generates
+    /// the asking server's list from `source`.
+    pub fn set_pinglists(&mut self, source: Arc<PinglistSource>) {
+        self.lists = Some(source);
     }
 
     /// Removes all pinglist files (the paper's way to stop the fleet).
@@ -46,11 +47,6 @@ impl SimController {
     /// Declares an outage window for this replica.
     pub fn add_outage(&mut self, from: SimTime, until: Option<SimTime>) {
         self.outages.add(from, until);
-    }
-
-    /// Whether this replica currently holds pinglist files.
-    pub fn has_pinglists(&self) -> bool {
-        self.lists.is_some()
     }
 
     /// Whether the replica is serving at `t`.
@@ -69,8 +65,7 @@ impl SimController {
         Ok(self
             .lists
             .as_ref()
-            .and_then(|set| set.for_server(server))
-            .cloned())
+            .and_then(|source| source.for_server(server)))
     }
 }
 
@@ -88,27 +83,17 @@ impl ControllerCluster {
         }
     }
 
-    /// Number of replicas.
-    pub fn len(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// True if the cluster has no replicas (never the case via `new`).
-    pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
-    }
-
     /// Access a replica (e.g. to schedule an outage).
     pub fn replica_mut(&mut self, i: usize) -> &mut SimController {
         &mut self.replicas[i]
     }
 
-    /// Installs a pinglist set on every replica — they all "run the same
-    /// piece of code", so they always serve identical files.
-    pub fn set_pinglists(&mut self, set: PinglistSet) {
-        let set = Arc::new(set);
+    /// Installs a pinglist generation on every replica — they all "run
+    /// the same piece of code", so they always serve identical files.
+    pub fn set_pinglists(&mut self, source: PinglistSource) {
+        let source = Arc::new(source);
         for r in &mut self.replicas {
-            r.set_pinglists(set.clone());
+            r.set_pinglists(source.clone());
         }
     }
 
@@ -127,7 +112,7 @@ impl ControllerCluster {
     /// Whether the cluster holds pinglist files at all (`false` after
     /// [`ControllerCluster::clear_pinglists`] — the fleet stop state).
     pub fn serves_pinglists(&self) -> bool {
-        self.replicas.iter().any(|r| r.has_pinglists())
+        self.replicas.iter().any(|r| r.lists.is_some())
     }
 
     /// One agent request through the VIP: starts at the replica keyed on
@@ -175,9 +160,9 @@ mod tests {
     use crate::genalgo::{GeneratorConfig, PinglistGenerator};
     use pingmesh_topology::{Topology, TopologySpec};
 
-    fn lists() -> PinglistSet {
-        let topo = Topology::build(TopologySpec::single_tiny()).unwrap();
-        PinglistGenerator::new(GeneratorConfig::default()).generate_all(&topo, 1)
+    fn lists() -> PinglistSource {
+        let topo = Arc::new(Topology::build(TopologySpec::single_tiny()).unwrap());
+        PinglistSource::new(topo, PinglistGenerator::new(GeneratorConfig::default()), 1)
     }
 
     #[test]

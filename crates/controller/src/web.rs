@@ -14,11 +14,12 @@
 //!   the server id is unknown, `503` if no pinglists are loaded.
 //! * `GET /health` → `200 ok` (the SLB's health probe).
 //!
-//! The service holds the current [`PinglistSet`] behind a `parking_lot`
-//! `RwLock`; a generation swap is one pointer store, so requests never
-//! block on regeneration.
+//! The service holds the current generation's inputs, a
+//! [`PinglistSource`], behind a `parking_lot` `RwLock`, and generates the
+//! asking server's list per request; a generation swap is one pointer
+//! store.
 
-use crate::genalgo::PinglistSet;
+use crate::genalgo::PinglistSource;
 use crate::xml;
 use parking_lot::RwLock;
 use pingmesh_httpx::{CallError, Response};
@@ -30,7 +31,7 @@ use tokio::net::TcpListener;
 /// Shared state of the controller web service.
 #[derive(Debug, Default)]
 pub struct WebState {
-    lists: RwLock<Option<Arc<PinglistSet>>>,
+    lists: RwLock<Option<Arc<PinglistSource>>>,
 }
 
 impl WebState {
@@ -42,9 +43,9 @@ impl WebState {
     /// Atomically installs a new pinglist generation. Sampled entries are
     /// armed for provenance tracing (wall-clock stamps — real-socket mode
     /// has no shared virtual clock).
-    pub fn set_pinglists(&self, set: PinglistSet) {
-        pingmesh_obs::trace::arm_from_pinglists(&set.lists, None);
-        *self.lists.write() = Some(Arc::new(set));
+    pub fn set_pinglists(&self, source: PinglistSource) {
+        pingmesh_obs::trace::arm_from_pinglists(source.lists(), None);
+        *self.lists.write() = Some(Arc::new(source));
     }
 
     /// Removes all pinglists (fleet stop switch).
@@ -78,13 +79,12 @@ impl WebState {
             let Ok(id) = id.parse::<u32>() else {
                 return Response::not_found();
             };
-            let guard = self.lists.read();
-            let Some(set) = guard.as_ref() else {
+            let Some(source) = self.lists.read().clone() else {
                 return Response::unavailable();
             };
-            return match set.for_server(ServerId(id)) {
+            return match source.for_server(ServerId(id)) {
                 Some(pl) => {
-                    let mut resp = Response::ok(xml::to_xml(pl).into_bytes());
+                    let mut resp = Response::ok(xml::to_xml(&pl).into_bytes());
                     resp.headers
                         .push(("content-type".into(), "application/xml".into()));
                     resp
@@ -151,10 +151,10 @@ mod tests {
     use pingmesh_topology::{Topology, TopologySpec};
 
     fn state_with_lists() -> Arc<WebState> {
-        let topo = Topology::build(TopologySpec::single_tiny()).unwrap();
-        let set = PinglistGenerator::new(GeneratorConfig::default()).generate_all(&topo, 3);
+        let topo = Arc::new(Topology::build(TopologySpec::single_tiny()).unwrap());
+        let generator = PinglistGenerator::new(GeneratorConfig::default());
         let state = Arc::new(WebState::new());
-        state.set_pinglists(set);
+        state.set_pinglists(PinglistSource::new(topo, generator, 3));
         state
     }
 

@@ -10,7 +10,8 @@
 //!   at its scheduled times, buffers results and uploads them with
 //!   retry-then-discard semantics — all inside its shard;
 //! * at each barrier the shards' side effects are merged in canonical
-//!   order: deferred store uploads sorted by `(time, server)`, switch-
+//!   order: deferred store uploads (still packed, 32 bytes a record, until
+//!   the store appends them) sorted by `(time, server)`, switch-
 //!   counter deltas summed (commutative), probe/metric counts flushed;
 //! * the **PA pipeline** (5-minute counter sweep), the **job manager**
 //!   (10-min / 1-h / 1-day DSA jobs) and the **repair loop** (reloads,
@@ -36,10 +37,10 @@
 use crate::mitigation::{self, MitDevice, PlannedProbe, VERIFY_DST_PORT};
 use crate::repair::RepairService;
 use crate::watchdog::detect_podset_power_down;
-use pingmesh_agent::{AgentConfig, AgentFleet, AgentView, ControllerPollOutcome};
+use pingmesh_agent::{AgentConfig, AgentFleet, AgentView, ControllerPollOutcome, UploadBatch};
 use pingmesh_controller::{
     ControllerCluster, Decision, FindingKind, GeneratorConfig, MitigationConfig, MitigationEngine,
-    MitigationState, PinglistGenerator, VerifyOutcome,
+    MitigationState, PinglistGenerator, PinglistSource, VerifyOutcome,
 };
 use pingmesh_dsa::jobs::{JobKind, JobManager, Pipeline};
 use pingmesh_dsa::store::{CosmosStore, StreamName};
@@ -134,13 +135,10 @@ enum Ev {
 
 /// A deferred store upload: decided (and agent-side accounted) at wake
 /// time inside a shard, applied to the store at the barrier in canonical
-/// `(time, server)` order.
+/// `(time, server)` order. The batch stays packed until then.
 struct DeferredUpload {
     time: SimTime,
-    server: ServerId,
-    fleet_idx: u32,
-    dc: DcId,
-    batch: Vec<ProbeRecord>,
+    batch: UploadBatch,
 }
 
 /// Everything a shard may read during an epoch. All `&self`, shared by
@@ -266,20 +264,13 @@ impl Shard {
         // verdict frozen in sim-time); the store mutation itself is
         // deferred to the barrier.
         if self.fleet.upload_due(idx, now) {
-            let dc = ctx.topo.server(s).dc;
             if let Some(batch) = self.fleet.begin_upload(idx) {
-                pingmesh_obs::trace::on_upload_batch(&batch, Some(now));
+                pingmesh_obs::trace::on_upload_batch(batch.records(ctx.topo), Some(now));
                 if ctx.store_outages.is_up(now) {
-                    let bytes: u64 = batch.iter().map(|r| r.wire_size() as u64).sum();
+                    let bytes = (batch.len() * ProbeRecord::WIRE_SIZE) as u64;
                     self.fleet.note_uploaded(idx, bytes);
                     self.fleet.on_upload_result(idx, true);
-                    self.uploads.push(DeferredUpload {
-                        time: now,
-                        server: s,
-                        fleet_idx: i,
-                        dc,
-                        batch,
-                    });
+                    self.uploads.push(DeferredUpload { time: now, batch });
                 } else {
                     // Every synchronous retry hits the same downed store:
                     // spin the bookkeeping until retries exhaust.
@@ -330,17 +321,7 @@ impl Orchestrator {
         config: OrchestratorConfig,
     ) -> Self {
         let net = SimNet::new(topo.clone(), profiles, config.seed);
-
-        let generator = PinglistGenerator::new(config.generator.clone());
-        let mut cluster = ControllerCluster::new(config.controller_replicas);
-        let generation = 1;
-        let set = generator.generate_all(&topo, generation);
-        // Provenance + quality: arm sampled traces and derive the pod
-        // pairs this generation is expected to report, while the full
-        // generation is still in hand.
-        pingmesh_obs::trace::arm_from_pinglists(&set.lists, Some(SimTime::ZERO));
-        let expected = Arc::new(ExpectedPairs::from_pinglists(&topo, &set.lists));
-        cluster.set_pinglists(set);
+        let cluster = ControllerCluster::new(config.controller_replicas);
 
         // Partition by podset, podsets round-robin over shards. The
         // assignment is pure topology, so the per-shard server order (and
@@ -366,13 +347,12 @@ impl Orchestrator {
             sh.queue.schedule_batch(polls);
         }
 
-        let mut pipeline = Pipeline::new(topo.clone(), services, CosmosStore::with_defaults());
-        pipeline.set_expected_pairs(expected);
+        let pipeline = Pipeline::new(topo.clone(), services, CosmosStore::with_defaults());
         let jobman = JobManager::new();
         let next_pa = SimTime::ZERO + PA_INTERVAL;
 
         let mitigation = MitigationEngine::new(config.mitigation);
-        Self {
+        let mut o = Self {
             net,
             shards,
             shard_of,
@@ -386,10 +366,12 @@ impl Orchestrator {
             excluded_podsets: BTreeSet::new(),
             config,
             outputs: SimOutputs::default(),
-            generation,
+            generation: 0,
             now: SimTime::ZERO,
             next_pa,
-        }
+        };
+        o.regenerate_pinglists(o.config.generator.clone());
+        o
     }
 
     /// The simulated network (inject faults, VIPs, profiles before or
@@ -499,44 +481,23 @@ impl Orchestrator {
         pingmesh_dsa::investigate_chunks(&chunks, self.net.topology(), max_flows, filter)
     }
 
-    /// Regenerates pinglists (e.g. after a topology/config change) and
-    /// installs them on the controller cluster. Agents pick the new
+    /// Starts the next pinglist generation (e.g. after a topology/config
+    /// change): the controller cluster generates each list when it is
+    /// fetched, drained podsets cut out of the mesh. Agents pick the new
     /// generation up at their next poll — the controller never pushes.
     pub fn regenerate_pinglists(&mut self, generator_config: GeneratorConfig) {
         self.generation += 1;
         self.config.generator = generator_config.clone();
-        let generator = PinglistGenerator::new(generator_config);
-        let mut set = generator.generate_all(self.net.topology(), self.generation);
-        // Drained podsets (power-down mitigation) are cut out of the mesh:
-        // their servers get empty lists, and nobody else wastes probes on
-        // them — exactly the manual pinglist surgery the paper's operators
-        // did, automated. VIP entries stay (the VIP maps around the dark
-        // DIPs or reports the outage itself).
-        if !self.excluded_podsets.is_empty() {
-            let topo = self.net.topology();
-            for list in &mut set.lists {
-                if self
-                    .excluded_podsets
-                    .contains(&topo.server(list.server).podset)
-                {
-                    list.entries.clear();
-                    continue;
-                }
-                list.entries.retain(|e| match e.target {
-                    PingTarget::Server { id, .. } => {
-                        !self.excluded_podsets.contains(&topo.server(id).podset)
-                    }
-                    PingTarget::Vip { .. } => true,
-                });
-            }
-        }
-        pingmesh_obs::trace::arm_from_pinglists(&set.lists, Some(self.now));
-        self.pipeline
-            .set_expected_pairs(Arc::new(ExpectedPairs::from_pinglists(
-                self.net.topology(),
-                &set.lists,
-            )));
-        self.cluster.set_pinglists(set);
+        let generator = PinglistGenerator::new(generator_config)
+            .with_excluded_podsets(self.excluded_podsets.clone());
+        let topo = self.net.topology().clone();
+        let source = PinglistSource::new(topo.clone(), generator, self.generation);
+        // Provenance and quality read the lists once each: sampled traces
+        // are armed and the pod pairs the generation should report derived.
+        pingmesh_obs::trace::arm_from_pinglists(source.lists(), Some(self.now));
+        let expected = ExpectedPairs::from_pinglists(&topo, source.lists());
+        self.pipeline.set_expected_pairs(Arc::new(expected));
+        self.cluster.set_pinglists(source);
     }
 
     /// Runs the simulation until virtual time `end` (inclusive of events
@@ -622,17 +583,35 @@ impl Orchestrator {
         for sh in &mut self.shards {
             uploads.append(&mut sh.uploads);
         }
-        uploads.sort_by_key(|u| (u.time, u.server));
+        uploads.sort_by_key(|u| (u.time, u.batch.src()));
+        // The largest barrier's deferred bytes and records, process-wide.
+        let registry = pingmesh_obs::registry();
+        let bytes = registry.gauge("pingmesh_core_barrier_upload_bytes");
+        let held: usize = uploads.iter().map(|u| u.batch.resident_bytes()).sum();
+        if held as f64 > bytes.get() {
+            bytes.set(held as f64);
+            let records = uploads.iter().map(|u| u.batch.len()).sum::<usize>();
+            registry
+                .gauge("pingmesh_core_barrier_upload_records")
+                .set(records as f64);
+        }
+        // Each batch is expanded into one reused buffer right before the
+        // store appends it.
+        let topo = self.net.topology();
+        let mut records = Vec::new();
         for u in uploads {
+            let (src, dc) = (u.batch.src(), topo.server(u.batch.src()).dc);
+            records.clear();
+            records.extend(u.batch.records(topo));
             let ok = self
                 .pipeline
                 .store
-                .append(StreamName { dc: u.dc }, &u.batch, u.time);
+                .append(StreamName { dc }, &records, u.time);
             debug_assert!(ok, "the simulator's store is in-memory: it never refuses");
-            let (sh, _) = self.shard_of[u.server.index()];
+            let (sh, idx) = self.shard_of[src.index()];
             self.shards[sh as usize]
                 .fleet
-                .recycle_batch(u.fleet_idx as usize, u.batch);
+                .recycle_batch(idx as usize, u.batch);
         }
         // Switch counters: per-shard deltas, summed (commutative).
         for sh in &mut self.shards {

@@ -21,6 +21,7 @@ use crate::store::{CosmosStore, PARTIAL_WINDOW};
 use pingmesh_obs::slo::{self, SloKind, SloStatus};
 use pingmesh_topology::Topology;
 use pingmesh_types::{PingTarget, Pinglist, PodId, SimDuration, SimTime};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::io;
 
@@ -65,10 +66,15 @@ pub struct ExpectedPairs {
 }
 
 impl ExpectedPairs {
-    /// Derives the expected pair set from generated pinglists.
-    pub fn from_pinglists(topo: &Topology, lists: &[Pinglist]) -> ExpectedPairs {
+    /// Derives the expected pair set from a generation's pinglists, read
+    /// one at a time.
+    pub fn from_pinglists(
+        topo: &Topology,
+        lists: impl IntoIterator<Item = impl Borrow<Pinglist>>,
+    ) -> ExpectedPairs {
         let mut pairs = BTreeSet::new();
         for pl in lists {
+            let pl = pl.borrow();
             let src_pod = topo.server(pl.server).pod;
             for entry in &pl.entries {
                 if let PingTarget::Server { id, .. } = entry.target {

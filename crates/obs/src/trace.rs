@@ -31,6 +31,7 @@
 use crate::{record_event, Field, Level};
 use parking_lot::Mutex;
 use pingmesh_types::{PingTarget, Pinglist, ProbeKind, ProbeRecord, QosClass, ServerId, SimTime};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -252,11 +253,15 @@ pub fn armed_count() -> usize {
     tracer().armed_n.load(Ordering::Relaxed)
 }
 
-/// Arms sampled entries from freshly generated pinglists: called by the
-/// controller path with the full generation in hand. VIP targets are
-/// skipped (their resolved backend is unknown until probe time). Pass the
-/// generation's sim timestamp when running under the simulator.
-pub fn arm_from_pinglists(lists: &[Pinglist], sim: Option<SimTime>) {
+/// Arms sampled entries from a fresh generation's pinglists: called by the
+/// controller path with every list, in turn. VIP targets are skipped
+/// (their resolved backend is unknown until probe time). Pass the
+/// generation's sim timestamp when running under the simulator. With
+/// observability off, `lists` is not iterated.
+pub fn arm_from_pinglists(
+    lists: impl IntoIterator<Item = impl Borrow<Pinglist>>,
+    sim: Option<SimTime>,
+) {
     if !crate::enabled() {
         return;
     }
@@ -265,6 +270,7 @@ pub fn arm_from_pinglists(lists: &[Pinglist], sim: Option<SimTime>) {
     let now_wall = Instant::now();
     let mut tab = t.table.lock();
     for pl in lists {
+        let pl = pl.borrow();
         for entry in &pl.entries {
             let dst = match entry.target {
                 PingTarget::Server { id, .. } => id,
@@ -332,8 +338,11 @@ pub fn on_probe(rec: &ProbeRecord) {
 }
 
 /// Notes an upload batch leaving an agent. Pass the agent's sim clock
-/// when available.
-pub fn on_upload_batch(batch: &[ProbeRecord], sim: Option<SimTime>) {
+/// when available. `batch` is iterated only while some trace rides.
+pub fn on_upload_batch(
+    batch: impl IntoIterator<Item = impl Borrow<ProbeRecord>>,
+    sim: Option<SimTime>,
+) {
     let t = tracer();
     if t.riding_n.load(Ordering::Relaxed) == 0 {
         return;
@@ -341,7 +350,7 @@ pub fn on_upload_batch(batch: &[ProbeRecord], sim: Option<SimTime>) {
     let now_wall = Instant::now();
     let mut tab = t.table.lock();
     for rec in batch {
-        let key = record_key(rec);
+        let key = record_key(rec.borrow());
         if let Some(ride) = tab.riding.get_mut(&key) {
             let to_sim = ride.last_sim.and(sim);
             let dur = delta_us(ride.last_sim, ride.last_wall, to_sim, now_wall);
@@ -587,7 +596,7 @@ mod tests {
         let rec = record(src, dst, SimTime(5_000_000));
         on_probe(&rec);
         assert_eq!(armed_count(), 0);
-        on_upload_batch(&[rec], Some(SimTime(6_000_000)));
+        on_upload_batch([rec], Some(SimTime(6_000_000)));
         let window_us = SimDuration::from_mins(10).as_micros();
         on_append_batch(&[rec], SimTime(7_000_000), window_us);
         on_tick(SimTime(0), SimTime(window_us), SimTime(window_us * 2));

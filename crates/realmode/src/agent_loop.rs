@@ -33,7 +33,7 @@ use pingmesh_agent::{AgentConfig, AgentFleet, AgentView, ControllerPollOutcome};
 use pingmesh_topology::Topology;
 use pingmesh_types::backoff::Backoff;
 use pingmesh_types::{
-    PingTarget, PingmeshError, ProbeKind, ProbeOutcome, ServerId, SimDuration, SimTime,
+    PingTarget, PingmeshError, ProbeKind, ProbeOutcome, ProbeRecord, ServerId, SimDuration, SimTime,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -235,13 +235,22 @@ impl RealAgent {
         let mut inflight = tokio::task::JoinSet::new();
         let mut sent = 0usize;
         for mut probe in due.drain(..) {
+            // A VIP needs the production load balancer to pick a backend,
+            // and a peer the directory does not list has no address: both
+            // are counted as unresolved probes (`unresolved_probes`), as
+            // the simulator counts a VIP with no backend, and leave no
+            // record.
             let PingTarget::Server { id: peer, ip } = probe.entry.target else {
-                continue; // VIP targets need the production LB; skip here
+                self.skip_unresolved(&probe);
+                continue;
             };
             let endpoints = match self.config.addressing {
                 Addressing::Directory => match self.directory.lookup(peer) {
                     Some(e) => e,
-                    None => continue,
+                    None => {
+                        self.skip_unresolved(&probe);
+                        continue;
+                    }
                 },
                 Addressing::Direct => PeerEndpoints {
                     // Production addressing: the pinglist's IP and port
@@ -285,6 +294,12 @@ impl RealAgent {
         sent
     }
 
+    fn skip_unresolved(&mut self, probe: &DueProbe) {
+        let now = self.now();
+        self.fleet
+            .record_outcome(ME, probe, None, ProbeOutcome::Timeout, now);
+    }
+
     fn absorb(&mut self, (due, peer, rtt): (DueProbe, ServerId, Option<Duration>)) {
         let outcome = match rtt {
             Some(d) => ProbeOutcome::Success {
@@ -307,22 +322,25 @@ impl RealAgent {
         let Some(batch) = self.fleet.begin_upload(ME) else {
             return;
         };
-        pingmesh_obs::trace::on_upload_batch(&batch, Some(self.now()));
+        // The wire carries records: expand the batch once, for every retry.
+        let records: Vec<ProbeRecord> = batch.records(self.fleet.topology()).collect();
+        pingmesh_obs::trace::on_upload_batch(&records, Some(self.now()));
         let registry = pingmesh_obs::registry();
         let mut backoff = self.backoff();
         loop {
             let result =
-                upload_records_with(self.config.collector, &batch, self.config.call_deadline).await;
+                upload_records_with(self.config.collector, &records, self.config.call_deadline)
+                    .await;
             let ok = result.is_ok();
             if ok {
-                let bytes = batch.iter().map(|r| r.wire_size() as u64).sum();
+                let bytes = (records.len() * ProbeRecord::WIRE_SIZE) as u64;
                 self.fleet.note_uploaded(ME, bytes);
             }
             if !self.fleet.on_upload_result(ME, ok) {
                 if !ok {
                     registry
                         .counter("pingmesh_realmode_discarded_records_total")
-                        .add(batch.len() as u64);
+                        .add(records.len() as u64);
                 }
                 break;
             }
@@ -428,6 +446,39 @@ pub(crate) mod tests {
         assert!(probes_metric.get() >= probes0 + sent as u64);
         assert!(uploads_metric.get() > uploads0);
         assert!(batch_metric.snapshot().count() > batches0);
+    }
+
+    /// A VIP entry needs the production load balancer to pick a backend:
+    /// every one that falls due is counted as an unresolved probe, as the
+    /// simulator counts a VIP with no backend, and leaves no record.
+    #[tokio::test]
+    async fn due_vip_entries_are_counted_as_unresolved() {
+        use pingmesh_types::VipId;
+        use std::net::Ipv4Addr;
+        let vip_targets = vec![
+            (VipId(0), Ipv4Addr::new(172, 16, 0, 1)),
+            (VipId(1), Ipv4Addr::new(172, 16, 0, 2)),
+        ];
+        let vips = vip_targets.len() as u64;
+        let config = GeneratorConfig {
+            vip_targets,
+            ..GeneratorConfig::default()
+        };
+        let cluster = LocalCluster::start(TopologySpec::single_tiny(), config).await;
+        // Server 0 is an inter-DC prober, so its list carries the VIPs.
+        let mut agent = cluster.agent(ServerId(0));
+        agent.poll_controller().await;
+        for round in 1..=2 {
+            agent.skip(STEP);
+            let sent = agent.probe_due().await as u64;
+            let view = agent.view();
+            assert_eq!(view.unresolved_probes(), round * vips, "round {round}");
+            assert_eq!(view.probes_observed(), view.counters().probes_sent);
+            agent.flush(true).await;
+            let uploaded = cluster.collector().stats().records;
+            assert_eq!(uploaded, agent.view().probes_observed() - round * vips);
+            assert!(sent > 0);
+        }
     }
 
     #[tokio::test]

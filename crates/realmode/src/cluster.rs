@@ -19,7 +19,7 @@ use crate::chaos::{ChaosHandle, ChaosProxy};
 use crate::collector::{serve_collector, Collector};
 use crate::directory::{PeerDirectory, PeerEndpoints};
 use pingmesh_agent::real::{serve_echo, serve_http};
-use pingmesh_controller::{serve, GeneratorConfig, PinglistGenerator, WebState};
+use pingmesh_controller::{serve, GeneratorConfig, PinglistGenerator, PinglistSource, WebState};
 use pingmesh_dsa::ExpectedPairs;
 use pingmesh_serve::{serve_query, QueryTier};
 use pingmesh_topology::{Topology, TopologySpec};
@@ -100,7 +100,7 @@ impl LocalCluster {
         let mut controller_proxies = Vec::new();
         for i in 0..options.controller_replicas {
             let state = Arc::new(WebState::new());
-            state.set_pinglists(generator.generate_all(&topo, 1));
+            state.set_pinglists(PinglistSource::new(topo.clone(), generator.clone(), 1));
             let listener = TcpListener::bind("127.0.0.1:0").await.expect("bind");
             let upstream = listener.local_addr().expect("addr");
             tokio::spawn(serve(listener, state.clone()));
@@ -247,13 +247,11 @@ impl LocalCluster {
     ///
     /// [`Collector::set_expected_pairs`]: crate::collector::Collector::set_expected_pairs
     pub fn expected_pairs_for(&self, servers: &[ServerId]) -> ExpectedPairs {
-        let set = PinglistGenerator::new(self.generator_config.clone()).generate_all(&self.topo, 1);
-        let lists: Vec<_> = set
-            .lists
-            .into_iter()
-            .filter(|pl| servers.contains(&pl.server))
-            .collect();
-        ExpectedPairs::from_pinglists(&self.topo, &lists)
+        let generator = PinglistGenerator::new(self.generator_config.clone());
+        let lists = servers
+            .iter()
+            .map(|&s| generator.generate_for(&self.topo, s, 1));
+        ExpectedPairs::from_pinglists(&self.topo, lists)
     }
 
     /// A fully wired agent for one of the topology's servers, configured

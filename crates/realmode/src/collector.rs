@@ -342,7 +342,7 @@ impl Collector {
     /// (an empty store counts as stale since the epoch). Publishes the
     /// `pingmesh_slo_*` gauges as a side effect.
     pub fn slo_statuses(&self) -> Vec<SloStatus> {
-        let now = SimTime(self.epoch.elapsed().as_micros() as u64);
+        let now = self.now();
         let state = self.slo.lock();
         let store = self.store.lock();
         let mut out = Vec::with_capacity(4);
@@ -437,6 +437,12 @@ impl Collector {
             slos,
             durability: self.store.lock().durability_stats(),
         }
+    }
+
+    /// Microseconds since the collector started: the clock its freshness
+    /// checks read record timestamps against.
+    pub fn now(&self) -> SimTime {
+        SimTime(self.epoch.elapsed().as_micros() as u64)
     }
 
     /// The shared store (scan it for analysis).

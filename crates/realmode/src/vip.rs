@@ -131,16 +131,16 @@ impl From<SocketAddr> for ControllerVip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pingmesh_controller::{GeneratorConfig, PinglistGenerator, WebState};
+    use pingmesh_controller::{GeneratorConfig, PinglistGenerator, PinglistSource, WebState};
     use pingmesh_topology::{Topology, TopologySpec};
     use std::sync::Arc;
     use tokio::net::TcpListener;
 
     async fn live_replica() -> SocketAddr {
-        let topo = Topology::build(TopologySpec::single_tiny()).unwrap();
-        let set = PinglistGenerator::new(GeneratorConfig::default()).generate_all(&topo, 1);
+        let topo = Arc::new(Topology::build(TopologySpec::single_tiny()).unwrap());
+        let generator = PinglistGenerator::new(GeneratorConfig::default());
         let state = Arc::new(WebState::new());
-        state.set_pinglists(set);
+        state.set_pinglists(PinglistSource::new(topo, generator, 1));
         let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
         let addr = listener.local_addr().unwrap();
         tokio::spawn(pingmesh_controller::serve(listener, state));

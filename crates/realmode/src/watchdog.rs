@@ -20,8 +20,10 @@
 //!   had to clamp since the previous check →
 //!   [`ControllerViolatedSafetyLimits`], records discarded since the
 //!   previous check → [`RecordsDiscarded`];
-//! * collector ingest progress: the record count must grow within the
-//!   store horizon while agents are probing → [`StaleStore`];
+//! * collector ingest freshness: while agents are probing, the newest
+//!   stored record must be younger than the store horizon on the
+//!   collector's clock, as the simulator's watchdog reads its store →
+//!   [`StaleStore`];
 //! * data-quality SLOs: the watchdog feeds the collector the windowed
 //!   completeness ledger (stored vs produced-minus-buffered since the
 //!   previous check) and re-evaluates every installed SLO →
@@ -45,20 +47,18 @@
 use crate::agent_loop::RealAgent;
 use crate::cluster::LocalCluster;
 use pingmesh_core::WatchdogFinding;
-use pingmesh_types::{ServerId, SimDuration};
+use pingmesh_types::{ServerId, SimDuration, SimTime};
 use std::net::SocketAddr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Watchdog over a live real-socket deployment. Stateful: store-progress
-/// tracking compares consecutive checks.
+/// Watchdog over a live real-socket deployment. Stateful: the agent and
+/// store tallies are reported as deltas between consecutive checks.
 #[derive(Debug)]
 pub struct RealWatchdog {
-    /// Ingest must make progress within this horizon (while probing).
+    /// While agents probe, the newest stored record must be younger.
     pub store_horizon: Duration,
     /// Per-phase deadline for the watchdog's own health probes.
     pub call_deadline: Duration,
-    last_records: u64,
-    last_progress: Instant,
     last_sanitized: u64,
     last_discarded: u64,
     last_stored: u64,
@@ -67,14 +67,11 @@ pub struct RealWatchdog {
 }
 
 impl RealWatchdog {
-    /// A watchdog with the given freshness horizon. Progress tracking
-    /// starts now.
+    /// A watchdog with the given freshness horizon.
     pub fn new(store_horizon: Duration) -> Self {
         Self {
             store_horizon,
             call_deadline: Duration::from_secs(2),
-            last_records: 0,
-            last_progress: Instant::now(),
             last_sanitized: 0,
             last_discarded: 0,
             last_stored: 0,
@@ -153,23 +150,22 @@ impl RealWatchdog {
         }
         self.last_discarded = discarded;
 
-        // Report path: records must keep arriving while anyone probes.
-        let records = cluster.collector().stats().records;
-        let probing = stopped < agents.len();
-        if records > self.last_records {
-            self.last_records = records;
-            self.last_progress = Instant::now();
-        } else if probing && self.last_progress.elapsed() > self.store_horizon {
-            // A store that has never received a record has no newest age.
-            let age = self.last_progress.elapsed().as_micros() as u64;
-            findings.push(WatchdogFinding::StaleStore {
-                newest_age: (records > 0).then(|| SimDuration::from_micros(age)),
-            });
-        } else if !probing {
-            // Nothing probing: staleness is expected, don't double-report
-            // it on top of AgentsStopped. Reset the clock so recovery is
-            // judged from the resume, not the outage.
-            self.last_progress = Instant::now();
+        // Report path: while anyone probes, the newest stored record must
+        // be younger than the horizon. With nothing probing staleness is
+        // expected: it is not reported on top of AgentsStopped. An empty
+        // store is stale once the collector has been up a horizon, and
+        // has no newest age.
+        let collector = cluster.collector();
+        let records = collector.stats().records;
+        if stopped < agents.len() {
+            let now = collector.now();
+            let newest = collector.store().lock().newest_ts();
+            let age = now.since(newest.unwrap_or(SimTime::ZERO));
+            if age > SimDuration::from_micros(self.store_horizon.as_micros() as u64) {
+                findings.push(WatchdogFinding::StaleStore {
+                    newest_age: newest.map(|_| age),
+                });
+            }
         }
 
         // Completeness ledger: records that should have reached the store
@@ -229,10 +225,15 @@ impl RealWatchdog {
 mod tests {
     use super::*;
     use crate::agent_loop::tests::STEP;
+    use crate::agent_loop::RealAgentConfig;
     use crate::chaos::Toxic;
     use crate::cluster::ClusterOptions;
+    use parking_lot::Mutex;
     use pingmesh_controller::GeneratorConfig;
+    use pingmesh_httpx::Response;
     use pingmesh_topology::TopologySpec;
+    use pingmesh_types::Pinglist;
+    use std::sync::Arc;
 
     #[tokio::test]
     async fn healthy_cluster_has_no_findings() {
@@ -248,6 +249,17 @@ mod tests {
         assert!(findings.is_empty(), "{findings:?}");
     }
 
+    /// A controller that answers every pinglist request with `list`: the
+    /// hand-made lists a generator never produces.
+    async fn serving(list: Arc<Mutex<Pinglist>>) -> SocketAddr {
+        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+        let addr = listener.local_addr().unwrap();
+        tokio::spawn(pingmesh_httpx::serve(listener, move |_req| {
+            Response::ok(pingmesh_controller::to_xml(&list.lock()).into_bytes())
+        }));
+        addr
+    }
+
     #[tokio::test]
     async fn unsafe_pinglist_is_clamped_and_reported() {
         let cluster =
@@ -255,21 +267,23 @@ mod tests {
         // A misbehaving controller: every entry of server 3's list asks
         // for a 1-second cadence, ten times the hard limit.
         let safe = pingmesh_controller::PinglistGenerator::new(GeneratorConfig::default())
-            .generate_all(cluster.topology(), 1);
-        let mut set = safe.clone();
-        let unsafe_entries = {
-            let pl = &mut set.lists[3];
-            assert_eq!(pl.server, ServerId(3));
-            for e in &mut pl.entries {
-                e.interval = SimDuration::from_secs(1);
-            }
-            pl.entries.len() as u64
-        };
-        cluster.controller_state().set_pinglists(set);
+            .generate_for(cluster.topology(), ServerId(3), 1);
+        let mut bad = safe.clone();
+        for e in &mut bad.entries {
+            e.interval = SimDuration::from_secs(1);
+        }
+        let unsafe_entries = bad.entries.len() as u64;
+        let served = Arc::new(Mutex::new(bad));
+        let controller = serving(served.clone()).await;
         let metric = pingmesh_obs::registry().counter("pingmesh_agent_sanitized_entries_total");
         let metric_before = metric.get();
 
-        let mut agent = cluster.agent(ServerId(3));
+        let config = RealAgentConfig::new(ServerId(3), controller, cluster.collector_addr());
+        let mut agent = RealAgent::new(
+            config,
+            cluster.topology().clone(),
+            cluster.directory().clone(),
+        );
         agent.poll_controller().await;
         assert!(!agent.is_stopped());
         assert_eq!(agent.view().sanitized_entries(), unsafe_entries);
@@ -288,7 +302,7 @@ mod tests {
             )]
         );
         // A corrected controller clears the finding on the next check.
-        cluster.controller_state().set_pinglists(safe);
+        *served.lock() = safe;
         agent.poll_controller().await;
         let findings = wd.check(&cluster, &[&agent]).await;
         assert!(findings.is_empty(), "{findings:?}");
@@ -407,6 +421,52 @@ mod tests {
             findings.contains(&WatchdogFinding::StaleStore { newest_age: None }),
             "{findings:?}"
         );
+    }
+
+    /// The age `StaleStore` reports is the store's: a watchdog created over
+    /// a store whose newest record is old reports that record's age on its
+    /// first check, not its own lifetime.
+    #[tokio::test]
+    async fn stale_store_reports_the_age_of_the_newest_stored_record() {
+        use pingmesh_dsa::store::StreamName;
+        use pingmesh_types::{
+            DcId, PodId, PodsetId, ProbeKind, ProbeOutcome, ProbeRecord, QosClass,
+        };
+        let cluster =
+            LocalCluster::start(TopologySpec::single_tiny(), GeneratorConfig::default()).await;
+        let old = ProbeRecord {
+            ts: SimTime::ZERO,
+            src: ServerId(0),
+            dst: ServerId(1),
+            src_pod: PodId(0),
+            dst_pod: PodId(0),
+            src_podset: PodsetId(0),
+            dst_podset: PodsetId(0),
+            src_dc: DcId(0),
+            dst_dc: DcId(0),
+            kind: ProbeKind::TcpSyn,
+            qos: QosClass::High,
+            src_port: 40_000,
+            dst_port: 8_100,
+            outcome: ProbeOutcome::Timeout,
+        };
+        assert!(cluster.collector().store().lock().append(
+            StreamName { dc: DcId(0) },
+            &[old],
+            SimTime::ZERO
+        ));
+        let mut agent = cluster.agent(ServerId(4));
+        agent.poll_controller().await;
+        let aged = Duration::from_millis(300);
+        tokio::time::sleep(aged).await;
+        let mut wd = RealWatchdog::new(Duration::from_millis(100));
+        let findings = wd.check(&cluster, &[&agent]).await;
+        let age = findings.iter().find_map(|f| match f {
+            WatchdogFinding::StaleStore { newest_age } => *newest_age,
+            _ => None,
+        });
+        let age = age.unwrap_or_else(|| panic!("no StaleStore age: {findings:?}"));
+        assert!(age.as_micros() >= aged.as_micros() as u64, "{age}");
     }
 
     #[tokio::test]

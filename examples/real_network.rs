@@ -7,7 +7,9 @@
 //! ```
 
 use pingmesh::agent::real::{http_ping, serve_echo, serve_http, tcp_ping};
-use pingmesh::controller::{fetch_pinglist, serve, GeneratorConfig, PinglistGenerator, WebState};
+use pingmesh::controller::{
+    fetch_pinglist, serve, GeneratorConfig, PinglistGenerator, PinglistSource, WebState,
+};
 use pingmesh::topology::{Topology, TopologySpec};
 use pingmesh::types::{LatencyHistogram, ProbeKind, ServerId, SimDuration};
 use std::sync::Arc;
@@ -17,13 +19,13 @@ use tokio::net::TcpListener;
 #[tokio::main(flavor = "current_thread")]
 async fn main() {
     // --- Controller: generate pinglists, serve them over real HTTP. ---
-    let topo = Topology::build(TopologySpec::single_tiny()).expect("topology");
+    let topo = Arc::new(Topology::build(TopologySpec::single_tiny()).expect("topology"));
     let generator = PinglistGenerator::new(GeneratorConfig {
         payload_probes: true,
         ..GeneratorConfig::default()
     });
     let state = Arc::new(WebState::new());
-    state.set_pinglists(generator.generate_all(&topo, 1));
+    state.set_pinglists(PinglistSource::new(topo.clone(), generator, 1));
     let listener = TcpListener::bind("127.0.0.1:0").await.expect("bind");
     let controller_addr = listener.local_addr().expect("addr");
     tokio::spawn(serve(listener, state));

@@ -8,7 +8,7 @@
 //! pingmesh-controller --write-default-topology FILE
 //! ```
 
-use pingmesh::controller::{serve, GeneratorConfig, PinglistGenerator, WebState};
+use pingmesh::controller::{serve, GeneratorConfig, PinglistGenerator, PinglistSource, WebState};
 use pingmesh::topology::{DcSpec, Topology, TopologySpec};
 use std::sync::Arc;
 
@@ -91,16 +91,21 @@ fn main() {
         qos_low: args.qos_low,
         ..GeneratorConfig::default()
     });
-    let set = generator.generate_all(&topo, 1);
+    let source = PinglistSource::new(Arc::new(topo), generator, 1);
+    let (mut servers, mut max, mut total) = (0, 0, 0);
+    for list in source.lists() {
+        (servers, max, total) = (
+            servers + 1,
+            max.max(list.entries.len()),
+            total + list.entries.len(),
+        );
+    }
     println!(
-        "generated pinglists for {} servers (max {} peers/server, {} entries total)",
-        set.lists.len(),
-        set.max_entries(),
-        set.total_entries()
+        "generated pinglists for {servers} servers (max {max} peers/server, {total} entries total)"
     );
 
     let state = Arc::new(WebState::new());
-    state.set_pinglists(set);
+    state.set_pinglists(source);
 
     let rt = tokio::runtime::Builder::new_current_thread()
         .enable_all()

@@ -252,6 +252,13 @@ fn main() {
         "agent result rings: {resident:.0} resident bytes for {held} held entries ({:.1} B per entry)",
         resident / held.max(1) as f64
     );
+    let registry = pingmesh::obs::registry();
+    let deferred = registry.gauge("pingmesh_core_barrier_upload_bytes").get();
+    let records = registry.gauge("pingmesh_core_barrier_upload_records").get();
+    println!(
+        "barrier uploads: {deferred:.0} bytes for {records:.0} deferred records at the largest barrier ({:.1} B per record)",
+        deferred / records.max(1.0)
+    );
     let pinglist = pingmesh::obs::registry()
         .gauge("pingmesh_agent_pinglist_bytes")
         .get();

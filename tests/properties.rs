@@ -152,7 +152,7 @@ fn pinglist_generation_invariants() {
             for e in &pl.entries {
                 if let PingTarget::Server { id, .. } = e.target {
                     if topo.server(me).pod == topo.server(id).pod {
-                        let back = set.for_server(id).unwrap();
+                        let back = &set.lists[id.index()];
                         let reciprocated = back.entries.iter().any(|e2| {
                             matches!(e2.target, PingTarget::Server { id: rid, .. } if rid == me)
                         });

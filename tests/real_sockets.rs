@@ -2,7 +2,9 @@
 //! TCP/HTTP probers exchanging actual packets over localhost.
 
 use pingmesh::agent::real::{http_ping, serve_echo, serve_http, tcp_ping};
-use pingmesh::controller::{fetch_pinglist, serve, GeneratorConfig, PinglistGenerator, WebState};
+use pingmesh::controller::{
+    fetch_pinglist, serve, GeneratorConfig, PinglistGenerator, PinglistSource, WebState,
+};
 use pingmesh::topology::{Topology, TopologySpec};
 use pingmesh::types::{PingTarget, ProbeKind, ServerId};
 use std::sync::Arc;
@@ -10,13 +12,13 @@ use std::time::Duration;
 use tokio::net::TcpListener;
 
 async fn controller() -> (std::net::SocketAddr, Arc<WebState>) {
-    let topo = Topology::build(TopologySpec::single_tiny()).unwrap();
+    let topo = Arc::new(Topology::build(TopologySpec::single_tiny()).unwrap());
     let generator = PinglistGenerator::new(GeneratorConfig {
         payload_probes: true,
         ..GeneratorConfig::default()
     });
     let state = Arc::new(WebState::new());
-    state.set_pinglists(generator.generate_all(&topo, 1));
+    state.set_pinglists(PinglistSource::new(topo.clone(), generator, 1));
     let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
     let addr = listener.local_addr().unwrap();
     tokio::spawn(serve(listener, state.clone()));
@@ -97,7 +99,7 @@ async fn http_ping_round_trips_against_the_agent_responder() {
 #[tokio::test]
 async fn pinglist_xml_survives_the_wire_byte_for_byte() {
     let (controller_addr, _state) = controller().await;
-    let topo = Topology::build(TopologySpec::single_tiny()).unwrap();
+    let topo = Arc::new(Topology::build(TopologySpec::single_tiny()).unwrap());
     let generator = PinglistGenerator::new(GeneratorConfig {
         payload_probes: true,
         ..GeneratorConfig::default()
