@@ -147,6 +147,7 @@ fn main() {
         .switches()
         .filter(|sw| {
             o.net()
+                .state()
                 .faults()
                 .faults_on(*sw, now)
                 .any(|f| matches!(f.kind, FaultKind::BlackholeIp { .. }))

@@ -111,7 +111,7 @@ pub fn init_telemetry(id: &'static str) {
 /// Writes the per-run telemetry manifest — metrics snapshot plus event
 /// ring statistics — as JSON under `target/telemetry/<id>.json` (override
 /// the directory with `PINGMESH_TELEMETRY_DIR`). Returns the path.
-pub fn write_telemetry_manifest(id: &str) -> std::io::Result<std::path::PathBuf> {
+fn write_telemetry_manifest(id: &str) -> std::io::Result<std::path::PathBuf> {
     let dir =
         std::env::var("PINGMESH_TELEMETRY_DIR").unwrap_or_else(|_| "target/telemetry".to_string());
     std::fs::create_dir_all(&dir)?;

@@ -78,7 +78,7 @@ fn scope_code(s: ScopeKey) -> u64 {
 
 /// Order-independent multiset digest of every record in the store, plus
 /// its headline counters.
-pub fn store_digest(orch: &Orchestrator) -> u64 {
+fn store_digest(orch: &Orchestrator) -> u64 {
     let store = &orch.pipeline().store;
     let mut multiset: u64 = 0;
     for chunk in store.scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX)) {
@@ -99,7 +99,7 @@ pub fn store_digest(orch: &Orchestrator) -> u64 {
 }
 
 /// Sequential digest of every SLA row in `ResultsDb` key order.
-pub fn sla_digest(orch: &Orchestrator) -> u64 {
+fn sla_digest(orch: &Orchestrator) -> u64 {
     let mut h = FNV_OFFSET;
     for row in orch.pipeline().db.rows() {
         for v in [
@@ -127,7 +127,7 @@ fn fnv_str(h: &mut u64, s: &str) {
 /// podsets currently excluded from pinglist generation. The log is
 /// appended only under the barrier-sequential job path, so its order is
 /// deterministic and any shard-dependent mitigation decision flips this.
-pub fn mitigation_digest(orch: &Orchestrator) -> u64 {
+fn mitigation_digest(orch: &Orchestrator) -> u64 {
     use pingmesh_core::MitDevice;
     let mut h = FNV_OFFSET;
     for t in orch.mitigation().transitions() {

@@ -1105,12 +1105,12 @@ pub fn check_mitigation(orch: &Orchestrator) -> Vec<Violation> {
         );
         match dev {
             MitDevice::Switch(sw) => {
-                if orch.net().faults().is_isolated(sw) != holds {
+                if orch.net().state().faults().is_isolated(sw) != holds {
                     out.push(violation(
                         "mitigation",
                         format!(
                             "{dev}: engine state {state:?} but ECMP isolation is {}",
-                            orch.net().faults().is_isolated(sw)
+                            orch.net().state().faults().is_isolated(sw)
                         ),
                     ));
                 }
@@ -1145,7 +1145,7 @@ pub fn check_mitigation(orch: &Orchestrator) -> Vec<Violation> {
     // The engine's actuator is the only writer of switch isolation, so
     // every ECMP exclusion must be engine-owned.
     for sw in topo.switches() {
-        if orch.net().faults().is_isolated(sw)
+        if orch.net().state().faults().is_isolated(sw)
             && !matches!(
                 last_state.get(&MitDevice::Switch(sw)),
                 Some(St::Pending | St::Drained | St::Verifying | St::Escalated)

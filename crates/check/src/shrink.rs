@@ -80,10 +80,7 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
 /// [`shrink`] with an injectable failure predicate (`true` = the spec
 /// still fails) — the predicate is what a re-run of the pipeline
 /// answers in production, and what tests replace with synthetic bugs.
-pub fn shrink_with(
-    spec: &ScenarioSpec,
-    mut fails: impl FnMut(&ScenarioSpec) -> bool,
-) -> ScenarioSpec {
+fn shrink_with(spec: &ScenarioSpec, mut fails: impl FnMut(&ScenarioSpec) -> bool) -> ScenarioSpec {
     let mut best = spec.clone();
     let mut runs = 0usize;
     'outer: while runs < MAX_SHRINK_RUNS {

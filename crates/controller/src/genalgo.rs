@@ -203,14 +203,14 @@ impl PinglistGenerator {
     /// Whether a server participates in inter-DC probing: the first
     /// `inter_dc_servers_per_podset` servers of the *first pod* of each
     /// podset are the selected representatives.
-    pub fn is_inter_dc_prober(&self, topo: &Topology, s: ServerId) -> bool {
+    fn is_inter_dc_prober(&self, topo: &Topology, s: ServerId) -> bool {
         let info = topo.server(s);
         let first_pod = topo.podset(info.podset).pods.start;
         info.pod.0 == first_pod && info.index_in_pod < self.config.inter_dc_servers_per_podset
     }
 
     /// Selected inter-DC probers of one DC.
-    pub fn inter_dc_probers(&self, topo: &Topology, dc: DcId) -> Vec<ServerId> {
+    fn inter_dc_probers(&self, topo: &Topology, dc: DcId) -> Vec<ServerId> {
         let mut v = Vec::new();
         for podset in topo.podsets_in_dc(dc) {
             let first_pod = topo.podset(podset).pods.start;

@@ -84,7 +84,10 @@ fn blackhole_drill_detect_drain_verify_undrain_escalate() {
             .any(|l| l == leaf),
         "the drained device must be a podset-0 Leaf, got {leaf}"
     );
-    assert!(o.net().faults().is_isolated(leaf), "drain actuated in ECMP");
+    assert!(
+        o.net().state().faults().is_isolated(leaf),
+        "drain actuated in ECMP"
+    );
     assert_eq!(
         o.mitigation().kind_of(MitDevice::Switch(leaf)),
         Some(FindingKind::Blackhole)
@@ -99,7 +102,7 @@ fn blackhole_drill_detect_drain_verify_undrain_escalate() {
         o.mitigation().state_of(dev),
         Some(MitigationState::Undrained)
     );
-    assert!(!o.net().faults().is_isolated(leaf), "back in ECMP");
+    assert!(!o.net().state().faults().is_isolated(leaf), "back in ECMP");
     assert_eq!(o.mitigation().undrains(), 1);
     assert!(
         o.mitigation()
@@ -129,7 +132,10 @@ fn blackhole_drill_detect_drain_verify_undrain_escalate() {
         o2.mitigation().state_of(dev),
         Some(MitigationState::Escalated)
     );
-    assert!(o2.net().faults().is_isolated(leaf), "held drained for RMA");
+    assert!(
+        o2.net().state().faults().is_isolated(leaf),
+        "held drained for RMA"
+    );
     assert!(o2.mitigation().escalations() >= 1);
     assert!(
         o2.mitigation()
@@ -193,7 +199,7 @@ fn tier_guard_blocks_drain_and_pages() {
     assert_eq!(o.mitigation().drains(), 0, "the guard must block the drain");
     let topo = o.net().topology().clone();
     for leaf in topo.leaves_of_podset(PodsetId(0)) {
-        assert!(!o.net().faults().is_isolated(leaf));
+        assert!(!o.net().state().faults().is_isolated(leaf));
     }
     assert!(
         o.mitigation().escalations() >= 1,
@@ -339,7 +345,9 @@ fn mitigation_off_reports_findings_and_touches_nothing() {
     );
     assert!(!out.incidents.is_empty(), "the spine raises an incident");
     assert!(o.repair().reload_log.is_empty() && o.repair().deferred.is_empty());
-    assert!(topo.switches().all(|sw| !o.net().faults().is_isolated(sw)));
+    assert!(topo
+        .switches()
+        .all(|sw| !o.net().state().faults().is_isolated(sw)));
     assert!(o.excluded_podsets().is_empty());
     assert!(o.mitigation().transitions().is_empty());
 }

@@ -158,7 +158,7 @@ fn fnv64_finish(h: u64, len: usize) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// Encodes one record into its fixed 64-byte wire form.
-pub fn encode_record(r: &ProbeRecord, out: &mut [u8; RECORD_WIRE]) {
+fn encode_record(r: &ProbeRecord, out: &mut [u8; RECORD_WIRE]) {
     out.fill(0);
     out[0..8].copy_from_slice(&r.ts.as_micros().to_le_bytes());
     out[8..12].copy_from_slice(&r.src.0.to_le_bytes());
@@ -192,7 +192,7 @@ pub fn encode_record(r: &ProbeRecord, out: &mut [u8; RECORD_WIRE]) {
 }
 
 /// Decodes one record from its fixed 64-byte wire form.
-pub fn decode_record(buf: &[u8; RECORD_WIRE]) -> Result<ProbeRecord, FrameError> {
+fn decode_record(buf: &[u8; RECORD_WIRE]) -> Result<ProbeRecord, FrameError> {
     let u32_at = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().unwrap());
     let u64_at = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
     let u16_at = |o: usize| u16::from_le_bytes(buf[o..o + 2].try_into().unwrap());
@@ -1364,7 +1364,7 @@ impl DurableLog {
 
     /// Records the newest retention horizon (mirrored into the manifest
     /// at the next checkpoint).
-    pub fn note_retire_hwm(&mut self, horizon: SimTime) {
+    fn note_retire_hwm(&mut self, horizon: SimTime) {
         self.retire_hwm = self.retire_hwm.max(horizon.as_micros());
     }
 

@@ -149,23 +149,6 @@ pub fn investigate<'a>(
     inv
 }
 
-/// [`investigate`] over the chunked scan form (extent sub-slices from
-/// `CosmosStore::scan_all_window_chunks`) — drills down without copying
-/// the window's records out of the store.
-pub fn investigate_chunks(
-    chunks: &[impl AsRef<[ProbeRecord]>],
-    topo: &Topology,
-    max_flows: usize,
-    filter: impl Fn(&ProbeRecord) -> bool,
-) -> Investigation {
-    investigate(
-        chunks.iter().flat_map(|c| c.as_ref()),
-        topo,
-        max_flows,
-        filter,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,8 +227,19 @@ mod tests {
             records.push(rec(&t, 0, 1, 40_000 + i, ok(250)));
         }
         let whole = investigate(&records, &t, 8, |_| true);
-        let chunks: Vec<&[ProbeRecord]> = vec![&records[..7], &records[7..23], &records[23..]];
-        let chunked = investigate_chunks(&chunks, &t, 8, |_| true);
+        // Extents of 7 records: the scan yields several chunks, each
+        // borrowed from the store, and the drill-down reads them in place.
+        let mut store = crate::CosmosStore::new(7, 1);
+        let stream = crate::StreamName {
+            dc: t.server(ServerId(0)).dc,
+        };
+        store.append(stream, &records, SimTime(0));
+        let chunks = store.scan_all_window_chunks(SimTime(0), SimTime(1));
+        assert!(chunks.len() > 1);
+        assert!(chunks
+            .iter()
+            .all(|c| matches!(c, std::borrow::Cow::Borrowed(_))));
+        let chunked = investigate(chunks.iter().flat_map(|c| c.iter()), &t, 8, |_| true);
         assert_eq!(chunked.probes, whole.probes);
         assert_eq!(chunked.bad_probes, whole.bad_probes);
         assert_eq!(chunked.affected_sources, whole.affected_sources);

@@ -60,7 +60,7 @@ pub use durable::{
     unique_dir, CheckpointGc, CheckpointPlan, DirGuard, DurabilityStats, SegmentReader,
     WrittenCheckpoint,
 };
-pub use investigate::{investigate, investigate_chunks, Investigation, SuspectFlow};
+pub use investigate::{investigate, Investigation, SuspectFlow};
 pub use jobs::{JobKind, JobManager, JobTick, Pipeline, TickOutput};
 pub use pa::PerfCounterAggregator;
 pub use quality::{ExpectedPairs, QualityConfig, QualityReport, RatioSample};

@@ -126,12 +126,6 @@ impl Request {
         }
     }
 
-    /// Whether the request asks to keep the connection open after the
-    /// response.
-    pub fn keep_alive(&self) -> bool {
-        wants_keep_alive(&self.headers)
-    }
-
     /// Serializes the request head + body. A `connection` header set by
     /// the caller is preserved; otherwise `connection: close` is emitted
     /// (the codec's historical one-exchange default).
@@ -232,11 +226,6 @@ impl Response {
             self.headers
                 .push(("connection".into(), "keep-alive".into()));
         }
-    }
-
-    /// Whether the response leaves the connection open for reuse.
-    pub fn keep_alive(&self) -> bool {
-        wants_keep_alive(&self.headers)
     }
 
     /// Serializes the response head + body. A `connection` header set by
@@ -591,7 +580,7 @@ where
     R: Fn(&Request) -> Response,
 {
     while let Ok(req) = conn.read_request().await {
-        let keep = req.keep_alive();
+        let keep = wants_keep_alive(&req.headers);
         let mut resp = respond(&req);
         if keep {
             resp.set_keep_alive();
@@ -1021,7 +1010,7 @@ mod tests {
     fn connection_header_is_preserved_not_duplicated() {
         let mut req = Request::get("/x");
         req.set_keep_alive();
-        assert!(req.keep_alive());
+        assert!(wants_keep_alive(&req.headers));
         let bytes = req.to_bytes();
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.contains("connection: keep-alive\r\n"), "{text}");
@@ -1080,7 +1069,7 @@ mod tests {
             let resp = conn.read_response().await.unwrap();
             assert_eq!(resp.status, 200);
             assert_eq!(resp.body, format!("echo:/q/{i}").into_bytes());
-            assert!(resp.keep_alive());
+            assert!(wants_keep_alive(&resp.headers));
         }
         // Other tests of this process read messages too, hence `>=`.
         assert!(m.requests_read.get() - requests >= 32);
@@ -1147,7 +1136,7 @@ mod tests {
             conn.flush().await.unwrap();
             let resp = conn.read_response().await.unwrap();
             assert!(resp.body == want, "{path}: body must arrive intact");
-            assert!(resp.keep_alive());
+            assert!(wants_keep_alive(&resp.headers));
         }
     }
 
@@ -1268,7 +1257,7 @@ mod tests {
         assert!(conn.wbuf.is_empty());
         let got = reader.await.unwrap().unwrap();
         assert_eq!(got.body, body, "chunked body must round-trip intact");
-        assert!(got.keep_alive());
+        assert!(wants_keep_alive(&got.headers));
     }
 
     #[tokio::test]

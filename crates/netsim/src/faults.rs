@@ -61,20 +61,9 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Whether drops from this fault are invisible to switch counters.
-    pub fn is_silent(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::BlackholeIp { .. }
-                | FaultKind::BlackholePort { .. }
-                | FaultKind::SilentRandomDrop { .. }
-                | FaultKind::FcsError { .. }
-        )
-    }
-
     /// Whether a switch reload repairs this fault (paper: black-holes are
     /// fixed by reload; silent random drops require RMA).
-    pub fn cleared_by_reload(&self) -> bool {
+    fn cleared_by_reload(&self) -> bool {
         matches!(
             self,
             FaultKind::BlackholeIp { .. } | FaultKind::BlackholePort { .. }
@@ -95,7 +84,7 @@ pub struct ActiveFault {
 
 impl ActiveFault {
     /// Whether the fault is active at `t`.
-    pub fn active_at(&self, t: SimTime) -> bool {
+    fn active_at(&self, t: SimTime) -> bool {
         t >= self.from && self.until.is_none_or(|u| t < u)
     }
 }
@@ -447,8 +436,6 @@ mod tests {
         let (silent, visible) = faults.random_drop_probs(sw, 0, at(1));
         assert_eq!(silent, 0.0);
         assert!((visible - 0.05).abs() < 1e-12);
-        assert!(!FaultKind::CongestionDrop { prob: 0.05 }.is_silent());
-        assert!(FaultKind::SilentRandomDrop { prob: 0.05 }.is_silent());
     }
 
     #[test]

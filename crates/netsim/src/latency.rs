@@ -232,7 +232,7 @@ impl DcProfile {
     }
 
     /// DC3 (US East) of Table 1.
-    pub fn us_east() -> Self {
+    fn us_east() -> Self {
         Self {
             name: "DC3 (US East)".into(),
             drops: TierDrops {
@@ -317,11 +317,6 @@ impl DcProfile {
         lognormal_med(rng, self.host_median_us, self.host_sigma)
     }
 
-    /// One switch-traversal latency sample at time `t` (high priority).
-    pub fn sample_switch_us(&self, rng: &mut SmallRng, t: SimTime) -> f64 {
-        self.sample_switch_us_qos(rng, t, pingmesh_types::QosClass::High)
-    }
-
     /// One switch-traversal latency sample at time `t` for a QoS class:
     /// low-priority packets queue behind high-priority ones.
     pub fn sample_switch_us_qos(
@@ -400,6 +395,7 @@ impl InterDcMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pingmesh_types::QosClass;
     use rand::SeedableRng;
 
     #[test]
@@ -463,7 +459,8 @@ mod tests {
         let p = DcProfile::ideal();
         let mut rng = SmallRng::seed_from_u64(1);
         assert!((p.sample_host_us(&mut rng) - 100.0).abs() < 1e-9);
-        assert!((p.sample_switch_us(&mut rng, SimTime(0)) - 5.0).abs() < 1e-9);
+        let switch = p.sample_switch_us_qos(&mut rng, SimTime(0), QosClass::High);
+        assert!((switch - 5.0).abs() < 1e-9);
         assert_eq!(p.sample_hiccup_us(&mut rng), 0.0);
         assert!((p.sample_echo_us(&mut rng) - 40.0).abs() < 1e-9);
     }

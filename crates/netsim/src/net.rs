@@ -195,7 +195,7 @@ impl NetState {
     /// set has been drained to nothing resolves to no target — the probe
     /// times out like any unreachable destination — instead of panicking
     /// the data plane; the condition is counted so operators can see it.
-    pub fn resolve_target(&self, ip: Ipv4Addr, tuple: &FiveTuple) -> Option<ServerId> {
+    fn resolve_target(&self, ip: Ipv4Addr, tuple: &FiveTuple) -> Option<ServerId> {
         if let Some(s) = self.topo.server_by_ip(ip) {
             return Some(s);
         }
@@ -216,23 +216,6 @@ impl NetState {
         let router = Router::new(&self.topo);
         let faults = &self.faults;
         router.resolve_excluding(src, dst, tuple, &|sw| faults.is_isolated(sw))
-    }
-
-    /// The smallest latency any cross-podset probe can observe under the
-    /// installed profiles: the fixed forwarding cost of the minimum
-    /// intra-DC switch path (ToR → leaf → spine → leaf → ToR forward and
-    /// back, 10 traversals; the lognormal host and queue terms can get
-    /// arbitrarily close to zero, so only the fixed part is a true bound).
-    /// This is the conservative-time lookahead of the sharded engine: no
-    /// probe launched after a barrier can be observed by another podset
-    /// sooner than this.
-    pub fn min_cross_podset_latency(&self) -> SimDuration {
-        let us = self
-            .profiles
-            .iter()
-            .map(|p| 10.0 * p.switch_base_us)
-            .fold(f64::INFINITY, f64::min);
-        SimDuration::from_micros(us.max(1.0) as u64)
     }
 
     /// Sends one packet with five-tuple `tuple` along `path`; returns
@@ -557,29 +540,14 @@ impl SimNet {
         &self.state.topo
     }
 
-    /// Profile of a DC.
-    pub fn profile(&self, dc: DcId) -> &DcProfile {
-        self.state.profile(dc)
-    }
-
     /// Inter-DC delay matrix.
     pub fn interdc_mut(&mut self) -> &mut InterDcMatrix {
         &mut self.state.interdc
     }
 
-    /// VIP table (read).
-    pub fn vips(&self) -> &VipTable {
-        &self.state.vips
-    }
-
     /// VIP table (mutate).
     pub fn vips_mut(&mut self) -> &mut VipTable {
         &mut self.state.vips
-    }
-
-    /// Fault state (read).
-    pub fn faults(&self) -> &Faults {
-        &self.state.faults
     }
 
     /// Fault state (mutate).
@@ -614,17 +582,6 @@ impl SimNet {
                 self.rtt_hist.record(rtt);
             }
         }
-    }
-
-    /// Whether a server is powered and its agent able to probe/respond.
-    pub fn server_is_up(&self, s: ServerId, t: SimTime) -> bool {
-        self.state.server_is_up(s, t)
-    }
-
-    /// Resolves a destination address to a physical server: direct server
-    /// IP, or VIP dispatched to a DIP by five-tuple hash.
-    pub fn resolve_target(&self, ip: Ipv4Addr, tuple: &FiveTuple) -> Option<ServerId> {
-        self.state.resolve_target(ip, tuple)
     }
 }
 
@@ -796,7 +753,7 @@ mod tests {
             SimTime(10),
         );
         assert_eq!(r.outcome, ProbeOutcome::Timeout);
-        assert!(!n.server_is_up(b, SimTime(10)));
+        assert!(!n.state().server_is_up(b, SimTime(10)));
         // After power restoration, probes work again.
         let r2 = probe(
             &mut n,
@@ -994,7 +951,7 @@ mod tests {
         let t = n.topology().clone();
         let dips: Vec<ServerId> = t.servers_in_pod(PodId(2)).collect();
         let vip_id = n.vips_mut().register(dips.clone()).unwrap();
-        let vip_ip = n.vips().get(vip_id).unwrap().vip;
+        let vip_ip = n.state().vips().get(vip_id).unwrap().vip;
         let a = t.servers_in_pod(PodId(0)).next().unwrap();
         let mut seen = std::collections::HashSet::new();
         for i in 0..64u16 {
@@ -1190,13 +1147,5 @@ mod tests {
             totals(&c2),
             "counter totals must merge identically"
         );
-    }
-
-    #[test]
-    fn min_cross_podset_latency_is_positive_and_small() {
-        let n = net(DcProfile::ideal());
-        let la = n.state().min_cross_podset_latency();
-        assert!(la > SimDuration::ZERO);
-        assert!(la < SimDuration::from_secs(1));
     }
 }

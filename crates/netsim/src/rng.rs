@@ -11,7 +11,7 @@ use rand::Rng;
 
 /// Samples a standard normal via Box–Muller. Uses `1 - u` to avoid
 /// `ln(0)`.
-pub fn std_normal(rng: &mut SmallRng) -> f64 {
+fn std_normal(rng: &mut SmallRng) -> f64 {
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random::<f64>();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

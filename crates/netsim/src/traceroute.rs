@@ -28,7 +28,7 @@ pub struct HopLoss {
 
 impl HopLoss {
     /// Loss ratio at this switch.
-    pub fn loss_rate(&self) -> f64 {
+    fn loss_rate(&self) -> f64 {
         if self.sent == 0 {
             0.0
         } else {

@@ -57,7 +57,7 @@ fn field_json_into(f: &Field, out: &mut String) {
 }
 
 /// Encodes one event as a single-line JSON object.
-pub fn event_to_json(ev: &Event) -> String {
+fn event_to_json(ev: &Event) -> String {
     let mut out = String::with_capacity(128);
     let _ = write!(
         out,

@@ -42,7 +42,6 @@ pub use metrics::{
 };
 pub use span::Span;
 
-use parking_lot::RwLock;
 use pingmesh_types::SimTime;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -115,28 +114,17 @@ pub fn registry() -> &'static Registry {
     })
 }
 
-type Sink = Box<dyn Fn(&Event) + Send + Sync>;
+static STDERR_SINK: AtomicBool = AtomicBool::new(false);
 
-static SINK: RwLock<Option<Sink>> = RwLock::new(None);
-
-/// Installs a sink invoked for every recorded event (after ring storage).
-pub fn install_sink(f: impl Fn(&Event) + Send + Sync + 'static) {
-    *SINK.write() = Some(Box::new(f));
-}
-
-/// Installs a sink that prints each event as one human-readable line on
-/// stderr — the bench binaries use this so stdout carries only figure
-/// data.
+/// Mirrors every recorded event, after ring storage, to stderr as one
+/// human-readable line — the bench binaries use this so stdout carries
+/// only figure data.
 pub fn install_stderr_sink() {
-    install_sink(|ev| eprintln!("{}", encode::event_to_line(ev)));
+    STDERR_SINK.store(true, Ordering::Relaxed);
 }
 
-/// Removes any installed sink.
-pub fn clear_sink() {
-    *SINK.write() = None;
-}
-
-/// Records a structured event into the global ring (and sink, if any).
+/// Records a structured event into the global ring (and on stderr, if
+/// [`install_stderr_sink`] ran).
 /// No-op while observability is disabled. Prefer the [`emit!`] macro,
 /// which skips field construction entirely when disabled.
 pub fn record_event(
@@ -158,8 +146,8 @@ pub fn record_event(
         name,
         fields,
     };
-    if let Some(sink) = SINK.read().as_ref() {
-        sink(&ev);
+    if STDERR_SINK.load(Ordering::Relaxed) {
+        eprintln!("{}", encode::event_to_line(&ev));
     }
     events().push(ev);
 }
@@ -269,20 +257,5 @@ pub(crate) mod tests {
             .collect::<Vec<_>>();
         assert!(!names.contains(&"gated"));
         assert!(names.contains(&"ungated"));
-    }
-
-    #[test]
-    fn sink_sees_events() {
-        let _on = events_on();
-        static HITS: AtomicUsize = AtomicUsize::new(0);
-        install_sink(|ev| {
-            if ev.name == "sink_probe" {
-                HITS.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        emit!(Info, "obs.test", "sink_probe");
-        clear_sink();
-        emit!(Info, "obs.test", "sink_probe");
-        assert_eq!(HITS.load(Ordering::Relaxed), 1);
     }
 }

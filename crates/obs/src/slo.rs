@@ -39,7 +39,7 @@ impl SloKind {
 
     /// Ratio SLOs degrade downward; the age-valued kinds (freshness, WAL
     /// flush lag) degrade upward.
-    pub fn higher_is_better(self) -> bool {
+    fn higher_is_better(self) -> bool {
         !matches!(self, SloKind::Freshness | SloKind::WalFlushLag)
     }
 

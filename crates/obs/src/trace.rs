@@ -103,13 +103,7 @@ fn qos_word(qos: QosClass) -> u64 {
 
 /// The content-derived trace id of one pinglist entry. Every stage can
 /// recompute this from fields it already carries.
-pub fn entry_trace_id(
-    src: ServerId,
-    dst: ServerId,
-    port: u16,
-    kind: ProbeKind,
-    qos: QosClass,
-) -> u64 {
+fn entry_trace_id(src: ServerId, dst: ServerId, port: u16, kind: ProbeKind, qos: QosClass) -> u64 {
     fnv1a(&[
         src.0 as u64,
         dst.0 as u64,

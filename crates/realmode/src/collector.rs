@@ -39,7 +39,7 @@
 //! the last clone drops) so every acknowledged upload survives a crash.
 //! [`Collector::in_memory`] opts out; [`Collector::durable_at`] pins the
 //! data directory for an externally managed lifetime. The
-//! `crash_and_recover*` chaos hooks rebuild the store from disk alone,
+//! `crash_and_recover_mid_*` chaos hooks rebuild the store from disk alone,
 //! exactly as a restarted process would.
 
 use parking_lot::Mutex;
@@ -244,14 +244,6 @@ impl Collector {
         }
     }
 
-    /// Sets the WAL growth (bytes) that makes a background checkpoint
-    /// due. Tests use a small value so one is due after a few uploads.
-    pub fn set_compaction_threshold(&self, bytes: u64) {
-        if let Some(c) = &self.compactor {
-            c.set_threshold(bytes);
-        }
-    }
-
     /// Stops the store's durability loop (joining its threads). After
     /// this nothing compacts or group-commits the store, and uploads no
     /// longer wait for it, so the WAL grows, synced only by the OS, until
@@ -262,22 +254,15 @@ impl Collector {
         }
     }
 
-    /// Chaos hook: simulates a process crash right now. All in-memory
-    /// state is discarded and the store is rebuilt from disk alone
-    /// (manifest + segments + WAL replay), exactly as a restarted
-    /// collector would. Every holder of the shared store handle observes
-    /// the recovered state, and the mutation-epoch handle is adopted so
-    /// read tiers revalidate instead of serving dangling fingerprints.
-    /// Returns `Ok(false)` (doing nothing) for in-memory collectors. The
-    /// store is down (locked) while it recovers, as a restarting
-    /// collector's would be.
-    pub fn crash_and_recover(&self) -> io::Result<bool> {
-        let _pass = self.compactor.as_deref().map(Compactor::pause);
-        self.recover()
-    }
-
-    /// The restart behind every crash hook; the caller has paused the
-    /// compactor.
+    /// The restart behind every crash hook, exactly as a restarted
+    /// collector would recover: all in-memory state is discarded and the
+    /// store is rebuilt from disk alone (manifest + segments + WAL
+    /// replay). Every holder of the shared store handle observes the
+    /// recovered state, and the mutation-epoch handle is adopted so read
+    /// tiers revalidate instead of serving dangling fingerprints. Returns
+    /// `Ok(false)` (doing nothing) for in-memory collectors. The caller
+    /// has paused the compactor; the store is down (locked) while it
+    /// recovers, as a restarting collector's would be.
     fn recover(&self) -> io::Result<bool> {
         let mut store = self.store.lock();
         let Some(dir) = store.durable_dir().map(Path::to_path_buf) else {
@@ -908,7 +893,7 @@ mod tests {
         // A backlog is four checkpoints' worth, 16 KiB here: about five
         // of these uploads. A tight loop of them outruns any compactor,
         // so uploads must wait for it.
-        c.set_compaction_threshold(4 * 1024);
+        c.compactor.as_ref().unwrap().set_threshold(4 * 1024);
         for i in 0..60u64 {
             let batch: Vec<ProbeRecord> = (0..50).map(|j| rec(i * 50 + j)).collect();
             assert_eq!(c.respond(&upload_request(&batch)).status, 200);
@@ -924,7 +909,7 @@ mod tests {
     #[test]
     fn background_compactor_checkpoints_without_any_request() {
         let c = Collector::new();
-        c.set_compaction_threshold(4 * 1024);
+        c.compactor.as_ref().unwrap().set_threshold(4 * 1024);
         let base = wal_checkpoints(&c);
         for i in 0..20u64 {
             let batch: Vec<ProbeRecord> = (0..50).map(|j| rec(i * 50 + j)).collect();
@@ -1242,6 +1227,13 @@ mod tests {
         holder.abort();
     }
 
+    /// A plain process crash: pause the durability loop, as every crash
+    /// hook does, and restart the store from disk.
+    fn crash_and_recover(c: &Collector) -> bool {
+        let _pass = c.compactor.as_deref().map(Compactor::pause);
+        c.recover().unwrap()
+    }
+
     #[test]
     fn collector_is_durable_by_default_and_recovers_acked_uploads() {
         let c = Collector::new();
@@ -1249,7 +1241,7 @@ mod tests {
         let batch = vec![rec(1), rec(2), rec(3)];
         let req = Request::post("/upload", serde_json::to_vec(&batch).unwrap());
         assert_eq!(c.respond(&req).status, 200);
-        assert!(c.crash_and_recover().unwrap());
+        assert!(crash_and_recover(&c));
         assert_eq!(c.stats().records, 3, "every acknowledged record survives");
         // The recovered store keeps serving uploads and scans.
         let more = vec![rec(10)];
@@ -1297,7 +1289,7 @@ mod tests {
     #[test]
     fn in_memory_collector_skips_durability_surfaces() {
         let c = Collector::in_memory();
-        assert!(!c.crash_and_recover().unwrap(), "nothing to recover");
+        assert!(!crash_and_recover(&c), "nothing to recover");
         let resp = c.respond(&Request::get("/healthz"));
         let report: HealthReport = serde_json::from_slice(&resp.body).unwrap();
         assert!(report.durability.is_none());

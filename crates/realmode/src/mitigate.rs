@@ -106,7 +106,7 @@ impl LiveMitigator {
 
     /// Replica addresses currently in rotation (not held out by the
     /// engine). Feed this to [`ControllerVip::new`] after each scan.
-    pub fn in_rotation(&self) -> Vec<SocketAddr> {
+    fn in_rotation(&self) -> Vec<SocketAddr> {
         self.replicas
             .iter()
             .enumerate()

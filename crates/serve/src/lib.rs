@@ -39,7 +39,7 @@ use tokio::net::{TcpListener, TcpStream};
 use views::{ApiQuery, QueryError};
 
 /// Strong ETag of a response body: FNV-1a over the bytes, quoted.
-pub fn etag_of(body: &[u8]) -> String {
+fn etag_of(body: &[u8]) -> String {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in body {
         h ^= *b as u64;

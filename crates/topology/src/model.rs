@@ -235,11 +235,6 @@ impl Topology {
         self.podsets.len()
     }
 
-    /// Total switch count (ToR + Leaf + Spine + Border).
-    pub fn switch_count(&self) -> usize {
-        self.pods.len() + self.leaf_podset.len() + self.spine_dc.len() + self.border_dc.len()
-    }
-
     /// All server ids.
     pub fn servers(&self) -> impl Iterator<Item = ServerId> + '_ {
         (0..self.servers.len() as u32).map(ServerId)
@@ -404,8 +399,7 @@ mod tests {
         assert_eq!(t.pod_count(), 16);
         assert_eq!(t.podset_count(), 4);
         // 16 ToR + 2*2*2 leaves + 2*4 spines + 2*2 borders
-        assert_eq!(t.switch_count(), 16 + 8 + 8 + 4);
-        assert_eq!(t.switches().count(), t.switch_count());
+        assert_eq!(t.switches().count(), 16 + 8 + 8 + 4);
     }
 
     #[test]

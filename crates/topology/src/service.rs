@@ -64,14 +64,6 @@ impl ServiceMap {
         self.names.get(id.0 as usize).map(|s| s.as_str())
     }
 
-    /// Servers of a service.
-    pub fn servers_of(&self, id: ServiceId) -> &[ServerId] {
-        self.servers
-            .get(id.0 as usize)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
     /// Services hosted on a server.
     pub fn services_on(&self, server: ServerId) -> &[ServiceId] {
         self.by_server
@@ -112,7 +104,8 @@ mod tests {
         let store = m.register("storage", [ServerId(1), ServerId(2)]).unwrap();
         assert_eq!(m.len(), 2);
         assert_eq!(m.name(search), Some("search"));
-        assert_eq!(m.servers_of(search), &[ServerId(0), ServerId(1)]);
+        // The duplicate ServerId(0) registers once.
+        assert_eq!(m.services_on(ServerId(0)), &[search]);
         assert_eq!(m.services_on(ServerId(1)), &[search, store]);
     }
 
@@ -124,7 +117,6 @@ mod tests {
     #[test]
     fn unknown_ids_yield_empty_slices() {
         let m = ServiceMap::new();
-        assert!(m.servers_of(ServiceId(9)).is_empty());
         assert!(m.services_on(ServerId(9)).is_empty());
         assert_eq!(m.name(ServiceId(9)), None);
     }

@@ -70,7 +70,7 @@ impl VipTable {
     }
 
     /// Address assigned to the `n`-th VIP.
-    pub fn address_for(n: u32) -> Ipv4Addr {
+    fn address_for(n: u32) -> Ipv4Addr {
         let [hi, lo] = (n as u16).to_be_bytes();
         Ipv4Addr::new(172, 16, hi, lo)
     }
@@ -100,7 +100,7 @@ impl VipTable {
     }
 
     /// Looks up a VIP entry by address.
-    pub fn by_address(&self, ip: Ipv4Addr) -> Option<&VipEntry> {
+    fn by_address(&self, ip: Ipv4Addr) -> Option<&VipEntry> {
         self.by_ip.get(&ip).map(|&i| &self.entries[i])
     }
 

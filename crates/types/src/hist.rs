@@ -233,7 +233,7 @@ impl LatencyHistogram {
     /// Counters saturate instead of wrapping: a histogram fed more than
     /// `u64::MAX` samples pins at the ceiling rather than corrupting its
     /// quantiles (or aborting the pipeline on a debug overflow check).
-    pub fn record_n(&mut self, rtt: SimDuration, n: u64) {
+    fn record_n(&mut self, rtt: SimDuration, n: u64) {
         if n == 0 {
             return;
         }
@@ -330,7 +330,7 @@ impl LatencyHistogram {
     }
 
     /// Merges another histogram into this one, octave page by octave
-    /// page. Like [`Self::record_n`], all counters saturate instead of
+    /// page. Like [`Self::record`], all counters saturate instead of
     /// overflowing, so merging shards whose totals together exceed
     /// `u64::MAX` stays well-defined.
     pub fn merge(&mut self, other: &LatencyHistogram) {

@@ -100,7 +100,7 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
 
     /// The live elements as a mutable slice.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
+    fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.buf[..self.len as usize]
     }
 }

@@ -21,10 +21,8 @@ fn rank(n: usize, q: f64) -> usize {
     ((n as f64 * q).ceil() as usize).clamp(1, n) - 1
 }
 
-/// Selects the `q`-quantile (`0.0..=1.0`, nearest-rank) of `xs` in
-/// expected O(n) time with a caller-supplied ordering, reordering `xs`.
-/// Returns `None` on an empty slice or a `q` outside `[0, 1]`.
-pub fn quantile_in_place_by<T, F>(xs: &mut [T], q: f64, cmp: F) -> Option<&T>
+/// [`quantile_in_place`] with a caller-supplied ordering.
+fn quantile_in_place_by<T, F>(xs: &mut [T], q: f64, cmp: F) -> Option<&T>
 where
     F: FnMut(&T, &T) -> Ordering,
 {
@@ -36,12 +34,14 @@ where
     Some(&*nth)
 }
 
-/// [`quantile_in_place_by`] with the natural `Ord` ordering.
+/// Selects the `q`-quantile (`0.0..=1.0`, nearest-rank) of `xs` in
+/// expected O(n) time, reordering `xs`. Returns `None` on an empty slice
+/// or a `q` outside `[0, 1]`.
 pub fn quantile_in_place<T: Ord>(xs: &mut [T], q: f64) -> Option<&T> {
     quantile_in_place_by(xs, q, T::cmp)
 }
 
-/// [`quantile_in_place_by`] for `f64` samples using `total_cmp` (NaNs sort
+/// [`quantile_in_place`] for `f64` samples using `total_cmp` (NaNs sort
 /// last), returning the value by copy.
 pub fn quantile_f64_in_place(xs: &mut [f64], q: f64) -> Option<f64> {
     quantile_in_place_by(xs, q, |a, b| a.total_cmp(b)).copied()

@@ -116,7 +116,7 @@ impl SimDuration {
 
     /// Duration as fractional milliseconds.
     #[inline]
-    pub fn as_millis_f64(self) -> f64 {
+    fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 

@@ -116,6 +116,7 @@ fn main() {
     }
     let fixed = !o
         .net()
+        .state()
         .faults()
         .faults_on(bad_tor, o.now())
         .any(|f| matches!(f.kind, FaultKind::BlackholeIp { .. }));

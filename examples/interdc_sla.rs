@@ -42,7 +42,7 @@ fn main() {
     // Register the VIP, then regenerate pinglists so probers target it.
     let dips: Vec<_> = topo.servers_in_pod(PodId(0)).collect();
     let vip = o.net_mut().vips_mut().register(dips).expect("vip");
-    let vip_ip = o.net().vips().get(vip).unwrap().vip;
+    let vip_ip = o.net().state().vips().get(vip).unwrap().vip;
     config.generator.vip_targets = vec![(vip, vip_ip)];
     o.regenerate_pinglists(config.generator.clone());
 

@@ -16,7 +16,8 @@
 # stream, and the stream probe and hop APIs stay gone. The real agent
 # probes on the fleet's due rings: no probe rounds, no round interval.
 # Netsim keys no hash map by switch: per-hop counters are a dense
-# per-tier array.
+# per-tier array. Every `pub fn` is named outside its own file or is on a
+# short allowlist with a reason: no dead, file-local or test-only `pub`.
 # `ci.sh --smoke [gate…]` then runs the gates `cargo test` does not cover —
 # all, or those named. Each checks outputs; none is a timing gate.
 #   bench  ingest_durable, query_dashboard and query_churn for 2 s each (output checks only: no acknowledged record lost, cached bytes ≡ rebuilt bytes, no stale fresh read), then ingest_durable traced once (its staged replay is the one poster of the collector's JSON compat branch)
@@ -136,6 +137,30 @@ fi
 
 if grep -rn 'HashMap<SwitchId' --include='*.rs' crates/netsim/src; then
   echo "netsim hashes no switch id: a packet's hop indexes the dense per-tier CounterDelta" >&2
+  exit 1
+fi
+
+# Every `pub fn` is named by some other file (a caller, a re-export or a
+# test in another crate), or it is on this allowlist, one name and reason
+# a line. A helper only its own file calls is private; a hook only its own
+# tests call is not a production API. Names are matched as words, so a
+# method counts as used wherever any type's method of that name is.
+PUB_FN_ALLOWLIST='
+serve_addrs  LocalCluster: the only way to reach the query-tier replicas ClusterOptions::serve_replicas starts; its test dials them over real sockets
+'
+pub_fns=$(grep -rnoE '^[[:space:]]*pub fn [a-z_][a-z_0-9]*' --include='*.rs' crates/*/src src \
+  | sed -E 's/:[0-9]+:[[:space:]]*pub fn /\t/' | sort -u)
+pub_fn_uses=$(cut -f2 <<<"$pub_fns" | sort -u \
+  | grep -rowF --include='*.rs' -f - crates src tests examples benchmark/src | sort -u)
+if awk -F'\t' -v allow="$PUB_FN_ALLOWLIST" '
+     BEGIN { n = split(allow, lines, "\n")
+             for (i = 1; i <= n; i++) { split(lines[i], w, " "); if (w[1] != "") ok[w[1]] = 1 } }
+     FNR == NR { i = index($0, ":"); files[substr($0, i + 1)] = files[substr($0, i + 1)] " " substr($0, 1, i - 1); next }
+     !($2 in ok) { m = split(files[$2], fs, " "); other = 0
+                   for (j = 1; j <= m; j++) if (fs[j] != $1) other = 1
+                   if (!other) { print $1 ": pub fn " $2; bad = 1 } }
+     END { exit !bad }' <(printf '%s\n' "$pub_fn_uses") <(printf '%s\n' "$pub_fns"); then
+  echo "no other file names these: delete them or drop the pub (or allowlist one, with a reason, in scripts/ci.sh)" >&2
   exit 1
 fi
 

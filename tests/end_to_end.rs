@@ -112,6 +112,7 @@ fn blackhole_detect_repair_loop_clears_the_fault() {
     let now = o.now();
     assert!(!o
         .net()
+        .state()
         .faults()
         .faults_on(bad_tor, now)
         .any(|f| matches!(f.kind, FaultKind::BlackholeIp { .. })));
@@ -156,7 +157,10 @@ fn silent_spine_incident_is_detected_localized_isolated() {
         vec![MitDevice::Switch(bad_spine)],
         "wrong switch held drained"
     );
-    assert!(o.net().faults().is_isolated(bad_spine), "drain actuated");
+    assert!(
+        o.net().state().faults().is_isolated(bad_spine),
+        "drain actuated"
+    );
     assert!(
         o.mitigation()
             .transitions()
