@@ -614,7 +614,9 @@ impl AgentFleet {
             return;
         };
         let entry = Entry::new(now, dst, due, outcome);
-        pingmesh_obs::trace::on_probe(&entry.expand(self.servers[idx], &self.topo));
+        if pingmesh_obs::trace::armed_count() > 0 {
+            pingmesh_obs::trace::on_probe(&entry.expand(self.servers[idx], &self.topo));
+        }
         self.buffers[idx].push(entry);
     }
 

@@ -1,8 +1,9 @@
 //! Paper-scale simulation bench: servers vs wall-clock per sim-minute,
 //! serial engine vs sharded engine, recorded as JSON.
 //!
-//! The sharded engine partitions the event queue by podset and runs the
-//! shards with scoped threads between barriers; agent hot state lives in
+//! The sharded engine partitions the fleet by podset and runs the shards
+//! with scoped threads between barriers, each shard agent by agent; agent
+//! hot state lives in
 //! struct-of-arrays arenas, and a wake merges per-cadence due rings, so it
 //! costs O(probes due) however long the pinglists grow. This binary
 //! drives full deployments at increasing fleet sizes — up to the paper's

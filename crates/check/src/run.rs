@@ -58,7 +58,7 @@ pub fn build_orchestrator(spec: &ScenarioSpec) -> Orchestrator {
 }
 
 /// [`build_orchestrator`] on the sharded engine: the same deployment,
-/// partitioned into `shards` per-podset event queues. Any shard count
+/// partitioned into `shards` per-podset shards. Any shard count
 /// must reproduce the serial run bit for bit — that is the sixth oracle.
 pub fn build_orchestrator_sharded(spec: &ScenarioSpec, shards: usize) -> Orchestrator {
     let dcs = (0..spec.dcs)

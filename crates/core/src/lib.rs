@@ -4,7 +4,7 @@
 //! production deployment: the simulated network (`pingmesh-netsim`), the
 //! controller cluster behind its VIP (`pingmesh-controller`), one agent
 //! per server (`pingmesh-agent`), and the DSA pipeline
-//! (`pingmesh-dsa`) — all driven by one discrete-event queue on a shared
+//! (`pingmesh-dsa`) — all driven by one discrete-event engine on a shared
 //! virtual clock.
 //!
 //! * [`orchestrator::Orchestrator`] — build a deployment, inject faults,

@@ -2,13 +2,15 @@
 //!
 //! Builds a full Pingmesh deployment over a simulated network and drives
 //! it at paper scale. The fleet is partitioned by **podset** into shards,
-//! each owning its own event queue and [`AgentFleet`] (struct-of-arrays
-//! hot state); shards advance sim-time in parallel between **tick
-//! barriers**:
+//! each owning its agents' pending events and [`AgentFleet`]
+//! (struct-of-arrays hot state); shards advance sim-time in parallel
+//! between **tick barriers**:
 //!
 //! * every server's **agent** polls the controller VIP, launches probes
 //!   at its scheduled times, buffers results and uploads them with
-//!   retry-then-discard semantics — all inside its shard;
+//!   retry-then-discard semantics — all inside its shard, which runs its
+//!   epoch agent by agent: each agent's events back to back, in the
+//!   order they were scheduled;
 //! * at each barrier the shards' side effects are merged in canonical
 //!   order: deferred store uploads (still packed, 32 bytes a record, until
 //!   the store appends them) sorted by `(time, server)`, switch-
@@ -28,7 +30,10 @@
 //! barrier-side traceroute campaigns and verification probes draw from
 //! the same keyed RNG, so no campaign depends on what ran before it. Every
 //! remaining cross-shard effect (uploads, counter deltas, probe counts)
-//! is either merged in a canonical sort order or commutative. Epoch
+//! is either merged in a canonical sort order or commutative. The same
+//! holds between the agents of one shard, so running a shard's epoch
+//! agent by agent instead of in global time order changes no output
+//! (DESIGN §11 has the tie rule that keeps each agent's own order). Epoch
 //! boundaries line up with the global events (PA, jobs) plus a
 //! `BARRIER_INTERVAL` heartbeat, none of which depend on the shard
 //! layout. `shards = 1` *is* the serial engine — same code path, no
@@ -49,7 +54,7 @@ use pingmesh_dsa::{
     SilentDropFinding,
 };
 use pingmesh_netsim::net::CounterDelta;
-use pingmesh_netsim::{tcp_traceroute, DcProfile, EventQueue, NetState, SimNet, TracerouteReport};
+use pingmesh_netsim::{tcp_traceroute, DcProfile, NetState, SimNet, TracerouteReport};
 use pingmesh_topology::{ServiceMap, Topology};
 use pingmesh_types::{
     DcId, DownWindows, FiveTuple, PingTarget, PodsetId, ProbeKind, ProbeOutcome, ProbeRecord,
@@ -86,7 +91,7 @@ pub struct OrchestratorConfig {
     pub auto_mitigate: bool,
     /// Mitigation engine tunables (drain budget, soak, cooldown).
     pub mitigation: MitigationConfig,
-    /// Event-queue shards. Podsets are distributed round-robin over
+    /// Simulation shards. Podsets are distributed round-robin over
     /// shards; `1` (the default) runs the serial engine inline. Output is
     /// bit-identical at any value.
     pub shards: usize,
@@ -125,12 +130,29 @@ pub struct SimOutputs {
     pub probes_run: u64,
 }
 
-/// Shard-local events carry the agent's fleet index (dense per shard),
-/// not the global server id — the hot loop never hashes or searches.
+/// One pending agent event: when it fires, and its schedule stamp (the
+/// shard's count of events scheduled before it), which orders it against
+/// the agent's other events at the same instant — the order a
+/// time-ordered queue with a FIFO tie-break would pop them in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Slot {
+    at: SimTime,
+    stamp: u64,
+}
+
+/// An empty wake slot: sorts after every armed one.
+const NO_WAKE: Slot = Slot {
+    at: SimTime(u64::MAX),
+    stamp: u64::MAX,
+};
+
+/// Which of an agent's pending events runs next.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    Poll(u32),
-    Wake(u32),
+    Poll,
+    Wake,
+    /// An extra wake chain, by its index in `Shard::spill`.
+    Spilled(usize),
 }
 
 /// A deferred store upload: decided (and agent-side accounted) at wake
@@ -153,11 +175,28 @@ struct EpochCtx<'a> {
     obs_enabled: bool,
 }
 
-/// One podset shard: its event queue, its agents, and the epoch's
+/// One podset shard: its agents, their pending events, and the epoch's
 /// buffered side effects (merged and drained at each barrier).
 struct Shard {
-    queue: EventQueue<Ev>,
     fleet: AgentFleet,
+    /// By fleet index: the agent's one pending controller poll (each poll
+    /// schedules the next) ...
+    polls: Vec<Slot>,
+    /// ... and its wake chain, [`NO_WAKE`] while it has none. The wake's
+    /// time is the one it was scheduled for, which after a reinstall is
+    /// not the fleet's `next_wakeup`.
+    wakes: Vec<Slot>,
+    /// Wake chains beyond an agent's first, `(fleet index, slot)` in fleet
+    /// order. A poll that finds a wake due at its own instant starts one
+    /// (see `handle_poll`); they are rare.
+    extra_wakes: Vec<(u32, Slot)>,
+    /// The extra wake chains of the agent being run.
+    spill: Vec<Slot>,
+    /// Events scheduled (the next stamp) and run over the shard's life,
+    /// and both counts as the last barrier published them.
+    scheduled: u64,
+    run: u64,
+    published: (u64, u64),
     uploads: Vec<DeferredUpload>,
     counter_delta: CounterDelta,
     probes_run: u64,
@@ -168,8 +207,14 @@ struct Shard {
 impl Shard {
     fn new(topo: Arc<Topology>, agent_config: AgentConfig) -> Self {
         Self {
-            queue: EventQueue::new(),
             fleet: AgentFleet::new(topo, agent_config),
+            polls: Vec::new(),
+            wakes: Vec::new(),
+            extra_wakes: Vec::new(),
+            spill: Vec::new(),
+            scheduled: 0,
+            run: 0,
+            published: (0, 0),
             uploads: Vec::new(),
             counter_delta: CounterDelta::new(),
             probes_run: 0,
@@ -178,27 +223,94 @@ impl Shard {
         }
     }
 
-    /// Runs every shard event with `time ≤ t_end`; returns the number of
-    /// events processed.
-    fn run_epoch(&mut self, t_end: SimTime, ctx: &EpochCtx<'_>) -> u64 {
-        let mut processed = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > t_end {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked");
-            match ev.event {
-                Ev::Poll(i) => self.handle_poll(ev.time, i, ctx),
-                Ev::Wake(i) => self.handle_wake(ev.time, i, ctx),
-            }
-            processed += 1;
-        }
-        processed
+    /// Adds an idle agent for `s` whose first controller poll is at
+    /// `first_poll`; returns its fleet index.
+    fn push_server(&mut self, s: ServerId, first_poll: SimTime) -> u32 {
+        let poll = self.slot(first_poll);
+        self.polls.push(poll);
+        self.wakes.push(NO_WAKE);
+        self.fleet.push_server(s) as u32
     }
 
-    fn handle_poll(&mut self, now: SimTime, i: u32, ctx: &EpochCtx<'_>) {
-        self.queue.schedule(now + ctx.poll_interval, Ev::Poll(i));
-        let idx = i as usize;
+    /// A slot for an event at `at`, stamped after every event scheduled
+    /// before it.
+    fn slot(&mut self, at: SimTime) -> Slot {
+        self.scheduled += 1;
+        Slot {
+            at,
+            stamp: self.scheduled - 1,
+        }
+    }
+
+    fn schedule_wake(&mut self, i: usize, at: SimTime) {
+        let wake = self.slot(at);
+        if self.wakes[i] == NO_WAKE {
+            self.wakes[i] = wake;
+        } else {
+            self.spill.push(wake);
+        }
+    }
+
+    /// Events scheduled and not yet run.
+    fn pending(&self) -> u64 {
+        self.scheduled - self.run
+    }
+
+    /// Runs every pending event with `time ≤ t_end`, agent by agent in
+    /// fleet order; returns the number of events run. An agent's events
+    /// run in `(time, stamp)` order, the order a shard-wide time-ordered
+    /// queue would pop them in. No agent reads another's state within an
+    /// epoch (DESIGN §11), so running each agent's epoch back to back
+    /// changes nothing but where its state sits in cache.
+    fn run_epoch(&mut self, t_end: SimTime, ctx: &EpochCtx<'_>) -> u64 {
+        let before = self.run;
+        let mut extra = std::mem::take(&mut self.extra_wakes).into_iter().peekable();
+        for i in 0..self.fleet.len() {
+            while let Some((_, wake)) = extra.next_if(|&(j, _)| j as usize == i) {
+                self.spill.push(wake);
+            }
+            self.run_agent(i, t_end, ctx);
+            let spilled = self.spill.drain(..).map(|wake| (i as u32, wake));
+            self.extra_wakes.extend(spilled);
+        }
+        self.run - before
+    }
+
+    /// Runs agent `i`'s events with `time ≤ t_end`, least `(time, stamp)`
+    /// first.
+    fn run_agent(&mut self, i: usize, t_end: SimTime, ctx: &EpochCtx<'_>) {
+        loop {
+            let (poll, wake) = (self.polls[i], self.wakes[i]);
+            let (mut ev, mut next) = if wake < poll {
+                (Ev::Wake, wake)
+            } else {
+                (Ev::Poll, poll)
+            };
+            for (k, &w) in self.spill.iter().enumerate() {
+                if w < next {
+                    (ev, next) = (Ev::Spilled(k), w);
+                }
+            }
+            if next.at > t_end {
+                return;
+            }
+            self.run += 1;
+            match ev {
+                Ev::Poll => self.handle_poll(next.at, i, ctx),
+                Ev::Wake => {
+                    self.wakes[i] = NO_WAKE;
+                    self.handle_wake(next.at, i, ctx);
+                }
+                Ev::Spilled(k) => {
+                    self.spill.swap_remove(k);
+                    self.handle_wake(next.at, i, ctx);
+                }
+            }
+        }
+    }
+
+    fn handle_poll(&mut self, now: SimTime, idx: usize, ctx: &EpochCtx<'_>) {
+        self.polls[idx] = self.slot(now + ctx.poll_interval);
         let s = self.fleet.server(idx);
         if !ctx.net.server_is_up(s, now) {
             return; // the server has no power; it will poll when back
@@ -210,16 +322,17 @@ impl Shard {
             Err(_) => ControllerPollOutcome::Unreachable,
         };
         self.fleet.on_controller_poll(idx, outcome, now);
-        // Start a wake chain when a schedule (re)appeared.
+        // Start a wake chain when a schedule (re)appeared, or when one is
+        // due now: a second chain if this agent's wake at `now` is still
+        // pending (it runs after this poll when scheduled after it).
         if let Some(t) = self.fleet.next_wakeup(idx) {
             if !had_schedule || t <= now {
-                self.queue.schedule(t.max(now), Ev::Wake(i));
+                self.schedule_wake(idx, t.max(now));
             }
         }
     }
 
-    fn handle_wake(&mut self, now: SimTime, i: u32, ctx: &EpochCtx<'_>) {
-        let idx = i as usize;
+    fn handle_wake(&mut self, now: SimTime, idx: usize, ctx: &EpochCtx<'_>) {
         let s = self.fleet.server(idx);
         if !ctx.net.server_is_up(s, now) {
             // Powered off: drop this chain; the poll handler will restart
@@ -280,7 +393,7 @@ impl Shard {
             }
         }
         if let Some(t) = self.fleet.next_wakeup(idx) {
-            self.queue.schedule(t.max(now), Ev::Wake(i));
+            self.schedule_wake(idx, t.max(now));
         }
     }
 }
@@ -335,16 +448,11 @@ impl Orchestrator {
         // *global* server index so the fleet does not stampede the VIP —
         // and so the stagger is identical at any shard count.
         let n = topo.server_count().max(1) as u64;
-        let mut initial_polls: Vec<Vec<(SimTime, Ev)>> = vec![Vec::new(); nshards];
         for (i, s) in topo.servers().enumerate() {
             let sh = topo.server(s).podset.index() % nshards;
-            let idx = shards[sh].fleet.push_server(s) as u32;
-            shard_of[s.index()] = (sh as u32, idx);
             let offset = (i as u64 * 60_000_000) / n;
-            initial_polls[sh].push((SimTime(offset), Ev::Poll(idx)));
-        }
-        for (sh, polls) in shards.iter_mut().zip(initial_polls) {
-            sh.queue.schedule_batch(polls);
+            let idx = shards[sh].push_server(s, SimTime(offset));
+            shard_of[s.index()] = (sh as u32, idx);
         }
 
         let pipeline = Pipeline::new(topo.clone(), services, CosmosStore::with_defaults());
@@ -456,7 +564,7 @@ impl Orchestrator {
         self.shards[sh as usize].fleet.view(idx as usize)
     }
 
-    /// Number of event-queue shards actually in use.
+    /// Number of simulation shards actually in use.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -551,7 +659,7 @@ impl Orchestrator {
                 "events" => processed,
                 "events_per_sec" => eps,
                 "virtual_wall_ratio" => ratio,
-                "queue_depth" => self.shards.iter().map(|s| s.queue.len() as u64).sum::<u64>(),
+                "queue_depth" => self.shards.iter().map(Shard::pending).sum::<u64>(),
                 "shards" => self.shards.len() as u64,
             );
         }
@@ -603,7 +711,10 @@ impl Orchestrator {
             self.net.merge_counters(&sh.counter_delta);
             sh.counter_delta.clear();
         }
-        // Probe, queue and agent metrics: one flush per shard per barrier.
+        // Probe, event and agent metrics: one flush per shard per barrier.
+        let scheduled = registry.counter("pingmesh_netsim_events_scheduled_total");
+        let popped = registry.counter("pingmesh_netsim_events_popped_total");
+        let mut pending = 0;
         for sh in &mut self.shards {
             self.outputs.probes_run += sh.probes_run;
             self.net
@@ -611,9 +722,15 @@ impl Orchestrator {
             sh.probes_run = 0;
             sh.timeouts = 0;
             sh.rtts.clear();
-            sh.queue.flush_metrics();
+            scheduled.add(sh.scheduled - sh.published.0);
+            popped.add(sh.run - sh.published.1);
+            sh.published = (sh.scheduled, sh.run);
+            pending += sh.pending();
             sh.fleet.flush_metrics();
         }
+        registry
+            .gauge("pingmesh_netsim_queue_depth")
+            .set(pending as f64);
     }
 
     fn handle_pa(&mut self, now: SimTime) {
@@ -1082,5 +1199,91 @@ mod tests {
         for shards in [2, 4] {
             assert_eq!(run(shards), serial, "shards={shards} diverged");
         }
+    }
+
+    /// Events the shards have run.
+    fn events_run(o: &Orchestrator) -> u64 {
+        o.shards.iter().map(|sh| sh.run).sum()
+    }
+
+    /// When agent `s` first polls: the stagger `Orchestrator::new` gives.
+    fn first_poll(s: ServerId) -> SimTime {
+        let n = small_orchestrator().net().topology().server_count() as u64;
+        SimTime(s.index() as u64 * 60_000_000 / n)
+    }
+
+    /// Agent `s`'s first three wakes after its first poll, on the default
+    /// config: where its pinglist's phases put them.
+    fn first_wakes(s: ServerId) -> [SimTime; 3] {
+        let mut o = small_orchestrator();
+        let mut t = first_poll(s);
+        [(); 3].map(|()| {
+            o.run_until(t);
+            t = o.agent(s).next_wakeup().expect("a schedule");
+            t
+        })
+    }
+
+    #[test]
+    fn agent_events_run_in_the_order_they_were_scheduled() {
+        let with_poll_interval = |interval| {
+            let mut config = OrchestratorConfig::default();
+            config.agent.controller_poll_interval = interval;
+            small_orchestrator_with(config)
+        };
+        let events_through = |o: &mut Orchestrator, t: SimTime| {
+            o.run_until(t);
+            events_run(o)
+        };
+        let before = |t: SimTime| SimTime(t.0 - 1);
+
+        // Agent 3 polls again exactly at its first wake. That poll was
+        // scheduled (by the first poll) before the wake was, so it runs
+        // first, finds the wake due and starts a second wake chain: the
+        // first wake instant runs three events, and each later one two.
+        let a = ServerId(3);
+        let [w1, w2, _] = first_wakes(a);
+        let mut o = with_poll_interval(w1.since(first_poll(a)));
+        let e = events_through(&mut o, before(w1));
+        assert_eq!(events_through(&mut o, w1) - e, 3, "poll, wake, second wake");
+        let e = events_through(&mut o, before(w2));
+        assert_eq!(events_through(&mut o, w2) - e, 2, "both chains wake");
+
+        // Agent 11 polls at half its first-poll-to-second-wake span. Its
+        // second wake was scheduled (at its first wake) before its poll
+        // at that instant was (at the poll before), so the wake runs first
+        // and fires the old list's probes; then the poll installs a new
+        // generation, whose first probe is due before the wake the old
+        // list scheduled next. That stale wake keeps its time: nothing
+        // fires until it, and then it fires the new list's due probes.
+        let b = ServerId(11);
+        let poll = first_poll(b);
+        let [w1, w2, stale] = first_wakes(b);
+        let interval = SimDuration(w2.since(poll).as_micros() / 2);
+        assert!(
+            poll + interval + interval == w2 && w1 < poll + interval && stale < w2 + interval,
+            "agent 11's phases no longer give a wake-first tie"
+        );
+        let mut o = with_poll_interval(interval);
+        o.run_until(poll + interval);
+        o.regenerate_pinglists(GeneratorConfig {
+            payload_probes: true,
+            ..GeneratorConfig::default()
+        });
+        let e = events_through(&mut o, before(w2));
+        let probed = o.agent(b).probes_observed();
+        assert_eq!(events_through(&mut o, w2) - e, 2, "wake, then poll");
+        assert!(o.agent(b).probes_observed() > probed, "the wake ran first");
+        assert_eq!(o.agent(b).generation(), 2);
+        let probed = o.agent(b).probes_observed();
+        let due = o.agent(b).next_wakeup().expect("a schedule");
+        assert!(due < stale, "the new list is due before the stale wake");
+        let e = events_through(&mut o, before(stale));
+        assert_eq!(o.agent(b).probes_observed(), probed, "nothing fired early");
+        assert_eq!(events_through(&mut o, stale) - e, 1, "the stale wake");
+        assert!(
+            o.agent(b).probes_observed() > probed,
+            "it fired the due probes"
+        );
     }
 }

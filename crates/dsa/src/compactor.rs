@@ -123,7 +123,9 @@ impl Compactor {
         self.shared.pass.lock()
     }
 
-    /// Sets the live WAL bytes that make a checkpoint due.
+    /// Sets the live WAL bytes that make a checkpoint due. A test hook:
+    /// other crates' tests reach it through the `test-hooks` feature.
+    #[cfg(any(test, feature = "test-hooks"))]
     pub fn set_threshold(&self, bytes: u64) {
         self.shared.threshold.store(bytes, Ordering::SeqCst);
     }

@@ -1,17 +1,14 @@
-//! A small, generic discrete-event engine.
+//! A small, generic discrete-event queue.
 //!
-//! The orchestrator (in `pingmesh-core`) interleaves agent probe rounds,
-//! pinglist refreshes, perf-counter collections, DSA job ticks, fault
-//! timeline changes and repair actions on one virtual clock. This module
-//! provides the priority queue those components share. Events with equal
-//! timestamps pop in insertion order (a strict FIFO tie-break keeps runs
-//! deterministic).
+//! Events pop in time order; events with equal timestamps pop in
+//! insertion order (a strict FIFO tie-break keeps runs deterministic).
 //!
-//! The sharded engine runs one `EventQueue` per podset shard, so the
-//! schedule/pop hot path must cost nothing beyond the heap operation:
-//! metric updates accumulate in plain fields and are published by
-//! [`EventQueue::flush_metrics`] at tick barriers (or on drop), instead
-//! of paying an atomic add per event — millions per simulation.
+//! The orchestrator does not use it: each podset shard runs agent by
+//! agent, every agent's pending events in per-agent slots
+//! (`pingmesh-core`'s `orchestrator`, DESIGN §11). What remains here is
+//! the reference queue the benchmark's `netsim.event_ns` layer times.
+//! Metric updates accumulate in plain fields and are published when the
+//! queue is dropped, instead of paying an atomic add per event.
 
 use pingmesh_obs::{Counter, Gauge};
 use pingmesh_types::SimTime;
@@ -62,8 +59,8 @@ pub struct EventQueue<E> {
     seq: u64,
     now: SimTime,
     // Metric deltas since the last flush. Plain integers: the hot path
-    // (schedule/pop, millions per sim) must not touch an atomic — the
-    // deltas are folded into the shared counters at tick barriers.
+    // (schedule/pop) must not touch an atomic — the deltas are folded
+    // into the shared counters on drop.
     pending_scheduled: u64,
     pending_popped: u64,
     // Metric handles are resolved once at construction; a flush is one
@@ -95,11 +92,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Current virtual time: the timestamp of the last popped event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Schedules an event. Scheduling in the past (before `now`) is a
     /// logic error and panics in debug builds; release builds clamp to
     /// `now` so a late event still fires.
@@ -119,21 +111,6 @@ impl<E> EventQueue<E> {
         self.pending_scheduled += 1;
     }
 
-    /// Schedules a whole batch of events with a single heap reservation,
-    /// so bulk rounds (e.g. populating the initial poll stagger for a
-    /// 100k-server fleet) don't pay repeated heap growth.
-    pub fn schedule_batch<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (SimTime, E)>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let events = events.into_iter();
-        self.heap.reserve(events.len());
-        for (time, event) in events {
-            self.schedule(time, event);
-        }
-    }
-
     /// Pops the next event and advances the clock to it.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         self.heap.pop().map(|e| {
@@ -147,10 +124,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Publishes the schedule/pop deltas accumulated since the last flush
-    /// to the shared metric counters and updates the depth gauge. Called
-    /// at tick barriers (and on drop); two atomic adds and a gauge store
-    /// regardless of how many events were processed.
-    pub fn flush_metrics(&mut self) {
+    /// to the shared metric counters and updates the depth gauge: two
+    /// atomic adds and a gauge store regardless of how many events were
+    /// processed.
+    fn flush_metrics(&mut self) {
         if self.pending_scheduled > 0 {
             self.scheduled_ctr.add(self.pending_scheduled);
             self.pending_scheduled = 0;
@@ -160,21 +137,6 @@ impl<E> EventQueue<E> {
             self.pending_popped = 0;
         }
         self.depth_gauge.set(self.heap.len() as f64);
-    }
-
-    /// Timestamp of the next event without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -196,7 +158,7 @@ mod tests {
         q.schedule(SimTime(20), "b");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
-        assert_eq!(q.now(), SimTime(30));
+        assert_eq!(q.now, SimTime(30));
     }
 
     #[test]
@@ -213,11 +175,11 @@ mod tests {
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
         q.schedule(SimTime(7), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.peek_time(), Some(SimTime(7)));
+        assert_eq!(q.now, SimTime::ZERO);
+        assert_eq!(q.heap.peek().map(|e| e.time), Some(SimTime(7)));
         q.pop();
-        assert_eq!(q.now(), SimTime(7));
-        assert!(q.is_empty());
+        assert_eq!(q.now, SimTime(7));
+        assert!(q.heap.is_empty());
         assert_eq!(q.pop(), None);
     }
 
@@ -232,17 +194,7 @@ mod tests {
         q.schedule(SimTime(12), 3);
         assert_eq!(q.pop().unwrap().event, 3);
         assert_eq!(q.pop().unwrap().event, 2);
-        assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn schedule_batch_preserves_fifo_with_singles() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(5), 0);
-        q.schedule_batch((1..50).map(|i| (SimTime(5), i)));
-        q.schedule(SimTime(5), 50);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-        assert_eq!(order, (0..=50).collect::<Vec<_>>());
+        assert_eq!(q.heap.len(), 0);
     }
 
     #[test]

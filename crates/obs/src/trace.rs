@@ -242,7 +242,10 @@ pub fn reset() {
     t.pending_n.store(0, Ordering::Relaxed);
 }
 
-/// Number of armed (not yet probed) traced entries. Test/diagnostic aid.
+/// Number of armed (not yet probed) traced entries. While it is zero,
+/// [`on_probe`] returns at once, so a caller that would build a record
+/// only to pass it there can skip building it.
+#[inline]
 pub fn armed_count() -> usize {
     tracer().armed_n.load(Ordering::Relaxed)
 }

@@ -48,8 +48,8 @@ fn chunk_ranges(len: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
 /// Runs `f` over every element of `items` **by mutable reference** on up
 /// to `threads` threads (the caller's among them), returning per-element results in input
 /// order. This is the fan-out the sharded simulation engine uses: each
-/// shard owns disjoint mutable state (its event queue, its agents, its
-/// outboxes), advances independently for one epoch, and the results come
+/// shard owns disjoint mutable state (its agents, their pending events,
+/// its outboxes), advances independently for one epoch, and the results come
 /// back in shard order so the barrier merge is deterministic.
 ///
 /// `f` receives the element's index alongside the element so workers can
