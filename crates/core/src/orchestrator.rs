@@ -190,6 +190,9 @@ struct Shard {
     /// order. A poll that finds a wake due at its own instant starts one
     /// (see `handle_poll`); they are rare.
     extra_wakes: Vec<(u32, Slot)>,
+    /// The previous epoch's `extra_wakes` while an epoch runs, empty
+    /// between epochs: the two swap so that neither reallocates.
+    extra_spare: Vec<(u32, Slot)>,
     /// The extra wake chains of the agent being run.
     spill: Vec<Slot>,
     /// Events scheduled (the next stamp) and run over the shard's life,
@@ -211,6 +214,7 @@ impl Shard {
             polls: Vec::new(),
             wakes: Vec::new(),
             extra_wakes: Vec::new(),
+            extra_spare: Vec::new(),
             spill: Vec::new(),
             scheduled: 0,
             run: 0,
@@ -264,15 +268,21 @@ impl Shard {
     /// changes nothing but where its state sits in cache.
     fn run_epoch(&mut self, t_end: SimTime, ctx: &EpochCtx<'_>) -> u64 {
         let before = self.run;
-        let mut extra = std::mem::take(&mut self.extra_wakes).into_iter().peekable();
+        std::mem::swap(&mut self.extra_wakes, &mut self.extra_spare);
+        let mut k = 0;
         for i in 0..self.fleet.len() {
-            while let Some((_, wake)) = extra.next_if(|&(j, _)| j as usize == i) {
+            while let Some(&(j, wake)) = self.extra_spare.get(k) {
+                if j as usize != i {
+                    break;
+                }
                 self.spill.push(wake);
+                k += 1;
             }
             self.run_agent(i, t_end, ctx);
             let spilled = self.spill.drain(..).map(|wake| (i as u32, wake));
             self.extra_wakes.extend(spilled);
         }
+        self.extra_spare.clear();
         self.run - before
     }
 

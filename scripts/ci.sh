@@ -21,7 +21,7 @@
 # `ci.sh --smoke [gate…]` then runs the gates `cargo test` does not cover —
 # all, or those named. Each checks outputs; none is a timing gate.
 #   bench  ingest_durable, query_dashboard and query_churn for 2 s each (output checks only: no acknowledged record lost, cached bytes ≡ rebuilt bytes, no stale fresh read), then ingest_durable traced once (its staged replay is the one poster of the collector's JSON compat branch)
-#   fuzz   50 seeded scenarios through every crates/check oracle, run-to-run deterministic, every seed's digest equal to tests/fuzz_smoke_digests.txt, 60 s cap
+#   fuzz   50 seeded scenarios through every crates/check oracle, run-to-run deterministic, telemetry (every seed's digest and counts) byte-equal to tests/fuzz_smoke.json, 60 s cap
 #   scale  5k-server point: the sharded engine reproduces the serial engine bit for bit and the serial digest equals BENCH_scale.json's (bytes/server printed), then sim_mesh for 2 s (output checks only)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -174,10 +174,12 @@ if want bench; then
 fi
 
 if want fuzz; then
-  step "fuzz smoke (50 seeded scenarios, all oracles, digests as recorded, 60 s cap)"
+  step "fuzz smoke (50 seeded scenarios, all oracles, telemetry as recorded, 60 s cap)"
   timeout 60 cargo run --release -q -p pingmesh --bin pingmesh-fuzz -- \
-    --seeds 50 --smoke --out target/telemetry/fuzz.json \
-    --check tests/fuzz_smoke_digests.txt
+    --seeds 50 --smoke --out target/telemetry/fuzz.json
+  # A change that moves the simulation on purpose re-records by copying
+  # the --out file over tests/fuzz_smoke.json.
+  cmp target/telemetry/fuzz.json tests/fuzz_smoke.json
 fi
 
 if want scale; then

@@ -3,7 +3,6 @@
 //! ```text
 //! pingmesh-fuzz [--seeds N] [--start S] [--smoke]
 //!               [--out target/telemetry/fuzz.json]
-//!               [--check DIGESTS] [--record DIGESTS]
 //! ```
 //!
 //! Runs `N` seeded scenarios (seeds `S..S+N`) through the full pipeline
@@ -13,20 +12,12 @@
 //! twice and their digests compared, so a nondeterministic pipeline
 //! fails the campaign even when every oracle passes.
 //!
-//! `--check DIGESTS` also fails the campaign when a seed's digest differs
-//! from the one the file records (`seed digest` a line, `#` comments), or
-//! the file records none for it: a change that moves what the pipeline
-//! computes cannot pass as a refactor. `--record DIGESTS` writes that
-//! file from the run, for a change that moves the simulation on purpose.
-//! `scripts/ci.sh --smoke fuzz` checks `tests/fuzz_smoke_digests.txt`.
-//!
 //! On a violation, the failing spec is shrunk to a (locally) minimal
 //! still-failing spec and printed as a ready-to-paste regression test;
 //! pin that test in the crate that owns the bug. Exit status is 0 only
 //! for a fully green, deterministic campaign.
 
 use pingmesh::check::{regression_snippet, run_scenario, shrink, RunReport, ScenarioSpec};
-use std::collections::BTreeMap;
 use std::io::Write as _;
 
 /// Seeds re-run to cross-check run-to-run determinism.
@@ -37,8 +28,6 @@ struct Args {
     start: u64,
     smoke: bool,
     out: Option<String>,
-    check: Option<String>,
-    record: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -47,8 +36,6 @@ fn parse_args() -> Result<Args, String> {
         start: 0,
         smoke: false,
         out: None,
-        check: None,
-        record: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -58,8 +45,6 @@ fn parse_args() -> Result<Args, String> {
             "--start" => args.start = value("--start")?.parse().map_err(|e| format!("{e}"))?,
             "--smoke" => args.smoke = true,
             "--out" => args.out = Some(value("--out")?),
-            "--check" => args.check = Some(value("--check")?),
-            "--record" => args.record = Some(value("--record")?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -99,43 +84,6 @@ fn write_telemetry(path: &str, reports: &[RunReport], deterministic: bool) {
         }
         Err(e) => eprintln!("warning: cannot write {path}: {e}"),
     }
-}
-
-/// `seed → digest` from a digests file (`seed 0x…` a line, `#` comments).
-fn read_digests(path: &str) -> Result<BTreeMap<u64, u64>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut digests = BTreeMap::new();
-    for line in text.lines().map(str::trim) {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let parsed = line.split_once(' ').and_then(|(seed, digest)| {
-            let digest = digest.trim().strip_prefix("0x")?;
-            Some((seed.parse().ok()?, u64::from_str_radix(digest, 16).ok()?))
-        });
-        let (seed, digest) = parsed.ok_or_else(|| format!("{path}: bad line {line:?}"))?;
-        digests.insert(seed, digest);
-    }
-    Ok(digests)
-}
-
-fn write_digests(path: &str, reports: &[RunReport], smoke: bool) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    let seeds = reports.len();
-    let smoke = if smoke { " --smoke" } else { "" };
-    writeln!(
-        f,
-        "# State digest of each seed of `pingmesh-fuzz --seeds {seeds}{smoke}`."
-    )?;
-    writeln!(
-        f,
-        "# `--check` fails on any difference; re-record with `--record`"
-    )?;
-    writeln!(f, "# only when a change moves the simulation on purpose.")?;
-    for r in reports {
-        writeln!(f, "{} {:#018x}", r.seed, r.digest)?;
-    }
-    Ok(())
 }
 
 fn main() {
@@ -193,40 +141,6 @@ fn main() {
     if let Some(path) = &args.out {
         write_telemetry(path, &reports, deterministic);
     }
-    if let Some(path) = &args.record {
-        if let Err(e) = write_digests(path, &reports, args.smoke) {
-            eprintln!("pingmesh-fuzz: {path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("digests -> {path}");
-    }
-    let mut digests_match = true;
-    if let Some(path) = &args.check {
-        let recorded = read_digests(path).unwrap_or_else(|e| {
-            eprintln!("pingmesh-fuzz: {e}");
-            std::process::exit(2);
-        });
-        for r in &reports {
-            match recorded.get(&r.seed) {
-                Some(&d) if d == r.digest => {}
-                Some(&d) => {
-                    digests_match = false;
-                    eprintln!(
-                        "seed {}: digest {:#018x} differs from the recorded {d:#018x}",
-                        r.seed, r.digest
-                    );
-                }
-                None => {
-                    digests_match = false;
-                    eprintln!("seed {}: {path} records no digest", r.seed);
-                }
-            }
-        }
-        eprintln!(
-            "digests: {} against {path}",
-            if digests_match { "all equal" } else { "DIFFER" }
-        );
-    }
 
     if let Some(spec) = first_failure {
         eprintln!("shrinking first failing seed {} ...", spec.seed);
@@ -236,7 +150,7 @@ fn main() {
         println!("{}", regression_snippet(&minimal));
         std::process::exit(1);
     }
-    if !deterministic || !digests_match {
+    if !deterministic {
         std::process::exit(1);
     }
 }
