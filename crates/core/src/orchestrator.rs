@@ -146,15 +146,6 @@ const NO_WAKE: Slot = Slot {
     stamp: u64::MAX,
 };
 
-/// Which of an agent's pending events runs next.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    Poll,
-    Wake,
-    /// An extra wake chain, by its index in `Shard::spill`.
-    Spilled(usize),
-}
-
 /// A deferred store upload: decided (and agent-side accounted) at wake
 /// time inside a shard, applied to the store at the barrier in canonical
 /// `(time, server)` order. The batch stays packed until then.
@@ -182,21 +173,13 @@ struct Shard {
     /// By fleet index: the agent's one pending controller poll (each poll
     /// schedules the next) ...
     polls: Vec<Slot>,
-    /// ... and its wake chain, [`NO_WAKE`] while it has none. The wake's
-    /// time is the one it was scheduled for, which after a reinstall is
-    /// not the fleet's `next_wakeup`.
+    /// ... and its one wake chain, [`NO_WAKE`] while it has none. The
+    /// wake's time is the one it was scheduled for, which after a
+    /// reinstall is not the fleet's `next_wakeup`.
     wakes: Vec<Slot>,
-    /// Wake chains beyond an agent's first, `(fleet index, slot)` in fleet
-    /// order. A poll that finds a wake due at its own instant starts one
-    /// (see `handle_poll`); they are rare.
-    extra_wakes: Vec<(u32, Slot)>,
-    /// The previous epoch's `extra_wakes` while an epoch runs, empty
-    /// between epochs: the two swap so that neither reallocates.
-    extra_spare: Vec<(u32, Slot)>,
-    /// The extra wake chains of the agent being run.
-    spill: Vec<Slot>,
-    /// Events scheduled (the next stamp) and run over the shard's life,
-    /// and both counts as the last barrier published them.
+    /// Events scheduled (the next stamp) and retired (run, or superseded
+    /// by an earlier wake) over the shard's life, and both counts as the
+    /// last barrier published them.
     scheduled: u64,
     run: u64,
     published: (u64, u64),
@@ -213,9 +196,6 @@ impl Shard {
             fleet: AgentFleet::new(topo, agent_config),
             polls: Vec::new(),
             wakes: Vec::new(),
-            extra_wakes: Vec::new(),
-            extra_spare: Vec::new(),
-            spill: Vec::new(),
             scheduled: 0,
             run: 0,
             published: (0, 0),
@@ -246,43 +226,37 @@ impl Shard {
         }
     }
 
+    /// Arms agent `i`'s wake chain at `at`. An agent has one chain: a
+    /// wake already pending at or before `at` covers this one (each wake
+    /// fires whatever is due and re-arms at the fleet's next wakeup), and
+    /// a later pending wake is superseded, which retires it.
     fn schedule_wake(&mut self, i: usize, at: SimTime) {
-        let wake = self.slot(at);
-        if self.wakes[i] == NO_WAKE {
-            self.wakes[i] = wake;
-        } else {
-            self.spill.push(wake);
+        let pending = self.wakes[i];
+        if pending.at <= at {
+            return;
         }
+        if pending != NO_WAKE {
+            self.run += 1;
+        }
+        self.wakes[i] = self.slot(at);
     }
 
-    /// Events scheduled and not yet run.
+    /// Events scheduled and not yet retired.
     fn pending(&self) -> u64 {
         self.scheduled - self.run
     }
 
     /// Runs every pending event with `time ≤ t_end`, agent by agent in
-    /// fleet order; returns the number of events run. An agent's events
-    /// run in `(time, stamp)` order, the order a shard-wide time-ordered
-    /// queue would pop them in. No agent reads another's state within an
-    /// epoch (DESIGN §11), so running each agent's epoch back to back
-    /// changes nothing but where its state sits in cache.
+    /// fleet order; returns the number of events retired. An agent's
+    /// events run in `(time, stamp)` order, the order a shard-wide
+    /// time-ordered queue would pop them in. No agent reads another's
+    /// state within an epoch (DESIGN §11), so running each agent's epoch
+    /// back to back changes nothing but where its state sits in cache.
     fn run_epoch(&mut self, t_end: SimTime, ctx: &EpochCtx<'_>) -> u64 {
         let before = self.run;
-        std::mem::swap(&mut self.extra_wakes, &mut self.extra_spare);
-        let mut k = 0;
         for i in 0..self.fleet.len() {
-            while let Some(&(j, wake)) = self.extra_spare.get(k) {
-                if j as usize != i {
-                    break;
-                }
-                self.spill.push(wake);
-                k += 1;
-            }
             self.run_agent(i, t_end, ctx);
-            let spilled = self.spill.drain(..).map(|wake| (i as u32, wake));
-            self.extra_wakes.extend(spilled);
         }
-        self.extra_spare.clear();
         self.run - before
     }
 
@@ -291,30 +265,15 @@ impl Shard {
     fn run_agent(&mut self, i: usize, t_end: SimTime, ctx: &EpochCtx<'_>) {
         loop {
             let (poll, wake) = (self.polls[i], self.wakes[i]);
-            let (mut ev, mut next) = if wake < poll {
-                (Ev::Wake, wake)
-            } else {
-                (Ev::Poll, poll)
-            };
-            for (k, &w) in self.spill.iter().enumerate() {
-                if w < next {
-                    (ev, next) = (Ev::Spilled(k), w);
-                }
-            }
-            if next.at > t_end {
+            if poll.min(wake).at > t_end {
                 return;
             }
             self.run += 1;
-            match ev {
-                Ev::Poll => self.handle_poll(next.at, i, ctx),
-                Ev::Wake => {
-                    self.wakes[i] = NO_WAKE;
-                    self.handle_wake(next.at, i, ctx);
-                }
-                Ev::Spilled(k) => {
-                    self.spill.swap_remove(k);
-                    self.handle_wake(next.at, i, ctx);
-                }
+            if wake < poll {
+                self.wakes[i] = NO_WAKE;
+                self.handle_wake(wake.at, i, ctx);
+            } else {
+                self.handle_poll(poll.at, i, ctx);
             }
         }
     }
@@ -332,9 +291,9 @@ impl Shard {
             Err(_) => ControllerPollOutcome::Unreachable,
         };
         self.fleet.on_controller_poll(idx, outcome, now);
-        // Start a wake chain when a schedule (re)appeared, or when one is
-        // due now: a second chain if this agent's wake at `now` is still
-        // pending (it runs after this poll when scheduled after it).
+        // Wake when a schedule (re)appeared, or now when one is due now;
+        // a wake of this agent's chain still pending at `now` (scheduled
+        // after this poll) already covers the latter.
         if let Some(t) = self.fleet.next_wakeup(idx) {
             if !had_schedule || t <= now {
                 self.schedule_wake(idx, t.max(now));
@@ -1249,15 +1208,16 @@ mod tests {
 
         // Agent 3 polls again exactly at its first wake. That poll was
         // scheduled (by the first poll) before the wake was, so it runs
-        // first, finds the wake due and starts a second wake chain: the
-        // first wake instant runs three events, and each later one two.
+        // first and finds the wake due; the pending wake at that instant
+        // covers it, so the agent keeps one chain: the first wake instant
+        // runs two events, and each later one one.
         let a = ServerId(3);
         let [w1, w2, _] = first_wakes(a);
         let mut o = with_poll_interval(w1.since(first_poll(a)));
         let e = events_through(&mut o, before(w1));
-        assert_eq!(events_through(&mut o, w1) - e, 3, "poll, wake, second wake");
+        assert_eq!(events_through(&mut o, w1) - e, 2, "poll, then wake");
         let e = events_through(&mut o, before(w2));
-        assert_eq!(events_through(&mut o, w2) - e, 2, "both chains wake");
+        assert_eq!(events_through(&mut o, w2) - e, 1, "one chain wakes");
 
         // Agent 11 polls at half its first-poll-to-second-wake span. Its
         // second wake was scheduled (at its first wake) before its poll
@@ -1295,5 +1255,44 @@ mod tests {
             o.agent(b).probes_observed() > probed,
             "it fired the due probes"
         );
+    }
+
+    #[test]
+    fn a_powered_off_agent_stops_on_one_wake() {
+        // Agent 3 with the poll-then-wake tie of the test above, its podset
+        // powered off after its second wake: its third wake finds no power
+        // and stops the agent, once, and no wake follows.
+        let a = ServerId(3);
+        let [w1, w2, w3] = first_wakes(a);
+        let interval = w1.since(first_poll(a));
+        assert!(
+            (w3.since(first_poll(a)).as_micros() % interval.as_micros()) != 0,
+            "agent 3's third wake lands on a poll"
+        );
+        let mut config = OrchestratorConfig::default();
+        config.agent.controller_poll_interval = interval;
+        let mut o = small_orchestrator_with(config);
+        o.run_until(w2);
+        let podset = o.net().topology().server(a).podset;
+        o.net_mut()
+            .faults_mut()
+            .set_podset_down(podset, SimTime(w2.0 + 1), None);
+        o.run_until(SimTime(w3.0 - 1));
+        let (sh, idx) = o.shard_of[a.index()];
+        let shard = &o.shards[sh as usize];
+        assert_eq!(shard.wakes[idx as usize].at, w3, "one chain pending");
+        let e = events_run(&o);
+        let probed = o.agent(a).probes_observed();
+        o.run_until(w3);
+        assert_eq!(events_run(&o) - e, 1, "one wake at the power-off instant");
+        assert!(o.agent(a).is_stopped(), "the guard stopped the agent");
+        assert_eq!(o.agent(a).next_wakeup(), None);
+        assert_eq!(
+            o.agent(a).probes_observed(),
+            probed,
+            "no probe without power"
+        );
+        let (sh, idx) = o.shard_of[a.index()];
+        assert_eq!(o.shards[sh as usize].wakes[idx as usize], NO_WAKE);
     }
 }
