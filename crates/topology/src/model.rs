@@ -7,7 +7,6 @@
 use crate::spec::TopologySpec;
 use pingmesh_types::{DcId, PingmeshError, PodId, PodsetId, ServerId, SwitchId, SwitchTier};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::ops::Range;
 
@@ -101,7 +100,6 @@ pub struct Topology {
     podsets: Vec<PodsetInfo>,
     pods: Vec<PodInfo>,
     servers: Vec<ServerInfo>,
-    ip_index: HashMap<Ipv4Addr, ServerId>,
     /// Podset owning each leaf (global leaf index → podset).
     leaf_podset: Vec<PodsetId>,
     /// DC owning each spine (global spine index → dc).
@@ -120,7 +118,6 @@ impl Topology {
         let mut podsets = Vec::new();
         let mut pods = Vec::new();
         let mut servers = Vec::new();
-        let mut ip_index = HashMap::new();
         let mut leaf_podset = Vec::new();
         let mut spine_dc = Vec::new();
         let mut border_dc = Vec::new();
@@ -147,7 +144,6 @@ impl Topology {
                     for idx_in_pod in 0..d.servers_per_pod {
                         let [hi, lo] = server_in_dc.to_be_bytes();
                         let ip = Ipv4Addr::new(10, dci as u8, hi, lo);
-                        let sid = ServerId(servers.len() as u32);
                         servers.push(ServerInfo {
                             pod,
                             podset,
@@ -155,7 +151,6 @@ impl Topology {
                             ip,
                             index_in_pod: idx_in_pod,
                         });
-                        ip_index.insert(ip, sid);
                         server_in_dc += 1;
                     }
                     pods.push(PodInfo {
@@ -202,7 +197,6 @@ impl Topology {
             podsets,
             pods,
             servers,
-            ip_index,
             leaf_podset,
             spine_dc,
             border_dc,
@@ -364,9 +358,17 @@ impl Topology {
         self.servers[id.index()].ip
     }
 
-    /// Reverse lookup: server by IP.
+    /// Reverse lookup: server by IP. A server's address is
+    /// `10.<dc>.<hi>.<lo>` with `<hi><lo>` its index within its DC (see
+    /// [`Topology::build`]), so the lookup is a decode and a range check.
     pub fn server_by_ip(&self, ip: Ipv4Addr) -> Option<ServerId> {
-        self.ip_index.get(&ip).copied()
+        let [net, dc, hi, lo] = ip.octets();
+        if net != 10 {
+            return None;
+        }
+        let servers = &self.dcs.get(dc as usize)?.servers;
+        let id = servers.start + u32::from(u16::from_be_bytes([hi, lo]));
+        servers.contains(&id).then_some(ServerId(id))
     }
 
     /// Iterates over all switches in the deployment.
@@ -428,6 +430,20 @@ mod tests {
             assert_eq!(t.server_by_ip(ip), Some(sid));
         }
         assert_eq!(t.server_by_ip(Ipv4Addr::new(192, 168, 0, 1)), None);
+    }
+
+    #[test]
+    fn ip_lookup_rejects_addresses_outside_every_dc() {
+        let t = two_dc_topology();
+        // Each tiny DC holds 32 servers: 10.<dc>.0.0 ..= 10.<dc>.0.31.
+        assert_eq!(
+            t.server_by_ip(Ipv4Addr::new(10, 1, 0, 31)),
+            Some(ServerId(63))
+        );
+        assert_eq!(t.server_by_ip(Ipv4Addr::new(10, 0, 0, 32)), None);
+        assert_eq!(t.server_by_ip(Ipv4Addr::new(10, 1, 1, 0)), None);
+        assert_eq!(t.server_by_ip(Ipv4Addr::new(10, 2, 0, 0)), None);
+        assert_eq!(t.server_by_ip(Ipv4Addr::new(11, 0, 0, 0)), None);
     }
 
     #[test]
