@@ -23,8 +23,8 @@
 //! calibrated so that the *measured* (3 s + 9 s heuristic) drop rates land
 //! on the paper's Table 1 for each of the five DC presets.
 
-use crate::rng::{chance, exponential, lognormal_med};
-use pingmesh_types::{SimDuration, SimTime, SwitchTier};
+use crate::rng::{chance, exponential, LogNormal};
+use pingmesh_types::{QosClass, SimDuration, SimTime, SwitchTier};
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 
@@ -52,23 +52,28 @@ pub enum LoadSchedule {
 impl LoadSchedule {
     /// Multiplier at time `t`.
     pub fn factor(&self, t: SimTime) -> f64 {
+        self.levels()[self.level(t)]
+    }
+
+    /// The schedule's multipliers, indexed by [`LoadSchedule::level`]: a
+    /// periodic schedule's low then high, a constant's one level twice.
+    fn levels(&self) -> [f64; 2] {
         match *self {
-            LoadSchedule::Constant(k) => k,
-            LoadSchedule::Periodic {
-                period,
-                duty,
-                high,
-                low,
-            } => {
+            LoadSchedule::Constant(k) => [k, k],
+            LoadSchedule::Periodic { high, low, .. } => [low, high],
+        }
+    }
+
+    /// Which of [`LoadSchedule::levels`] holds at time `t`.
+    fn level(&self, t: SimTime) -> usize {
+        match *self {
+            LoadSchedule::Constant(_) => 0,
+            LoadSchedule::Periodic { period, duty, .. } => {
                 if period.as_micros() == 0 {
-                    return low;
+                    return 0;
                 }
                 let phase = (t.as_micros() % period.as_micros()) as f64 / period.as_micros() as f64;
-                if phase < duty.clamp(0.0, 1.0) {
-                    high
-                } else {
-                    low
-                }
+                usize::from(phase < duty.clamp(0.0, 1.0))
             }
         }
     }
@@ -312,46 +317,70 @@ impl DcProfile {
         ]
     }
 
-    /// One host-direction latency sample (sender stack + receiver stack).
-    pub fn sample_host_us(&self, rng: &mut SmallRng) -> f64 {
-        lognormal_med(rng, self.host_median_us, self.host_sigma)
-    }
-
-    /// One switch-traversal latency sample at time `t` for a QoS class:
-    /// low-priority packets queue behind high-priority ones.
-    pub fn sample_switch_us_qos(
-        &self,
-        rng: &mut SmallRng,
-        t: SimTime,
-        qos: pingmesh_types::QosClass,
-    ) -> f64 {
-        let mut load = self.utilization * self.load.factor(t);
-        if qos == pingmesh_types::QosClass::Low {
-            load *= self.qos_low_queue_factor.max(1.0);
-        }
-        self.switch_base_us + lognormal_med(rng, self.queue_median_us * load, self.queue_sigma)
-    }
-
-    /// Host hiccup contribution for one probe (usually zero).
-    pub fn sample_hiccup_us(&self, rng: &mut SmallRng) -> f64 {
-        let mut extra = 0.0;
-        if chance(rng, self.hiccup_minor_prob) {
-            extra += exponential(rng, self.hiccup_minor_mean_us);
-        }
-        if chance(rng, self.hiccup_major_prob) {
-            extra += exponential(rng, self.hiccup_major_mean_us);
-        }
-        extra.min(self.hiccup_cap_us)
-    }
-
     /// Per-hop serialization delay of `bytes` at the profile link speed.
     pub fn tx_delay_us(&self, bytes: u32) -> f64 {
         (bytes as f64 * 8.0) / (self.link_gbps * 1_000.0)
     }
+}
+
+/// A [`DcProfile`] ready to draw from: every lognormal's median is
+/// computed once, here — the host and echo costs', and the queuing
+/// delay's per QoS class and per level of the load schedule — so a
+/// latency draw is one standard normal, one `exp` and one multiply.
+#[derive(Debug, Clone)]
+pub(crate) struct ProfileDraws {
+    /// The profile drawn from.
+    pub(crate) profile: DcProfile,
+    host: LogNormal,
+    echo: LogNormal,
+    /// Queuing delay by [`LoadSchedule::level`], then QoS class (high,
+    /// low): low-priority packets queue behind high-priority ones.
+    queue: [[LogNormal; 2]; 2],
+}
+
+impl ProfileDraws {
+    pub(crate) fn new(profile: DcProfile) -> Self {
+        let queue = profile.load.levels().map(|level| {
+            let load = profile.utilization * level;
+            let low_load = load * profile.qos_low_queue_factor.max(1.0);
+            [load, low_load]
+                .map(|l| LogNormal::new(profile.queue_median_us * l, profile.queue_sigma))
+        });
+        Self {
+            host: LogNormal::new(profile.host_median_us, profile.host_sigma),
+            echo: LogNormal::new(profile.echo_median_us, profile.echo_sigma),
+            queue,
+            profile,
+        }
+    }
+
+    /// One host-direction latency sample (sender stack + receiver stack).
+    pub(crate) fn host_us(&self, rng: &mut SmallRng) -> f64 {
+        self.host.sample(rng)
+    }
+
+    /// One switch-traversal latency sample at time `t` for a QoS class.
+    pub(crate) fn switch_us(&self, rng: &mut SmallRng, t: SimTime, qos: QosClass) -> f64 {
+        let queue = &self.queue[self.profile.load.level(t)][usize::from(qos == QosClass::Low)];
+        self.profile.switch_base_us + queue.sample(rng)
+    }
+
+    /// Host hiccup contribution for one probe (usually zero).
+    pub(crate) fn hiccup_us(&self, rng: &mut SmallRng) -> f64 {
+        let p = &self.profile;
+        let mut extra = 0.0;
+        if chance(rng, p.hiccup_minor_prob) {
+            extra += exponential(rng, p.hiccup_minor_mean_us);
+        }
+        if chance(rng, p.hiccup_major_prob) {
+            extra += exponential(rng, p.hiccup_major_mean_us);
+        }
+        extra.min(p.hiccup_cap_us)
+    }
 
     /// User-space echo processing sample.
-    pub fn sample_echo_us(&self, rng: &mut SmallRng) -> f64 {
-        lognormal_med(rng, self.echo_median_us, self.echo_sigma)
+    pub(crate) fn echo_us(&self, rng: &mut SmallRng) -> f64 {
+        self.echo.sample(rng)
     }
 }
 
@@ -395,7 +424,6 @@ impl InterDcMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pingmesh_types::QosClass;
     use rand::SeedableRng;
 
     #[test]
@@ -456,13 +484,40 @@ mod tests {
 
     #[test]
     fn ideal_profile_is_deterministic() {
-        let p = DcProfile::ideal();
+        let p = ProfileDraws::new(DcProfile::ideal());
         let mut rng = SmallRng::seed_from_u64(1);
-        assert!((p.sample_host_us(&mut rng) - 100.0).abs() < 1e-9);
-        let switch = p.sample_switch_us_qos(&mut rng, SimTime(0), QosClass::High);
-        assert!((switch - 5.0).abs() < 1e-9);
-        assert_eq!(p.sample_hiccup_us(&mut rng), 0.0);
-        assert!((p.sample_echo_us(&mut rng) - 40.0).abs() < 1e-9);
+        assert_eq!(p.host_us(&mut rng), 100.0);
+        assert_eq!(p.switch_us(&mut rng, SimTime(0), QosClass::High), 5.0);
+        assert_eq!(p.hiccup_us(&mut rng), 0.0);
+        assert_eq!(p.echo_us(&mut rng), 40.0);
+    }
+
+    #[test]
+    fn queue_medians_follow_load_level_and_qos() {
+        let p = ProfileDraws::new(DcProfile {
+            queue_sigma: 0.0,
+            utilization: 0.5,
+            qos_low_queue_factor: 3.0,
+            load: LoadSchedule::Periodic {
+                period: SimDuration::from_secs(100),
+                duty: 0.25,
+                high: 4.0,
+                low: 1.0,
+            },
+            ..DcProfile::ideal()
+        });
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut queue = |t, qos| p.switch_us(&mut rng, SimTime(t), qos) - 1.0;
+        // 4 µs median × 0.5 utilization × the level (× 3 when low QoS).
+        assert!((queue(0, QosClass::High) - 8.0).abs() < 1e-9);
+        assert!((queue(0, QosClass::Low) - 24.0).abs() < 1e-9);
+        assert!((queue(50_000_000, QosClass::High) - 2.0).abs() < 1e-9);
+        assert!((queue(50_000_000, QosClass::Low) - 6.0).abs() < 1e-9);
+        let idle = ProfileDraws::new(DcProfile {
+            utilization: 0.0,
+            ..DcProfile::us_west()
+        });
+        assert_eq!(idle.switch_us(&mut rng, SimTime(0), QosClass::Low), 1.0);
     }
 
     #[test]
@@ -484,14 +539,12 @@ mod tests {
 
     #[test]
     fn hiccup_probability_is_respected() {
-        let p = DcProfile::us_west();
+        let p = ProfileDraws::new(DcProfile::us_west());
         let mut rng = SmallRng::seed_from_u64(7);
         let n = 2_000_000;
-        let hits = (0..n)
-            .filter(|_| p.sample_hiccup_us(&mut rng) > 0.0)
-            .count();
+        let hits = (0..n).filter(|_| p.hiccup_us(&mut rng) > 0.0).count();
         let rate = hits as f64 / n as f64;
-        let expect = p.hiccup_minor_prob + p.hiccup_major_prob;
+        let expect = p.profile.hiccup_minor_prob + p.profile.hiccup_major_prob;
         assert!(
             (rate - expect).abs() / expect < 0.15,
             "rate {rate} vs {expect}"

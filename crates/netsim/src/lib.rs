@@ -22,9 +22,13 @@
 //!   podset power-downs, and switch isolation honored by ECMP re-routing.
 //! * **Traceroute** ([`traceroute`]): the TCP-traceroute companion tool
 //!   used in §5.2 to localize a silently-dropping Spine switch.
-//! * **A generic discrete-event engine** ([`engine`]) shared by the
-//!   orchestrator to interleave agents, jobs, faults and repairs on one
-//!   virtual clock.
+//! * **Sampling** ([`rng`]): a ziggurat standard normal and lognormals
+//!   held by their medians, so a latency draw takes no logarithm and,
+//!   about 99 % of the time, no libm call besides its one `exp`.
+//! * **A generic discrete-event queue** ([`engine`]): a time-ordered
+//!   queue with FIFO ties. The orchestrator does not use it (its shards
+//!   keep each agent's pending events in per-agent slots); the benchmark
+//!   times it as a reference.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
