@@ -1279,8 +1279,8 @@ mod tests {
             .set_podset_down(podset, SimTime(w2.0 + 1), None);
         o.run_until(SimTime(w3.0 - 1));
         let (sh, idx) = o.shard_of[a.index()];
-        let shard = &o.shards[sh as usize];
-        assert_eq!(shard.wakes[idx as usize].at, w3, "one chain pending");
+        let wake = |o: &Orchestrator| o.shards[sh as usize].wakes[idx as usize];
+        assert_eq!(wake(&o).at, w3, "one chain pending");
         let e = events_run(&o);
         let probed = o.agent(a).probes_observed();
         o.run_until(w3);
@@ -1292,7 +1292,6 @@ mod tests {
             probed,
             "no probe without power"
         );
-        let (sh, idx) = o.shard_of[a.index()];
-        assert_eq!(o.shards[sh as usize].wakes[idx as usize], NO_WAKE);
+        assert_eq!(wake(&o), NO_WAKE);
     }
 }

@@ -156,7 +156,7 @@ impl CounterDelta {
 /// in explicitly.
 pub struct NetState {
     topo: Arc<Topology>,
-    /// By DC: its profile, log-medians taken once at [`SimNet::new`].
+    /// By DC: its profile, lognormals built once in [`SimNet::new`].
     profiles: Vec<ProfileDraws>,
     interdc: InterDcMatrix,
     vips: VipTable,
