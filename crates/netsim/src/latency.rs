@@ -50,11 +50,6 @@ pub enum LoadSchedule {
 }
 
 impl LoadSchedule {
-    /// Multiplier at time `t`.
-    pub fn factor(&self, t: SimTime) -> f64 {
-        self.levels()[self.level(t)]
-    }
-
     /// The schedule's multipliers, indexed by [`LoadSchedule::level`]: a
     /// periodic schedule's low then high, a constant's one level twice.
     fn levels(&self) -> [f64; 2] {
@@ -428,19 +423,20 @@ mod tests {
 
     #[test]
     fn load_schedule_periodic() {
+        let factor = |s: &LoadSchedule, t| s.levels()[s.level(t)];
         let s = LoadSchedule::Periodic {
             period: SimDuration::from_secs(100),
             duty: 0.25,
             high: 4.0,
             low: 1.0,
         };
-        assert_eq!(s.factor(SimTime(0)), 4.0);
-        assert_eq!(s.factor(SimTime(24_999_999)), 4.0);
-        assert_eq!(s.factor(SimTime(25_000_000)), 1.0);
-        assert_eq!(s.factor(SimTime(99_000_000)), 1.0);
+        assert_eq!(factor(&s, SimTime(0)), 4.0);
+        assert_eq!(factor(&s, SimTime(24_999_999)), 4.0);
+        assert_eq!(factor(&s, SimTime(25_000_000)), 1.0);
+        assert_eq!(factor(&s, SimTime(99_000_000)), 1.0);
         // Next cycle.
-        assert_eq!(s.factor(SimTime(100_000_000)), 4.0);
-        assert_eq!(LoadSchedule::Constant(2.5).factor(SimTime(7)), 2.5);
+        assert_eq!(factor(&s, SimTime(100_000_000)), 4.0);
+        assert_eq!(factor(&LoadSchedule::Constant(2.5), SimTime(7)), 2.5);
     }
 
     #[test]
