@@ -177,11 +177,12 @@ struct Shard {
     /// wake's time is the one it was scheduled for, which after a
     /// reinstall is not the fleet's `next_wakeup`.
     wakes: Vec<Slot>,
-    /// Events scheduled (the next stamp) and retired (run, or superseded
-    /// by an earlier wake) over the shard's life, and both counts as the
-    /// last barrier published them.
+    /// Events scheduled (the next stamp), run, and superseded by an
+    /// earlier wake before they ran, over the shard's life; and the
+    /// scheduled and run counts as the last barrier published them.
     scheduled: u64,
     run: u64,
+    superseded: u64,
     published: (u64, u64),
     uploads: Vec<DeferredUpload>,
     counter_delta: CounterDelta,
@@ -198,6 +199,7 @@ impl Shard {
             wakes: Vec::new(),
             scheduled: 0,
             run: 0,
+            superseded: 0,
             published: (0, 0),
             uploads: Vec::new(),
             counter_delta: CounterDelta::new(),
@@ -229,25 +231,25 @@ impl Shard {
     /// Arms agent `i`'s wake chain at `at`. An agent has one chain: a
     /// wake already pending at or before `at` covers this one (each wake
     /// fires whatever is due and re-arms at the fleet's next wakeup), and
-    /// a later pending wake is superseded, which retires it.
+    /// a later pending wake is superseded: it never runs.
     fn schedule_wake(&mut self, i: usize, at: SimTime) {
         let pending = self.wakes[i];
         if pending.at <= at {
             return;
         }
         if pending != NO_WAKE {
-            self.run += 1;
+            self.superseded += 1;
         }
         self.wakes[i] = self.slot(at);
     }
 
-    /// Events scheduled and not yet retired.
+    /// Events scheduled and neither run nor superseded.
     fn pending(&self) -> u64 {
-        self.scheduled - self.run
+        self.scheduled - self.run - self.superseded
     }
 
     /// Runs every pending event with `time ≤ t_end`, agent by agent in
-    /// fleet order; returns the number of events retired. An agent's
+    /// fleet order; returns the number of events run. An agent's
     /// events run in `(time, stamp)` order, the order a shard-wide
     /// time-ordered queue would pop them in. No agent reads another's
     /// state within an epoch (DESIGN §11), so running each agent's epoch

@@ -95,11 +95,11 @@ fn normal_tail(rng: &mut SmallRng, negative: bool) -> f64 {
 /// latency calibration intuitive: `median_us` is literally the P50
 /// contribution of the component. A draw is `median · exp(sigma · z)`,
 /// which is `exp(mu + sigma · z)` with `mu` folded in once, so no draw
-/// takes a logarithm. With `sigma = 0` the lognormal is its median,
-/// exactly, and draws nothing from the stream.
+/// takes a logarithm. With `sigma = 0` or a zero median the lognormal is
+/// its median, exactly, and draws nothing from the stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct LogNormal {
-    /// The median; a median ≤ 0 is 0, which draws 0.
+    /// The median; a median ≤ 0 is 0.
     median: f64,
     sigma: f64,
 }
@@ -115,7 +115,7 @@ impl LogNormal {
     /// One draw.
     #[inline]
     pub(crate) fn sample(&self, rng: &mut SmallRng) -> f64 {
-        if self.sigma == 0.0 {
+        if self.sigma == 0.0 || self.median == 0.0 {
             return self.median;
         }
         self.median * (self.sigma * std_normal(rng)).exp()
@@ -244,6 +244,10 @@ mod tests {
         let mut r = rng();
         for median in [4.0, 40.0, 100.0, 4.0 * 0.9 * 3.0] {
             assert_eq!(LogNormal::new(median, 0.0).sample(&mut r), median);
+        }
+        // A zero (or negative) median is 0 whatever the spread.
+        for median in [0.0, -3.0] {
+            assert_eq!(LogNormal::new(median, 0.7).sample(&mut r), 0.0);
         }
         assert_eq!(r, rng(), "the stream did not move");
     }
