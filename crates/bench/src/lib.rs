@@ -74,14 +74,12 @@ pub fn run_and_aggregate(
         o.run_until(next);
         let scan_to = (next - lag).max(scanned_to);
         if scan_to > scanned_to {
-            // Borrowed extent slices — no intermediate record collect.
+            // Records expanded one at a time — no intermediate collect.
             let chunks = o
                 .pipeline()
                 .store
                 .scan_all_window_chunks(scanned_to, scan_to);
-            agg.merge(&WindowAggregate::build(
-                chunks.iter().flat_map(|c| c.iter()),
-            ));
+            agg.merge(&WindowAggregate::build(chunks.records()));
             // Retire with one extra lag of slack so late uploads whose
             // timestamps precede scan_to are never double-counted or lost.
             o.pipeline_mut().store.retire_before(scanned_to - lag);
@@ -93,9 +91,7 @@ pub fn run_and_aggregate(
     // uploaded, then fold the remainder.
     o.run_until(until + lag);
     let chunks = o.pipeline().store.scan_all_window_chunks(scanned_to, until);
-    agg.merge(&WindowAggregate::build(
-        chunks.iter().flat_map(|c| c.iter()),
-    ));
+    agg.merge(&WindowAggregate::build(chunks.records()));
     agg
 }
 
@@ -250,8 +246,7 @@ mod tests {
             .pipeline()
             .store
             .scan_all_window_chunks(SimTime::ZERO, until)
-            .iter()
-            .flat_map(|c| c.iter())
+            .records()
             .count() as u64;
         assert_eq!(agg.record_count, expect);
     }

@@ -81,10 +81,11 @@ fn scope_code(s: ScopeKey) -> u64 {
 fn store_digest(orch: &Orchestrator) -> u64 {
     let store = &orch.pipeline().store;
     let mut multiset: u64 = 0;
-    for chunk in store.scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX)) {
-        for rec in chunk.iter() {
-            multiset = multiset.wrapping_add(mix64(record_hash(rec)));
-        }
+    for rec in store
+        .scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX))
+        .records()
+    {
+        multiset = multiset.wrapping_add(mix64(record_hash(&rec)));
     }
     let mut h = FNV_OFFSET;
     for v in [

@@ -76,11 +76,8 @@ fn violation(oracle: &str, detail: String) -> Violation {
 /// that a windowed scan exercises.
 fn records_in(store: &CosmosStore, from: SimTime, to: SimTime) -> Vec<ProbeRecord> {
     let all = store.scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX));
-    let in_window = all
-        .iter()
-        .flat_map(|c| c.iter())
-        .filter(|r| r.ts >= from && r.ts < to);
-    in_window.copied().collect()
+    let in_window = all.records().filter(|r| r.ts >= from && r.ts < to);
+    in_window.collect()
 }
 
 /// Smallest 10-min-aligned time strictly after every stored record.
@@ -414,7 +411,7 @@ pub fn check_scan_equivalence(orch: &Orchestrator) -> Vec<Violation> {
     ];
     for (from, to) in windows {
         let chunks = store.scan_all_window_chunks(from, to);
-        let chunked: Vec<ProbeRecord> = chunks.iter().flat_map(|c| c.iter()).copied().collect();
+        let chunked: Vec<ProbeRecord> = chunks.iter().flatten().collect();
         let reference = records_in(store, from, to);
         if chunked != reference {
             out.push(violation(
@@ -969,7 +966,7 @@ pub fn check_crash_recovery(orch: &Orchestrator, spec: &ScenarioSpec) -> Vec<Vio
             ),
         ));
     }
-    if !rec_chunks.iter().flat_map(|c| c.iter()).eq(rec_seq.iter()) {
+    if !rec_chunks.records().eq(rec_seq.iter().copied()) {
         out.push(violation(
             "crash",
             "recovered chunked scan diverges from the record-by-record filter".into(),

@@ -69,8 +69,7 @@ fn store_records(orch: &Orchestrator) -> Vec<ProbeRecord> {
         .pipeline()
         .store
         .scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX))
-        .iter()
-        .flat_map(|chunk| chunk.iter().copied())
+        .records()
         .collect();
     records.sort_by_key(|r| {
         (

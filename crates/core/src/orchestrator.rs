@@ -1035,22 +1035,19 @@ mod tests {
     }
 
     #[test]
-    fn window_investigation_reads_store_without_copying() {
+    fn window_investigation_expands_one_extent_run_at_a_time() {
         let mut o = small_orchestrator();
         o.run_until(SimTime::ZERO + SimDuration::from_mins(25));
-        let chunks = o
-            .pipeline()
-            .store
-            .scan_all_window_chunks(SimTime::ZERO, o.now());
-        assert!(chunks
-            .iter()
-            .all(|c| matches!(c, std::borrow::Cow::Borrowed(_))));
-        let inv = pingmesh_dsa::investigate(
-            chunks.iter().flat_map(|c| c.iter()),
-            o.net().topology(),
-            8,
-            |_| true,
-        );
+        let store = &o.pipeline().store;
+        // A scan yields one extent run per chunk, expanded from the packed
+        // store as it is read and dropped by the reader, so no chunk is
+        // longer than an extent and the window is never expanded at once.
+        let chunks = store.scan_all_window_chunks(SimTime::ZERO, o.now());
+        let lens: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
+        assert_eq!(lens.len(), chunks.len());
+        assert!(lens.iter().all(|&n| n > 0 && n <= store.extent_cap()));
+        assert_eq!(lens.iter().sum::<usize>() as u64, store.record_count());
+        let inv = pingmesh_dsa::investigate(chunks.records(), o.net().topology(), 8, |_| true);
         assert!(inv.probes > 0, "the window has uploaded probes");
         assert_eq!(inv.bad_probes, 0, "ideal profile has no drops");
     }

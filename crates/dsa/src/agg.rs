@@ -14,6 +14,7 @@ use pingmesh_types::{
     DcId, LatencyHistogram, PairStats, PodId, PodsetId, ProbeOutcome, ProbeRecord, QosClass,
     ServerId, ServiceId, SimDuration,
 };
+use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -296,14 +297,14 @@ pub struct WindowAggregate {
 
 impl WindowAggregate {
     /// Builds the aggregate from a window's records.
-    pub fn build<'a>(records: impl IntoIterator<Item = &'a ProbeRecord>) -> Self {
+    pub fn build(records: impl IntoIterator<Item = impl Borrow<ProbeRecord>>) -> Self {
         Self::build_with(records, None)
     }
 
     /// [`WindowAggregate::build`], optionally attributing each record to
     /// the services covering both endpoints.
-    pub fn build_with<'a>(
-        records: impl IntoIterator<Item = &'a ProbeRecord>,
+    pub fn build_with(
+        records: impl IntoIterator<Item = impl Borrow<ProbeRecord>>,
         services: Option<&ServiceMap>,
     ) -> Self {
         let mut agg = WindowAggregate::default();
@@ -328,9 +329,9 @@ impl WindowAggregate {
     /// per-pod, per-podset and per-DC entries (and its services) once.
     /// With a [`ServiceMap`], a record also counts toward every service
     /// that covers both its endpoints.
-    pub fn fold_records<'a>(
+    pub fn fold_records(
         &mut self,
-        records: impl IntoIterator<Item = &'a ProbeRecord>,
+        records: impl IntoIterator<Item = impl Borrow<ProbeRecord>>,
         services: Option<&ServiceMap>,
     ) {
         let WindowAggregate {
@@ -349,6 +350,7 @@ impl WindowAggregate {
         } = self;
         let mut run: Option<(Source, [&mut ScopeStats; 4], &[ServiceId])> = None;
         for r in records {
+            let r = r.borrow();
             *record_count += 1;
             let c = Classified::of(r.outcome);
             let source = (r.src, r.src_pod, r.src_podset, r.src_dc);
@@ -529,7 +531,7 @@ mod tests {
         p.kind = ProbeKind::TcpPayload(1_000);
         let mut q = rec(0, 2, 0, 1, 0, 0, 0, ok(300));
         q.qos = QosClass::Low;
-        let agg = WindowAggregate::build(&[rec(0, 2, 0, 1, 0, 0, 0, ok(260)), p, q]);
+        let agg = WindowAggregate::build([rec(0, 2, 0, 1, 0, 0, 0, ok(260)), p, q]);
         assert_eq!(agg.hists.len(), 3);
         assert_eq!(
             agg.syn_hist(DcId(0), LatencyScope::InterPod)

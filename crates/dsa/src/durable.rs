@@ -33,9 +33,11 @@
 //!   - *plan* (locked): rotate the live WAL to `wal-<n+1>`, freezing every
 //!     older file; the store then seals each stream's open extent, and the
 //!     owning [`CheckpointPlan`] takes every sealed extent without a
-//!     segment as a shared `Arc`;
+//!     segment as a shared `Arc` of its packed records, with a snapshot
+//!     of the store's endpoint and shape tables;
 //!   - *write* (unlocked, [`CheckpointPlan::write`]): an fsync of the
-//!     frozen WAL files, then the new segments and `MANIFEST-<n+1>.tmp`,
+//!     frozen WAL files, then the new segments, each record expanded
+//!     against the snapshot as it is encoded, and `MANIFEST-<n+1>.tmp`,
 //!     all fsynced;
 //!   - *commit* (locked): refuse a stale plan, else rename the manifest
 //!     into place; the returned [`CheckpointGc`] unlinks the old files
@@ -69,6 +71,7 @@
 //! failed write's torn bytes end the frozen file, which replays up to
 //! them).
 
+use crate::packed::{PackedRecord, Tables};
 use pingmesh_types::{
     Backoff, DcId, PodId, PodsetId, ProbeKind, ProbeOutcome, ProbeRecord, QosClass, ServerId,
     SimDuration, SimTime,
@@ -813,15 +816,21 @@ fn note_read(bytes: usize) {
 /// bytes at a time while their checksum folds, then the header over the
 /// placeholder. So a checkpoint never holds a segment-sized buffer (up to
 /// 16 MB at the default extent cap).
-fn write_segment(path: &Path, meta: &SegmentMeta, records: &[ProbeRecord]) -> io::Result<File> {
+fn write_segment(
+    path: &Path,
+    meta: &SegmentMeta,
+    records: impl ExactSizeIterator<Item = ProbeRecord>,
+) -> io::Result<File> {
+    let count = records.len();
     let mut file = create_file(path)?;
     file.write_all(&[0u8; SEG_HEADER])?;
-    let mut piece = Vec::with_capacity(WRITE_PIECE.min(records.len() * RECORD_WIRE));
+    let mut piece = Vec::with_capacity(WRITE_PIECE.min(count * RECORD_WIRE));
     let (mut h, mut rec) = (FNV_OFFSET, [0u8; RECORD_WIRE]);
-    for chunk in records.chunks(WRITE_PIECE / RECORD_WIRE) {
+    let mut records = records.peekable();
+    while records.peek().is_some() {
         piece.clear();
-        for r in chunk {
-            encode_record(r, &mut rec);
+        for r in records.by_ref().take(WRITE_PIECE / RECORD_WIRE) {
+            encode_record(&r, &mut rec);
             piece.extend_from_slice(&rec);
         }
         h = fnv64_fold(h, &piece);
@@ -831,12 +840,12 @@ fn write_segment(path: &Path, meta: &SegmentMeta, records: &[ProbeRecord]) -> io
     hdr.extend_from_slice(&SEG_MAGIC.to_le_bytes());
     hdr.extend_from_slice(&SEG_VERSION.to_le_bytes());
     hdr.extend_from_slice(&meta.dc.to_le_bytes());
-    hdr.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    hdr.extend_from_slice(&(count as u32).to_le_bytes());
     hdr.push(meta.sorted as u8);
     hdr.extend_from_slice(&[0u8; 7]);
     hdr.extend_from_slice(&meta.min_ts.to_le_bytes());
     hdr.extend_from_slice(&meta.max_ts.to_le_bytes());
-    hdr.extend_from_slice(&fnv64_finish(h, records.len() * RECORD_WIRE).to_le_bytes());
+    hdr.extend_from_slice(&fnv64_finish(h, count * RECORD_WIRE).to_le_bytes());
     file.seek(SeekFrom::Start(0))?;
     file.write_all(&hdr)?;
     Ok(file)
@@ -849,13 +858,14 @@ fn write_segment(path: &Path, meta: &SegmentMeta, records: &[ProbeRecord]) -> io
 /// A sealed extent not yet persisted, as the store hands it to a plan:
 /// the store's stable extent id (the commit stamps the segment id back
 /// onto the extent by it), its segment metadata with the id still to be
-/// reserved, and its records, shared with the store (sealed, so never
-/// written again) until the segment lands.
-pub(crate) type FreshExtent = (u64, SegmentMeta, Arc<Vec<ProbeRecord>>);
+/// reserved, and its packed records, shared with the store (sealed, so
+/// never written again) until the segment lands.
+pub(crate) type FreshExtent = (u64, SegmentMeta, Arc<Vec<PackedRecord>>);
 
 /// Phase 1's output: everything the write phase needs, owned, so the
 /// store lock can be released before a byte is written. Sealed extents
-/// are shared `Arc`s, not copies.
+/// are shared `Arc`s, not copies, and so are the tables they are packed
+/// against.
 #[derive(Debug)]
 pub struct CheckpointPlan {
     dir: PathBuf,
@@ -866,6 +876,9 @@ pub struct CheckpointPlan {
     new_seq: u64,
     /// Fresh extents with their reserved segment ids.
     fresh: Vec<FreshExtent>,
+    /// The store's tables when the plan was taken: they expand every
+    /// fresh extent's records.
+    tables: Tables,
     /// The manifest this checkpoint commits.
     manifest: Manifest,
 }
@@ -898,7 +911,7 @@ pub struct CheckpointGc {
     garbage: Garbage,
     /// Records of the extents the commit evicted, freed with the lock
     /// released.
-    pub(crate) evicted: Vec<Arc<Vec<ProbeRecord>>>,
+    pub(crate) evicted: Vec<Arc<Vec<PackedRecord>>>,
 }
 
 #[derive(Debug)]
@@ -929,6 +942,7 @@ impl CheckpointPlan {
             base_seq,
             new_seq,
             fresh,
+            tables,
             manifest,
         } = self;
         // First the acknowledged bytes the rotation froze, so a segment
@@ -938,7 +952,8 @@ impl CheckpointPlan {
         }
         let mut assigned = Vec::with_capacity(fresh.len());
         for (extent, meta, records) in fresh {
-            write_segment(&dir.join(seg_name(meta.id)), &meta, &records)?.sync_all()?;
+            let expanded = records.iter().map(|p| tables.expand(p));
+            write_segment(&dir.join(seg_name(meta.id)), &meta, expanded)?.sync_all()?;
             pingmesh_obs::registry()
                 .counter("pingmesh_store_segments_written_total")
                 .inc();
@@ -1621,6 +1636,7 @@ impl DurableLog {
         &mut self,
         keep: Vec<SegmentMeta>,
         fresh: Vec<FreshExtent>,
+        tables: Tables,
         epoch: u64,
     ) -> CheckpointPlan {
         let mut segments = keep;
@@ -1641,6 +1657,7 @@ impl DurableLog {
             base_seq: self.wal_seq,
             new_seq: self.live_seq,
             fresh,
+            tables,
             manifest: Manifest {
                 version: MANIFEST_VERSION,
                 boot_id: self.boot_id,
@@ -1959,7 +1976,7 @@ mod tests {
             max_ts: (n as u64 - 1) * 1_000_000,
         };
         let path = dir.join(seg_name(0));
-        write_segment(&path, &meta, &records).unwrap();
+        write_segment(&path, &meta, records.iter().copied()).unwrap();
         let mut reader = SegmentReader::open(&path).unwrap();
         assert_eq!(reader.count() as usize, n);
         assert!(reader.sorted());
@@ -1987,7 +2004,7 @@ mod tests {
             max_ts: 9_000_000,
         };
         let path2 = dir.join(seg_name(1));
-        write_segment(&path2, &meta2, &shuffled).unwrap();
+        write_segment(&path2, &meta2, shuffled.iter().copied()).unwrap();
         let mut r2 = SegmentReader::open(&path2).unwrap();
         let win = r2
             .read_window(SimTime(2_000_000), SimTime(6_000_000))
@@ -2013,7 +2030,7 @@ mod tests {
             max_ts: 9,
         };
         let path = dir.join(seg_name(0));
-        write_segment(&path, &meta, &records).unwrap();
+        write_segment(&path, &meta, records.iter().copied()).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         bytes[SEG_HEADER + 17] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();

@@ -15,6 +15,7 @@ use crate::agg::PairKey;
 use pingmesh_topology::Topology;
 use pingmesh_types::counters::{classify_rtt, RttClass};
 use pingmesh_types::{PairStats, ProbeOutcome, ProbeRecord, ServerId, SimDuration};
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
@@ -59,8 +60,8 @@ pub struct Investigation {
 /// Drills into a window of records: keeps probes matching `filter` (e.g.
 /// a DC, service, or pair restriction) and summarizes the problem's scale
 /// plus the concrete flows that reproduce it.
-pub fn investigate<'a>(
-    records: impl IntoIterator<Item = &'a ProbeRecord>,
+pub fn investigate(
+    records: impl IntoIterator<Item = impl Borrow<ProbeRecord>>,
     topo: &Topology,
     max_flows: usize,
     filter: impl Fn(&ProbeRecord) -> bool,
@@ -72,6 +73,7 @@ pub fn investigate<'a>(
     let mut bad_dst: HashSet<ServerId> = HashSet::new();
 
     for r in records {
+        let r = r.borrow();
         if !filter(r) {
             continue;
         }
@@ -227,8 +229,9 @@ mod tests {
             records.push(rec(&t, 0, 1, 40_000 + i, ok(250)));
         }
         let whole = investigate(&records, &t, 8, |_| true);
-        // Extents of 7 records: the scan yields several chunks, each
-        // borrowed from the store, and the drill-down reads them in place.
+        // Extents of 7 records: the scan yields several chunks, each one
+        // extent expanded as it is read, and the drill-down reads the
+        // records one at a time.
         let mut store = crate::CosmosStore::new(7, 1);
         let stream = crate::StreamName {
             dc: t.server(ServerId(0)).dc,
@@ -236,10 +239,8 @@ mod tests {
         store.append(stream, &records, SimTime(0));
         let chunks = store.scan_all_window_chunks(SimTime(0), SimTime(1));
         assert!(chunks.len() > 1);
-        assert!(chunks
-            .iter()
-            .all(|c| matches!(c, std::borrow::Cow::Borrowed(_))));
-        let chunked = investigate(chunks.iter().flat_map(|c| c.iter()), &t, 8, |_| true);
+        assert!(chunks.iter().all(|c| c.len() <= 7));
+        let chunked = investigate(chunks.records(), &t, 8, |_| true);
         assert_eq!(chunked.probes, whole.probes);
         assert_eq!(chunked.bad_probes, whole.bad_probes);
         assert_eq!(chunked.affected_sources, whole.affected_sources);

@@ -553,7 +553,7 @@ mod tests {
         let raw = p.store.scan_all_window_chunks(SimTime(0), SimTime(6 * W));
         assert_eq!(
             merged,
-            WindowAggregate::build_with(raw.iter().flat_map(|c| c.iter()), Some(p.services()))
+            WindowAggregate::build_with(raw.records(), Some(p.services()))
         );
         // Per-service rows landed in the DB off the same aggregate.
         assert!(merged.per_service.len() == 1);

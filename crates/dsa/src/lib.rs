@@ -8,7 +8,8 @@
 //!
 //! * [`store`] — append-only extent store (the Cosmos stand-in) that
 //!   also folds every accepted batch into per-(stream, 10-min-window)
-//!   partial aggregates at ingest and serves zero-copy chunked scans,
+//!   partial aggregates at ingest; it holds records packed, 32 bytes each,
+//!   and serves chunked scans that expand one extent run at a time,
 //! * [`durable`] — the persistence engine under the store: write-ahead
 //!   log, immutable segment files, a three-phase checkpoint (plan and
 //!   commit under the caller's lock, the file writes outside it) that
@@ -45,6 +46,7 @@ pub mod durable;
 pub mod investigate;
 pub mod jobs;
 pub mod pa;
+mod packed;
 pub mod quality;
 pub mod report;
 pub mod store;

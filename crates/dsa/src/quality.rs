@@ -172,11 +172,9 @@ pub fn coverage(
     to: SimTime,
 ) -> io::Result<RatioSample> {
     let mut observed: BTreeSet<(PodId, PodId)> = BTreeSet::new();
-    for chunk in store.try_scan_all_window_chunks(from, to)? {
-        for r in chunk.iter() {
-            if expected.contains(r.src_pod, r.dst_pod) {
-                observed.insert((r.src_pod, r.dst_pod));
-            }
+    for r in store.try_scan_all_window_chunks(from, to)?.records() {
+        if expected.contains(r.src_pod, r.dst_pod) {
+            observed.insert((r.src_pod, r.dst_pod));
         }
     }
     Ok(RatioSample {

@@ -15,9 +15,19 @@
 //! is aggregated exactly once, at upload time. The 10-minute job reads a
 //! finished partial via [`CosmosStore::merged_window_aggregate`]; hourly
 //! and daily rollups merge the enclosed partials in O(scopes). Raw records
-//! have one read path, [`CosmosStore::try_scan_all_window_chunks`], which
-//! yields extent sub-slices (investigations, the coverage job, the state
+//! have one read path, [`CosmosStore::try_scan_all_window_chunks`], a
+//! [`Scan`] of extent runs (investigations, the coverage job, the state
 //! digest and every test's rebuild-from-raw reference use it).
+//!
+//! An extent holds each record in 32 bytes: timestamp, RTT and ports as
+//! they are, both endpoints `(server, pod, podset, dc)` and the probe's
+//! shape `(kind, payload, qos, outcome class)` as keys into two
+//! append-only tables the store interns them in. Packing is lossless, and
+//! a record exists at its full 72 bytes only while a scan expands it: a
+//! [`Scan`] expands one extent run at a time, as its reader reaches it.
+//! The WAL and the segments keep the 64-byte wire codec; a checkpoint
+//! expands its extents against a snapshot of the tables, and recovery
+//! interns the records again as it replays them.
 //!
 //! A durable store keeps on disk what it has already persisted: once an
 //! extent has a segment and every window it touches is frozen, a
@@ -31,6 +41,7 @@ use crate::durable::{
     CheckpointGc, CheckpointPlan, DurabilityStats, DurableLog, SegmentMeta, WalOp,
     WrittenCheckpoint, RECORD_WIRE,
 };
+use crate::packed::{Interner, PackedRecord, Tables, PACKED_BYTES};
 use pingmesh_topology::ServiceMap;
 use pingmesh_types::{DcId, ProbeRecord, SimDuration, SimTime};
 use std::borrow::Cow;
@@ -70,11 +81,12 @@ struct Extent {
     /// Stable id, increasing in append order within a stream; a
     /// checkpoint plan names the extents it persists by it.
     id: u64,
-    /// The records while resident. Shared with a checkpoint plan once
-    /// sealed (and then never written again); an unsealed extent is never
-    /// shared, so appends write through `Arc::get_mut`. `None` once
-    /// evicted: sealed, persisted as segment `seg`, every window frozen.
-    records: Option<Arc<Vec<ProbeRecord>>>,
+    /// The records while resident, packed against the store's tables.
+    /// Shared with a checkpoint plan once sealed (and then never written
+    /// again); an unsealed extent is never shared, so appends write
+    /// through `Arc::get_mut`. `None` once evicted: sealed, persisted as
+    /// segment `seg`, every window frozen.
+    records: Option<Arc<Vec<PackedRecord>>>,
     /// Record count, resident or evicted.
     len: usize,
     sealed: bool,
@@ -112,7 +124,7 @@ impl Extent {
     }
 
     /// The resident records of an extent `append_raw` may write to.
-    fn open_records(&mut self) -> &mut Vec<ProbeRecord> {
+    fn open_records(&mut self) -> &mut Vec<PackedRecord> {
         let records = self
             .records
             .as_mut()
@@ -120,13 +132,14 @@ impl Extent {
         Arc::get_mut(records).expect("an unsealed extent is never shared")
     }
 
-    /// The index ranges of `records` (this extent's) that together hold
-    /// exactly its records in `[from, to)`: the whole extent when it lies
-    /// inside, a binary-search trim when time-sorted, otherwise its
-    /// maximal in-window runs.
-    fn window_runs(
+    /// The index ranges of `records` (this extent's, packed or read back,
+    /// each stamped `ts`) that together hold exactly its records in
+    /// `[from, to)`: the whole extent when it lies inside, a binary-search
+    /// trim when time-sorted, otherwise its maximal in-window runs.
+    fn window_runs<T>(
         &self,
-        records: &[ProbeRecord],
+        records: &[T],
+        ts: impl Fn(&T) -> SimTime,
         from: SimTime,
         to: SimTime,
         mut push: impl FnMut(Range<usize>),
@@ -134,15 +147,15 @@ impl Extent {
         if self.min_ts >= from && self.max_ts < to {
             push(0..records.len());
         } else if self.sorted {
-            let lo = records.partition_point(|r| r.ts < from);
-            let hi = records.partition_point(|r| r.ts < to);
+            let lo = records.partition_point(|r| ts(r) < from);
+            let hi = records.partition_point(|r| ts(r) < to);
             if lo < hi {
                 push(lo..hi);
             }
         } else {
             let mut start = None;
             for (i, r) in records.iter().enumerate() {
-                let inside = r.ts >= from && r.ts < to;
+                let inside = ts(r) >= from && ts(r) < to;
                 match (inside, start) {
                     (true, None) => start = Some(i),
                     (false, Some(s)) => {
@@ -159,10 +172,111 @@ impl Extent {
     }
 }
 
-/// One chunk of a raw scan: borrowed from a resident extent, or owned when
-/// read back from an evicted extent's segment. Derefs to
-/// `[ProbeRecord]`.
-pub type Chunk<'a> = Cow<'a, [ProbeRecord]>;
+/// A raw scan of a window: the extent runs that together hold exactly its
+/// records, in store order. A run borrows a resident extent's packed
+/// records, or holds an evicted extent's, read back from its segment when
+/// the scan was taken and packed against tables of the scan's own. Nothing
+/// is expanded until read: [`Scan::iter`] expands one run per chunk it
+/// yields and keeps none, [`Scan::records`] one record at a time.
+pub struct Scan<'a> {
+    /// The store's tables, for resident runs.
+    tables: &'a Tables,
+    /// Tables of the read-back runs.
+    read_back: Interner,
+    /// Each read-back extent's in-window records, packed.
+    loaded: Vec<Vec<PackedRecord>>,
+    runs: Vec<Run<'a>>,
+}
+
+enum Run<'a> {
+    Resident(&'a [PackedRecord]),
+    /// A range of one `loaded` extent.
+    Loaded(usize, Range<usize>),
+}
+
+impl<'a> Scan<'a> {
+    fn new(tables: &'a Tables) -> Self {
+        Self {
+            tables,
+            read_back: Interner::default(),
+            loaded: Vec::new(),
+            runs: Vec::new(),
+        }
+    }
+
+    /// Number of chunks: each overlapping extent's in-window runs, one for
+    /// an extent inside the window or time-sorted.
+    pub fn len(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Whether the window holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// A run's records and the tables that expand them.
+    fn run<'s>(&'s self, run: &'s Run<'a>) -> (&'s Tables, &'s [PackedRecord]) {
+        match run {
+            Run::Resident(records) => (self.tables, records),
+            Run::Loaded(i, range) => (self.read_back.tables(), &self.loaded[*i][range.clone()]),
+        }
+    }
+
+    /// The chunks in scan order, each one run, expanded when the iterator
+    /// reaches it; at most `extent_cap` records, and the scan keeps none.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Vec<ProbeRecord>> + '_ {
+        self.runs.iter().map(|run| {
+            let (tables, records) = self.run(run);
+            tables.expand_all(records)
+        })
+    }
+
+    /// Every record in scan order, expanded one at a time.
+    pub fn records(&self) -> impl Iterator<Item = ProbeRecord> + '_ {
+        self.runs.iter().flat_map(|run| {
+            let (tables, records) = self.run(run);
+            records.iter().map(|p| tables.expand(p))
+        })
+    }
+
+    /// Reads an evicted extent's in-window records back from its segment
+    /// and adds their runs. A time-sorted straddler reads only its
+    /// in-window byte range; every other read covers the whole segment and
+    /// is checksummed (DESIGN §13 says what each read checks). The extent
+    /// is held expanded, beside the reader's piece buffers, only while its
+    /// in-window records are packed.
+    fn read_back(
+        &mut self,
+        log: &DurableLog,
+        stream: StreamName,
+        e: &Extent,
+        from: SimTime,
+        to: SimTime,
+    ) -> io::Result<()> {
+        let mut reader = log.open_segment(&e.meta(stream))?;
+        let inside = e.min_ts >= from && e.max_ts < to;
+        let records = if e.sorted && !inside {
+            reader.read_window(from, to)?
+        } else {
+            reader.read_all()?
+        };
+        let mut ranges = Vec::new();
+        e.window_runs(&records, |r| r.ts, from, to, |r| ranges.push(r));
+        let mut packed = Vec::with_capacity(ranges.iter().map(|r| r.len()).sum());
+        for r in ranges {
+            let start = packed.len();
+            packed.extend(records[r].iter().map(|rec| self.read_back.pack(rec)));
+            self.runs
+                .push(Run::Loaded(self.loaded.len(), start..packed.len()));
+        }
+        self.loaded.push(packed);
+        Ok(())
+    }
+}
+
+/// Records a refold expands at a time.
+const REFOLD_PIECE: usize = 4096;
 
 /// Partial-window readers take 10-min-aligned bounds (job windows are,
 /// by construction).
@@ -181,6 +295,7 @@ struct AppendMetrics {
     appended_records: Arc<pingmesh_obs::Counter>,
     folded_records: Arc<pingmesh_obs::Counter>,
     resident_records: Arc<pingmesh_obs::Gauge>,
+    resident_bytes: Arc<pingmesh_obs::Gauge>,
 }
 
 fn metrics() -> &'static AppendMetrics {
@@ -194,6 +309,7 @@ fn metrics() -> &'static AppendMetrics {
             appended_records: r.counter("pingmesh_dsa_store_appended_records_total"),
             folded_records: r.counter("pingmesh_dsa_ingest_folded_records_total"),
             resident_records: r.gauge("pingmesh_store_resident_records"),
+            resident_bytes: r.gauge("pingmesh_store_resident_bytes"),
         }
     })
 }
@@ -242,6 +358,9 @@ pub struct CosmosStore {
     extent_cap: usize,
     replication: u32,
     streams: BTreeMap<StreamName, Vec<Extent>>,
+    /// The endpoint and shape tables every resident record is packed
+    /// against.
+    interner: Interner,
     /// Ingest-time partial aggregates, keyed by (stream, window start).
     /// Window starts are aligned to [`PARTIAL_WINDOW`].
     partials: Partials,
@@ -295,6 +414,7 @@ impl CosmosStore {
             extent_cap: extent_cap.max(1),
             replication: replication.max(1),
             streams: BTreeMap::new(),
+            interner: Interner::default(),
             partials: BTreeMap::new(),
             fold_seq: 0,
             partial_versions: BTreeMap::new(),
@@ -528,13 +648,13 @@ impl CosmosStore {
             let (now, later) = rest.split_at((cap - e.len).min(rest.len()));
             let (mut min_ts, mut max_ts, mut sorted) = (e.min_ts, e.max_ts, e.sorted);
             let records = e.open_records();
-            for &rec in now {
+            for rec in now {
                 if rec.ts < max_ts {
                     sorted = false;
                 }
                 min_ts = min_ts.min(rec.ts);
                 max_ts = max_ts.max(rec.ts);
-                records.push(rec);
+                records.push(self.interner.pack(rec));
                 self.total_bytes += rec.wire_size() as u64;
             }
             (e.min_ts, e.max_ts, e.sorted) = (min_ts, max_ts, sorted);
@@ -565,30 +685,40 @@ impl CosmosStore {
     /// Rebuilds every partial from the raw extents (used when the
     /// service map arrives after records did, and at recovery). Windows a
     /// retire closed stay closed: a kept extent that straddles the horizon
-    /// must not bring their partials back. An evicted extent is read back
-    /// from its segment (checksummed) and folded a piece at a time; with
-    /// `rehydrate` (recovery), one that is no longer evictable keeps the
-    /// records it read. Nothing changes unless every read succeeds.
+    /// must not bring their partials back. A resident extent is expanded
+    /// and folded [`REFOLD_PIECE`] records at a time; an evicted one is
+    /// read back from its segment (checksummed) and folded a piece at a
+    /// time. With `rehydrate` (recovery), one that is no longer evictable
+    /// keeps the records it read, packed. Nothing but the tables changes
+    /// unless every read succeeds.
     fn refold_partials(&mut self, rehydrate: bool) -> io::Result<()> {
         let (mut partials, mut versions) = (Partials::new(), BTreeMap::new());
         let seq = self.fold_seq + 1;
         let services = self.services.as_deref();
         let frozen = self.frozen_before();
-        let mut loaded = Vec::new();
+        let interner = &mut self.interner;
+        let (mut loaded, mut piece) = (Vec::new(), Vec::new());
         for (&stream, extents) in &self.streams {
             for (i, e) in extents.iter().enumerate() {
                 let mut fold = |records: &[ProbeRecord]| {
                     fold_window_runs(&mut partials, &mut versions, stream, records, seq, services);
                 };
                 let Some(log) = self.durable.as_ref().filter(|_| e.records.is_none()) else {
-                    fold(e.records.as_deref().expect("resident"));
+                    let tables = interner.tables();
+                    for packed in e.records.as_deref().expect("resident").chunks(REFOLD_PIECE) {
+                        piece.clear();
+                        piece.extend(packed.iter().map(|p| tables.expand(p)));
+                        fold(&piece);
+                    }
                     continue;
                 };
                 let mut reader = log.open_segment(&e.meta(stream))?;
                 if rehydrate && !e.evictable(frozen) {
                     let records = reader.read_all()?;
                     fold(&records);
-                    loaded.push((stream, i, records));
+                    let packed: Vec<PackedRecord> =
+                        records.iter().map(|r| interner.pack(r)).collect();
+                    loaded.push((stream, i, packed));
                 } else {
                     reader.read_chunks(fold)?;
                 }
@@ -716,26 +846,21 @@ impl CosmosStore {
         self.newest_ts().map(|t| t.window_start(PARTIAL_WINDOW))
     }
 
-    /// The raw-record read path: extent sub-slices that together hold
-    /// exactly the records in `[from, to)`, stream by stream (`BTreeMap`
-    /// order) and in append order within a stream. Extents carry time
-    /// bounds, so whole extents outside the window are skipped — windows
-    /// stay O(window), not O(history) — and straddling extents are
-    /// trimmed by binary search when time-sorted, otherwise split into
-    /// maximal in-window runs. A resident extent's chunks are borrowed,
-    /// never copied; an evicted extent is read back from its segment with
-    /// the same boundaries (DESIGN §13 says what each read checks). A
-    /// segment that cannot be read fails the scan: it never comes back
-    /// short.
-    pub fn try_scan_all_window_chunks(
-        &self,
-        from: SimTime,
-        to: SimTime,
-    ) -> io::Result<Vec<Chunk<'_>>> {
-        let mut out = Vec::new();
+    /// The raw-record read path: a [`Scan`] of the extent runs that
+    /// together hold exactly the records in `[from, to)`, stream by stream
+    /// (`BTreeMap` order) and in append order within a stream. Extents
+    /// carry time bounds, so whole extents outside the window are skipped
+    /// — windows stay O(window), not O(history) — and straddling extents
+    /// are trimmed by binary search when time-sorted, otherwise split into
+    /// maximal in-window runs. A resident extent's runs are borrowed,
+    /// packed, and expanded only as the scan is read; an evicted extent is
+    /// read back from its segment now, with the same boundaries. A segment
+    /// that cannot be read fails the scan: it never comes back short.
+    pub fn try_scan_all_window_chunks(&self, from: SimTime, to: SimTime) -> io::Result<Scan<'_>> {
+        let mut scan = Scan::new(self.interner.tables());
         let (mut scanned, mut skipped) = (0, 0);
         for (&stream, extents) in &self.streams {
-            let (s, k) = self.chunks_of(stream, extents, from, to, &mut out)?;
+            let (s, k) = self.chunks_of(stream, extents, from, to, &mut scan)?;
             scanned += s;
             skipped += k;
         }
@@ -748,27 +873,27 @@ impl CosmosStore {
             reg.counter("pingmesh_dsa_extents_skipped_total")
                 .add(skipped);
         }
-        Ok(out)
+        Ok(scan)
     }
 
     /// [`Self::try_scan_all_window_chunks`] for a caller with no error path:
     /// an in-memory store never fails a scan, and on a durable store a
     /// committed segment that cannot be read back panics here rather than
     /// letting the scan come back short.
-    pub fn scan_all_window_chunks(&self, from: SimTime, to: SimTime) -> Vec<Chunk<'_>> {
+    pub fn scan_all_window_chunks(&self, from: SimTime, to: SimTime) -> Scan<'_> {
         self.try_scan_all_window_chunks(from, to)
             .unwrap_or_else(|e| panic!("raw scan of [{from:?}, {to:?}) failed: {e}"))
     }
 
-    /// Pushes one stream's in-window chunks; returns how many extents it
-    /// (scanned, skipped on their time bounds alone).
+    /// Adds one stream's in-window runs to `scan`; returns how many extents
+    /// it (scanned, skipped on their time bounds alone).
     fn chunks_of<'a>(
         &self,
         stream: StreamName,
         extents: &'a [Extent],
         from: SimTime,
         to: SimTime,
-        out: &mut Vec<Chunk<'a>>,
+        scan: &mut Scan<'a>,
     ) -> io::Result<(u64, u64)> {
         let mut scanned = 0u64;
         let mut skipped = 0u64;
@@ -779,45 +904,20 @@ impl CosmosStore {
             }
             scanned += 1;
             match (&e.records, &self.durable) {
-                (Some(records), _) => {
-                    e.window_runs(records, from, to, |r| out.push(Cow::Borrowed(&records[r])));
-                }
-                (None, Some(log)) => Self::read_back(log, stream, e, from, to, out)?,
+                (Some(records), _) => e.window_runs(
+                    records,
+                    |r| r.ts,
+                    from,
+                    to,
+                    |r| {
+                        scan.runs.push(Run::Resident(&records[r]));
+                    },
+                ),
+                (None, Some(log)) => scan.read_back(log, stream, e, from, to)?,
                 (None, None) => unreachable!("only a durable store evicts"),
             }
         }
         Ok((scanned, skipped))
-    }
-
-    /// An evicted extent's in-window chunks, read from its segment. A
-    /// time-sorted straddler reads only its in-window byte range; every
-    /// other read covers the whole segment and is checksummed.
-    fn read_back(
-        log: &DurableLog,
-        stream: StreamName,
-        e: &Extent,
-        from: SimTime,
-        to: SimTime,
-        out: &mut Vec<Chunk<'_>>,
-    ) -> io::Result<()> {
-        let mut reader = log.open_segment(&e.meta(stream))?;
-        let inside = e.min_ts >= from && e.max_ts < to;
-        if e.sorted && !inside {
-            let records = reader.read_window(from, to)?;
-            if !records.is_empty() {
-                out.push(Cow::Owned(records));
-            }
-            return Ok(());
-        }
-        let records = reader.read_all()?;
-        if inside {
-            out.push(Cow::Owned(records));
-        } else {
-            e.window_runs(&records, from, to, |r| {
-                out.push(Cow::Owned(records[r].to_vec()))
-            });
-        }
-        Ok(())
     }
 
     /// Timestamp of the newest stored record, from extent bounds (O(extents)).
@@ -854,11 +954,26 @@ impl CosmosStore {
         self.resident_records
     }
 
-    /// Publishes `pingmesh_store_resident_records` (durable stores only:
-    /// the gauge tracks what persistence lets the store give up).
+    /// Bytes the records held in memory take, 32 a record, plus
+    /// [`Self::table_bytes`] (extents' spare capacity is not counted).
+    pub fn resident_bytes(&self) -> u64 {
+        self.resident_records * PACKED_BYTES as u64 + self.table_bytes()
+    }
+
+    /// Bytes of the endpoint and shape tables resident records are packed
+    /// against.
+    pub fn table_bytes(&self) -> u64 {
+        self.interner.tables().bytes() as u64
+    }
+
+    /// Publishes `pingmesh_store_resident_bytes`, and
+    /// `pingmesh_store_resident_records` for a durable store (that gauge
+    /// tracks what persistence lets the store give up).
     fn publish_residency(&self) {
+        let m = metrics();
+        m.resident_bytes.set(self.resident_bytes() as f64);
         if self.durable.is_some() {
-            metrics().resident_records.set(self.resident_records as f64);
+            m.resident_records.set(self.resident_records as f64);
         }
     }
 
@@ -969,7 +1084,8 @@ impl CosmosStore {
     /// file — freezing the old ones, and healing a failed-closed WAL —
     /// then seals each stream's open extent, and takes an owning plan in
     /// one pass over the extents: those with a segment are kept, those
-    /// without become fresh segments (their records shared, not copied).
+    /// without become fresh segments (their packed records shared, not
+    /// copied, with a snapshot of the tables to expand them by).
     /// An extent is sealed here exactly when the rotation succeeded, so
     /// recovery, which seals at every WAL file boundary, rebuilds the same
     /// extents. An in-memory store only seals, and gets `None`.
@@ -993,7 +1109,8 @@ impl CosmosStore {
             }
         }
         let epoch = self.epoch.load(Ordering::Acquire);
-        Ok(Some(log.plan_checkpoint(keep, fresh, epoch)))
+        let tables = self.interner.tables().clone();
+        Ok(Some(log.plan_checkpoint(keep, fresh, tables, epoch)))
     }
 
     /// Seals each stream's open extent — the only unsealed one, its last —
@@ -1137,7 +1254,7 @@ pub(crate) mod tests {
     /// The windowed scan under test, flattened.
     fn chunked(store: &CosmosStore, from: SimTime, to: SimTime) -> Vec<ProbeRecord> {
         let chunks = store.scan_all_window_chunks(from, to);
-        chunks.iter().flat_map(|c| c.iter()).copied().collect()
+        chunks.records().collect()
     }
 
     /// Every stored record (whole extents, no trimming).
@@ -1157,6 +1274,11 @@ pub(crate) mod tests {
     fn extent_lens(store: &CosmosStore) -> Vec<usize> {
         let chunks = store.scan_all_window_chunks(SimTime(0), SimTime(u64::MAX));
         chunks.iter().map(|c| c.len()).collect()
+    }
+
+    /// A scan's chunks, expanded.
+    fn chunk_vecs(scan: &Scan<'_>) -> Vec<Vec<ProbeRecord>> {
+        scan.iter().collect()
     }
 
     fn extent_count(store: &CosmosStore) -> usize {
@@ -1220,10 +1342,8 @@ pub(crate) mod tests {
         store.append(S, &[rec(1)], SimTime(0));
         store.append(s1, &[in_dc1(2), in_dc1(3)], SimTime(0));
         // Two streams, two extents, stream order: dc0's record first.
-        let chunks = store.scan_all_window_chunks(SimTime(0), SimTime(u64::MAX));
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0][..], [rec(1)]);
-        assert_eq!(chunks[1][..], [in_dc1(2), in_dc1(3)]);
+        let chunks = chunk_vecs(&store.scan_all_window_chunks(SimTime(0), SimTime(u64::MAX)));
+        assert_eq!(chunks, [vec![rec(1)], vec![in_dc1(2), in_dc1(3)]]);
     }
 
     #[test]
@@ -1296,14 +1416,17 @@ pub(crate) mod tests {
         assert_eq!(extent_count(&store), 5);
         // Window [20 s, 30 s): only extent 2 overlaps.
         let (from, to) = (SimTime(20_000_000), SimTime(30_000_000));
-        let mut chunks = Vec::new();
+        let mut chunks = Scan::new(store.interner.tables());
         let (scanned, skipped) = store
             .chunks_of(S, &store.streams[&S], from, to, &mut chunks)
             .unwrap();
-        assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), 10);
+        assert_eq!(chunks.records().count(), 10);
         assert_eq!(scanned, 1, "exactly one extent scanned");
         assert_eq!(skipped, 4, "the four non-overlapping extents skipped");
-        assert_eq!(chunks, store.scan_all_window_chunks(from, to));
+        assert_eq!(
+            chunk_vecs(&chunks),
+            chunk_vecs(&store.scan_all_window_chunks(from, to))
+        );
     }
 
     #[test]
@@ -1910,8 +2033,8 @@ pub(crate) mod tests {
             let (from, to) = (SimTime(from), SimTime(to));
             let got = a.try_scan_all_window_chunks(from, to).unwrap();
             assert_eq!(
-                got,
-                b.scan_all_window_chunks(from, to),
+                chunk_vecs(&got),
+                chunk_vecs(&b.scan_all_window_chunks(from, to)),
                 "{what}: [{from:?}, {to:?})"
             );
         }
@@ -2012,6 +2135,143 @@ pub(crate) mod tests {
             std::fs::remove_file(&segs[1]).unwrap();
             assert!(reopened.try_scan_all_window_chunks(all.0, all.1).is_err());
         }
+    }
+
+    /// Seeded batches that take every field anywhere a record may: servers
+    /// up to `u32::MAX`, pod, podset and DC ids that change mid-stream
+    /// under one server, every kind (payloads up to `u32::MAX`), QoS and
+    /// outcome, RTTs up to `u64::MAX`, and any ports.
+    fn arbitrary_batches(seed: u64) -> Vec<(StreamName, Vec<ProbeRecord>)> {
+        let mut state = seed | 1;
+        let mut next = move |n: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        };
+        let mut t = 0;
+        (0..60)
+            .map(|_| {
+                let stream = StreamName {
+                    dc: DcId(next(3) as u32),
+                };
+                let (mut src, mut scope) = (next(40) as u32, next(4) as u32);
+                let len = 1 + next(90) as usize;
+                let batch = (0..len)
+                    .map(|_| {
+                        if next(6) == 0 {
+                            scope = next(u64::from(u32::MAX) + 1) as u32;
+                        }
+                        if next(30) == 0 {
+                            src = [u32::MAX, next(40) as u32][next(2) as usize];
+                        }
+                        t += next(W / 50);
+                        let dst = [u32::MAX, 0, next(40) as u32][next(3) as usize];
+                        let rtt = [u64::MAX, 0, next(u64::MAX)][next(3) as usize];
+                        ProbeRecord {
+                            ts: SimTime(t - next(t.min(W) + 1)),
+                            src: ServerId(src),
+                            dst: ServerId(dst),
+                            src_pod: PodId(scope),
+                            dst_pod: PodId(dst / 2),
+                            src_podset: PodsetId(scope / 3),
+                            dst_podset: PodsetId(next(5) as u32),
+                            src_dc: DcId(scope % 7),
+                            dst_dc: DcId(next(3) as u32),
+                            kind: match next(3) {
+                                0 => ProbeKind::TcpSyn,
+                                1 => ProbeKind::TcpPayload(next(u64::from(u32::MAX) + 1) as u32),
+                                _ => ProbeKind::Http,
+                            },
+                            qos: [QosClass::High, QosClass::Low][next(2) as usize],
+                            src_port: next(1 << 16) as u16,
+                            dst_port: next(1 << 16) as u16,
+                            outcome: match next(4) {
+                                0 => ProbeOutcome::Timeout,
+                                1 => ProbeOutcome::Refused,
+                                _ => ProbeOutcome::Success {
+                                    rtt: SimDuration::from_micros(rtt),
+                                },
+                            },
+                        }
+                    })
+                    .collect();
+                (stream, batch)
+            })
+            .collect()
+    }
+
+    /// What a whole-history scan must read: each stream's batches in
+    /// append order, streams in order.
+    fn appended(batches: &[(StreamName, Vec<ProbeRecord>)]) -> Vec<ProbeRecord> {
+        let mut by_stream: BTreeMap<StreamName, Vec<ProbeRecord>> = BTreeMap::new();
+        for (stream, batch) in batches {
+            by_stream
+                .entry(*stream)
+                .or_default()
+                .extend_from_slice(batch);
+        }
+        by_stream.into_values().flatten().collect()
+    }
+
+    #[test]
+    fn packed_records_scan_back_as_appended_in_memory_and_after_recovery() {
+        for seed in [1, 2, 3] {
+            let batches = arbitrary_batches(seed);
+            let want = appended(&batches);
+            let mut store = CosmosStore::new(37, 1);
+            for (stream, batch) in &batches {
+                assert!(store.append(*stream, batch, SimTime(0)));
+            }
+            assert_eq!(all(&store), want, "seed {seed}: in memory");
+            assert_eq!(
+                chunk_vecs(&store.scan_all_window_chunks(SimTime(0), SimTime(u64::MAX))).concat(),
+                want
+            );
+
+            // Durable: checkpoints (so frozen extents are evicted and read
+            // back from segments) part-way, then a crash and a recovery
+            // that re-interns every record it replays or keeps.
+            let dir = durable::unique_dir("store-packed");
+            let _guard = durable::DirGuard::new(dir.clone());
+            {
+                let mut durable = CosmosStore::durable(&dir, 37, 1).unwrap();
+                for (i, (stream, batch)) in batches.iter().enumerate() {
+                    assert!(durable.append(*stream, batch, SimTime(0)));
+                    if i % 17 == 16 {
+                        durable.checkpoint().unwrap();
+                    }
+                }
+                assert!(durable.resident_records() < durable.record_count());
+                assert_eq!(all(&durable), want, "seed {seed}: durable, live");
+            }
+            let recovered = CosmosStore::durable(&dir, 37, 1).unwrap();
+            assert_eq!(all(&recovered), want, "seed {seed}: recovered");
+            for k in 0..8 {
+                let (from, to) = (SimTime(k * W / 2), SimTime(k * W / 2 + W));
+                assert_eq!(chunked(&recovered, from, to), filtered(&store, from, to));
+            }
+        }
+    }
+
+    #[test]
+    fn resident_bytes_are_32_a_record_plus_the_tables() {
+        let mut store = CosmosStore::new(10, 1);
+        assert_eq!(store.resident_bytes(), 0);
+        store.append(S, &(0..25).map(rec).collect::<Vec<_>>(), SimTime(0));
+        // Two endpoints, one shape, 25 records.
+        assert_eq!(store.table_bytes(), 2 * 16 + 32);
+        assert_eq!(store.resident_bytes(), 25 * 32 + store.table_bytes());
+        let moved = ProbeRecord {
+            src_pod: PodId(9),
+            ..rec(30)
+        };
+        store.append(S, &[moved], SimTime(0));
+        assert_eq!(
+            store.table_bytes(),
+            3 * 16 + 32,
+            "a new scope is a new endpoint"
+        );
     }
 
     #[test]

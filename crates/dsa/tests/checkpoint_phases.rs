@@ -59,9 +59,7 @@ fn append(store: &mut CosmosStore, records: &[ProbeRecord]) {
 fn contents(store: &CosmosStore, windows: u64) -> (Vec<ProbeRecord>, Vec<WindowAggregate>) {
     let records = store
         .scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX))
-        .iter()
-        .flat_map(|c| c.iter())
-        .copied()
+        .records()
         .collect();
     let aggs = (0..windows)
         .map(|k| store.merged_window_aggregate(SimTime(k * W), SimTime((k + 1) * W)))

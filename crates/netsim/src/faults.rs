@@ -17,7 +17,7 @@
 //! Server/podset power state and switch isolation (routing removal) also
 //! live here, since they are part of a scenario's fault timeline.
 
-use pingmesh_types::{FiveTuple, PodsetId, ServerId, SimDuration, SimTime, SwitchId};
+use pingmesh_types::{FiveTuple, PodsetId, SimDuration, SimTime, SwitchId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 
@@ -183,12 +183,6 @@ impl Faults {
         self.podset_down
             .iter()
             .any(|w| w.podset == podset && t >= w.from && w.until.is_none_or(|u| t < u))
-    }
-
-    /// Whether a server is up at `t` (its podset has power). Callers pass
-    /// the server's podset to avoid a topology dependency here.
-    pub fn server_is_up(&self, _server: ServerId, podset: PodsetId, t: SimTime) -> bool {
-        !self.podset_is_down(podset, t)
     }
 
     /// Per-switch salt for deterministic black-hole bucket selection, so
@@ -446,8 +440,6 @@ mod tests {
         assert!(faults.podset_is_down(PodsetId(2), at(150)));
         assert!(!faults.podset_is_down(PodsetId(2), at(250)));
         assert!(!faults.podset_is_down(PodsetId(3), at(150)));
-        assert!(faults.server_is_up(ServerId(0), PodsetId(3), at(150)));
-        assert!(!faults.server_is_up(ServerId(0), PodsetId(2), at(150)));
     }
 
     #[test]

@@ -191,10 +191,10 @@ impl NetState {
         &self.vips
     }
 
-    /// Whether a server is powered and its agent able to probe/respond.
+    /// Whether a server is powered (its podset is not down) and its agent
+    /// able to probe/respond.
     pub fn server_is_up(&self, s: ServerId, t: SimTime) -> bool {
-        let podset = self.topo.server(s).podset;
-        self.faults.server_is_up(s, podset, t) && !self.faults.podset_is_down(podset, t)
+        !self.faults.podset_is_down(self.topo.server(s).podset, t)
     }
 
     /// Resolves a destination address to a physical server: direct server
@@ -753,7 +753,10 @@ mod tests {
             SimTime(10),
         );
         assert_eq!(r.outcome, ProbeOutcome::Timeout);
+        // Only the downed podset's servers are down, and only in its window.
         assert!(!n.state().server_is_up(b, SimTime(10)));
+        assert!(n.state().server_is_up(a, SimTime(10)));
+        assert!(n.state().server_is_up(b, SimTime(1_000_000)));
         // After power restoration, probes work again.
         let r2 = probe(
             &mut n,

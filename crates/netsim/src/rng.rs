@@ -213,6 +213,37 @@ mod tests {
     }
 
     #[test]
+    fn every_ziggurat_layer_band_holds_its_share_of_the_normal() {
+        // Draws with |x| in [x[i + 1], x[i]) come from layer i's wedge and
+        // from the rectangles of the wider layers below it, so a wedge test
+        // that accepts too much or too little shows as a band holding more
+        // or fewer draws than its exact area. Band 0 is the tail beyond R.
+        let zig = Ziggurat::build();
+        let mut r = rng();
+        let n = 2_000_000;
+        let mut counts = [0u64; LAYERS];
+        for _ in 0..n {
+            let a = std_normal(&mut r).abs();
+            counts[zig.x[1..].partition_point(|&edge| edge > a)] += 1;
+        }
+        for (i, &count) in counts.iter().enumerate() {
+            let p = if i == 0 {
+                2.0 * (1.0 - phi(zig.x[1]))
+            } else {
+                2.0 * (phi(zig.x[i]) - phi(zig.x[i + 1]))
+            };
+            let (mean, sd) = (n as f64 * p, (n as f64 * p * (1.0 - p)).sqrt());
+            let z = (count as f64 - mean) / sd;
+            assert!(
+                z.abs() < 4.5,
+                "layer {i}: {count} draws in [{}, {}), expected {mean:.0} ± {sd:.0}",
+                zig.x[i + 1],
+                zig.x[i]
+            );
+        }
+    }
+
+    #[test]
     fn std_normal_moments() {
         let mut r = rng();
         let n = 200_000;

@@ -677,8 +677,7 @@ pub(crate) mod tests {
             let store = cluster.collector().store().lock();
             for r in store
                 .scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX))
-                .iter()
-                .flat_map(|c| c.iter())
+                .records()
             {
                 assert_eq!(r.src, me);
                 *stored.entry((r.dst, r.kind)).or_insert(0) += 1;

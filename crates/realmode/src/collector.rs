@@ -738,9 +738,7 @@ mod tests {
         let store = c.store().lock();
         store
             .scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX))
-            .iter()
-            .flat_map(|c| c.iter())
-            .copied()
+            .records()
             .collect()
     }
 
@@ -1115,8 +1113,7 @@ mod tests {
             c.store()
                 .lock()
                 .scan_all_window_chunks(SimTime(0), SimTime(1_000))
-                .iter()
-                .flat_map(|c| c.iter())
+                .records()
                 .count(),
             100
         );
@@ -1252,8 +1249,7 @@ mod tests {
             c.store()
                 .lock()
                 .scan_all_window_chunks(SimTime(0), SimTime(1_000))
-                .iter()
-                .flat_map(|c| c.iter())
+                .records()
                 .count(),
             4
         );

@@ -55,7 +55,7 @@ impl fmt::Display for ProbeKind {
 }
 
 /// The observable outcome of one probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ProbeOutcome {
     /// The probe completed; RTT as measured by the client.
     ///

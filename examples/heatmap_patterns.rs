@@ -53,7 +53,7 @@ fn show(mut o: Orchestrator, label: &str) {
         .pipeline()
         .store
         .scan_all_window_chunks(SimTime::ZERO, o.now());
-    let agg = WindowAggregate::build(chunks.iter().flat_map(|c| c.iter()));
+    let agg = WindowAggregate::build(chunks.records());
     let m = HeatmapMatrix::from_aggregate(&agg, o.net().topology(), DcId(0));
     println!("--- {label} ---");
     print!("{}", render_ansi(&m));

@@ -68,7 +68,7 @@ fn main() {
         .pipeline()
         .store
         .scan_all_window_chunks(SimTime::ZERO, o.now());
-    let agg = WindowAggregate::build(chunks.iter().flat_map(|c| c.iter()));
+    let agg = WindowAggregate::build(chunks.records());
 
     println!("\ninter-DC latency (selected probers, complete graph over DCs):");
     for dc in topo.dcs() {

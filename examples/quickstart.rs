@@ -79,7 +79,7 @@ fn main() {
         .pipeline()
         .store
         .scan_all_window_chunks(SimTime::ZERO, o.now());
-    let agg = WindowAggregate::build(chunks.iter().flat_map(|c| c.iter()));
+    let agg = WindowAggregate::build(chunks.records());
     let matrix = HeatmapMatrix::from_aggregate(&agg, &topo, DcId(0));
     println!("\n{}", render_ansi(&matrix));
 

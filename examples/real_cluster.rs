@@ -58,9 +58,7 @@ async fn main() {
     let store = cluster.collector().store().lock();
     let records: Vec<_> = store
         .scan_all_window_chunks(SimTime::ZERO, SimTime(u64::MAX))
-        .iter()
-        .flat_map(|c| c.iter())
-        .copied()
+        .records()
         .collect();
     drop(store);
     let agg = WindowAggregate::build(records.iter());

@@ -185,8 +185,7 @@ fn main() {
         o.pipeline()
             .store
             .scan_all_window_chunks(o.now() - SimDuration::from_mins(30), o.now())
-            .iter()
-            .flat_map(|c| c.iter()),
+            .records(),
     );
     for dc in topo.dcs() {
         let m = HeatmapMatrix::from_aggregate(&agg, &topo, dc);
@@ -274,6 +273,13 @@ fn main() {
     println!(
         "histogram pages: {pages:.0} live ({:.0} bytes of counts)",
         pages * 128.0
+    );
+    let store = &o.pipeline().store;
+    let (tables, resident) = (store.table_bytes(), store.resident_records());
+    let record_bytes = store.resident_bytes() - tables;
+    println!(
+        "store: {record_bytes} record bytes for {resident} resident records ({:.1} B per record), {tables} table bytes",
+        record_bytes as f64 / resident.max(1) as f64
     );
 
     if let Some(path) = args.json {

@@ -86,6 +86,27 @@ fn pingmesh_sim_defers_uploads_in_32_bytes_per_record() {
     assert!(bytes / records <= 32.0, "{line}");
 }
 
+/// The store keeps each record in 32 bytes, its endpoints and probe shape
+/// interned in tables of their own.
+#[test]
+fn pingmesh_sim_stores_records_in_32_bytes() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pingmesh-sim"))
+        .args(["--tiny", "--minutes", "12", "--seed", "3"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("store: "))
+        .expect("the summary reports the store's resident bytes");
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let bytes: f64 = words[0].parse().unwrap();
+    let records: f64 = words[4].parse().unwrap();
+    assert!(records > 0.0, "{line}");
+    assert!(bytes / records <= 32.0, "{line}");
+}
+
 /// The fleet keeps each installed pinglist entry once, packed: entry,
 /// ring slot and due time are 20 bytes, and the arenas' growth slack and
 /// cadence groups stay under 2× that (a 32-byte entry copy alone would

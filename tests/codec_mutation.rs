@@ -592,9 +592,7 @@ fn mutated_segments_never_panic_and_always_fail_the_read() {
     let (all_from, all_to) = (SimTime(0), SimTime(u64::MAX));
     let whole: Vec<ProbeRecord> = store
         .scan_all_window_chunks(all_from, all_to)
-        .iter()
-        .flat_map(|c| c.iter())
-        .copied()
+        .records()
         .collect();
     let segments: Vec<Vec<u8>> = (0..4)
         .map(|id| std::fs::read(seg_path(&template, id)).unwrap())
@@ -612,8 +610,7 @@ fn mutated_segments_never_panic_and_always_fail_the_read() {
         match store.try_scan_all_window_chunks(all_from, all_to) {
             Ok(chunks) => {
                 assert!(mutant == segments[id], "round {round}: a mutant read back");
-                let flat: Vec<ProbeRecord> =
-                    chunks.iter().flat_map(|c| c.iter()).copied().collect();
+                let flat: Vec<ProbeRecord> = chunks.records().collect();
                 assert_eq!(flat, whole);
             }
             Err(_) => assert!(

@@ -76,10 +76,9 @@ async fn crash_drill_mid_append_and_mid_compaction_lose_nothing_acked() {
     let (agg_before, boot_before, torn_sample) = {
         let store = cluster.collector().store().lock();
         let agg = store.merged_window_aggregate(SimTime(0), SimTime(W));
-        let sample: ProbeRecord = *store
+        let sample: ProbeRecord = store
             .scan_all_window_chunks(SimTime(0), SimTime(W))
-            .iter()
-            .flat_map(|c| c.iter())
+            .records()
             .next()
             .expect("stored record");
         (agg, store.boot_id(), sample)

@@ -205,7 +205,7 @@ fn podset_power_loss_shows_white_cross_and_recovers() {
         let mins = |m| SimTime::ZERO + SimDuration::from_mins(m);
         let store = &o.pipeline().store;
         let chunks = store.scan_all_window_chunks(mins(from_min), mins(to_min));
-        WindowAggregate::build(chunks.iter().flat_map(|c| c.iter()))
+        WindowAggregate::build(chunks.records())
     };
     let agg = window_agg(&o, 10, 30);
     let m = HeatmapMatrix::from_aggregate(&agg, &topo, DcId(0));
